@@ -23,9 +23,6 @@ Common options for every dbi-bench experiment binary:
     --quick           smoke-test effort (CI scale)
     --full            the paper's own workload counts (102/259/120 mixes)
     --seeds N         average runs over N trace seeds (default 1)
-    --batch-seeds N   simulate up to N seeds of the same configuration as
-                      one lockstep batch unit (default 1 = scalar; must
-                      not exceed --seeds)
     --out-dir PATH    machine-readable output directory (default results/
                       under the workspace root)
     --cache-dir PATH  persistent result-store directory (default
@@ -73,10 +70,6 @@ pub struct BenchArgs {
     pub effort: Effort,
     /// Trace-seed replication count (`--seeds N`, default 1).
     pub seeds: u64,
-    /// Lockstep batch width (`--batch-seeds N`, default 1 = scalar): up
-    /// to this many seeds of one configuration simulate as a single
-    /// batch unit. Never exceeds [`BenchArgs::seeds`].
-    pub batch_seeds: u64,
     /// Output directory override (`--out-dir PATH`).
     pub out_dir: Option<PathBuf>,
     /// Result-store directory override (`--cache-dir PATH`).
@@ -112,7 +105,6 @@ impl Default for BenchArgs {
         BenchArgs {
             effort: Effort::Default,
             seeds: 1,
-            batch_seeds: 1,
             out_dir: None,
             cache_dir: None,
             no_cache: false,
@@ -193,12 +185,6 @@ impl BenchArgs {
                             format!("--seeds needs a positive integer, got '{v}'")
                         })?;
                 }
-                "--batch-seeds" => {
-                    let v = value("--batch-seeds")?;
-                    args.batch_seeds = v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--batch-seeds needs a positive integer, got '{v}'")
-                    })?;
-                }
                 "--out-dir" => args.out_dir = Some(PathBuf::from(value("--out-dir")?)),
                 "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
                 "--no-cache" => args.no_cache = true,
@@ -246,14 +232,16 @@ impl BenchArgs {
                 }
                 "--checkpoint-secs" => {
                     let v = value("--checkpoint-secs")?;
-                    let secs: f64 = v
+                    // `try_from_secs_f64` rejects negatives, NaN, and
+                    // values too large for a `Duration` (e.g. 1e300).
+                    let target = v
                         .parse()
                         .ok()
-                        .filter(|s: &f64| s.is_finite() && *s >= 0.0)
+                        .and_then(|s| std::time::Duration::try_from_secs_f64(s).ok())
                         .ok_or_else(|| {
                             format!("--checkpoint-secs needs a non-negative number, got '{v}'")
                         })?;
-                    args.checkpoint_target = Some(std::time::Duration::from_secs_f64(secs));
+                    args.checkpoint_target = Some(target);
                 }
                 "--shard" => {
                     let v = value("--shard")?;
@@ -266,15 +254,6 @@ impl BenchArgs {
                 }
                 other => return Err(format!("unknown flag '{other}'")),
             }
-        }
-        // Cross-flag validation, after all flags are in so it holds in
-        // either spelling order.
-        if args.batch_seeds > args.seeds {
-            return Err(format!(
-                "--batch-seeds {} exceeds --seeds {}: the lockstep batch width \
-                 cannot be wider than the seed-replication count it batches",
-                args.batch_seeds, args.seeds
-            ));
         }
         Ok((args, extras))
     }
@@ -398,46 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_seeds_flag_parses_and_validates() {
-        let (args, _) = BenchArgs::try_parse(&[], &[]).unwrap();
-        assert_eq!(args.batch_seeds, 1, "default is scalar");
-
-        let (args, _) =
-            BenchArgs::try_parse(&argv(&["--seeds", "8", "--batch-seeds", "4"]), &[]).unwrap();
-        assert_eq!((args.seeds, args.batch_seeds), (8, 4));
-
-        // Width == replication count is the natural full-batch spelling.
-        let (args, _) =
-            BenchArgs::try_parse(&argv(&["--batch-seeds", "3", "--seeds", "3"]), &[]).unwrap();
-        assert_eq!((args.seeds, args.batch_seeds), (3, 3));
-
-        for bad in ["0", "-2", "many"] {
-            assert!(
-                BenchArgs::try_parse(&argv(&["--batch-seeds", bad]), &[])
-                    .unwrap_err()
-                    .contains("positive integer"),
-                "'{bad}' should be rejected"
-            );
-        }
-
-        // A width wider than the seed count is an error naming both flags,
-        // in either flag order.
-        for spelling in [
-            ["--seeds", "2", "--batch-seeds", "5"],
-            ["--batch-seeds", "5", "--seeds", "2"],
-        ] {
-            let err = BenchArgs::try_parse(&argv(&spelling), &[]).unwrap_err();
-            assert!(
-                err.contains("--batch-seeds 5") && err.contains("--seeds 2"),
-                "error must name both flags, got: {err}"
-            );
-        }
-        // The default --seeds 1 also bounds the width.
-        let err = BenchArgs::try_parse(&argv(&["--batch-seeds", "2"]), &[]).unwrap_err();
-        assert!(err.contains("--batch-seeds 2") && err.contains("--seeds 1"));
-    }
-
-    #[test]
     fn robustness_flags_parse() {
         let (args, _) = BenchArgs::try_parse(
             &argv(&["--check", "--fault", "skip-drain", "--fault-seed", "9"]),
@@ -518,7 +457,7 @@ mod tests {
         assert_eq!(args.checkpoint_target, Some(Duration::from_secs_f64(2.5)));
         let (args, _) = BenchArgs::try_parse(&argv(&["--checkpoint-secs", "0"]), &[]).unwrap();
         assert_eq!(args.checkpoint_target, Some(Duration::ZERO));
-        for bad in ["-1", "fast", "inf", "NaN"] {
+        for bad in ["-1", "fast", "inf", "NaN", "1e300"] {
             assert!(
                 BenchArgs::try_parse(&argv(&["--checkpoint-secs", bad]), &[]).is_err(),
                 "'{bad}' should be rejected"

@@ -12,24 +12,16 @@
 //! overrides the output location. `--max-vwq-ratio R` turns the VWQ
 //! hot-path regression gate on: the binary exits nonzero when the
 //! quad-core VWQ wall time exceeds `R` times the median mechanism wall
-//! time (CI pins this at 1.25).
-//!
-//! The baseline also carries a **batch dimension**: the same fixed
-//! workload run over N seeds once sequentially (N scalar sessions) and
-//! once as a lockstep [`SimSession::batch_seeds`] batch, with the
-//! throughput ratio recorded as `batch_lockstep_speedup`. Pass
-//! `--seeds N --batch-seeds N` to override the default width of 4. On a
-//! single hardware thread lockstep rotation buys locality, not
-//! parallelism, so parity (ratio ≈ 1.0) is the realistic ceiling — the
-//! number is tracked to catch *regressions* in the rotation overhead,
-//! not to celebrate a speedup.
+//! time (CI pins this at 1.25). The JSON records the host's available
+//! hardware threads as `cpus`, so absolute rates can be read against the
+//! machine that produced them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use dbi_bench::{BenchArgs, Effort};
-use system_sim::{run_mix, Mechanism, MixResult, SimSession, SystemConfig};
+use system_sim::{run_mix, Mechanism, MixResult, SystemConfig};
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
@@ -150,54 +142,6 @@ fn json_for(name: &str, cores: usize, benchmarks: &[Benchmark], runs: &[Measurem
     out
 }
 
-/// The batch dimension: `width` seeds of the same fixed workload, first
-/// as `width` sequential scalar sessions, then as one lockstep batch.
-/// Returns `(scalar, lockstep)` throughput in records/second, asserting
-/// per-seed bit-identity between the two along the way.
-fn measure_batch(
-    mix: &WorkloadMix,
-    mechanism: Mechanism,
-    effort: Effort,
-    width: u64,
-) -> (f64, f64) {
-    let mut config = SystemConfig::for_cores(1, mechanism);
-    config.warmup_insts = effort.warmup_insts();
-    config.measure_insts = effort.measure_insts();
-    let seeds: Vec<u64> = (1..=width).collect();
-
-    let start = Instant::now();
-    let scalar: Vec<MixResult> = seeds
-        .iter()
-        .map(|&seed| {
-            let mut c = config.clone();
-            c.seed = seed;
-            SimSession::new(mix, &c)
-                .run()
-                .expect("cold scalar run cannot fail")
-                .into_single()
-        })
-        .collect();
-    let scalar_wall = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let batch = SimSession::new(mix, &config)
-        .batch_seeds(&seeds)
-        .run()
-        .expect("cold batch run cannot fail")
-        .into_results();
-    let batch_wall = start.elapsed().as_secs_f64();
-
-    for (s, b) in scalar.iter().zip(&batch) {
-        assert_eq!(
-            s.digest(),
-            b.digest(),
-            "lockstep batch diverged from scalar"
-        );
-    }
-    let records: u64 = scalar.iter().map(|r| r.records_processed).sum();
-    (records as f64 / scalar_wall, records as f64 / batch_wall)
-}
-
 /// Quad-core VWQ wall time over the median mechanism wall time — the
 /// metric the word-level dirty/rank index exists to hold down. VWQ's
 /// per-writeback SSV refreshes made it the slowest mechanism by far
@@ -282,38 +226,15 @@ fn main() {
         sections.push(json_for(name, cores, mix.benchmarks(), &runs));
     }
 
-    let batch_width = if args.batch_seeds > 1 {
-        args.batch_seeds
-    } else {
-        4
-    };
-    eprintln!("batch_lockstep (width {batch_width}, dbi-awb-clb, lbm)...");
-    let (scalar_rps, batch_rps) = measure_batch(
-        &single,
-        Mechanism::Dbi {
-            awb: true,
-            clb: true,
-        },
-        effort,
-        batch_width,
-    );
-    let batch_speedup = batch_rps / scalar_rps;
-    eprintln!(
-        "  scalar {scalar_rps:>10.0} rec/s  lockstep {batch_rps:>10.0} rec/s  ratio {batch_speedup:.3}"
-    );
-
     let json = format!(
-        "{{\n  \"schema\": \"dbi-hotpath-perf/v1\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"warmup_insts_per_core\": {},\n  \"measure_insts_per_core\": {},\n  \"headline_quad_core_records_per_sec\": {:.0},\n  \"quad_core_vwq_wall_ratio\": {:.3},\n  \"batch_seeds\": {},\n  \"batch_scalar_records_per_sec\": {:.0},\n  \"batch_lockstep_records_per_sec\": {:.0},\n  \"batch_lockstep_speedup\": {:.3},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"dbi-hotpath-perf/v1\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"cpus\": {},\n  \"warmup_insts_per_core\": {},\n  \"measure_insts_per_core\": {},\n  \"headline_quad_core_records_per_sec\": {:.0},\n  \"quad_core_vwq_wall_ratio\": {:.3},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         if effort == Effort::Full { "full" } else { "quick" },
         if cfg!(debug_assertions) { "debug" } else { "release" },
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         effort.warmup_insts(),
         effort.measure_insts(),
         headline,
         vwq_ratio,
-        batch_width,
-        scalar_rps,
-        batch_rps,
-        batch_speedup,
         sections.join(",\n"),
     );
 
@@ -326,7 +247,6 @@ fn main() {
     }
     println!("headline_quad_core_records_per_sec {headline:.0}");
     println!("quad_core_vwq_wall_ratio {vwq_ratio:.3}");
-    println!("batch_lockstep_speedup {batch_speedup:.3}");
     if let Some(max) = max_vwq_ratio {
         if vwq_ratio > max {
             eprintln!(

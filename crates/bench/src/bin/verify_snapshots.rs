@@ -53,7 +53,7 @@ fn run_with_crashes(mix: &WorkloadMix, config: &SystemConfig) -> (String, u32) {
             .run()
             .expect("snapshot written by this process must restore");
         match outcome {
-            SessionOutcome::Finished(_) => return (outcome.into_single().digest(), crashes),
+            SessionOutcome::Finished(result) => return (result.digest(), crashes),
             SessionOutcome::Suspended => {
                 crashes += 1;
                 resume = Some(saved.expect("suspension implies a checkpoint"));

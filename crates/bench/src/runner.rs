@@ -78,7 +78,7 @@ use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
 use crate::failpoints::{self, FailPlan as IoFailPlan};
-use crate::store::{fingerprint_hash, unit_key, ResultStore, StoreKey};
+use crate::store::{unit_key, ResultStore, StoreKey};
 use crate::{listing, parallel_map_jobs, BenchArgs};
 
 /// Default wall-clock time between checkpoints of an in-flight unit
@@ -327,105 +327,11 @@ fn run_checkpointed(
             .cadence(ctx.cadence)
             .sink(&mut sink);
         match session.run() {
-            Ok(SessionOutcome::Finished(results)) => {
-                return SimRun::Completed {
-                    result: Box::new(results.into_iter().next().expect("scalar run, one result")),
-                    resumed,
-                }
-            }
+            Ok(SessionOutcome::Finished(result)) => return SimRun::Completed { result, resumed },
             Ok(SessionOutcome::Suspended) => return SimRun::Suspended,
             Err(e) => {
                 eprintln!(
                     "warning: checkpoint {:016x}.ckpt did not restore ({e:?}); cold start",
-                    ctx.key.hash
-                );
-                store.clear_checkpoint(&ctx.key);
-                resume = None;
-            }
-        }
-    }
-}
-
-/// Outcome of one guarded lockstep-batch attempt that did not fault.
-enum BatchRun {
-    /// Every lane ran to completion; results are in lane (= seed) order.
-    Completed {
-        results: Vec<MixResult>,
-        resumed: bool,
-    },
-    /// Suspended at a durable whole-batch checkpoint.
-    Suspended,
-}
-
-/// Runs one lockstep batch of seeds, checkpointing the whole batch under
-/// the synthetic `ctx.key` and heartbeating every member unit's lease
-/// (`member_keys`) so foreign shards keep treating the members as live.
-/// Mirrors [`run_checkpointed`]: a checkpoint that fails to restore is
-/// discarded and the batch restarts cold.
-fn run_batch_checkpointed(
-    mix: &WorkloadMix,
-    config: &SystemConfig,
-    seeds: &[u64],
-    ctx: Option<(&CheckpointCtx, &[StoreKey])>,
-) -> BatchRun {
-    let Some((ctx, member_keys)) = ctx else {
-        let outcome = SimSession::new(mix, config)
-            .batch_seeds(seeds)
-            .run()
-            .expect("a cold session has no snapshot to reject");
-        return BatchRun::Completed {
-            results: outcome.into_results(),
-            resumed: false,
-        };
-    };
-    let store = ResultStore::open(ctx.dir.clone());
-    let heartbeat = match ctx.cadence {
-        CheckpointCadence::WallClock { target, .. } => Some(target),
-        _ => None,
-    };
-    let write_leases = || {
-        for key in member_keys {
-            let _ = match heartbeat {
-                Some(hb) => store.write_lease_with_heartbeat(key, &ctx.owner, hb),
-                None => store.write_lease(key, &ctx.owner),
-            };
-        }
-    };
-    write_leases();
-    let mut resume = store.load_checkpoint(&ctx.key);
-    loop {
-        let resumed = resume.is_some();
-        let mut sink = |bytes: &[u8]| {
-            if let Err(e) = store.save_checkpoint(&ctx.key, bytes) {
-                eprintln!(
-                    "warning: could not write batch checkpoint {:016x}.ckpt: {e}",
-                    ctx.key.hash
-                );
-            }
-            write_leases();
-            if interrupted().is_some() {
-                return false;
-            }
-            if let Some(budget) = &ctx.crash_after {
-                if budget.fetch_sub(1, Ordering::Relaxed) <= 1 {
-                    return false;
-                }
-            }
-            true
-        };
-        let session = SimSession::new(mix, config)
-            .batch_seeds(seeds)
-            .maybe_resume(resume.as_deref())
-            .cadence(ctx.cadence)
-            .sink(&mut sink);
-        match session.run() {
-            Ok(SessionOutcome::Finished(results)) => {
-                return BatchRun::Completed { results, resumed }
-            }
-            Ok(SessionOutcome::Suspended) => return BatchRun::Suspended,
-            Err(e) => {
-                eprintln!(
-                    "warning: batch checkpoint {:016x}.ckpt did not restore ({e:?}); cold start",
                     ctx.key.hash
                 );
                 store.clear_checkpoint(&ctx.key);
@@ -493,9 +399,6 @@ pub struct Runner {
     watchdog: Option<Duration>,
     /// `--shard I/N`: simulate only the units hashing to shard I.
     shard: Option<(u32, u32)>,
-    /// `--batch-seeds N`: lockstep batch width for store-miss units that
-    /// differ only in trace seed (1 = scalar scheduling).
-    batch_seeds: u64,
     /// When in-flight units checkpoint (wall-clock by default).
     checkpoint: CheckpointCadence,
     /// Base delay before a failed unit's single retry (jittered ×1–2).
@@ -546,7 +449,6 @@ impl Runner {
             fault: args.fault_plan(),
             watchdog: args.watchdog(),
             shard: args.shard,
-            batch_seeds: args.batch_seeds,
             checkpoint: match args.checkpoint_target {
                 Some(t) if t.is_zero() => CheckpointCadence::Disabled,
                 Some(target) => CheckpointCadence::WallClock {
@@ -623,14 +525,6 @@ impl Runner {
     #[must_use]
     pub fn with_owner(mut self, owner: &str) -> Runner {
         self.owner = owner.to_string();
-        self
-    }
-
-    /// Overrides the lockstep batch width (tests exercise batching
-    /// without going through `--batch-seeds`).
-    #[must_use]
-    pub fn with_batch_seeds(mut self, width: u64) -> Runner {
-        self.batch_seeds = width.max(1);
         self
     }
 
@@ -806,228 +700,6 @@ impl Runner {
             store.clear_lease(key);
         }
         Ok(Some(*result))
-    }
-
-    /// The seed-masked grouping key of a unit: its store key with the
-    /// trace seed zeroed, so units that differ *only* in seed land in the
-    /// same lockstep-batch group.
-    fn masked_key(unit: &RunUnit) -> StoreKey {
-        let mut masked = unit.config.clone();
-        masked.seed = 0;
-        unit_key(&masked, unit.mix.benchmarks())
-    }
-
-    /// The synthetic store key a whole batch checkpoints under. Derived
-    /// from the seed-masked fingerprint plus the exact seed list, so a
-    /// rerun with the same work list and `--batch-seeds` resumes the
-    /// image, while any other batching ignores it (and restore's per-lane
-    /// seed validation rejects a forged or mismatched image anyway).
-    fn batch_ckpt_key(masked: &StoreKey, seeds: &[u64]) -> StoreKey {
-        let mut list = String::new();
-        for (i, seed) in seeds.iter().enumerate() {
-            if i > 0 {
-                list.push(',');
-            }
-            list.push_str(&seed.to_string());
-        }
-        let fingerprint = format!("batch seeds=[{list}] {}", masked.fingerprint);
-        StoreKey {
-            hash: fingerprint_hash(&fingerprint),
-            fingerprint,
-        }
-    }
-
-    /// Groups the work list's store-miss units that differ only in trace
-    /// seed into lockstep batches of at most `batch_seeds` distinct seeds
-    /// and simulates each batch as one [`SimSession`]. Returns one
-    /// pre-computed result per input index (`None` = not handled here;
-    /// the scalar path owns it).
-    ///
-    /// Exclusions keep the store contracts intact: check/sanitize/fault
-    /// units bypass the store and its batching, foreign-shard units stay
-    /// with their owners, store hits are served (and counted) by the
-    /// scalar path, and groups that reduce to one unit gain nothing from
-    /// a width-1 batch. A batch that panics or times out falls back to
-    /// the scalar path — every member then retains the per-unit retry,
-    /// watchdog, and checkpoint semantics.
-    fn batch_prepass(&self, phase: &str, units: &[RunUnit]) -> Vec<Option<MixResult>> {
-        let mut out: Vec<Option<MixResult>> = (0..units.len()).map(|_| None).collect();
-        if self.batch_seeds <= 1 || interrupted().is_some() {
-            return out;
-        }
-        // BTreeMap: deterministic group order, so the same work list
-        // produces the same batches (and the same batch checkpoint keys)
-        // on every run.
-        let mut groups: std::collections::BTreeMap<u64, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (i, unit) in units.iter().enumerate() {
-            let eff = self.effective(unit);
-            if eff.config.check || eff.config.sanitize || eff.config.fault.is_some() {
-                continue;
-            }
-            let key = eff.key();
-            if let Some((mine, n)) = self.shard {
-                if shard_of(key.hash, n) != mine {
-                    continue;
-                }
-            }
-            if self.store.as_ref().is_some_and(|s| s.contains(&key)) {
-                continue;
-            }
-            groups
-                .entry(Self::masked_key(&eff).hash)
-                .or_default()
-                .push(i);
-        }
-        let mut batches: Vec<Vec<usize>> = Vec::new();
-        for members in groups.into_values() {
-            let mut current: Vec<usize> = Vec::new();
-            let mut seeds: Vec<u64> = Vec::new();
-            for i in members {
-                let seed = self.effective(&units[i]).config.seed;
-                // A duplicate seed (the same unit listed twice) closes the
-                // chunk: batch lanes must be distinct.
-                if current.len() >= self.batch_seeds as usize || seeds.contains(&seed) {
-                    if current.len() >= 2 {
-                        batches.push(std::mem::take(&mut current));
-                    } else {
-                        current.clear();
-                    }
-                    seeds.clear();
-                }
-                current.push(i);
-                seeds.push(seed);
-            }
-            if current.len() >= 2 {
-                batches.push(current);
-            }
-        }
-        if batches.is_empty() {
-            return out;
-        }
-        let batched_units: usize = batches.iter().map(Vec::len).sum();
-        eprintln!(
-            "runner[{}]: {phase}: batching {batched_units} store-miss units into {} \
-             lockstep batches (width {})",
-            self.name,
-            batches.len(),
-            self.batch_seeds
-        );
-        let completed = parallel_map_jobs(&batches, self.jobs, |members| {
-            self.simulate_batch(units, members)
-        });
-        for (members, results) in batches.iter().zip(completed) {
-            for (i, result) in members.iter().zip(results) {
-                out[*i] = Some(result);
-            }
-        }
-        out
-    }
-
-    /// One guarded lockstep-batch attempt over `members` (indices into
-    /// `units`, all in one seed-masked group). On completion every lane's
-    /// result is written to its own unit key — warm reruns and
-    /// `merge_shards` see exactly the entries a scalar run would have
-    /// produced — and returned in member order. An empty return means the
-    /// batch did not complete (fault, suspension): the scalar path picks
-    /// the members up.
-    fn simulate_batch(&self, units: &[RunUnit], members: &[usize]) -> Vec<MixResult> {
-        let eff: Vec<RunUnit> = members.iter().map(|&i| self.effective(&units[i])).collect();
-        let seeds: Vec<u64> = eff.iter().map(|u| u.config.seed).collect();
-        let member_keys: Vec<StoreKey> = eff.iter().map(RunUnit::key).collect();
-        let template = &eff[0];
-        let ckpt_key = Self::batch_ckpt_key(&Self::masked_key(template), &seeds);
-        let ctx = match &self.store {
-            Some(store) if self.checkpoint != CheckpointCadence::Disabled => Some(CheckpointCtx {
-                dir: store.dir().to_path_buf(),
-                key: ckpt_key,
-                owner: self.owner.clone(),
-                cadence: self.checkpoint,
-                crash_after: self.crash_after.clone(),
-            }),
-            _ => None,
-        };
-        let t = Instant::now();
-        let run = match self.watchdog {
-            None => catch_unwind(AssertUnwindSafe(|| {
-                run_batch_checkpointed(
-                    &template.mix,
-                    &template.config,
-                    &seeds,
-                    ctx.as_ref().map(|c| (c, member_keys.as_slice())),
-                )
-            })),
-            Some(limit) => {
-                // A batch legitimately takes up to `lanes` single-unit
-                // budgets of wall clock; scale the watchdog accordingly.
-                let limit = limit * u32::try_from(seeds.len()).unwrap_or(u32::MAX);
-                let (tx, rx) = std::sync::mpsc::channel();
-                let mix = template.mix.clone();
-                let config = template.config.clone();
-                let seeds = seeds.clone();
-                let keys = member_keys.clone();
-                let ctx = ctx.clone();
-                std::thread::spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        run_batch_checkpointed(
-                            &mix,
-                            &config,
-                            &seeds,
-                            ctx.as_ref().map(|c| (c, keys.as_slice())),
-                        )
-                    }));
-                    let _ = tx.send(outcome);
-                });
-                match rx.recv_timeout(limit) {
-                    Ok(outcome) => outcome,
-                    Err(_) => Err(Box::new(format!(
-                        "exceeded the batch watchdog ({:.0}s)",
-                        limit.as_secs_f64()
-                    )) as Box<dyn std::any::Any + Send>),
-                }
-            }
-        };
-        let (results, resumed) = match run {
-            Ok(BatchRun::Completed { results, resumed }) => (results, resumed),
-            Ok(BatchRun::Suspended) => return Vec::new(),
-            Err(payload) => {
-                eprintln!(
-                    "runner[{}]: batch of {} seeds failed ({}); falling back to scalar units",
-                    self.name,
-                    seeds.len(),
-                    panic_text(payload.as_ref())
-                );
-                return Vec::new();
-            }
-        };
-        let nanos = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let lanes = results.len() as u64;
-        self.counters.sims.fetch_add(lanes, Ordering::Relaxed);
-        if resumed {
-            self.counters.resumes.fetch_add(lanes, Ordering::Relaxed);
-        }
-        self.counters.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.counters
-            .unit_max_nanos
-            .fetch_max(nanos / lanes.max(1), Ordering::Relaxed);
-        if let Some(store) = &self.store {
-            for (key, result) in member_keys.iter().zip(&results) {
-                if let Err(e) = store.save(key, result) {
-                    eprintln!(
-                        "warning: could not write store entry {}: {e}",
-                        store.entry_path(key).display()
-                    );
-                }
-                // Any stale per-unit checkpoint from an earlier scalar
-                // attempt is superseded by the completed result.
-                store.clear_checkpoint(key);
-                store.clear_lease(key);
-            }
-            if let Some(ctx) = &ctx {
-                store.clear_checkpoint(&ctx.key);
-            }
-        }
-        results
     }
 
     /// The per-unit scheduling decision of a work list: interrupt
@@ -1206,10 +878,6 @@ impl Runner {
                 .collect();
             return (results, Vec::new());
         }
-        // Lockstep batching first: groups of store-miss units differing
-        // only in seed complete here; everything else (hits, bypass,
-        // foreign, fallback) drains through the scalar path below.
-        let prepass = self.batch_prepass(phase, units);
         let total = units.len();
         let done = AtomicU64::new(0);
         let started = Instant::now();
@@ -1218,15 +886,6 @@ impl Runner {
         let indices: Vec<usize> = (0..total).collect();
         let outcomes = parallel_map_jobs(&indices, self.jobs, |&i| {
             let unit = &units[i];
-            if let Some(result) = &prepass[i] {
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                progress.report(
-                    d as usize,
-                    total,
-                    &format!("{}: {phase}: {d}/{total} units (batched)", self.name),
-                );
-                return Ok(Some(result.clone()));
-            }
             let outcome = self.scheduled_outcome(unit).or_else(|first| {
                 eprintln!(
                     "runner[{}]: {phase}: unit {i} {first}; retrying once",

@@ -826,7 +826,9 @@ pub(crate) fn parse_lease_heartbeat(content: &str) -> Option<Duration> {
         .strip_prefix("heartbeat-secs=")?
         .parse()
         .ok()?;
-    (secs.is_finite() && secs >= 0.0).then(|| Duration::from_secs_f64(secs))
+    // A damaged promise (negative, NaN, or too large for a `Duration`)
+    // counts as no promise at all rather than panicking the reader.
+    Duration::try_from_secs_f64(secs).ok()
 }
 
 fn parse_u64s(s: &str, n: usize) -> Option<Vec<u64>> {
@@ -961,6 +963,22 @@ mod tests {
         // Real store files are never touched.
         assert_eq!(store.load_blob(&key).as_deref(), Some("payload\n"));
         assert_eq!(store.scavenge(Duration::ZERO), 0);
+    }
+
+    #[test]
+    fn damaged_lease_heartbeat_is_no_promise() {
+        assert_eq!(
+            parse_lease_heartbeat("owner:1\nheartbeat-secs=2.5\n"),
+            Some(Duration::from_secs_f64(2.5))
+        );
+        for bad in ["1e300", "-1", "NaN", "inf", "soon"] {
+            let lease = format!("owner:1\nheartbeat-secs={bad}\n");
+            assert_eq!(
+                parse_lease_heartbeat(&lease),
+                None,
+                "'{bad}' promises nothing"
+            );
+        }
     }
 
     #[test]

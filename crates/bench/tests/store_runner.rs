@@ -497,88 +497,3 @@ fn check_runs_bypass_the_store() {
         assert!(result.check.is_some(), "checker verdict must be present");
     }
 }
-
-#[test]
-fn batched_work_list_is_bit_identical_to_scalar_and_warms_the_store() {
-    // The same six-unit work list — one configuration over six seeds —
-    // scheduled scalar and as lockstep batches must produce bit-identical
-    // results and identical store contents.
-    let seeds = 1u64..=6;
-    let units: Vec<RunUnit> = seeds
-        .map(|s| {
-            let mut config = tiny_config(Mechanism::Dbi {
-                awb: true,
-                clb: false,
-            });
-            config.seed = s * 101;
-            RunUnit::alone(Benchmark::Lbm, config)
-        })
-        .collect();
-
-    let scalar_scratch = Scratch::new("batch-scalar");
-    let scalar = Runner::new("test-batch-scalar", &scalar_scratch.args());
-    let scalar_results = scalar.run_units("phase", &units);
-    assert_eq!(scalar.sims(), 6);
-
-    let batch_scratch = Scratch::new("batch-wide");
-    let batched = Runner::new("test-batch", &batch_scratch.args()).with_batch_seeds(4);
-    let batch_results = batched.run_units("phase", &units);
-    // 6 units at width 4 → one full batch of 4 and one remainder of 2,
-    // all simulated, none served from the (cold) store.
-    assert_eq!((batched.sims(), batched.hits()), (6, 0));
-    for (s, b) in scalar_results.iter().zip(&batch_results) {
-        assert_eq!(
-            s.digest(),
-            b.digest(),
-            "batched result must be bit-identical"
-        );
-    }
-
-    // Every lane landed in the store under its own per-seed unit key, so
-    // a warm rerun — scalar or batched — performs zero simulations.
-    let warm = Runner::new("test-batch-warm", &batch_scratch.args()).with_batch_seeds(4);
-    let warm_results = warm.run_units("phase", &units);
-    assert_eq!((warm.sims(), warm.hits()), (0, 6));
-    for (w, b) in warm_results.iter().zip(&batch_results) {
-        assert_eq!(
-            w.digest(),
-            b.digest(),
-            "stored result must replay bit-identically"
-        );
-    }
-    // No batch checkpoint (or lease) survives a completed run.
-    let store = ResultStore::open(batch_scratch.0.clone());
-    for unit in &units {
-        let key = unit_key(&unit.config, unit.mix.benchmarks());
-        assert!(!store.checkpoint_path(&key).exists());
-    }
-}
-
-#[test]
-fn batching_groups_only_seed_variants_and_leaves_singletons_scalar() {
-    // Two mechanisms × two seeds plus one odd-config singleton: batches
-    // must form only within a mechanism's seed group.
-    let mut units = Vec::new();
-    for mechanism in [Mechanism::Baseline, Mechanism::Vwq] {
-        for seed in [7u64, 11] {
-            let mut config = tiny_config(mechanism);
-            config.seed = seed;
-            units.push(RunUnit::alone(Benchmark::Mcf, config));
-        }
-    }
-    let mut odd = tiny_config(Mechanism::Baseline);
-    odd.seed = 7;
-    odd.llc_bytes_per_core *= 2;
-    units.push(RunUnit::alone(Benchmark::Mcf, odd));
-
-    let scratch = Scratch::new("batch-groups");
-    let runner = Runner::new("test-batch-groups", &scratch.args()).with_batch_seeds(8);
-    let results = runner.run_units("phase", &units);
-    assert_eq!((runner.sims(), runner.hits()), (5, 0));
-    assert_eq!(results.len(), 5);
-
-    // The seed-masked grouping is visible in the results: same mechanism,
-    // different seeds → different digests (distinct simulations ran).
-    assert_ne!(results[0].digest(), results[1].digest());
-    assert_ne!(results[2].digest(), results[3].digest());
-}

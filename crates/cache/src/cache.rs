@@ -953,9 +953,9 @@ impl<'a> DirtyView<'a> {
 
     /// Bulk form of [`mask`](DirtyView::mask): fills `out[i]` with the
     /// dirty-way word of `sets[i]`. One pass over the word index with no
-    /// per-set call overhead — the shape the batch engine and the
-    /// sanitizer's full-state scans use, so S-seed lockstep execution
-    /// never round-trips through single-set queries.
+    /// per-set call overhead — the shape the sanitizer's full-state scans
+    /// and the checkpoint dirty-way cross-check use, so whole-cache
+    /// passes never round-trip through single-set queries.
     ///
     /// # Panics
     ///

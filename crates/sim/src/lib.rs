@@ -33,7 +33,6 @@
 //! assert_eq!(baseline.cores[0].insts, dbi.cores[0].insts);
 //! ```
 
-mod batch;
 mod checker;
 mod config;
 mod core;
@@ -45,7 +44,6 @@ pub mod metrics;
 mod session;
 mod system;
 
-pub use crate::batch::SeedBatch;
 pub use crate::checker::{LostWrite, VersionChecker};
 pub use crate::config::{DbiParams, Latencies, Mechanism, SystemConfig};
 pub use crate::dramcache::{GbCacheConfig, GbCacheStats, GbDirtyView, GbDramCache};

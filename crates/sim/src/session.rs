@@ -1,16 +1,17 @@
-//! The typed run API: one entry point for scalar and batch simulation.
+//! The typed run API: one entry point for every simulation.
 //!
 //! [`SimSession`] replaces the old positional
 //! `System::run_resumable(resume, cadence, &mut sink)` surface with a
 //! builder over [`RunOptions`]: resume bytes, checkpoint cadence and sink,
-//! sanitizer and fault-injector overrides, and the batch width all live in
-//! one struct, and scalar execution is simply a batch of width one. Every
-//! run — `run_mix`, the bench runner, checkpoint tests — goes through the
-//! same [`crate::batch::SeedBatch`] drive loop, so there is exactly one
-//! code path to prove bit-identical and crash-safe.
+//! and sanitizer and fault-injector overrides all live in one struct.
+//! Every checkpointed run — the bench runner, checkpoint tests — goes
+//! through the one per-record drive loop in this module, so there is
+//! exactly one code path to prove bit-identical and crash-safe;
+//! `System::run` steps the same `micro_step` without the cadence
+//! bookkeeping.
 //!
 //! ```
-//! use system_sim::{Mechanism, SessionOutcome, SimSession, SystemConfig};
+//! use system_sim::{run_mix, Mechanism, SimSession, SystemConfig};
 //! use trace_gen::mix::WorkloadMix;
 //! use trace_gen::Benchmark;
 //!
@@ -19,33 +20,26 @@
 //! config.warmup_insts = 10_000;
 //! config.measure_insts = 20_000;
 //!
-//! // Scalar and batch share the entry point; each seed's result is
-//! // bit-identical to running it alone.
-//! let alone = SimSession::new(&mix, &config).run().unwrap().into_results();
-//! let batch = SimSession::new(&mix, &config)
-//!     .batch_seeds(&[config.seed, 99])
-//!     .run()
-//!     .unwrap()
-//!     .into_results();
-//! assert_eq!(alone[0].digest(), batch[0].digest());
+//! // A session without checkpointing is exactly `run_mix`.
+//! let session = SimSession::new(&mix, &config).run().unwrap().into_result();
+//! assert_eq!(session.digest(), run_mix(&mix, &config).digest());
 //! ```
+
+use std::time::Instant;
 
 use dbi::snap::SnapError;
 use trace_gen::mix::WorkloadMix;
 
-use crate::batch::SeedBatch;
 use crate::config::SystemConfig;
 use crate::faults::FaultPlan;
-use crate::system::MixResult;
+use crate::system::{MixResult, RunState, System};
 
 /// When a resumable run serializes its state and offers it to the sink.
 ///
 /// Checkpoint *placement* may depend on wall-clock time, but checkpoint
 /// *content* never does: a snapshot taken at any step boundary restores
 /// bit-identically, so cadence only trades re-execution loss against
-/// serialization overhead. Under a batch, cadence counts micro-steps
-/// across all lanes and checkpoints land on lane-rotation boundaries; for
-/// a width-1 batch the placement is exactly the scalar placement.
+/// serialization overhead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckpointCadence {
     /// Never checkpoint.
@@ -71,38 +65,25 @@ pub enum CheckpointCadence {
 /// How a session ended.
 #[derive(Debug)]
 pub enum SessionOutcome {
-    /// Every seed finished; results are in `batch_seeds` order (a single
-    /// element for scalar runs).
-    Finished(Vec<MixResult>),
+    /// The run finished (boxed: `MixResult` is large).
+    Finished(Box<MixResult>),
     /// The checkpoint sink asked to stop; the last checkpoint it accepted
     /// is the point to resume from.
     Suspended,
 }
 
 impl SessionOutcome {
-    /// The finished results.
+    /// The finished result.
     ///
     /// # Panics
     ///
     /// Panics if the session was suspended.
     #[must_use]
-    pub fn into_results(self) -> Vec<MixResult> {
+    pub fn into_result(self) -> MixResult {
         match self {
-            SessionOutcome::Finished(results) => results,
+            SessionOutcome::Finished(result) => *result,
             SessionOutcome::Suspended => panic!("session was suspended, not finished"),
         }
-    }
-
-    /// The single result of a scalar (width-1) session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session was suspended or ran more than one seed.
-    #[must_use]
-    pub fn into_single(self) -> MixResult {
-        let mut results = self.into_results();
-        assert_eq!(results.len(), 1, "session ran {} seeds", results.len());
-        results.pop().expect("one result")
     }
 }
 
@@ -112,8 +93,8 @@ pub type CheckpointSink<'a> = &'a mut dyn FnMut(&[u8]) -> bool;
 /// Everything a run can be configured with, in one typed struct.
 ///
 /// All fields default to "off": no resume, no checkpointing, config-level
-/// sanitizer/fault settings, scalar width. [`SimSession`]'s builder methods
-/// set individual fields; construct a `RunOptions` directly when a caller
+/// sanitizer/fault settings. [`SimSession`]'s builder methods set
+/// individual fields; construct a `RunOptions` directly when a caller
 /// wants to thread options through as a value.
 #[derive(Default)]
 pub struct RunOptions<'a> {
@@ -128,9 +109,6 @@ pub struct RunOptions<'a> {
     pub sanitize: Option<bool>,
     /// Overrides [`SystemConfig::fault`] when set.
     pub fault: Option<FaultPlan>,
-    /// Seeds to run in lockstep, one lane per seed. `None` (or one seed)
-    /// is the scalar path; `config.seed` is ignored when set.
-    pub batch_seeds: Option<&'a [u64]>,
 }
 
 impl std::fmt::Debug for RunOptions<'_> {
@@ -141,12 +119,11 @@ impl std::fmt::Debug for RunOptions<'_> {
             .field("sink", &self.sink.is_some())
             .field("sanitize", &self.sanitize)
             .field("fault", &self.fault)
-            .field("batch_seeds", &self.batch_seeds)
             .finish()
     }
 }
 
-/// A configured run of one `(mix, config)` over one or more seeds.
+/// A configured run of one `(mix, config)`.
 ///
 /// Borrowing builder: `SimSession::new(&mix, &config).cadence(..).run()`.
 #[derive(Debug)]
@@ -157,7 +134,7 @@ pub struct SimSession<'a> {
 }
 
 impl<'a> SimSession<'a> {
-    /// Starts a session with default options (scalar, no checkpointing).
+    /// Starts a session with default options (no checkpointing).
     #[must_use]
     pub fn new(mix: &'a WorkloadMix, config: &'a SystemConfig) -> SimSession<'a> {
         SimSession {
@@ -224,26 +201,17 @@ impl<'a> SimSession<'a> {
         self
     }
 
-    /// Runs `seeds` in lockstep, one lane per seed (`config.seed` is
-    /// ignored). One seed is exactly the scalar path.
-    #[must_use]
-    pub fn batch_seeds(mut self, seeds: &'a [u64]) -> Self {
-        self.options.batch_seeds = Some(seeds);
-        self
-    }
-
     /// Executes the session.
     ///
     /// # Errors
     ///
     /// Returns the decode error when resume bytes are truncated, corrupted,
     /// forged, or captured from a differently-configured session (other
-    /// mechanism, other seeds, other batch width).
+    /// mechanism, other seed).
     ///
     /// # Panics
     ///
-    /// Panics if the measurement window is empty, `batch_seeds` is set but
-    /// empty, or the batch seeds are not distinct.
+    /// Panics if the measurement window is empty.
     pub fn run(self) -> Result<SessionOutcome, SnapError> {
         let SimSession {
             mix,
@@ -261,20 +229,56 @@ impl<'a> SimSession<'a> {
             config.measure_insts > 0,
             "measurement window must be nonempty"
         );
-        let one_seed = [config.seed];
-        let seeds: &[u64] = match options.batch_seeds {
-            Some(seeds) => {
-                assert!(!seeds.is_empty(), "batch_seeds must name at least one seed");
-                seeds
-            }
-            None => &one_seed,
+        let mut sys = System::new(mix, &config);
+        let st = match options.resume {
+            Some(bytes) => sys.restore_checkpoint(bytes)?,
+            None => RunState::cold(&sys),
         };
-        let mut batch = SeedBatch::new(mix, &config, seeds);
-        if let Some(bytes) = options.resume {
-            batch.restore_from(bytes)?;
-        }
         let mut accept_all = |_: &[u8]| true;
         let sink = options.sink.unwrap_or(&mut accept_all);
-        Ok(batch.drive(options.cadence, sink))
+        Ok(drive(sys, st, options.cadence, sink))
     }
+}
+
+/// The drive loop: advances `sys` one record at a time until the run
+/// completes, offering a checkpoint to `sink` whenever `cadence` falls
+/// due; a `false` from `sink` suspends.
+fn drive(
+    mut sys: System,
+    mut st: RunState,
+    cadence: CheckpointCadence,
+    sink: &mut dyn FnMut(&[u8]) -> bool,
+) -> SessionOutcome {
+    let mut last_checkpoint = Instant::now();
+    // Records since the last checkpoint / clock probe. Counting up to a
+    // threshold instead of testing `steps %` every record keeps the u64
+    // divisions out of the loop.
+    let mut since_checkpoint = 0u64;
+    let mut since_probe = 0u64;
+    while sys.micro_step(&mut st) {
+        since_checkpoint += 1;
+        since_probe += 1;
+        let due = match cadence {
+            CheckpointCadence::Disabled => false,
+            CheckpointCadence::EveryRecords(every) => every != 0 && since_checkpoint >= every,
+            CheckpointCadence::WallClock {
+                target,
+                probe_records,
+            } => {
+                probe_records != 0 && since_probe >= probe_records && {
+                    since_probe = 0;
+                    last_checkpoint.elapsed() >= target
+                }
+            }
+        };
+        if due {
+            since_checkpoint = 0;
+            since_probe = 0;
+            last_checkpoint = Instant::now();
+            if !sink(&sys.checkpoint(&st)) {
+                return SessionOutcome::Suspended;
+            }
+        }
+    }
+    SessionOutcome::Finished(Box::new(sys.finish(&st)))
 }

@@ -1,7 +1,7 @@
 //! The assembled system: cores + shared LLC + DRAM, and the run loop.
 
 use cache_sim::lastwrite::RewriteFilterStats;
-use dbi::snap::Snapshot;
+use dbi::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dbi::DbiStats;
 use dram_sim::{DramEnergy, DramStats, MemoryController};
 use trace_gen::mix::WorkloadMix;
@@ -128,10 +128,9 @@ fn diff_llc(end: &LlcStats, start: &LlcStats) -> LlcStats {
 /// Run-loop progress that lives outside the [`System`] itself: step count,
 /// phase, and the measurement baselines captured at the warmup boundary.
 ///
-/// One `RunState` accompanies each [`System`] lane of a
-/// [`crate::batch::SeedBatch`]; the phase a lane is in is *derived* from
-/// it (`!measuring` → warmup, otherwise measuring until every core has an
-/// end snapshot), never stored separately.
+/// The phase is *derived* from it (`!measuring` → warmup, otherwise
+/// measuring until every core has an end snapshot), never stored
+/// separately.
 #[derive(Debug)]
 pub(crate) struct RunState {
     pub(crate) steps: u64,
@@ -316,9 +315,9 @@ impl System {
     ///
     /// Cores that finish their measurement quota keep running (and keep
     /// generating interference) until every core has finished, following
-    /// the standard multi-programmed methodology. Checkpointing, resume,
-    /// and multi-seed batching live on [`crate::session::SimSession`],
-    /// which drives these same micro-steps.
+    /// the standard multi-programmed methodology. Checkpointing and resume
+    /// live on [`crate::session::SimSession`], which drives these same
+    /// micro-steps.
     ///
     /// # Panics
     ///
@@ -334,16 +333,14 @@ impl System {
         self.finish(&st)
     }
 
-    /// Advances this lane by exactly one trace record, performing the
+    /// Advances the run by exactly one trace record, performing the
     /// warmup→measure transition when it falls due. Returns `false` once
     /// the run is complete (every core has retired its measurement quota)
     /// — a terminal state; further calls stay `false` and step nothing.
     ///
-    /// This is the unit of lockstep interleaving: because lanes share no
-    /// state, any interleaving of whole micro-steps across lanes replays
-    /// each lane's exact scalar step sequence — sanitizer scan points and
-    /// measurement boundaries derive only from `st`, never from the other
-    /// lanes or from wall-clock time.
+    /// Sanitizer scan points and measurement boundaries derive only from
+    /// `st`, never from wall-clock time, so a run resumed from a
+    /// checkpoint replays the exact step sequence of an uninterrupted one.
     pub(crate) fn micro_step(&mut self, st: &mut RunState) -> bool {
         let warm = self.config.warmup_insts;
         if !st.measuring {
@@ -394,39 +391,43 @@ impl System {
         true
     }
 
-    /// Serializes the mid-run state of this lane (mechanisms + run-loop
-    /// progress) into an open snapshot stream.
-    pub(crate) fn write_lane(&self, st: &RunState, w: &mut dbi::snap::SnapWriter) {
-        self.snapshot(w);
-        st.write(w);
+    /// Serializes the mid-run state (mechanisms + run-loop progress) into
+    /// one self-checksummed checkpoint image, led by the trace seed so the
+    /// image only resumes into a run of the same seed.
+    pub(crate) fn checkpoint(&self, st: &RunState) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.u64(self.config.seed);
+        self.snapshot(&mut w);
+        st.write(&mut w);
         // Coherence cross-check: total dirty LLC ways, recomputed from the
-        // restored dirty words on restore (see `validate_resume`).
+        // restored dirty words on restore.
         w.u64(self.dirty_ways());
+        w.finish()
     }
 
-    /// Restores one lane from an open snapshot stream and cross-checks the
-    /// run-state against the restored system: relations that hold for every
-    /// legitimately captured snapshot, so a forged or mismatched image
-    /// fails with [`SnapError::Corrupt`](dbi::snap::SnapError) instead of
-    /// producing plausible-looking results.
-    pub(crate) fn read_lane(
-        &mut self,
-        r: &mut dbi::snap::SnapReader<'_>,
-    ) -> Result<RunState, dbi::snap::SnapError> {
-        use dbi::snap::SnapError;
-        self.restore(r)?;
-        let st = RunState::read(r, self)?;
+    /// Restores a [`System::checkpoint`] image into this freshly built
+    /// system and cross-checks the run-state against it: relations that
+    /// hold for every legitimately captured snapshot, so a forged or
+    /// mismatched image fails with [`SnapError::Corrupt`] instead of
+    /// producing plausible-looking results. On error the system is left
+    /// partially restored and must be discarded for a cold start.
+    pub(crate) fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<RunState, SnapError> {
+        let mut r = SnapReader::new(bytes)?;
+        r.expect_u64("checkpoint seed", self.config.seed)?;
+        self.restore(&mut r)?;
+        let st = RunState::read(&mut r, self)?;
         let dirty = r.u64()?;
+        r.finish()?;
         if dirty != self.dirty_ways() {
             return Err(SnapError::Corrupt(format!(
-                "lane dirty-way cross-check: snapshot says {dirty}, restored LLC has {}",
+                "dirty-way cross-check: snapshot says {dirty}, restored LLC has {}",
                 self.dirty_ways()
             )));
         }
         let records: u64 = self.cores.iter().map(|c| c.records).sum();
         if st.steps != records {
             return Err(SnapError::Corrupt(format!(
-                "lane step count {} does not match {records} core records",
+                "step count {} does not match {records} core records",
                 st.steps
             )));
         }
@@ -434,7 +435,7 @@ impl System {
             for (i, c) in self.cores.iter().enumerate() {
                 if c.insts < self.config.warmup_insts {
                     return Err(SnapError::Corrupt(format!(
-                        "measuring lane with core {i} still below the warmup quota"
+                        "measuring snapshot with core {i} still below the warmup quota"
                     )));
                 }
                 let b = st.base[i];
@@ -486,14 +487,13 @@ impl System {
         total
     }
 
-    /// Folds a completed lane into its measured results — the stat diffs
+    /// Folds a completed run into its measured results — the stat diffs
     /// against the warmup baselines, plus the end-of-run verification
-    /// passes. Mutating (the checker flushes the hierarchy), so the batch
-    /// engine calls it only after every lane has finished stepping.
+    /// passes (mutating: the checker flushes the hierarchy).
     ///
     /// # Panics
     ///
-    /// Panics if the lane has not finished (some core has no end snapshot).
+    /// Panics if the run has not finished (some core has no end snapshot).
     pub(crate) fn finish(mut self, st: &RunState) -> MixResult {
         let cores: Vec<CoreResult> = self
             .cores

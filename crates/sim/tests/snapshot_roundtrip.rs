@@ -50,7 +50,7 @@ fn suspend_at_first(
         .run()
         .expect("valid snapshot bytes");
     match outcome {
-        SessionOutcome::Finished(_) => Ok(outcome.into_single().digest()),
+        SessionOutcome::Finished(result) => Ok(result.digest()),
         SessionOutcome::Suspended => Err(saved.expect("suspension implies a checkpoint")),
     }
 }
@@ -61,7 +61,7 @@ fn resume_to_end(mix: &WorkloadMix, config: &SystemConfig, bytes: &[u8]) -> Stri
         .resume(bytes)
         .run()
         .expect("snapshot round-trips")
-        .into_single()
+        .into_result()
         .digest()
 }
 
@@ -206,4 +206,19 @@ fn snapshot_from_a_different_mechanism_is_rejected() {
     let baseline_config = tiny_config(1, Mechanism::Baseline, 3);
     let err = SimSession::new(&mix, &baseline_config).resume(&bytes).run();
     assert!(err.is_err(), "mechanism mismatch must not restore");
+}
+
+/// The image leads with its trace seed: a snapshot only resumes into a
+/// session of the same seed, never into a look-alike run of another.
+#[test]
+fn snapshot_from_a_different_seed_is_rejected() {
+    let mix = WorkloadMix::new(vec![Benchmark::Stream]);
+    let config = tiny_config(1, Mechanism::Vwq, 3);
+    let bytes = suspend_at_first(&mix, &config, None, CheckpointCadence::EveryRecords(500))
+        .expect_err("short cadence must suspend");
+    let other_seed = tiny_config(1, Mechanism::Vwq, 4);
+    let err = SimSession::new(&mix, &other_seed).resume(&bytes).run();
+    assert!(err.is_err(), "seed mismatch must not restore");
+    // The untouched image still restores into its own seed.
+    assert!(SimSession::new(&mix, &config).resume(&bytes).run().is_ok());
 }
