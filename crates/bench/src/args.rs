@@ -41,7 +41,7 @@ Common options for every dbi-bench experiment binary:
     --io-fault SITE[:MODE]
                       arm one deterministic I/O failpoint in the result
                       store's write protocol; SITE is GROUP.STAGE (e.g.
-                      entry.rename, ckpt.sync, segment.write) and MODE is
+                      entry.rename, ckpt.sync, merge.write) and MODE is
                       crash (default), torn, short, drop-sync, or eio.
                       A firing crash exits the process with code 86.
                       `--io-fault list` prints every site and its modes.
@@ -424,7 +424,13 @@ mod tests {
         let err = BenchArgs::try_parse(&argv(&["--io-fault", "floppy.write"]), &[]).unwrap_err();
         assert!(err.contains("unknown failpoint site"));
         // A typo'd site fails with the full catalog, not a bare error.
-        assert!(err.contains("segment.rename") && err.contains("compact.gc"));
+        assert!(err.contains("merge.write") && err.contains("lease.write"));
+        // The segment tier is gone: its sites are unknown like any typo.
+        let err = BenchArgs::try_parse(&argv(&["--io-fault", "segment.rename"]), &[]).unwrap_err();
+        assert!(err.contains("unknown failpoint site 'segment.rename'"));
+        for site in crate::failpoints::all_sites() {
+            assert!(err.contains(&site.to_string()), "catalog names {site}");
+        }
     }
 
     #[test]

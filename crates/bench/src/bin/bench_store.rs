@@ -1,15 +1,14 @@
 //! `bench_store` — measures the result store's persistence hot paths.
 //!
-//! Three phases against a scratch store: *ingest* (loose `.entry` saves
-//! per second — the cost a campaign pays per simulated unit), *scan*
-//! (MB/s reading every record back out of compacted segment files — the
-//! cost of a merge or audit over a cold archive), and *warm open*
-//! (latency of opening a compacted store and serving the first hit —
-//! the cost every warm rerun pays before its first result). The entries
-//! are real serialized results saved under distinct synthetic keys, so
-//! the bytes on disk match what a campaign writes. Writes
-//! `BENCH_store.json` at the workspace root; the committed copy pins
-//! the store's cost the same way `BENCH_harness.json` pins the suite's.
+//! Two phases against a scratch store: *ingest* (loose `.entry` saves
+//! per second — the cost a campaign pays per simulated unit) and *warm
+//! open* (latency of a fresh store handle serving its first hit from the
+//! N-entry store — the cost every warm rerun pays before its first
+//! result). The entries are real serialized results saved under distinct
+//! synthetic keys, so the bytes on disk match what a campaign writes.
+//! Writes `BENCH_store.json` at the workspace root; the committed copy
+//! pins the store's cost the same way `BENCH_harness.json` pins the
+//! suite's.
 //!
 //! Usage: `cargo run --release -p dbi-bench --bin bench_store
 //! [--quick|--full] [--out PATH]`
@@ -18,7 +17,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use dbi_bench::store::unit_key;
-use dbi_bench::{compact_store, BenchArgs, CompactOptions, Effort, ResultStore, SegmentSet};
+use dbi_bench::{BenchArgs, Effort, ResultStore};
 use system_sim::{run_mix, Mechanism, SystemConfig};
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
@@ -63,27 +62,6 @@ fn main() {
     let ingest_seconds = start.elapsed().as_secs_f64();
     let ingest_rate = entries as f64 / ingest_seconds;
 
-    eprintln!("bench_store: compact...");
-    let start = Instant::now();
-    let report = compact_store(&scratch, &CompactOptions::default()).expect("compact");
-    let compact_seconds = start.elapsed().as_secs_f64();
-    assert_eq!(report.folded as usize, entries, "all entries must fold");
-
-    eprintln!("bench_store: scan segments...");
-    let start = Instant::now();
-    let set = SegmentSet::open_dir(&scratch);
-    let mut scanned_bytes = 0u64;
-    let mut scanned_records = 0usize;
-    for segment in set.segments() {
-        for (_, text) in segment.read_all_records().expect("scan") {
-            scanned_bytes += text.len() as u64;
-            scanned_records += 1;
-        }
-    }
-    let scan_seconds = start.elapsed().as_secs_f64();
-    assert_eq!(scanned_records, entries, "scan must see every record");
-    let scan_mb_per_sec = (scanned_bytes as f64 / 1.0e6) / scan_seconds;
-
     eprintln!("bench_store: warm open x{opens}...");
     let probe = &keys[entries / 2];
     let start = Instant::now();
@@ -93,12 +71,11 @@ fn main() {
     }
     let warm_open_ms = start.elapsed().as_secs_f64() * 1.0e3 / opens as f64;
 
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"schema\": \"dbi-store-perf/v1\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"entries\": {entries},\n  \"ingest\": {{\n    \"wall_seconds\": {ingest_seconds:.3},\n    \"entries_per_sec\": {ingest_rate:.0}\n  }},\n  \"compact\": {{\n    \"wall_seconds\": {compact_seconds:.3},\n    \"folded\": {},\n    \"segment_bytes\": {}\n  }},\n  \"scan\": {{\n    \"wall_seconds\": {scan_seconds:.3},\n    \"bytes\": {scanned_bytes},\n    \"mb_per_sec\": {scan_mb_per_sec:.1}\n  }},\n  \"warm_open\": {{\n    \"opens\": {opens},\n    \"avg_ms\": {warm_open_ms:.3}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"dbi-store-perf/v2\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"cpus\": {cpus},\n  \"entries\": {entries},\n  \"ingest\": {{\n    \"wall_seconds\": {ingest_seconds:.3},\n    \"entries_per_sec\": {ingest_rate:.0}\n  }},\n  \"warm_open\": {{\n    \"opens\": {opens},\n    \"avg_ms\": {warm_open_ms:.3}\n  }}\n}}\n",
         if args.effort == Effort::Full { "full" } else { "quick" },
         if cfg!(debug_assertions) { "debug" } else { "release" },
-        report.folded,
-        report.segment_bytes,
     );
     match std::fs::write(&out_path, &json) {
         Ok(()) => eprintln!("wrote {}", out_path.display()),
@@ -108,8 +85,5 @@ fn main() {
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);
-    println!(
-        "ingest {ingest_rate:.0} entries/s; compact {entries} in {compact_seconds:.2}s; \
-         scan {scan_mb_per_sec:.1} MB/s; warm open {warm_open_ms:.2} ms"
-    );
+    println!("ingest {ingest_rate:.0} entries/s; warm open {warm_open_ms:.3} ms");
 }

@@ -4,16 +4,16 @@
 //! store_scrub [--lease-stale SECS] DIR
 //! ```
 //!
-//! Walks the store at `DIR` once: every `.entry`, `.blob`, `.ckpt`, and
-//! `.seg` file is re-validated (checksums, embedded fingerprints against
-//! file names, checkpoint hash guards, segment footers and indexes),
-//! corrupt files are moved into `DIR/quarantine/` for post-mortem —
-//! records that still verify inside a damaged segment are salvaged back
-//! to loose entries first — orphaned temp files from crashed writers are
-//! deleted, the segment manifest is reconciled, and leases staler than
-//! `--lease-stale` (default 300 seconds; 0 treats every lease as dead)
-//! are released. A lease carrying a heartbeat promise is never released
-//! before twice its promised interval, whatever `--lease-stale` says.
+//! Walks the store at `DIR` once: every `.entry`, `.blob`, and `.ckpt`
+//! file is re-validated (checksums, embedded fingerprints against file
+//! names, checkpoint hash guards), corrupt files are moved into
+//! `DIR/quarantine/` for post-mortem, orphaned temp files from crashed
+//! writers are deleted, and leases staler than `--lease-stale` (default
+//! 300 seconds; 0 treats every lease as dead) are released. A lease
+//! carrying a heartbeat promise is never released before twice its
+//! promised interval, whatever `--lease-stale` says. Any other file —
+//! such as a segment file left by an older compacting release — is
+//! left untouched.
 //! Run it after a crash — or any time — before resuming a campaign: a
 //! scrubbed store serves only verified entries, and the resumed run
 //! recomputes whatever was quarantined.
@@ -40,19 +40,13 @@ store_scrub [--lease-stale SECS] [--list-checks] DIR
 
 const CHECKS: &str = "\
 store_scrub validations, in pass order:
-    tmp-orphans   delete .tmp-/.tmpb-/.ckpt-/.tmpm-/.tmps-/.tmpn- files
-                  left by crashed writers
+    tmp-orphans   delete .tmp-/.tmpb-/.ckpt-/.tmpm- files left by
+                  crashed writers
     entry         re-checksum every .entry; embedded fingerprint must
                   hash to the file name; corrupt -> quarantine/
     blob          re-validate .blob byte-counted framing and checksum;
                   corrupt -> quarantine/
     ckpt          re-validate .ckpt hash guard; corrupt -> quarantine/
-    segment       re-validate .seg footer magic/checksums, index sort
-                  and geometry, file-name hash, and every record;
-                  corrupt -> salvage verifying records to loose
-                  entries, then quarantine/
-    manifest      reconcile segments.manifest against surviving .seg
-                  files; rewrite (generation+1) on any mismatch
     lease         release .lease files older than --lease-stale, but
                   never before 2x a lease's promised heartbeat
 

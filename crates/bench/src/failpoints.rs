@@ -4,8 +4,7 @@
 //! invariant sanitizer can detect metadata corruption produced on demand.
 //! This module is the same discipline applied to the on-disk half of the
 //! harness: every persistence chokepoint — store entries, scenario blobs,
-//! checkpoints, leases, merge outputs, compaction segments, and the
-//! compaction pass's manifest/gc steps — runs its atomic-write protocol
+//! checkpoints, leases, and merge outputs — runs its write protocol
 //! through indexed *failpoint sites* that can be armed to misbehave in
 //! controlled, reproducible ways:
 //!
@@ -61,23 +60,16 @@ pub enum Group {
     Lease,
     /// `merge_shards` writing verified entries into the output store.
     Merge,
-    /// `compact_store` writing an immutable `.seg` segment file.
-    Segment,
-    /// `compact_store`'s post-segment steps: the manifest update and the
-    /// garbage collection of folded loose entries.
-    Compact,
 }
 
 impl Group {
     /// Every group, in documentation order.
-    pub const ALL: [Group; 7] = [
+    pub const ALL: [Group; 5] = [
         Group::Entry,
         Group::Blob,
         Group::Ckpt,
         Group::Lease,
         Group::Merge,
-        Group::Segment,
-        Group::Compact,
     ];
 
     /// The command-line spelling of this group.
@@ -89,14 +81,11 @@ impl Group {
             Group::Ckpt => "ckpt",
             Group::Lease => "lease",
             Group::Merge => "merge",
-            Group::Segment => "segment",
-            Group::Compact => "compact",
         }
     }
 }
 
-/// One stage of the atomic-write protocol, or one of the compaction
-/// pass's own chokepoints.
+/// One stage of the atomic-write protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Writing the payload into the temp file.
@@ -107,22 +96,11 @@ pub enum Stage {
     Rename,
     /// `sync_all` on the parent directory (making the rename durable).
     DirSync,
-    /// Compaction only: the atomic rewrite of `segments.manifest` after a
-    /// new segment is durable.
-    Manifest,
-    /// Compaction only: deleting the loose entries a durable segment has
-    /// absorbed.
-    Gc,
 }
 
 impl Stage {
-    /// Every atomic-write stage, in protocol order (the compaction-only
-    /// stages live in [`Stage::COMPACT`]).
+    /// Every stage, in protocol order.
     pub const ALL: [Stage; 4] = [Stage::Write, Stage::Sync, Stage::Rename, Stage::DirSync];
-
-    /// The compaction pass's own stages, in protocol order: the manifest
-    /// rewrite, then the garbage collection of folded loose entries.
-    pub const COMPACT: [Stage; 2] = [Stage::Manifest, Stage::Gc];
 
     /// The command-line spelling of this stage.
     #[must_use]
@@ -132,8 +110,6 @@ impl Stage {
             Stage::Sync => "sync",
             Stage::Rename => "rename",
             Stage::DirSync => "dirsync",
-            Stage::Manifest => "manifest",
-            Stage::Gc => "gc",
         }
     }
 }
@@ -177,23 +153,16 @@ impl std::fmt::Display for Site {
 
 /// Every registered failpoint site — the set the recovery matrix
 /// enumerates. Leases are plain advisory writes, so they expose only
-/// their `write` stage; the compaction pass exposes its manifest and gc
-/// chokepoints; every atomic-write group exposes all four stages.
+/// their `write` stage; every atomic-write group exposes all four stages.
 #[must_use]
 pub fn all_sites() -> Vec<Site> {
     let mut sites = Vec::new();
     for group in Group::ALL {
-        match group {
-            Group::Lease => sites.push(Site::new(group, Stage::Write)),
-            Group::Compact => {
-                for stage in Stage::COMPACT {
-                    sites.push(Site::new(group, stage));
-                }
-            }
-            _ => {
-                for stage in Stage::ALL {
-                    sites.push(Site::new(group, stage));
-                }
+        if group == Group::Lease {
+            sites.push(Site::new(group, Stage::Write));
+        } else {
+            for stage in Stage::ALL {
+                sites.push(Site::new(group, stage));
             }
         }
     }
@@ -208,7 +177,9 @@ pub fn catalog() -> String {
     let mut out = String::from("valid --io-fault sites (SITE[:MODE], default mode crash):\n");
     for site in all_sites() {
         let modes: Vec<&str> = modes_for(site).iter().map(|m| m.label()).collect();
-        out.push_str(&format!("    {site:<16} modes: {}\n", modes.join(", ")));
+        // `Site`'s Display ignores width, so pad its rendered string.
+        let name = site.to_string();
+        out.push_str(&format!("    {name:<16} modes: {}\n", modes.join(", ")));
     }
     out
 }
@@ -253,9 +224,7 @@ impl FailMode {
 
     /// Whether this mode is meaningful at `stage`: truncation needs a
     /// payload (write), a dropped fsync needs an fsync (sync/dirsync),
-    /// crash and EIO apply everywhere — including the compaction-only
-    /// manifest/gc chokepoints, which perform no payload write of their
-    /// own.
+    /// crash and EIO apply everywhere.
     #[must_use]
     pub fn applies_at(self, stage: Stage) -> bool {
         match self {
@@ -399,6 +368,49 @@ struct Active {
     fired: bool,
 }
 
+impl Active {
+    fn new(plan: FailPlan) -> Active {
+        Active {
+            spec: plan.spec,
+            fire_at: plan
+                .fire_at
+                .unwrap_or_else(|| 1 + splitmix64(plan.seed) % 4),
+            seen: 0,
+            cut_seed: splitmix64(plan.seed ^ CUT_SALT),
+            style: plan.style,
+            fired: false,
+        }
+    }
+
+    /// Counts one occurrence of `site` and decides whether the plan fires
+    /// there; `payload_len` sizes torn/short cuts. Fires at most once.
+    fn fire(&mut self, site: Site, payload_len: usize) -> Option<Fire> {
+        if self.fired || self.spec.site != site {
+            return None;
+        }
+        self.seen += 1;
+        if self.seen < self.fire_at {
+            return None;
+        }
+        self.fired = true;
+        // Cut strictly inside the payload so torn/short runs really truncate.
+        let keep = if payload_len == 0 {
+            0
+        } else {
+            usize::try_from(splitmix64(self.cut_seed) % payload_len as u64)
+                .expect("cut index fits usize")
+        };
+        eprintln!("io-fault: firing {} (occurrence {})", self.spec, self.seen);
+        Some(match self.spec.mode {
+            FailMode::Torn => Fire::Torn { keep },
+            FailMode::Short => Fire::Short { keep },
+            FailMode::DropSync => Fire::DropSync,
+            FailMode::Crash => Fire::Crash,
+            FailMode::Eio => Fire::Eio,
+        })
+    }
+}
+
 /// Fast gate: one relaxed load decides "no failpoints armed" without
 /// touching the mutex, so the disabled persistence path is unchanged.
 static ARMED: AtomicBool = AtomicBool::new(false);
@@ -407,17 +419,7 @@ static PLAN: Mutex<Option<Active>> = Mutex::new(None);
 /// Arms `plan` process-wide (replacing any armed plan). The plan fires
 /// exactly once, on the seed-selected (or pinned) occurrence of its site.
 pub fn install(plan: FailPlan) {
-    let fire_at = plan
-        .fire_at
-        .unwrap_or_else(|| 1 + splitmix64(plan.seed) % 4);
-    *PLAN.lock().expect("failpoint plan lock") = Some(Active {
-        spec: plan.spec,
-        fire_at,
-        seen: 0,
-        cut_seed: splitmix64(plan.seed ^ CUT_SALT),
-        style: plan.style,
-        fired: false,
-    });
+    *PLAN.lock().expect("failpoint plan lock") = Some(Active::new(plan));
     ARMED.store(true, Ordering::Release);
 }
 
@@ -463,34 +465,10 @@ pub(crate) fn fire(site: Site, payload_len: usize) -> Option<Fire> {
     if !ARMED.load(Ordering::Acquire) {
         return None;
     }
-    let mut guard = PLAN.lock().expect("failpoint plan lock");
-    let active = guard.as_mut()?;
-    if active.fired || active.spec.site != site {
-        return None;
-    }
-    active.seen += 1;
-    if active.seen < active.fire_at {
-        return None;
-    }
-    active.fired = true;
-    // Cut strictly inside the payload so torn/short runs really truncate.
-    let keep = if payload_len == 0 {
-        0
-    } else {
-        usize::try_from(splitmix64(active.cut_seed) % payload_len as u64)
-            .expect("cut index fits usize")
-    };
-    eprintln!(
-        "io-fault: firing {} (occurrence {})",
-        active.spec, active.seen
-    );
-    Some(match active.spec.mode {
-        FailMode::Torn => Fire::Torn { keep },
-        FailMode::Short => Fire::Short { keep },
-        FailMode::DropSync => Fire::DropSync,
-        FailMode::Crash => Fire::Crash,
-        FailMode::Eio => Fire::Eio,
-    })
+    PLAN.lock()
+        .expect("failpoint plan lock")
+        .as_mut()?
+        .fire(site, payload_len)
 }
 
 /// Applies the armed plan's crash style at `site`: exits the process
@@ -521,9 +499,8 @@ mod tests {
     #[test]
     fn registry_enumerates_all_protocol_sites() {
         let sites = all_sites();
-        // Five full protocols x four stages, plus the lease write and the
-        // compaction pass's manifest/gc chokepoints.
-        assert_eq!(sites.len(), 23);
+        // Four full protocols x four stages, plus the lease write.
+        assert_eq!(sites.len(), 17);
         for site in &sites {
             assert_eq!(Site::parse(&site.to_string()), Ok(*site));
             assert!(!modes_for(*site).is_empty());
@@ -532,33 +509,15 @@ mod tests {
     }
 
     #[test]
-    fn compact_sites_expose_only_crash_and_eio() {
-        for stage in [Stage::Manifest, Stage::Gc] {
-            let modes = modes_for(Site::new(Group::Compact, stage));
-            assert_eq!(modes, vec![FailMode::Crash, FailMode::Eio]);
-        }
-        // The segment group is a full atomic-write protocol.
-        assert_eq!(modes_for(Site::new(Group::Segment, Stage::Write)).len(), 4);
-        assert!(FailSpec::parse("compact.gc:torn")
-            .unwrap_err()
-            .contains("does not apply"));
-        assert_eq!(
-            FailSpec::parse("compact.manifest").unwrap().mode,
-            FailMode::Crash
-        );
-    }
-
-    #[test]
     fn catalog_names_every_site_with_its_modes() {
         let text = catalog();
         for site in all_sites() {
             assert!(text.contains(&site.to_string()), "catalog missing {site}");
         }
-        assert!(text.contains("segment.rename"));
-        assert!(text.contains("compact.gc"));
+        assert!(text.contains("merge.dirsync"));
         // A typo'd site fails with the catalog, not a bare error.
-        let err = Site::parse("segment.rname").unwrap_err();
-        assert!(err.contains("segment.rename") && err.contains("modes:"));
+        let err = Site::parse("merge.rname").unwrap_err();
+        assert!(err.contains("merge.rename") && err.contains("modes:"));
     }
 
     #[test]
@@ -583,39 +542,31 @@ mod tests {
             .contains("unknown failpoint site"));
     }
 
+    // The firing logic is tested on local plans, never through the
+    // process-global `install`: other tests in this binary write entries
+    // and leases on other threads, and would trip a globally armed plan.
+
     #[test]
     fn plans_fire_once_at_the_selected_occurrence() {
         let spec = FailSpec::parse("lease.write:eio").unwrap();
-        install(
-            FailPlan::new(spec, 0)
-                .with_style(CrashStyle::Error)
-                .with_fire_at(3),
-        );
+        let mut plan = Active::new(FailPlan::new(spec, 0).with_fire_at(3));
         let site = spec.site;
-        assert_eq!(fire(site, 10), None);
-        assert_eq!(fire(Site::new(Group::Entry, Stage::Write), 10), None);
-        assert_eq!(fire(site, 10), None);
-        assert_eq!(fire(site, 10), Some(Fire::Eio));
-        assert_eq!(fired(), Some(spec));
+        assert_eq!(plan.fire(site, 10), None);
+        assert_eq!(plan.fire(Site::new(Group::Entry, Stage::Write), 10), None);
+        assert_eq!(plan.fire(site, 10), None);
+        assert_eq!(plan.fire(site, 10), Some(Fire::Eio));
+        assert!(plan.fired);
         // One-shot: never fires again.
-        assert_eq!(fire(site, 10), None);
-        clear();
-        assert_eq!(fired(), None);
-        assert_eq!(fire(site, 10), None);
+        assert_eq!(plan.fire(site, 10), None);
+        assert_eq!(plan.seen, 3);
     }
 
     #[test]
     fn torn_cut_is_deterministic_and_inside_the_payload() {
         let spec = FailSpec::parse("entry.write:torn").unwrap();
         let cut = |seed| {
-            install(
-                FailPlan::new(spec, seed)
-                    .with_style(CrashStyle::Error)
-                    .with_fire_at(1),
-            );
-            let fire = fire(spec.site, 100);
-            clear();
-            match fire {
+            let mut plan = Active::new(FailPlan::new(spec, seed).with_fire_at(1));
+            match plan.fire(spec.site, 100) {
                 Some(Fire::Torn { keep }) => keep,
                 other => panic!("expected a torn fire, got {other:?}"),
             }

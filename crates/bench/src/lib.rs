@@ -14,17 +14,14 @@
 //! `results/.cache/` (see the `store` module).
 
 pub mod args;
-pub mod compact;
 pub mod failpoints;
 pub mod merge;
 mod persist;
 pub mod runner;
 pub mod scrub;
-pub mod segment;
 pub mod store;
 
 pub use crate::args::BenchArgs;
-pub use crate::compact::{compact_store, CompactOptions, CompactReport};
 pub use crate::failpoints::{
     all_sites, catalog, modes_for, CrashStyle, FailMode, FailSpec, CRASH_EXIT_CODE,
 };
@@ -33,7 +30,6 @@ pub use crate::runner::{
     interrupted, shard_of, AloneIpcCache, RunUnit, Runner, UnitFailure, UnitFault,
 };
 pub use crate::scrub::{scrub_store, ScrubOptions, ScrubReport};
-pub use crate::segment::{salvage, Segment, SegmentBuilder, SegmentSet};
 pub use crate::store::{
     fingerprint_hash, scenario_key, unit_fingerprint, unit_key, ResultStore, StoreKey,
     STORE_SCHEMA_VERSION,
@@ -232,15 +228,25 @@ where
         .map(|_| std::sync::Mutex::new(None))
         .collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                *slots[i].lock().expect("slot lock never poisoned") = Some(r);
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let r = f(&items[i]);
+                    *slots[i].lock().expect("slot lock never poisoned") = Some(r);
+                })
+            })
+            .collect();
+        // Join explicitly and re-raise the first worker's own payload: a
+        // panicking thread left for `scope` to join surfaces only as a
+        // generic "a scoped thread panicked".
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
     slots

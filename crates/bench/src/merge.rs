@@ -1,11 +1,9 @@
 //! Merging per-shard result stores into one verified store.
 //!
 //! A sharded campaign (`--shard I/N` on N machines) leaves N store
-//! directories, each holding the `.entry` files its shard simulated —
-//! and, after a `store_compact` pass, `.seg` segment files holding the
-//! folded entries. [`merge_shards`] combines them into one output
-//! directory while *verifying* every entry on the way through, reading
-//! segment records and loose entries alike:
+//! directories, each holding the `.entry` files its shard simulated.
+//! [`merge_shards`] combines them into one output directory while
+//! *verifying* every entry on the way through:
 //!
 //! - each entry must parse and pass its v3 checksum (corruption from a
 //!   bad disk or a truncated copy is named, not propagated);
@@ -21,12 +19,11 @@
 //! The report distinguishes these outcomes so `merge_shards` (the binary)
 //! can exit nonzero naming exactly the bad units.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::{Path, PathBuf};
 
 use crate::failpoints::Group;
 use crate::persist;
-use crate::segment::SegmentSet;
 use crate::store::{deserialize_any, fingerprint_hash};
 
 /// Outcome of merging shard stores.
@@ -39,8 +36,7 @@ pub struct MergeReport {
     /// Units whose copies differ across shards: `(hash, path_a, path_b)`.
     pub conflicts: Vec<(u64, PathBuf, PathBuf)>,
     /// Entries that failed to parse, failed their checksum, or whose
-    /// fingerprint does not hash to their file name — plus segment files
-    /// that failed validation (each named once).
+    /// fingerprint does not hash to their file name.
     pub corrupt: Vec<PathBuf>,
     /// Manifest units absent from every shard (only with a manifest).
     pub missing: Vec<u64>,
@@ -75,33 +71,9 @@ pub fn manifest_hashes(manifest: &str) -> Vec<u64> {
     hashes
 }
 
-/// Files one clean candidate copy into `seen`, or classifies it as a
-/// benign byte-identical duplicate or a cross-shard conflict.
-fn consider(
-    report: &mut MergeReport,
-    seen: &mut BTreeMap<u64, (String, PathBuf)>,
-    hash: u64,
-    text: String,
-    path: PathBuf,
-) {
-    match seen.get(&hash) {
-        None => {
-            seen.insert(hash, (text, path));
-        }
-        Some((first, first_path)) => {
-            if *first == text {
-                report.duplicates.push(hash);
-            } else {
-                report.conflicts.push((hash, first_path.clone(), path));
-            }
-        }
-    }
-}
-
-/// Merges the result entries of `shard_dirs` — records inside validated
-/// `.seg` segment files as well as loose `.entry` files — into
-/// `out_dir`, verifying checksums, fingerprint/file-name agreement, and
-/// cross-shard consistency. `manifest` (the saved output of
+/// Merges the `.entry` files of `shard_dirs` into `out_dir`, verifying
+/// checksums, fingerprint/file-name agreement, and cross-shard
+/// consistency. `manifest` (the saved output of
 /// `--list-units`) defines the expected unit set for missing-unit
 /// detection; without one, only the units actually present are checked.
 ///
@@ -123,42 +95,6 @@ pub fn merge_shards(
     // hash -> (entry bytes, source path) of the first clean copy seen.
     let mut seen: BTreeMap<u64, (String, PathBuf)> = BTreeMap::new();
     for dir in shard_dirs {
-        // Segment records first: each is an exact entry text, so it goes
-        // through the same validation as a loose file. A segment that
-        // fails open-time validation is reported corrupt once; salvage is
-        // store_scrub's job, not the merge's.
-        let segments = SegmentSet::open_dir(dir);
-        for (path, _why) in segments.invalid() {
-            report.corrupt.push(path.clone());
-        }
-        for segment in segments.segments() {
-            let records = match segment.read_all_records() {
-                Ok(records) => records,
-                Err(_) => {
-                    report.corrupt.push(segment.path().to_path_buf());
-                    continue;
-                }
-            };
-            let mut bad = false;
-            for (hash, text) in records {
-                let valid = deserialize_any(&text)
-                    .is_some_and(|(fingerprint, _)| fingerprint_hash(&fingerprint) == hash);
-                if valid {
-                    consider(
-                        &mut report,
-                        &mut seen,
-                        hash,
-                        text,
-                        segment.path().to_path_buf(),
-                    );
-                } else {
-                    bad = true;
-                }
-            }
-            if bad {
-                report.corrupt.push(segment.path().to_path_buf());
-            }
-        }
         let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
             .filter_map(Result::ok)
             .map(|e| e.path())
@@ -187,7 +123,15 @@ pub fn merge_shards(
                 report.corrupt.push(path);
                 continue;
             }
-            consider(&mut report, &mut seen, hash, text, path);
+            match seen.entry(hash) {
+                Entry::Vacant(slot) => {
+                    slot.insert((text, path));
+                }
+                Entry::Occupied(first) if first.get().0 == text => report.duplicates.push(hash),
+                Entry::Occupied(first) => {
+                    report.conflicts.push((hash, first.get().1.clone(), path));
+                }
+            }
         }
     }
     std::fs::create_dir_all(out_dir)?;
@@ -353,62 +297,6 @@ mod tests {
         assert_eq!(report.corrupt.len(), 2, "{report:?}");
         assert!(report.merged.is_empty());
         assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn compacted_shards_merge_segments_and_loose_entries() {
-        let s = Scratch::new("compacted");
-        let a = tiny_unit(Benchmark::Mcf, 6);
-        let b = tiny_unit(Benchmark::Lbm, 6);
-        let c = tiny_unit(Benchmark::Milc, 6);
-        // Shard 1: two entries folded into a segment, then one more loose.
-        populate(&s.path("shard1"), &[a.clone(), b.clone()]);
-        let report = crate::compact::compact_store(&s.path("shard1"), &Default::default()).unwrap();
-        assert_eq!(report.folded, 2);
-        populate(&s.path("shard1"), std::slice::from_ref(&c));
-        // Shard 2: purely loose, overlapping shard 1's segment on `a`.
-        populate(&s.path("shard2"), std::slice::from_ref(&a));
-        let report =
-            merge_shards(&[s.path("shard1"), s.path("shard2")], &s.path("out"), None).unwrap();
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(report.merged.len(), 3);
-        assert_eq!(report.duplicates.len(), 1, "segment/loose overlap on a");
-        // The merged directory serves all three as a normal store.
-        let store = ResultStore::open(s.path("out"));
-        for unit in [&a, &b, &c] {
-            let key = unit_key(&unit.config, unit.mix.benchmarks());
-            assert!(store.load(&key).is_some());
-        }
-    }
-
-    #[test]
-    fn corrupt_segment_is_reported_not_propagated() {
-        let s = Scratch::new("badseg");
-        let a = tiny_unit(Benchmark::Mcf, 7);
-        let b = tiny_unit(Benchmark::Lbm, 7);
-        populate(&s.path("shard1"), &[a.clone(), b]);
-        crate::compact::compact_store(&s.path("shard1"), &Default::default()).unwrap();
-        let seg = std::fs::read_dir(s.path("shard1"))
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .find(|p| p.extension().is_some_and(|x| x == "seg"))
-            .unwrap();
-        let mut bytes = std::fs::read(&seg).unwrap();
-        let footer_byte = bytes.len() - 10;
-        bytes[footer_byte] ^= 0x40;
-        std::fs::write(&seg, &bytes).unwrap();
-        // A clean copy of `a` in another shard still merges; the damaged
-        // segment is named corrupt and contributes nothing blindly.
-        populate(&s.path("shard2"), std::slice::from_ref(&a));
-        let report =
-            merge_shards(&[s.path("shard1"), s.path("shard2")], &s.path("out"), None).unwrap();
-        assert!(!report.is_clean());
-        assert_eq!(report.corrupt, vec![seg], "{report:?}");
-        assert_eq!(report.merged.len(), 1);
-        let store = ResultStore::open(s.path("out"));
-        let key = unit_key(&a.config, a.mix.benchmarks());
-        assert!(store.load(&key).is_some());
     }
 
     #[test]

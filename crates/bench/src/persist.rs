@@ -22,7 +22,7 @@ use crate::failpoints::{self, Fire, Group, Site, Stage};
 
 /// Fsyncs a directory so renames inside it are durable. A no-op on
 /// platforms where directories cannot be opened for syncing.
-pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
     #[cfg(unix)]
     {
         std::fs::File::open(dir)?.sync_all()
@@ -85,27 +85,6 @@ pub(crate) fn write_atomic(
         Some(Fire::Eio) => Err(failpoints::eio(dirsync)),
         None | Some(_) => sync_dir(dir),
     }
-}
-
-/// [`write_atomic`] without failpoint instrumentation: the same temp →
-/// fsync → rename → dir-fsync protocol, for writes whose *caller* owns a
-/// coarser failpoint site. The compaction manifest uses this: the whole
-/// manifest update is guarded by the single `compact.manifest` site
-/// (fired before this is called), so wiring the four protocol stages
-/// again here would double-count occurrences of the segment group.
-pub(crate) fn write_atomic_quiet(
-    dir: &Path,
-    tmp: &Path,
-    dst: &Path,
-    bytes: &[u8],
-) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let mut f = std::fs::File::create(tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(tmp, dst)?;
-    sync_dir(dir)
 }
 
 /// Writes `bytes` to `path` non-atomically (the lease protocol: advisory

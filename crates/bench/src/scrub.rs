@@ -13,13 +13,6 @@
 //! - validates every `.entry` (checksum + embedded fingerprint must hash
 //!   to the file name), `.blob` (framing + fingerprint hash), and `.ckpt`
 //!   (hash guard + snapshot checksum) file;
-//! - validates every `.seg` segment (content-derived name, footer and
-//!   index checksums, every record) — a corrupt segment first has its
-//!   provably-intact records *salvaged* back to loose entries, then goes
-//!   to quarantine, so one flipped bit costs one record, not a segment;
-//! - checks the segment manifest against the surviving segments and
-//!   rewrites it when they disagree (a lost or quarantined segment, a
-//!   compaction pass that crashed before its manifest update);
 //! - moves files that fail validation into a `quarantine/` subdirectory —
 //!   preserved for post-mortem, invisible to the store;
 //! - deletes orphaned temp files unconditionally (no writer is live
@@ -30,6 +23,11 @@
 //! - reports everything in a [`ScrubReport`] whose `Display` is the
 //!   machine-readable summary line the CI smoke greps.
 //!
+//! Files outside the store format are left alone. That includes the
+//! segment files and `segments.manifest` an older compacted store may
+//! still hold: the store no longer reads them, so the units folded into
+//! them simply miss once and recompute as loose entries.
+//!
 //! Quarantining rather than deleting is deliberate: a corrupt entry is
 //! evidence (of a torn write the protocol should have prevented, or of
 //! bad hardware), and evidence is kept. Re-running the campaign re-saves
@@ -38,10 +36,6 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::persist;
-use crate::segment::{
-    self, load_manifest, segment_file_name, Manifest, ManifestState, Segment, MANIFEST_NAME,
-};
 use crate::store::{self, deserialize_any, deserialize_blob_any, fingerprint_hash};
 
 /// Name of the subdirectory corrupt files are moved into.
@@ -66,7 +60,7 @@ impl Default for ScrubOptions {
 /// What one scrub pass found and did.
 #[derive(Debug, Default)]
 pub struct ScrubReport {
-    /// Data files examined (`.entry`, `.blob`, `.ckpt`, `.seg`).
+    /// Data files examined (`.entry`, `.blob`, `.ckpt`).
     pub scanned: u64,
     /// Data files that validated clean.
     pub ok: u64,
@@ -76,14 +70,6 @@ pub struct ScrubReport {
     pub orphans: u64,
     /// Stale lease files deleted.
     pub stale_leases: u64,
-    /// Segment files examined (also counted in `scanned`).
-    pub segments: u64,
-    /// Records recovered from corrupt segments and rewritten as loose
-    /// entries before the segment went to quarantine.
-    pub salvaged: u64,
-    /// Whether the segment manifest had to be rewritten (or first
-    /// written) to match the surviving segments.
-    pub manifest_repaired: bool,
 }
 
 impl ScrubReport {
@@ -96,10 +82,7 @@ impl ScrubReport {
     /// Whether the store needed no repair at all.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty()
-            && self.orphans == 0
-            && self.stale_leases == 0
-            && !self.manifest_repaired
+        self.quarantined.is_empty() && self.orphans == 0 && self.stale_leases == 0
     }
 }
 
@@ -107,21 +90,13 @@ impl std::fmt::Display for ScrubReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "scanned={} ok={} scrubbed={} quarantined=[{}] orphans={} stale_leases={} \
-             segments={} salvaged={} manifest={}",
+            "scanned={} ok={} scrubbed={} quarantined=[{}] orphans={} stale_leases={}",
             self.scanned,
             self.ok,
             self.scrubbed(),
             self.quarantined.join(","),
             self.orphans,
             self.stale_leases,
-            self.segments,
-            self.salvaged,
-            if self.manifest_repaired {
-                "rewritten"
-            } else {
-                "ok"
-            }
         )
     }
 }
@@ -164,14 +139,10 @@ pub fn scrub_store(dir: &Path, opts: &ScrubOptions) -> std::io::Result<ScrubRepo
         .map(|e| e.path())
         .collect();
     paths.sort();
-    let mut seg_paths: Vec<PathBuf> = Vec::new();
     for path in paths {
         let Some(name) = path.file_name().and_then(|n| n.to_str()).map(String::from) else {
             continue;
         };
-        if name == QUARANTINE_DIR || name == MANIFEST_NAME {
-            continue;
-        }
         if store::is_tmp_name(&name) {
             std::fs::remove_file(&path)?;
             report.orphans += 1;
@@ -179,13 +150,6 @@ pub fn scrub_store(dir: &Path, opts: &ScrubOptions) -> std::io::Result<ScrubRepo
         }
         let ext = match path.extension().and_then(|x| x.to_str()) {
             Some(ext @ ("entry" | "blob" | "ckpt")) => ext,
-            Some("seg") => {
-                // Segments need the loose-entry census settled first
-                // (salvage must not clash with a corrupt loose twin
-                // still awaiting quarantine), so they queue.
-                seg_paths.push(path);
-                continue;
-            }
             Some("lease") => {
                 // The file's mtime is the owner's heartbeat; its content
                 // may record the interval the owner promised to refresh
@@ -219,105 +183,13 @@ pub fn scrub_store(dir: &Path, opts: &ScrubOptions) -> std::io::Result<ScrubRepo
         if stem_hash.is_some_and(|h| validates(&path, ext, h)) {
             report.ok += 1;
         } else {
-            quarantine(dir, &path, &name, &mut report)?;
+            let qdir = dir.join(QUARANTINE_DIR);
+            std::fs::create_dir_all(&qdir)?;
+            std::fs::rename(&path, qdir.join(&name))?;
+            report.quarantined.push(name);
         }
     }
-    scrub_segments(dir, seg_paths, &mut report)?;
     Ok(report)
-}
-
-/// Moves `path` into `dir/quarantine/`, recording it in the report.
-fn quarantine(
-    dir: &Path,
-    path: &Path,
-    name: &str,
-    report: &mut ScrubReport,
-) -> std::io::Result<()> {
-    let qdir = dir.join(QUARANTINE_DIR);
-    std::fs::create_dir_all(&qdir)?;
-    std::fs::rename(path, qdir.join(name))?;
-    report.quarantined.push(name.to_string());
-    Ok(())
-}
-
-/// Validates every queued segment (salvaging then quarantining corrupt
-/// ones), then reconciles the manifest with whatever survived.
-fn scrub_segments(
-    dir: &Path,
-    seg_paths: Vec<PathBuf>,
-    report: &mut ScrubReport,
-) -> std::io::Result<()> {
-    let mut valid: Vec<(String, u64)> = Vec::new();
-    for path in seg_paths {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()).map(String::from) else {
-            continue;
-        };
-        report.scanned += 1;
-        report.segments += 1;
-        let bytes = std::fs::read(&path).unwrap_or_default();
-        // Name must derive from content, the tail meta-block must
-        // validate, and every record must verify deep — the same bar
-        // compaction's read-back check set before deleting sources.
-        let records = (name == segment_file_name(&bytes))
-            .then(|| Segment::open(&path).ok())
-            .flatten()
-            .filter(|s| s.verify_data().is_ok())
-            .map(|s| s.record_count() as u64);
-        if let Some(records) = records {
-            report.ok += 1;
-            valid.push((name, records));
-            continue;
-        }
-        // Salvage provably-intact records back to loose entries before
-        // the segment goes to quarantine. Skip hashes already served by
-        // a loose entry (the census above left only valid ones) — the
-        // copies are identical by content addressing.
-        for (hash, text) in segment::salvage(&bytes) {
-            let loose = dir.join(format!("{hash:016x}.entry"));
-            if loose.exists() {
-                continue;
-            }
-            let tmp = dir.join(format!(".tmp-{hash:016x}-salvage"));
-            persist::write_atomic_quiet(dir, &tmp, &loose, text.as_bytes())?;
-            report.salvaged += 1;
-        }
-        quarantine(dir, &path, &name, report)?;
-    }
-    reconcile_manifest(dir, valid, report)
-}
-
-/// Rewrites the manifest when it disagrees with the surviving segments:
-/// segments it never heard of (a compaction pass that crashed before its
-/// manifest step), segments it names that are gone (lost or just
-/// quarantined), a corrupt manifest, or no manifest at all.
-fn reconcile_manifest(
-    dir: &Path,
-    valid: Vec<(String, u64)>,
-    report: &mut ScrubReport,
-) -> std::io::Result<()> {
-    let state = load_manifest(dir);
-    match &state {
-        ManifestState::Absent if valid.is_empty() => return Ok(()),
-        ManifestState::Valid(m) if m.segments == valid => return Ok(()),
-        ManifestState::Corrupt => {
-            let path = segment::manifest_path(dir);
-            quarantine(dir, &path, MANIFEST_NAME, report)?;
-        }
-        ManifestState::Absent | ManifestState::Valid(_) => {}
-    }
-    let generation = match state {
-        ManifestState::Valid(m) => m.generation + 1,
-        ManifestState::Absent | ManifestState::Corrupt => 1,
-    };
-    segment::write_manifest(
-        dir,
-        &Manifest {
-            generation,
-            segments: valid,
-        },
-    )?;
-    report.manifest_repaired = true;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -370,7 +242,10 @@ mod tests {
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.scanned, 2);
         assert_eq!(report.ok, 2);
-        assert!(report.to_string().contains("scrubbed=0"));
+        assert_eq!(
+            report.to_string(),
+            "scanned=2 ok=2 scrubbed=0 quarantined=[] orphans=0 stale_leases=0"
+        );
     }
 
     #[test]
@@ -482,29 +357,16 @@ mod tests {
         );
     }
 
-    /// A valid one-record segment plus its (deleted) loose source, built
-    /// through the real compaction pass.
-    fn compacted(dir: &Path) -> (crate::store::StoreKey, PathBuf) {
-        let store = ResultStore::open(dir.to_path_buf());
-        let key = scenario_key_entryish(dir);
-        let report =
-            crate::compact::compact_store(dir, &crate::compact::CompactOptions::default()).unwrap();
-        let seg = dir.join(report.segment.expect("one segment built"));
-        assert!(seg.exists());
-        drop(store);
-        (key, seg)
-    }
-
-    /// Saves one real entry and returns its key (scrub tests need entry
-    /// grammar, not blob grammar, inside segments).
-    fn scenario_key_entryish(dir: &Path) -> crate::store::StoreKey {
-        let store = ResultStore::open(dir.to_path_buf());
+    #[test]
+    fn legacy_segment_files_are_left_alone() {
+        let s = Scratch::new("legacy-seg");
+        let store = seeded(&s.dir);
         let fingerprint = format!(
-            "schema={} scrub-seg p=1",
+            "schema={} legacy-seg p=1",
             crate::store::STORE_SCHEMA_VERSION
         );
         let key = crate::store::StoreKey {
-            hash: fingerprint_hash(&fingerprint),
+            hash: crate::store::fingerprint_hash(&fingerprint),
             fingerprint,
         };
         let result = system_sim::MixResult {
@@ -525,96 +387,32 @@ mod tests {
             sanitizer: None,
             records_processed: 6,
         };
+        // A unit an older release folded into a segment: its loose entry
+        // is gone and its bytes live on only inside the segment file.
         store.save(&key, &result).unwrap();
-        key
-    }
+        let entry = std::fs::read(store.entry_path(&key)).unwrap();
+        std::fs::remove_file(store.entry_path(&key)).unwrap();
+        let legacy = [
+            (s.dir.join("0123456789abcdef").with_extension("seg"), entry),
+            (
+                s.dir.join("segments.manifest"),
+                b"legacy manifest\n".to_vec(),
+            ),
+        ];
+        for (path, bytes) in &legacy {
+            std::fs::write(path, bytes).unwrap();
+        }
 
-    #[test]
-    fn valid_segments_scrub_clean() {
-        let s = Scratch::new("seg-clean");
-        let (_, _) = compacted(&s.dir);
         let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
         assert!(report.is_clean(), "{report}");
-        assert_eq!(report.segments, 1);
-        assert!(report.to_string().contains("manifest=ok"));
-    }
-
-    #[test]
-    fn corrupt_segments_are_salvaged_then_quarantined() {
-        let s = Scratch::new("seg-corrupt");
-        let (key, seg) = compacted(&s.dir);
-        // Corrupt the segment's index region (the record itself stays
-        // intact): the segment is dead, the record is salvageable.
-        let mut bytes = std::fs::read(&seg).unwrap();
-        let at = bytes.len() - crate::segment::FOOTER_LEN - 4;
-        bytes[at] ^= 0x10;
-        std::fs::write(&seg, &bytes).unwrap();
-
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
-        assert_eq!(report.scrubbed(), 1, "{report}");
-        assert_eq!(report.salvaged, 1);
-        assert!(
-            report.manifest_repaired,
-            "the manifest named a dead segment"
-        );
-        assert!(!seg.exists());
-        let qname = seg.file_name().unwrap().to_str().unwrap().to_string();
-        assert!(s.dir.join(QUARANTINE_DIR).join(&qname).exists());
-        // The salvaged record serves as a loose entry again.
-        let store = ResultStore::open(s.dir.clone());
-        assert!(store.entry_path(&key).exists());
+        assert_eq!(report.scanned, 2, "only the blob and checkpoint are data");
+        for (path, bytes) in &legacy {
+            assert_eq!(&std::fs::read(path).unwrap(), bytes, "{path:?} untouched");
+        }
+        // The folded unit misses once, recomputes, and serves loose.
+        assert!(!store.contains(&key));
+        assert!(store.load(&key).is_none());
+        store.save(&key, &result).unwrap();
         assert!(store.load(&key).is_some());
-        // And the next scrub is clean.
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
-        assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
-    fn misnamed_segments_are_quarantined() {
-        let s = Scratch::new("seg-misnamed");
-        let (key, seg) = compacted(&s.dir);
-        // Copy the segment under a wrong (but well-formed) name: its
-        // content no longer derives its name, so it must not be trusted.
-        let wrong = s.dir.join("00000000deadbeef.seg");
-        std::fs::rename(&seg, &wrong).unwrap();
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
-        assert_eq!(
-            report.quarantined,
-            vec!["00000000deadbeef.seg".to_string()],
-            "{report}"
-        );
-        // Salvage still recovered the record.
-        assert_eq!(report.salvaged, 1);
-        assert!(ResultStore::open(s.dir.clone()).load(&key).is_some());
-    }
-
-    #[test]
-    fn lost_and_unheralded_segments_repair_the_manifest() {
-        let s = Scratch::new("seg-manifest");
-        let (_, seg) = compacted(&s.dir);
-        // Simulate a compaction pass that crashed before its manifest
-        // step: delete the manifest outright.
-        std::fs::remove_file(crate::segment::manifest_path(&s.dir)).unwrap();
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
-        assert!(report.manifest_repaired, "{report}");
-        let crate::segment::ManifestState::Valid(m) = crate::segment::load_manifest(&s.dir) else {
-            panic!("manifest rewritten");
-        };
-        assert_eq!(m.segments.len(), 1);
-
-        // Corrupt manifest: quarantined, then rewritten.
-        std::fs::write(crate::segment::manifest_path(&s.dir), "garbage").unwrap();
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
-        assert!(report.manifest_repaired);
-        assert!(report.quarantined.contains(&MANIFEST_NAME.to_string()));
-
-        // Lose the segment entirely: the manifest must stop naming it.
-        std::fs::remove_file(&seg).unwrap();
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
-        assert!(report.manifest_repaired, "{report}");
-        let crate::segment::ManifestState::Valid(m) = crate::segment::load_manifest(&s.dir) else {
-            panic!("manifest rewritten");
-        };
-        assert!(m.segments.is_empty());
     }
 }

@@ -22,7 +22,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use system_sim::{CoreResult, MixResult, SystemConfig};
@@ -30,7 +29,6 @@ use trace_gen::Benchmark;
 
 use crate::failpoints::Group;
 use crate::persist;
-use crate::segment::SegmentSet;
 
 /// Bump whenever the fingerprint grammar or the entry serialization
 /// changes: old entries then miss (their embedded fingerprint no longer
@@ -47,7 +45,7 @@ use crate::segment::SegmentSet;
 /// that no longer exists; recompute rather than trust the overlap.
 pub const STORE_SCHEMA_VERSION: u32 = 5;
 
-pub(crate) const ENTRY_MAGIC: &str = "dbi-bench-result";
+const ENTRY_MAGIC: &str = "dbi-bench-result";
 const BLOB_MAGIC: &str = "dbi-bench-blob";
 
 /// The content address of one simulation unit.
@@ -60,7 +58,7 @@ pub struct StoreKey {
 }
 
 /// 64-bit FNV-1a.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -239,16 +237,13 @@ pub struct ResultStore {
     /// Orphaned temp files removed by [`ResultStore::scavenge`], surfaced
     /// in runner summaries alongside the entry count.
     orphans: AtomicU64,
-    /// The store's segment index (compacted cold tier), opened lazily on
-    /// the first read so stores that never compacted pay nothing.
-    segments: OnceLock<SegmentSet>,
 }
 
 /// Temp-file name prefixes of the atomic-write protocol: entry, blob,
-/// checkpoint, merge, segment, and manifest writers respectively. Final
-/// files never start with a dot, so anything matching these is in-flight
-/// — or, once its writer has died, an orphan.
-const TMP_PREFIXES: [&str; 6] = [".tmp-", ".tmpb-", ".ckpt-", ".tmpm-", ".tmps-", ".tmpn-"];
+/// checkpoint, and merge writers respectively. Final files never start
+/// with a dot, so anything matching these is in-flight — or, once its
+/// writer has died, an orphan.
+const TMP_PREFIXES: [&str; 4] = [".tmp-", ".tmpb-", ".ckpt-", ".tmpm-"];
 
 /// Whether `name` is a temp file of the atomic-write protocol.
 #[must_use]
@@ -265,16 +260,7 @@ impl ResultStore {
             dir,
             corrupt: AtomicU64::new(0),
             orphans: AtomicU64::new(0),
-            segments: OnceLock::new(),
         }
-    }
-
-    /// The store's segment index, scanned from the directory on first
-    /// use. A handle opened before a compaction pass keeps serving the
-    /// loose copies it can still see; the next handle sees the segments.
-    fn segment_set(&self) -> &SegmentSet {
-        self.segments
-            .get_or_init(|| SegmentSet::open_dir(&self.dir))
     }
 
     /// Garbage-collects orphaned temp files (`.tmp-*`, `.tmpb-*`,
@@ -326,32 +312,19 @@ impl ResultStore {
         self.dir.join(format!("{:016x}.entry", key.hash))
     }
 
-    /// Whether the store holds a result for `key` — loose or segmented —
-    /// without parsing it (the cheap existence probe `--list-units`
-    /// uses; a corrupt file can make this optimistic, never `load`).
+    /// Whether the store holds a result for `key` without parsing it
+    /// (the cheap existence probe `--list-units` uses; a corrupt file can
+    /// make this optimistic, never `load`).
     #[must_use]
     pub fn contains(&self, key: &StoreKey) -> bool {
-        self.segment_set().contains(key.hash) || self.entry_path(key).exists()
+        self.entry_path(key).exists()
     }
 
     /// Loads the result stored under `key`, or `None` on any miss:
     /// absent, truncated, corrupted, schema-mismatched, or
     /// fingerprint-collided entries all recompute.
-    ///
-    /// Consults the segment index first (the compacted cold tier), then
-    /// loose entries. A segment record that fails validation degrades to
-    /// the loose path — a corrupt segment can make reads slower, never
-    /// wrong.
     #[must_use]
     pub fn load(&self, key: &StoreKey) -> Option<MixResult> {
-        if let Some(text) = self.segment_set().read(key.hash) {
-            if let Some(result) = deserialize(&text, key) {
-                return Some(result);
-            }
-            // Indexed but unservable: record rot or a hash collision.
-            // Count it and fall back to the loose entry, if any.
-            self.corrupt.fetch_add(1, Ordering::Relaxed);
-        }
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         let result = deserialize(&text, key);
         if result.is_none() {
@@ -565,27 +538,15 @@ impl ResultStore {
         let _ = std::fs::remove_file(self.lease_path(key));
     }
 
-    /// Number of results currently servable from the store — segment
-    /// records plus loose entries, with loose duplicates of segmented
-    /// records (a crash between compaction's install and GC steps)
-    /// counted once. 0 if the directory does not exist yet.
+    /// Number of `.entry` files currently in the store (0 if the
+    /// directory does not exist yet).
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        let segs = self.segment_set();
-        let loose = std::fs::read_dir(&self.dir).map_or(0, |rd| {
+        std::fs::read_dir(&self.dir).map_or(0, |rd| {
             rd.filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "entry"))
-                .filter(|p| {
-                    let hash = p
-                        .file_stem()
-                        .and_then(|s| s.to_str())
-                        .and_then(|s| u64::from_str_radix(s, 16).ok());
-                    hash.is_none_or(|h| !segs.contains(h))
-                })
+                .filter(|e| e.path().extension().is_some_and(|x| x == "entry"))
                 .count()
-        });
-        loose + segs.record_count()
+        })
     }
 }
 

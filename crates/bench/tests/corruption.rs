@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use dbi_bench::store::{scenario_key, unit_key, ResultStore, StoreKey};
-use dbi_bench::{compact_store, salvage, CompactOptions, RunUnit};
+use dbi_bench::RunUnit;
 use proptest::prelude::*;
 use system_sim::{run_mix, Mechanism, SystemConfig};
 use trace_gen::Benchmark;
@@ -26,15 +26,6 @@ struct Pristine {
     ckpt_key: StoreKey,
     ckpt: Vec<u8>,
     ckpt_payload: Vec<u8>,
-    /// A compacted segment holding two entries, its file name, the keys
-    /// it serves, and the `Debug` form of each expected result.
-    seg: Vec<u8>,
-    seg_name: String,
-    seg_keys: Vec<StoreKey>,
-    seg_expected: Vec<String>,
-    /// The exact record texts inside the pristine segment (salvage may
-    /// recover these and nothing else).
-    seg_records: Vec<(u64, String)>,
 }
 
 fn pristine() -> &'static Pristine {
@@ -61,30 +52,6 @@ fn pristine() -> &'static Pristine {
         w.str("ckpt payload");
         let ckpt_payload = w.finish();
         store.save_checkpoint(&ckpt_key, &ckpt_payload).unwrap();
-        // A second store compacted into one segment of two entries.
-        let seg_dir = dir.join("segsrc");
-        let seg_store = ResultStore::open(seg_dir.clone());
-        let mut seg_keys = Vec::new();
-        let mut seg_expected = Vec::new();
-        for benchmark in [Benchmark::Lbm, Benchmark::Milc] {
-            let mut config = SystemConfig::for_cores(1, Mechanism::Baseline);
-            config.warmup_insts = 5_000;
-            config.measure_insts = 5_000;
-            let unit = RunUnit::alone(benchmark, config);
-            let key = unit_key(&unit.config, unit.mix.benchmarks());
-            let result = run_mix(&unit.mix, &unit.config);
-            seg_store.save(&key, &result).unwrap();
-            seg_keys.push(key);
-            seg_expected.push(format!("{result:?}"));
-        }
-        let report = compact_store(&seg_dir, &CompactOptions::default()).unwrap();
-        let seg_name = report.segment.unwrap();
-        let seg_path = seg_dir.join(&seg_name);
-        let seg = std::fs::read(&seg_path).unwrap();
-        let seg_records = dbi_bench::Segment::open(&seg_path)
-            .unwrap()
-            .read_all_records()
-            .unwrap();
         let p = Pristine {
             entry: std::fs::read(store.entry_path(&entry_key)).unwrap(),
             entry_key,
@@ -93,11 +60,6 @@ fn pristine() -> &'static Pristine {
             ckpt: std::fs::read(store.checkpoint_path(&ckpt_key)).unwrap(),
             ckpt_key,
             ckpt_payload,
-            seg,
-            seg_name,
-            seg_keys,
-            seg_expected,
-            seg_records,
         };
         let _ = std::fs::remove_dir_all(&dir);
         p
@@ -205,58 +167,6 @@ proptest! {
                 payload == p.ckpt_payload || !decodes,
                 "a damaged checkpoint decoded cleanly"
             );
-        }
-    }
-
-    #[test]
-    fn damaged_segments_degrade_to_misses_never_lie(
-        frac in 0.0f64..1.0,
-        flip in any::<bool>(),
-        bit in 0u32..8,
-        case in 0u64..u64::MAX,
-    ) {
-        let p = pristine();
-        let bytes = damage(&p.seg, frac, flip, bit);
-        let d = Damaged::new(case, &p.seg_name, &bytes);
-        // Every key the pristine segment served must now be a miss or
-        // the exact pristine result — a damaged segment may lose data
-        // (the unit recomputes) but must never serve a wrong value, and
-        // must never panic.
-        for (key, expected) in p.seg_keys.iter().zip(&p.seg_expected) {
-            match d.store.load(key) {
-                None => prop_assert!(
-                    bytes != p.seg,
-                    "pristine segment must serve every record"
-                ),
-                Some(loaded) => prop_assert_eq!(
-                    &format!("{:?}", loaded),
-                    expected,
-                    "served a wrong value from a damaged segment"
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn salvage_never_fabricates_records(
-        frac in 0.0f64..1.0,
-        flip in any::<bool>(),
-        bit in 0u32..8,
-    ) {
-        let p = pristine();
-        let bytes = damage(&p.seg, frac, flip, bit);
-        // Whatever salvage digs out of arbitrarily damaged segment bytes
-        // must be byte-identical to a pristine record — recovery can
-        // lose records, never invent or alter them.
-        for (hash, text) in salvage(&bytes) {
-            prop_assert!(
-                p.seg_records.contains(&(hash, text)),
-                "salvage fabricated a record"
-            );
-        }
-        // And on undamaged bytes it recovers everything.
-        if bytes == p.seg {
-            prop_assert_eq!(salvage(&bytes).len(), p.seg_records.len());
         }
     }
 }

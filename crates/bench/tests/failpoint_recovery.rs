@@ -20,20 +20,22 @@
 //!    and a final scrub finds nothing left to repair.
 //!
 //! Failpoints are process-global, so the whole matrix runs inside ONE
-//! `#[test]` in its own integration-test binary — the harness gives each
-//! test file its own process, and a single test body cannot race itself.
+//! `#[test]` in its own integration-test binary, and every test here
+//! holds [`LOCK`]: the harness runs a file's tests on parallel threads,
+//! and a disarmed-path test writing entries while the matrix has a plan
+//! armed would trip (or steal) the matrix's firing.
 
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use dbi_bench::failpoints::{self, CrashStyle, FailMode, FailPlan, FailSpec, Group};
 use dbi_bench::store::{scenario_key, unit_key, ResultStore, StoreKey};
-use dbi_bench::{
-    all_sites, compact_store, merge_shards, modes_for, scrub_store, CompactOptions, RunUnit,
-    ScrubOptions,
-};
+use dbi_bench::{all_sites, merge_shards, modes_for, scrub_store, RunUnit, ScrubOptions};
 use system_sim::{run_mix, Mechanism, MixResult, SystemConfig};
 use trace_gen::Benchmark;
+
+/// Serializes the tests of this file around the process-global plan.
+static LOCK: Mutex<()> = Mutex::new(());
 
 struct Scratch {
     dir: PathBuf,
@@ -85,8 +87,7 @@ fn ckpt_payload() -> Vec<u8> {
 }
 
 /// Performs the group's store operation against `dir` (for `Merge`,
-/// `shard` is the pre-populated input store; for `Segment`/`Compact`,
-/// `dir` was pre-seeded with a durable loose entry).
+/// `shard` is the pre-populated input store).
 fn perform(group: Group, dir: &Path, shard: &Path) -> std::io::Result<()> {
     let (_, key, result) = tiny();
     let store = ResultStore::open(dir.to_path_buf());
@@ -101,9 +102,6 @@ fn perform(group: Group, dir: &Path, shard: &Path) -> std::io::Result<()> {
                 "merge input was pre-verified: {report:?}"
             );
         }),
-        Group::Segment | Group::Compact => {
-            compact_store(dir, &CompactOptions::default()).map(|_| ())
-        }
     }
 }
 
@@ -144,21 +142,12 @@ fn assert_recovered(group: Group, dir: &Path) {
                 );
             }
         }
-        Group::Segment | Group::Compact => {
-            // Stronger than the write groups: the entry was durable
-            // BEFORE compaction started, so a crashed compaction must
-            // still serve it (from the segment or the loose file) — a
-            // miss here means compaction destroyed committed data.
-            let loaded = store
-                .load(key)
-                .expect("crashed compaction lost a durable entry");
-            assert!(same_result(&loaded, result), "served a wrong entry");
-        }
     }
 }
 
 #[test]
 fn recovery_matrix_covers_every_site_and_mode() {
+    let _serial = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (_, key, result) = tiny();
     let mut scenarios = 0;
     for site in all_sites() {
@@ -170,15 +159,10 @@ fn recovery_matrix_covers_every_site_and_mode() {
             let dir = s.dir.join("store");
             let shard = s.dir.join("shard");
 
-            // Pre-populate the merge input / compaction source before
-            // arming anything, so the only failpoint that can fire is
-            // the scenario's own.
+            // Pre-populate the merge input before arming anything, so
+            // the only failpoint that can fire is the scenario's own.
             if site.group == Group::Merge {
                 let src = ResultStore::open(shard.clone());
-                src.save(key, result).unwrap();
-            }
-            if matches!(site.group, Group::Segment | Group::Compact) {
-                let src = ResultStore::open(dir.clone());
                 src.save(key, result).unwrap();
             }
 
@@ -195,16 +179,6 @@ fn recovery_matrix_covers_every_site_and_mode() {
             match mode {
                 FailMode::Torn | FailMode::Crash | FailMode::Eio => {
                     assert!(outcome.is_err(), "{spec}: injected failure was swallowed");
-                }
-                // A short segment write is the one silent mode that MUST
-                // surface: compaction re-reads and deep-verifies the
-                // installed segment before deleting its sources, because
-                // garbage collection destroys the only other copy.
-                FailMode::Short if site.group == Group::Segment => {
-                    assert!(
-                        outcome.is_err(),
-                        "{spec}: a short segment must fail read-back verification"
-                    );
                 }
                 FailMode::Short | FailMode::DropSync => {
                     assert!(outcome.is_ok(), "{spec}: silent mode surfaced an error");
@@ -236,11 +210,6 @@ fn recovery_matrix_covers_every_site_and_mode() {
                     "healed checkpoint must round-trip"
                 ),
                 Group::Lease => assert_eq!(healed.lease_owner(key).as_deref(), Some(LEASE_OWNER)),
-                Group::Segment | Group::Compact => {
-                    let loaded = healed.load(key).expect("healed compacted entry must load");
-                    assert!(same_result(&loaded, result));
-                    assert!(healed.contains(key), "healed store must index the entry");
-                }
             }
             let report = scrub_store(&dir, &ScrubOptions::default()).unwrap();
             assert!(
@@ -249,21 +218,17 @@ fn recovery_matrix_covers_every_site_and_mode() {
             );
         }
     }
-    // Five full atomic-write protocols (4+3+2+3 modes across the four
-    // stages — entry, blob, ckpt, merge, segment), the lease's plain
-    // write (4 modes), and compaction's two coarse sites (crash+eio
-    // each).
-    assert_eq!(
-        scenarios,
-        5 * 12 + 4 + 2 * 2,
-        "the matrix shrank — sites untested"
-    );
+    // Four full atomic-write protocols (4+3+2+3 modes across the four
+    // stages — entry, blob, ckpt, merge) and the lease's plain write (4
+    // modes).
+    assert_eq!(scenarios, 4 * 12 + 4, "the matrix shrank — sites untested");
 }
 
 /// Disarmed failpoints must be invisible: the same operations succeed
 /// and round-trip with nothing installed (the production path).
 #[test]
 fn disarmed_failpoints_are_noops() {
+    let _serial = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (_, key, result) = tiny();
     let s = Scratch::new("noop");
     let store = ResultStore::open(s.dir.clone());

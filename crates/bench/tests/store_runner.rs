@@ -240,63 +240,6 @@ fn warm_rerun_is_bit_identical_and_simulates_nothing() {
 }
 
 #[test]
-fn warm_rerun_from_compacted_store_is_bit_identical() {
-    let scratch = Scratch::new("compact-warm");
-    let units: Vec<RunUnit> = [Benchmark::Lbm, Benchmark::Mcf, Benchmark::Stream]
-        .iter()
-        .map(|&b| RunUnit::alone(b, tiny_config(Mechanism::Baseline)))
-        .collect();
-    let rows = |results: &[system_sim::MixResult]| -> Vec<String> {
-        results
-            .iter()
-            .map(|r| {
-                format!(
-                    "{:.3}\t{:.2}\t{}\t{}",
-                    r.cores[0].ipc(),
-                    r.wpki(),
-                    r.dram.writes,
-                    f64::to_bits(r.energy.total_pj())
-                )
-            })
-            .collect()
-    };
-
-    let cold = Runner::new("test-compact-cold", &scratch.args());
-    let cold_rows = rows(&cold.run_units("cold", &units));
-    assert_eq!((cold.sims(), cold.hits()), (3, 0));
-
-    // Fold everything into a segment; the loose entries are gone.
-    let report = dbi_bench::compact_store(&scratch.0, &dbi_bench::CompactOptions::default())
-        .expect("compaction");
-    assert_eq!(report.folded, 3);
-    assert_eq!(report.gc_loose, 3);
-
-    let warm = Runner::new("test-compact-warm", &scratch.args());
-    let warm_rows = rows(&warm.run_units("warm", &units));
-    assert_eq!(
-        (warm.sims(), warm.hits()),
-        (0, 3),
-        "a compacted store must serve every unit"
-    );
-    assert_eq!(cold_rows, warm_rows);
-
-    // New work lands loose beside the segment and both are served.
-    let extra = RunUnit::alone(Benchmark::Milc, tiny_config(Mechanism::Baseline));
-    let grow = Runner::new("test-compact-grow", &scratch.args());
-    let _ = grow.run_unit(&extra);
-    assert_eq!((grow.sims(), grow.hits()), (1, 0));
-    let mut all = units.clone();
-    all.push(extra);
-    let mixed = Runner::new("test-compact-mixed", &scratch.args());
-    let _ = mixed.run_units("mixed", &all);
-    assert_eq!(
-        (mixed.sims(), mixed.hits()),
-        (0, 4),
-        "segment records and loose entries must serve together"
-    );
-}
-
-#[test]
 fn panicking_unit_is_quarantined_while_the_rest_complete() {
     let scratch = Scratch::new("quarantine");
     // `measure_insts = 0` trips the simulator's own precondition assert —
