@@ -1,6 +1,7 @@
-//! Microbenchmarks of the cache substrate: the demand access path and the
-//! auxiliary structures (dueling selector, miss predictor, SSV refresh)
-//! that the LLC mechanisms lean on.
+//! Microbenchmarks of the cache substrate: the demand access path, the
+//! tag walk at the 8-core LLC's geometry, and the auxiliary structures
+//! (dueling selector, miss predictor, SSV refresh) that the LLC mechanisms
+//! lean on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -60,6 +61,54 @@ fn bench_access_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// The 8-core LLC (`oct_light`): 16 MiB, 32 ways, 8192 sets, full.
+fn llc_oct() -> Cache {
+    let mut cache = Cache::new(CacheConfig::new(16 * 1024 * 1024, 32, 64).expect("8-core LLC"));
+    for b in 0..LLC_OCT_BLOCKS {
+        cache.insert(b, 0, InsertPos::Mru, false);
+    }
+    cache
+}
+
+const LLC_OCT_BLOCKS: u64 = 256 * 1024;
+
+/// An odd stride that moves 2731 sets (of 8192) and five tags per access,
+/// so consecutive accesses land in far-apart sets.
+const SCATTER: u64 = 5 * 8192 + 2731;
+
+fn bench_llc_tag_walk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cache_llc_32way");
+    group.bench_function("touch_hit", |bencher| {
+        let mut cache = llc_oct();
+        let mut b = 0u64;
+        bencher.iter(|| {
+            b = (b + SCATTER) % LLC_OCT_BLOCKS;
+            black_box(cache.touch(black_box(b)))
+        });
+    });
+    // A miss walks all 32 tags of a full set.
+    group.bench_function("touch_miss", |bencher| {
+        let mut cache = llc_oct();
+        let mut b = 0u64;
+        bencher.iter(|| {
+            b = (b + SCATTER) % LLC_OCT_BLOCKS;
+            black_box(cache.touch(black_box(b + LLC_OCT_BLOCKS)))
+        });
+    });
+    // The demand-miss path: the missing lookup, then the fill that evicts
+    // the set's LRU way.
+    group.bench_function("miss_insert", |bencher| {
+        let mut cache = llc_oct();
+        let mut b = LLC_OCT_BLOCKS;
+        bencher.iter(|| {
+            b += SCATTER;
+            let hit = cache.touch(black_box(b));
+            black_box((hit, cache.insert(b, 0, InsertPos::Mru, false)))
+        });
+    });
+    group.finish();
+}
+
 fn bench_side_structures(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_side_structures");
     group.bench_function("dueling_choose", |bencher| {
@@ -93,5 +142,10 @@ fn bench_side_structures(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_access_path, bench_side_structures);
+criterion_group!(
+    benches,
+    bench_access_path,
+    bench_llc_tag_walk,
+    bench_side_structures
+);
 criterion_main!(benches);

@@ -1,15 +1,15 @@
-//! The set-associative cache model and its word-level dirty/rank index.
+//! The set-associative cache model: a tags-only tag store with a
+//! word-level dirty/rank index.
 //!
-//! Dirty-state queries used to rank-scan the tag array: every "does this
-//! set hold dirty blocks near eviction?" question compared each line's
-//! replacement metadata against every other line's — O(ways²) per probe,
-//! on the per-writeback path of the Virtual Write Queue. The [`Cache`] now
-//! maintains a [`DirtyView`]-queryable index beside the tag array: one
-//! validity word and one dirty word per set ([`WayMask`]), plus O(1) rank
-//! bookkeeping (an incremental rank permutation under LRU, per-RRPV
-//! population counts under RRIP). The index is updated by every mutation
-//! (insert, promote, evict, invalidate, dirty-bit writes) and rebuilt —
-//! with validation — when a snapshot is restored.
+//! The paper takes dirty bits out of the tag entry so that a lookup touches
+//! only tags; this model does the same to its own host memory. A set's
+//! ways live in parallel arrays — 8-byte tags, owner threads, replacement
+//! state — and validity and dirtiness live only in one validity word and
+//! one dirty word per set ([`WayMask`]). A lookup compares tags alone, and
+//! every dirty-state query a writeback mechanism asks ([`DirtyView`]) is
+//! answered from the words plus O(1) rank bookkeeping: the LRU rank
+//! permutation (which is the recency order itself, and picks every
+//! victim) or per-way RRPVs with per-set population counts under RRIP.
 
 use std::error::Error;
 use std::fmt;
@@ -323,81 +323,17 @@ pub struct ProbedLine {
     pub rank: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    block: BlockAddr,
-    valid: bool,
-    dirty: bool,
-    thread: ThreadId,
-    /// LRU timestamp or RRPV, depending on [`ReplacementKind`].
-    meta: i64,
-}
+/// The tag of a way that holds no block. Block addresses are byte
+/// addresses shifted right by the block size, so no real block is this.
+const EMPTY: BlockAddr = BlockAddr::MAX;
 
-const INVALID: Line = Line {
-    block: 0,
-    valid: false,
-    dirty: false,
-    thread: 0,
-    meta: 0,
-};
-
-const RRPV_MAX: i64 = 3;
-const RRPV_LONG: i64 = 2;
+const RRPV_MAX: u8 = 3;
+const RRPV_LONG: u8 = 2;
 
 /// Bit index of `(set, way)` in the slot-per-word [`DirtyWords`] layout.
 #[inline]
 fn slot_bit(set: usize, way: usize) -> u64 {
     (set * 64 + way) as u64
-}
-
-/// The word-level dirty/rank index maintained beside the tag array.
-///
-/// The replacement metadata in [`Line::meta`] stays the ground truth for
-/// victim selection; this structure is the *query* representation, kept
-/// coherent incrementally so rank-filtered dirty queries never loop over
-/// metadata. Under LRU, timestamps are unique, so per-line ranks form a
-/// permutation that updates in O(ways) byte ops per mutation. Under RRIP,
-/// RRPVs tie (ranks are shared), so ranks derive in O(1) from per-RRPV
-/// population counts instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct DirtyRankIndex {
-    /// Per-set validity words (bit `set * 64 + w` = way `w` of `set` holds
-    /// a valid line), on the workspace-wide [`DirtyWords`] storage.
-    valid: DirtyWords,
-    /// Per-set dirty words, same layout: bit set ⇔ valid *and* dirty.
-    dirty: DirtyWords,
-    /// Per-line recency rank (LRU only; empty under RRIP).
-    rank: Vec<u8>,
-    /// Per-set way-at-rank permutation (LRU only; empty under RRIP):
-    /// `lru_stack[set * ways + r]` is the way holding rank `r`. The
-    /// inverse of `rank`, kept so bottom-of-stack queries read `k` bytes
-    /// instead of visiting every dirty way, and so LRU victim selection
-    /// is a single byte read instead of a timestamp scan.
-    lru_stack: Vec<u8>,
-    /// Per-set RRPV population counts (RRIP only; empty under LRU).
-    rrpv_cnt: Vec<[u8; 4]>,
-}
-
-impl DirtyRankIndex {
-    fn new(config: &CacheConfig) -> DirtyRankIndex {
-        let sets = config.sets() as usize;
-        DirtyRankIndex {
-            valid: DirtyWords::per_word_slots(sets),
-            dirty: DirtyWords::per_word_slots(sets),
-            rank: match config.replacement {
-                ReplacementKind::Lru => vec![0; config.blocks() as usize],
-                ReplacementKind::Rrip => Vec::new(),
-            },
-            lru_stack: match config.replacement {
-                ReplacementKind::Lru => vec![0; config.blocks() as usize],
-                ReplacementKind::Rrip => Vec::new(),
-            },
-            rrpv_cnt: match config.replacement {
-                ReplacementKind::Lru => Vec::new(),
-                ReplacementKind::Rrip => vec![[0; 4]; sets],
-            },
-        }
-    }
 }
 
 /// A set-associative, write-back cache state model.
@@ -408,21 +344,40 @@ impl DirtyRankIndex {
 /// writeback nontrivial (paper Section 3.1).
 ///
 /// Dirty-state and recency-rank queries go through [`Cache::dirty`], which
-/// returns a [`DirtyView`] over the maintained word-level index; the only
-/// dirty-state mutator is [`Cache::mark_dirty`].
+/// returns a [`DirtyView`] over the word-level index; the only dirty-state
+/// mutator is [`Cache::mark_dirty`].
+///
+/// The tag store is a struct of arrays indexed by `set * ways + way`, with
+/// one source of truth per fact: tags (a lookup compares only these),
+/// owners, the per-set valid/dirty words, and the recency order (the rank
+/// permutation under LRU, per-way RRPVs under RRIP).
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
     /// `sets() - 1` when the set count is a power of two (the common
     /// geometry), letting [`set_of`](Cache::set_of) mask instead of divide.
     set_mask: Option<u64>,
-    clock: i64,
-    /// Decrementing counter handing out "older than everything" timestamps
-    /// for LRU-position (LIP/bimodal) insertions: the newest such insertion
-    /// is always the set's next victim.
-    low_clock: i64,
-    index: DirtyRankIndex,
+    /// Per-way block tags; [`EMPTY`] where the way holds no block.
+    tags: Vec<BlockAddr>,
+    /// Per-way inserting thread; stale where the way holds no block.
+    threads: Vec<ThreadId>,
+    /// Per-set validity words (bit `set * 64 + w` = way `w` of `set` holds
+    /// a block), on the workspace-wide [`DirtyWords`] storage.
+    valid: DirtyWords,
+    /// Per-set dirty words, same layout; always a subset of `valid`.
+    dirty: DirtyWords,
+    /// Per-way recency rank, 0 = next victim (LRU only; empty under RRIP).
+    rank: Vec<u8>,
+    /// Per-set way-at-rank permutation (LRU only; empty under RRIP):
+    /// `lru_stack[set * ways + r]` is the way holding rank `r`. The
+    /// inverse of `rank`, so bottom-of-stack queries read `k` bytes and
+    /// LRU victim selection is a single byte read.
+    lru_stack: Vec<u8>,
+    /// Per-way re-reference prediction value (RRIP only; empty under LRU).
+    rrpv: Vec<u8>,
+    /// Per-set RRPV population counts (RRIP only; empty under LRU), so a
+    /// rank is three adds: RRPVs tie, and ranks are shared.
+    rrpv_cnt: Vec<[u8; 4]>,
     stats: CacheStats,
 }
 
@@ -430,15 +385,22 @@ impl Cache {
     /// Creates an empty cache.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let lines = vec![INVALID; config.blocks() as usize];
-        let sets = config.sets();
+        let (blocks, sets) = (config.blocks() as usize, config.sets());
+        let (lru, rrip) = match config.replacement {
+            ReplacementKind::Lru => (blocks, 0),
+            ReplacementKind::Rrip => (0, blocks),
+        };
         Cache {
-            index: DirtyRankIndex::new(&config),
             config,
-            lines,
             set_mask: sets.is_power_of_two().then(|| sets - 1),
-            clock: 0,
-            low_clock: 0,
+            tags: vec![EMPTY; blocks],
+            threads: vec![0; blocks],
+            valid: DirtyWords::per_word_slots(sets as usize),
+            dirty: DirtyWords::per_word_slots(sets as usize),
+            rank: vec![0; lru],
+            lru_stack: vec![0; lru],
+            rrpv: vec![0; rrip],
+            rrpv_cnt: vec![[0; 4]; rrip / config.ways],
             stats: CacheStats::default(),
         }
     }
@@ -458,19 +420,17 @@ impl Cache {
         })
     }
 
-    fn set_range(&self, block: BlockAddr) -> std::ops::Range<usize> {
+    /// The `(set, way)` holding `block`, from a walk over the set's tags.
+    fn find(&self, block: BlockAddr) -> Option<(usize, usize)> {
+        if block == EMPTY {
+            return None;
+        }
         let set = self.set_of(block).index();
-        let ways = self.config.ways;
-        set * ways..(set + 1) * ways
-    }
-
-    fn find(&self, block: BlockAddr) -> Option<usize> {
-        let range = self.set_range(block);
-        let base = range.start;
-        self.lines[range]
+        let base = set * self.config.ways;
+        self.tags[base..base + self.config.ways]
             .iter()
-            .position(|l| l.valid && l.block == block)
-            .map(|way| base + way)
+            .position(|&tag| tag == block)
+            .map(|way| (set, way))
     }
 
     /// Probes for `block` without updating replacement state or stats
@@ -481,163 +441,156 @@ impl Cache {
     }
 
     /// Issues host prefetch hints for the model state a lookup of `block`
-    /// would touch: its set's tag lines and the set's valid/dirty index
-    /// words. Bulk queries with known targets ([`DirtyView::probe_many`])
-    /// hint every set before the first tag walk. A pure performance hint —
-    /// no simulated state (stats, replacement, dirty bits) changes.
+    /// would touch: its set's tags, owners and valid/dirty words. Bulk
+    /// queries with known targets ([`DirtyView::probe_many`]) hint every
+    /// set before the first tag walk. A pure performance hint — no
+    /// simulated state (stats, replacement, dirty bits) changes.
     pub fn prefetch_block(&self, block: BlockAddr) {
         let set = self.set_of(block).index();
-        let range = self.set_range(block);
-        let lines = &self.lines[range];
-        // The tag walk reads every way of the set: hint each host cache
-        // line of the slab (Line is ~24 B, so ~3 ways per 64 B line).
-        let bytes = std::mem::size_of_val(lines);
-        let base = lines.as_ptr().cast::<u8>();
-        let mut off = 0;
-        while off < bytes {
-            dbi::prefetch_read(base.wrapping_add(off));
-            off += 64;
-        }
-        self.index.valid.prefetch_word(set);
-        self.index.dirty.prefetch_word(set);
-        // Replacement metadata: a hit's promotion and a miss's victim
-        // selection both read the set's rank/stack (LRU) or RRPV count
-        // (RRIP) slabs — one host line each.
         let base = set * self.config.ways;
+        // The tag walk reads one 8 B tag per way: hint each host cache
+        // line of the set's tag slab (8 ways per 64 B line).
+        let tags = &self.tags[base..base + self.config.ways];
+        for off in (0..std::mem::size_of_val(tags)).step_by(64) {
+            dbi::prefetch_read(tags.as_ptr().cast::<u8>().wrapping_add(off));
+        }
+        dbi::prefetch_read(self.threads[base..].as_ptr());
+        self.valid.prefetch_word(set);
+        self.dirty.prefetch_word(set);
+        // Replacement state: a hit's promotion and a probe's rank read the
+        // set's rank/stack (LRU) or RRPV slabs (RRIP) — one host line each.
         match self.config.replacement {
             ReplacementKind::Lru => {
-                dbi::prefetch_read(self.index.rank[base..].as_ptr());
-                dbi::prefetch_read(self.index.lru_stack[base..].as_ptr());
+                dbi::prefetch_read(self.rank[base..].as_ptr());
+                dbi::prefetch_read(self.lru_stack[base..].as_ptr());
             }
             ReplacementKind::Rrip => {
-                dbi::prefetch_read(std::ptr::from_ref(&self.index.rrpv_cnt[set]));
+                dbi::prefetch_read(self.rrpv[base..].as_ptr());
+                dbi::prefetch_read(std::ptr::from_ref(&self.rrpv_cnt[set]));
             }
         }
     }
 
-    /// Recency rank of the valid line at index `i`, from the index: 0 =
-    /// next victim. O(1) — a byte read under LRU, three adds under RRIP.
-    fn rank_of(&self, i: usize) -> usize {
+    /// Recency rank of the valid line at `(set, way)`: 0 = next victim.
+    /// O(1) — a byte read under LRU, three adds under RRIP.
+    fn rank_of(&self, set: usize, way: usize) -> usize {
+        let i = set * self.config.ways + way;
         match self.config.replacement {
-            ReplacementKind::Lru => usize::from(self.index.rank[i]),
-            ReplacementKind::Rrip => {
-                let c = &self.index.rrpv_cnt[i / self.config.ways];
-                let v = self.lines[i].meta as usize;
-                c[v + 1..=RRPV_MAX as usize]
-                    .iter()
-                    .map(|&x| usize::from(x))
-                    .sum()
-            }
+            ReplacementKind::Lru => usize::from(self.rank[i]),
+            ReplacementKind::Rrip => self.rrpv_cnt[set][usize::from(self.rrpv[i]) + 1..]
+                .iter()
+                .map(|&x| usize::from(x))
+                .sum(),
         }
     }
 
-    /// Index update: the valid line at `i` leaves its set.
-    fn index_remove(&mut self, i: usize) {
-        let ways = self.config.ways;
-        let (set, way) = (i / ways, i % ways);
-        self.index.valid.clear(slot_bit(set, way));
-        self.index.dirty.clear(slot_bit(set, way));
+    /// Empties the valid way `(set, way)`, returning what it held.
+    fn remove(&mut self, set: usize, way: usize) -> Victim {
+        let i = set * self.config.ways + way;
+        let victim = Victim {
+            block: self.tags[i],
+            dirty: self.dirty.get(slot_bit(set, way)),
+            thread: self.threads[i],
+        };
+        self.tags[i] = EMPTY;
+        self.valid.clear(slot_bit(set, way));
+        self.dirty.clear(slot_bit(set, way));
         match self.config.replacement {
             ReplacementKind::Lru => {
                 // Every line that was more protected moves one rank down.
-                let base = set * ways;
-                let r = usize::from(self.index.rank[i]);
-                let remaining = self.index.valid.word(set).count_ones() as usize;
-                for pos in r..remaining {
-                    let w = usize::from(self.index.lru_stack[base + pos + 1]);
-                    self.index.lru_stack[base + pos] = w as u8;
-                    self.index.rank[base + w] -= 1;
+                let base = set * self.config.ways;
+                let remaining = self.valid.word(set).count_ones() as usize;
+                for pos in usize::from(self.rank[i])..remaining {
+                    let w = usize::from(self.lru_stack[base + pos + 1]);
+                    self.lru_stack[base + pos] = w as u8;
+                    self.rank[base + w] -= 1;
                 }
             }
             ReplacementKind::Rrip => {
-                self.index.rrpv_cnt[set][self.lines[i].meta as usize] -= 1;
+                self.rrpv_cnt[set][usize::from(self.rrpv[i])] -= 1;
             }
         }
+        victim
     }
 
-    /// Index update: `lines[i]` was just written with a new valid line
-    /// inserted at `pos` (its `meta` already reflects the insertion).
-    fn index_place(&mut self, i: usize, pos: InsertPos) {
-        let ways = self.config.ways;
-        let (set, way) = (i / ways, i % ways);
+    /// Gives the empty way `(set, way)` its replacement position for an
+    /// insertion at `pos`; the caller then marks the way valid.
+    fn place(&mut self, set: usize, way: usize, pos: InsertPos) {
+        let base = set * self.config.ways;
         match self.config.replacement {
             ReplacementKind::Lru => {
-                let base = set * ways;
-                let n = self.index.valid.word(set).count_ones() as usize;
+                let n = self.valid.word(set).count_ones() as usize;
                 match pos {
                     // Newer than everything resident: top rank.
                     InsertPos::Mru => {
-                        self.index.rank[i] = n as u8;
-                        self.index.lru_stack[base + n] = (i - base) as u8;
+                        self.rank[base + way] = n as u8;
+                        self.lru_stack[base + n] = way as u8;
                     }
                     // Older than everything resident: rank 0, rest move up.
                     InsertPos::Lru => {
                         for pos in (0..n).rev() {
-                            let w = usize::from(self.index.lru_stack[base + pos]);
-                            self.index.lru_stack[base + pos + 1] = w as u8;
-                            self.index.rank[base + w] += 1;
+                            let w = usize::from(self.lru_stack[base + pos]);
+                            self.lru_stack[base + pos + 1] = w as u8;
+                            self.rank[base + w] += 1;
                         }
-                        self.index.rank[i] = 0;
-                        self.index.lru_stack[base] = (i - base) as u8;
+                        self.rank[base + way] = 0;
+                        self.lru_stack[base] = way as u8;
                     }
                 }
             }
             ReplacementKind::Rrip => {
-                self.index.rrpv_cnt[set][self.lines[i].meta as usize] += 1;
+                let v = match pos {
+                    InsertPos::Mru => RRPV_LONG,
+                    InsertPos::Lru => RRPV_MAX,
+                };
+                self.rrpv[base + way] = v;
+                self.rrpv_cnt[set][usize::from(v)] += 1;
             }
         }
-        self.index.valid.set(slot_bit(set, way));
-        self.index
-            .dirty
-            .assign(slot_bit(set, way), self.lines[i].dirty);
     }
 
-    /// Index update: the valid line at `i` was promoted to MRU (LRU only).
-    /// Cost is proportional to how far below MRU the line sat, so re-hits
-    /// on hot lines cost nothing.
-    fn index_promote_lru(&mut self, i: usize) {
-        let ways = self.config.ways;
-        let set = i / ways;
-        let base = set * ways;
-        let r = usize::from(self.index.rank[i]);
-        let n = self.index.valid.word(set).count_ones() as usize;
-        for pos in r..n - 1 {
-            let w = usize::from(self.index.lru_stack[base + pos + 1]);
-            self.index.lru_stack[base + pos] = w as u8;
-            self.index.rank[base + w] -= 1;
+    /// Promotes the valid line at `(set, way)` to MRU (LRU only). Cost is
+    /// proportional to how far below MRU the line sat, so re-hits on hot
+    /// lines cost nothing.
+    fn promote_lru(&mut self, set: usize, way: usize) {
+        let base = set * self.config.ways;
+        let n = self.valid.word(set).count_ones() as usize;
+        for pos in usize::from(self.rank[base + way])..n - 1 {
+            let w = usize::from(self.lru_stack[base + pos + 1]);
+            self.lru_stack[base + pos] = w as u8;
+            self.rank[base + w] -= 1;
         }
-        self.index.rank[i] = (n - 1) as u8;
-        self.index.lru_stack[base + n - 1] = (i - base) as u8;
+        self.rank[base + way] = (n - 1) as u8;
+        self.lru_stack[base + n - 1] = way as u8;
     }
 
     /// Looks up `block` and, on a hit, promotes it (recency update / RRPV
     /// reset). Returns whether it hit. This is the demand-access path.
     pub fn touch(&mut self, block: BlockAddr) -> bool {
         self.stats.lookups += 1;
-        match self.find(block) {
-            Some(i) => {
-                self.stats.hits += 1;
-                match self.config.replacement {
-                    ReplacementKind::Lru => {
-                        self.clock += 1;
-                        self.lines[i].meta = self.clock;
-                        self.index_promote_lru(i);
-                    }
-                    ReplacementKind::Rrip => {
-                        let c = &mut self.index.rrpv_cnt[i / self.config.ways];
-                        c[self.lines[i].meta as usize] -= 1;
-                        c[0] += 1;
-                        self.lines[i].meta = 0;
-                    }
-                }
-                true
+        let Some((set, way)) = self.find(block) else {
+            return false;
+        };
+        self.stats.hits += 1;
+        match self.config.replacement {
+            ReplacementKind::Lru => self.promote_lru(set, way),
+            ReplacementKind::Rrip => {
+                let v = &mut self.rrpv[set * self.config.ways + way];
+                let c = &mut self.rrpv_cnt[set];
+                c[usize::from(*v)] -= 1;
+                c[0] += 1;
+                *v = 0;
             }
-            None => false,
         }
+        true
     }
 
     /// Inserts `block` at `pos`, returning the displaced victim if the set
     /// was full. If the block is already resident this is a no-op promote.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is `BlockAddr::MAX`, the empty-way tag.
     pub fn insert(
         &mut self,
         block: BlockAddr,
@@ -645,111 +598,70 @@ impl Cache {
         pos: InsertPos,
         dirty: bool,
     ) -> Option<Victim> {
-        if let Some(i) = self.find(block) {
+        if let Some((set, way)) = self.find(block) {
             // Refill of a resident block: merge dirty state, keep recency.
-            self.lines[i].dirty |= dirty;
             if dirty {
-                let ways = self.config.ways;
-                self.index.dirty.set(slot_bit(i / ways, i % ways));
+                self.dirty.set(slot_bit(set, way));
             }
             return None;
         }
+        assert_ne!(block, EMPTY, "block address {EMPTY:#x} is the empty tag");
         self.stats.insertions += 1;
-        let range = self.set_range(block);
-        let set = range.start / self.config.ways;
-        let slot = match range.clone().find(|&i| !self.lines[i].valid) {
-            Some(free) => free,
-            None => self.victim_way(range, set),
-        };
-        let victim = if self.lines[slot].valid {
-            self.stats.evictions += 1;
-            if self.lines[slot].dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            let v = Victim {
-                block: self.lines[slot].block,
-                dirty: self.lines[slot].dirty,
-                thread: self.lines[slot].thread,
-            };
-            self.index_remove(slot);
-            Some(v)
+        let set = self.set_of(block).index();
+        // The lowest empty way, or the replacement victim of a full set.
+        let free = (!self.valid.word(set)).trailing_zeros() as usize;
+        let (way, victim) = if free < self.config.ways {
+            (free, None)
         } else {
-            None
+            let way = self.victim_way(set);
+            let victim = self.remove(set, way);
+            self.stats.evictions += 1;
+            self.stats.dirty_evictions += u64::from(victim.dirty);
+            (way, Some(victim))
         };
-        let meta = match (self.config.replacement, pos) {
-            (ReplacementKind::Lru, InsertPos::Mru) => {
-                self.clock += 1;
-                self.clock
-            }
-            (ReplacementKind::Lru, InsertPos::Lru) => {
-                // Older than everything resident: next in line for eviction.
-                self.low_clock -= 1;
-                self.low_clock
-            }
-            (ReplacementKind::Rrip, InsertPos::Mru) => RRPV_LONG,
-            (ReplacementKind::Rrip, InsertPos::Lru) => RRPV_MAX,
-        };
-        self.lines[slot] = Line {
-            block,
-            valid: true,
-            dirty,
-            thread,
-            meta,
-        };
-        self.index_place(slot, pos);
+        let i = set * self.config.ways + way;
+        self.tags[i] = block;
+        self.threads[i] = thread;
+        self.place(set, way, pos);
+        self.valid.set(slot_bit(set, way));
+        self.dirty.assign(slot_bit(set, way), dirty);
         victim
     }
 
-    fn victim_way(&mut self, range: std::ops::Range<usize>, set: usize) -> usize {
+    /// The way a full `set` evicts next.
+    fn victim_way(&mut self, set: usize) -> usize {
+        let base = set * self.config.ways;
         match self.config.replacement {
-            ReplacementKind::Lru => {
-                // Rank 0 of a full set is the oldest timestamp, including
-                // the "older than everything" low-clock insertions.
-                let i = range.start + usize::from(self.index.lru_stack[range.start]);
-                debug_assert_eq!(
-                    Some(i),
-                    range.clone().min_by_key(|&i| self.lines[i].meta),
-                    "stack bottom diverged from the timestamp scan"
-                );
-                i
+            ReplacementKind::Lru => usize::from(self.lru_stack[base]),
+            ReplacementKind::Rrip => {
+                let rrpv = &mut self.rrpv[base..base + self.config.ways];
+                loop {
+                    if let Some(way) = rrpv.iter().position(|&v| v >= RRPV_MAX) {
+                        break way;
+                    }
+                    rrpv.iter_mut().for_each(|v| *v += 1);
+                    // Aging only runs when no line sat at RRPV_MAX, so the
+                    // top bucket is empty before the shift.
+                    let c = &mut self.rrpv_cnt[set];
+                    debug_assert_eq!(c[usize::from(RRPV_MAX)], 0);
+                    *c = [0, c[0], c[1], c[2]];
+                }
             }
-            ReplacementKind::Rrip => loop {
-                if let Some(i) = range.clone().find(|&i| self.lines[i].meta >= RRPV_MAX) {
-                    break i;
-                }
-                for i in range.clone() {
-                    self.lines[i].meta += 1;
-                }
-                // Aging only runs when no line sat at RRPV_MAX, so the top
-                // bucket is empty before the shift.
-                let c = &mut self.index.rrpv_cnt[set];
-                debug_assert_eq!(c[RRPV_MAX as usize], 0);
-                *c = [0, c[0], c[1], c[2]];
-            },
         }
     }
 
     /// Removes `block`, returning its line if it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Victim> {
-        let i = self.find(block)?;
-        let line = self.lines[i];
-        self.index_remove(i);
-        self.lines[i] = INVALID;
-        Some(Victim {
-            block: line.block,
-            dirty: line.dirty,
-            thread: line.thread,
-        })
+        let (set, way) = self.find(block)?;
+        Some(self.remove(set, way))
     }
 
     /// Sets or clears the tag-store dirty bit — the one dirty-state
     /// mutator. Returns `false` if the block is not resident.
     pub fn mark_dirty(&mut self, block: BlockAddr, dirty: bool) -> bool {
         match self.find(block) {
-            Some(i) => {
-                self.lines[i].dirty = dirty;
-                let ways = self.config.ways;
-                self.index.dirty.assign(slot_bit(i / ways, i % ways), dirty);
+            Some((set, way)) => {
+                self.dirty.assign(slot_bit(set, way), dirty);
                 true
             }
             None => false,
@@ -767,21 +679,22 @@ impl Cache {
     /// Thread that inserted `block`; `None` if not resident.
     #[must_use]
     pub fn owner(&self, block: BlockAddr) -> Option<ThreadId> {
-        self.find(block).map(|i| self.lines[i].thread)
+        self.find(block)
+            .map(|(set, way)| self.threads[set * self.config.ways + way])
     }
 
     /// Iterates over all resident blocks as `(block, dirty, thread)`.
     pub fn blocks(&self) -> impl Iterator<Item = (BlockAddr, bool, ThreadId)> + '_ {
-        self.lines
-            .iter()
-            .filter(|l| l.valid)
-            .map(|l| (l.block, l.dirty, l.thread))
+        self.valid.iter_ones().map(|bit| {
+            let i = (bit / 64) as usize * self.config.ways + (bit % 64) as usize;
+            (self.tags[i], self.dirty.get(bit), self.threads[i])
+        })
     }
 
     /// Number of resident blocks.
     #[must_use]
     pub fn resident(&self) -> u64 {
-        self.index.valid.count_ones()
+        self.valid.count_ones()
     }
 
     /// Event counters since construction or the last
@@ -796,112 +709,48 @@ impl Cache {
         std::mem::take(&mut self.stats)
     }
 
-    /// Rebuilds the dirty/rank index from the tag array — the reference
-    /// rank scan the incremental index reproduces. Used after a snapshot
-    /// restore, where it doubles as validation: restored metadata that no
-    /// writer could have produced (duplicate LRU timestamps, out-of-range
-    /// RRPVs) is rejected as corruption.
-    fn rebuild_index(&mut self) -> Result<(), dbi::snap::SnapError> {
-        use dbi::snap::SnapError;
+    /// Test support: checks the tag store's invariants and panics on any
+    /// violation — the valid words name exactly the non-empty tags, dirty
+    /// ways are valid, and the replacement state is well formed (`rank`
+    /// and `lru_stack` inverse permutations over the valid ways under LRU;
+    /// in-range RRPVs matching their population counts under RRIP).
+    #[doc(hidden)]
+    pub fn assert_index_coherent(&self) {
         let ways = self.config.ways;
         for set in 0..self.config.sets() as usize {
             let base = set * ways;
-            let mut valid = 0u64;
-            let mut dirty = 0u64;
-            for way in 0..ways {
-                let l = &self.lines[base + way];
-                if l.valid {
-                    valid |= 1 << way;
-                    if l.dirty {
-                        dirty |= 1 << way;
-                    }
-                }
-            }
-            self.index.valid.set_word(set, valid);
-            self.index.dirty.set_word(set, dirty);
+            let valid = self.valid.word(set);
+            let tagged = (0..ways)
+                .filter(|&w| self.tags[base + w] != EMPTY)
+                .fold(0u64, |m, w| m | 1 << w);
+            assert_eq!(
+                valid, tagged,
+                "valid word of set {set} != its non-empty tags"
+            );
+            let stray = self.dirty.word(set) & !valid;
+            assert_eq!(stray, 0, "dirty ways {stray:#x} of set {set} hold no block");
             match self.config.replacement {
                 ReplacementKind::Lru => {
-                    // rank = number of valid lines with an older timestamp;
-                    // unique timestamps make the ranks a permutation.
-                    let mut seen = 0u64;
+                    // Each valid way's rank is below the valid count and
+                    // maps back to the way: with as many ways as ranks,
+                    // both are bijections, each the other's inverse.
+                    let n = valid.count_ones() as usize;
                     for way in WayIter(valid) {
-                        let meta = self.lines[base + way].meta;
-                        let r = WayIter(valid)
-                            .filter(|&o| self.lines[base + o].meta < meta)
-                            .count();
-                        if seen & (1 << r) != 0 {
-                            return Err(SnapError::Corrupt(format!(
-                                "duplicate LRU timestamp in cache set {set}"
-                            )));
-                        }
-                        seen |= 1 << r;
-                        self.index.rank[base + way] = r as u8;
-                        self.index.lru_stack[base + r] = way as u8;
+                        let r = usize::from(self.rank[base + way]);
+                        assert!(r < n, "rank {r} of set {set} way {way} >= {n} valid");
+                        let back = usize::from(self.lru_stack[base + r]);
+                        assert_eq!(back, way, "stack slot {r} of set {set} != rank owner");
                     }
                 }
                 ReplacementKind::Rrip => {
                     let mut c = [0u8; 4];
                     for way in WayIter(valid) {
-                        let meta = self.lines[base + way].meta;
-                        if !(0..=RRPV_MAX).contains(&meta) {
-                            return Err(SnapError::Corrupt(format!(
-                                "RRPV {meta} out of range in cache set {set}"
-                            )));
-                        }
-                        c[meta as usize] += 1;
+                        let v = self.rrpv[base + way];
+                        assert!(v <= RRPV_MAX, "RRPV {v} of set {set} way {way}");
+                        c[usize::from(v)] += 1;
                     }
-                    self.index.rrpv_cnt[set] = c;
+                    assert_eq!(c, self.rrpv_cnt[set], "RRPV counts of set {set}");
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// Test support: recomputes the index from the tag array (the
-    /// reference rank scan) and panics on any divergence from the
-    /// incrementally maintained state.
-    #[doc(hidden)]
-    pub fn assert_index_coherent(&self) {
-        let mut reference = self.clone();
-        reference
-            .rebuild_index()
-            .expect("live tag state always rebuilds");
-        assert_eq!(
-            reference.index.valid, self.index.valid,
-            "valid words diverged from the tag array"
-        );
-        assert_eq!(
-            reference.index.dirty, self.index.dirty,
-            "dirty words diverged from the tag array"
-        );
-        match self.config.replacement {
-            ReplacementKind::Lru => {
-                let ways = self.config.ways;
-                for set in 0..self.config.sets() as usize {
-                    let valid = reference.index.valid.word(set);
-                    for way in WayIter(valid) {
-                        assert_eq!(
-                            reference.index.rank[set * ways + way],
-                            self.index.rank[set * ways + way],
-                            "rank of set {set} way {way} diverged from the reference scan"
-                        );
-                    }
-                    // Only the first `nvalid` stack slots are meaningful;
-                    // slots above hold leftovers from removals.
-                    for r in 0..valid.count_ones() as usize {
-                        assert_eq!(
-                            reference.index.lru_stack[set * ways + r],
-                            self.index.lru_stack[set * ways + r],
-                            "stack slot {r} of set {set} diverged from the reference scan"
-                        );
-                    }
-                }
-            }
-            ReplacementKind::Rrip => {
-                assert_eq!(
-                    reference.index.rrpv_cnt, self.index.rrpv_cnt,
-                    "RRPV counts diverged from the reference scan"
-                );
             }
         }
     }
@@ -922,9 +771,8 @@ impl<'a> DirtyView<'a> {
     /// Tag-store dirty bit of `block`; `None` if not resident.
     #[must_use]
     pub fn is_dirty(&self, block: BlockAddr) -> Option<bool> {
-        let i = self.cache.find(block)?;
-        let ways = self.cache.config.ways;
-        Some(self.cache.index.dirty.get(slot_bit(i / ways, i % ways)))
+        let (set, way) = self.cache.find(block)?;
+        Some(self.cache.dirty.get(slot_bit(set, way)))
     }
 
     /// Dirty bit, owning thread, and recency rank of `block` from a single
@@ -932,12 +780,11 @@ impl<'a> DirtyView<'a> {
     /// (DAWB unconditionally, VWQ rank-filtered) make per candidate block.
     #[must_use]
     pub fn probe(&self, block: BlockAddr) -> Option<ProbedLine> {
-        let i = self.cache.find(block)?;
-        let line = &self.cache.lines[i];
+        let (set, way) = self.cache.find(block)?;
         Some(ProbedLine {
-            dirty: line.dirty,
-            owner: line.thread,
-            rank: self.cache.rank_of(i),
+            dirty: self.cache.dirty.get(slot_bit(set, way)),
+            owner: self.cache.threads[set * self.cache.config.ways + way],
+            rank: self.cache.rank_of(set, way),
         })
     }
 
@@ -948,7 +795,7 @@ impl<'a> DirtyView<'a> {
     /// Panics if `set` is out of range.
     #[must_use]
     pub fn mask(&self, set: SetIdx) -> WayMask {
-        WayMask(self.cache.index.dirty.word(set.index()))
+        WayMask(self.cache.dirty.word(set.index()))
     }
 
     /// Bulk form of [`mask`](DirtyView::mask): fills `out[i]` with the
@@ -967,7 +814,7 @@ impl<'a> DirtyView<'a> {
             "mask_words output length must match the query length"
         );
         for (slot, set) in out.iter_mut().zip(sets) {
-            *slot = self.cache.index.dirty.word(set.index());
+            *slot = self.cache.dirty.word(set.index());
         }
     }
 
@@ -1003,29 +850,29 @@ impl<'a> DirtyView<'a> {
     /// Panics if `set` is out of range.
     #[must_use]
     pub fn in_lru_ways(&self, set: SetIdx, ways_from_lru: usize) -> WayMask {
-        let dirty = self.cache.index.dirty.word(set.index());
+        let dirty = self.cache.dirty.word(set.index());
         if dirty == 0 {
             return WayMask::EMPTY;
         }
-        let base = set.index() * self.cache.config.ways;
         match self.cache.config.replacement {
             ReplacementKind::Lru => {
                 // Walk the bottom of the recency stack instead of rank-
                 // checking every dirty way: `ways_from_lru` byte reads.
-                let n = self.cache.index.valid.word(set.index()).count_ones() as usize;
+                let n = self.cache.valid.word(set.index()).count_ones() as usize;
                 if ways_from_lru >= n {
                     return WayMask(dirty);
                 }
+                let base = set.index() * self.cache.config.ways;
                 let mut out = 0u64;
                 for r in 0..ways_from_lru {
-                    out |= dirty & (1u64 << self.cache.index.lru_stack[base + r]);
+                    out |= dirty & (1u64 << self.cache.lru_stack[base + r]);
                 }
                 WayMask(out)
             }
             ReplacementKind::Rrip => {
                 let mut out = 0u64;
                 for way in WayIter(dirty) {
-                    if self.cache.rank_of(base + way) < ways_from_lru {
+                    if self.cache.rank_of(set.index(), way) < ways_from_lru {
                         out |= 1 << way;
                     }
                 }
@@ -1044,9 +891,9 @@ impl<'a> DirtyView<'a> {
         let cache = self.cache;
         let base = set.index() * cache.config.ways;
         mask.ways().map(move |w| {
-            let line = &cache.lines[base + w];
-            debug_assert!(line.valid, "mask names an invalid way");
-            line.block
+            let tag = cache.tags[base + w];
+            debug_assert_ne!(tag, EMPTY, "mask names an invalid way");
+            tag
         })
     }
 }
@@ -1084,24 +931,37 @@ impl dbi::snap::Snapshot for CacheStats {
     }
 }
 
+/// The image keeps the layout of the per-line-record format: per way a
+/// valid flag, then for a valid way its block, dirty bit, thread and an
+/// i64 recency key (now the LRU rank or the RRPV; older images hold LRU
+/// timestamps there, which order the same way), then two words that once
+/// held the LRU clocks, written as 0.
 impl dbi::snap::Snapshot for Cache {
     fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
         w.u8(self.config.replacement.snap_code());
-        w.usize(self.lines.len());
-        for line in &self.lines {
-            w.bool(line.valid);
-            if line.valid {
-                w.u64(line.block);
-                w.bool(line.dirty);
-                w.u8(line.thread);
-                w.i64(line.meta);
+        w.usize(self.tags.len());
+        let ways = self.config.ways;
+        for (i, &tag) in self.tags.iter().enumerate() {
+            w.bool(tag != EMPTY);
+            if tag != EMPTY {
+                w.u64(tag);
+                w.bool(self.dirty.get(slot_bit(i / ways, i % ways)));
+                w.u8(self.threads[i]);
+                w.i64(i64::from(match self.config.replacement {
+                    ReplacementKind::Lru => self.rank[i],
+                    ReplacementKind::Rrip => self.rrpv[i],
+                }));
             }
         }
-        w.i64(self.clock);
-        w.i64(self.low_clock);
+        w.i64(0);
+        w.i64(0);
         self.stats.snapshot(w);
     }
 
+    /// Restores the tag store, rejecting as corruption what no writer
+    /// could have produced: a valid way tagged with the empty tag or
+    /// sitting in the wrong set, duplicate LRU keys in a set, or an RRPV
+    /// out of range. LRU ranks are the order of the keys in each set.
     fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
         use dbi::snap::SnapError;
         let code = r.u8()?;
@@ -1112,41 +972,71 @@ impl dbi::snap::Snapshot for Cache {
                 found: u64::from(code),
             });
         }
-        r.expect_len("cache lines", self.lines.len())?;
+        r.expect_len("cache lines", self.tags.len())?;
         let ways = self.config.ways;
-        let set_mask = self.set_mask;
-        let sets = self.config.sets();
-        let set_of = |block: u64| match set_mask {
-            Some(mask) => block & mask,
-            None => block % sets,
-        };
-        for (i, line) in self.lines.iter_mut().enumerate() {
-            if r.bool()? {
+        let mut keys = [0i64; 64];
+        for set in 0..self.config.sets() as usize {
+            let base = set * ways;
+            let (mut valid, mut dirty) = (0u64, 0u64);
+            for (way, key) in keys.iter_mut().enumerate().take(ways) {
+                self.tags[base + way] = EMPTY;
+                if !r.bool()? {
+                    continue;
+                }
                 let block = r.u64()?;
-                // A valid line must sit in the set its block maps to.
-                if set_of(block) as usize != i / ways {
+                if block == EMPTY || self.set_of(block).index() != set {
                     return Err(SnapError::Corrupt(format!(
-                        "cache line for block {block} restored into wrong set"
+                        "cache line for block {block:#x} restored into set {set}"
                     )));
                 }
-                *line = Line {
-                    block,
-                    valid: true,
-                    dirty: r.bool()?,
-                    thread: r.u8()?,
-                    meta: r.i64()?,
-                };
-            } else {
-                *line = INVALID;
+                self.tags[base + way] = block;
+                valid |= 1 << way;
+                dirty |= u64::from(r.bool()?) << way;
+                self.threads[base + way] = r.u8()?;
+                *key = r.i64()?;
+            }
+            self.valid.set_word(set, valid);
+            self.dirty.set_word(set, dirty);
+            match self.config.replacement {
+                ReplacementKind::Lru => {
+                    // rank = number of valid lines with a smaller key;
+                    // unique keys make the ranks a permutation.
+                    let mut seen = 0u64;
+                    for way in WayIter(valid) {
+                        let r = WayIter(valid).filter(|&o| keys[o] < keys[way]).count();
+                        if seen & (1 << r) != 0 {
+                            return Err(SnapError::Corrupt(format!(
+                                "duplicate LRU key in cache set {set}"
+                            )));
+                        }
+                        seen |= 1 << r;
+                        self.rank[base + way] = r as u8;
+                        self.lru_stack[base + r] = way as u8;
+                    }
+                }
+                ReplacementKind::Rrip => {
+                    let mut c = [0u8; 4];
+                    for way in WayIter(valid) {
+                        let v = u8::try_from(keys[way])
+                            .ok()
+                            .filter(|&v| v <= RRPV_MAX)
+                            .ok_or_else(|| {
+                                SnapError::Corrupt(format!(
+                                    "RRPV {} out of range in cache set {set}",
+                                    keys[way]
+                                ))
+                            })?;
+                        self.rrpv[base + way] = v;
+                        c[usize::from(v)] += 1;
+                    }
+                    self.rrpv_cnt[set] = c;
+                }
             }
         }
-        self.clock = r.i64()?;
-        self.low_clock = r.i64()?;
-        self.stats.restore(r)?;
-        // The index is derived state: rebuild (and validate) it from the
-        // restored lines, so resumed runs answer every dirty/rank query
-        // bit-identically to the run that wrote the snapshot.
-        self.rebuild_index()
+        // The two former LRU clock words carry nothing.
+        r.i64()?;
+        r.i64()?;
+        self.stats.restore(r)
     }
 }
 
@@ -1437,5 +1327,154 @@ mod tests {
             v
         };
         assert_eq!(via_index, via_probe);
+    }
+
+    /// One way of a hand-built image: `(block, dirty, thread, key)`.
+    type ImageLine = Option<(u64, bool, u8, i64)>;
+
+    /// A cache image in the per-line-record layout, built field by field:
+    /// replacement code, line count, each way, two clock words, stats.
+    fn image(code: u8, lines: &[ImageLine], clocks: [i64; 2]) -> Vec<u8> {
+        let mut w = dbi::snap::SnapWriter::new();
+        w.u8(code);
+        w.usize(lines.len());
+        for line in lines {
+            w.bool(line.is_some());
+            if let Some((block, dirty, thread, key)) = *line {
+                w.u64(block);
+                w.bool(dirty);
+                w.u8(thread);
+                w.i64(key);
+            }
+        }
+        clocks.iter().for_each(|&c| w.i64(c));
+        [9u64, 5, 7, 3, 1].iter().for_each(|&x| w.u64(x));
+        w.finish()
+    }
+
+    #[test]
+    fn timestamp_image_restores_ranks_and_eviction_order() {
+        // 4 sets x 4 ways. Set 0 is full with unique timestamps, two of
+        // them negative (LIP insertions off a low clock); set 1 has
+        // holes. Recency is the timestamp order.
+        let mut lines: Vec<ImageLine> = vec![None; 16];
+        lines[0] = Some((0, true, 1, 17));
+        lines[1] = Some((4, false, 2, -3));
+        lines[2] = Some((8, true, 3, 905));
+        lines[3] = Some((12, false, 0, -40));
+        lines[5] = Some((5, true, 2, 7));
+        lines[6] = Some((1, false, 1, -1));
+        let mut c = tiny(4);
+        dbi::snap::restore_bytes(&mut c, &image(0, &lines, [905, -40])).unwrap();
+        c.assert_index_coherent();
+        assert_eq!((c.resident(), c.stats().lookups), (6, 9));
+        let rank = |c: &Cache, b: u64| c.dirty().probe(b).unwrap().rank;
+        let ranks: Vec<usize> = [12, 4, 0, 8, 1, 5].iter().map(|&b| rank(&c, b)).collect();
+        assert_eq!(ranks, [0, 1, 2, 3, 0, 1]);
+        assert_eq!(c.dirty().probe(0).unwrap().owner, 1);
+        assert_eq!(
+            c.dirty().in_lru_ways(SetIdx(0), 3).count(),
+            1,
+            "only block 0"
+        );
+
+        // The image this cache writes keeps the layout, with ranks as
+        // keys and zeroed clocks, and restores to the same state.
+        let mut as_ranks = lines.clone();
+        for (line, r) in as_ranks.iter_mut().zip([2, 1, 3, 0, 0, 1, 0, 0]) {
+            if let Some((_, _, _, key)) = line {
+                *key = r;
+            }
+        }
+        let written = dbi::snap::snapshot_bytes(&c);
+        assert_eq!(written, image(0, &as_ranks, [0, 0]));
+        let mut again = tiny(4);
+        dbi::snap::restore_bytes(&mut again, &written).unwrap();
+
+        // Both evict in timestamp order; set 1 fills its lowest holes
+        // first.
+        for c in [&mut c, &mut again] {
+            let evicted: Vec<Option<u64>> = [16u64, 20, 24, 28, 9, 13, 17, 21]
+                .iter()
+                .map(|&b| c.insert(b, 0, InsertPos::Mru, false).map(|v| v.block))
+                .collect();
+            assert_eq!(
+                evicted,
+                [
+                    Some(12),
+                    Some(4),
+                    Some(0),
+                    Some(8),
+                    None,
+                    None,
+                    Some(1),
+                    Some(5)
+                ]
+            );
+            c.assert_index_coherent();
+        }
+    }
+
+    #[test]
+    fn forged_images_are_corrupt() {
+        let lru = |set0: [ImageLine; 2]| {
+            let mut lines = vec![None; 8];
+            lines[..2].copy_from_slice(&set0);
+            image(0, &lines, [0, 0])
+        };
+        let rrip = |key| {
+            let mut lines = vec![None; 8];
+            lines[0] = Some((0, false, 0, key));
+            image(1, &lines, [0, 0])
+        };
+        let cases = [
+            (
+                "duplicate keys",
+                lru([Some((0, false, 0, 5)), Some((4, false, 0, 5))]),
+                false,
+            ),
+            ("wrong set", lru([Some((1, false, 0, 0)), None]), false),
+            ("RRPV 4", rrip(4), true),
+            ("negative RRPV", rrip(-1), true),
+        ];
+        for (what, bytes, is_rrip) in cases {
+            let mut c = if is_rrip {
+                Cache::new(
+                    CacheConfig::new(4 * 2 * 64, 2, 64)
+                        .unwrap()
+                        .with_replacement(ReplacementKind::Rrip),
+                )
+            } else {
+                tiny(2)
+            };
+            let got = dbi::snap::restore_bytes(&mut c, &bytes);
+            assert!(
+                matches!(got, Err(dbi::snap::SnapError::Corrupt(_))),
+                "{what}: {got:?}"
+            );
+        }
+        // A valid way tagged u64::MAX, the empty tag, in the set it maps to.
+        let mut lines = vec![None; 8];
+        lines[6] = Some((u64::MAX, false, 0, 0));
+        let got = dbi::snap::restore_bytes(&mut tiny(2), &image(0, &lines, [0, 0]));
+        assert!(
+            matches!(got, Err(dbi::snap::SnapError::Corrupt(_))),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn the_empty_tag_is_never_resident() {
+        let mut c = tiny(2);
+        assert!(!c.touch(u64::MAX) && !c.probe(u64::MAX));
+        assert_eq!(c.dirty().probe(u64::MAX), None);
+        assert!(!c.mark_dirty(u64::MAX, true) && c.invalidate(u64::MAX).is_none());
+        c.assert_index_coherent();
+    }
+
+    #[test]
+    #[should_panic(expected = "empty tag")]
+    fn inserting_the_empty_tag_panics() {
+        tiny(2).insert(u64::MAX, 0, InsertPos::Mru, false);
     }
 }

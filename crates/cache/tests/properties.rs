@@ -1,13 +1,14 @@
 //! Property-based tests for the cache substrate: the set-associative cache
 //! must agree with a brute-force reference model of LRU semantics and dirty
-//! bookkeeping under arbitrary operation sequences, and the incrementally
-//! maintained word-level dirty/rank index must agree with a reference
-//! rank-scan of the tag array after every mutation.
+//! bookkeeping under arbitrary operation sequences — at the small
+//! geometries that collide often and at the LLC's 32 ways — and its tag
+//! store invariants must hold after every mutation.
 
 use std::collections::VecDeque;
 
 use cache_sim::{Cache, CacheConfig, InsertPos, SetIdx};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -128,6 +129,53 @@ fn harvest(cache: &Cache, set: SetIdx, k: usize) -> Vec<u64> {
     v
 }
 
+/// Applies `op` to both models, checking that they agree on its outcome:
+/// hit or miss, victim identity and dirtiness, residency of a dirty-bit
+/// write, and the invalidated line.
+fn apply_both(cache: &mut Cache, reference: &mut Reference, op: &Op) -> Result<(), TestCaseError> {
+    match *op {
+        Op::Touch(b) => {
+            prop_assert_eq!(cache.touch(b), reference.touch(b));
+        }
+        Op::InsertMru(b, d) | Op::InsertLru(b, d) => {
+            let mru = matches!(op, Op::InsertMru(..));
+            let got = cache.insert(b, 0, if mru { InsertPos::Mru } else { InsertPos::Lru }, d);
+            let want = reference.insert(b, d, mru);
+            prop_assert_eq!(got.map(|v| (v.block, v.dirty)), want);
+        }
+        Op::MarkDirty(b, d) => {
+            let found = reference.find(b);
+            prop_assert_eq!(cache.mark_dirty(b, d), found.is_some());
+            if let Some((s, i)) = found {
+                reference.sets[s][i].1 = d;
+            }
+        }
+        Op::Invalidate(b) => {
+            let got = cache.invalidate(b);
+            let want = reference
+                .find(b)
+                .map(|(s, i)| reference.sets[s].remove(i).unwrap());
+            prop_assert_eq!(got.map(|v| (v.block, v.dirty)), want);
+        }
+    }
+    Ok(())
+}
+
+/// Checks every resident block's dirty bit and recency rank against the
+/// reference, and residency in both directions.
+fn check_lines(cache: &Cache, reference: &Reference) -> Result<(), TestCaseError> {
+    for (b, d, _) in cache.blocks() {
+        prop_assert_eq!(cache.dirty().is_dirty(b), Some(d));
+        let p = cache.dirty().probe(b).expect("resident");
+        prop_assert_eq!(p.dirty, d);
+        let (s, i) = reference.find(b).expect("reference resident");
+        prop_assert_eq!(p.rank, i, "rank of block {} in set {}", b, s);
+    }
+    let resident: usize = reference.sets.iter().map(VecDeque::len).sum();
+    prop_assert_eq!(cache.resident(), resident as u64);
+    Ok(())
+}
+
 proptest! {
     /// The cache agrees with the reference model on residency, dirtiness,
     /// hit/miss outcomes, and victim identity for every LRU operation mix.
@@ -139,33 +187,8 @@ proptest! {
         let mut cache = Cache::new(CacheConfig::new(8 * 4 * 64, 4, 64).unwrap());
         let mut reference = Reference::new(8, 4);
 
-        for op in ops {
-            match op {
-                Op::Touch(b) => {
-                    prop_assert_eq!(cache.touch(b), reference.touch(b));
-                }
-                Op::InsertMru(b, d) | Op::InsertLru(b, d) => {
-                    let mru = matches!(op, Op::InsertMru(..));
-                    let got = cache.insert(b, 0, if mru { InsertPos::Mru } else { InsertPos::Lru }, d);
-                    let want = reference.insert(b, d, mru);
-                    prop_assert_eq!(got.map(|v| (v.block, v.dirty)), want);
-                }
-                Op::MarkDirty(b, d) => {
-                    let found = cache.mark_dirty(b, d);
-                    let rfound = reference.find(b).is_some();
-                    prop_assert_eq!(found, rfound);
-                    if let Some((s, i)) = reference.find(b) {
-                        reference.sets[s][i].1 = d;
-                    }
-                }
-                Op::Invalidate(b) => {
-                    let got = cache.invalidate(b);
-                    let want = reference.find(b).map(|(s, i)| {
-                        reference.sets[s].remove(i).unwrap()
-                    });
-                    prop_assert_eq!(got.map(|v| (v.block, v.dirty)), want);
-                }
-            }
+        for op in &ops {
+            apply_both(&mut cache, &mut reference, op)?;
             // Residency and dirty bits agree exactly after every op.
             let mut got: Vec<(u64, bool)> =
                 cache.blocks().map(|(b, d, _)| (b, d)).collect();
@@ -183,8 +206,7 @@ proptest! {
 
     /// The incremental dirty/rank index answers every rank-filtered dirty
     /// query exactly like the reference model's rank scan, after every
-    /// single mutation — and never diverges from the tag array's own
-    /// metadata (checked by the built-in reference re-scan).
+    /// single mutation, and the tag store's invariants hold throughout.
     #[test]
     fn lru_dirty_index_matches_reference_rank_scan(
         ops in prop::collection::vec(op_strategy(96), 1..250),
@@ -193,24 +215,8 @@ proptest! {
         let mut cache = Cache::new(CacheConfig::new(4 * 4 * 64, 4, 64).unwrap());
         let mut reference = Reference::new(4, 4);
 
-        for op in ops {
-            match op {
-                Op::Touch(b) => { reference.touch(b); }
-                Op::InsertMru(b, d) => { reference.insert(b, d, true); }
-                Op::InsertLru(b, d) => { reference.insert(b, d, false); }
-                Op::MarkDirty(b, d) => {
-                    if let Some((s, i)) = reference.find(b) {
-                        reference.sets[s][i].1 = d;
-                    }
-                }
-                Op::Invalidate(b) => {
-                    if let Some((s, i)) = reference.find(b) {
-                        reference.sets[s].remove(i);
-                    }
-                }
-            }
-            apply(&mut cache, &op);
-
+        for op in &ops {
+            apply_both(&mut cache, &mut reference, op)?;
             cache.assert_index_coherent();
             for set in 0..4usize {
                 for k in 0..=4usize {
@@ -227,12 +233,33 @@ proptest! {
                     view.in_lru_ways(SetIdx(set as u64), 4)
                 );
             }
-            for (b, d, _) in cache.blocks() {
-                prop_assert_eq!(cache.dirty().is_dirty(b), Some(d));
-                let p = cache.dirty().probe(b).expect("resident");
-                prop_assert_eq!(p.dirty, d);
-                let (s, i) = reference.find(b).expect("reference resident");
-                prop_assert_eq!(p.rank, i, "rank of block {} in set {}", b, s);
+            check_lines(&cache, &reference)?;
+        }
+    }
+
+    /// At the LLC's associativity (32 ways, as in the 16 MiB 8-core LLC)
+    /// the cache agrees with the reference on every outcome, rank and
+    /// rank-filtered dirty query, and its invariants hold, after every op.
+    #[test]
+    fn lru_llc_geometry_matches_reference(
+        ops in prop::collection::vec(op_strategy(4 * 32 * 3), 1..600),
+    ) {
+        // 4 sets x 32 ways, three blocks competing for every way.
+        let mut cache = Cache::new(CacheConfig::new(4 * 32 * 64, 32, 64).unwrap());
+        let mut reference = Reference::new(4, 32);
+
+        for op in &ops {
+            apply_both(&mut cache, &mut reference, op)?;
+            cache.assert_index_coherent();
+            check_lines(&cache, &reference)?;
+            for set in 0..4usize {
+                for k in [0, 1, 8, 31, 32] {
+                    prop_assert_eq!(
+                        harvest(&cache, SetIdx(set as u64), k),
+                        reference.dirty_in_lru_ways(set, k),
+                        "set {} k {}", set, k
+                    );
+                }
             }
         }
     }
