@@ -41,7 +41,7 @@ Common options for every dbi-bench experiment binary:
     --io-fault SITE[:MODE]
                       arm one deterministic I/O failpoint in the result
                       store's write protocol; SITE is GROUP.STAGE (e.g.
-                      entry.rename, ckpt.sync, merge.write) and MODE is
+                      entry.rename, ckpt.sync, blob.write) and MODE is
                       crash (default), torn, short, drop-sync, or eio.
                       A firing crash exits the process with code 86.
                       `--io-fault list` prints every site and its modes.
@@ -54,12 +54,6 @@ Common options for every dbi-bench experiment binary:
                       target wall-clock time between checkpoints of each
                       in-flight unit (default 5; fractions allowed,
                       0 disables checkpointing)
-    --shard I/N       simulate only shard I of N (1-based); units owned by
-                      other shards are served from the store when already
-                      present, taken over when their lease has gone stale,
-                      and skipped otherwise
-    --list-units      print the flattened work list (store key, cached
-                      state, shard owner) without simulating anything
     --help            print this help
 ";
 
@@ -94,10 +88,6 @@ pub struct BenchArgs {
     /// `None` = the runner's default cadence; `Some(0)` disables
     /// checkpointing.
     pub checkpoint_target: Option<std::time::Duration>,
-    /// Shard assignment `(i, n)` with `1 <= i <= n` (`--shard I/N`).
-    pub shard: Option<(u32, u32)>,
-    /// Print the work list instead of simulating (`--list-units`).
-    pub list_units: bool,
 }
 
 impl Default for BenchArgs {
@@ -116,8 +106,6 @@ impl Default for BenchArgs {
             io_fault_seed: 1,
             watchdog_secs: 600,
             checkpoint_target: None,
-            shard: None,
-            list_units: false,
         }
     }
 }
@@ -243,11 +231,6 @@ impl BenchArgs {
                         })?;
                     args.checkpoint_target = Some(target);
                 }
-                "--shard" => {
-                    let v = value("--shard")?;
-                    args.shard = Some(Self::parse_shard(&v)?);
-                }
-                "--list-units" => args.list_units = true,
                 "--help" | "-h" => return Err(format!("usage requested\n\n{USAGE}")),
                 other if extra_value_flags.contains(&other) => {
                     extras.push((other.to_string(), value(other)?));
@@ -256,15 +239,6 @@ impl BenchArgs {
             }
         }
         Ok((args, extras))
-    }
-
-    /// Parses a `--shard` value of the form `I/N` with `1 <= I <= N`.
-    fn parse_shard(v: &str) -> Result<(u32, u32), String> {
-        let err = || format!("--shard needs the form I/N with 1 <= I <= N, got '{v}'");
-        let (i, n) = v.split_once('/').ok_or_else(err)?;
-        let i: u32 = i.trim().parse().map_err(|_| err())?;
-        let n: u32 = n.trim().parse().map_err(|_| err())?;
-        (1 <= i && i <= n).then_some((i, n)).ok_or_else(err)
     }
 
     /// Directory for machine-readable outputs: `--out-dir` if given,
@@ -374,6 +348,12 @@ mod tests {
             .unwrap_err()
             .contains("positive integer"));
         assert!(BenchArgs::try_parse(&argv(&["--jobs", "x"]), &[]).is_err());
+        // Multi-machine sharding and the dry-run listing are gone.
+        for gone in [&["--shard", "1/2"][..], &["--list-units"]] {
+            assert!(BenchArgs::try_parse(&argv(gone), &[])
+                .unwrap_err()
+                .contains(&format!("unknown flag '{}'", gone[0])));
+        }
     }
 
     #[test]
@@ -423,13 +403,14 @@ mod tests {
         );
         let err = BenchArgs::try_parse(&argv(&["--io-fault", "floppy.write"]), &[]).unwrap_err();
         assert!(err.contains("unknown failpoint site"));
-        // A typo'd site fails with the full catalog, not a bare error.
-        assert!(err.contains("merge.write") && err.contains("lease.write"));
-        // The segment tier is gone: its sites are unknown like any typo.
-        let err = BenchArgs::try_parse(&argv(&["--io-fault", "segment.rename"]), &[]).unwrap_err();
-        assert!(err.contains("unknown failpoint site 'segment.rename'"));
-        for site in crate::failpoints::all_sites() {
-            assert!(err.contains(&site.to_string()), "catalog names {site}");
+        // The segment, merge and lease tiers are gone: their sites are
+        // unknown like any typo, and each error carries the full catalog.
+        for gone in ["segment.rename", "merge.write", "lease.write"] {
+            let err = BenchArgs::try_parse(&argv(&["--io-fault", gone]), &[]).unwrap_err();
+            assert!(err.contains(&format!("unknown failpoint site '{gone}'")));
+            for site in crate::failpoints::all_sites() {
+                assert!(err.contains(&site.to_string()), "catalog names {site}");
+            }
         }
     }
 
@@ -469,29 +450,6 @@ mod tests {
                 "'{bad}' should be rejected"
             );
         }
-    }
-
-    #[test]
-    fn shard_flag_parses_and_validates() {
-        let (args, _) = BenchArgs::try_parse(&argv(&["--shard", "2/4"]), &[]).unwrap();
-        assert_eq!(args.shard, Some((2, 4)));
-        let (args, _) = BenchArgs::try_parse(&argv(&["--shard", "1/1"]), &[]).unwrap();
-        assert_eq!(args.shard, Some((1, 1)));
-        for bad in ["0/4", "5/4", "2", "a/b", "2/0", "-1/4"] {
-            assert!(
-                BenchArgs::try_parse(&argv(&["--shard", bad]), &[])
-                    .unwrap_err()
-                    .contains("I/N"),
-                "'{bad}' should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn list_units_flag_parses() {
-        let (args, _) = BenchArgs::try_parse(&argv(&["--list-units"]), &[]).unwrap();
-        assert!(args.list_units);
-        assert!(!BenchArgs::default().list_units);
     }
 
     #[test]

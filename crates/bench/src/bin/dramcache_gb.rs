@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use dbi::ContainerPolicy;
 use dbi_bench::{
-    listing, pct, print_table, scenario_key, write_tsv, BenchArgs, Effort, ResultStore, StoreKey,
+    pct, print_table, scenario_key, write_tsv, BenchArgs, Effort, ResultStore, StoreKey,
 };
 use system_sim::{GbCacheConfig, GbDramCache};
 
@@ -231,7 +231,6 @@ fn unit_key(workload: Workload, config: &GbCacheConfig, ops: u64) -> StoreKey {
 
 fn main() {
     let args = BenchArgs::parse();
-    dbi_bench::set_listing(args.list_units);
     // Effort scales the cache capacity and the replay length; the default
     // (and --full) sit at the paper-motivating million-row scale.
     let (gigabytes, ops) = match args.effort {
@@ -248,16 +247,6 @@ fn main() {
         for policy in ContainerPolicy::ALL {
             let config = GbCacheConfig::gb(gigabytes).with_policy(policy);
             let key = unit_key(workload, &config, ops);
-            if listing() {
-                let cached = store.as_ref().is_some_and(|s| s.blob_path(&key).exists());
-                println!(
-                    "unit\tdramcache_gb\t{:016x}\t{}\t-\t{}",
-                    key.hash,
-                    if cached { "cached" } else { "uncached" },
-                    key.fingerprint
-                );
-                continue;
-            }
             let cached = store
                 .as_ref()
                 .and_then(|s| s.load_blob(&key))
@@ -294,109 +283,106 @@ fn main() {
             .expect("dense-only point present for every workload")
     };
 
-    if !listing() {
-        let header: Vec<String> = [
-            "workload/policy",
-            "rows",
-            "dirty_blk",
-            "meta_bytes",
-            "vs_dense",
-            "rec/s",
-            "rec_vs_dense",
-            "repr d/s/r",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        let mut rows = Vec::new();
-        let mut tsv_rows = Vec::new();
-        for &(workload, policy, r) in &results {
-            let dense = dense_of(workload);
-            let bytes_ratio = r.metadata_bytes as f64 / dense.metadata_bytes.max(1) as f64;
-            let recs_ratio = r.recs_per_sec / dense.recs_per_sec.max(1e-9);
-            rows.push(vec![
-                format!("{}/{}", workload.name(), policy.name()),
-                r.resident_rows.to_string(),
-                r.dirty_blocks.to_string(),
-                r.metadata_bytes.to_string(),
-                format!("{bytes_ratio:.3}"),
-                format!("{:.0}", r.recs_per_sec),
-                pct(recs_ratio - 1.0),
-                format!("{}/{}/{}", r.census_dense, r.census_sparse, r.census_rle),
-            ]);
-            tsv_rows.push(vec![
-                workload.name().to_string(),
-                policy.name().to_string(),
-                capacity_rows.to_string(),
-                ops.to_string(),
-                r.resident_rows.to_string(),
-                r.dirty_blocks.to_string(),
-                r.hits.to_string(),
-                r.writebacks.to_string(),
-                r.metadata_bytes.to_string(),
-                format!("{bytes_ratio:.4}"),
-                format!("{:.0}", r.recs_per_sec),
-                r.census_dense.to_string(),
-                r.census_sparse.to_string(),
-                r.census_rle.to_string(),
-            ]);
-        }
-        println!(
-            "== GB-scale DRAM cache: dirty metadata vs container policy \
-             ({gigabytes} GB, {capacity_rows} rows, {ops} accesses/point) =="
-        );
-        print_table(18, 12, &header, &rows);
-        let tsv_header: Vec<String> = [
-            "workload",
-            "policy",
-            "capacity_rows",
-            "ops",
-            "resident_rows",
-            "dirty_blocks",
-            "hits",
-            "writebacks",
-            "metadata_bytes",
-            "bytes_vs_dense",
-            "recs_per_sec",
-            "census_dense",
-            "census_sparse",
-            "census_rle",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        write_tsv(
-            &args.results_dir(),
-            "dramcache_gb.tsv",
-            &tsv_header,
-            &tsv_rows,
-        );
+    let header: Vec<String> = [
+        "workload/policy",
+        "rows",
+        "dirty_blk",
+        "meta_bytes",
+        "vs_dense",
+        "rec/s",
+        "rec_vs_dense",
+        "repr d/s/r",
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .collect();
+    let mut rows = Vec::new();
+    let mut tsv_rows = Vec::new();
+    for &(workload, policy, r) in &results {
+        let dense = dense_of(workload);
+        let bytes_ratio = r.metadata_bytes as f64 / dense.metadata_bytes.max(1) as f64;
+        let recs_ratio = r.recs_per_sec / dense.recs_per_sec.max(1e-9);
+        rows.push(vec![
+            format!("{}/{}", workload.name(), policy.name()),
+            r.resident_rows.to_string(),
+            r.dirty_blocks.to_string(),
+            r.metadata_bytes.to_string(),
+            format!("{bytes_ratio:.3}"),
+            format!("{:.0}", r.recs_per_sec),
+            pct(recs_ratio - 1.0),
+            format!("{}/{}/{}", r.census_dense, r.census_sparse, r.census_rle),
+        ]);
+        tsv_rows.push(vec![
+            workload.name().to_string(),
+            policy.name().to_string(),
+            capacity_rows.to_string(),
+            ops.to_string(),
+            r.resident_rows.to_string(),
+            r.dirty_blocks.to_string(),
+            r.hits.to_string(),
+            r.writebacks.to_string(),
+            r.metadata_bytes.to_string(),
+            format!("{bytes_ratio:.4}"),
+            format!("{:.0}", r.recs_per_sec),
+            r.census_dense.to_string(),
+            r.census_sparse.to_string(),
+            r.census_rle.to_string(),
+        ]);
+    }
+    println!(
+        "== GB-scale DRAM cache: dirty metadata vs container policy \
+         ({gigabytes} GB, {capacity_rows} rows, {ops} accesses/point) =="
+    );
+    print_table(18, 12, &header, &rows);
+    let tsv_header: Vec<String> = [
+        "workload",
+        "policy",
+        "capacity_rows",
+        "ops",
+        "resident_rows",
+        "dirty_blocks",
+        "hits",
+        "writebacks",
+        "metadata_bytes",
+        "bytes_vs_dense",
+        "recs_per_sec",
+        "census_dense",
+        "census_sparse",
+        "census_rle",
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .collect();
+    write_tsv(
+        &args.results_dir(),
+        "dramcache_gb.tsv",
+        &tsv_header,
+        &tsv_rows,
+    );
 
-        // The memory budget CI enforces: at the sparse workload point the
-        // adaptive containers must cost at most 25% of the dense words
-        // they replace. Deterministic (modeled bytes, replayed workload),
-        // so it holds identically cold and warm.
-        let sparse_dense = dense_of(Workload::Sparse);
-        let sparse_adaptive = results
-            .iter()
-            .find(|(w, p, _)| *w == Workload::Sparse && *p == ContainerPolicy::Adaptive)
-            .map(|(_, _, r)| *r)
-            .expect("adaptive point present");
-        let ratio =
-            sparse_adaptive.metadata_bytes as f64 / sparse_dense.metadata_bytes.max(1) as f64;
-        if sparse_adaptive.metadata_bytes * 4 <= sparse_dense.metadata_bytes {
-            println!(
-                "memory_budget: ok (sparse workload: adaptive={} dense={} ratio={ratio:.3})",
-                sparse_adaptive.metadata_bytes, sparse_dense.metadata_bytes
-            );
-        } else {
-            eprintln!(
-                "memory_budget: FAIL (sparse workload: adaptive={} dense={} ratio={ratio:.3} \
-                 exceeds the 25% budget)",
-                sparse_adaptive.metadata_bytes, sparse_dense.metadata_bytes
-            );
-            std::process::exit(1);
-        }
+    // The memory budget CI enforces: at the sparse workload point the
+    // adaptive containers must cost at most 25% of the dense words
+    // they replace. Deterministic (modeled bytes, replayed workload),
+    // so it holds identically cold and warm.
+    let sparse_dense = dense_of(Workload::Sparse);
+    let sparse_adaptive = results
+        .iter()
+        .find(|(w, p, _)| *w == Workload::Sparse && *p == ContainerPolicy::Adaptive)
+        .map(|(_, _, r)| *r)
+        .expect("adaptive point present");
+    let ratio = sparse_adaptive.metadata_bytes as f64 / sparse_dense.metadata_bytes.max(1) as f64;
+    if sparse_adaptive.metadata_bytes * 4 <= sparse_dense.metadata_bytes {
+        println!(
+            "memory_budget: ok (sparse workload: adaptive={} dense={} ratio={ratio:.3})",
+            sparse_adaptive.metadata_bytes, sparse_dense.metadata_bytes
+        );
+    } else {
+        eprintln!(
+            "memory_budget: FAIL (sparse workload: adaptive={} dense={} ratio={ratio:.3} \
+             exceeds the 25% budget)",
+            sparse_adaptive.metadata_bytes, sparse_dense.metadata_bytes
+        );
+        std::process::exit(1);
     }
 
     let store_desc = store.as_ref().map_or_else(

@@ -1,19 +1,15 @@
 //! Validates and repairs a result-store directory offline.
 //!
 //! ```text
-//! store_scrub [--lease-stale SECS] DIR
+//! store_scrub DIR
 //! ```
 //!
 //! Walks the store at `DIR` once: every `.entry`, `.blob`, and `.ckpt`
 //! file is re-validated (checksums, embedded fingerprints against file
 //! names, checkpoint hash guards), corrupt files are moved into
-//! `DIR/quarantine/` for post-mortem, orphaned temp files from crashed
-//! writers are deleted, and leases staler than `--lease-stale` (default
-//! 300 seconds; 0 treats every lease as dead) are released. A lease
-//! carrying a heartbeat promise is never released before twice its
-//! promised interval, whatever `--lease-stale` says. Any other file —
-//! such as a segment file left by an older compacting release — is
-//! left untouched.
+//! `DIR/quarantine/` for post-mortem, and orphaned temp files from
+//! crashed writers are deleted. Any other file — such as a segment or
+//! lease file left by an older release — is left untouched.
 //! Run it after a crash — or any time — before resuming a campaign: a
 //! scrubbed store serves only verified entries, and the resumed run
 //! recomputes whatever was quarantined.
@@ -22,17 +18,12 @@
 //! which), 1 on I/O failure, 2 on usage errors.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
-use dbi_bench::{scrub_store, ScrubOptions};
+use dbi_bench::scrub_store;
 
 const USAGE: &str = "\
-store_scrub [--lease-stale SECS] [--list-checks] DIR
+store_scrub [--list-checks] DIR
 
-    --lease-stale SECS  age beyond which a lease counts as abandoned
-                        (default 300; 0 removes every lease — except
-                        leases promising a heartbeat, which survive
-                        until twice their promised interval)
     --list-checks       print every validation the scrub performs and
                         the failpoint catalog it heals against, then exit
     DIR                 the result-store directory to scrub
@@ -40,15 +31,13 @@ store_scrub [--lease-stale SECS] [--list-checks] DIR
 
 const CHECKS: &str = "\
 store_scrub validations, in pass order:
-    tmp-orphans   delete .tmp-/.tmpb-/.ckpt-/.tmpm- files left by
-                  crashed writers
+    tmp-orphans   delete .tmp-/.tmpb-/.ckpt- files left by crashed
+                  writers
     entry         re-checksum every .entry; embedded fingerprint must
                   hash to the file name; corrupt -> quarantine/
     blob          re-validate .blob byte-counted framing and checksum;
                   corrupt -> quarantine/
     ckpt          re-validate .ckpt hash guard; corrupt -> quarantine/
-    lease         release .lease files older than --lease-stale, but
-                  never before 2x a lease's promised heartbeat
 
 Failpoint sites the recovery matrix proves this heals (every site x
 mode is crash-injected, scrubbed, and re-run to bit-identical results):
@@ -65,15 +54,9 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let mut opts = ScrubOptions::default();
     let mut dir: Option<PathBuf> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--lease-stale" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(secs) => opts.lease_stale_after = Duration::from_secs(secs),
-                None => fail("flag --lease-stale needs a number of seconds"),
-            },
             "--list-checks" => list_checks(),
             "--help" | "-h" => fail("usage requested"),
             other if other.starts_with("--") => fail(&format!("unknown flag '{other}'")),
@@ -85,7 +68,7 @@ fn main() {
         fail("a store directory is required");
     };
 
-    match scrub_store(&dir, &opts) {
+    match scrub_store(&dir) {
         Ok(report) => {
             println!("store_scrub: dir={} {report}", dir.display());
         }

@@ -3,9 +3,9 @@
 //! The in-simulation fault injector (`system_sim`'s `--fault`) proves the
 //! invariant sanitizer can detect metadata corruption produced on demand.
 //! This module is the same discipline applied to the on-disk half of the
-//! harness: every persistence chokepoint — store entries, scenario blobs,
-//! checkpoints, leases, and merge outputs — runs its write protocol
-//! through indexed *failpoint sites* that can be armed to misbehave in
+//! harness: every persistence chokepoint — store entries, scenario
+//! blobs, and checkpoints — runs its write protocol through indexed
+//! *failpoint sites* that can be armed to misbehave in
 //! controlled, reproducible ways:
 //!
 //! - **torn write** (`torn`): a seed-selected prefix of the payload
@@ -47,7 +47,7 @@ use system_sim::splitmix64;
 pub const CRASH_EXIT_CODE: i32 = 86;
 
 /// One persistence chokepoint group — one instance of the atomic-write
-/// protocol (or, for leases, the advisory plain write).
+/// protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Group {
     /// `ResultStore::save` — `.entry` files.
@@ -56,21 +56,11 @@ pub enum Group {
     Blob,
     /// `ResultStore::save_checkpoint` — `.ckpt` mid-run snapshots.
     Ckpt,
-    /// `ResultStore::write_lease` — `.lease` heartbeat files.
-    Lease,
-    /// `merge_shards` writing verified entries into the output store.
-    Merge,
 }
 
 impl Group {
     /// Every group, in documentation order.
-    pub const ALL: [Group; 5] = [
-        Group::Entry,
-        Group::Blob,
-        Group::Ckpt,
-        Group::Lease,
-        Group::Merge,
-    ];
+    pub const ALL: [Group; 3] = [Group::Entry, Group::Blob, Group::Ckpt];
 
     /// The command-line spelling of this group.
     #[must_use]
@@ -79,8 +69,6 @@ impl Group {
             Group::Entry => "entry",
             Group::Blob => "blob",
             Group::Ckpt => "ckpt",
-            Group::Lease => "lease",
-            Group::Merge => "merge",
         }
     }
 }
@@ -152,21 +140,13 @@ impl std::fmt::Display for Site {
 }
 
 /// Every registered failpoint site — the set the recovery matrix
-/// enumerates. Leases are plain advisory writes, so they expose only
-/// their `write` stage; every atomic-write group exposes all four stages.
+/// enumerates: every stage of every group's atomic-write protocol.
 #[must_use]
 pub fn all_sites() -> Vec<Site> {
-    let mut sites = Vec::new();
-    for group in Group::ALL {
-        if group == Group::Lease {
-            sites.push(Site::new(group, Stage::Write));
-        } else {
-            for stage in Stage::ALL {
-                sites.push(Site::new(group, stage));
-            }
-        }
-    }
-    sites
+    Group::ALL
+        .into_iter()
+        .flat_map(|group| Stage::ALL.map(|stage| Site::new(group, stage)))
+        .collect()
 }
 
 /// The full failpoint catalog as one human-readable block: every site
@@ -499,8 +479,8 @@ mod tests {
     #[test]
     fn registry_enumerates_all_protocol_sites() {
         let sites = all_sites();
-        // Four full protocols x four stages, plus the lease write.
-        assert_eq!(sites.len(), 17);
+        // Three atomic-write protocols x four stages.
+        assert_eq!(sites.len(), 12);
         for site in &sites {
             assert_eq!(Site::parse(&site.to_string()), Ok(*site));
             assert!(!modes_for(*site).is_empty());
@@ -514,10 +494,10 @@ mod tests {
         for site in all_sites() {
             assert!(text.contains(&site.to_string()), "catalog missing {site}");
         }
-        assert!(text.contains("merge.dirsync"));
+        assert!(text.contains("ckpt.dirsync"));
         // A typo'd site fails with the catalog, not a bare error.
-        let err = Site::parse("merge.rname").unwrap_err();
-        assert!(err.contains("merge.rename") && err.contains("modes:"));
+        let err = Site::parse("ckpt.rname").unwrap_err();
+        assert!(err.contains("ckpt.rename") && err.contains("modes:"));
     }
 
     #[test]
@@ -544,11 +524,12 @@ mod tests {
 
     // The firing logic is tested on local plans, never through the
     // process-global `install`: other tests in this binary write entries
-    // and leases on other threads, and would trip a globally armed plan.
+    // and checkpoints on other threads, and would trip a globally armed
+    // plan.
 
     #[test]
     fn plans_fire_once_at_the_selected_occurrence() {
-        let spec = FailSpec::parse("lease.write:eio").unwrap();
+        let spec = FailSpec::parse("ckpt.write:eio").unwrap();
         let mut plan = Active::new(FailPlan::new(spec, 0).with_fire_at(3));
         let site = spec.site;
         assert_eq!(plan.fire(site, 10), None);

@@ -15,7 +15,6 @@
 
 pub mod args;
 pub mod failpoints;
-pub mod merge;
 mod persist;
 pub mod runner;
 pub mod scrub;
@@ -25,58 +24,14 @@ pub use crate::args::BenchArgs;
 pub use crate::failpoints::{
     all_sites, catalog, modes_for, CrashStyle, FailMode, FailSpec, CRASH_EXIT_CODE,
 };
-pub use crate::merge::{merge_shards, MergeReport};
-pub use crate::runner::{
-    interrupted, shard_of, AloneIpcCache, RunUnit, Runner, UnitFailure, UnitFault,
-};
-pub use crate::scrub::{scrub_store, ScrubOptions, ScrubReport};
+pub use crate::runner::{interrupted, AloneIpcCache, RunUnit, Runner, UnitFailure, UnitFault};
+pub use crate::scrub::{scrub_store, ScrubReport};
 pub use crate::store::{
     fingerprint_hash, scenario_key, unit_fingerprint, unit_key, ResultStore, StoreKey,
     STORE_SCHEMA_VERSION,
 };
 
 use system_sim::{Mechanism, SystemConfig};
-
-/// Process-wide `--list-units` mode: the runner prints the work list
-/// instead of simulating, and the table/TSV emitters become no-ops so a
-/// dry run produces *only* the unit lines (stable for scripting).
-static LISTING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Enables or disables `--list-units` dry-run mode for this process.
-pub fn set_listing(on: bool) {
-    LISTING.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether the process is in `--list-units` dry-run mode.
-#[must_use]
-pub fn listing() -> bool {
-    LISTING.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Set once a sharded invocation leaves units to other machines: the
-/// binary keeps running its full reporting path on placeholder results,
-/// but tables and TSVs are suppressed — partial campaign outputs must
-/// never look like real ones. The merged, unsharded rerun (all units then
-/// served from the store) writes the real outputs.
-static PARTIAL: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Marks this process's campaign as partial (some units left to other
-/// shards), suppressing table/TSV output.
-pub fn set_partial(on: bool) {
-    PARTIAL.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether this process's campaign is partial.
-#[must_use]
-pub fn partial() -> bool {
-    PARTIAL.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Whether human/machine outputs (tables, TSVs) should be suppressed:
-/// dry-run listings and partial sharded campaigns.
-fn suppress_output() -> bool {
-    listing() || partial()
-}
 
 /// How much work an experiment binary should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,9 +117,6 @@ pub fn config_for(cores: usize, mechanism: Mechanism, effort: Effort) -> SystemC
 /// Prints an aligned table: a header row, then data rows. The first column
 /// is left-aligned, the rest right-aligned at `width`.
 pub fn print_table(first_width: usize, width: usize, header: &[String], rows: &[Vec<String>]) {
-    if suppress_output() {
-        return;
-    }
     let print_row = |cells: &[String]| {
         let mut line = String::new();
         for (i, cell) in cells.iter().enumerate() {
@@ -282,9 +234,6 @@ pub fn workspace_root() -> std::path::PathBuf {
 /// figures are machine-readable for plotting. Errors are reported to
 /// stderr, not fatal — the printed tables are the primary output.
 pub fn write_tsv(dir: &std::path::Path, name: &str, header: &[String], rows: &[Vec<String>]) {
-    if suppress_output() {
-        return;
-    }
     let path = dir.join(name);
     let render = |cells: &[String]| cells.join("\t");
     let mut out = render(header);

@@ -1,7 +1,7 @@
 //! The store's atomic-write protocol, with failpoints at every stage.
 //!
 //! Every durable file the harness writes — store entries, scenario
-//! blobs, checkpoints, merged entries — goes through [`write_atomic`]:
+//! blobs, checkpoints — goes through [`write_atomic`]:
 //! write the payload to a temp file, `sync_all` it, rename it onto its
 //! final name, then `sync_all` the parent directory. The directory sync
 //! is what makes the *rename* durable: without it a crash shortly after
@@ -84,21 +84,5 @@ pub(crate) fn write_atomic(
         Some(Fire::Crash) => Err(failpoints::crash(dirsync)),
         Some(Fire::Eio) => Err(failpoints::eio(dirsync)),
         None | Some(_) => sync_dir(dir),
-    }
-}
-
-/// Writes `bytes` to `path` non-atomically (the lease protocol: advisory
-/// content, mtime is the heartbeat), with `group`'s write failpoint.
-pub(crate) fn write_plain(group: Group, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let write = Site::new(group, Stage::Write);
-    match failpoints::fire(write, bytes.len()) {
-        Some(Fire::Torn { keep }) => {
-            let _ = std::fs::write(path, &bytes[..keep]);
-            Err(failpoints::crash(write))
-        }
-        Some(Fire::Short { keep }) => std::fs::write(path, &bytes[..keep]),
-        Some(Fire::Crash) => Err(failpoints::crash(write)),
-        Some(Fire::Eio) => Err(failpoints::eio(write)),
-        None | Some(Fire::DropSync) => std::fs::write(path, bytes),
     }
 }

@@ -49,20 +49,6 @@
 //! gracefully: in-flight units suspend at their next checkpoint, queued
 //! units are skipped, the summary carries an `interrupted=` marker, and
 //! the process exits `128 + signal`.
-//!
-//! # Shards
-//!
-//! `--shard I/N` splits one campaign across N machines sharing (a copy
-//! of) the store directory: each unit's store key hashes to exactly one
-//! owning shard, foreign units are served from the store when already
-//! present and skipped otherwise, and `merge_shards` combines the
-//! per-machine stores afterwards. While a shard simulates a unit it holds
-//! a *lease* (`<key>.lease`: owner string plus the promised heartbeat
-//! interval, mtime refreshed at every checkpoint); another shard finding
-//! a lease stale for longer than both [`Runner::with_lease_stale_after`]
-//! and twice the owner's promised heartbeat presumes the owner dead and
-//! takes the unit over after a jittered backoff — self-healing without a
-//! coordinator, and never at the expense of a live owner.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -71,15 +57,15 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use system_sim::{
-    run_mix, splitmix64, CheckpointCadence, CoreResult, FaultPlan, Mechanism, MixResult,
-    SessionOutcome, SimSession, SystemConfig,
+    run_mix, splitmix64, CheckpointCadence, FaultPlan, Mechanism, MixResult, SessionOutcome,
+    SimSession, SystemConfig,
 };
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
 use crate::failpoints::{self, FailPlan as IoFailPlan};
 use crate::store::{unit_key, ResultStore, StoreKey};
-use crate::{listing, parallel_map_jobs, BenchArgs};
+use crate::{parallel_map_jobs, BenchArgs};
 
 /// Default wall-clock time between checkpoints of an in-flight unit
 /// (override per campaign with `--checkpoint-secs`).
@@ -92,8 +78,8 @@ pub const DEFAULT_CHECKPOINT_TARGET: Duration = Duration::from_secs(5);
 const CHECKPOINT_PROBE_RECORDS: u64 = 8192;
 
 /// How stale a `.tmp-*` temp file must be before runner startup collects
-/// it as an orphan. Generous: a live concurrent shard's atomic write
-/// holds its temp name for milliseconds, crashed runs forever.
+/// it as an orphan. Generous: a concurrent runner sharing the store holds
+/// its temp name for milliseconds, crashed runs forever.
 const TMP_ORPHAN_AGE: Duration = Duration::from_secs(900);
 
 /// The last fatal signal received (SIGINT=2 / SIGTERM=15); 0 when none.
@@ -129,25 +115,12 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
-/// `base` scaled by a deterministic jitter in [1, 2): workers racing for
-/// the same unit spread out instead of stampeding, while the same salt
+/// `base` scaled by a deterministic jitter in [1, 2): units failing
+/// together retry spread out instead of stampeding, while the same salt
 /// always waits the same time (schedules stay reproducible).
 fn jittered(base: Duration, salt: u64) -> Duration {
     let frac = (splitmix64(salt) >> 11) as f64 / (1u64 << 53) as f64;
     base.mul_f64(1.0 + frac)
-}
-
-/// Jittered exponential backoff: `base * 2^(attempt-1)`, attempt 1-based.
-fn backoff_delay(base: Duration, attempt: u32, salt: u64) -> Duration {
-    jittered(base * 2u32.saturating_pow(attempt.saturating_sub(1)), salt)
-}
-
-/// The 1-based shard owning a store key under `--shard I/N`: a pure
-/// function of the key, so every machine computes the same partition
-/// regardless of unit order or phase structure.
-#[must_use]
-pub fn shard_of(hash: u64, n: u32) -> u32 {
-    u32::try_from(hash % u64::from(n)).expect("remainder of a u32 modulus fits") + 1
 }
 
 /// One schedulable simulation: a workload on a fully specified system.
@@ -251,7 +224,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 struct CheckpointCtx {
     dir: PathBuf,
     key: StoreKey,
-    owner: String,
     cadence: CheckpointCadence,
     crash_after: Option<Arc<AtomicI64>>,
 }
@@ -270,8 +242,7 @@ enum SimRun {
 }
 
 /// Runs one unit, resuming from its checkpoint when a valid one exists
-/// and snapshotting on `ctx.cadence`. Each checkpoint write also
-/// heartbeats the unit's lease. The checkpoint sink asks the simulator to
+/// and snapshotting on `ctx.cadence`. The checkpoint sink asks the simulator to
 /// suspend once the process has been interrupted — the snapshot just
 /// written is then the durable resume point. A checkpoint that fails its
 /// checksum or belongs to a different configuration is discarded and the
@@ -288,19 +259,6 @@ fn run_checkpointed(
         };
     };
     let store = ResultStore::open(ctx.dir.clone());
-    // Under a wall-clock cadence the lease records the interval the owner
-    // promises to refresh it at (every checkpoint), so reapers know a
-    // fresh lease from a dead one regardless of their own threshold. A
-    // record-based cadence promises no wall-clock interval.
-    let heartbeat = match ctx.cadence {
-        CheckpointCadence::WallClock { target, .. } => Some(target),
-        _ => None,
-    };
-    let write_lease = || match heartbeat {
-        Some(hb) => store.write_lease_with_heartbeat(&ctx.key, &ctx.owner, hb),
-        None => store.write_lease(&ctx.key, &ctx.owner),
-    };
-    let _ = write_lease();
     let mut resume = store.load_checkpoint(&ctx.key);
     loop {
         let resumed = resume.is_some();
@@ -311,7 +269,6 @@ fn run_checkpointed(
                     ctx.key.hash
                 );
             }
-            let _ = write_lease();
             if interrupted().is_some() {
                 return false;
             }
@@ -341,48 +298,6 @@ fn run_checkpointed(
     }
 }
 
-/// A finite placeholder result for `--list-units` dry runs and foreign
-/// shard units: IPC 1.0 per core, zero counters, a passing check.
-/// Downstream speedup/PKI math stays finite, so binaries traverse their
-/// full reporting path (whose output is suppressed) without simulating.
-fn dummy_result(unit: &RunUnit) -> MixResult {
-    let benchmarks = unit.mix.benchmarks();
-    let cores = benchmarks
-        .iter()
-        .map(|b| CoreResult {
-            benchmark: b.label().to_string(),
-            insts: 1,
-            cycles: 1,
-            llc_reads: 0,
-            llc_read_misses: 0,
-            dram_writes: 0,
-        })
-        .collect();
-    let mut llc = system_sim::LlcStats::default();
-    llc.dram_writes_per_core = vec![0; benchmarks.len()];
-    MixResult {
-        cores,
-        llc,
-        dram: dram_sim::DramStats::default(),
-        energy: dram_sim::DramEnergy::default(),
-        dbi: None,
-        rewrite_filter: None,
-        check: Some(Ok(())),
-        sanitizer: None,
-        records_processed: 1,
-    }
-}
-
-/// How a unit owned by another shard resolves.
-enum ForeignUnit {
-    /// Its result is already in the store (boxed: `MixResult` is large).
-    Serve(Box<MixResult>),
-    /// Its owner is (presumed) alive, or it cannot be served — leave it.
-    Skip,
-    /// Its lease went stale: the owner is presumed dead, simulate it here.
-    TakeOver,
-}
-
 /// The per-binary experiment runner. Construct one per `main`, submit
 /// every simulation through it, and it prints a cache/timing summary when
 /// dropped (or on an explicit [`Runner::finish`]).
@@ -397,18 +312,10 @@ pub struct Runner {
     fault: Option<FaultPlan>,
     /// Per-unit wall-clock limit; `None` disables the watchdog.
     watchdog: Option<Duration>,
-    /// `--shard I/N`: simulate only the units hashing to shard I.
-    shard: Option<(u32, u32)>,
     /// When in-flight units checkpoint (wall-clock by default).
     checkpoint: CheckpointCadence,
     /// Base delay before a failed unit's single retry (jittered ×1–2).
     retry_backoff: Duration,
-    /// Lease age beyond which a foreign unit's owner is presumed dead.
-    lease_stale_after: Duration,
-    /// Base delay before confirming a stale-lease takeover (jittered).
-    takeover_backoff: Duration,
-    /// Lease owner string, `name:pid` by default.
-    owner: String,
     /// Test hook: suspend after this many checkpoint writes.
     crash_after: Option<Arc<AtomicI64>>,
     start: Instant,
@@ -422,23 +329,21 @@ impl Runner {
     /// summary lines) from parsed arguments: `--cache-dir`/`--no-cache`
     /// select the store, `--jobs` caps the worker threads,
     /// `--check`/`--fault`/`--watchdog` configure the robustness layer,
-    /// `--shard` selects this machine's slice of the campaign, and
-    /// `--list-units` switches the whole process into dry-run mode.
+    /// and `--checkpoint-secs` sets the checkpoint cadence.
     ///
     /// Also installs the SIGINT/SIGTERM handlers that make interruption
     /// graceful (idempotent, process-wide).
     #[must_use]
     pub fn new(name: &str, args: &BenchArgs) -> Runner {
         install_signal_handlers();
-        crate::set_listing(args.list_units);
         if let Some(spec) = args.io_fault {
             failpoints::install(IoFailPlan::new(spec, args.io_fault_seed));
         }
         let store = args.store_dir().map(ResultStore::open);
         if let Some(store) = &store {
             // Collect temp files orphaned by crashed earlier runs. The age
-            // guard protects the in-flight writes of live concurrent
-            // shards (a healthy atomic write lives milliseconds).
+            // guard protects the in-flight writes of a live runner sharing
+            // the store (a healthy atomic write lives milliseconds).
             store.scavenge(TMP_ORPHAN_AGE);
         }
         Runner {
@@ -448,7 +353,6 @@ impl Runner {
             check: args.check,
             fault: args.fault_plan(),
             watchdog: args.watchdog(),
-            shard: args.shard,
             checkpoint: match args.checkpoint_target {
                 Some(t) if t.is_zero() => CheckpointCadence::Disabled,
                 Some(target) => CheckpointCadence::WallClock {
@@ -461,9 +365,6 @@ impl Runner {
                 },
             },
             retry_backoff: Duration::from_millis(250),
-            lease_stale_after: Duration::from_secs(300),
-            takeover_backoff: Duration::from_secs(2),
-            owner: format!("{name}:{}", std::process::id()),
             crash_after: None,
             start: Instant::now(),
             counters: Counters::default(),
@@ -499,35 +400,6 @@ impl Runner {
         self
     }
 
-    /// Overrides the lease staleness threshold.
-    #[must_use]
-    pub fn with_lease_stale_after(mut self, after: Duration) -> Runner {
-        self.lease_stale_after = after;
-        self
-    }
-
-    /// Overrides the base takeover backoff.
-    #[must_use]
-    pub fn with_takeover_backoff(mut self, backoff: Duration) -> Runner {
-        self.takeover_backoff = backoff;
-        self
-    }
-
-    /// Overrides the shard assignment (tests simulate multiple machines
-    /// in one process).
-    #[must_use]
-    pub fn with_shard(mut self, shard: Option<(u32, u32)>) -> Runner {
-        self.shard = shard;
-        self
-    }
-
-    /// Overrides the lease owner string.
-    #[must_use]
-    pub fn with_owner(mut self, owner: &str) -> Runner {
-        self.owner = owner.to_string();
-        self
-    }
-
     /// Test hook: after `n` checkpoint writes (across all units), every
     /// later checkpoint suspends its unit — an in-process stand-in for
     /// `kill -9` that leaves exactly the on-disk state a real kill would.
@@ -549,8 +421,8 @@ impl Runner {
         self.counters.hits.load(Ordering::Relaxed)
     }
 
-    /// Units skipped: owned by a live foreign shard, or not yet started
-    /// when an interrupt arrived.
+    /// Units not completed in this run: not yet started when an interrupt
+    /// arrived, or suspended at a checkpoint.
     #[must_use]
     pub fn skipped(&self) -> u64 {
         self.counters.skipped.load(Ordering::Relaxed)
@@ -589,9 +461,6 @@ impl Runner {
     /// [`Runner::try_run_units`].
     #[must_use]
     pub fn run_unit(&self, unit: &RunUnit) -> MixResult {
-        if listing() {
-            return self.list_unit("on-demand", unit);
-        }
         match self.run_unit_outcome(unit) {
             Ok(Some(result)) => result,
             // Suspended mid-run: only an interrupt does this outside the
@@ -623,11 +492,11 @@ impl Runner {
         self.simulate(&unit, Some(&key))
     }
 
-    /// One guarded simulation attempt. Counters are only advanced and the
-    /// store only written for completed simulations; a panic or timeout
-    /// surfaces as `Err` instead of tearing the process (or the whole
-    /// work list) down, and a checkpoint suspension surfaces as
-    /// `Ok(None)`.
+    /// One guarded simulation attempt. The store is only written for
+    /// completed simulations; a panic or timeout surfaces as `Err`
+    /// instead of tearing the process (or the whole work list) down, and
+    /// a checkpoint suspension surfaces as `Ok(None)`, counted in
+    /// `skipped`.
     fn simulate(
         &self,
         unit: &RunUnit,
@@ -639,7 +508,6 @@ impl Runner {
                 Some(CheckpointCtx {
                     dir: store.dir().to_path_buf(),
                     key: key.clone(),
-                    owner: self.owner.clone(),
                     cadence: self.checkpoint,
                     crash_after: self.crash_after.clone(),
                 })
@@ -674,10 +542,11 @@ impl Runner {
             }
         };
         let (result, resumed) = match run {
-            // The checkpoint just written is the durable resume point;
-            // the lease stays (heartbeated) so other shards keep waiting
-            // for staleness before stealing the unit.
-            SimRun::Suspended => return Ok(None),
+            // The checkpoint just written is the durable resume point.
+            SimRun::Suspended => {
+                self.counters.skipped.fetch_add(1, Ordering::Relaxed);
+                return Ok(None);
+            }
             SimRun::Completed { result, resumed } => (result, resumed),
         };
         let nanos = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -697,13 +566,12 @@ impl Runner {
                 );
             }
             store.clear_checkpoint(key);
-            store.clear_lease(key);
         }
         Ok(Some(*result))
     }
 
     /// The per-unit scheduling decision of a work list: interrupt
-    /// pre-check, shard ownership, then the normal lookup/simulate path.
+    /// pre-check, then the normal lookup/simulate path.
     fn scheduled_outcome(&self, unit: &RunUnit) -> Result<Option<MixResult>, UnitFault> {
         if interrupted().is_some() {
             // Not-yet-started units drain without work, so the process
@@ -711,89 +579,7 @@ impl Runner {
             self.counters.skipped.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
         }
-        if let Some((mine, n)) = self.shard {
-            let eff = self.effective(unit);
-            let key = eff.key();
-            let bypass = eff.config.check || eff.config.sanitize || eff.config.fault.is_some();
-            if shard_of(key.hash, n) != mine {
-                match self.foreign_unit(&key, bypass) {
-                    ForeignUnit::Serve(result) => {
-                        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Some(*result));
-                    }
-                    ForeignUnit::Skip => {
-                        self.counters.skipped.fetch_add(1, Ordering::Relaxed);
-                        return Ok(None);
-                    }
-                    ForeignUnit::TakeOver => {}
-                }
-            }
-        }
         self.run_unit_outcome(unit)
-    }
-
-    /// Resolves a unit owned by another shard: serve it from the store
-    /// when its result is already there, take it over when its lease has
-    /// gone stale (the owner is presumed dead), and skip it otherwise.
-    fn foreign_unit(&self, key: &StoreKey, bypass: bool) -> ForeignUnit {
-        let Some(store) = &self.store else {
-            return ForeignUnit::Skip;
-        };
-        if bypass {
-            // Check/fault units cannot be served from the store; they
-            // run only on their owning shard.
-            return ForeignUnit::Skip;
-        }
-        if let Some(result) = store.load(key) {
-            return ForeignUnit::Serve(Box::new(result));
-        }
-        // The effective threshold respects the heartbeat interval the
-        // lease's owner promised: however aggressive our own setting, a
-        // lease refreshed on schedule is never treated as stale.
-        let stale = |age: Option<Duration>| {
-            age.is_some_and(|a| a >= store.lease_stale_threshold(key, self.lease_stale_after))
-        };
-        if !stale(store.lease_age(key)) {
-            return ForeignUnit::Skip;
-        }
-        // Back off (jittered by the unit key, so two rescuers racing for
-        // the same unit wait different times), then confirm the lease is
-        // still stale and the result still absent before taking over.
-        std::thread::sleep(jittered(self.takeover_backoff, key.hash));
-        if let Some(result) = store.load(key) {
-            return ForeignUnit::Serve(Box::new(result));
-        }
-        if !stale(store.lease_age(key)) {
-            return ForeignUnit::Skip;
-        }
-        let owner = store
-            .lease_owner(key)
-            .unwrap_or_else(|| "unknown".to_string());
-        eprintln!(
-            "runner[{}]: taking over unit {:016x} from stale lease holder '{owner}'",
-            self.name, key.hash
-        );
-        ForeignUnit::TakeOver
-    }
-
-    /// Prints one `--list-units` line for `unit` and returns a dummy
-    /// result. Columns: `unit <phase> <key-hash> <cached|uncached>
-    /// <owning-shard|-> <fingerprint>`.
-    fn list_unit(&self, phase: &str, unit: &RunUnit) -> MixResult {
-        let unit = self.effective(unit);
-        let key = unit.key();
-        let cached = self.store.as_ref().is_some_and(|s| s.contains(&key));
-        let shard = self.shard.map_or_else(
-            || "-".to_string(),
-            |(_, n)| shard_of(key.hash, n).to_string(),
-        );
-        println!(
-            "unit\t{phase}\t{:016x}\t{}\t{shard}\t{}",
-            key.hash,
-            if cached { "cached" } else { "uncached" },
-            key.fingerprint
-        );
-        dummy_result(&unit)
     }
 
     /// Flushes the summary and exits with the conventional `128 + signal`
@@ -821,10 +607,7 @@ impl Runner {
     /// that want to survive quarantines use [`Runner::try_run_units`].
     ///
     /// An interrupt (SIGINT/SIGTERM) during the drain exits `128+signal`
-    /// after the summary. Under `--shard`, units left to other machines
-    /// come back as placeholders and campaign-level tables/TSVs are
-    /// suppressed — a sharded invocation populates the store; the merged,
-    /// unsharded rerun produces the real outputs.
+    /// after the summary.
     #[must_use]
     pub fn run_units(&self, phase: &str, units: &[RunUnit]) -> Vec<MixResult> {
         let (results, failures) = self.try_run_units(phase, units);
@@ -838,27 +621,19 @@ impl Runner {
             self.finish();
             std::process::exit(1);
         }
-        let left = results.iter().filter(|r| r.is_none()).count();
-        if left > 0 {
-            eprintln!(
-                "runner[{}]: {phase}: {left} units left to other shards; \
-                 outputs suppressed for this partial run",
-                self.name
-            );
-            crate::set_partial(true);
+        if results.iter().any(Option::is_none) {
+            // Quarantines exited above, so a missing result is a unit
+            // suspended at a durable checkpoint: exit so a rerun resumes it.
+            self.graceful_exit();
         }
-        results
-            .into_iter()
-            .zip(units)
-            .map(|(r, unit)| r.unwrap_or_else(|| dummy_result(&self.effective(unit))))
-            .collect()
+        results.into_iter().flatten().collect()
     }
 
     /// Like [`Runner::run_units`], but quarantines failing units instead
     /// of exiting: each unit gets one retry (after a jittered backoff),
     /// and a unit that fails twice yields `None` in the results plus a
     /// [`UnitFailure`] describing why. `None` also marks units skipped
-    /// for shard ownership or suspended at a checkpoint — those carry no
+    /// after an interrupt or suspended at a checkpoint — those carry no
     /// `UnitFailure`. Every completed unit is flushed to the store before
     /// this returns, so a crashing sweep loses only the quarantined
     /// units.
@@ -870,13 +645,6 @@ impl Runner {
     ) -> (Vec<Option<MixResult>>, Vec<UnitFailure>) {
         if units.is_empty() {
             return (Vec::new(), Vec::new());
-        }
-        if listing() {
-            let results = units
-                .iter()
-                .map(|u| Some(self.list_unit(phase, u)))
-                .collect();
-            return (results, Vec::new());
         }
         let total = units.len();
         let done = AtomicU64::new(0);
@@ -891,7 +659,7 @@ impl Runner {
                     "runner[{}]: {phase}: unit {i} {first}; retrying once",
                     self.name
                 );
-                std::thread::sleep(backoff_delay(self.retry_backoff, 1, i as u64));
+                std::thread::sleep(jittered(self.retry_backoff, i as u64));
                 self.run_unit_outcome(unit)
             });
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -938,8 +706,9 @@ impl Runner {
 
     /// Prints the end-of-run summary (idempotent; also invoked on drop).
     /// The `sims=` field is the machine-readable contract: a warm-store
-    /// rerun must report `sims=0`. `skipped=` counts units left to other
-    /// shards (or unstarted after an interrupt), `resumed=` counts
+    /// rerun must report `sims=0`. `skipped=` counts units not completed
+    /// in this run (unstarted after an interrupt, or suspended at a
+    /// checkpoint), `resumed=` counts
     /// simulations continued from a checkpoint, and `interrupted=` is the
     /// signal number that stopped the run (0 for a clean finish).
     pub fn finish(&self) {

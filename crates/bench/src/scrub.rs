@@ -1,9 +1,8 @@
 //! Offline store validation and repair — the `store_scrub` tool.
 //!
 //! A result store that survived a crash (or a failpoint-injected one) can
-//! hold three kinds of debris: orphaned temp files from interrupted
-//! atomic writes, stale leases from dead owners, and — if the storage
-//! itself misbehaved — corrupt data files. The runner tolerates all of
+//! hold two kinds of debris: orphaned temp files from interrupted atomic
+//! writes and — if the storage itself misbehaved — corrupt data files. The runner tolerates all of
 //! them lazily (corrupt entries read as misses and recompute), but a
 //! campaign operator wants them found, named, and removed *before* the
 //! next thousand-unit run, not discovered one cache miss at a time.
@@ -16,17 +15,16 @@
 //! - moves files that fail validation into a `quarantine/` subdirectory —
 //!   preserved for post-mortem, invisible to the store;
 //! - deletes orphaned temp files unconditionally (no writer is live
-//!   during an offline scrub) and stale leases — where stale respects
-//!   both [`ScrubOptions::lease_stale_after`] *and* the heartbeat
-//!   interval the lease's owner promised, so a live runner's lease is
-//!   never deleted out from under it by an aggressive threshold;
+//!   during an offline scrub);
 //! - reports everything in a [`ScrubReport`] whose `Display` is the
 //!   machine-readable summary line the CI smoke greps.
 //!
 //! Files outside the store format are left alone. That includes the
 //! segment files and `segments.manifest` an older compacted store may
-//! still hold: the store no longer reads them, so the units folded into
-//! them simply miss once and recompute as loose entries.
+//! still hold — the store no longer reads them, so the units folded into
+//! them simply miss once and recompute as loose entries — and the
+//! `.lease` files and `.tmpm-` merge temp files of an older sharding
+//! release.
 //!
 //! Quarantining rather than deleting is deliberate: a corrupt entry is
 //! evidence (of a torn write the protocol should have prevented, or of
@@ -34,28 +32,11 @@
 //! the affected units through the normal atomic path.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use crate::store::{self, deserialize_any, deserialize_blob_any, fingerprint_hash};
 
 /// Name of the subdirectory corrupt files are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
-
-/// Tuning for one scrub pass.
-#[derive(Debug, Clone)]
-pub struct ScrubOptions {
-    /// Leases older than this are presumed abandoned and removed
-    /// (matching the runner's default takeover threshold).
-    pub lease_stale_after: Duration,
-}
-
-impl Default for ScrubOptions {
-    fn default() -> Self {
-        ScrubOptions {
-            lease_stale_after: Duration::from_secs(300),
-        }
-    }
-}
 
 /// What one scrub pass found and did.
 #[derive(Debug, Default)]
@@ -68,8 +49,6 @@ pub struct ScrubReport {
     pub quarantined: Vec<String>,
     /// Orphaned temp files deleted.
     pub orphans: u64,
-    /// Stale lease files deleted.
-    pub stale_leases: u64,
 }
 
 impl ScrubReport {
@@ -82,7 +61,7 @@ impl ScrubReport {
     /// Whether the store needed no repair at all.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty() && self.orphans == 0 && self.stale_leases == 0
+        self.quarantined.is_empty() && self.orphans == 0
     }
 }
 
@@ -90,13 +69,12 @@ impl std::fmt::Display for ScrubReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "scanned={} ok={} scrubbed={} quarantined=[{}] orphans={} stale_leases={}",
+            "scanned={} ok={} scrubbed={} quarantined=[{}] orphans={}",
             self.scanned,
             self.ok,
             self.scrubbed(),
             self.quarantined.join(","),
             self.orphans,
-            self.stale_leases,
         )
     }
 }
@@ -124,15 +102,15 @@ fn validates(path: &Path, ext: &str, stem_hash: u64) -> bool {
 }
 
 /// Scrubs the store at `dir`: validates every data file, quarantines
-/// corrupt ones, deletes temp orphans and stale leases. See the module
-/// docs for the policy.
+/// corrupt ones, deletes temp orphans. See the module docs for the
+/// policy.
 ///
 /// # Errors
 ///
 /// Returns an error when `dir` cannot be read at all, or a corrupt file
 /// cannot be moved into quarantine. Individual unreadable files are
 /// treated as corrupt, not fatal.
-pub fn scrub_store(dir: &Path, opts: &ScrubOptions) -> std::io::Result<ScrubReport> {
+pub fn scrub_store(dir: &Path) -> std::io::Result<ScrubReport> {
     let mut report = ScrubReport::default();
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(Result::ok)
@@ -150,27 +128,6 @@ pub fn scrub_store(dir: &Path, opts: &ScrubOptions) -> std::io::Result<ScrubRepo
         }
         let ext = match path.extension().and_then(|x| x.to_str()) {
             Some(ext @ ("entry" | "blob" | "ckpt")) => ext,
-            Some("lease") => {
-                // The file's mtime is the owner's heartbeat; its content
-                // may record the interval the owner promised to refresh
-                // at. An aggressive --lease-stale must not beat a lease
-                // whose owner demonstrably heartbeats on schedule.
-                let threshold = std::fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|c| store::parse_lease_heartbeat(&c))
-                    .map_or(opts.lease_stale_after, |hb| {
-                        opts.lease_stale_after.max(hb.saturating_mul(2))
-                    });
-                let stale = std::fs::metadata(&path)
-                    .and_then(|m| m.modified())
-                    .map(|m| m.elapsed().unwrap_or_default() >= threshold)
-                    .unwrap_or(true);
-                if stale {
-                    std::fs::remove_file(&path)?;
-                    report.stale_leases += 1;
-                }
-                continue;
-            }
             // Not part of the store format; leave it alone.
             _ => continue,
         };
@@ -238,13 +195,13 @@ mod tests {
     fn clean_store_scrubs_clean() {
         let s = Scratch::new("clean");
         seeded(&s.dir);
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
+        let report = scrub_store(&s.dir).unwrap();
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.scanned, 2);
         assert_eq!(report.ok, 2);
         assert_eq!(
             report.to_string(),
-            "scanned=2 ok=2 scrubbed=0 quarantined=[] orphans=0 stale_leases=0"
+            "scanned=2 ok=2 scrubbed=0 quarantined=[] orphans=0"
         );
     }
 
@@ -259,7 +216,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
+        let report = scrub_store(&s.dir).unwrap();
         assert_eq!(report.scrubbed(), 1, "{report}");
         assert_eq!(report.ok, 1);
         let qname = format!("{:016x}.blob", key.hash);
@@ -270,7 +227,7 @@ mod tests {
         // it and the next scrub is clean.
         assert_eq!(store.load_blob(&key), None);
         store.save_blob(&key, "payload\n").unwrap();
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
+        let report = scrub_store(&s.dir).unwrap();
         assert!(report.is_clean(), "{report}");
     }
 
@@ -281,7 +238,7 @@ mod tests {
         let key = scenario_key("scrub-test", "p=1");
         let renamed = s.dir.join("0123456789abcdef.blob");
         std::fs::rename(store.blob_path(&key), &renamed).unwrap();
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
+        let report = scrub_store(&s.dir).unwrap();
         assert_eq!(
             report.quarantined,
             vec!["0123456789abcdef.blob".to_string()]
@@ -289,72 +246,17 @@ mod tests {
     }
 
     #[test]
-    fn orphans_and_stale_leases_are_collected() {
+    fn orphans_are_collected() {
         let s = Scratch::new("orphans");
         let store = seeded(&s.dir);
         let key = scenario_key("scrub-test", "p=1");
         std::fs::write(s.dir.join(".tmp-deadbeef-1"), b"partial").unwrap();
         std::fs::write(s.dir.join(".ckpt-deadbeef-2"), b"partial").unwrap();
-        store.write_lease(&key, "owner:1").unwrap();
-        // A fresh lease survives the default threshold; a zero threshold
-        // (offline scrub of a store known dead) collects it — this lease
-        // recorded no heartbeat promise, so the threshold governs alone.
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
+        let report = scrub_store(&s.dir).unwrap();
         assert_eq!(report.orphans, 2, "{report}");
-        assert_eq!(report.stale_leases, 0);
-        let report = scrub_store(
-            &s.dir,
-            &ScrubOptions {
-                lease_stale_after: Duration::ZERO,
-            },
-        )
-        .unwrap();
-        assert_eq!(report.stale_leases, 1, "{report}");
-        assert!(!store.lease_path(&key).exists());
+        assert!(scrub_store(&s.dir).unwrap().is_clean());
         // Data files untouched throughout.
         assert!(store.load_blob(&key).is_some());
-    }
-
-    #[test]
-    fn fresh_heartbeat_leases_survive_aggressive_thresholds() {
-        let s = Scratch::new("heartbeat");
-        let store = ResultStore::open(s.dir.clone());
-        let live = scenario_key("live-unit", "p=1");
-        let dead = scenario_key("dead-unit", "p=1");
-        // A live runner heartbeating every 30s — its lease is seconds
-        // old, far inside 2× its promised interval.
-        store
-            .write_lease_with_heartbeat(&live, "runner-a:1", Duration::from_secs(30))
-            .unwrap();
-        // A runner that promised millisecond heartbeats and then died:
-        // after a short sleep it is provably delinquent.
-        store
-            .write_lease_with_heartbeat(&dead, "runner-b:2", Duration::from_millis(1))
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-
-        // The regression: --lease-stale 0 used to reap every lease,
-        // including the live runner's. Now the heartbeat promise floors
-        // the threshold.
-        let report = scrub_store(
-            &s.dir,
-            &ScrubOptions {
-                lease_stale_after: Duration::ZERO,
-            },
-        )
-        .unwrap();
-        assert_eq!(report.stale_leases, 1, "{report}");
-        assert!(
-            store.lease_path(&live).exists(),
-            "a fresh-heartbeat lease is never deleted out from under its owner"
-        );
-        assert!(!store.lease_path(&dead).exists());
-        assert_eq!(store.lease_owner(&live).as_deref(), Some("runner-a:1"));
-        assert_eq!(
-            store.lease_heartbeat(&live),
-            Some(Duration::from_secs(30)),
-            "the promise round-trips through the lease file"
-        );
     }
 
     #[test]
@@ -389,23 +291,35 @@ mod tests {
         };
         // A unit an older release folded into a segment: its loose entry
         // is gone and its bytes live on only inside the segment file.
+        // An older sharding release also left a unit lease and a merge
+        // writer's temp file behind.
         store.save(&key, &result).unwrap();
         let entry = std::fs::read(store.entry_path(&key)).unwrap();
         std::fs::remove_file(store.entry_path(&key)).unwrap();
         let legacy = [
-            (s.dir.join("0123456789abcdef").with_extension("seg"), entry),
+            (
+                s.dir.join("0123456789abcdef").with_extension("seg"),
+                entry.clone(),
+            ),
             (
                 s.dir.join("segments.manifest"),
                 b"legacy manifest\n".to_vec(),
             ),
+            (
+                s.dir.join(format!("{:016x}.lease", key.hash)),
+                b"fig7:4242\nheartbeat-secs=5.000\n".to_vec(),
+            ),
+            (s.dir.join(format!(".tmpm-{:016x}-1", key.hash)), entry),
         ];
         for (path, bytes) in &legacy {
             std::fs::write(path, bytes).unwrap();
         }
 
-        let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
+        let report = scrub_store(&s.dir).unwrap();
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.scanned, 2, "only the blob and checkpoint are data");
+        // The runner's startup scavenge treats them as foreign too.
+        assert_eq!(store.scavenge(std::time::Duration::ZERO), 0);
         for (path, bytes) in &legacy {
             assert_eq!(&std::fs::read(path).unwrap(), bytes, "{path:?} untouched");
         }

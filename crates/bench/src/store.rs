@@ -19,6 +19,11 @@
 //! Orphaned temp files left by crashed writers are garbage-collected by
 //! [`ResultStore::scavenge`] (the runner calls it on startup) and by the
 //! `store_scrub` binary, which also validates and quarantines entries.
+//!
+//! A store directory holds three kinds of durable file: `.entry` results,
+//! `.blob` scenario records, and `.ckpt` mid-run checkpoints. Anything
+//! else — such as the `.lease` or segment files an older release may have
+//! left — is foreign: the store never reads, scavenges, or deletes it.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -219,7 +224,7 @@ pub fn scenario_key(name: &str, params: &str) -> StoreKey {
 }
 
 /// The store hash of a fingerprint string — what an entry's file name must
-/// equal. Shard merging uses this to verify that an entry sits under the
+/// equal. `store_scrub` uses this to verify that an entry sits under the
 /// name its content demands.
 #[must_use]
 pub fn fingerprint_hash(fingerprint: &str) -> u64 {
@@ -240,10 +245,10 @@ pub struct ResultStore {
 }
 
 /// Temp-file name prefixes of the atomic-write protocol: entry, blob,
-/// checkpoint, and merge writers respectively. Final files never start
-/// with a dot, so anything matching these is in-flight — or, once its
-/// writer has died, an orphan.
-const TMP_PREFIXES: [&str; 4] = [".tmp-", ".tmpb-", ".ckpt-", ".tmpm-"];
+/// and checkpoint writers respectively. Final files never start with a
+/// dot, so anything matching these is in-flight — or, once its writer
+/// has died, an orphan.
+const TMP_PREFIXES: [&str; 3] = [".tmp-", ".tmpb-", ".ckpt-"];
 
 /// Whether `name` is a temp file of the atomic-write protocol.
 #[must_use]
@@ -264,7 +269,7 @@ impl ResultStore {
     }
 
     /// Garbage-collects orphaned temp files (`.tmp-*`, `.tmpb-*`,
-    /// `.ckpt-*`, `.tmpm-*`) left behind by crashed writers, which would
+    /// `.ckpt-*`) left behind by crashed writers, which would
     /// otherwise accumulate forever. Only files whose mtime is at least
     /// `older_than` old are touched: a *live* writer's temp file exists
     /// for milliseconds, so anything old is a corpse. Returns the number
@@ -313,8 +318,8 @@ impl ResultStore {
     }
 
     /// Whether the store holds a result for `key` without parsing it
-    /// (the cheap existence probe `--list-units` uses; a corrupt file can
-    /// make this optimistic, never `load`).
+    /// (a cheap existence probe; a corrupt file can make this
+    /// optimistic, never `load`).
     #[must_use]
     pub fn contains(&self, key: &StoreKey) -> bool {
         self.entry_path(key).exists()
@@ -365,8 +370,8 @@ impl ResultStore {
 
     /// Path of the scenario blob for `key`.
     ///
-    /// Blobs use their own extension so [`ResultStore::entry_count`] and
-    /// `merge_shards` (which verify `MixResult` grammar) never touch them.
+    /// Blobs use their own extension so [`ResultStore::entry_count`]
+    /// (which counts `MixResult` entries) never touches them.
     #[must_use]
     pub fn blob_path(&self, key: &StoreKey) -> PathBuf {
         self.dir.join(format!("{:016x}.blob", key.hash))
@@ -451,91 +456,6 @@ impl ResultStore {
     /// Removes the checkpoint for `key` (a completed or abandoned run).
     pub fn clear_checkpoint(&self, key: &StoreKey) {
         let _ = std::fs::remove_file(self.checkpoint_path(key));
-    }
-
-    /// Path of the lease file for `key`.
-    #[must_use]
-    pub fn lease_path(&self, key: &StoreKey) -> PathBuf {
-        self.dir.join(format!("{:016x}.lease", key.hash))
-    }
-
-    /// Writes (or refreshes) the lease on `key`: the file's content names
-    /// the owner, its mtime is the heartbeat. Called once when a unit
-    /// starts and again at every checkpoint.
-    ///
-    /// A lease written this way records no heartbeat promise, so its
-    /// staleness is judged purely by the reaper's threshold; a live
-    /// runner should prefer [`ResultStore::write_lease_with_heartbeat`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; callers treat them as non-fatal.
-    pub fn write_lease(&self, key: &StoreKey, owner: &str) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        persist::write_plain(Group::Lease, &self.lease_path(key), owner.as_bytes())
-    }
-
-    /// Like [`ResultStore::write_lease`], but records the interval at
-    /// which the owner promises to refresh the lease. Reapers (scrub,
-    /// takeover) must then not treat the lease as stale before twice that
-    /// interval has passed, however aggressive their own threshold — the
-    /// fix for live runners having their lease deleted out from under
-    /// them by an impatient `store_scrub --lease-stale 0`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; callers treat them as non-fatal.
-    pub fn write_lease_with_heartbeat(
-        &self,
-        key: &StoreKey,
-        owner: &str,
-        heartbeat: Duration,
-    ) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let content = format!("{owner}\nheartbeat-secs={:.3}\n", heartbeat.as_secs_f64());
-        persist::write_plain(Group::Lease, &self.lease_path(key), content.as_bytes())
-    }
-
-    /// Age of the lease on `key` (time since its last heartbeat), or
-    /// `None` when no lease exists.
-    #[must_use]
-    pub fn lease_age(&self, key: &StoreKey) -> Option<std::time::Duration> {
-        let modified = std::fs::metadata(self.lease_path(key))
-            .and_then(|m| m.modified())
-            .ok()?;
-        Some(modified.elapsed().unwrap_or_default())
-    }
-
-    /// The owner recorded in the lease on `key`, if one exists.
-    #[must_use]
-    pub fn lease_owner(&self, key: &StoreKey) -> Option<String> {
-        let content = std::fs::read_to_string(self.lease_path(key)).ok()?;
-        Some(content.lines().next().unwrap_or_default().to_string())
-    }
-
-    /// The heartbeat interval the lease's owner promised, if the lease
-    /// exists and recorded one.
-    #[must_use]
-    pub fn lease_heartbeat(&self, key: &StoreKey) -> Option<Duration> {
-        let content = std::fs::read_to_string(self.lease_path(key)).ok()?;
-        parse_lease_heartbeat(&content)
-    }
-
-    /// The staleness threshold that actually applies to the lease on
-    /// `key`: the caller's `threshold`, raised to twice the owner's
-    /// promised heartbeat interval when the lease records one. A torn or
-    /// promise-less lease falls back to `threshold` alone.
-    #[must_use]
-    pub fn lease_stale_threshold(&self, key: &StoreKey, threshold: Duration) -> Duration {
-        match self.lease_heartbeat(key) {
-            Some(hb) => threshold.max(hb.saturating_mul(2)),
-            None => threshold,
-        }
-    }
-
-    /// Releases the lease on `key`.
-    pub fn clear_lease(&self, key: &StoreKey) {
-        let _ = std::fs::remove_file(self.lease_path(key));
     }
 
     /// Number of `.entry` files currently in the store (0 if the
@@ -635,9 +555,9 @@ fn deserialize(text: &str, key: &StoreKey) -> Option<MixResult> {
 }
 
 /// Parses an entry *without* knowing its key in advance, returning the
-/// embedded fingerprint alongside the result. This is the shard-merge
-/// entry point: `merge_shards` walks entry files it did not create and
-/// must recover (and verify) each one's identity from its own bytes.
+/// embedded fingerprint alongside the result. This is the `store_scrub`
+/// entry point: it walks entry files it did not create and must recover
+/// (and verify) each one's identity from its own bytes.
 ///
 /// Returns `None` on any deviation: bad magic or schema, checksum
 /// mismatch, truncation, or a malformed field.
@@ -776,22 +696,6 @@ pub fn deserialize_any(text: &str) -> Option<(String, MixResult)> {
     ))
 }
 
-/// Parses the heartbeat promise out of raw lease content (second line,
-/// `heartbeat-secs=S`). Shared with scrub, which walks lease files
-/// directly rather than by key.
-#[must_use]
-pub(crate) fn parse_lease_heartbeat(content: &str) -> Option<Duration> {
-    let secs: f64 = content
-        .lines()
-        .nth(1)?
-        .strip_prefix("heartbeat-secs=")?
-        .parse()
-        .ok()?;
-    // A damaged promise (negative, NaN, or too large for a `Duration`)
-    // counts as no promise at all rather than panicking the reader.
-    Duration::try_from_secs_f64(secs).ok()
-}
-
 fn parse_u64s(s: &str, n: usize) -> Option<Vec<u64>> {
     let vals: Vec<u64> = s
         .split(' ')
@@ -924,22 +828,6 @@ mod tests {
         // Real store files are never touched.
         assert_eq!(store.load_blob(&key).as_deref(), Some("payload\n"));
         assert_eq!(store.scavenge(Duration::ZERO), 0);
-    }
-
-    #[test]
-    fn damaged_lease_heartbeat_is_no_promise() {
-        assert_eq!(
-            parse_lease_heartbeat("owner:1\nheartbeat-secs=2.5\n"),
-            Some(Duration::from_secs_f64(2.5))
-        );
-        for bad in ["1e300", "-1", "NaN", "inf", "soon"] {
-            let lease = format!("owner:1\nheartbeat-secs={bad}\n");
-            assert_eq!(
-                parse_lease_heartbeat(&lease),
-                None,
-                "'{bad}' promises nothing"
-            );
-        }
     }
 
     #[test]

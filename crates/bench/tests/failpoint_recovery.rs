@@ -30,7 +30,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 
 use dbi_bench::failpoints::{self, CrashStyle, FailMode, FailPlan, FailSpec, Group};
 use dbi_bench::store::{scenario_key, unit_key, ResultStore, StoreKey};
-use dbi_bench::{all_sites, merge_shards, modes_for, scrub_store, RunUnit, ScrubOptions};
+use dbi_bench::{all_sites, modes_for, scrub_store, RunUnit};
 use system_sim::{run_mix, Mechanism, MixResult, SystemConfig};
 use trace_gen::Benchmark;
 
@@ -77,7 +77,6 @@ fn same_result(a: &MixResult, b: &MixResult) -> bool {
 }
 
 const BLOB_PAYLOAD: &str = "scenario payload line 1\nline 2\n";
-const LEASE_OWNER: &str = "matrix:1";
 
 fn ckpt_payload() -> Vec<u8> {
     let mut w = dbi::snap::SnapWriter::new();
@@ -86,22 +85,14 @@ fn ckpt_payload() -> Vec<u8> {
     w.finish()
 }
 
-/// Performs the group's store operation against `dir` (for `Merge`,
-/// `shard` is the pre-populated input store).
-fn perform(group: Group, dir: &Path, shard: &Path) -> std::io::Result<()> {
+/// Performs the group's store operation against `dir`.
+fn perform(group: Group, dir: &Path) -> std::io::Result<()> {
     let (_, key, result) = tiny();
     let store = ResultStore::open(dir.to_path_buf());
     match group {
         Group::Entry => store.save(key, result),
         Group::Blob => store.save_blob(&scenario_key("matrix", "p=1"), BLOB_PAYLOAD),
         Group::Ckpt => store.save_checkpoint(key, &ckpt_payload()),
-        Group::Lease => store.write_lease(key, LEASE_OWNER),
-        Group::Merge => merge_shards(&[shard.to_path_buf()], dir, None).map(|report| {
-            assert!(
-                report.corrupt.is_empty() && report.conflicts.is_empty(),
-                "merge input was pre-verified: {report:?}"
-            );
-        }),
     }
 }
 
@@ -111,7 +102,7 @@ fn assert_recovered(group: Group, dir: &Path) {
     let (_, key, result) = tiny();
     let store = ResultStore::open(dir.to_path_buf());
     match group {
-        Group::Entry | Group::Merge => {
+        Group::Entry => {
             if let Some(loaded) = store.load(key) {
                 assert!(same_result(&loaded, result), "served a wrong entry");
             }
@@ -132,16 +123,6 @@ fn assert_recovered(group: Group, dir: &Path) {
                 );
             }
         }
-        Group::Lease => {
-            // Leases are advisory: any surviving content must be a torn
-            // prefix of what the writer sent, never foreign bytes.
-            if let Some(owner) = store.lease_owner(key) {
-                assert!(
-                    LEASE_OWNER.starts_with(&owner),
-                    "lease content '{owner}' is not a prefix of the write"
-                );
-            }
-        }
     }
 }
 
@@ -157,21 +138,13 @@ fn recovery_matrix_covers_every_site_and_mode() {
             let tag = format!("{spec}").replace([':', '.'], "-");
             let s = Scratch::new(&tag);
             let dir = s.dir.join("store");
-            let shard = s.dir.join("shard");
-
-            // Pre-populate the merge input before arming anything, so
-            // the only failpoint that can fire is the scenario's own.
-            if site.group == Group::Merge {
-                let src = ResultStore::open(shard.clone());
-                src.save(key, result).unwrap();
-            }
 
             failpoints::install(
                 FailPlan::new(spec, 7)
                     .with_style(CrashStyle::Error)
                     .with_fire_at(1),
             );
-            let outcome = perform(site.group, &dir, &shard);
+            let outcome = perform(site.group, &dir);
             let fired = failpoints::fired();
             failpoints::clear();
 
@@ -190,13 +163,13 @@ fn recovery_matrix_covers_every_site_and_mode() {
 
             // Scrub the debris, redo the write cleanly, verify the value
             // is served, and prove nothing is left to repair.
-            scrub_store(&dir, &ScrubOptions::default()).unwrap();
-            perform(site.group, &dir, &shard).unwrap_or_else(|e| {
+            scrub_store(&dir).unwrap();
+            perform(site.group, &dir).unwrap_or_else(|e| {
                 panic!("{spec}: clean redo failed after scrub: {e}");
             });
             let healed = ResultStore::open(dir.clone());
             match site.group {
-                Group::Entry | Group::Merge => {
+                Group::Entry => {
                     let loaded = healed.load(key).expect("healed entry must load");
                     assert!(same_result(&loaded, result));
                 }
@@ -209,19 +182,17 @@ fn recovery_matrix_covers_every_site_and_mode() {
                     Some(ckpt_payload()),
                     "healed checkpoint must round-trip"
                 ),
-                Group::Lease => assert_eq!(healed.lease_owner(key).as_deref(), Some(LEASE_OWNER)),
             }
-            let report = scrub_store(&dir, &ScrubOptions::default()).unwrap();
+            let report = scrub_store(&dir).unwrap();
             assert!(
                 report.is_clean(),
                 "{spec}: store still dirty after heal: {report}"
             );
         }
     }
-    // Four full atomic-write protocols (4+3+2+3 modes across the four
-    // stages — entry, blob, ckpt, merge) and the lease's plain write (4
-    // modes).
-    assert_eq!(scenarios, 4 * 12 + 4, "the matrix shrank — sites untested");
+    // Three full atomic-write protocols — entry, blob, ckpt — with
+    // 4+3+2+3 modes across the four stages.
+    assert_eq!(scenarios, 3 * 12, "the matrix shrank — sites untested");
 }
 
 /// Disarmed failpoints must be invisible: the same operations succeed
@@ -237,10 +208,9 @@ fn disarmed_failpoints_are_noops() {
         .save_blob(&scenario_key("matrix", "p=1"), BLOB_PAYLOAD)
         .unwrap();
     store.save_checkpoint(key, &ckpt_payload()).unwrap();
-    store.write_lease(key, LEASE_OWNER).unwrap();
     assert!(store.load(key).is_some());
     assert_eq!(store.load_checkpoint(key), Some(ckpt_payload()));
     assert_eq!(failpoints::fired(), None);
-    let report = scrub_store(&s.dir, &ScrubOptions::default()).unwrap();
+    let report = scrub_store(&s.dir).unwrap();
     assert!(report.is_clean(), "{report}");
 }

@@ -407,22 +407,6 @@ fn checkpoints_round_trip_and_reject_foreign_hashes() {
 }
 
 #[test]
-fn leases_record_owner_and_age() {
-    let scratch = Scratch::new("lease");
-    let store = ResultStore::open(scratch.0.clone());
-    let key = unit_key(&tiny_config(Mechanism::Baseline), &[Benchmark::Lbm]);
-
-    assert!(store.lease_age(&key).is_none());
-    assert!(store.lease_owner(&key).is_none());
-    store.write_lease(&key, "fig7:4242").expect("lease");
-    assert_eq!(store.lease_owner(&key).as_deref(), Some("fig7:4242"));
-    let age = store.lease_age(&key).expect("lease has an age");
-    assert!(age < Duration::from_secs(60), "freshly written: {age:?}");
-    store.clear_lease(&key);
-    assert!(store.lease_age(&key).is_none());
-}
-
-#[test]
 fn check_runs_bypass_the_store() {
     let scratch = Scratch::new("check");
     let mut config = tiny_config(Mechanism::Baseline);
