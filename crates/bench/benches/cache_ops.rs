@@ -106,6 +106,25 @@ fn bench_llc_tag_walk(c: &mut Criterion) {
             black_box((hit, cache.insert(b, 0, InsertPos::Mru, false)))
         });
     });
+    // A fill after a known miss into a full set: the LRU way's eviction
+    // plus the MRU placement, with no residency walk.
+    group.bench_function("evict_full_set", |bencher| {
+        let mut cache = llc_oct();
+        let mut b = LLC_OCT_BLOCKS;
+        bencher.iter(|| {
+            b += SCATTER;
+            black_box(cache.fill(black_box(b), 0, InsertPos::Mru, false))
+        });
+    });
+    // A store hit: promote and set the dirty bit in one tag walk.
+    group.bench_function("touch_dirty_hit", |bencher| {
+        let mut cache = llc_oct();
+        let mut b = 0u64;
+        bencher.iter(|| {
+            b = (b + SCATTER) % LLC_OCT_BLOCKS;
+            black_box(cache.touch_dirty(black_box(b)))
+        });
+    });
     group.finish();
 }
 

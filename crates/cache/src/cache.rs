@@ -7,9 +7,16 @@
 //! state — and validity and dirtiness live only in one validity word and
 //! one dirty word per set ([`WayMask`]). A lookup compares tags alone, and
 //! every dirty-state query a writeback mechanism asks ([`DirtyView`]) is
-//! answered from the words plus O(1) rank bookkeeping: the LRU rank
-//! permutation (which is the recency order itself, and picks every
-//! victim) or per-way RRPVs with per-set population counts under RRIP.
+//! answered from the words plus the replacement state: under LRU one
+//! recency rank byte per way and nothing else, under RRIP per-way RRPVs
+//! with per-set population counts.
+//!
+//! LRU upkeep is lane-parallel: a promote or a removal is one pass
+//! `r -= (r > k)` over the set's rank bytes, an LRU-position insert one
+//! valid-masked `+1` pass, the victim is the way at rank 0, and a
+//! rank-filtered dirty query is a `rank < k` lane mask ANDed with the
+//! dirty word — each eight ways per `u64` word (SWAR), with no
+//! element-by-element shifting of a recency stack.
 
 use std::error::Error;
 use std::fmt;
@@ -185,7 +192,8 @@ pub struct Victim {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CacheStats {
-    /// Recency-updating lookups ([`Cache::touch`]).
+    /// Recency-updating lookups ([`Cache::touch`] and
+    /// [`Cache::touch_dirty`]).
     pub lookups: u64,
     /// Lookups that hit.
     pub hits: u64,
@@ -336,6 +344,76 @@ fn slot_bit(set: usize, way: usize) -> u64 {
     (set * 64 + way) as u64
 }
 
+/// The low bit of every byte lane of a `u64`.
+const LANE_LO: u64 = 0x0101_0101_0101_0101;
+/// The high bit of every byte lane of a `u64`.
+const LANE_HI: u64 = 0x8080_8080_8080_8080;
+
+// Lane-parallel arithmetic over one set's LRU rank words: byte lane `l`
+// of word `g` is way `8g + l`'s rank, so every step handles eight ways
+// at once. Every lane stays below 64: a valid way's rank is below the
+// valid count, an invalid way's stale rank is only ever lowered, and the
+// lanes past the last way stay 0. So `lane + (0x80 - k)` with `k <= 64`
+// never carries out of its lane, and its high bit says `lane >= k`.
+
+/// Packs the high bit of each byte lane into the low 8 bits, lane 0 first.
+#[inline]
+fn pack_lanes(hi: u64) -> u64 {
+    ((hi >> 7).wrapping_mul(0x0102_0408_1020_4080)) >> 56
+}
+
+/// Spreads the low 8 bits of `bits` to the low bit of each byte lane.
+#[inline]
+fn spread_lanes(bits: u64) -> u64 {
+    let picked = (bits & 0xFF).wrapping_mul(LANE_LO) & 0x8040_2010_0804_0201;
+    ((picked + !LANE_HI) & LANE_HI) >> 7
+}
+
+/// The lanes whose rank is below `k` (`k <= 64`), as a way mask.
+#[inline]
+fn ranks_below(words: &[u64], k: u8) -> u64 {
+    let bias = LANE_LO * u64::from(0x80 - k);
+    // Last word first, shifting the mask along: a handful of scalar ops
+    // per word (per-word shift counts would vectorize into slow code).
+    words
+        .iter()
+        .rev()
+        .fold(0, |mask, &x| mask << 8 | pack_lanes(!(x + bias) & LANE_HI))
+}
+
+/// `r -= (r > k)` in every lane: closes the gap a line at rank `k` leaves
+/// when it is promoted or removed.
+#[inline]
+fn demote_above(words: &mut [u64], k: u8) {
+    let bias = LANE_LO * u64::from(0x7F - k);
+    for x in words {
+        *x -= ((*x + bias) & LANE_HI) >> 7;
+    }
+}
+
+/// `r += 1` in the lanes of the ways in `ways`: makes room at rank 0.
+#[inline]
+fn bump_ways(words: &mut [u64], mut ways: u64) {
+    for x in words {
+        *x += spread_lanes(ways);
+        ways >>= 8;
+    }
+}
+
+/// The rank in `way`'s lane.
+#[inline]
+fn lane(words: &[u64], way: usize) -> u8 {
+    (words[way / 8] >> (8 * (way % 8))) as u8
+}
+
+/// Sets `way`'s lane to `rank`.
+#[inline]
+fn set_lane(words: &mut [u64], way: usize, rank: u8) {
+    let shift = 8 * (way % 8);
+    let x = &mut words[way / 8];
+    *x = *x & !(0xFF << shift) | u64::from(rank) << shift;
+}
+
 /// A set-associative, write-back cache state model.
 ///
 /// Blocks are identified by [`BlockAddr`]; the set index is the low bits of
@@ -344,13 +422,16 @@ fn slot_bit(set: usize, way: usize) -> u64 {
 /// writeback nontrivial (paper Section 3.1).
 ///
 /// Dirty-state and recency-rank queries go through [`Cache::dirty`], which
-/// returns a [`DirtyView`] over the word-level index; the only dirty-state
-/// mutator is [`Cache::mark_dirty`].
+/// returns a [`DirtyView`] over the word-level index. Dirty bits change
+/// through [`Cache::mark_dirty`], and through the single-walk forms of the
+/// hot paths: [`Cache::touch_dirty`] (a store hit), [`Cache::fill`] and
+/// [`Cache::insert`] (an insertion's dirty state), and
+/// [`Cache::take_dirty`] (a row sweep's probe-and-clean).
 ///
 /// The tag store is a struct of arrays indexed by `set * ways + way`, with
 /// one source of truth per fact: tags (a lookup compares only these),
-/// owners, the per-set valid/dirty words, and the recency order (the rank
-/// permutation under LRU, per-way RRPVs under RRIP).
+/// owners, the per-set valid/dirty words, and the recency order (a rank
+/// byte per way under LRU, per-way RRPVs under RRIP).
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
@@ -366,13 +447,12 @@ pub struct Cache {
     valid: DirtyWords,
     /// Per-set dirty words, same layout; always a subset of `valid`.
     dirty: DirtyWords,
-    /// Per-way recency rank, 0 = next victim (LRU only; empty under RRIP).
-    rank: Vec<u8>,
-    /// Per-set way-at-rank permutation (LRU only; empty under RRIP):
-    /// `lru_stack[set * ways + r]` is the way holding rank `r`. The
-    /// inverse of `rank`, so bottom-of-stack queries read `k` bytes and
-    /// LRU victim selection is a single byte read.
-    lru_stack: Vec<u8>,
+    /// Per-set recency rank words (LRU only; empty under RRIP), `ways`
+    /// rounded up to whole words of 8 lanes per set: byte lane `w % 8` of
+    /// the set's word `w / 8` is way `w`'s rank, 0 = next victim. The valid ways of a set hold a permutation of `0..n`;
+    /// an invalid way's lane is stale but below 64, and the lanes past the
+    /// last way are 0, as the lane arithmetic requires.
+    rank: Vec<u64>,
     /// Per-way re-reference prediction value (RRIP only; empty under LRU).
     rrpv: Vec<u8>,
     /// Per-set RRPV population counts (RRIP only; empty under LRU), so a
@@ -397,8 +477,7 @@ impl Cache {
             threads: vec![0; blocks],
             valid: DirtyWords::per_word_slots(sets as usize),
             dirty: DirtyWords::per_word_slots(sets as usize),
-            rank: vec![0; lru],
-            lru_stack: vec![0; lru],
+            rank: vec![0; lru / config.ways * config.ways.div_ceil(8)],
             rrpv: vec![0; rrip],
             rrpv_cnt: vec![[0; 4]; rrip / config.ways],
             stats: CacheStats::default(),
@@ -413,6 +492,7 @@ impl Cache {
 
     /// Set index of `block`.
     #[must_use]
+    #[inline]
     pub fn set_of(&self, block: BlockAddr) -> SetIdx {
         SetIdx(match self.set_mask {
             Some(mask) => block & mask,
@@ -421,6 +501,7 @@ impl Cache {
     }
 
     /// The `(set, way)` holding `block`, from a walk over the set's tags.
+    #[inline]
     fn find(&self, block: BlockAddr) -> Option<(usize, usize)> {
         if block == EMPTY {
             return None;
@@ -436,6 +517,7 @@ impl Cache {
     /// Probes for `block` without updating replacement state or stats
     /// (a coherence-style or metadata probe).
     #[must_use]
+    #[inline]
     pub fn probe(&self, block: BlockAddr) -> bool {
         self.find(block).is_some()
     }
@@ -458,12 +540,9 @@ impl Cache {
         self.valid.prefetch_word(set);
         self.dirty.prefetch_word(set);
         // Replacement state: a hit's promotion and a probe's rank read the
-        // set's rank/stack (LRU) or RRPV slabs (RRIP) — one host line each.
+        // set's rank bytes (LRU) or RRPV slab (RRIP) — one host line.
         match self.config.replacement {
-            ReplacementKind::Lru => {
-                dbi::prefetch_read(self.rank[base..].as_ptr());
-                dbi::prefetch_read(self.lru_stack[base..].as_ptr());
-            }
+            ReplacementKind::Lru => dbi::prefetch_read(self.ranks(set).as_ptr()),
             ReplacementKind::Rrip => {
                 dbi::prefetch_read(self.rrpv[base..].as_ptr());
                 dbi::prefetch_read(std::ptr::from_ref(&self.rrpv_cnt[set]));
@@ -473,10 +552,11 @@ impl Cache {
 
     /// Recency rank of the valid line at `(set, way)`: 0 = next victim.
     /// O(1) — a byte read under LRU, three adds under RRIP.
+    #[inline]
     fn rank_of(&self, set: usize, way: usize) -> usize {
         let i = set * self.config.ways + way;
         match self.config.replacement {
-            ReplacementKind::Lru => usize::from(self.rank[i]),
+            ReplacementKind::Lru => usize::from(lane(self.ranks(set), way)),
             ReplacementKind::Rrip => self.rrpv_cnt[set][usize::from(self.rrpv[i]) + 1..]
                 .iter()
                 .map(|&x| usize::from(x))
@@ -484,7 +564,22 @@ impl Cache {
         }
     }
 
+    /// The LRU rank words of `set` (LRU only).
+    #[inline]
+    fn ranks(&self, set: usize) -> &[u64] {
+        let words = self.config.ways.div_ceil(8);
+        &self.rank[set * words..(set + 1) * words]
+    }
+
+    /// Mutable [`ranks`](Cache::ranks).
+    #[inline]
+    fn ranks_mut(&mut self, set: usize) -> &mut [u64] {
+        let words = self.config.ways.div_ceil(8);
+        &mut self.rank[set * words..(set + 1) * words]
+    }
+
     /// Empties the valid way `(set, way)`, returning what it held.
+    #[inline]
     fn remove(&mut self, set: usize, way: usize) -> Victim {
         let i = set * self.config.ways + way;
         let victim = Victim {
@@ -498,13 +593,9 @@ impl Cache {
         match self.config.replacement {
             ReplacementKind::Lru => {
                 // Every line that was more protected moves one rank down.
-                let base = set * self.config.ways;
-                let remaining = self.valid.word(set).count_ones() as usize;
-                for pos in usize::from(self.rank[i])..remaining {
-                    let w = usize::from(self.lru_stack[base + pos + 1]);
-                    self.lru_stack[base + pos] = w as u8;
-                    self.rank[base + w] -= 1;
-                }
+                let ranks = self.ranks_mut(set);
+                let k = lane(ranks, way);
+                demote_above(ranks, k);
             }
             ReplacementKind::Rrip => {
                 self.rrpv_cnt[set][usize::from(self.rrpv[i])] -= 1;
@@ -515,29 +606,24 @@ impl Cache {
 
     /// Gives the empty way `(set, way)` its replacement position for an
     /// insertion at `pos`; the caller then marks the way valid.
+    #[inline]
     fn place(&mut self, set: usize, way: usize, pos: InsertPos) {
         let base = set * self.config.ways;
         match self.config.replacement {
-            ReplacementKind::Lru => {
-                let n = self.valid.word(set).count_ones() as usize;
-                match pos {
-                    // Newer than everything resident: top rank.
-                    InsertPos::Mru => {
-                        self.rank[base + way] = n as u8;
-                        self.lru_stack[base + n] = way as u8;
-                    }
-                    // Older than everything resident: rank 0, rest move up.
-                    InsertPos::Lru => {
-                        for pos in (0..n).rev() {
-                            let w = usize::from(self.lru_stack[base + pos]);
-                            self.lru_stack[base + pos + 1] = w as u8;
-                            self.rank[base + w] += 1;
-                        }
-                        self.rank[base + way] = 0;
-                        self.lru_stack[base] = way as u8;
-                    }
+            ReplacementKind::Lru => match pos {
+                // Newer than everything resident: top rank.
+                InsertPos::Mru => {
+                    let n = self.valid.word(set).count_ones() as u8;
+                    set_lane(self.ranks_mut(set), way, n);
                 }
-            }
+                // Older than everything resident: rank 0, rest move up.
+                InsertPos::Lru => {
+                    let valid = self.valid.word(set);
+                    let ranks = self.ranks_mut(set);
+                    bump_ways(ranks, valid);
+                    set_lane(ranks, way, 0);
+                }
+            },
             ReplacementKind::Rrip => {
                 let v = match pos {
                     InsertPos::Mru => RRPV_LONG,
@@ -549,31 +635,18 @@ impl Cache {
         }
     }
 
-    /// Promotes the valid line at `(set, way)` to MRU (LRU only). Cost is
-    /// proportional to how far below MRU the line sat, so re-hits on hot
-    /// lines cost nothing.
-    fn promote_lru(&mut self, set: usize, way: usize) {
-        let base = set * self.config.ways;
-        let n = self.valid.word(set).count_ones() as usize;
-        for pos in usize::from(self.rank[base + way])..n - 1 {
-            let w = usize::from(self.lru_stack[base + pos + 1]);
-            self.lru_stack[base + pos] = w as u8;
-            self.rank[base + w] -= 1;
-        }
-        self.rank[base + way] = (n - 1) as u8;
-        self.lru_stack[base + n - 1] = way as u8;
-    }
-
-    /// Looks up `block` and, on a hit, promotes it (recency update / RRPV
-    /// reset). Returns whether it hit. This is the demand-access path.
-    pub fn touch(&mut self, block: BlockAddr) -> bool {
-        self.stats.lookups += 1;
-        let Some((set, way)) = self.find(block) else {
-            return false;
-        };
-        self.stats.hits += 1;
+    /// Promotes the valid line at `(set, way)`: the recency update under
+    /// LRU (one lane pass over the set's ranks), the RRPV reset under RRIP.
+    #[inline]
+    fn promote(&mut self, set: usize, way: usize) {
         match self.config.replacement {
-            ReplacementKind::Lru => self.promote_lru(set, way),
+            ReplacementKind::Lru => {
+                let top = self.valid.word(set).count_ones() as u8 - 1;
+                let ranks = self.ranks_mut(set);
+                let k = lane(ranks, way);
+                demote_above(ranks, k);
+                set_lane(ranks, way, top);
+            }
             ReplacementKind::Rrip => {
                 let v = &mut self.rrpv[set * self.config.ways + way];
                 let c = &mut self.rrpv_cnt[set];
@@ -582,15 +655,48 @@ impl Cache {
                 *v = 0;
             }
         }
-        true
+    }
+
+    /// The counted, promoting lookup behind [`touch`](Cache::touch) and
+    /// [`touch_dirty`](Cache::touch_dirty): the hit's `(set, way)`.
+    #[inline]
+    fn lookup(&mut self, block: BlockAddr) -> Option<(usize, usize)> {
+        self.stats.lookups += 1;
+        let (set, way) = self.find(block)?;
+        self.stats.hits += 1;
+        self.promote(set, way);
+        Some((set, way))
+    }
+
+    /// Looks up `block` and, on a hit, promotes it (recency update / RRPV
+    /// reset). Returns whether it hit. This is the demand-access path.
+    #[inline]
+    pub fn touch(&mut self, block: BlockAddr) -> bool {
+        self.lookup(block).is_some()
+    }
+
+    /// [`touch`](Cache::touch) that also sets the dirty bit on a hit — a
+    /// store or writeback hit in one tag walk, with the same effect as
+    /// `touch` followed by `mark_dirty(block, true)`. Returns whether it
+    /// hit; a miss changes nothing but the lookup count.
+    #[inline]
+    pub fn touch_dirty(&mut self, block: BlockAddr) -> bool {
+        let hit = self.lookup(block);
+        if let Some((set, way)) = hit {
+            self.dirty.set(slot_bit(set, way));
+        }
+        hit.is_some()
     }
 
     /// Inserts `block` at `pos`, returning the displaced victim if the set
-    /// was full. If the block is already resident this is a no-op promote.
+    /// was full. If the block is already resident, nothing is inserted:
+    /// a `dirty` refill sets its dirty bit (a clean one leaves the bit as
+    /// it was), its recency stays unchanged, and `None` is returned.
     ///
     /// # Panics
     ///
     /// Panics if `block` is `BlockAddr::MAX`, the empty-way tag.
+    #[inline]
     pub fn insert(
         &mut self,
         block: BlockAddr,
@@ -605,7 +711,30 @@ impl Cache {
             }
             return None;
         }
+        self.fill(block, thread, pos, dirty)
+    }
+
+    /// [`insert`](Cache::insert) of a block the caller knows is absent (it
+    /// just missed), without the residency walk: picks the way, evicts
+    /// the victim of a full set, and installs the block at `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is `BlockAddr::MAX`, the empty-way tag. Debug
+    /// builds also panic if `block` is resident.
+    #[inline]
+    pub fn fill(
+        &mut self,
+        block: BlockAddr,
+        thread: ThreadId,
+        pos: InsertPos,
+        dirty: bool,
+    ) -> Option<Victim> {
         assert_ne!(block, EMPTY, "block address {EMPTY:#x} is the empty tag");
+        debug_assert!(
+            self.find(block).is_none(),
+            "fill of resident block {block:#x}"
+        );
         self.stats.insertions += 1;
         let set = self.set_of(block).index();
         // The lowest empty way, or the replacement victim of a full set.
@@ -629,10 +758,14 @@ impl Cache {
     }
 
     /// The way a full `set` evicts next.
+    #[inline]
     fn victim_way(&mut self, set: usize) -> usize {
         let base = set * self.config.ways;
         match self.config.replacement {
-            ReplacementKind::Lru => usize::from(self.lru_stack[base]),
+            // The one valid way at rank 0.
+            ReplacementKind::Lru => {
+                (ranks_below(self.ranks(set), 1) & self.valid.word(set)).trailing_zeros() as usize
+            }
             ReplacementKind::Rrip => {
                 let rrpv = &mut self.rrpv[base..base + self.config.ways];
                 loop {
@@ -656,8 +789,9 @@ impl Cache {
         Some(self.remove(set, way))
     }
 
-    /// Sets or clears the tag-store dirty bit — the one dirty-state
-    /// mutator. Returns `false` if the block is not resident.
+    /// Sets or clears the tag-store dirty bit. Returns `false` if the
+    /// block is not resident.
+    #[inline]
     pub fn mark_dirty(&mut self, block: BlockAddr, dirty: bool) -> bool {
         match self.find(block) {
             Some((set, way)) => {
@@ -668,10 +802,28 @@ impl Cache {
         }
     }
 
+    /// A row sweep's probe-and-clean: if `block` is resident, dirty, and
+    /// ranked below `ways_from_lru`, clears its dirty bit and returns the
+    /// thread that inserted it. Otherwise changes nothing and returns
+    /// `None`. Equivalent to [`DirtyView::probe`], the rank filter, then
+    /// `mark_dirty(block, false)`, but the walk compares only the tags of
+    /// the candidate ways ([`DirtyView::in_lru_ways`]) — none at all in a
+    /// set with no dirty line.
+    #[inline]
+    pub fn take_dirty(&mut self, block: BlockAddr, ways_from_lru: usize) -> Option<ThreadId> {
+        let set = self.set_of(block);
+        let base = set.index() * self.config.ways;
+        let candidates = self.dirty().in_lru_ways(set, ways_from_lru);
+        let way = candidates.ways().find(|&w| self.tags[base + w] == block)?;
+        self.dirty.clear(slot_bit(set.index(), way));
+        Some(self.threads[base + way])
+    }
+
     /// The read side of the dirty-query API: a borrowed view over the
     /// word-level dirty/rank index. All queries are allocation-free and
     /// cost O(1) per answered word or probed line.
     #[must_use]
+    #[inline]
     pub fn dirty(&self) -> DirtyView<'_> {
         DirtyView { cache: self }
     }
@@ -710,10 +862,11 @@ impl Cache {
     }
 
     /// Test support: checks the tag store's invariants and panics on any
-    /// violation — the valid words name exactly the non-empty tags, dirty
-    /// ways are valid, and the replacement state is well formed (`rank`
-    /// and `lru_stack` inverse permutations over the valid ways under LRU;
-    /// in-range RRPVs matching their population counts under RRIP).
+    /// violation — the valid words name exactly the non-empty tags, no set
+    /// holds a tag twice, dirty ways are valid, and the replacement state
+    /// is well formed (the valid ways' ranks a permutation of `0..n` and
+    /// every rank byte below 64 under LRU; in-range RRPVs matching their
+    /// population counts under RRIP).
     #[doc(hidden)]
     pub fn assert_index_coherent(&self) {
         let ways = self.config.ways;
@@ -727,20 +880,36 @@ impl Cache {
                 valid, tagged,
                 "valid word of set {set} != its non-empty tags"
             );
+            let mut tags: Vec<BlockAddr> = WayIter(valid).map(|w| self.tags[base + w]).collect();
+            tags.sort_unstable();
+            tags.dedup();
+            assert_eq!(
+                tags.len(),
+                valid.count_ones() as usize,
+                "set {set} holds a tag twice"
+            );
             let stray = self.dirty.word(set) & !valid;
             assert_eq!(stray, 0, "dirty ways {stray:#x} of set {set} hold no block");
             match self.config.replacement {
                 ReplacementKind::Lru => {
-                    // Each valid way's rank is below the valid count and
-                    // maps back to the way: with as many ways as ranks,
-                    // both are bijections, each the other's inverse.
+                    // n distinct ranks, each below n, are 0..n exactly.
                     let n = valid.count_ones() as usize;
+                    let mut seen = 0u64;
+                    let ranks = self.ranks(set);
                     for way in WayIter(valid) {
-                        let r = usize::from(self.rank[base + way]);
+                        let r = usize::from(lane(ranks, way));
                         assert!(r < n, "rank {r} of set {set} way {way} >= {n} valid");
-                        let back = usize::from(self.lru_stack[base + r]);
-                        assert_eq!(back, way, "stack slot {r} of set {set} != rank owner");
+                        assert_eq!(seen >> r & 1, 0, "rank {r} twice in set {set}");
+                        seen |= 1 << r;
                     }
+                    assert!(
+                        (0..ranks.len() * 8).all(|w| lane(ranks, w) < 64),
+                        "rank lane >= 64 in set {set}: {ranks:x?}"
+                    );
+                    assert!(
+                        (ways..ranks.len() * 8).all(|w| lane(ranks, w) == 0),
+                        "padding lane set in set {set}: {ranks:x?}"
+                    );
                 }
                 ReplacementKind::Rrip => {
                     let mut c = [0u8; 4];
@@ -761,7 +930,8 @@ impl Cache {
 /// This is the *entire* dirty-query surface: residency-aware dirty bits,
 /// single-probe line summaries, and per-set [`WayMask`] answers to the
 /// rank-filtered questions the Virtual Write Queue asks on every writeback.
-/// Nothing here allocates, and nothing loops over replacement metadata.
+/// Nothing here allocates, and a rank filter reads the set's rank words
+/// eight ways at a time instead of visiting lines one by one.
 #[derive(Debug, Clone, Copy)]
 pub struct DirtyView<'a> {
     cache: &'a Cache,
@@ -770,15 +940,17 @@ pub struct DirtyView<'a> {
 impl<'a> DirtyView<'a> {
     /// Tag-store dirty bit of `block`; `None` if not resident.
     #[must_use]
+    #[inline]
     pub fn is_dirty(&self, block: BlockAddr) -> Option<bool> {
         let (set, way) = self.cache.find(block)?;
         Some(self.cache.dirty.get(slot_bit(set, way)))
     }
 
     /// Dirty bit, owning thread, and recency rank of `block` from a single
-    /// tag probe; `None` if not resident. The query bundle row sweeps
-    /// (DAWB unconditionally, VWQ rank-filtered) make per candidate block.
+    /// tag probe; `None` if not resident. A row sweep that also cleans
+    /// what it finds uses [`Cache::take_dirty`] instead.
     #[must_use]
+    #[inline]
     pub fn probe(&self, block: BlockAddr) -> Option<ProbedLine> {
         let (set, way) = self.cache.find(block)?;
         Some(ProbedLine {
@@ -794,6 +966,7 @@ impl<'a> DirtyView<'a> {
     ///
     /// Panics if `set` is out of range.
     #[must_use]
+    #[inline]
     pub fn mask(&self, set: SetIdx) -> WayMask {
         WayMask(self.cache.dirty.word(set.index()))
     }
@@ -849,25 +1022,19 @@ impl<'a> DirtyView<'a> {
     ///
     /// Panics if `set` is out of range.
     #[must_use]
+    #[inline]
     pub fn in_lru_ways(&self, set: SetIdx, ways_from_lru: usize) -> WayMask {
         let dirty = self.cache.dirty.word(set.index());
         if dirty == 0 {
             return WayMask::EMPTY;
         }
         match self.cache.config.replacement {
+            // Every rank is below the associativity.
+            ReplacementKind::Lru if ways_from_lru >= self.cache.config.ways => WayMask(dirty),
+            // A `rank < k` lane mask, ANDed with the dirty word (a subset
+            // of the valid ways).
             ReplacementKind::Lru => {
-                // Walk the bottom of the recency stack instead of rank-
-                // checking every dirty way: `ways_from_lru` byte reads.
-                let n = self.cache.valid.word(set.index()).count_ones() as usize;
-                if ways_from_lru >= n {
-                    return WayMask(dirty);
-                }
-                let base = set.index() * self.cache.config.ways;
-                let mut out = 0u64;
-                for r in 0..ways_from_lru {
-                    out |= dirty & (1u64 << self.cache.lru_stack[base + r]);
-                }
-                WayMask(out)
+                WayMask(dirty & ranks_below(self.cache.ranks(set.index()), ways_from_lru as u8))
             }
             ReplacementKind::Rrip => {
                 let mut out = 0u64;
@@ -948,7 +1115,7 @@ impl dbi::snap::Snapshot for Cache {
                 w.bool(self.dirty.get(slot_bit(i / ways, i % ways)));
                 w.u8(self.threads[i]);
                 w.i64(i64::from(match self.config.replacement {
-                    ReplacementKind::Lru => self.rank[i],
+                    ReplacementKind::Lru => lane(self.ranks(i / ways), i % ways),
                     ReplacementKind::Rrip => self.rrpv[i],
                 }));
             }
@@ -1002,6 +1169,7 @@ impl dbi::snap::Snapshot for Cache {
                     // rank = number of valid lines with a smaller key;
                     // unique keys make the ranks a permutation.
                     let mut seen = 0u64;
+                    self.ranks_mut(set).fill(0);
                     for way in WayIter(valid) {
                         let r = WayIter(valid).filter(|&o| keys[o] < keys[way]).count();
                         if seen & (1 << r) != 0 {
@@ -1010,8 +1178,7 @@ impl dbi::snap::Snapshot for Cache {
                             )));
                         }
                         seen |= 1 << r;
-                        self.rank[base + way] = r as u8;
-                        self.lru_stack[base + r] = way as u8;
+                        set_lane(self.ranks_mut(set), way, r as u8);
                     }
                 }
                 ReplacementKind::Rrip => {
@@ -1476,5 +1643,109 @@ mod tests {
     #[should_panic(expected = "empty tag")]
     fn inserting_the_empty_tag_panics() {
         tiny(2).insert(u64::MAX, 0, InsertPos::Mru, false);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "fill of resident block")]
+    fn filling_a_resident_block_panics_in_debug() {
+        let mut c = tiny(2);
+        c.fill(5, 0, InsertPos::Mru, false);
+        c.fill(5, 0, InsertPos::Mru, true);
+    }
+
+    #[test]
+    fn touch_dirty_is_touch_then_mark_dirty() {
+        let (mut a, mut b) = (tiny(4), tiny(4));
+        for c in [&mut a, &mut b] {
+            for blk in [0u64, 4, 8] {
+                c.fill(blk, 0, InsertPos::Mru, false);
+            }
+        }
+        assert!(a.touch_dirty(4));
+        assert!(b.touch(4) && b.mark_dirty(4, true));
+        assert!(!a.touch_dirty(12) && !b.touch(12));
+        for blk in [0u64, 4, 8, 12] {
+            assert_eq!(a.dirty().probe(blk), b.dirty().probe(blk), "block {blk}");
+        }
+        assert_eq!(
+            a.dirty().probe(4).map(|p| (p.dirty, p.rank)),
+            Some((true, 2))
+        );
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!((a.stats().lookups, a.stats().hits), (2, 1));
+        a.assert_index_coherent();
+    }
+
+    #[test]
+    fn take_dirty_cleans_only_dirty_lines_below_the_rank_bound() {
+        let mut c = tiny(4);
+        c.fill(0, 1, InsertPos::Mru, true); // rank 0
+        c.fill(4, 2, InsertPos::Mru, false); // rank 1
+        c.fill(8, 3, InsertPos::Mru, true); // rank 2
+        assert_eq!(c.take_dirty(4, 4), None, "clean");
+        assert_eq!(c.take_dirty(8, 2), None, "rank 2 is not below 2");
+        assert_eq!(c.take_dirty(12, 4), None, "not resident");
+        assert_eq!(c.dirty().probe(8).map(|p| p.rank), Some(2));
+        assert_eq!(c.take_dirty(8, 3), Some(3), "dirty at rank 2, owner 3");
+        assert_eq!(c.dirty().is_dirty(8), Some(false));
+        assert_eq!(c.take_dirty(8, 3), None, "already clean");
+        assert!(c.take_dirty(0, usize::MAX).is_some());
+        assert_eq!(c.dirty().mask(SetIdx(0)), WayMask::EMPTY);
+        assert_eq!(c.stats().lookups, 0, "a sweep probe is not a lookup");
+        c.assert_index_coherent();
+    }
+
+    #[test]
+    fn lane_arithmetic_matches_the_byte_loop() {
+        // Whole and partial words, one to eight of them.
+        for ways in [1usize, 2, 3, 8, 12, 16, 31, 32, 64] {
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ ways as u64;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for _ in 0..200 {
+                let ranks: Vec<u8> = (0..ways).map(|_| (next() % 64) as u8).collect();
+                let k = (next() % 65) as u8;
+                let way_bits = next() & (u64::MAX >> (64 - ways));
+                let words = |ranks: &[u8]| {
+                    let mut words = vec![0u64; ways.div_ceil(8)];
+                    for (w, &r) in ranks.iter().enumerate() {
+                        set_lane(&mut words, w, r);
+                    }
+                    words
+                };
+                let bytes = |words: &[u64]| (0..ways).map(|w| lane(words, w)).collect::<Vec<u8>>();
+                assert_eq!(bytes(&words(&ranks)), ranks);
+
+                let below = (0..ways).fold(0u64, |m, w| m | u64::from(ranks[w] < k) << w);
+                let padding = u64::MAX.checked_shl(ways as u32).unwrap_or(0);
+                let got = ranks_below(&words(&ranks), k);
+                assert_eq!(got & !padding, below, "{ranks:?} < {k}");
+
+                let k = k.min(63);
+                let mut got = words(&ranks);
+                demote_above(&mut got, k);
+                let want: Vec<u8> = ranks.iter().map(|&r| r - u8::from(r > k)).collect();
+                assert_eq!(bytes(&got), want, "{ranks:?} demote above {k}");
+
+                let capped: Vec<u8> = ranks.iter().map(|&r| r.min(62)).collect();
+                let want: Vec<u8> = capped
+                    .iter()
+                    .enumerate()
+                    .map(|(w, &r)| r + u8::from(way_bits >> w & 1 == 1))
+                    .collect();
+                let mut got = words(&capped);
+                bump_ways(&mut got, way_bits);
+                assert_eq!(bytes(&got), want, "bump {way_bits:#x}");
+                assert!(
+                    (ways..got.len() * 8).all(|w| lane(&got, w) == 0),
+                    "padding lanes stay 0"
+                );
+            }
+        }
     }
 }

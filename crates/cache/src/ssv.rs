@@ -58,6 +58,7 @@ impl SetStateVector {
     ///
     /// Panics if `set` is out of range.
     #[must_use]
+    #[inline]
     pub fn is_marked(&self, set: SetIdx) -> bool {
         assert!(set.raw() < self.words.bits(), "set {set} out of SSV range");
         self.words.get(set.raw())
@@ -65,6 +66,7 @@ impl SetStateVector {
 
     /// Recomputes the bit for the set containing `probe` from the cache's
     /// current contents, returning the new value.
+    #[inline]
     pub fn refresh(&mut self, cache: &Cache, probe: BlockAddr) -> bool {
         let set = cache.set_of(probe);
         // One word load in the clean-set common case; never the heap.

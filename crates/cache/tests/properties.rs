@@ -13,20 +13,37 @@ use proptest::test_runner::TestCaseError;
 #[derive(Debug, Clone)]
 enum Op {
     Touch(u64),
+    TouchDirty(u64),
     InsertMru(u64, bool),
     InsertLru(u64, bool),
+    /// `Cache::fill` at MRU (`true`) or LRU; a `Touch` where the block is
+    /// resident, since `fill` requires a miss.
+    Fill(u64, bool, bool),
     MarkDirty(u64, bool),
+    /// `Cache::take_dirty` with a rank bound.
+    TakeDirty(u64, usize),
     Invalidate(u64),
 }
 
 fn op_strategy(space: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (0..space).prop_map(Op::Touch),
+        2 => (0..space).prop_map(Op::TouchDirty),
         3 => (0..space, any::<bool>()).prop_map(|(b, d)| Op::InsertMru(b, d)),
         1 => (0..space, any::<bool>()).prop_map(|(b, d)| Op::InsertLru(b, d)),
+        3 => (0..space, any::<bool>(), any::<bool>()).prop_map(|(b, m, d)| Op::Fill(b, m, d)),
         1 => (0..space, any::<bool>()).prop_map(|(b, d)| Op::MarkDirty(b, d)),
+        1 => (0..space, 0..40usize).prop_map(|(b, k)| Op::TakeDirty(b, k)),
         1 => (0..space).prop_map(Op::Invalidate),
     ]
+}
+
+fn pos(mru: bool) -> InsertPos {
+    if mru {
+        InsertPos::Mru
+    } else {
+        InsertPos::Lru
+    }
 }
 
 /// Applies `op` to `cache` without caring about the outcome (for tests that
@@ -36,14 +53,27 @@ fn apply(cache: &mut Cache, op: &Op) {
         Op::Touch(b) => {
             cache.touch(b);
         }
+        Op::TouchDirty(b) => {
+            cache.touch_dirty(b);
+        }
         Op::InsertMru(b, d) => {
             cache.insert(b, 0, InsertPos::Mru, d);
         }
         Op::InsertLru(b, d) => {
             cache.insert(b, 0, InsertPos::Lru, d);
         }
+        Op::Fill(b, mru, d) => {
+            if cache.probe(b) {
+                cache.touch(b);
+            } else {
+                cache.fill(b, 0, pos(mru), d);
+            }
+        }
         Op::MarkDirty(b, d) => {
             cache.mark_dirty(b, d);
+        }
+        Op::TakeDirty(b, k) => {
+            cache.take_dirty(b, k);
         }
         Op::Invalidate(b) => {
             cache.invalidate(b);
@@ -131,23 +161,52 @@ fn harvest(cache: &Cache, set: SetIdx, k: usize) -> Vec<u64> {
 
 /// Applies `op` to both models, checking that they agree on its outcome:
 /// hit or miss, victim identity and dirtiness, residency of a dirty-bit
-/// write, and the invalidated line.
+/// write, the cleaned line, and the invalidated line.
 fn apply_both(cache: &mut Cache, reference: &mut Reference, op: &Op) -> Result<(), TestCaseError> {
     match *op {
         Op::Touch(b) => {
             prop_assert_eq!(cache.touch(b), reference.touch(b));
         }
+        Op::TouchDirty(b) => {
+            let hit = reference.touch(b);
+            if hit {
+                let s = reference.set_of(b);
+                reference.sets[s].back_mut().unwrap().1 = true;
+            }
+            prop_assert_eq!(cache.touch_dirty(b), hit);
+        }
         Op::InsertMru(b, d) | Op::InsertLru(b, d) => {
             let mru = matches!(op, Op::InsertMru(..));
-            let got = cache.insert(b, 0, if mru { InsertPos::Mru } else { InsertPos::Lru }, d);
+            let got = cache.insert(b, 0, pos(mru), d);
             let want = reference.insert(b, d, mru);
             prop_assert_eq!(got.map(|v| (v.block, v.dirty)), want);
+        }
+        Op::Fill(b, mru, d) => {
+            if reference.find(b).is_some() {
+                prop_assert!(cache.touch(b) && reference.touch(b));
+            } else {
+                let got = cache.fill(b, 0, pos(mru), d);
+                let want = reference.insert(b, d, mru);
+                prop_assert_eq!(got.map(|v| (v.block, v.dirty)), want);
+            }
         }
         Op::MarkDirty(b, d) => {
             let found = reference.find(b);
             prop_assert_eq!(cache.mark_dirty(b, d), found.is_some());
             if let Some((s, i)) = found {
                 reference.sets[s][i].1 = d;
+            }
+        }
+        Op::TakeDirty(b, k) => {
+            let want = reference
+                .find(b)
+                .filter(|&(s, i)| reference.sets[s][i].1 && i < k);
+            if let Some((_, i)) = want {
+                prop_assert_eq!(cache.dirty().probe(b).map(|p| p.rank), Some(i));
+            }
+            prop_assert_eq!(cache.take_dirty(b, k), want.map(|_| 0));
+            if let Some((s, i)) = want {
+                reference.sets[s][i].1 = false;
             }
         }
         Op::Invalidate(b) => {

@@ -218,8 +218,7 @@ impl CoreEngine {
         dram: &mut MemoryController,
         mut checker: Option<&mut VersionChecker>,
     ) {
-        if self.l1.touch(addr) {
-            self.l1.mark_dirty(addr, true);
+        if self.l1.touch_dirty(addr) {
             return;
         }
         // Write-allocate: fetch the block (read-for-ownership) without
@@ -244,7 +243,7 @@ impl CoreEngine {
         dram: &mut MemoryController,
         checker: Option<&mut VersionChecker>,
     ) {
-        if let Some(victim) = self.l1.insert(addr, self.thread, InsertPos::Mru, dirty) {
+        if let Some(victim) = self.l1.fill(addr, self.thread, InsertPos::Mru, dirty) {
             if victim.dirty {
                 self.l2_writeback(victim.block, llc, dram, checker);
             }
@@ -258,7 +257,7 @@ impl CoreEngine {
         dram: &mut MemoryController,
         checker: Option<&mut VersionChecker>,
     ) {
-        if let Some(victim) = self.l2.insert(addr, self.thread, InsertPos::Mru, false) {
+        if let Some(victim) = self.l2.fill(addr, self.thread, InsertPos::Mru, false) {
             if self.l2_dbi.is_some() {
                 self.l2_evict(victim.block, llc, dram, checker);
             } else if victim.dirty {
@@ -277,7 +276,7 @@ impl CoreEngine {
         if self.l2_dbi.is_some() {
             // L2 dirty bits live in the L2 DBI; the tag stays clean.
             if !self.l2.touch(block) {
-                if let Some(victim) = self.l2.insert(block, self.thread, InsertPos::Mru, false) {
+                if let Some(victim) = self.l2.fill(block, self.thread, InsertPos::Mru, false) {
                     self.l2_evict(victim.block, llc, dram, checker.as_deref_mut());
                 }
             }
@@ -295,12 +294,11 @@ impl CoreEngine {
             }
             return;
         }
-        if self.l2.touch(block) {
-            self.l2.mark_dirty(block, true);
+        if self.l2.touch_dirty(block) {
             return;
         }
         // Allocate the writeback in L2; its victim may cascade to the LLC.
-        if let Some(victim) = self.l2.insert(block, self.thread, InsertPos::Mru, true) {
+        if let Some(victim) = self.l2.fill(block, self.thread, InsertPos::Mru, true) {
             if victim.dirty {
                 llc.writeback(victim.block, self.thread, self.cycle, dram, checker);
             }

@@ -386,7 +386,7 @@ impl SharedLlc {
         checker: Option<&mut VersionChecker>,
     ) {
         let pos = pos.unwrap_or_else(|| self.insert_pos(block, thread));
-        if let Some(victim) = self.cache.insert(block, thread, pos, dirty_in_tag) {
+        if let Some(victim) = self.cache.fill(block, thread, pos, dirty_in_tag) {
             self.handle_eviction(victim, now, dram, checker);
         }
         self.ssv_refresh(block);
@@ -468,9 +468,8 @@ impl SharedLlc {
                 continue;
             }
             let t = self.occupy_tag_port_background(now);
-            if let Some(p) = self.cache.dirty().probe(b).filter(|p| p.dirty) {
-                self.cache.mark_dirty(b, false);
-                self.write_dram(b, p.owner, t, dram, checker.as_deref_mut());
+            if let Some(owner) = self.cache.take_dirty(b, usize::MAX) {
+                self.write_dram(b, owner, t, dram, checker.as_deref_mut());
                 self.stats.sweep_writebacks += 1;
             }
         }
@@ -501,13 +500,10 @@ impl SharedLlc {
                 continue; // SSV check is free; no tag probe
             }
             let t = self.occupy_tag_port_background(now);
-            if let Some(p) = self.cache.dirty().probe(b).filter(|p| p.dirty) {
-                if p.rank < tracked {
-                    self.cache.mark_dirty(b, false);
-                    self.write_dram(b, p.owner, t, dram, checker.as_deref_mut());
-                    self.stats.sweep_writebacks += 1;
-                    self.ssv_refresh(b);
-                }
+            if let Some(owner) = self.cache.take_dirty(b, tracked) {
+                self.write_dram(b, owner, t, dram, checker.as_deref_mut());
+                self.stats.sweep_writebacks += 1;
+                self.ssv_refresh(b);
             }
         }
     }
@@ -633,9 +629,7 @@ impl SharedLlc {
                 self.dbi_evict_scratch = evicted;
             }
             _ => {
-                if self.cache.touch(block) {
-                    self.cache.mark_dirty(block, true);
-                } else {
+                if !self.cache.touch_dirty(block) {
                     self.fill(
                         block,
                         thread,
