@@ -1,5 +1,6 @@
 //! Microbenchmarks of the cache substrate: the demand access path, the
-//! tag walk at the 8-core LLC's geometry, and the auxiliary structures
+//! tag walk at the private L2's and the 8-core LLC's geometries, and the
+//! auxiliary structures
 //! (dueling selector, miss predictor, SSV refresh) that the LLC mechanisms
 //! lean on.
 
@@ -61,13 +62,18 @@ fn bench_access_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// The 8-core LLC (`oct_light`): 16 MiB, 32 ways, 8192 sets, full.
-fn llc_oct() -> Cache {
-    let mut cache = Cache::new(CacheConfig::new(16 * 1024 * 1024, 32, 64).expect("8-core LLC"));
-    for b in 0..LLC_OCT_BLOCKS {
+/// A cache of `bytes` and `ways` with every way of every set filled.
+fn full(bytes: u64, ways: usize) -> Cache {
+    let mut cache = Cache::new(CacheConfig::new(bytes, ways, 64).expect("valid geometry"));
+    for b in 0..cache.config().blocks() {
         cache.insert(b, 0, InsertPos::Mru, false);
     }
     cache
+}
+
+/// The 8-core LLC (`oct_light`): 16 MiB, 32 ways, 8192 sets, full.
+fn llc_oct() -> Cache {
+    full(16 * 1024 * 1024, 32)
 }
 
 const LLC_OCT_BLOCKS: u64 = 256 * 1024;
@@ -128,6 +134,46 @@ fn bench_llc_tag_walk(c: &mut Criterion) {
     group.finish();
 }
 
+/// The private L2 of every system: 256 KiB, 8 ways, 512 sets, full.
+const L2_BLOCKS: u64 = 4096;
+
+/// An odd stride that moves 171 sets (of 512) and five tags per access.
+const L2_SCATTER: u64 = 5 * 512 + 171;
+
+fn bench_l2_tag_walk(c: &mut Criterion) {
+    let l2 = || full(L2_BLOCKS * 64, 8);
+    let mut group = c.benchmark_group("cache_l2_8way");
+    group.bench_function("touch_hit", |bencher| {
+        let mut cache = l2();
+        let mut b = 0u64;
+        bencher.iter(|| {
+            b = (b + L2_SCATTER) % L2_BLOCKS;
+            black_box(cache.touch(black_box(b)))
+        });
+    });
+    // A miss walks all 8 tags of a full set.
+    group.bench_function("touch_miss", |bencher| {
+        let mut cache = l2();
+        let mut b = 0u64;
+        bencher.iter(|| {
+            b = (b + L2_SCATTER) % L2_BLOCKS;
+            black_box(cache.touch(black_box(b + L2_BLOCKS)))
+        });
+    });
+    // The demand-miss path: the missing lookup, then the fill that evicts
+    // the set's LRU way.
+    group.bench_function("miss_insert", |bencher| {
+        let mut cache = l2();
+        let mut b = L2_BLOCKS;
+        bencher.iter(|| {
+            b += L2_SCATTER;
+            let hit = cache.touch(black_box(b));
+            black_box((hit, cache.insert(b, 0, InsertPos::Mru, false)))
+        });
+    });
+    group.finish();
+}
+
 fn bench_side_structures(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_side_structures");
     group.bench_function("dueling_choose", |bencher| {
@@ -165,6 +211,7 @@ criterion_group!(
     benches,
     bench_access_path,
     bench_llc_tag_walk,
+    bench_l2_tag_walk,
     bench_side_structures
 );
 criterion_main!(benches);

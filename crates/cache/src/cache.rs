@@ -3,9 +3,12 @@
 //!
 //! The paper takes dirty bits out of the tag entry so that a lookup touches
 //! only tags; this model does the same to its own host memory. A set's
-//! ways live in parallel arrays — 8-byte tags, owner threads, replacement
+//! ways live in parallel arrays — 4-byte tags, owner threads, replacement
 //! state — and validity and dirtiness live only in one validity word and
-//! one dirty word per set ([`WayMask`]). A lookup compares tags alone, and
+//! one dirty word per set ([`WayMask`]). A tag is only the set-relative
+//! part of a block address (the bits above the set index), as in the
+//! hardware the paper prices, so it fits 32 bits for every block below
+//! [`CacheConfig::max_block`]. A lookup compares tags alone, and
 //! every dirty-state query a writeback mechanism asks ([`DirtyView`]) is
 //! answered from the words plus the replacement state: under LRU one
 //! recency rank byte per way and nothing else, under RRIP per-way RRPVs
@@ -150,6 +153,16 @@ impl CacheConfig {
     #[must_use]
     pub fn sets(&self) -> u64 {
         self.blocks() / self.ways as u64
+    }
+
+    /// The highest block a cache of this geometry can hold. A tag stores
+    /// only the block address above the set index, in 32 bits with
+    /// `u32::MAX` reserved for the empty way, so the blocks below
+    /// `sets × u32::MAX` are the representable ones. A block beyond them
+    /// never hits, and inserting it panics.
+    #[must_use]
+    pub fn max_block(&self) -> BlockAddr {
+        self.sets().saturating_mul(u64::from(EMPTY)) - 1
     }
 }
 
@@ -331,9 +344,9 @@ pub struct ProbedLine {
     pub rank: usize,
 }
 
-/// The tag of a way that holds no block. Block addresses are byte
-/// addresses shifted right by the block size, so no real block is this.
-const EMPTY: BlockAddr = BlockAddr::MAX;
+/// The tag of a way that holds no block; a block whose set-relative tag
+/// would be this or more is beyond [`CacheConfig::max_block`].
+const EMPTY: u32 = u32::MAX;
 
 const RRPV_MAX: u8 = 3;
 const RRPV_LONG: u8 = 2;
@@ -429,17 +442,21 @@ fn set_lane(words: &mut [u64], way: usize, rank: u8) {
 /// [`Cache::take_dirty`] (a row sweep's probe-and-clean).
 ///
 /// The tag store is a struct of arrays indexed by `set * ways + way`, with
-/// one source of truth per fact: tags (a lookup compares only these),
+/// one source of truth per fact: 32-bit set-relative tags (a lookup
+/// compares only these; a block is rebuilt from its set and tag only where
+/// it leaves the tag store),
 /// owners, the per-set valid/dirty words, and the recency order (a rank
 /// byte per way under LRU, per-way RRPVs under RRIP).
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `sets() - 1` when the set count is a power of two (the common
-    /// geometry), letting [`set_of`](Cache::set_of) mask instead of divide.
-    set_mask: Option<u64>,
-    /// Per-way block tags; [`EMPTY`] where the way holds no block.
-    tags: Vec<BlockAddr>,
+    /// `(sets() - 1, log2(sets()))` when the set count is a power of two
+    /// (the common geometry), letting the set/tag split mask and shift
+    /// instead of divide.
+    pow2_split: Option<(u64, u32)>,
+    /// Per-way set-relative tags (the block address above the set index);
+    /// [`EMPTY`] where the way holds no block.
+    tags: Vec<u32>,
     /// Per-way inserting thread; stale where the way holds no block.
     threads: Vec<ThreadId>,
     /// Per-set validity words (bit `set * 64 + w` = way `w` of `set` holds
@@ -472,7 +489,9 @@ impl Cache {
         };
         Cache {
             config,
-            set_mask: sets.is_power_of_two().then(|| sets - 1),
+            pow2_split: sets
+                .is_power_of_two()
+                .then(|| (sets - 1, sets.trailing_zeros())),
             tags: vec![EMPTY; blocks],
             threads: vec![0; blocks],
             valid: DirtyWords::per_word_slots(sets as usize),
@@ -494,23 +513,49 @@ impl Cache {
     #[must_use]
     #[inline]
     pub fn set_of(&self, block: BlockAddr) -> SetIdx {
-        SetIdx(match self.set_mask {
-            Some(mask) => block & mask,
-            None => block % self.config.sets(),
-        })
+        SetIdx(self.set_and_tag(block).0)
+    }
+
+    /// `block`'s set index and the address bits above it, at full width.
+    #[inline]
+    fn set_and_tag(&self, block: BlockAddr) -> (u64, u64) {
+        match self.pow2_split {
+            Some((mask, bits)) => (block & mask, block >> bits),
+            None => {
+                let sets = self.config.sets();
+                (block % sets, block / sets)
+            }
+        }
+    }
+
+    /// Splits `block` into its set and its 32-bit set-relative tag; `None`
+    /// if the tag does not fit below [`EMPTY`] (the block is beyond
+    /// [`CacheConfig::max_block`] and can never be resident).
+    #[inline]
+    fn split(&self, block: BlockAddr) -> Option<(usize, u32)> {
+        let (set, tag) = self.set_and_tag(block);
+        (tag < u64::from(EMPTY)).then_some((set as usize, tag as u32))
+    }
+
+    /// The block whose split is `(set, tag)`: the inverse of
+    /// [`split`](Cache::split), where a block leaves the tag store.
+    #[inline]
+    fn block_of(&self, set: usize, tag: u32) -> BlockAddr {
+        debug_assert_ne!(tag, EMPTY, "the empty tag names no block");
+        match self.pow2_split {
+            Some((_, bits)) => u64::from(tag) << bits | set as u64,
+            None => u64::from(tag) * self.config.sets() + set as u64,
+        }
     }
 
     /// The `(set, way)` holding `block`, from a walk over the set's tags.
     #[inline]
     fn find(&self, block: BlockAddr) -> Option<(usize, usize)> {
-        if block == EMPTY {
-            return None;
-        }
-        let set = self.set_of(block).index();
+        let (set, tag) = self.split(block)?;
         let base = set * self.config.ways;
         self.tags[base..base + self.config.ways]
             .iter()
-            .position(|&tag| tag == block)
+            .position(|&t| t == tag)
             .map(|way| (set, way))
     }
 
@@ -530,8 +575,8 @@ impl Cache {
     pub fn prefetch_block(&self, block: BlockAddr) {
         let set = self.set_of(block).index();
         let base = set * self.config.ways;
-        // The tag walk reads one 8 B tag per way: hint each host cache
-        // line of the set's tag slab (8 ways per 64 B line).
+        // The tag walk reads one 4 B tag per way: hint each host cache
+        // line of the set's tag slab (16 ways per 64 B line).
         let tags = &self.tags[base..base + self.config.ways];
         for off in (0..std::mem::size_of_val(tags)).step_by(64) {
             dbi::prefetch_read(tags.as_ptr().cast::<u8>().wrapping_add(off));
@@ -583,7 +628,7 @@ impl Cache {
     fn remove(&mut self, set: usize, way: usize) -> Victim {
         let i = set * self.config.ways + way;
         let victim = Victim {
-            block: self.tags[i],
+            block: self.block_of(set, self.tags[i]),
             dirty: self.dirty.get(slot_bit(set, way)),
             thread: self.threads[i],
         };
@@ -695,7 +740,8 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `block` is `BlockAddr::MAX`, the empty-way tag.
+    /// Panics if `block` is beyond [`CacheConfig::max_block`] (its tag
+    /// would not fit below the empty-way tag).
     #[inline]
     pub fn insert(
         &mut self,
@@ -720,8 +766,9 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `block` is `BlockAddr::MAX`, the empty-way tag. Debug
-    /// builds also panic if `block` is resident.
+    /// Panics if `block` is beyond [`CacheConfig::max_block`] (its tag
+    /// would not fit below the empty-way tag). Debug builds also panic if
+    /// `block` is resident.
     #[inline]
     pub fn fill(
         &mut self,
@@ -730,13 +777,14 @@ impl Cache {
         pos: InsertPos,
         dirty: bool,
     ) -> Option<Victim> {
-        assert_ne!(block, EMPTY, "block address {EMPTY:#x} is the empty tag");
+        let Some((set, tag)) = self.split(block) else {
+            untaggable(block, self.config.max_block())
+        };
         debug_assert!(
             self.find(block).is_none(),
             "fill of resident block {block:#x}"
         );
         self.stats.insertions += 1;
-        let set = self.set_of(block).index();
         // The lowest empty way, or the replacement victim of a full set.
         let free = (!self.valid.word(set)).trailing_zeros() as usize;
         let (way, victim) = if free < self.config.ways {
@@ -749,7 +797,7 @@ impl Cache {
             (way, Some(victim))
         };
         let i = set * self.config.ways + way;
-        self.tags[i] = block;
+        self.tags[i] = tag;
         self.threads[i] = thread;
         self.place(set, way, pos);
         self.valid.set(slot_bit(set, way));
@@ -811,11 +859,11 @@ impl Cache {
     /// set with no dirty line.
     #[inline]
     pub fn take_dirty(&mut self, block: BlockAddr, ways_from_lru: usize) -> Option<ThreadId> {
-        let set = self.set_of(block);
-        let base = set.index() * self.config.ways;
-        let candidates = self.dirty().in_lru_ways(set, ways_from_lru);
-        let way = candidates.ways().find(|&w| self.tags[base + w] == block)?;
-        self.dirty.clear(slot_bit(set.index(), way));
+        let (set, tag) = self.split(block)?;
+        let base = set * self.config.ways;
+        let candidates = self.dirty().in_lru_ways(SetIdx(set as u64), ways_from_lru);
+        let way = candidates.ways().find(|&w| self.tags[base + w] == tag)?;
+        self.dirty.clear(slot_bit(set, way));
         Some(self.threads[base + way])
     }
 
@@ -838,8 +886,13 @@ impl Cache {
     /// Iterates over all resident blocks as `(block, dirty, thread)`.
     pub fn blocks(&self) -> impl Iterator<Item = (BlockAddr, bool, ThreadId)> + '_ {
         self.valid.iter_ones().map(|bit| {
-            let i = (bit / 64) as usize * self.config.ways + (bit % 64) as usize;
-            (self.tags[i], self.dirty.get(bit), self.threads[i])
+            let set = (bit / 64) as usize;
+            let i = set * self.config.ways + (bit % 64) as usize;
+            (
+                self.block_of(set, self.tags[i]),
+                self.dirty.get(bit),
+                self.threads[i],
+            )
         })
     }
 
@@ -880,7 +933,7 @@ impl Cache {
                 valid, tagged,
                 "valid word of set {set} != its non-empty tags"
             );
-            let mut tags: Vec<BlockAddr> = WayIter(valid).map(|w| self.tags[base + w]).collect();
+            let mut tags: Vec<u32> = WayIter(valid).map(|w| self.tags[base + w]).collect();
             tags.sort_unstable();
             tags.dedup();
             assert_eq!(
@@ -923,6 +976,16 @@ impl Cache {
             }
         }
     }
+}
+
+/// The panic of a [`Cache::fill`] whose block has no 32-bit tag.
+#[cold]
+#[inline(never)]
+fn untaggable(block: BlockAddr, max: BlockAddr) -> ! {
+    panic!(
+        "block {block:#x} is beyond this cache's 32-bit tags (max block {max:#x}): \
+         its tag would be the empty tag or wider"
+    )
 }
 
 /// Read-only view over a [`Cache`]'s word-level dirty/rank index.
@@ -1057,11 +1120,8 @@ impl<'a> DirtyView<'a> {
     pub fn blocks(&self, set: SetIdx, mask: WayMask) -> impl Iterator<Item = BlockAddr> + 'a {
         let cache = self.cache;
         let base = set.index() * cache.config.ways;
-        mask.ways().map(move |w| {
-            let tag = cache.tags[base + w];
-            debug_assert_ne!(tag, EMPTY, "mask names an invalid way");
-            tag
-        })
+        mask.ways()
+            .map(move |w| cache.block_of(set.index(), cache.tags[base + w]))
     }
 }
 
@@ -1111,7 +1171,7 @@ impl dbi::snap::Snapshot for Cache {
         for (i, &tag) in self.tags.iter().enumerate() {
             w.bool(tag != EMPTY);
             if tag != EMPTY {
-                w.u64(tag);
+                w.u64(self.block_of(i / ways, tag));
                 w.bool(self.dirty.get(slot_bit(i / ways, i % ways)));
                 w.u8(self.threads[i]);
                 w.i64(i64::from(match self.config.replacement {
@@ -1126,9 +1186,10 @@ impl dbi::snap::Snapshot for Cache {
     }
 
     /// Restores the tag store, rejecting as corruption what no writer
-    /// could have produced: a valid way tagged with the empty tag or
-    /// sitting in the wrong set, duplicate LRU keys in a set, or an RRPV
-    /// out of range. LRU ranks are the order of the keys in each set.
+    /// could have produced: a valid way whose block is beyond
+    /// [`CacheConfig::max_block`] or sits in the wrong set, duplicate LRU
+    /// keys in a set, or an RRPV out of range. LRU ranks are the order of
+    /// the keys in each set.
     fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
         use dbi::snap::SnapError;
         let code = r.u8()?;
@@ -1151,12 +1212,15 @@ impl dbi::snap::Snapshot for Cache {
                     continue;
                 }
                 let block = r.u64()?;
-                if block == EMPTY || self.set_of(block).index() != set {
-                    return Err(SnapError::Corrupt(format!(
-                        "cache line for block {block:#x} restored into set {set}"
-                    )));
-                }
-                self.tags[base + way] = block;
+                let tag = match self.split(block) {
+                    Some((s, tag)) if s == set => tag,
+                    _ => {
+                        return Err(SnapError::Corrupt(format!(
+                            "cache line for block {block:#x} restored into set {set}"
+                        )))
+                    }
+                };
+                self.tags[base + way] = tag;
                 valid |= 1 << way;
                 dirty |= u64::from(r.bool()?) << way;
                 self.threads[base + way] = r.u8()?;
@@ -1620,7 +1684,8 @@ mod tests {
                 "{what}: {got:?}"
             );
         }
-        // A valid way tagged u64::MAX, the empty tag, in the set it maps to.
+        // A valid way naming u64::MAX, beyond any tag range, in the set it
+        // maps to.
         let mut lines = vec![None; 8];
         lines[6] = Some((u64::MAX, false, 0, 0));
         let got = dbi::snap::restore_bytes(&mut tiny(2), &image(0, &lines, [0, 0]));
@@ -1643,6 +1708,94 @@ mod tests {
     #[should_panic(expected = "empty tag")]
     fn inserting_the_empty_tag_panics() {
         tiny(2).insert(u64::MAX, 0, InsertPos::Mru, false);
+    }
+
+    /// The tiny 4-set geometry and a 6-set one, whose set/tag split
+    /// divides instead of masking.
+    fn pow2_and_not() -> [Cache; 2] {
+        [
+            tiny(4),
+            Cache::new(CacheConfig::new(6 * 4 * 64, 4, 64).unwrap()),
+        ]
+    }
+
+    #[test]
+    fn max_block_is_the_last_block_with_a_32_bit_tag() {
+        let [a, b] = pow2_and_not();
+        assert_eq!(a.config().max_block(), 4 * u64::from(u32::MAX) - 1);
+        assert_eq!(b.config().max_block(), 6 * u64::from(u32::MAX) - 1);
+        // A cache with more than 2^32 sets tags every block but the last.
+        let huge = CacheConfig::new(1 << 40, 1, 64).unwrap();
+        assert_eq!(huge.max_block(), u64::MAX - 1);
+    }
+
+    #[test]
+    fn the_largest_representable_block_round_trips() {
+        for mut c in pow2_and_not() {
+            let max = c.config().max_block();
+            let sets = c.config().sets();
+            let set = c.set_of(max);
+            assert_eq!(set.raw(), sets - 1);
+            assert!(c.fill(max, 3, InsertPos::Mru, true).is_none());
+            assert!(c.probe(max) && c.touch(max));
+            assert_eq!(c.blocks().collect::<Vec<_>>(), [(max, true, 3)]);
+            let view = c.dirty();
+            assert_eq!(view.blocks(set, view.mask(set)).collect::<Vec<_>>(), [max]);
+
+            let mut again = Cache::new(*c.config());
+            dbi::snap::restore_bytes(&mut again, &dbi::snap::snapshot_bytes(&c)).unwrap();
+            again.assert_index_coherent();
+            assert_eq!(again.blocks().collect::<Vec<_>>(), [(max, true, 3)]);
+
+            // Three smaller blocks of its set fill it; a fourth evicts it.
+            for k in 1..=4 {
+                let victim = c.fill(max - k * sets, 0, InsertPos::Mru, false);
+                assert_eq!(victim.is_some(), k == 4);
+                if let Some(v) = victim {
+                    assert_eq!((v.block, v.dirty, v.thread), (max, true, 3));
+                }
+            }
+            c.assert_index_coherent();
+        }
+    }
+
+    #[test]
+    fn the_first_unrepresentable_block_never_hits_or_aliases() {
+        for mut c in pow2_and_not() {
+            let sets = c.config().sets();
+            let over = c.config().max_block() + 1;
+            // Blocks 0 and `sets` have tags 0 and 1; `over` and the two
+            // blocks past it whose tags are 2^32 and 2^32 + 1 must not
+            // match them, nor an empty way.
+            c.fill(0, 0, InsertPos::Mru, true);
+            c.fill(sets, 0, InsertPos::Mru, true);
+            for b in [over, sets << 32, (sets << 32) + sets] {
+                assert!(!c.touch(b) && !c.touch_dirty(b) && !c.probe(b), "{b:#x}");
+                assert_eq!(c.take_dirty(b, usize::MAX), None, "{b:#x}");
+                assert_eq!(c.dirty().probe(b), None, "{b:#x}");
+                assert!(!c.mark_dirty(b, false) && c.invalidate(b).is_none());
+                assert_eq!(c.owner(b), None);
+            }
+            assert_eq!(c.dirty().mask(SetIdx(0)).count(), 2, "nothing cleaned");
+
+            // A forged image naming it in its own set is corrupt.
+            let mut lines: Vec<ImageLine> = vec![None; c.config().blocks() as usize];
+            lines[c.set_of(over).index() * 4] = Some((over, false, 0, 0));
+            let got =
+                dbi::snap::restore_bytes(&mut Cache::new(*c.config()), &image(0, &lines, [0, 0]));
+            assert!(
+                matches!(got, Err(dbi::snap::SnapError::Corrupt(_))),
+                "{got:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty tag")]
+    fn filling_the_first_unrepresentable_block_panics() {
+        let [_, mut c] = pow2_and_not();
+        let over = c.config().max_block() + 1;
+        c.fill(over, 0, InsertPos::Mru, false);
     }
 
     #[test]

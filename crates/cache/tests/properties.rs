@@ -1,7 +1,8 @@
 //! Property-based tests for the cache substrate: the set-associative cache
 //! must agree with a brute-force reference model of LRU semantics and dirty
 //! bookkeeping under arbitrary operation sequences — at the small
-//! geometries that collide often and at the LLC's 32 ways — and its tag
+//! geometries that collide often, at a set count that is not a power of
+//! two, and at the LLC's 32 ways — and its tag
 //! store invariants must hold after every mutation.
 
 use std::collections::VecDeque;
@@ -321,6 +322,40 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// With a set count that is not a power of two (6 sets x 4 ways) the
+    /// set index is `block % sets` and the stored tag `block / sets`; the
+    /// cache still agrees with the reference on every outcome, victim,
+    /// rank and rank-filtered dirty query, rebuilds the right blocks, and
+    /// survives a snapshot round trip.
+    #[test]
+    fn lru_non_power_of_two_sets_match_reference(
+        ops in prop::collection::vec(op_strategy(6 * 4 * 3), 1..300),
+    ) {
+        let config = CacheConfig::new(6 * 4 * 64, 4, 64).unwrap();
+        let mut cache = Cache::new(config);
+        let mut reference = Reference::new(6, 4);
+
+        for op in &ops {
+            apply_both(&mut cache, &mut reference, op)?;
+            cache.assert_index_coherent();
+            check_lines(&cache, &reference)?;
+            for set in 0..6usize {
+                for k in 0..=4usize {
+                    prop_assert_eq!(
+                        harvest(&cache, SetIdx(set as u64), k),
+                        reference.dirty_in_lru_ways(set, k),
+                        "set {} k {}", set, k
+                    );
+                }
+            }
+        }
+
+        let mut restored = Cache::new(config);
+        dbi::snap::restore_bytes(&mut restored, &dbi::snap::snapshot_bytes(&cache)).unwrap();
+        restored.assert_index_coherent();
+        check_lines(&restored, &reference)?;
     }
 
     /// Under RRIP — where RRPVs tie and ranks are shared, not a

@@ -60,6 +60,11 @@ pub(crate) struct CoreEngine {
 }
 
 impl CoreEngine {
+    /// The private caches, named by level.
+    pub(crate) fn private_caches(&self) -> [(&'static str, &Cache); 2] {
+        [("L1", &self.l1), ("L2", &self.l2)]
+    }
+
     pub(crate) fn new(
         thread: ThreadId,
         benchmark: String,

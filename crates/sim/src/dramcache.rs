@@ -27,6 +27,17 @@ use cache_sim::{Cache, CacheConfig, InsertPos};
 use dbi::{ContainerPolicy, Dbi, DbiConfig, DirtyContainer, DirtyStore, ReprCensus, RowId};
 use dram_sim::MemoryController;
 
+use crate::system::assert_tags_reach;
+
+/// Width of the physical addresses a DRAM cache serves: the 40 bits the
+/// Table 4 storage model prices tags with.
+const PHYS_ADDR_BITS: u32 = 40;
+
+/// The highest block of the physical address space, for `block_bytes`.
+fn highest_phys_block(block_bytes: u32) -> u64 {
+    (1 << (PHYS_ADDR_BITS - block_bytes.ilog2())) - 1
+}
+
 /// Configuration of the [`MostlyCleanDramCache`].
 #[derive(Debug, Clone)]
 pub struct DramCacheConfig {
@@ -114,12 +125,18 @@ impl MostlyCleanDramCache {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate cache geometry.
+    /// Panics on degenerate cache geometry, or if its 32-bit tags do not
+    /// reach every block of the 40-bit physical address space.
     #[must_use]
     pub fn new(config: &DramCacheConfig) -> Self {
         let tags = Cache::new(
             CacheConfig::new(config.capacity_bytes, config.ways, config.block_bytes)
                 .expect("valid DRAM-cache geometry"),
+        );
+        assert_tags_reach(
+            "DRAM cache",
+            tags.config(),
+            highest_phys_block(config.block_bytes),
         );
         MostlyCleanDramCache {
             tags,
@@ -333,7 +350,9 @@ impl GbDramCache {
     ///
     /// Panics if `row_blocks` is out of container range, `sample_every`
     /// is zero, the capacity is not a whole number of rows, or the
-    /// sampled tag geometry is degenerate.
+    /// sampled tag geometry is degenerate or its 32-bit tags do not reach
+    /// every block of the 40-bit physical address space (a sampled tag
+    /// address is never above the block it stands for).
     #[must_use]
     pub fn new(config: &GbCacheConfig) -> Self {
         assert!(config.sample_every > 0, "sample_every must be nonzero");
@@ -348,6 +367,11 @@ impl GbDramCache {
         let tags = Cache::new(
             CacheConfig::new(sampled_capacity, config.ways, config.block_bytes)
                 .expect("valid sampled tag geometry"),
+        );
+        assert_tags_reach(
+            "sampled DRAM-cache",
+            tags.config(),
+            highest_phys_block(config.block_bytes),
         );
         GbDramCache {
             row_blocks: config.row_blocks as u64,
@@ -935,5 +959,34 @@ mod tests {
         // The writeback reached the off-chip controller.
         let pending_or_written = mem.pending_writes() as u64 + mem.stats().writes;
         assert!(pending_or_written >= 1);
+    }
+
+    #[test]
+    fn tags_must_reach_the_physical_address_space() {
+        // 64 B blocks: 2^34 physical blocks. Eight 16-way sets tag them
+        // all; four sets reach only block 4 * (2^32 - 1) - 1.
+        let mut config = DramCacheConfig::stacked_64mb();
+        config.capacity_bytes = 8 * 16 * 64;
+        let _ = MostlyCleanDramCache::new(&config);
+        config.capacity_bytes = 4 * 16 * 64;
+        let err = std::panic::catch_unwind(|| MostlyCleanDramCache::new(&config)).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(
+            msg.contains("DRAM cache") && msg.contains("0x3fffffffb"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sampled DRAM-cache 32-bit tags")]
+    fn sampled_tags_must_reach_the_physical_address_space() {
+        let _ = GbDramCache::new(&GbCacheConfig {
+            capacity_bytes: 4 * 64 * 64,
+            block_bytes: 64,
+            row_blocks: 64,
+            sample_every: 1,
+            ways: 64,
+            policy: ContainerPolicy::Adaptive,
+        });
     }
 }

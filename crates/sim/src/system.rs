@@ -1,6 +1,7 @@
 //! The assembled system: cores + shared LLC + DRAM, and the run loop.
 
 use cache_sim::lastwrite::RewriteFilterStats;
+use cache_sim::{BlockAddr, CacheConfig};
 use dbi::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dbi::DbiStats;
 use dram_sim::{DramEnergy, DramStats, MemoryController};
@@ -17,6 +18,17 @@ use crate::metrics::CoreResult;
 /// Alignment of per-core address regions, in blocks (1 MB of 64 B blocks —
 /// a whole number of DRAM row groups, so cores never share a row).
 const CORE_REGION_ALIGN: u64 = 1 << 14;
+
+/// Panics unless caches of geometry `cache` can tag every block up to
+/// `highest`: a tag holds only the 32 bits above the set index, so a block
+/// beyond [`CacheConfig::max_block`] would never hit and could not fill.
+pub(crate) fn assert_tags_reach(level: &str, cache: &CacheConfig, highest: BlockAddr) {
+    assert!(
+        highest <= cache.max_block(),
+        "{level} 32-bit tags reach block {:#x}, below the highest block {highest:#x}",
+        cache.max_block()
+    );
+}
 
 /// Measurement snapshot of one core: (instructions, cycles, LLC reads,
 /// LLC read misses, attributed DRAM writes).
@@ -253,7 +265,8 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the mix has more benchmarks than configured cores.
+    /// Panics if the mix has more benchmarks than configured cores, or if
+    /// its highest block is beyond the 32-bit tags of the L1, L2 or LLC.
     #[must_use]
     pub fn new(mix: &WorkloadMix, config: &SystemConfig) -> Self {
         assert!(
@@ -263,7 +276,7 @@ impl System {
             config.cores
         );
         let mut cores = Vec::with_capacity(mix.cores());
-        let mut offset = 0u64;
+        let (mut offset, mut highest) = (0u64, 0u64);
         for (i, &bench) in mix.benchmarks().iter().enumerate() {
             let seed = config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let generator = TraceGenerator::from_benchmark(bench, seed);
@@ -275,12 +288,20 @@ impl System {
                 offset,
                 config,
             ));
+            highest = highest.max((offset + space).saturating_sub(1));
             offset += space.div_ceil(CORE_REGION_ALIGN) * CORE_REGION_ALIGN;
         }
+        let llc = SharedLlc::new(config);
+        if let Some(core) = cores.first() {
+            for (level, cache) in core.private_caches() {
+                assert_tags_reach(level, cache.config(), highest);
+            }
+        }
+        assert_tags_reach("LLC", llc.cache().config(), highest);
         System {
             config: config.clone(),
             cores,
-            llc: SharedLlc::new(config),
+            llc,
             dram: MemoryController::new(config.dram.clone()),
             checker: config.check.then(VersionChecker::new),
         }
