@@ -63,8 +63,7 @@ impl SramArray {
     /// Peripheral overhead factor: small arrays pay relatively more for
     /// decoders, sense amplifiers, and drivers. Ranges from ~2.0 for tiny
     /// arrays down to ~1.15 for multi-megabit arrays.
-    #[must_use]
-    pub fn periphery_factor(&self) -> f64 {
+    fn periphery_factor(&self) -> f64 {
         1.15 + 4.0 / (self.bits as f64).log2()
     }
 
@@ -89,9 +88,10 @@ impl SramArray {
     /// Access latency in CPU cycles at 2.67 GHz: a fixed decode/sense
     /// floor plus square-root wire-delay scaling (word/bit lines grow with
     /// the array's linear dimension), anchored so the paper's Table 1
-    /// latencies fall out of its structure sizes.
-    #[must_use]
-    pub fn access_latency_cycles(&self) -> u64 {
+    /// latencies fall out of its structure sizes (checked by the tests;
+    /// the simulator takes its latencies from Table 1 directly).
+    #[cfg(test)]
+    fn access_latency_cycles(&self) -> u64 {
         let floor = 2.0;
         let wire = 1.9 * (self.bits as f64 / ENERGY_ANCHOR_BITS).sqrt();
         (floor + wire).round() as u64

@@ -88,16 +88,14 @@ impl CacheStorage {
 
     /// Tag bits per block: physical block-address bits minus set-index
     /// bits.
-    #[must_use]
-    pub fn tag_bits_per_block(&self) -> u64 {
+    fn tag_bits_per_block(&self) -> u64 {
         let block_addr_bits = u64::from(PHYS_ADDR_BITS) - self.block_bytes.ilog2() as u64;
         block_addr_bits - self.sets().ilog2() as u64
     }
 
     /// Replacement-state bits per block (log2 of associativity, an LRU
     /// stack position).
-    #[must_use]
-    pub fn repl_bits_per_block(&self) -> u64 {
+    fn repl_bits_per_block(&self) -> u64 {
         u64::from(self.ways.ilog2())
     }
 

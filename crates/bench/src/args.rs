@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use system_sim::{FaultClass, FaultPlan, SystemConfig};
+use system_sim::{FaultClass, FaultPlan};
 
 use crate::failpoints::FailSpec;
 use crate::{workspace_root, Effort};
@@ -150,7 +150,7 @@ impl BenchArgs {
     /// Returns a message describing the first unknown flag, missing value,
     /// or malformed number. `--help` is also surfaced as `Err` (carrying
     /// the usage text) so callers never continue past it.
-    pub fn try_parse(
+    fn try_parse(
         argv: &[String],
         extra_value_flags: &[&str],
     ) -> Result<(BenchArgs, Vec<(String, String)>), String> {
@@ -263,19 +263,6 @@ impl BenchArgs {
         (self.watchdog_secs > 0).then(|| std::time::Duration::from_secs(self.watchdog_secs))
     }
 
-    /// Applies the robustness flags to a unit configuration: `--check`
-    /// turns on both the shadow-memory checker and the invariant
-    /// sanitizer, `--fault` installs the requested fault plan.
-    pub fn apply_robustness(&self, config: &mut SystemConfig) {
-        if self.check {
-            config.check = true;
-            config.sanitize = true;
-        }
-        if let Some(plan) = self.fault_plan() {
-            config.fault = Some(plan);
-        }
-    }
-
     /// Directory of the persistent result store: `--cache-dir` if given,
     /// otherwise `results/.cache/` under the workspace root. `None` when
     /// `--no-cache` disables the store.
@@ -368,10 +355,6 @@ mod tests {
             args.fault_plan(),
             Some(FaultPlan::new(FaultClass::SkipDrain, 9))
         );
-        let mut config = SystemConfig::for_cores(1, system_sim::Mechanism::Baseline);
-        args.apply_robustness(&mut config);
-        assert!(config.check && config.sanitize);
-        assert_eq!(config.fault, Some(FaultPlan::new(FaultClass::SkipDrain, 9)));
 
         assert!(BenchArgs::try_parse(&argv(&["--fault", "melt-cpu"]), &[])
             .unwrap_err()

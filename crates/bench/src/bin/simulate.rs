@@ -12,6 +12,7 @@
 //!
 //! Run `simulate --help` for the full flag list.
 
+use cache_sim::CacheConfig;
 use dbi::Alpha;
 use system_sim::{run_mix, Mechanism, SystemConfig};
 use trace_gen::mix::WorkloadMix;
@@ -82,12 +83,10 @@ fn parse_alpha(s: &str) -> Result<Alpha, String> {
     Alpha::new(num, den).map_err(|e| e.to_string())
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{HELP}");
-        return Ok(());
-    }
+/// Builds the experiment from the command line (without the program
+/// name), validating the LLC and DBI geometry so a bad value is an error
+/// here rather than a panic inside the simulator.
+fn parse_args(args: &[String]) -> Result<(Vec<Benchmark>, SystemConfig), String> {
     let mut benchmarks: Vec<Benchmark> = Vec::new();
     let mut mechanism = Mechanism::Dbi {
         awb: true,
@@ -136,7 +135,10 @@ fn run() -> Result<(), String> {
 
     let cores = benchmarks.len();
     let mut config = SystemConfig::for_cores(cores, mechanism);
-    config.llc_bytes_per_core = llc_mb * 1024 * 1024;
+    config.llc_bytes_per_core = llc_mb
+        .checked_mul(1024 * 1024)
+        .filter(|per_core| per_core.checked_mul(cores as u64).is_some())
+        .ok_or_else(|| format!("--llc-mb {llc_mb}: LLC size overflows 64-bit bytes"))?;
     config.dbi.alpha = alpha;
     config.dbi.granularity = granularity;
     config.warmup_insts = warmup;
@@ -146,6 +148,27 @@ fn run() -> Result<(), String> {
     // The two checkers validate complementary halves of the correctness
     // contract (lost data vs. diverged tracking state); one flag runs both.
     config.sanitize = check;
+
+    CacheConfig::new(config.llc_bytes(), config.llc_ways, config.block_bytes)
+        .map_err(|e| format!("--llc-mb {llc_mb}: invalid LLC: {e}"))?;
+    if mechanism.uses_dbi() {
+        config
+            .dbi
+            .build(config.llc_blocks())
+            .map_err(|e| format!("invalid DBI: {e}"))?;
+    }
+    Ok((benchmarks, config))
+}
+
+fn run() -> Result<(), String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{HELP}");
+        return Ok(());
+    }
+    let (benchmarks, config) = parse_args(&args)?;
+    let (mechanism, cores) = (config.mechanism, config.cores);
+    let llc_mb = config.llc_bytes_per_core / (1024 * 1024);
 
     let mix = WorkloadMix::new(benchmarks);
     eprintln!("running {mix} under {mechanism} ({cores} core(s), {llc_mb} MB/core LLC)...");
@@ -234,6 +257,44 @@ mod tests {
         assert!(parse_alpha("0/4").is_err());
         assert!(parse_alpha("3/2").is_err(), "alpha cannot exceed 1");
         assert!(parse_alpha("x/y").is_err());
+    }
+
+    fn parse_error(args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        parse_args(&args).expect_err("bad input must be rejected")
+    }
+
+    #[test]
+    fn bad_dbi_granularity_is_an_error() {
+        for g in ["48", "0"] {
+            let err = parse_error(&["--benchmarks", "lbm", "--granularity", g]);
+            assert!(err.contains(&format!("granularity {g}")), "{err}");
+        }
+        // Without a DBI the granularity is never used, so it is not checked.
+        let args = [
+            "--benchmarks",
+            "lbm",
+            "--mechanism",
+            "baseline",
+            "--granularity",
+            "48",
+        ];
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        assert!(parse_args(&args).is_ok());
+    }
+
+    #[test]
+    fn zero_llc_is_an_error() {
+        let err = parse_error(&["--benchmarks", "lbm", "--llc-mb", "0"]);
+        assert!(err.contains("invalid LLC"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_llc_size_is_an_error() {
+        let err = parse_error(&["--benchmarks", "lbm", "--llc-mb", "17592186044416"]);
+        assert!(err.contains("overflows"), "{err}");
+        let err = parse_error(&["--benchmarks", "lbm,mcf", "--llc-mb", "8796093022208"]);
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

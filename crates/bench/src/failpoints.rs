@@ -205,8 +205,7 @@ impl FailMode {
     /// Whether this mode is meaningful at `stage`: truncation needs a
     /// payload (write), a dropped fsync needs an fsync (sync/dirsync),
     /// crash and EIO apply everywhere.
-    #[must_use]
-    pub fn applies_at(self, stage: Stage) -> bool {
+    fn applies_at(self, stage: Stage) -> bool {
         match self {
             FailMode::Torn | FailMode::Short => stage == Stage::Write,
             FailMode::DropSync => matches!(stage, Stage::Sync | Stage::DirSync),

@@ -82,6 +82,9 @@ const CHECKPOINT_PROBE_RECORDS: u64 = 8192;
 /// its temp name for milliseconds, crashed runs forever.
 const TMP_ORPHAN_AGE: Duration = Duration::from_secs(900);
 
+/// Base delay before a failed unit's single retry (jittered ×1–2).
+const RETRY_BACKOFF: Duration = Duration::from_millis(250);
+
 /// The last fatal signal received (SIGINT=2 / SIGTERM=15); 0 when none.
 static INTERRUPT_SIGNAL: AtomicI32 = AtomicI32::new(0);
 
@@ -314,8 +317,6 @@ pub struct Runner {
     watchdog: Option<Duration>,
     /// When in-flight units checkpoint (wall-clock by default).
     checkpoint: CheckpointCadence,
-    /// Base delay before a failed unit's single retry (jittered ×1–2).
-    retry_backoff: Duration,
     /// Test hook: suspend after this many checkpoint writes.
     crash_after: Option<Arc<AtomicI64>>,
     start: Instant,
@@ -364,7 +365,6 @@ impl Runner {
                     probe_records: CHECKPOINT_PROBE_RECORDS,
                 },
             },
-            retry_backoff: Duration::from_millis(250),
             crash_after: None,
             start: Instant::now(),
             counters: Counters::default(),
@@ -390,13 +390,6 @@ impl Runner {
             0 => CheckpointCadence::Disabled,
             n => CheckpointCadence::EveryRecords(n),
         };
-        self
-    }
-
-    /// Overrides the base retry backoff (tests use ~0 to stay fast).
-    #[must_use]
-    pub fn with_retry_backoff(mut self, backoff: Duration) -> Runner {
-        self.retry_backoff = backoff;
         self
     }
 
@@ -659,7 +652,7 @@ impl Runner {
                     "runner[{}]: {phase}: unit {i} {first}; retrying once",
                     self.name
                 );
-                std::thread::sleep(jittered(self.retry_backoff, i as u64));
+                std::thread::sleep(jittered(RETRY_BACKOFF, i as u64));
                 self.run_unit_outcome(unit)
             });
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;

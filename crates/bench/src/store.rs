@@ -29,6 +29,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use dbi::snap::fnv1a64;
 use system_sim::{CoreResult, MixResult, SystemConfig};
 use trace_gen::Benchmark;
 
@@ -60,16 +61,6 @@ pub struct StoreKey {
     pub hash: u64,
     /// Canonical description of everything the simulation depends on.
     pub fingerprint: String,
-}
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn f64_bits(x: f64) -> String {
@@ -203,7 +194,7 @@ pub fn unit_fingerprint(config: &SystemConfig, benchmarks: &[Benchmark]) -> Stri
 pub fn unit_key(config: &SystemConfig, benchmarks: &[Benchmark]) -> StoreKey {
     let fingerprint = unit_fingerprint(config, benchmarks);
     StoreKey {
-        hash: fnv1a(fingerprint.as_bytes()),
+        hash: fnv1a64(fingerprint.as_bytes()),
         fingerprint,
     }
 }
@@ -218,7 +209,7 @@ pub fn unit_key(config: &SystemConfig, benchmarks: &[Benchmark]) -> StoreKey {
 pub fn scenario_key(name: &str, params: &str) -> StoreKey {
     let fingerprint = format!("schema={STORE_SCHEMA_VERSION} scenario={name} {params}");
     StoreKey {
-        hash: fnv1a(fingerprint.as_bytes()),
+        hash: fnv1a64(fingerprint.as_bytes()),
         fingerprint,
     }
 }
@@ -228,7 +219,7 @@ pub fn scenario_key(name: &str, params: &str) -> StoreKey {
 /// name its content demands.
 #[must_use]
 pub fn fingerprint_hash(fingerprint: &str) -> u64 {
-    fnv1a(fingerprint.as_bytes())
+    fnv1a64(fingerprint.as_bytes())
 }
 
 /// A directory of serialized [`MixResult`]s, addressed by [`StoreKey`].
@@ -542,7 +533,7 @@ fn serialize(key: &StoreKey, result: &MixResult) -> String {
         )),
     }
     out.push_str(&format!("records {}\n", result.records_processed));
-    out.push_str(&format!("checksum {:016x}\n", fnv1a(out.as_bytes())));
+    out.push_str(&format!("checksum {:016x}\n", fnv1a64(out.as_bytes())));
     out.push_str("end\n");
     out
 }
@@ -574,7 +565,7 @@ pub fn deserialize_any(text: &str) -> Option<(String, MixResult)> {
     let sum_hex = rest[sum_at..]
         .strip_prefix("checksum ")?
         .strip_suffix('\n')?;
-    if u64::from_str_radix(sum_hex, 16).ok()? != fnv1a(body.as_bytes()) {
+    if u64::from_str_radix(sum_hex, 16).ok()? != fnv1a64(body.as_bytes()) {
         return None;
     }
 
@@ -714,7 +705,7 @@ fn serialize_blob(key: &StoreKey, payload: &str) -> String {
     out.push_str(&format!("fingerprint {}\n", key.fingerprint));
     out.push_str(&format!("bytes {}\n", payload.len()));
     out.push_str(payload);
-    out.push_str(&format!("checksum {:016x}\n", fnv1a(out.as_bytes())));
+    out.push_str(&format!("checksum {:016x}\n", fnv1a64(out.as_bytes())));
     out.push_str("end\n");
     out
 }
@@ -748,7 +739,7 @@ pub fn deserialize_blob_any(text: &str) -> Option<(String, String)> {
     let sum_line = after.get(n..)?;
     let sum_hex = sum_line.strip_prefix("checksum ")?.strip_suffix('\n')?;
     let body = &rest[..rest.len() - sum_line.len()];
-    if u64::from_str_radix(sum_hex, 16).ok()? != fnv1a(body.as_bytes()) {
+    if u64::from_str_radix(sum_hex, 16).ok()? != fnv1a64(body.as_bytes()) {
         return None;
     }
     Some((fingerprint.to_string(), payload.to_string()))

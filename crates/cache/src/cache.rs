@@ -156,13 +156,13 @@ impl CacheConfig {
     }
 
     /// The highest block a cache of this geometry can hold. A tag stores
-    /// only the block address above the set index, in 32 bits with
-    /// `u32::MAX` reserved for the empty way, so the blocks below
+    /// only the block address above the set index, in 32 bits with the
+    /// tag `u32::MAX` reserved for the empty way, so the blocks below
     /// `sets × u32::MAX` are the representable ones. A block beyond them
     /// never hits, and inserting it panics.
     #[must_use]
     pub fn max_block(&self) -> BlockAddr {
-        self.sets().saturating_mul(u64::from(EMPTY)) - 1
+        self.sets().saturating_mul(u64::from(u32::MAX)) - 1
     }
 }
 
@@ -216,14 +216,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Displaced blocks whose tag dirty bit was set.
     pub dirty_evictions: u64,
-}
-
-impl CacheStats {
-    /// Miss ratio over recency-updating lookups; `None` before any lookup.
-    #[must_use]
-    pub fn miss_ratio(&self) -> Option<f64> {
-        (self.lookups > 0).then(|| 1.0 - self.hits as f64 / self.lookups as f64)
-    }
 }
 
 /// Typed index of a cache set — the key of every per-set dirty query.
@@ -344,9 +336,12 @@ pub struct ProbedLine {
     pub rank: usize,
 }
 
-/// The tag of a way that holds no block; a block whose set-relative tag
-/// would be this or more is beyond [`CacheConfig::max_block`].
-const EMPTY: u32 = u32::MAX;
+/// The stored tag of a way that holds no block. Ways store their
+/// set-relative tag inverted (`!tag`), so the empty way is the tag
+/// `u32::MAX` and a new tag store is zeroed memory, which the allocator
+/// hands out without a fill loop. A block whose tag would be `u32::MAX`
+/// or more is beyond [`CacheConfig::max_block`].
+const EMPTY: u32 = 0;
 
 const RRPV_MAX: u8 = 3;
 const RRPV_LONG: u8 = 2;
@@ -454,8 +449,8 @@ pub struct Cache {
     /// (the common geometry), letting the set/tag split mask and shift
     /// instead of divide.
     pow2_split: Option<(u64, u32)>,
-    /// Per-way set-relative tags (the block address above the set index);
-    /// [`EMPTY`] where the way holds no block.
+    /// Per-way set-relative tags (the block address above the set index),
+    /// stored inverted; [`EMPTY`] where the way holds no block.
     tags: Vec<u32>,
     /// Per-way inserting thread; stale where the way holds no block.
     threads: Vec<ThreadId>,
@@ -528,20 +523,22 @@ impl Cache {
         }
     }
 
-    /// Splits `block` into its set and its 32-bit set-relative tag; `None`
-    /// if the tag does not fit below [`EMPTY`] (the block is beyond
-    /// [`CacheConfig::max_block`] and can never be resident).
+    /// Splits `block` into its set and its 32-bit set-relative tag in
+    /// stored (inverted) form; `None` if the tag does not fit below
+    /// `u32::MAX` (the block is beyond [`CacheConfig::max_block`] and can
+    /// never be resident).
     #[inline]
     fn split(&self, block: BlockAddr) -> Option<(usize, u32)> {
         let (set, tag) = self.set_and_tag(block);
-        (tag < u64::from(EMPTY)).then_some((set as usize, tag as u32))
+        (tag < u64::from(u32::MAX)).then_some((set as usize, !(tag as u32)))
     }
 
     /// The block whose split is `(set, tag)`: the inverse of
     /// [`split`](Cache::split), where a block leaves the tag store.
     #[inline]
-    fn block_of(&self, set: usize, tag: u32) -> BlockAddr {
-        debug_assert_ne!(tag, EMPTY, "the empty tag names no block");
+    fn block_of(&self, set: usize, stored: u32) -> BlockAddr {
+        debug_assert_ne!(stored, EMPTY, "the empty tag names no block");
+        let tag = !stored;
         match self.pow2_split {
             Some((_, bits)) => u64::from(tag) << bits | set as u64,
             None => u64::from(tag) * self.config.sets() + set as u64,
@@ -572,7 +569,7 @@ impl Cache {
     /// queries with known targets ([`DirtyView::probe_many`]) hint every
     /// set before the first tag walk. A pure performance hint — no
     /// simulated state (stats, replacement, dirty bits) changes.
-    pub fn prefetch_block(&self, block: BlockAddr) {
+    fn prefetch_block(&self, block: BlockAddr) {
         let set = self.set_of(block).index();
         let base = set * self.config.ways;
         // The tag walk reads one 4 B tag per way: hint each host cache
@@ -1510,13 +1507,12 @@ mod tests {
     }
 
     #[test]
-    fn miss_ratio_reporting() {
+    fn stats_count_lookups_and_hits() {
         let mut c = tiny(2);
-        assert_eq!(c.stats().miss_ratio(), None);
         c.touch(0);
         c.insert(0, 0, InsertPos::Mru, false);
         c.touch(0);
-        assert_eq!(c.stats().miss_ratio(), Some(0.5));
+        assert_eq!((c.stats().lookups, c.stats().hits), (2, 1));
         let taken = c.take_stats();
         assert_eq!(taken.lookups, 2);
         assert_eq!(c.stats().lookups, 0);

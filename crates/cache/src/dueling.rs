@@ -20,7 +20,7 @@ pub enum PolicyChoice {
 
 /// Role of a set in the duel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SetRole {
+enum SetRole {
     /// Always uses policy A and trains the selector.
     LeaderA,
     /// Always uses policy B and trains the selector.
@@ -34,14 +34,13 @@ pub enum SetRole {
 /// # Example
 ///
 /// ```
-/// use cache_sim::dueling::{DuelingSelector, PolicyChoice, SetRole};
+/// use cache_sim::dueling::{DuelingSelector, PolicyChoice};
 ///
 /// let mut duel = DuelingSelector::new(1024, 32, 2, 10);
-/// // Leader sets are fixed; follower sets consult the per-thread PSEL.
-/// let set = 5;
-/// if duel.role_of(set) == SetRole::Follower {
-///     let _policy: PolicyChoice = duel.choose(set, 0);
-/// }
+/// // Leader sets are fixed: set 0 always uses policy A.
+/// assert_eq!(duel.choose(0, 0), PolicyChoice::A);
+/// // Follower sets consult the per-thread PSEL:
+/// let _policy: PolicyChoice = duel.choose(5, 0);
 /// // Misses in leader sets train the selector:
 /// duel.record_miss(0, 0);
 /// ```
@@ -87,8 +86,7 @@ impl DuelingSelector {
     /// # Panics
     ///
     /// Panics if `set` is out of range.
-    #[must_use]
-    pub fn role_of(&self, set: u64) -> SetRole {
+    fn role_of(&self, set: u64) -> SetRole {
         assert!(set < self.sets, "set {set} out of range");
         match set % self.stride {
             0 => SetRole::LeaderA,
@@ -123,12 +121,6 @@ impl DuelingSelector {
             SetRole::LeaderB => self.psel[t] = self.psel[t].saturating_sub(1),
             SetRole::Follower => {}
         }
-    }
-
-    /// Current PSEL value for `thread` (for inspection and tests).
-    #[must_use]
-    pub fn psel(&self, thread: ThreadId) -> u32 {
-        self.psel[usize::from(thread) % self.psel.len()]
     }
 }
 
@@ -291,11 +283,11 @@ mod tests {
         for _ in 0..1000 {
             d.record_miss(0, 0);
         }
-        assert_eq!(d.psel(0), 15);
+        assert_eq!(d.psel[0], 15);
         for _ in 0..10_000 {
             d.record_miss(1, 0);
         }
-        assert_eq!(d.psel(0), 0);
+        assert_eq!(d.psel[0], 0);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 //! ```
 
 mod cache;
-pub mod coherence;
 pub mod dueling;
 pub mod lastwrite;
 pub mod predictor;

@@ -134,8 +134,8 @@ impl MissPredictor {
     }
 
     /// Whether `thread` is in bypass mode this epoch (ignores sampling).
-    #[must_use]
-    pub fn is_bypassing(&self, thread: ThreadId) -> bool {
+    #[cfg(test)]
+    fn is_bypassing(&self, thread: ThreadId) -> bool {
         self.bypassing[usize::from(thread) % self.bypassing.len()]
     }
 }

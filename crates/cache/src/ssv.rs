@@ -74,12 +74,6 @@ impl SetStateVector {
         self.words.assign(set.raw(), marked);
         marked
     }
-
-    /// Number of currently marked sets (for reporting).
-    #[must_use]
-    pub fn marked_count(&self) -> u64 {
-        self.words.count_ones()
-    }
 }
 
 impl dbi::snap::Snapshot for SetStateVector {
@@ -111,7 +105,7 @@ mod tests {
         for s in 0..4 {
             assert!(!ssv.is_marked(SetIdx(s)));
         }
-        assert_eq!(ssv.marked_count(), 0);
+        assert_eq!(ssv.words.count_ones(), 0);
     }
 
     #[test]
@@ -126,7 +120,7 @@ mod tests {
         // Promote the dirty block to MRU: bit clears.
         c.touch(0);
         assert!(!ssv.refresh(&c, 0));
-        assert_eq!(ssv.marked_count(), 0);
+        assert_eq!(ssv.words.count_ones(), 0);
     }
 
     #[test]
@@ -157,7 +151,7 @@ mod tests {
         for s in 0..4 {
             assert_eq!(restored.is_marked(SetIdx(s)), ssv.is_marked(SetIdx(s)));
         }
-        assert_eq!(restored.marked_count(), ssv.marked_count());
+        assert_eq!(restored.words.count_ones(), ssv.words.count_ones());
     }
 
     #[test]

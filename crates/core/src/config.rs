@@ -10,7 +10,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::container::{ContainerPolicy, MAX_BITS};
+use crate::container::MAX_BITS;
 use crate::replacement::DbiReplacementPolicy;
 
 /// The DBI size parameter `alpha`: the ratio of blocks tracked by the DBI to
@@ -71,12 +71,6 @@ impl Alpha {
     #[must_use]
     pub fn denominator(self) -> u32 {
         self.den
-    }
-
-    /// The ratio as a float, for reporting.
-    #[must_use]
-    pub fn as_f64(self) -> f64 {
-        f64::from(self.num) / f64::from(self.den)
     }
 }
 
@@ -157,21 +151,25 @@ impl Error for DbiConfigError {}
 
 /// Geometry and policy of a [`Dbi`](crate::Dbi).
 ///
-/// Construct with [`DbiConfig::for_cache_blocks`] (paper defaults) and adjust
-/// with the `with_*` builder methods, or fill the fields directly via
-/// [`DbiConfig::new`].
+/// Construct with [`DbiConfig::for_cache_blocks`] (paper defaults), or fill
+/// every parameter via [`DbiConfig::new`]; [`DbiConfig::with_policy`] swaps
+/// the replacement policy of either.
 ///
 /// # Example
 ///
 /// ```
-/// use dbi::{Alpha, DbiConfig, DbiReplacementPolicy};
+/// use dbi::{Alpha, DbiConfig, DbiConfigError, DbiReplacementPolicy};
 ///
-/// # fn main() -> Result<(), dbi::DbiConfigError> {
-/// let config = DbiConfig::for_cache_blocks(32 * 1024)?
-///     .with_alpha(Alpha::HALF)?
-///     .with_granularity(128)?
-///     .with_policy(DbiReplacementPolicy::MaxDirty);
+/// # fn main() -> Result<(), DbiConfigError> {
+/// let config = DbiConfig::new(32 * 1024, Alpha::HALF, 128, 16, DbiReplacementPolicy::MaxDirty)?;
 /// assert_eq!(config.entries(), 128); // 16k tracked blocks / 128 per entry
+/// assert_eq!(config.sets(), 8);
+///
+/// // Granularity must be a power of two no larger than the bit-vector limit.
+/// assert_eq!(
+///     DbiConfig::new(32 * 1024, Alpha::HALF, 48, 16, DbiReplacementPolicy::Lrw),
+///     Err(DbiConfigError::InvalidGranularity(48))
+/// );
 /// # Ok(())
 /// # }
 /// ```
@@ -182,7 +180,6 @@ pub struct DbiConfig {
     granularity: usize,
     associativity: usize,
     policy: DbiReplacementPolicy,
-    container: ContainerPolicy,
 }
 
 impl DbiConfig {
@@ -252,72 +249,13 @@ impl DbiConfig {
             granularity,
             associativity,
             policy,
-            container: ContainerPolicy::Adaptive,
         })
-    }
-
-    /// Replaces the size ratio, revalidating the geometry.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DbiConfig::new`].
-    pub fn with_alpha(self, alpha: Alpha) -> Result<DbiConfig, DbiConfigError> {
-        DbiConfig::new(
-            self.cache_blocks,
-            alpha,
-            self.granularity,
-            self.associativity,
-            self.policy,
-        )
-        .map(|c| c.with_container(self.container))
-    }
-
-    /// Replaces the granularity, revalidating the geometry.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DbiConfig::new`].
-    pub fn with_granularity(self, granularity: usize) -> Result<DbiConfig, DbiConfigError> {
-        DbiConfig::new(
-            self.cache_blocks,
-            self.alpha,
-            granularity,
-            self.associativity,
-            self.policy,
-        )
-        .map(|c| c.with_container(self.container))
-    }
-
-    /// Replaces the associativity, revalidating the geometry.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DbiConfig::new`].
-    pub fn with_associativity(self, associativity: usize) -> Result<DbiConfig, DbiConfigError> {
-        DbiConfig::new(
-            self.cache_blocks,
-            self.alpha,
-            self.granularity,
-            associativity,
-            self.policy,
-        )
-        .map(|c| c.with_container(self.container))
     }
 
     /// Replaces the replacement policy (always valid).
     #[must_use]
     pub fn with_policy(mut self, policy: DbiReplacementPolicy) -> DbiConfig {
         self.policy = policy;
-        self
-    }
-
-    /// Replaces the dirty-container policy (always valid). The default,
-    /// [`ContainerPolicy::Adaptive`], switches each entry's representation
-    /// to the cheapest of dense words / sparse list / run-length as it
-    /// mutates; `DenseOnly`/`SparseOnly` pin it for ablations.
-    #[must_use]
-    pub fn with_container(mut self, container: ContainerPolicy) -> DbiConfig {
-        self.container = container;
         self
     }
 
@@ -349,12 +287,6 @@ impl DbiConfig {
     #[must_use]
     pub fn policy(&self) -> DbiReplacementPolicy {
         self.policy
-    }
-
-    /// The configured dirty-container policy.
-    #[must_use]
-    pub fn container(&self) -> ContainerPolicy {
-        self.container
     }
 
     /// Cumulative number of blocks the DBI can track
@@ -406,19 +338,18 @@ mod tests {
     fn alpha_apply_rounds_down() {
         let a = Alpha::new(1, 3).unwrap();
         assert_eq!(a.apply(100), 33);
-        assert!((a.as_f64() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn granularity_must_be_power_of_two() {
-        let c = DbiConfig::for_cache_blocks(32 * 1024).unwrap();
+        let with = |g| DbiConfig::new(32 * 1024, Alpha::QUARTER, g, 16, DbiReplacementPolicy::Lrw);
         assert!(matches!(
-            c.with_granularity(48),
+            with(48),
             Err(DbiConfigError::InvalidGranularity(48))
         ));
-        assert!(c.with_granularity(1024).is_err());
-        assert!(c.with_granularity(0).is_err());
-        assert!(c.with_granularity(128).is_ok());
+        assert!(with(1024).is_err());
+        assert!(with(0).is_err());
+        assert!(with(128).is_ok());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The Dirty-Block Index structure.
 
 use crate::config::DbiConfig;
-use crate::container::DirtyContainer;
+use crate::container::{ContainerPolicy, DirtyContainer};
 use crate::replacement::PolicyState;
 use crate::stats::DbiStats;
 use crate::{BlockAddr, RowId};
@@ -180,7 +180,6 @@ impl Dbi {
 
         // Row miss: install a new entry, evicting if the set is full.
         let granularity = self.config.granularity();
-        let container = self.config.container();
         let Set { ways, policy } = &mut self.sets[set_idx];
         let (way, evicted) = match ways.iter().position(Option::is_none) {
             Some(free) => (free, None),
@@ -193,7 +192,7 @@ impl Dbi {
             }
         };
 
-        let mut bits = DirtyContainer::new(granularity, container);
+        let mut bits = DirtyContainer::new(granularity, ContainerPolicy::Adaptive);
         bits.set(offset);
         ways[way] = Some(Entry { row, bits });
         policy.on_insert(way);
@@ -330,44 +329,10 @@ impl Dbi {
         })
     }
 
-    /// Iterates over the DRAM rows that currently have at least one dirty
-    /// block (one per valid entry), in no particular order.
-    ///
-    /// This is the "fast lookup for dirty status" primitive of the paper's
-    /// Section 7: questions like "does DRAM bank X hold any dirty blocks?"
-    /// reduce to scanning these row ids (bank = row mod banks under
-    /// row-striped mappings) instead of the whole tag store — useful for
-    /// opportunistic write scheduling and DMA coherence.
-    pub fn dirty_rows(&self) -> impl Iterator<Item = RowId> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|set| set.ways.iter().flatten().map(|e| e.row))
-    }
-
-    /// Whether any dirty block lives in a row satisfying `pred` — e.g.
-    /// `|row| row % 8 == bank` answers "does bank `bank` have dirty
-    /// blocks?" with one pass over the (small) DBI.
-    #[must_use]
-    pub fn any_dirty_rows(&self, pred: impl FnMut(RowId) -> bool) -> bool {
-        self.dirty_rows().any(pred)
-    }
-
     /// Number of blocks currently marked dirty.
     #[must_use]
     pub fn dirty_count(&self) -> u64 {
         self.dirty_blocks
-    }
-
-    /// Modeled metadata bytes of all valid entries' dirty containers (see
-    /// [`DirtyContainer::metadata_bytes`]) — the quantity the GB-scale
-    /// DRAM-cache figure compares across container policies.
-    #[must_use]
-    pub fn metadata_bytes(&self) -> u64 {
-        self.sets
-            .iter()
-            .flat_map(|s| s.ways.iter().flatten())
-            .map(|e| e.bits.metadata_bytes() as u64)
-            .sum()
     }
 
     /// Number of valid entries.
@@ -472,7 +437,6 @@ impl crate::snap::Snapshot for Dbi {
         use crate::snap::SnapError;
         r.expect_len("DBI sets", self.sets.len())?;
         let granularity = self.config.granularity();
-        let container = self.config.container();
         let n_sets = self.sets.len() as u64;
         let mut total = 0u64;
         for (si, set) in self.sets.iter_mut().enumerate() {
@@ -485,7 +449,7 @@ impl crate::snap::Snapshot for Dbi {
                             "DBI entry for row {row} restored into set {si}"
                         )));
                     }
-                    let mut bits = DirtyContainer::new(granularity, container);
+                    let mut bits = DirtyContainer::new(granularity, ContainerPolicy::Adaptive);
                     bits.restore(r)?;
                     if bits.is_empty() {
                         return Err(SnapError::Corrupt(format!(

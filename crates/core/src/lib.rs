@@ -47,11 +47,9 @@ mod config;
 mod container;
 mod dbi;
 mod dirty_store;
-mod metadata;
 mod replacement;
 pub mod snap;
 mod stats;
-mod subblock;
 
 pub use crate::config::{Alpha, DbiConfig, DbiConfigError};
 pub use crate::container::{
@@ -59,11 +57,9 @@ pub use crate::container::{
 };
 pub use crate::dbi::{Dbi, EvictedRow, MarkOutcome};
 pub use crate::dirty_store::{DirtyStore, ReprCensus};
-pub use crate::metadata::{MetaDbi, MetaMarkOutcome};
 pub use crate::replacement::{DbiReplacementPolicy, BIP_EPSILON_RECIPROCAL};
 pub use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 pub use crate::stats::DbiStats;
-pub use crate::subblock::SubBlockDbi;
 
 /// Index of a cache block in the physical address space.
 ///

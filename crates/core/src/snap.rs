@@ -19,8 +19,8 @@
 //! stale file from an old schema): every decode error is a recoverable
 //! [`SnapError`], never a panic, so callers can fall back to a cold start.
 
-/// 64-bit FNV-1a over `bytes` — the same hash the result store uses for
-/// fingerprints, kept dependency-free.
+/// 64-bit FNV-1a over `bytes` — the snapshot checksum, and the hash the
+/// result store uses for fingerprints and entry checksums.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -132,15 +132,6 @@ impl SnapWriter {
     pub fn bytes(&mut self, x: &[u8]) {
         self.usize(x.len());
         self.buf.extend_from_slice(x);
-    }
-
-    /// Appends a length-prefixed slice of `u64` words — the bulk encoding
-    /// for bitmap state (per-set dirty words, SSV words).
-    pub fn u64s(&mut self, xs: &[u64]) {
-        self.usize(xs.len());
-        for &x in xs {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -289,22 +280,6 @@ impl<'a> SnapReader<'a> {
         self.take(n)
     }
 
-    /// Fills `out` from a length-prefixed `u64` slice written by
-    /// [`SnapWriter::u64s`], validating the stored length against
-    /// `out.len()` (the structure-never-comes-from-the-stream rule).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Mismatch`] naming `what` on a length disagreement,
-    /// [`SnapError::Truncated`] at end of stream.
-    pub fn fill_u64s(&mut self, what: &'static str, out: &mut [u64]) -> Result<(), SnapError> {
-        self.expect_len(what, out.len())?;
-        for slot in out {
-            *slot = self.u64()?;
-        }
-        Ok(())
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     ///
     /// # Errors
@@ -447,27 +422,6 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), (-0.125f64).to_bits());
         assert_eq!(r.str().unwrap(), "hello");
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn u64_slices_round_trip_and_validate_length() {
-        let words = [0u64, u64::MAX, 0xA5A5_A5A5_A5A5_A5A5];
-        let mut w = SnapWriter::new();
-        w.u64s(&words);
-        let bytes = w.finish();
-
-        let mut out = [0u64; 3];
-        let mut r = SnapReader::new(&bytes).unwrap();
-        r.fill_u64s("words", &mut out).unwrap();
-        r.finish().unwrap();
-        assert_eq!(out, words);
-
-        let mut wrong = [0u64; 2];
-        let mut r = SnapReader::new(&bytes).unwrap();
-        assert!(matches!(
-            r.fill_u64s("words", &mut wrong),
-            Err(SnapError::Mismatch { what: "words", .. })
-        ));
     }
 
     #[test]

@@ -46,7 +46,7 @@ mod write_buffer;
 
 pub use crate::controller::{ActivateEvent, DramStats, MemoryController};
 pub use crate::energy::{DramEnergy, EnergyModel};
-pub use crate::mapping::{AddressMapping, Location};
+pub use crate::mapping::AddressMapping;
 pub use crate::timing::DramTiming;
 pub use crate::timing::{REFRESH_T_REFI, REFRESH_T_RFC};
 pub use crate::write_buffer::WriteBuffer;

@@ -2,17 +2,6 @@
 
 use crate::BlockAddr;
 
-/// Where a block lives in DRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Location {
-    /// Bank index.
-    pub bank: u32,
-    /// Row index within the bank.
-    pub row: u64,
-    /// Column (block offset within the row).
-    pub col: u32,
-}
-
 /// Row-interleaved block → (bank, row, column) mapping, as in the paper's
 /// DRAM controller ("open row, row interleaving"): consecutive blocks fill a
 /// row, consecutive rows stripe across banks.
@@ -36,9 +25,11 @@ pub struct Location {
 /// use dram_sim::AddressMapping;
 ///
 /// let m = AddressMapping::new(8, 128);
-/// let loc = m.locate(128 * 8 + 5); // row 8 -> second trip around the banks
-/// assert_eq!((loc.bank, loc.row, loc.col), (0, 1, 5));
-/// assert_eq!(AddressMapping::bank_group(loc.bank, 4), 0);
+/// let row = m.global_row(128 * 9 + 5); // block 5 of global row 9
+/// assert_eq!(row, 9);
+/// let bank = (row % u64::from(m.banks())) as u32; // second trip around the banks
+/// assert_eq!(bank, 1);
+/// assert_eq!(AddressMapping::bank_group(bank, 4), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapping {
@@ -53,8 +44,8 @@ impl AddressMapping {
     /// Degenerate parameters (zero banks or zero blocks per row) are
     /// representable — a `DramConfig` carrying them is rejected with a
     /// typed [`DramConfigError`](crate::DramConfigError) when a controller
-    /// is built — but [`AddressMapping::locate`] on such a mapping divides
-    /// by zero.
+    /// is built — but [`AddressMapping::global_row`] on such a mapping
+    /// divides by zero.
     #[must_use]
     pub fn new(banks: u32, blocks_per_row: u32) -> Self {
         AddressMapping {
@@ -84,26 +75,15 @@ impl AddressMapping {
         bank % bank_groups
     }
 
-    /// DRAM coordinates of `block`.
+    /// The global row id of `block` (bank and row combined) — blocks with
+    /// equal global rows are spatially co-located in one row buffer.
     ///
     /// # Panics
     ///
-    /// Divides by zero on a degenerate mapping (zero banks or zero blocks
-    /// per row) — build controllers through
+    /// Divides by zero on a degenerate mapping (zero blocks per row) —
+    /// build controllers through
     /// [`MemoryController::try_new`](crate::MemoryController::try_new) to
     /// reject those configurations up front.
-    #[must_use]
-    pub fn locate(&self, block: BlockAddr) -> Location {
-        let global_row = block / u64::from(self.blocks_per_row);
-        Location {
-            bank: (global_row % u64::from(self.banks)) as u32,
-            row: global_row / u64::from(self.banks),
-            col: (block % u64::from(self.blocks_per_row)) as u32,
-        }
-    }
-
-    /// The global row id of `block` (bank and row combined) — blocks with
-    /// equal global rows are spatially co-located in one row buffer.
     #[must_use]
     pub fn global_row(&self, block: BlockAddr) -> u64 {
         block / u64::from(self.blocks_per_row)
@@ -114,11 +94,28 @@ impl AddressMapping {
 mod tests {
     use super::*;
 
+    /// Where a block lives in a one-channel DRAM: the stripe the
+    /// controller routes by.
+    struct Location {
+        bank: u32,
+        row: u64,
+        col: u32,
+    }
+
+    fn locate(m: &AddressMapping, block: BlockAddr) -> Location {
+        let global_row = m.global_row(block);
+        Location {
+            bank: (global_row % u64::from(m.banks())) as u32,
+            row: global_row / u64::from(m.banks()),
+            col: (block % u64::from(m.blocks_per_row())) as u32,
+        }
+    }
+
     #[test]
     fn co_located_blocks_share_bank_and_row() {
         let m = AddressMapping::new(8, 128);
-        let a = m.locate(1000);
-        let b = m.locate(1001);
+        let a = locate(&m, 1000);
+        let b = locate(&m, 1001);
         assert_eq!(a.bank, b.bank);
         assert_eq!(a.row, b.row);
         assert_eq!(a.col + 1, b.col);
@@ -129,7 +126,7 @@ mod tests {
     fn consecutive_rows_stripe_across_banks() {
         let m = AddressMapping::new(8, 128);
         for r in 0..16u64 {
-            let loc = m.locate(r * 128);
+            let loc = locate(&m, r * 128);
             assert_eq!(u64::from(loc.bank), r % 8);
             assert_eq!(loc.row, r / 8);
             assert_eq!(loc.col, 0);

@@ -82,17 +82,9 @@ impl WriteBuffer {
         out.append(&mut self.pending);
     }
 
-    /// Removes and returns the `n` oldest pending writes (all of them if
-    /// fewer are pending), preserving arrival order — the partial drain a
-    /// watermark policy performs.
-    pub fn drain_oldest(&mut self, n: usize) -> Vec<BlockAddr> {
-        let mut out = Vec::new();
-        self.drain_oldest_into(n, &mut out);
-        out
-    }
-
-    /// [`drain_oldest`](WriteBuffer::drain_oldest) into a caller-provided
-    /// buffer, allocation-free.
+    /// Moves the `n` oldest pending writes (all of them if fewer are
+    /// pending) into `out`, preserving arrival order — the partial drain a
+    /// watermark policy performs, allocation-free.
     pub fn drain_oldest_into(&mut self, n: usize, out: &mut Vec<BlockAddr>) {
         let n = n.min(self.pending.len());
         out.extend(self.pending.drain(..n));
@@ -174,10 +166,13 @@ mod tests {
         for b in [5u64, 1, 9, 2] {
             wb.push(b);
         }
-        assert_eq!(wb.drain_oldest(2), vec![5, 1]);
+        let mut out = Vec::new();
+        wb.drain_oldest_into(2, &mut out);
+        assert_eq!(out, vec![5, 1]);
         assert_eq!(wb.len(), 2);
         assert!(wb.contains(9) && wb.contains(2));
-        assert_eq!(wb.drain_oldest(10), vec![9, 2]);
+        wb.drain_oldest_into(10, &mut out);
+        assert_eq!(out, vec![5, 1, 9, 2]);
         assert!(wb.is_empty());
     }
 

@@ -80,19 +80,6 @@ impl VersionChecker {
             Err(lost)
         }
     }
-
-    /// Number of distinct blocks ever stored to.
-    #[must_use]
-    pub fn stored_blocks(&self) -> usize {
-        self.latest.len()
-    }
-
-    /// Number of distinct *tracked* blocks whose writebacks reached DRAM
-    /// (untracked writebacks are not recorded — see `record_dram_write`).
-    #[must_use]
-    pub fn dram_blocks(&self) -> usize {
-        self.in_dram.len()
-    }
 }
 
 fn snapshot_map(map: &HashMap<u64, u64>, w: &mut dbi::snap::SnapWriter) {
@@ -149,7 +136,7 @@ mod tests {
         c.record_store(5);
         c.record_dram_write(5);
         assert!(c.verify().is_ok());
-        assert_eq!(c.stored_blocks(), 1);
+        assert_eq!(c.latest.len(), 1);
     }
 
     #[test]
@@ -189,10 +176,10 @@ mod tests {
         let mut c = VersionChecker::new();
         c.record_dram_write(1);
         c.record_dram_write(2);
-        assert_eq!(c.dram_blocks(), 0, "untracked blocks are not recorded");
+        assert_eq!(c.in_dram.len(), 0, "untracked blocks are not recorded");
         c.record_store(1);
         c.record_dram_write(1);
-        assert_eq!(c.dram_blocks(), 1);
+        assert_eq!(c.in_dram.len(), 1);
         assert!(c.verify().is_ok());
     }
 

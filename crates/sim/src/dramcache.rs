@@ -494,24 +494,11 @@ impl GbDramCache {
         self.fifo.len() as u64
     }
 
-    /// Resident blocks.
-    #[must_use]
-    pub fn resident_blocks(&self) -> u64 {
-        self.presence.dirty_count()
-    }
-
     /// Modeled metadata bytes: presence plus dirty containers. This is the
     /// figure-of-merit the container policies compete on.
     #[must_use]
     pub fn metadata_bytes(&self) -> u64 {
         self.presence.metadata_bytes() + self.dirty.metadata_bytes()
-    }
-
-    /// Hit ratio of the sampled tag array, if any sampled set was probed.
-    #[must_use]
-    pub fn sampled_hit_ratio(&self) -> Option<f64> {
-        (self.stats.sampled_lookups > 0)
-            .then(|| self.stats.sampled_hits as f64 / self.stats.sampled_lookups as f64)
     }
 
     /// Accumulated counters.
@@ -791,7 +778,7 @@ mod tests {
         assert!(!gb.read(5, |_| panic!("no eviction")));
         assert!(gb.read(5, |_| panic!("no eviction")), "second read hits");
         assert_eq!(gb.resident_rows(), 1);
-        assert_eq!(gb.resident_blocks(), 1);
+        assert_eq!(gb.presence.dirty_count(), 1);
         assert_eq!(gb.dirty().count(), 0);
         assert_eq!(gb.dirty().is_dirty(5), Some(false));
         assert_eq!(gb.dirty().is_dirty(6), None, "not resident");
@@ -810,7 +797,7 @@ mod tests {
         assert_eq!(gb.flush(|b| out.push(b)), 2);
         assert_eq!(out, vec![64 + 3, 64 + 9]);
         assert_eq!(gb.dirty().count(), 0);
-        assert_eq!(gb.resident_blocks(), 2, "flush cleans, doesn't evict");
+        assert_eq!(gb.presence.dirty_count(), 2, "flush cleans, doesn't evict");
         gb.assert_invariants();
     }
 
@@ -890,7 +877,6 @@ mod tests {
         gb.read(0, |_| ());
         assert_eq!(gb.stats().sampled_lookups, 2, "row 1 skips the sample");
         assert_eq!(gb.stats().sampled_hits, 1);
-        assert_eq!(gb.sampled_hit_ratio(), Some(0.5));
     }
 
     #[test]

@@ -144,20 +144,6 @@ impl<'a> SimSession<'a> {
         }
     }
 
-    /// Starts a session from pre-built options.
-    #[must_use]
-    pub fn with_options(
-        mix: &'a WorkloadMix,
-        config: &'a SystemConfig,
-        options: RunOptions<'a>,
-    ) -> SimSession<'a> {
-        SimSession {
-            mix,
-            config,
-            options,
-        }
-    }
-
     /// Resume from `bytes` captured by a previous suspension.
     #[must_use]
     pub fn resume(mut self, bytes: &'a [u8]) -> Self {

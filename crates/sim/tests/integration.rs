@@ -18,6 +18,7 @@ fn small_config(cores: usize, mechanism: Mechanism) -> SystemConfig {
     c.measure_insts = 300_000;
     c.predictor_epoch_cycles = 100_000;
     c.check = true;
+    c.sanitize = true;
     c
 }
 
@@ -35,6 +36,8 @@ fn no_mechanism_loses_dirty_data() {
             "{mechanism}: lost writes: {:?}",
             check.unwrap_err().len()
         );
+        let report = result.sanitizer.as_ref().expect("sanitizer enabled");
+        assert!(report.is_clean(), "{mechanism}: {report}");
     }
 }
 
@@ -57,6 +60,8 @@ fn no_mechanism_loses_dirty_data_multicore() {
             result.check.expect("checker enabled").is_ok(),
             "{mechanism}: lost dirty data in a 2-core run"
         );
+        let report = result.sanitizer.as_ref().expect("sanitizer enabled");
+        assert!(report.is_clean(), "{mechanism}, 2 cores: {report}");
         assert_eq!(result.cores.len(), 2);
         for core in &result.cores {
             assert!(core.insts >= config.measure_insts);
@@ -181,8 +186,10 @@ fn clb_bypasses_llc_misses_for_thrashing_workloads() {
         friendly_pki < thrash_pki / 3.0,
         "bzip2 bypass rate {friendly_pki:.1} PKI should be far below libquantum's {thrash_pki:.1} PKI"
     );
-    // Correctness under bypass is covered by the checker.
+    // Correctness under bypass is covered by the checker and sanitizer.
     assert!(thrash.check.expect("enabled").is_ok());
+    let report = thrash.sanitizer.as_ref().expect("sanitizer enabled");
+    assert!(report.is_clean(), "libquantum under CLB: {report}");
 }
 
 #[test]
@@ -267,6 +274,8 @@ fn drrip_llc_works_with_every_dbi_variant() {
             r.check.expect("checker on").is_ok(),
             "{mechanism} under DRRIP lost dirty data"
         );
+        let report = r.sanitizer.as_ref().expect("sanitizer enabled");
+        assert!(report.is_clean(), "{mechanism} under DRRIP: {report}");
         assert!(r.cores[0].ipc() > 0.0);
     }
 }
@@ -287,6 +296,8 @@ fn stress_many_seeds_and_mechanisms() {
                 r.check.expect("checker on").is_ok(),
                 "{mechanism} seed {seed} lost dirty data"
             );
+            let report = r.sanitizer.as_ref().expect("sanitizer enabled");
+            assert!(report.is_clean(), "{mechanism} seed {seed}: {report}");
         }
     }
 }
@@ -309,6 +320,8 @@ fn l2_dbi_extension_preserves_correctness_and_batches_writebacks() {
         r.check.expect("checker on").is_ok(),
         "L2 DBI lost dirty data"
     );
+    let report = r.sanitizer.as_ref().expect("sanitizer enabled");
+    assert!(report.is_clean(), "L2 DBI: {report}");
     assert!(r.llc.writebacks_received > 0);
 
     // And under every base mechanism, since the L2 organization is
@@ -321,5 +334,7 @@ fn l2_dbi_extension_preserves_correctness_and_batches_writebacks() {
             r.check.expect("checker on").is_ok(),
             "{mechanism} with L2 DBI lost dirty data"
         );
+        let report = r.sanitizer.as_ref().expect("sanitizer enabled");
+        assert!(report.is_clean(), "{mechanism} with L2 DBI: {report}");
     }
 }

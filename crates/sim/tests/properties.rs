@@ -24,15 +24,16 @@ fn tiny_config(mechanism: Mechanism, seed: u64, llc_kb: u64) -> SystemConfig {
     c.predictor_epoch_cycles = 50_000;
     c.seed = seed;
     c.check = true;
+    c.sanitize = true;
     c
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The shadow-memory checker passes for every (mechanism, benchmark,
-    /// seed, LLC size) combination — randomized coverage of the paper's
-    /// correctness contract.
+    /// The shadow-memory checker and the invariant sanitizer pass for
+    /// every (mechanism, benchmark, seed, LLC size) combination —
+    /// randomized coverage of the paper's correctness contract.
     #[test]
     fn no_dirty_data_lost_anywhere(
         mechanism in mechanism_strategy(),
@@ -48,6 +49,8 @@ proptest! {
             "{mechanism} on {benchmark} (seed {seed}, {llc_kb} KB LLC) lost {} writes",
             check.unwrap_err().len()
         );
+        let report = result.sanitizer.as_ref().expect("sanitizer enabled");
+        prop_assert!(report.is_clean(), "{mechanism} on {benchmark} (seed {seed}, {llc_kb} KB LLC): {}", report);
     }
 
     /// Identical configurations produce bit-identical results; different

@@ -32,7 +32,6 @@
 //! assert!(record.gap < 10_000);
 //! ```
 
-pub mod file;
 mod generator;
 pub mod mix;
 mod profiles;

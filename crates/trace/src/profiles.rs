@@ -51,14 +51,6 @@ pub struct ProfileParams {
     pub footprint_blocks: u64,
 }
 
-impl ProfileParams {
-    /// Fraction of accesses that go past the hot and warm tiers.
-    #[must_use]
-    pub fn cold_fraction(&self) -> f64 {
-        (1.0 - self.hot_fraction - self.warm_fraction).max(0.0)
-    }
-}
-
 /// Read or write intensity class, the axes of the paper's 3×3 workload
 /// grid (Section 5, "Benchmarks and Workloads").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -335,10 +327,10 @@ impl Benchmark {
     /// Memory-bound read pressure per kilo-instruction this profile exerts
     /// past its hot and warm sets (the read-intensity proxy used for
     /// classification).
-    #[must_use]
-    pub fn read_pressure(self) -> f64 {
+    fn read_pressure(self) -> f64 {
         let p = self.profile();
-        p.accesses_per_kilo_inst * (1.0 - p.write_fraction) * p.cold_fraction()
+        let cold_fraction = (1.0 - p.hot_fraction - p.warm_fraction).max(0.0);
+        p.accesses_per_kilo_inst * (1.0 - p.write_fraction) * cold_fraction
     }
 
     /// Write pressure per kilo-instruction past the hot set (warm + cold

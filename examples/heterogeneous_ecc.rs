@@ -4,31 +4,14 @@
 //! can be re-fetched from memory. Dirty blocks hold the only copy, so they
 //! need error *correction*. Since the DBI is the authoritative source of
 //! dirtiness, it is sufficient to keep strong ECC for exactly the blocks
-//! the DBI tracks. This example walks the arithmetic of Table 4 and then
-//! demonstrates the mechanism with a [`MetaDbi`] carrying per-dirty-block
-//! ECC codes.
+//! the DBI tracks. This example walks the arithmetic of Table 4 and the
+//! capacity bound that makes it work: the strong-ECC store needs one entry
+//! per block the DBI can track, not one per cache block.
 //!
 //! Run with: `cargo run --release --example heterogeneous_ecc`
 
 use dbi_repro::area::storage::{CacheStorage, EccMode};
-use dbi_repro::dbi::{Alpha, DbiConfig, MetaDbi};
-
-/// A toy Hamming-style code over a 64-bit word: check bit `i` is the
-/// parity of data bits whose position has bit `i` set — stands in for the
-/// per-block SECDED code the hardware would store.
-fn secded(data: u64) -> u8 {
-    let mut code = 0u8;
-    for check in 0..6u32 {
-        let mut parity = 0u32;
-        for pos in 0..64u32 {
-            if pos & (1 << check) != 0 {
-                parity ^= (data >> pos) as u32 & 1;
-            }
-        }
-        code |= (parity as u8) << check;
-    }
-    code
-}
+use dbi_repro::dbi::{Alpha, DbiConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
@@ -52,36 +35,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  (paper: -44% tag store, -7% cache, at alpha = 1/4 with ECC)\n");
 
     // ------------------------------------------------------------------
-    // 2. The mechanism: ECC lives only with DBI-tracked (dirty) blocks.
+    // 2. The capacity bound: strong ECC is needed only for the blocks the
+    //    DBI can mark dirty, so the ECC side-store is sized by alpha, not
+    //    by the cache — the paper's property 3.
     // ------------------------------------------------------------------
-    let mut ecc_store: MetaDbi<u8> = MetaDbi::new(DbiConfig::for_cache_blocks(4096)?);
-
-    // A store dirties a block: compute and attach its correction code.
-    let block = 3 * 64 + 5;
-    let data = 0xDEAD_BEEF_0123_4567u64;
-    ecc_store.mark_dirty(block, secded(data));
+    let config = DbiConfig::for_cache_blocks(storage.blocks())?;
+    let capacity = config.tracked_blocks();
+    assert_eq!(capacity, Alpha::QUARTER.apply(config.cache_blocks()));
     println!(
-        "block {block} dirtied: SECDED code {:#04x} stored in the DBI side-store",
-        secded(data)
-    );
-
-    // A read of a *clean* block needs no correction state at all:
-    assert_eq!(ecc_store.metadata(block + 1), None);
-
-    // On eviction (or DBI eviction), the code travels with the writeback
-    // and is dropped once memory holds the data:
-    let code = ecc_store.clear_dirty(block).expect("was dirty");
-    assert_eq!(code, secded(data));
-    println!("block {block} written back: correction code retired with it");
-
-    // Capacity story: the ECC side-store is bounded by alpha, not by the
-    // cache size — the paper's property 3.
-    let capacity = ecc_store.dbi().config().tracked_blocks();
-    println!(
-        "\nECC entries needed: at most {capacity} (alpha = {} of {} blocks), not {}",
-        ecc_store.dbi().config().alpha(),
-        ecc_store.dbi().config().cache_blocks(),
-        ecc_store.dbi().config().cache_blocks(),
+        "ECC entries needed: at most {capacity} (alpha = {} of {} blocks), not {}",
+        config.alpha(),
+        config.cache_blocks(),
+        config.cache_blocks(),
     );
     Ok(())
 }

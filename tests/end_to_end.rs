@@ -16,6 +16,7 @@ fn small_config(cores: usize, mechanism: Mechanism) -> SystemConfig {
     c.warmup_insts = 250_000;
     c.measure_insts = 250_000;
     c.check = true;
+    c.sanitize = true;
     c
 }
 
@@ -50,6 +51,11 @@ fn dbi_mechanisms_preserve_memory_contents() {
             assert!(
                 r.check.expect("checker on").is_ok(),
                 "lost writes with policy {policy}, awb={awb}, clb={clb}"
+            );
+            let report = r.sanitizer.as_ref().expect("sanitizer enabled");
+            assert!(
+                report.is_clean(),
+                "policy {policy}, awb={awb}, clb={clb}: {report}"
             );
         }
     }
@@ -103,6 +109,8 @@ fn multiprogrammed_mixes_run_and_verify() {
         let r = run_mix(mix, &config);
         assert_eq!(r.cores.len(), 2, "{mix}");
         assert!(r.check.expect("checker on").is_ok(), "{mix}");
+        let report = r.sanitizer.as_ref().expect("sanitizer enabled");
+        assert!(report.is_clean(), "{mix}: {report}");
         assert!(r.cores.iter().all(|c| c.ipc() > 0.0), "{mix}");
     }
 }
@@ -124,6 +132,9 @@ fn dbi_size_bounds_dirty_blocks_in_system_context() {
     let dbi_stats = r.dbi.expect("DBI stats present");
     // Evictions occurred, meaning the bound was enforced under pressure.
     assert!(dbi_stats.entry_evictions > 0);
+    // The sanitizer's alpha-bound invariant checked it throughout the run.
+    let report = r.sanitizer.as_ref().expect("sanitizer enabled");
+    assert!(report.is_clean(), "{report}");
 }
 
 #[test]
