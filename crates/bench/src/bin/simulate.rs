@@ -14,7 +14,7 @@
 
 use cache_sim::CacheConfig;
 use dbi::Alpha;
-use system_sim::{run_mix, Mechanism, SystemConfig};
+use system_sim::{Mechanism, System, SystemConfig};
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
@@ -172,7 +172,9 @@ fn run() -> Result<(), String> {
 
     let mix = WorkloadMix::new(benchmarks);
     eprintln!("running {mix} under {mechanism} ({cores} core(s), {llc_mb} MB/core LLC)...");
-    let result = run_mix(&mix, &config);
+    let result = System::try_new(&mix, &config)
+        .map_err(|e| format!("cannot allocate a {llc_mb} MB/core LLC: {e}"))?
+        .run();
 
     println!("mechanism     : {mechanism}");
     println!("workload      : {mix}");

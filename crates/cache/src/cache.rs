@@ -21,6 +21,7 @@
 //! dirty word — each eight ways per `u64` word (SWAR), with no
 //! element-by-element shifting of a recency stack.
 
+use std::collections::TryReserveError;
 use std::error::Error;
 use std::fmt;
 
@@ -473,27 +474,88 @@ pub struct Cache {
     stats: CacheStats,
 }
 
+/// Lengths of a cache's per-way and per-set arrays: (ways, LRU rank words,
+/// RRIP ways, RRIP sets).
+fn array_lens(config: &CacheConfig) -> (usize, usize, usize, usize) {
+    let blocks = usize::try_from(config.blocks()).unwrap_or(usize::MAX);
+    let (lru, rrip) = match config.replacement {
+        ReplacementKind::Lru => (blocks, 0),
+        ReplacementKind::Rrip => (0, blocks),
+    };
+    (
+        blocks,
+        lru / config.ways * config.ways.div_ceil(8),
+        rrip,
+        rrip / config.ways,
+    )
+}
+
+/// A vector of `n` copies of `value`, or the error if it cannot be
+/// allocated.
+fn try_filled<T: Clone>(n: usize, value: T) -> Result<Vec<T>, TryReserveError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(n)?;
+    v.resize(n, value);
+    Ok(v)
+}
+
 impl Cache {
     /// Creates an empty cache.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let (blocks, sets) = (config.blocks() as usize, config.sets());
-        let (lru, rrip) = match config.replacement {
-            ReplacementKind::Lru => (blocks, 0),
-            ReplacementKind::Rrip => (0, blocks),
-        };
+        let (blocks, rank, rrip, rrip_sets) = array_lens(&config);
+        Cache::assemble(
+            config,
+            vec![EMPTY; blocks],
+            vec![0; blocks],
+            vec![0; rank],
+            vec![0; rrip],
+            vec![[0; 4]; rrip_sets],
+        )
+    }
+
+    /// Creates an empty cache, or fails without aborting when its tag
+    /// store cannot be allocated — for geometries that come from user
+    /// input. It touches every page of its arrays, where [`Cache::new`]
+    /// leaves the zeroed ones to be faulted in on first use.
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's error if any per-way or per-set array does
+    /// not fit in memory.
+    pub fn try_new(config: CacheConfig) -> Result<Self, TryReserveError> {
+        let (blocks, rank, rrip, rrip_sets) = array_lens(&config);
+        Ok(Cache::assemble(
+            config,
+            try_filled(blocks, EMPTY)?,
+            try_filled(blocks, 0)?,
+            try_filled(rank, 0)?,
+            try_filled(rrip, 0)?,
+            try_filled(rrip_sets, [0; 4])?,
+        ))
+    }
+
+    fn assemble(
+        config: CacheConfig,
+        tags: Vec<u32>,
+        threads: Vec<ThreadId>,
+        rank: Vec<u64>,
+        rrpv: Vec<u8>,
+        rrpv_cnt: Vec<[u8; 4]>,
+    ) -> Self {
+        let sets = config.sets();
         Cache {
             config,
             pow2_split: sets
                 .is_power_of_two()
                 .then(|| (sets - 1, sets.trailing_zeros())),
-            tags: vec![EMPTY; blocks],
-            threads: vec![0; blocks],
+            tags,
+            threads,
             valid: DirtyWords::per_word_slots(sets as usize),
             dirty: DirtyWords::per_word_slots(sets as usize),
-            rank: vec![0; lru / config.ways * config.ways.div_ceil(8)],
-            rrpv: vec![0; rrip],
-            rrpv_cnt: vec![[0; 4]; rrip / config.ways],
+            rank,
+            rrpv,
+            rrpv_cnt,
             stats: CacheStats::default(),
         }
     }
@@ -1271,6 +1333,23 @@ impl dbi::snap::Snapshot for Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn try_new_reports_a_tag_store_it_cannot_allocate() {
+        // 2^56 ways of 4-byte tags: more than a 47-bit address space holds.
+        let huge = CacheConfig::new(1 << 62, 16, 64).unwrap();
+        assert!(Cache::try_new(huge).is_err());
+        let config = CacheConfig::new(64 * 1024, 8, 64).unwrap();
+        let (mut a, mut b) = (Cache::new(config), Cache::try_new(config).unwrap());
+        for block in [3, 1 << 20, 77] {
+            a.fill(block, 0, InsertPos::Mru, true);
+            b.fill(block, 0, InsertPos::Mru, true);
+        }
+        assert_eq!(
+            a.blocks().collect::<Vec<_>>(),
+            b.blocks().collect::<Vec<_>>()
+        );
+    }
 
     fn tiny(ways: usize) -> Cache {
         // 4 sets x `ways` ways, 64 B blocks.

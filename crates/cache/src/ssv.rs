@@ -64,6 +64,18 @@ impl SetStateVector {
         self.words.get(set.raw())
     }
 
+    /// The SSV bits of sets `64 * i .. 64 * i + 64`, set `64 * i` in bit 0
+    /// (bits past the last set are 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word is out of range.
+    #[must_use]
+    #[inline]
+    pub fn word(&self, i: usize) -> u64 {
+        self.words.word(i)
+    }
+
     /// Recomputes the bit for the set containing `probe` from the cache's
     /// current contents, returning the new value.
     #[inline]

@@ -1,14 +1,23 @@
-//! The per-core engine: an approximate out-of-order window model plus the
-//! private L1/L2 cache levels.
+//! The per-core engine, in two halves: a front end with the trace source
+//! and the private L1/L2 cache levels, and a back end with an approximate
+//! out-of-order window model.
 //!
 //! The paper's simulator models single-issue out-of-order cores with a
-//! 128-entry instruction window and 32 MSHRs. This engine reproduces the
+//! 128-entry instruction window and 32 MSHRs. The back end reproduces the
 //! first-order behaviour of that core: non-memory instructions retire at
 //! one per cycle; loads issue to the hierarchy without stalling and overlap
 //! (memory-level parallelism) until either the window would have to pass an
 //! incomplete load by more than 128 instructions or all MSHRs are busy;
 //! stores retire through a store buffer and never stall the core, but their
 //! fills and writebacks exercise the hierarchy fully.
+//!
+//! The split follows the data flow. The LLC is non-inclusive and the
+//! cores share no data, so which level serves a core's access, and which
+//! blocks its L1/L2 evict to the LLC, depend only on that core's own
+//! trace. [`Front::step`] executes the next record on its back end
+//! directly. [`Front::produce`] only resolves it that far, so that
+//! [`CoreEngine::issue`], [`CoreEngine::access`] and
+//! [`CoreEngine::retire_load`] can replay it later, on another thread.
 
 use std::collections::VecDeque;
 
@@ -21,11 +30,56 @@ use crate::checker::VersionChecker;
 use crate::config::SystemConfig;
 use crate::llc::SharedLlc;
 
-/// One core: trace source, window state, private caches, counters.
-#[derive(Debug)]
-pub(crate) struct CoreEngine {
+/// The level that served a record's access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Served {
+    L1,
+    L2,
+    /// Missed both private levels: one LLC read.
+    Llc,
+}
+
+/// A record's memory access as its front end resolved it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Access {
+    /// Block address, with the core's region offset applied.
+    pub(crate) addr: u64,
+    pub(crate) write: bool,
+    pub(crate) served: Served,
+}
+
+/// Receives, in order, the blocks a core's L1/L2 fills write back to the
+/// LLC.
+pub(crate) trait Writebacks {
+    fn writeback(&mut self, block: u64);
+}
+
+/// Writebacks straight into the LLC, at the cycle of the record that
+/// caused them.
+pub(crate) struct ToLlc<'a> {
     pub(crate) thread: ThreadId,
-    pub(crate) benchmark: String,
+    pub(crate) cycle: u64,
+    pub(crate) llc: &'a mut SharedLlc,
+    pub(crate) dram: &'a mut MemoryController,
+    pub(crate) checker: Option<&'a mut VersionChecker>,
+}
+
+impl Writebacks for ToLlc<'_> {
+    fn writeback(&mut self, block: u64) {
+        self.llc.writeback(
+            block,
+            self.thread,
+            self.cycle,
+            self.dram,
+            self.checker.as_deref_mut(),
+        );
+    }
+}
+
+/// A core's front end: trace source and private caches.
+#[derive(Debug)]
+pub(crate) struct Front {
+    thread: ThreadId,
     generator: TraceGenerator,
     addr_offset: u64,
     l1: Cache,
@@ -34,6 +88,273 @@ pub(crate) struct CoreEngine {
     /// when present, L2 dirty bits live here and dirty evictions push
     /// whole-row batches of writebacks down to the LLC.
     l2_dbi: Option<Dbi>,
+    /// Reusable buffer for L2-DBI eviction sweeps, so per-eviction sweeps
+    /// do not allocate.
+    l2_sweep_scratch: Vec<u64>,
+}
+
+impl Front {
+    pub(crate) fn new(
+        thread: ThreadId,
+        generator: TraceGenerator,
+        addr_offset: u64,
+        config: &SystemConfig,
+    ) -> Self {
+        let l1 = Cache::new(
+            CacheConfig::new(config.l1_bytes, config.l1_ways, config.block_bytes)
+                .expect("valid L1 geometry"),
+        );
+        let l2 = Cache::new(
+            CacheConfig::new(config.l2_bytes, config.l2_ways, config.block_bytes)
+                .expect("valid L2 geometry"),
+        );
+        let l2_dbi = config.l2_dbi.then(|| {
+            let l2_blocks = config.l2_bytes / u64::from(config.block_bytes);
+            Dbi::new(config.dbi.build(l2_blocks).expect("valid L2 DBI geometry"))
+        });
+        Front {
+            thread,
+            generator,
+            addr_offset,
+            l1,
+            l2,
+            l2_dbi,
+            l2_sweep_scratch: Vec::new(),
+        }
+    }
+
+    /// The private caches, named by level.
+    pub(crate) fn private_caches(&self) -> [(&'static str, &Cache); 2] {
+        [("L1", &self.l1), ("L2", &self.l2)]
+    }
+
+    /// The most LLC writebacks one record can cause: an L2 fill's victim
+    /// and an L1 victim's L2 allocation, or under the L2 DBI up to three
+    /// whole-row batches.
+    pub(crate) fn max_writebacks(&self) -> usize {
+        self.l2_dbi
+            .as_ref()
+            .map_or(2, |d| 3 * d.config().granularity())
+    }
+
+    /// Executes the next trace record on `core`, its back end.
+    pub(crate) fn step(
+        &mut self,
+        core: &mut CoreEngine,
+        llc: &mut SharedLlc,
+        dram: &mut MemoryController,
+        mut checker: Option<&mut VersionChecker>,
+    ) {
+        let record = self.generator.next_record();
+        core.issue(record.gap, record.dependent);
+        let addr = record.addr + self.addr_offset;
+        let write = record.op == MemOp::Write;
+        let served = self.lookup(addr, write);
+        let access = Access {
+            addr,
+            write,
+            served,
+        };
+        let completion = core.access(access, llc, dram, checker.as_deref_mut());
+        if served != Served::L1 {
+            let mut to_llc = ToLlc {
+                thread: core.thread,
+                cycle: core.cycle,
+                llc,
+                dram,
+                checker,
+            };
+            self.fill(access, &mut to_llc);
+        }
+        if !write {
+            core.retire_load(completion);
+        }
+    }
+
+    /// Resolves the next trace record against L1 and L2 without executing
+    /// it: returns its gap, whether it is a dependent load, and its access,
+    /// and hands the writebacks its fills cause to `w`.
+    pub(crate) fn produce<W: Writebacks>(&mut self, w: &mut W) -> (u32, bool, Access) {
+        let record = self.generator.next_record();
+        let addr = record.addr + self.addr_offset;
+        let write = record.op == MemOp::Write;
+        let access = Access {
+            addr,
+            write,
+            served: self.lookup(addr, write),
+        };
+        self.fill(access, w);
+        (record.gap, record.dependent, access)
+    }
+
+    /// Which level serves an access to `addr`, updating its recency (and
+    /// for a store hitting L1, its dirty bit).
+    fn lookup(&mut self, addr: u64, write: bool) -> Served {
+        let l1_hit = if write {
+            self.l1.touch_dirty(addr)
+        } else {
+            self.l1.touch(addr)
+        };
+        if l1_hit {
+            Served::L1
+        } else if self.l2.touch(addr) {
+            Served::L2
+        } else {
+            Served::Llc
+        }
+    }
+
+    /// Installs a missed block in the private levels after its access.
+    /// Write-allocate: a store fetches the block (read-for-ownership)
+    /// without stalling the core, then installs it dirty in L1.
+    fn fill<W: Writebacks>(&mut self, a: Access, w: &mut W) {
+        match a.served {
+            Served::L1 => {}
+            Served::L2 => self.fill_l1(a.addr, a.write, w),
+            Served::Llc => {
+                self.fill_l2(a.addr, w);
+                self.fill_l1(a.addr, a.write, w);
+            }
+        }
+    }
+
+    fn fill_l1<W: Writebacks>(&mut self, addr: u64, dirty: bool, w: &mut W) {
+        if let Some(victim) = self.l1.fill(addr, self.thread, InsertPos::Mru, dirty) {
+            if victim.dirty {
+                self.l2_writeback(victim.block, w);
+            }
+        }
+    }
+
+    fn fill_l2<W: Writebacks>(&mut self, addr: u64, w: &mut W) {
+        if let Some(victim) = self.l2.fill(addr, self.thread, InsertPos::Mru, false) {
+            if self.l2_dbi.is_some() {
+                self.l2_evict(victim.block, w);
+            } else if victim.dirty {
+                w.writeback(victim.block);
+            }
+        }
+    }
+
+    fn l2_writeback<W: Writebacks>(&mut self, block: u64, w: &mut W) {
+        if self.l2_dbi.is_some() {
+            // L2 dirty bits live in the L2 DBI; the tag stays clean.
+            if !self.l2.touch(block) {
+                if let Some(victim) = self.l2.fill(block, self.thread, InsertPos::Mru, false) {
+                    self.l2_evict(victim.block, w);
+                }
+            }
+            // L2-DBI eviction: the whole row's dirty blocks go to the LLC
+            // as one batch (they stay resident in L2, clean).
+            let mut evicted = std::mem::take(&mut self.l2_sweep_scratch);
+            evicted.clear();
+            self.l2_dbi
+                .as_mut()
+                .expect("checked above")
+                .mark_dirty_into(block, &mut evicted);
+            for &b in &evicted {
+                w.writeback(b);
+            }
+            self.l2_sweep_scratch = evicted;
+            return;
+        }
+        if self.l2.touch_dirty(block) {
+            return;
+        }
+        // Allocate the writeback in L2; its victim may cascade to the LLC.
+        if let Some(victim) = self.l2.fill(block, self.thread, InsertPos::Mru, true) {
+            if victim.dirty {
+                w.writeback(victim.block);
+            }
+        }
+    }
+
+    /// Handles an L2 eviction under the L2-DBI organization: if the victim
+    /// is dirty, its whole row's dirty blocks are written back to the LLC
+    /// together (the row-batching the paper's Section 7 describes).
+    fn l2_evict<W: Writebacks>(&mut self, victim: u64, w: &mut W) {
+        let dbi = self.l2_dbi.as_mut().expect("L2 DBI organization");
+        if !dbi.clear_dirty(victim) {
+            return;
+        }
+        w.writeback(victim);
+        let mut co_dirty = std::mem::take(&mut self.l2_sweep_scratch);
+        co_dirty.clear();
+        co_dirty.extend(dbi.row_dirty_blocks(victim));
+        for &b in &co_dirty {
+            dbi.clear_dirty(b);
+            w.writeback(b);
+        }
+        self.l2_sweep_scratch = co_dirty;
+    }
+
+    /// Flushes the private levels: L1 dirty blocks into L2, then L2 dirty
+    /// blocks into the LLC through `w`. Used before verification.
+    pub(crate) fn flush_private<W: Writebacks>(&mut self, w: &mut W) {
+        let l1_dirty: Vec<u64> = self
+            .l1
+            .blocks()
+            .filter(|&(_, d, _)| d)
+            .map(|(b, _, _)| b)
+            .collect();
+        for b in l1_dirty {
+            self.l1.mark_dirty(b, false);
+            self.l2_writeback(b, w);
+        }
+        if let Some(dbi) = &mut self.l2_dbi {
+            dbi.flush_each(|_row, b| w.writeback(b));
+            return;
+        }
+        let l2_dirty: Vec<u64> = self
+            .l2
+            .blocks()
+            .filter(|&(_, d, _)| d)
+            .map(|(b, _, _)| b)
+            .collect();
+        for b in l2_dirty {
+            self.l2.mark_dirty(b, false);
+            w.writeback(b);
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn offset_for_test(&mut self, addr_offset: u64) {
+        self.addr_offset = addr_offset;
+    }
+}
+
+impl dbi::snap::Snapshot for Front {
+    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
+        // `l2_sweep_scratch` is cleared at the start of every sweep.
+        self.generator.snapshot(w);
+        self.l1.snapshot(w);
+        self.l2.snapshot(w);
+        match &self.l2_dbi {
+            Some(d) => {
+                w.bool(true);
+                d.snapshot(w);
+            }
+            None => w.bool(false),
+        }
+    }
+
+    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
+        self.generator.restore(r)?;
+        self.l1.restore(r)?;
+        self.l2.restore(r)?;
+        r.expect_bool("L2 DBI presence", self.l2_dbi.is_some())?;
+        if let Some(d) = &mut self.l2_dbi {
+            d.restore(r)?;
+        }
+        Ok(())
+    }
+}
+
+/// A core's back end: window state and counters.
+#[derive(Debug)]
+pub(crate) struct CoreEngine {
+    pub(crate) thread: ThreadId,
+    pub(crate) benchmark: String,
     window_insts: u64,
     mshrs: usize,
     l1_lat: u64,
@@ -51,47 +372,16 @@ pub(crate) struct CoreEngine {
     // measurement window).
     pub(crate) llc_reads: u64,
     pub(crate) llc_read_misses: u64,
-    /// Trace records executed (one per [`CoreEngine::step`] call), the unit
-    /// the perf-baseline harness reports throughput in.
+    /// Trace records executed (one per replayed access), the unit the
+    /// perf-baseline harness reports throughput in.
     pub(crate) records: u64,
-    /// Reusable buffer for L2-DBI eviction sweeps, so per-eviction sweeps
-    /// do not allocate.
-    l2_sweep_scratch: Vec<u64>,
 }
 
 impl CoreEngine {
-    /// The private caches, named by level.
-    pub(crate) fn private_caches(&self) -> [(&'static str, &Cache); 2] {
-        [("L1", &self.l1), ("L2", &self.l2)]
-    }
-
-    pub(crate) fn new(
-        thread: ThreadId,
-        benchmark: String,
-        generator: TraceGenerator,
-        addr_offset: u64,
-        config: &SystemConfig,
-    ) -> Self {
-        let l1 = Cache::new(
-            CacheConfig::new(config.l1_bytes, config.l1_ways, config.block_bytes)
-                .expect("valid L1 geometry"),
-        );
-        let l2 = Cache::new(
-            CacheConfig::new(config.l2_bytes, config.l2_ways, config.block_bytes)
-                .expect("valid L2 geometry"),
-        );
-        let l2_dbi = config.l2_dbi.then(|| {
-            let l2_blocks = config.l2_bytes / u64::from(config.block_bytes);
-            Dbi::new(config.dbi.build(l2_blocks).expect("valid L2 DBI geometry"))
-        });
+    pub(crate) fn new(thread: ThreadId, benchmark: String, config: &SystemConfig) -> Self {
         CoreEngine {
             thread,
             benchmark,
-            generator,
-            addr_offset,
-            l1,
-            l2,
-            l2_dbi,
             window_insts: config.window_insts,
             mshrs: config.mshrs,
             l1_lat: config.latencies.l1,
@@ -103,7 +393,6 @@ impl CoreEngine {
             llc_reads: 0,
             llc_read_misses: 0,
             records: 0,
-            l2_sweep_scratch: Vec::new(),
         }
     }
 
@@ -158,190 +447,52 @@ impl CoreEngine {
         }
     }
 
-    /// Executes one trace record against the hierarchy.
-    pub(crate) fn step(
-        &mut self,
-        llc: &mut SharedLlc,
-        dram: &mut MemoryController,
-        mut checker: Option<&mut VersionChecker>,
-    ) {
-        let record = self.generator.next_record();
+    /// Retires the `gap` instructions before a record's access and the
+    /// access's own; a `dependent` load (pointer chase) then waits for the
+    /// previous load's data.
+    pub(crate) fn issue(&mut self, gap: u32, dependent: bool) {
         self.records += 1;
-        self.advance(u64::from(record.gap) + 1); // gap + the memory instruction
-        let addr = record.addr + self.addr_offset;
-        match record.op {
-            MemOp::Read => {
-                if record.dependent {
-                    // A dependent load (pointer chase) cannot issue until
-                    // the previous load's data has returned.
-                    self.cycle = self.cycle.max(self.last_load_completion);
-                }
-                let completion = self.read_path(addr, llc, dram, checker);
-                self.last_load_completion = self.last_load_completion.max(completion);
-                self.note_load(completion);
-            }
-            MemOp::Write => {
-                if let Some(c) = checker.as_deref_mut() {
-                    c.record_store(addr);
-                }
-                self.write_path(addr, llc, dram, checker);
-            }
+        self.advance(u64::from(gap) + 1);
+        if dependent {
+            self.cycle = self.cycle.max(self.last_load_completion);
         }
     }
 
-    fn read_path(
+    /// Performs the access at the current cycle and returns when its data
+    /// arrives: after the serving level's latency, or from the LLC, whose
+    /// read issues once the L1 and L2 tag checks are done.
+    pub(crate) fn access(
         &mut self,
-        addr: u64,
+        a: Access,
         llc: &mut SharedLlc,
         dram: &mut MemoryController,
-        checker: Option<&mut VersionChecker>,
+        mut checker: Option<&mut VersionChecker>,
     ) -> u64 {
-        if self.l1.touch(addr) {
-            return self.cycle + self.l1_lat;
-        }
-        if self.l2.touch(addr) {
-            self.fill_l1(addr, false, llc, dram, checker);
-            return self.cycle + self.l2_lat;
-        }
-        // L1 and L2 tag checks precede the LLC access.
-        let issue = self.cycle + self.l1_lat + self.l2_lat;
-        self.llc_reads += 1;
-        let mut checker = checker;
-        let outcome = llc.read(addr, self.thread, issue, dram, checker.as_deref_mut());
-        if !outcome.hit {
-            self.llc_read_misses += 1;
-        }
-        self.fill_l2(addr, llc, dram, checker.as_deref_mut());
-        self.fill_l1(addr, false, llc, dram, checker);
-        outcome.completion
-    }
-
-    fn write_path(
-        &mut self,
-        addr: u64,
-        llc: &mut SharedLlc,
-        dram: &mut MemoryController,
-        mut checker: Option<&mut VersionChecker>,
-    ) {
-        if self.l1.touch_dirty(addr) {
-            return;
-        }
-        // Write-allocate: fetch the block (read-for-ownership) without
-        // stalling the core, then install it dirty in L1.
-        if !self.l2.touch(addr) {
-            let issue = self.cycle + self.l1_lat + self.l2_lat;
-            self.llc_reads += 1;
-            let outcome = llc.read(addr, self.thread, issue, dram, checker.as_deref_mut());
-            if !outcome.hit {
-                self.llc_read_misses += 1;
-            }
-            self.fill_l2(addr, llc, dram, checker.as_deref_mut());
-        }
-        self.fill_l1(addr, true, llc, dram, checker);
-    }
-
-    fn fill_l1(
-        &mut self,
-        addr: u64,
-        dirty: bool,
-        llc: &mut SharedLlc,
-        dram: &mut MemoryController,
-        checker: Option<&mut VersionChecker>,
-    ) {
-        if let Some(victim) = self.l1.fill(addr, self.thread, InsertPos::Mru, dirty) {
-            if victim.dirty {
-                self.l2_writeback(victim.block, llc, dram, checker);
+        if a.write {
+            if let Some(c) = checker.as_deref_mut() {
+                c.record_store(a.addr);
             }
         }
-    }
-
-    fn fill_l2(
-        &mut self,
-        addr: u64,
-        llc: &mut SharedLlc,
-        dram: &mut MemoryController,
-        checker: Option<&mut VersionChecker>,
-    ) {
-        if let Some(victim) = self.l2.fill(addr, self.thread, InsertPos::Mru, false) {
-            if self.l2_dbi.is_some() {
-                self.l2_evict(victim.block, llc, dram, checker);
-            } else if victim.dirty {
-                llc.writeback(victim.block, self.thread, self.cycle, dram, checker);
-            }
-        }
-    }
-
-    fn l2_writeback(
-        &mut self,
-        block: u64,
-        llc: &mut SharedLlc,
-        dram: &mut MemoryController,
-        mut checker: Option<&mut VersionChecker>,
-    ) {
-        if self.l2_dbi.is_some() {
-            // L2 dirty bits live in the L2 DBI; the tag stays clean.
-            if !self.l2.touch(block) {
-                if let Some(victim) = self.l2.fill(block, self.thread, InsertPos::Mru, false) {
-                    self.l2_evict(victim.block, llc, dram, checker.as_deref_mut());
+        match a.served {
+            Served::L1 => self.cycle + self.l1_lat,
+            Served::L2 => self.cycle + self.l2_lat,
+            Served::Llc => {
+                let issue = self.cycle + self.l1_lat + self.l2_lat;
+                self.llc_reads += 1;
+                let outcome = llc.read(a.addr, self.thread, issue, dram, checker);
+                if !outcome.hit {
+                    self.llc_read_misses += 1;
                 }
-            }
-            let outcome = self
-                .l2_dbi
-                .as_mut()
-                .expect("checked above")
-                .mark_dirty(block);
-            if let Some(evicted) = outcome.evicted {
-                // L2-DBI eviction: the whole row's dirty blocks go to the
-                // LLC as one batch (they stay resident in L2, clean).
-                for &b in evicted.blocks() {
-                    llc.writeback(b, self.thread, self.cycle, dram, checker.as_deref_mut());
-                }
-            }
-            return;
-        }
-        if self.l2.touch_dirty(block) {
-            return;
-        }
-        // Allocate the writeback in L2; its victim may cascade to the LLC.
-        if let Some(victim) = self.l2.fill(block, self.thread, InsertPos::Mru, true) {
-            if victim.dirty {
-                llc.writeback(victim.block, self.thread, self.cycle, dram, checker);
+                outcome.completion
             }
         }
     }
 
-    /// Handles an L2 eviction under the L2-DBI organization: if the victim
-    /// is dirty, its whole row's dirty blocks are written back to the LLC
-    /// together (the row-batching the paper's Section 7 describes).
-    fn l2_evict(
-        &mut self,
-        victim: u64,
-        llc: &mut SharedLlc,
-        dram: &mut MemoryController,
-        mut checker: Option<&mut VersionChecker>,
-    ) {
-        let dbi = self.l2_dbi.as_mut().expect("L2 DBI organization");
-        if !dbi.clear_dirty(victim) {
-            return;
-        }
-        llc.writeback(
-            victim,
-            self.thread,
-            self.cycle,
-            dram,
-            checker.as_deref_mut(),
-        );
-        let mut co_dirty = std::mem::take(&mut self.l2_sweep_scratch);
-        co_dirty.clear();
-        co_dirty.extend(dbi.row_dirty_blocks(victim));
-        for &b in &co_dirty {
-            self.l2_dbi
-                .as_mut()
-                .expect("L2 DBI organization")
-                .clear_dirty(b);
-            llc.writeback(b, self.thread, self.cycle, dram, checker.as_deref_mut());
-        }
-        self.l2_sweep_scratch = co_dirty;
+    /// Retires a load whose data arrives at `completion`, after the
+    /// record's writebacks: it joins the window's outstanding loads.
+    pub(crate) fn retire_load(&mut self, completion: u64) {
+        self.last_load_completion = self.last_load_completion.max(completion);
+        self.note_load(completion);
     }
 
     #[cfg(test)]
@@ -353,61 +504,12 @@ impl CoreEngine {
     pub(crate) fn note_load_for_test(&mut self, completion: u64) {
         self.note_load(completion);
     }
-
-    /// Flushes the private levels: L1 dirty blocks into L2, then L2 dirty
-    /// blocks into the LLC. Used before verification.
-    pub(crate) fn flush_private(
-        &mut self,
-        llc: &mut SharedLlc,
-        dram: &mut MemoryController,
-        mut checker: Option<&mut VersionChecker>,
-    ) {
-        let l1_dirty: Vec<u64> = self
-            .l1
-            .blocks()
-            .filter(|&(_, d, _)| d)
-            .map(|(b, _, _)| b)
-            .collect();
-        for b in l1_dirty {
-            self.l1.mark_dirty(b, false);
-            self.l2_writeback(b, llc, dram, checker.as_deref_mut());
-        }
-        if let Some(dbi) = &mut self.l2_dbi {
-            let (thread, cycle) = (self.thread, self.cycle);
-            dbi.flush_each(|_row, b| {
-                llc.writeback(b, thread, cycle, dram, checker.as_deref_mut());
-            });
-            return;
-        }
-        let l2_dirty: Vec<u64> = self
-            .l2
-            .blocks()
-            .filter(|&(_, d, _)| d)
-            .map(|(b, _, _)| b)
-            .collect();
-        for b in l2_dirty {
-            self.l2.mark_dirty(b, false);
-            llc.writeback(b, self.thread, self.cycle, dram, checker.as_deref_mut());
-        }
-    }
 }
 
 impl dbi::snap::Snapshot for CoreEngine {
     fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        // `l2_sweep_scratch` is cleared at the start of every sweep; the
-        // remaining config-derived fields (latencies, window, MSHRs) are
+        // The config-derived fields (latencies, window, MSHRs) are
         // validated structurally, not stored.
-        w.u64(u64::from(self.thread));
-        self.generator.snapshot(w);
-        self.l1.snapshot(w);
-        self.l2.snapshot(w);
-        match &self.l2_dbi {
-            Some(d) => {
-                w.bool(true);
-                d.snapshot(w);
-            }
-            None => w.bool(false),
-        }
         w.u64(self.cycle);
         w.u64(self.insts);
         w.usize(self.outstanding.len());
@@ -423,14 +525,6 @@ impl dbi::snap::Snapshot for CoreEngine {
 
     fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
         use dbi::snap::SnapError;
-        r.expect_u64("core thread id", u64::from(self.thread))?;
-        self.generator.restore(r)?;
-        self.l1.restore(r)?;
-        self.l2.restore(r)?;
-        r.expect_bool("L2 DBI presence", self.l2_dbi.is_some())?;
-        if let Some(d) = &mut self.l2_dbi {
-            d.restore(r)?;
-        }
         self.cycle = r.u64()?;
         self.insts = r.u64()?;
         let n = r.usize()?;
@@ -458,19 +552,12 @@ impl dbi::snap::Snapshot for CoreEngine {
 mod tests {
     use super::*;
     use crate::config::{Mechanism, SystemConfig};
-    use trace_gen::Benchmark;
 
     fn engine() -> CoreEngine {
         let mut config = SystemConfig::for_cores(1, Mechanism::Baseline);
         config.window_insts = 8;
         config.mshrs = 2;
-        CoreEngine::new(
-            0,
-            "test".into(),
-            TraceGenerator::from_benchmark(Benchmark::Mcf, 1),
-            0,
-            &config,
-        )
+        CoreEngine::new(0, "test".into(), &config)
     }
 
     #[test]

@@ -38,6 +38,7 @@ mod config;
 mod core;
 pub mod dramcache;
 mod faults;
+mod feed;
 mod invariants;
 mod llc;
 pub mod metrics;

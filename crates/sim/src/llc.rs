@@ -8,6 +8,8 @@
 //! Section 6.2): every tag probe — demand, writeback, or sweep — occupies
 //! the port.
 
+use std::collections::TryReserveError;
+
 use cache_sim::dueling::{BimodalCounter, DuelingSelector, PolicyChoice};
 use cache_sim::lastwrite::{RewriteFilter, RewriteFilterStats};
 use cache_sim::predictor::{MissPredictor, MissPredictorConfig};
@@ -109,11 +111,33 @@ impl SharedLlc {
     /// geometry — system configurations are validated programmer inputs.
     #[must_use]
     pub fn new(config: &SystemConfig) -> Self {
-        let cache_config =
-            CacheConfig::new(config.llc_bytes(), config.llc_ways, config.block_bytes)
-                .expect("valid LLC geometry")
-                .with_replacement(config.llc_replacement);
-        let cache = Cache::new(cache_config);
+        SharedLlc::with_cache(config, Cache::new(Self::geometry(config)))
+    }
+
+    /// [`SharedLlc::new`], failing instead of aborting when the LLC's tag
+    /// store cannot be allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's error for the tag store.
+    ///
+    /// # Panics
+    ///
+    /// As [`SharedLlc::new`].
+    pub fn try_new(config: &SystemConfig) -> Result<Self, TryReserveError> {
+        Ok(SharedLlc::with_cache(
+            config,
+            Cache::try_new(Self::geometry(config))?,
+        ))
+    }
+
+    fn geometry(config: &SystemConfig) -> CacheConfig {
+        CacheConfig::new(config.llc_bytes(), config.llc_ways, config.block_bytes)
+            .expect("valid LLC geometry")
+            .with_replacement(config.llc_replacement)
+    }
+
+    fn with_cache(config: &SystemConfig, cache: Cache) -> Self {
         let sets = cache.config().sets();
         let threads = config.cores;
         let mechanism = config.mechanism;
@@ -486,25 +510,40 @@ impl SharedLlc {
         mut checker: Option<&mut VersionChecker>,
     ) {
         let tracked = self.ssv.as_ref().expect("VWQ has an SSV").tracked_ways();
-        let base = (evicted / self.dram_row_blocks) * self.dram_row_blocks;
-        for b in base..base + self.dram_row_blocks {
-            if b == evicted {
-                continue;
-            }
-            let marked = self
+        let rows = self.dram_row_blocks;
+        let base = (evicted / rows) * rows;
+        let sets = self.cache.config().sets();
+        let first = self.cache.set_of(base).raw();
+        // Consecutive blocks fall in consecutive sets, wrapping at the last
+        // set. Walk the row in ascending block order, one SSV word at a
+        // time, probing only blocks whose set is marked (the SSV check is
+        // free; a probe is not). A probe refreshes only its own set's bit,
+        // one already passed, so a word read before its probes stays
+        // exact for the sets after them.
+        let mut k = 0; // offset of the next block in the row
+        while k < rows {
+            let set = (first + k) % sets;
+            let end = (set + rows - k).min(sets).min((set / 64 + 1) * 64);
+            let word = self
                 .ssv
                 .as_ref()
                 .expect("VWQ has an SSV")
-                .is_marked(self.cache.set_of(b));
-            if !marked {
-                continue; // SSV check is free; no tag probe
+                .word((set / 64) as usize);
+            let mut marked = (word >> (set % 64)) & (u64::MAX >> (64 - (end - set)));
+            while marked != 0 {
+                let b = base + k + u64::from(marked.trailing_zeros());
+                marked &= marked - 1;
+                if b == evicted {
+                    continue;
+                }
+                let t = self.occupy_tag_port_background(now);
+                if let Some(owner) = self.cache.take_dirty(b, tracked) {
+                    self.write_dram(b, owner, t, dram, checker.as_deref_mut());
+                    self.stats.sweep_writebacks += 1;
+                    self.ssv_refresh(b);
+                }
             }
-            let t = self.occupy_tag_port_background(now);
-            if let Some(owner) = self.cache.take_dirty(b, tracked) {
-                self.write_dram(b, owner, t, dram, checker.as_deref_mut());
-                self.stats.sweep_writebacks += 1;
-                self.ssv_refresh(b);
-            }
+            k += end - set;
         }
     }
 

@@ -32,7 +32,8 @@ use trace_gen::mix::WorkloadMix;
 
 use crate::config::SystemConfig;
 use crate::faults::FaultPlan;
-use crate::system::{MixResult, RunState, System};
+use crate::feed::CpuClaim;
+use crate::system::{Feed, MixResult, RunState, System};
 
 /// When a resumable run serializes its state and offers it to the sink.
 ///
@@ -215,6 +216,9 @@ impl<'a> SimSession<'a> {
             config.measure_insts > 0,
             "measurement window must be nonempty"
         );
+        // Counted, so a concurrent `System::run` takes no helper this
+        // session's thread needs.
+        let _claim = CpuClaim::simulation();
         let mut sys = System::new(mix, &config);
         let st = match options.resume {
             Some(bytes) => sys.restore_checkpoint(bytes)?,
@@ -241,7 +245,7 @@ fn drive(
     // divisions out of the loop.
     let mut since_checkpoint = 0u64;
     let mut since_probe = 0u64;
-    while sys.micro_step(&mut st) {
+    while sys.micro_step(&mut st, &mut Feed::Inline) {
         since_checkpoint += 1;
         since_probe += 1;
         let due = match cadence {

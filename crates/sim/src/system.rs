@@ -1,5 +1,7 @@
 //! The assembled system: cores + shared LLC + DRAM, and the run loop.
 
+use std::collections::TryReserveError;
+
 use cache_sim::lastwrite::RewriteFilterStats;
 use cache_sim::{BlockAddr, CacheConfig};
 use dbi::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -10,7 +12,8 @@ use trace_gen::{Benchmark, TraceGenerator};
 
 use crate::checker::{LostWrite, VersionChecker};
 use crate::config::SystemConfig;
-use crate::core::CoreEngine;
+use crate::core::{CoreEngine, Front, ToLlc};
+use crate::feed::{CpuClaim, Pipe, Reader, Writer, HELPER_STACK, RING_WORDS};
 use crate::invariants::SanitizerReport;
 use crate::llc::{LlcStats, SharedLlc};
 use crate::metrics::CoreResult;
@@ -147,6 +150,10 @@ fn diff_llc(end: &LlcStats, start: &LlcStats) -> LlcStats {
 pub(crate) struct RunState {
     pub(crate) steps: u64,
     pub(crate) measuring: bool,
+    /// Cores still below the warmup quota (derived, not stored).
+    warming: usize,
+    /// Cores with an end snapshot (derived, not stored).
+    finished: usize,
     base: Vec<CoreSnapshot>,
     end: Vec<Option<CoreSnapshot>>,
     llc_base: LlcStats,
@@ -157,9 +164,12 @@ pub(crate) struct RunState {
 
 impl RunState {
     pub(crate) fn cold(sys: &System) -> RunState {
+        let warm = sys.config.warmup_insts;
         RunState {
             steps: 0,
             measuring: false,
+            warming: sys.cores.iter().filter(|c| c.insts < warm).count(),
+            finished: 0,
             base: Vec::new(),
             end: Vec::new(),
             llc_base: sys.llc.stats().clone(),
@@ -167,10 +177,6 @@ impl RunState {
             energy_base: DramEnergy::default(),
             dbi_base: None,
         }
-    }
-
-    fn done(&self) -> usize {
-        self.end.iter().filter(|e| e.is_some()).count()
     }
 
     pub(crate) fn write(&self, w: &mut dbi::snap::SnapWriter) {
@@ -233,6 +239,7 @@ impl RunState {
                 None
             });
         }
+        st.finished = st.end.iter().filter(|e| e.is_some()).count();
         st.llc_base.restore(r)?;
         st.dram_base.restore(r)?;
         st.energy_base.restore(r)?;
@@ -246,11 +253,36 @@ impl RunState {
     }
 }
 
+/// Where [`System::micro_step`] takes each core's next record from.
+pub(crate) enum Feed<'a> {
+    /// Executed on demand by the system's own front ends, so their state
+    /// always equals the consumed state.
+    Inline,
+    /// Read from the cores' rings, which a helper thread fills by running
+    /// the front ends ahead.
+    Ring(&'a Pipe, &'a mut [Reader]),
+}
+
+/// How [`System::run_as`] drives a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Form {
+    /// One thread, [`Feed::Inline`].
+    Inline,
+    /// A helper thread fills rings of `words` words per core.
+    Ring { words: usize },
+}
+
 /// The assembled simulation.
 #[derive(Debug)]
 pub struct System {
     config: SystemConfig,
+    /// Each core's trace generator and private caches.
+    fronts: Vec<Front>,
+    /// Each core's timing model and counters.
     cores: Vec<CoreEngine>,
+    /// `cores[i].cycle`, kept dense for the per-record pick of the
+    /// earliest core.
+    cycles: Vec<u64>,
     llc: SharedLlc,
     dram: MemoryController,
     checker: Option<VersionChecker>,
@@ -269,37 +301,52 @@ impl System {
     /// its highest block is beyond the 32-bit tags of the L1, L2 or LLC.
     #[must_use]
     pub fn new(mix: &WorkloadMix, config: &SystemConfig) -> Self {
+        System::with_llc(mix, config, SharedLlc::new(config))
+    }
+
+    /// [`System::new`], failing instead of aborting when the LLC's tag
+    /// store cannot be allocated (an LLC size from user input).
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's error for the LLC tag store.
+    ///
+    /// # Panics
+    ///
+    /// As [`System::new`].
+    pub fn try_new(mix: &WorkloadMix, config: &SystemConfig) -> Result<Self, TryReserveError> {
+        Ok(System::with_llc(mix, config, SharedLlc::try_new(config)?))
+    }
+
+    fn with_llc(mix: &WorkloadMix, config: &SystemConfig, llc: SharedLlc) -> Self {
         assert!(
             mix.cores() <= config.cores,
             "mix has {} benchmarks but the system has {} cores",
             mix.cores(),
             config.cores
         );
+        let mut fronts = Vec::with_capacity(mix.cores());
         let mut cores = Vec::with_capacity(mix.cores());
         let (mut offset, mut highest) = (0u64, 0u64);
         for (i, &bench) in mix.benchmarks().iter().enumerate() {
             let seed = config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let generator = TraceGenerator::from_benchmark(bench, seed);
             let space = generator.address_space_blocks();
-            cores.push(CoreEngine::new(
-                i as u8,
-                bench.label().to_string(),
-                generator,
-                offset,
-                config,
-            ));
+            fronts.push(Front::new(i as u8, generator, offset, config));
+            cores.push(CoreEngine::new(i as u8, bench.label().to_string(), config));
             highest = highest.max((offset + space).saturating_sub(1));
             offset += space.div_ceil(CORE_REGION_ALIGN) * CORE_REGION_ALIGN;
         }
-        let llc = SharedLlc::new(config);
-        if let Some(core) = cores.first() {
-            for (level, cache) in core.private_caches() {
+        if let Some(front) = fronts.first() {
+            for (level, cache) in front.private_caches() {
                 assert_tags_reach(level, cache.config(), highest);
             }
         }
         assert_tags_reach("LLC", llc.cache().config(), highest);
         System {
             config: config.clone(),
+            fronts,
+            cycles: vec![0; cores.len()],
             cores,
             llc,
             dram: MemoryController::new(config.dram.clone()),
@@ -307,27 +354,32 @@ impl System {
         }
     }
 
-    fn step_core(&mut self, i: usize) {
-        self.cores[i].step(&mut self.llc, &mut self.dram, self.checker.as_mut());
-    }
-
-    /// Steps the earliest core; `steps` counts records across the run so
-    /// the sanitizer can scan every `sanitize_interval` records.
-    fn step_next(&mut self, steps: &mut u64) -> usize {
-        let i = self.argmin_cycle();
-        self.step_core(i);
+    /// Executes core `i`'s next record from `feed`; `steps` counts
+    /// records across the run so the sanitizer can scan every
+    /// `sanitize_interval` records.
+    fn step(&mut self, i: usize, steps: &mut u64, feed: &mut Feed<'_>) {
+        let core = &mut self.cores[i];
+        match feed {
+            Feed::Inline => {
+                self.fronts[i].step(core, &mut self.llc, &mut self.dram, self.checker.as_mut());
+            }
+            Feed::Ring(pipe, readers) => {
+                readers[i].replay(pipe, i, core, &mut self.llc, &mut self.dram);
+            }
+        }
+        self.cycles[i] = core.cycle;
         *steps += 1;
         if self.config.sanitize && steps.is_multiple_of(self.config.sanitize_interval.max(1)) {
             self.llc.sanitizer_scan();
         }
-        i
     }
 
+    /// The core with the lowest cycle, the first such on a tie.
     fn argmin_cycle(&self) -> usize {
-        self.cores
+        self.cycles
             .iter()
             .enumerate()
-            .min_by_key(|(_, c)| c.cycle)
+            .min_by_key(|&(_, &c)| c)
             .map(|(i, _)| i)
             .expect("at least one core")
     }
@@ -340,17 +392,58 @@ impl System {
     /// live on [`crate::session::SimSession`], which drives these same
     /// micro-steps.
     ///
+    /// When the process has a CPU to spare and the shadow-memory check is
+    /// off, the cores' front ends run ahead on a helper thread; the
+    /// results are the same either way.
+    ///
     /// # Panics
     ///
     /// Panics if the configured measurement window is empty.
     #[must_use]
-    pub fn run(mut self) -> MixResult {
+    pub fn run(self) -> MixResult {
+        let mut claim = CpuClaim::simulation();
+        // The check's final flush reads the front ends' caches, which must
+        // then hold exactly the consumed records: it runs inline.
+        let form = if self.checker.is_none() && claim.helper() {
+            Form::Ring { words: RING_WORDS }
+        } else {
+            Form::Inline
+        };
+        self.run_as(form)
+    }
+
+    /// [`System::run`] in the given form.
+    pub(crate) fn run_as(mut self, form: Form) -> MixResult {
         assert!(
             self.config.measure_insts > 0,
             "measurement window must be nonempty"
         );
         let mut st = RunState::cold(&self);
-        while self.micro_step(&mut st) {}
+        match form {
+            Form::Inline => while self.micro_step(&mut st, &mut Feed::Inline) {},
+            Form::Ring { words } => {
+                assert!(
+                    self.checker.is_none(),
+                    "the shadow-memory check runs inline"
+                );
+                // The front ends end up ahead of the consumed records, so
+                // they do not go back: only the check's flush reads them.
+                let mut fronts = std::mem::take(&mut self.fronts);
+                let mut writers: Vec<Writer> = fronts.iter().map(Writer::new).collect();
+                let mut readers = vec![Reader::default(); fronts.len()];
+                let pipe = Pipe::new(fronts.len(), words);
+                std::thread::scope(|s| {
+                    // Stops the helper however this thread leaves the scope.
+                    let _closer = pipe.closer();
+                    std::thread::Builder::new()
+                        .stack_size(HELPER_STACK)
+                        .spawn_scoped(s, || pipe.fill(&mut fronts, &mut writers))
+                        .expect("spawn the trace front-end thread");
+                    let mut feed = Feed::Ring(&pipe, &mut readers);
+                    while self.micro_step(&mut st, &mut feed) {}
+                });
+            }
+        }
         self.finish(&st)
     }
 
@@ -362,11 +455,16 @@ impl System {
     /// Sanitizer scan points and measurement boundaries derive only from
     /// `st`, never from wall-clock time, so a run resumed from a
     /// checkpoint replays the exact step sequence of an uninterrupted one.
-    pub(crate) fn micro_step(&mut self, st: &mut RunState) -> bool {
+    pub(crate) fn micro_step(&mut self, st: &mut RunState, feed: &mut Feed<'_>) -> bool {
         let warm = self.config.warmup_insts;
         if !st.measuring {
-            if self.cores.iter().any(|c| c.insts < warm) {
-                let _ = self.step_next(&mut st.steps);
+            if st.warming > 0 {
+                let i = self.argmin_cycle();
+                let below = self.cores[i].insts < warm;
+                self.step(i, &mut st.steps, feed);
+                if below && self.cores[i].insts >= warm {
+                    st.warming -= 1;
+                }
                 return true;
             }
             // Warmup boundary: capture measurement baselines, then fall
@@ -394,11 +492,12 @@ impl System {
             st.dbi_base = self.llc.dbi().map(|d| *d.stats());
             st.measuring = true;
         }
-        if st.done() >= self.cores.len() {
+        if st.finished >= self.cores.len() {
             return false;
         }
         let measure = self.config.measure_insts;
-        let i = self.step_next(&mut st.steps);
+        let i = self.argmin_cycle();
+        self.step(i, &mut st.steps, feed);
         let c = &self.cores[i];
         if st.end[i].is_none() && c.insts >= st.base[i].0 + measure {
             st.end[i] = Some((
@@ -408,6 +507,7 @@ impl System {
                 c.llc_read_misses,
                 self.llc.stats().dram_writes_per_core[i],
             ));
+            st.finished += 1;
         }
         true
     }
@@ -564,9 +664,15 @@ impl System {
     /// Flushes the whole hierarchy and verifies the shadow memory.
     fn flush_and_verify(&mut self) -> Result<(), Vec<LostWrite>> {
         self.llc.assert_dbi_residency();
-        let now = self.cores.iter().map(|c| c.cycle).max().unwrap_or(0);
-        for i in 0..self.cores.len() {
-            self.cores[i].flush_private(&mut self.llc, &mut self.dram, self.checker.as_mut());
+        let now = self.cycles.iter().copied().max().unwrap_or(0);
+        for (front, core) in self.fronts.iter_mut().zip(&self.cores) {
+            front.flush_private(&mut ToLlc {
+                thread: core.thread,
+                cycle: core.cycle,
+                llc: &mut self.llc,
+                dram: &mut self.dram,
+                checker: self.checker.as_mut(),
+            });
         }
         self.llc
             .flush_dirty(now, &mut self.dram, self.checker.as_mut());
@@ -580,8 +686,10 @@ impl dbi::snap::Snapshot for System {
         // `config` is what *constructed* this system; a restore target is
         // always built from the same config, so only mutable state goes in.
         w.usize(self.cores.len());
-        for c in &self.cores {
-            c.snapshot(w);
+        for (front, core) in self.fronts.iter().zip(&self.cores) {
+            w.u64(u64::from(core.thread));
+            front.snapshot(w);
+            core.snapshot(w);
         }
         self.llc.snapshot(w);
         self.dram.snapshot(w);
@@ -596,8 +704,13 @@ impl dbi::snap::Snapshot for System {
 
     fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
         r.expect_len("system cores", self.cores.len())?;
-        for c in &mut self.cores {
-            c.restore(r)?;
+        for (front, core) in self.fronts.iter_mut().zip(&mut self.cores) {
+            r.expect_u64("core thread id", u64::from(core.thread))?;
+            front.restore(r)?;
+            core.restore(r)?;
+        }
+        for (cycle, core) in self.cycles.iter_mut().zip(&self.cores) {
+            *cycle = core.cycle;
         }
         self.llc.restore(r)?;
         self.dram.restore(r)?;
@@ -620,4 +733,140 @@ pub fn run_mix(mix: &WorkloadMix, config: &SystemConfig) -> MixResult {
 #[must_use]
 pub fn run_alone(benchmark: Benchmark, config: &SystemConfig) -> MixResult {
     run_mix(&WorkloadMix::new(vec![benchmark]), config)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use super::*;
+    use crate::config::Mechanism;
+    use crate::faults::{FaultClass, FaultPlan};
+
+    fn small(cores: usize, mechanism: Mechanism) -> (WorkloadMix, SystemConfig) {
+        let mix = WorkloadMix::new(
+            (0..cores)
+                .map(|i| Benchmark::ALL[(i * 5 + 3) % Benchmark::ALL.len()])
+                .collect(),
+        );
+        let mut config = SystemConfig::for_cores(cores, mechanism);
+        config.warmup_insts = 20_000;
+        config.measure_insts = 20_000;
+        (mix, config)
+    }
+
+    fn digest(mix: &WorkloadMix, config: &SystemConfig, form: Form) -> String {
+        System::new(mix, config).run_as(form).digest()
+    }
+
+    #[test]
+    fn ring_and_inline_agree_on_every_configuration() {
+        let ring = Form::Ring { words: RING_WORDS };
+        for mechanism in Mechanism::ALL {
+            for cores in [1, 2, 4, 8] {
+                for l2_dbi in [false, true] {
+                    for sanitize in [false, true] {
+                        for fault in [None, Some(FaultPlan::new(FaultClass::DropWriteback, 7))] {
+                            let (mix, mut config) = small(cores, mechanism);
+                            config.l2_dbi = l2_dbi;
+                            config.sanitize = sanitize;
+                            config.fault = fault;
+                            assert_eq!(
+                                digest(&mix, &config, Form::Inline),
+                                digest(&mix, &config, ring),
+                                "{mechanism} × {cores} cores, L2 DBI {l2_dbi}, \
+                                 sanitizer {sanitize}, fault {fault:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_rings_wrap_and_hand_over_every_word() {
+        // Under the L2 DBI one record can carry whole-row writeback batches,
+        // far longer than these rings.
+        let (mix, mut config) = small(
+            4,
+            Mechanism::Dbi {
+                awb: true,
+                clb: true,
+            },
+        );
+        config.l2_dbi = true;
+        let inline = digest(&mix, &config, Form::Inline);
+        for words in 1..=4 {
+            assert_eq!(
+                digest(&mix, &config, Form::Ring { words }),
+                inline,
+                "{words}-word rings"
+            );
+        }
+    }
+
+    #[test]
+    fn vwq_sweeps_reproduce_the_per_block_walk() {
+        // A 1 MiB LLC makes VWQ sweep thousands of blocks in a short run.
+        // The pinned FNV-1a hash of the digest comes from a sweep that
+        // tested every block of the row; walking the SSV words must give
+        // the same run.
+        let mix = WorkloadMix::new(vec![
+            Benchmark::Lbm,
+            Benchmark::Stream,
+            Benchmark::GemsFdtd,
+            Benchmark::Soplex,
+        ]);
+        let mut config = SystemConfig::for_cores(4, Mechanism::Vwq);
+        config.llc_bytes_per_core = 256 * 1024;
+        config.warmup_insts = 100_000;
+        config.measure_insts = 100_000;
+        let result = System::new(&mix, &config).run_as(Form::Inline);
+        assert_eq!(result.llc.sweep_writebacks, 3727);
+        let hash = result
+            .digest()
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(hash, 0x8036_a17e_ace4_6aa9);
+    }
+
+    /// Runs `sys` in ring form on its own thread and returns whether it
+    /// panicked, failing the test if it takes longer than a few seconds.
+    fn ring_run_panics(sys: System) -> bool {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| sys.run_as(Form::Ring { words: 64 })));
+            let _ = tx.send(outcome.is_err());
+        });
+        rx.recv_timeout(Duration::from_secs(20))
+            .expect("a panicking ring run must end, not hang")
+    }
+
+    #[test]
+    fn a_front_end_panic_fails_the_run() {
+        let (mix, config) = small(2, Mechanism::Baseline);
+        let mut sys = System::new(&mix, &config);
+        // Beyond the L1's 32-bit tags: the first L1 fill panics, on the
+        // helper thread.
+        sys.fronts[1].offset_for_test(1 << 40);
+        assert!(ring_run_panics(sys));
+    }
+
+    #[test]
+    fn a_back_end_panic_fails_the_run() {
+        let (mix, config) = small(2, Mechanism::Baseline);
+        let mut sys = System::new(&mix, &config);
+        // An LLC of 8 sets tags fewer blocks than the L1 and L2 do: the
+        // first LLC fill of a block past 2^37 panics, on the driving thread.
+        let mut tiny = config.clone();
+        tiny.llc_bytes_per_core = 8 * 1024;
+        sys.llc = SharedLlc::new(&tiny);
+        sys.fronts[1].offset_for_test(1 << 37);
+        assert!(ring_run_panics(sys));
+    }
 }

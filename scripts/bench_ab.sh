@@ -15,7 +15,8 @@
 #
 # For every end-to-end metric it prints the base and head medians, the
 # head/base ratio, how much worse the head is as a share of the base
-# median, and the metric's BENCHMARK.json bound. After the rounds it makes
+# median, the metric's BENCHMARK.json bound, and in how many rounds the
+# head run beat the base run. After the rounds it makes
 # one traced run (`--trace 1`) per side per workload and prints base,
 # head and head/base for every BENCHMARK.json `per_layer` metric: single
 # runs, for attribution only, never gated. Failed checks of base runs are
@@ -60,7 +61,27 @@ fi
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/bench_ab.XXXXXX")"
 BASE_DIR="$WORK/base"
-trap 'rm -rf "$WORK"' EXIT
+# Every build and run is a tracked background child: a signal interrupts
+# the `wait` on it, and the exit cleanup kills it before deleting $WORK.
+CHILD=""
+cleanup() {
+    if [[ -n "$CHILD" ]]; then
+        # The benchmark notes a SIGTERM and finishes its run first: give
+        # the child two seconds, then kill it outright.
+        kill "$CHILD" 2>/dev/null || true
+        for _ in {1..10}; do
+            kill -0 "$CHILD" 2>/dev/null || break
+            sleep 0.2
+        done
+        kill -KILL "$CHILD" 2>/dev/null || true
+        wait "$CHILD" 2>/dev/null || true
+    fi
+    rm -rf "$WORK"
+}
+trap cleanup EXIT
+trap 'exit 129' HUP
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 mkdir "$BASE_DIR"
 git -C "$ROOT" archive "$BASE_REV" | tar -x -C "$BASE_DIR" ||
@@ -68,8 +89,10 @@ git -C "$ROOT" archive "$BASE_REV" | tar -x -C "$BASE_DIR" ||
 MANIFEST="crates/bench/src/bin/benchmark/Cargo.toml"
 build() {
     echo "bench_ab: building $2 in $1" >&2
-    cargo build --release --quiet --offline --manifest-path "$1/$MANIFEST" ||
-        { echo "bench_ab: build of $2 failed" >&2; exit 2; }
+    cargo build --release --quiet --offline --manifest-path "$1/$MANIFEST" &
+    CHILD=$!
+    wait "$CHILD" || { echo "bench_ab: build of $2 failed" >&2; exit 2; }
+    CHILD=""
 }
 build "$BASE_DIR" base
 build "$ROOT" head
@@ -82,8 +105,13 @@ BIN_head="$ROOT/crates/bench/src/bin/benchmark/target/release/benchmark"
 run() {
     local side="$1" workload="$2" trace="${3:-0}" bin="BIN_$1" out suffix=""
     ((trace)) && suffix=".traced"
-    out="$(cd "$WORK" && "${!bin}" --workload "$workload" --seed "$SEED" \
-        --seconds "$SECONDS_PER_RUN" --trace "$trace" 2>>"$WORK/$workload.$side.err" | tail -n 1)" || true
+    (cd "$WORK" && exec "${!bin}" --workload "$workload" --seed "$SEED" \
+        --seconds "$SECONDS_PER_RUN" --trace "$trace") \
+        >"$WORK/run.out" 2>>"$WORK/$workload.$side.err" &
+    CHILD=$!
+    wait "$CHILD" || true
+    CHILD=""
+    out="$(tail -n 1 "$WORK/run.out")"
     if [[ "$out" != \{* ]]; then
         out='{"correct": false, "attempted": 1, "failed": 1, "metrics": {}}'
     fi
@@ -130,7 +158,7 @@ def cell(x):
 
 
 print(f"{'workload':<11} {'metric':<14} {'base':>12} {'head':>12} "
-      f"{'head/base':>9} {'worse':>7} {'bound':>6}")
+      f"{'head/base':>9} {'worse':>7} {'bound':>6} {'wins':>6}")
 for workload in workloads:
     base, head = runs(workload, "base"), runs(workload, "head")
     traced = {side: runs(workload, f"{side}.traced") for side in ("base", "head")}
@@ -154,8 +182,14 @@ for workload in workloads:
         worse = 1 - ratio if m["better"] == "higher" else ratio - 1
         flag = worse > m["bound"]
         breach |= flag
+        # Round r's base and head runs are line r of their files.
+        pairs = [(x["metrics"][name]["value"], y["metrics"][name]["value"])
+                 for x, y in zip(base, head) if name in x["metrics"] and name in y["metrics"]]
+        sign = 1 if m["better"] == "higher" else -1
+        wins = sum(sign * (y - x) > 0 for x, y in pairs)
         print(f"{workload:<11} {name:<14} {mb:>12.4g} {mh:>12.4g} {ratio:>9.3f} "
-              f"{worse:>+7.1%} {m['bound']:>6.2f}{'  BREACH' if flag else ''}")
+              f"{worse:>+7.1%} {m['bound']:>6.2f} {wins:>3}/{len(pairs):<2}"
+              f"{'  BREACH' if flag else ''}")
 
 # One traced run per side: attribution only, never gated.
 print(f"\n{'workload':<11} {'per-layer metric (1 traced run)':<31} "
