@@ -40,9 +40,11 @@ Common options for every dbi-bench experiment binary:
     --fault-seed N    seed selecting the fault's firing point (default 1)
     --io-fault SITE[:MODE]
                       arm one deterministic I/O failpoint in the result
-                      store's write protocol; SITE is GROUP.STAGE (e.g.
-                      entry.rename, ckpt.sync, blob.write) and MODE is
-                      crash (default), torn, short, drop-sync, or eio.
+                      store's write protocol; SITE is record.STAGE
+                      (record.write, record.sync, record.rename, or
+                      record.dirsync; it fires on entries, blobs and
+                      checkpoints alike) and MODE is crash (default),
+                      torn, short, drop-sync, or eio.
                       A firing crash exits the process with code 86.
                       `--io-fault list` prints every site and its modes.
     --io-fault-seed N seed selecting which occurrence of the site fires
@@ -363,32 +365,40 @@ mod tests {
 
     #[test]
     fn io_fault_flags_parse() {
-        use crate::failpoints::{FailMode, Group, Site, Stage};
+        use crate::failpoints::{FailMode, Site};
         let (args, _) = BenchArgs::try_parse(&[], &[]).unwrap();
         assert_eq!(args.io_fault, None);
         assert_eq!(args.io_fault_seed, 1);
         let (args, _) = BenchArgs::try_parse(
-            &argv(&["--io-fault", "ckpt.rename", "--io-fault-seed", "7"]),
+            &argv(&["--io-fault", "record.rename", "--io-fault-seed", "7"]),
             &[],
         )
         .unwrap();
         let spec = args.io_fault.unwrap();
-        assert_eq!(spec.site, Site::new(Group::Ckpt, Stage::Rename));
+        assert_eq!(spec.site, Site::Rename);
         assert_eq!(spec.mode, FailMode::Crash);
         assert_eq!(args.io_fault_seed, 7);
         let (args, _) =
-            BenchArgs::try_parse(&argv(&["--io-fault", "entry.write:torn"]), &[]).unwrap();
+            BenchArgs::try_parse(&argv(&["--io-fault", "record.write:torn"]), &[]).unwrap();
         assert_eq!(args.io_fault.unwrap().mode, FailMode::Torn);
         assert!(
-            BenchArgs::try_parse(&argv(&["--io-fault", "entry.rename:torn"]), &[])
+            BenchArgs::try_parse(&argv(&["--io-fault", "record.rename:torn"]), &[])
                 .unwrap_err()
                 .contains("does not apply")
         );
         let err = BenchArgs::try_parse(&argv(&["--io-fault", "floppy.write"]), &[]).unwrap_err();
         assert!(err.contains("unknown failpoint site"));
-        // The segment, merge and lease tiers are gone: their sites are
-        // unknown like any typo, and each error carries the full catalog.
-        for gone in ["segment.rename", "merge.write", "lease.write"] {
+        // The segment, merge and lease tiers and the per-kind entry, blob
+        // and checkpoint sites are gone: their sites are unknown like any
+        // typo, and each error carries the full catalog.
+        for gone in [
+            "segment.rename",
+            "merge.write",
+            "lease.write",
+            "entry.write",
+            "blob.rename",
+            "ckpt.rename",
+        ] {
             let err = BenchArgs::try_parse(&argv(&["--io-fault", gone]), &[]).unwrap_err();
             assert!(err.contains(&format!("unknown failpoint site '{gone}'")));
             for site in crate::failpoints::all_sites() {

@@ -10,8 +10,8 @@
 //! spending a fraction of its metadata on sparse and streaming rows.
 //!
 //! No cycle-level simulation runs here, so the scenario bypasses the
-//! `RunUnit` machinery and caches its records as store *blobs* (see
-//! `ResultStore::save_blob`): a warm rerun loads every record — including
+//! `RunUnit` machinery and caches its records as store *blobs*
+//! (`RecordKind::Blob`): a warm rerun loads every record — including
 //! the cold run's measured throughput — and reproduces the TSV byte for
 //! byte with zero simulations, the same contract CI enforces for the
 //! figure binaries.
@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use dbi::ContainerPolicy;
 use dbi_bench::{
-    pct, print_table, scenario_key, write_tsv, BenchArgs, Effort, ResultStore, StoreKey,
+    pct, print_table, scenario_key, write_tsv, BenchArgs, Effort, RecordKind, ResultStore, StoreKey,
 };
 use system_sim::{GbCacheConfig, GbDramCache};
 
@@ -249,8 +249,8 @@ fn main() {
             let key = unit_key(workload, &config, ops);
             let cached = store
                 .as_ref()
-                .and_then(|s| s.load_blob(&key))
-                .and_then(|payload| Record::parse(&payload));
+                .and_then(|s| s.load_record(RecordKind::Blob, &key))
+                .and_then(|payload| Record::parse(std::str::from_utf8(&payload).ok()?));
             let record = match cached {
                 Some(record) => {
                     hits += 1;
@@ -260,10 +260,13 @@ fn main() {
                     let record = simulate(workload, &config, ops);
                     sims += 1;
                     if let Some(store) = &store {
-                        if let Err(e) = store.save_blob(&key, &record.serialize()) {
+                        let payload = record.serialize();
+                        if let Err(e) =
+                            store.save_record(RecordKind::Blob, &key, payload.as_bytes())
+                        {
                             eprintln!(
                                 "warning: could not write blob {}: {e}",
-                                store.blob_path(&key).display()
+                                store.record_path(RecordKind::Blob, &key).display()
                             );
                         }
                     }

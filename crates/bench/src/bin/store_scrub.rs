@@ -5,11 +5,13 @@
 //! ```
 //!
 //! Walks the store at `DIR` once: every `.entry`, `.blob`, and `.ckpt`
-//! file is re-validated (checksums, embedded fingerprints against file
-//! names, checkpoint hash guards), corrupt files are moved into
-//! `DIR/quarantine/` for post-mortem, and orphaned temp files from
+//! record is re-validated by the store's one decoder (checksum, kind
+//! against the extension, embedded fingerprint against the file name),
+//! corrupt records — schema-5 files included — are moved into
+//! `DIR/quarantine/` for post-mortem, and orphaned `.tmp-` files from
 //! crashed writers are deleted. Any other file — such as a segment or
-//! lease file left by an older release — is left untouched.
+//! lease file, or a `.tmpb-`/`.ckpt-` temp file, left by an older
+//! release — is left untouched.
 //! Run it after a crash — or any time — before resuming a campaign: a
 //! scrubbed store serves only verified entries, and the resumed run
 //! recomputes whatever was quarantined.
@@ -31,16 +33,16 @@ store_scrub [--list-checks] DIR
 
 const CHECKS: &str = "\
 store_scrub validations, in pass order:
-    tmp-orphans   delete .tmp-/.tmpb-/.ckpt- files left by crashed
-                  writers
-    entry         re-checksum every .entry; embedded fingerprint must
-                  hash to the file name; corrupt -> quarantine/
-    blob          re-validate .blob byte-counted framing and checksum;
-                  corrupt -> quarantine/
-    ckpt          re-validate .ckpt hash guard; corrupt -> quarantine/
+    tmp-orphans   delete .tmp- files left by crashed writers
+    record        decode every .entry, .blob and .ckpt file with the one
+                  record codec: byte-counted frame and checksum must
+                  hold, the header's kind must match the extension, and
+                  the embedded fingerprint must hash to the file name;
+                  corrupt or schema-5 -> quarantine/
 
 Failpoint sites the recovery matrix proves this heals (every site x
-mode is crash-injected, scrubbed, and re-run to bit-identical results):
+mode is crash-injected for each record kind, scrubbed, and re-run to
+bit-identical results):
 ";
 
 fn list_checks() -> ! {

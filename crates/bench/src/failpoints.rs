@@ -3,10 +3,11 @@
 //! The in-simulation fault injector (`system_sim`'s `--fault`) proves the
 //! invariant sanitizer can detect metadata corruption produced on demand.
 //! This module is the same discipline applied to the on-disk half of the
-//! harness: every persistence chokepoint — store entries, scenario
-//! blobs, and checkpoints — runs its write protocol through indexed
-//! *failpoint sites* that can be armed to misbehave in
-//! controlled, reproducible ways:
+//! harness: every store record — entry, blob, or checkpoint — is written
+//! by one atomic-write protocol, and each of its four stages is a
+//! *failpoint site* (`record.write`, `record.sync`, `record.rename`,
+//! `record.dirsync`) that can be armed to misbehave in controlled,
+//! reproducible ways:
 //!
 //! - **torn write** (`torn`): a seed-selected prefix of the payload
 //!   reaches the temp file, then the process dies;
@@ -46,36 +47,10 @@ use system_sim::splitmix64;
 /// died *at the failpoint* and not for some other reason.
 pub const CRASH_EXIT_CODE: i32 = 86;
 
-/// One persistence chokepoint group — one instance of the atomic-write
-/// protocol.
+/// A failpoint site: one stage of the atomic-write protocol every store
+/// record goes through, spelled `record.STAGE` (e.g. `record.rename`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Group {
-    /// `ResultStore::save` — `.entry` files.
-    Entry,
-    /// `ResultStore::save_blob` — `.blob` scenario files.
-    Blob,
-    /// `ResultStore::save_checkpoint` — `.ckpt` mid-run snapshots.
-    Ckpt,
-}
-
-impl Group {
-    /// Every group, in documentation order.
-    pub const ALL: [Group; 3] = [Group::Entry, Group::Blob, Group::Ckpt];
-
-    /// The command-line spelling of this group.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Group::Entry => "entry",
-            Group::Blob => "blob",
-            Group::Ckpt => "ckpt",
-        }
-    }
-}
-
-/// One stage of the atomic-write protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
+pub enum Site {
     /// Writing the payload into the temp file.
     Write,
     /// `sync_all` on the temp file.
@@ -86,40 +61,21 @@ pub enum Stage {
     DirSync,
 }
 
-impl Stage {
-    /// Every stage, in protocol order.
-    pub const ALL: [Stage; 4] = [Stage::Write, Stage::Sync, Stage::Rename, Stage::DirSync];
+impl Site {
+    /// Every site, in protocol order.
+    pub const ALL: [Site; 4] = [Site::Write, Site::Sync, Site::Rename, Site::DirSync];
 
-    /// The command-line spelling of this stage.
-    #[must_use]
-    pub fn label(self) -> &'static str {
+    /// The stage's name, the part after `record.`.
+    fn stage(self) -> &'static str {
         match self {
-            Stage::Write => "write",
-            Stage::Sync => "sync",
-            Stage::Rename => "rename",
-            Stage::DirSync => "dirsync",
+            Site::Write => "write",
+            Site::Sync => "sync",
+            Site::Rename => "rename",
+            Site::DirSync => "dirsync",
         }
     }
-}
 
-/// A failpoint site: one stage of one group's protocol, spelled
-/// `group.stage` (e.g. `entry.rename`, `ckpt.write`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Site {
-    /// The persistence chokepoint.
-    pub group: Group,
-    /// The protocol stage within it.
-    pub stage: Stage,
-}
-
-impl Site {
-    /// The site at `stage` of `group`'s protocol.
-    #[must_use]
-    pub fn new(group: Group, stage: Stage) -> Site {
-        Site { group, stage }
-    }
-
-    /// Parses a `group.stage` spelling.
+    /// Parses a `record.STAGE` spelling.
     ///
     /// # Errors
     ///
@@ -135,18 +91,15 @@ impl Site {
 
 impl std::fmt::Display for Site {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}.{}", self.group.label(), self.stage.label())
+        write!(f, "record.{}", self.stage())
     }
 }
 
 /// Every registered failpoint site — the set the recovery matrix
-/// enumerates: every stage of every group's atomic-write protocol.
+/// enumerates: every stage of the atomic-write protocol.
 #[must_use]
 pub fn all_sites() -> Vec<Site> {
-    Group::ALL
-        .into_iter()
-        .flat_map(|group| Stage::ALL.map(|stage| Site::new(group, stage)))
-        .collect()
+    Site::ALL.to_vec()
 }
 
 /// The full failpoint catalog as one human-readable block: every site
@@ -202,13 +155,13 @@ impl FailMode {
         }
     }
 
-    /// Whether this mode is meaningful at `stage`: truncation needs a
+    /// Whether this mode is meaningful at `site`: truncation needs a
     /// payload (write), a dropped fsync needs an fsync (sync/dirsync),
     /// crash and EIO apply everywhere.
-    fn applies_at(self, stage: Stage) -> bool {
+    fn applies_at(self, site: Site) -> bool {
         match self {
-            FailMode::Torn | FailMode::Short => stage == Stage::Write,
-            FailMode::DropSync => matches!(stage, Stage::Sync | Stage::DirSync),
+            FailMode::Torn | FailMode::Short => site == Site::Write,
+            FailMode::DropSync => matches!(site, Site::Sync | Site::DirSync),
             FailMode::Crash | FailMode::Eio => true,
         }
     }
@@ -226,7 +179,7 @@ impl std::fmt::Display for FailMode {
 pub fn modes_for(site: Site) -> Vec<FailMode> {
     FailMode::ALL
         .into_iter()
-        .filter(|m| m.applies_at(site.stage))
+        .filter(|m| m.applies_at(site))
         .collect()
 }
 
@@ -245,7 +198,7 @@ impl FailSpec {
     /// # Errors
     ///
     /// Returns a message naming the invalid site, the invalid mode, or a
-    /// mode/stage mismatch (e.g. `entry.rename:torn` — only writes tear).
+    /// mode/stage mismatch (e.g. `record.rename:torn` — only writes tear).
     pub fn parse(s: &str) -> Result<FailSpec, String> {
         let (site_str, mode_str) = match s.split_once(':') {
             Some((site, mode)) => (site, Some(mode)),
@@ -262,7 +215,7 @@ impl FailSpec {
                     format!("unknown failpoint mode '{m}' (valid: {})", valid.join(", "))
                 })?,
         };
-        if !mode.applies_at(site.stage) {
+        if !mode.applies_at(site) {
             return Err(format!(
                 "failpoint mode '{mode}' does not apply at site '{site}' \
                  (torn/short need a write, drop-sync needs an fsync)"
@@ -478,13 +431,15 @@ mod tests {
     #[test]
     fn registry_enumerates_all_protocol_sites() {
         let sites = all_sites();
-        // Three atomic-write protocols x four stages.
-        assert_eq!(sites.len(), 12);
+        // One atomic-write protocol, four stages.
+        assert_eq!(sites.len(), 4);
+        let pairs: usize = sites.iter().map(|&site| modes_for(site).len()).sum();
+        assert_eq!(pairs, 12, "4 + 3 + 2 + 3 modes across the stages");
         for site in &sites {
             assert_eq!(Site::parse(&site.to_string()), Ok(*site));
             assert!(!modes_for(*site).is_empty());
         }
-        assert!(Site::parse("entry.fsyncgate").is_err());
+        assert!(Site::parse("record.fsyncgate").is_err());
     }
 
     #[test]
@@ -493,27 +448,37 @@ mod tests {
         for site in all_sites() {
             assert!(text.contains(&site.to_string()), "catalog missing {site}");
         }
-        assert!(text.contains("ckpt.dirsync"));
+        assert!(text.contains("record.dirsync"));
         // A typo'd site fails with the catalog, not a bare error.
-        let err = Site::parse("ckpt.rname").unwrap_err();
-        assert!(err.contains("ckpt.rename") && err.contains("modes:"));
+        let err = Site::parse("record.rname").unwrap_err();
+        assert!(err.contains("record.rename") && err.contains("modes:"));
+        // The per-kind sites of the three-framing store are gone: each is
+        // an unknown site, rejected with the catalog.
+        for gone in ["entry.write", "blob.rename", "ckpt.rename"] {
+            let err = Site::parse(gone).unwrap_err();
+            assert!(err.contains(&format!("unknown failpoint site '{gone}'")));
+            assert!(err.contains("record.write") && err.contains("modes:"));
+        }
     }
 
     #[test]
     fn specs_parse_and_validate_mode_stage_pairs() {
-        let spec = FailSpec::parse("entry.rename:crash").unwrap();
-        assert_eq!(spec.site, Site::new(Group::Entry, Stage::Rename));
+        let spec = FailSpec::parse("record.rename:crash").unwrap();
+        assert_eq!(spec.site, Site::Rename);
         assert_eq!(spec.mode, FailMode::Crash);
         // Default mode is crash.
-        assert_eq!(FailSpec::parse("ckpt.write").unwrap().mode, FailMode::Crash);
         assert_eq!(
-            FailSpec::parse("blob.write:torn").unwrap().mode,
+            FailSpec::parse("record.write").unwrap().mode,
+            FailMode::Crash
+        );
+        assert_eq!(
+            FailSpec::parse("record.write:torn").unwrap().mode,
             FailMode::Torn
         );
-        assert!(FailSpec::parse("entry.rename:torn")
+        assert!(FailSpec::parse("record.rename:torn")
             .unwrap_err()
             .contains("does not apply"));
-        assert!(FailSpec::parse("entry.write:melt")
+        assert!(FailSpec::parse("record.write:melt")
             .unwrap_err()
             .contains("unknown failpoint mode"));
         assert!(FailSpec::parse("floppy.write:torn")
@@ -528,11 +493,11 @@ mod tests {
 
     #[test]
     fn plans_fire_once_at_the_selected_occurrence() {
-        let spec = FailSpec::parse("ckpt.write:eio").unwrap();
+        let spec = FailSpec::parse("record.write:eio").unwrap();
         let mut plan = Active::new(FailPlan::new(spec, 0).with_fire_at(3));
         let site = spec.site;
         assert_eq!(plan.fire(site, 10), None);
-        assert_eq!(plan.fire(Site::new(Group::Entry, Stage::Write), 10), None);
+        assert_eq!(plan.fire(Site::Sync, 10), None);
         assert_eq!(plan.fire(site, 10), None);
         assert_eq!(plan.fire(site, 10), Some(Fire::Eio));
         assert!(plan.fired);
@@ -543,7 +508,7 @@ mod tests {
 
     #[test]
     fn torn_cut_is_deterministic_and_inside_the_payload() {
-        let spec = FailSpec::parse("entry.write:torn").unwrap();
+        let spec = FailSpec::parse("record.write:torn").unwrap();
         let cut = |seed| {
             let mut plan = Active::new(FailPlan::new(spec, seed).with_fire_at(1));
             match plan.fire(spec.site, 100) {

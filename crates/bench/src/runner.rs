@@ -51,7 +51,6 @@
 //! the process exits `128 + signal`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -64,7 +63,7 @@ use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
 use crate::failpoints::{self, FailPlan as IoFailPlan};
-use crate::store::{unit_key, ResultStore, StoreKey};
+use crate::store::{unit_key, RecordKind, ResultStore, StoreKey};
 use crate::{parallel_map_jobs, BenchArgs};
 
 /// Default wall-clock time between checkpoints of an in-flight unit
@@ -221,11 +220,12 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Everything a simulation needs to write checkpoints. Owned values only:
-/// the watchdog path runs the simulation on a `'static` thread, which
-/// re-opens its own store handle from `dir`.
+/// the watchdog path runs the simulation on a `'static` thread. The store
+/// handle is the runner's own, so a corrupt checkpoint is counted in its
+/// summary.
 #[derive(Debug, Clone)]
 struct CheckpointCtx {
-    dir: PathBuf,
+    store: Arc<ResultStore>,
     key: StoreKey,
     cadence: CheckpointCadence,
     crash_after: Option<Arc<AtomicI64>>,
@@ -247,9 +247,10 @@ enum SimRun {
 /// Runs one unit, resuming from its checkpoint when a valid one exists
 /// and snapshotting on `ctx.cadence`. The checkpoint sink asks the simulator to
 /// suspend once the process has been interrupted — the snapshot just
-/// written is then the durable resume point. A checkpoint that fails its
-/// checksum or belongs to a different configuration is discarded and the
-/// unit restarts cold.
+/// written is then the durable resume point. A checkpoint that fails to
+/// decode under the unit's key is a counted corruption and the unit
+/// starts cold; one that decodes but does not restore is discarded and
+/// the unit restarts cold.
 fn run_checkpointed(
     mix: &WorkloadMix,
     config: &SystemConfig,
@@ -261,12 +262,12 @@ fn run_checkpointed(
             resumed: false,
         };
     };
-    let store = ResultStore::open(ctx.dir.clone());
-    let mut resume = store.load_checkpoint(&ctx.key);
+    let store = &ctx.store;
+    let mut resume = store.load_record(RecordKind::Ckpt, &ctx.key);
     loop {
         let resumed = resume.is_some();
         let mut sink = |bytes: &[u8]| {
-            if let Err(e) = store.save_checkpoint(&ctx.key, bytes) {
+            if let Err(e) = store.save_record(RecordKind::Ckpt, &ctx.key, bytes) {
                 eprintln!(
                     "warning: could not write checkpoint {:016x}.ckpt: {e}",
                     ctx.key.hash
@@ -307,7 +308,7 @@ fn run_checkpointed(
 #[derive(Debug)]
 pub struct Runner {
     name: String,
-    store: Option<ResultStore>,
+    store: Option<Arc<ResultStore>>,
     jobs: Option<usize>,
     /// `--check`: force checker + sanitizer onto every submitted unit.
     check: bool,
@@ -340,7 +341,7 @@ impl Runner {
         if let Some(spec) = args.io_fault {
             failpoints::install(IoFailPlan::new(spec, args.io_fault_seed));
         }
-        let store = args.store_dir().map(ResultStore::open);
+        let store = args.store_dir().map(|dir| Arc::new(ResultStore::open(dir)));
         if let Some(store) = &store {
             // Collect temp files orphaned by crashed earlier runs. The age
             // guard protects the in-flight writes of a live runner sharing
@@ -428,6 +429,13 @@ impl Runner {
         self.counters.resumes.load(Ordering::Relaxed)
     }
 
+    /// Store records found present but corrupt so far (entries and
+    /// checkpoints alike); each one was recomputed.
+    #[must_use]
+    pub fn corrupt(&self) -> u64 {
+        self.store.as_ref().map_or(0, |s| s.corrupt_count())
+    }
+
     /// The unit as actually submitted: the runner-level `--check` /
     /// `--fault` flags applied on top of the unit's own configuration.
     fn effective(&self, unit: &RunUnit) -> RunUnit {
@@ -499,7 +507,7 @@ impl Runner {
         let ckpt = match (&self.store, key) {
             (Some(store), Some(key)) if self.checkpoint != CheckpointCadence::Disabled => {
                 Some(CheckpointCtx {
-                    dir: store.dir().to_path_buf(),
+                    store: Arc::clone(store),
                     key: key.clone(),
                     cadence: self.checkpoint,
                     crash_after: self.crash_after.clone(),
@@ -726,8 +734,8 @@ impl Runner {
             .map(|f| format!("{}:{}", f.phase, f.index))
             .collect::<Vec<_>>()
             .join(",");
-        let corrupt = self.store.as_ref().map_or(0, ResultStore::corrupt_count);
-        let tmp_gc = self.store.as_ref().map_or(0, ResultStore::orphans_removed);
+        let corrupt = self.corrupt();
+        let tmp_gc = self.store.as_ref().map_or(0, |s| s.orphans_removed());
         eprintln!(
             "runner[{}]: units={} hits={} sims={} skipped={} resumed={} interrupted={} \
              sim_wall={} unit_mean={} unit_max={} failed={} quarantined=[{quarantined}] \

@@ -9,9 +9,10 @@
 //!
 //! [`scrub_store`] walks a store directory once and:
 //!
-//! - validates every `.entry` (checksum + embedded fingerprint must hash
-//!   to the file name), `.blob` (framing + fingerprint hash), and `.ckpt`
-//!   (hash guard + snapshot checksum) file;
+//! - validates every `.entry`, `.blob` and `.ckpt` record with the
+//!   store's one decoder: the frame and checksum must hold, the kind in
+//!   its header must match the file's extension, and its embedded
+//!   fingerprint must hash to the file's name;
 //! - moves files that fail validation into a `quarantine/` subdirectory —
 //!   preserved for post-mortem, invisible to the store;
 //! - deletes orphaned temp files unconditionally (no writer is live
@@ -22,9 +23,11 @@
 //! Files outside the store format are left alone. That includes the
 //! segment files and `segments.manifest` an older compacted store may
 //! still hold — the store no longer reads them, so the units folded into
-//! them simply miss once and recompute as loose entries — and the
-//! `.lease` files and `.tmpm-` merge temp files of an older sharding
-//! release.
+//! them simply miss once and recompute as loose entries — the `.lease`
+//! files and `.tmpm-` merge temp files of an older sharding release, and
+//! the `.tmpb-`/`.ckpt-` temp files of the schema-5 blob and checkpoint
+//! writers. A schema-5 *record* is not foreign: it fails the decoder and
+//! is quarantined like any corrupt file.
 //!
 //! Quarantining rather than deleting is deliberate: a corrupt entry is
 //! evidence (of a torn write the protocol should have prevented, or of
@@ -33,7 +36,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::store::{self, deserialize_any, deserialize_blob_any, fingerprint_hash};
+use crate::store::{self, decode, fingerprint_hash, RecordKind};
 
 /// Name of the subdirectory corrupt files are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -41,9 +44,9 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// What one scrub pass found and did.
 #[derive(Debug, Default)]
 pub struct ScrubReport {
-    /// Data files examined (`.entry`, `.blob`, `.ckpt`).
+    /// Record files examined (`.entry`, `.blob`, `.ckpt`).
     pub scanned: u64,
-    /// Data files that validated clean.
+    /// Record files that validated clean.
     pub ok: u64,
     /// File names moved into `quarantine/` (sorted).
     pub quarantined: Vec<String>,
@@ -79,26 +82,15 @@ impl std::fmt::Display for ScrubReport {
     }
 }
 
-/// Whether a data file's bytes are internally consistent *and* agree with
-/// the 16-hex-digit hash its file name claims.
-fn validates(path: &Path, ext: &str, stem_hash: u64) -> bool {
-    match ext {
-        "entry" => std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| deserialize_any(&text))
-            .is_some_and(|(fp, _)| fingerprint_hash(&fp) == stem_hash),
-        "blob" => std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| deserialize_blob_any(&text))
-            .is_some_and(|(fp, _)| fingerprint_hash(&fp) == stem_hash),
-        "ckpt" => std::fs::read(path).ok().is_some_and(|bytes| {
-            bytes.split_at_checked(8).is_some_and(|(head, payload)| {
-                let head: [u8; 8] = head.try_into().expect("split_at gave 8 bytes");
-                u64::from_le_bytes(head) == stem_hash && dbi::snap::SnapReader::new(payload).is_ok()
-            })
-        }),
-        _ => unreachable!("validates() is only called for data extensions"),
-    }
+/// Whether a record file decodes, is of the kind its extension names,
+/// and carries a fingerprint that hashes to the 16-hex-digit hash its
+/// file name claims.
+fn validates(path: &Path, kind: RecordKind, stem_hash: u64) -> bool {
+    std::fs::read(path).is_ok_and(|bytes| {
+        decode(&bytes).is_some_and(|(k, fingerprint, _)| {
+            k == kind && fingerprint_hash(fingerprint) == stem_hash
+        })
+    })
 }
 
 /// Scrubs the store at `dir`: validates every data file, quarantines
@@ -126,10 +118,10 @@ pub fn scrub_store(dir: &Path) -> std::io::Result<ScrubReport> {
             report.orphans += 1;
             continue;
         }
-        let ext = match path.extension().and_then(|x| x.to_str()) {
-            Some(ext @ ("entry" | "blob" | "ckpt")) => ext,
-            // Not part of the store format; leave it alone.
-            _ => continue,
+        // Anything but a record is not part of the store; leave it alone.
+        let ext = path.extension().and_then(|x| x.to_str());
+        let Some(kind) = RecordKind::ALL.into_iter().find(|k| ext == Some(k.ext())) else {
+            continue;
         };
         report.scanned += 1;
         let stem_hash = path
@@ -137,7 +129,7 @@ pub fn scrub_store(dir: &Path) -> std::io::Result<ScrubReport> {
             .and_then(|s| s.to_str())
             .filter(|s| s.len() == 16)
             .and_then(|s| u64::from_str_radix(s, 16).ok());
-        if stem_hash.is_some_and(|h| validates(&path, ext, h)) {
+        if stem_hash.is_some_and(|h| validates(&path, kind, h)) {
             report.ok += 1;
         } else {
             let qdir = dir.join(QUARANTINE_DIR);
@@ -152,43 +144,50 @@ pub fn scrub_store(dir: &Path) -> std::io::Result<ScrubReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{scenario_key, ResultStore};
-
-    struct Scratch {
-        dir: PathBuf,
-    }
-
-    impl Scratch {
-        fn new(tag: &str) -> Scratch {
-            let dir = std::env::temp_dir().join(format!(
-                "dbi-scrub-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            Scratch { dir }
-        }
-    }
-
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
+    use crate::store::tests::Scratch;
+    use crate::store::{scenario_key, ResultStore, StoreKey};
 
     /// A store with one valid blob and one valid checkpoint.
     fn seeded(dir: &Path) -> ResultStore {
         let store = ResultStore::open(dir.to_path_buf());
         store
-            .save_blob(&scenario_key("scrub-test", "p=1"), "payload\n")
+            .save_record(
+                RecordKind::Blob,
+                &scenario_key("scrub-test", "p=1"),
+                b"payload\n",
+            )
             .unwrap();
         let mut w = dbi::snap::SnapWriter::new();
         w.u64(42);
         store
-            .save_checkpoint(&scenario_key("scrub-ckpt", "p=1"), &w.finish())
+            .save_record(
+                RecordKind::Ckpt,
+                &scenario_key("scrub-ckpt", "p=1"),
+                &w.finish(),
+            )
             .unwrap();
         store
+    }
+
+    fn tiny_result() -> system_sim::MixResult {
+        system_sim::MixResult {
+            cores: vec![system_sim::CoreResult {
+                benchmark: "lbm".to_string(),
+                insts: 1,
+                cycles: 2,
+                llc_reads: 3,
+                llc_read_misses: 4,
+                dram_writes: 5,
+            }],
+            llc: system_sim::LlcStats::default(),
+            dram: dram_sim::DramStats::default(),
+            energy: dram_sim::DramEnergy::default(),
+            dbi: None,
+            rewrite_filter: None,
+            check: None,
+            sanitizer: None,
+            records_processed: 6,
+        }
     }
 
     #[test]
@@ -211,7 +210,7 @@ mod tests {
         let store = seeded(&s.dir);
         let key = scenario_key("scrub-test", "p=1");
         // Bit-flip the blob.
-        let path = store.blob_path(&key);
+        let path = store.record_path(RecordKind::Blob, &key);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
@@ -225,8 +224,10 @@ mod tests {
         assert!(!path.exists());
         // The store now treats the unit as a plain miss; a re-save heals
         // it and the next scrub is clean.
-        assert_eq!(store.load_blob(&key), None);
-        store.save_blob(&key, "payload\n").unwrap();
+        assert_eq!(store.load_record(RecordKind::Blob, &key), None);
+        store
+            .save_record(RecordKind::Blob, &key, b"payload\n")
+            .unwrap();
         let report = scrub_store(&s.dir).unwrap();
         assert!(report.is_clean(), "{report}");
     }
@@ -237,12 +238,18 @@ mod tests {
         let store = seeded(&s.dir);
         let key = scenario_key("scrub-test", "p=1");
         let renamed = s.dir.join("0123456789abcdef.blob");
-        std::fs::rename(store.blob_path(&key), &renamed).unwrap();
+        std::fs::rename(store.record_path(RecordKind::Blob, &key), &renamed).unwrap();
+        // A valid checkpoint under a blob's extension is of the wrong kind.
+        let ckpt = store.record_path(RecordKind::Ckpt, &scenario_key("scrub-ckpt", "p=1"));
+        let as_blob = ckpt.with_extension("blob");
+        std::fs::rename(&ckpt, &as_blob).unwrap();
         let report = scrub_store(&s.dir).unwrap();
-        assert_eq!(
-            report.quarantined,
-            vec!["0123456789abcdef.blob".to_string()]
-        );
+        let mut expected = vec![
+            "0123456789abcdef.blob".to_string(),
+            as_blob.file_name().unwrap().to_str().unwrap().to_string(),
+        ];
+        expected.sort();
+        assert_eq!(report.quarantined, expected);
     }
 
     #[test]
@@ -250,13 +257,71 @@ mod tests {
         let s = Scratch::new("orphans");
         let store = seeded(&s.dir);
         let key = scenario_key("scrub-test", "p=1");
-        std::fs::write(s.dir.join(".tmp-deadbeef-1"), b"partial").unwrap();
-        std::fs::write(s.dir.join(".ckpt-deadbeef-2"), b"partial").unwrap();
+        std::fs::write(s.dir.join(".tmp-deadbeef.entry-1"), b"partial").unwrap();
+        std::fs::write(s.dir.join(".tmp-deadbeef.ckpt-2"), b"partial").unwrap();
         let report = scrub_store(&s.dir).unwrap();
         assert_eq!(report.orphans, 2, "{report}");
         assert!(scrub_store(&s.dir).unwrap().is_clean());
         // Data files untouched throughout.
-        assert!(store.load_blob(&key).is_some());
+        assert!(store.load_record(RecordKind::Blob, &key).is_some());
+    }
+
+    /// The bytes a schema-5 store wrote for `kind` under `key`: a text
+    /// entry or a byte-counted blob, each with its own magic line and
+    /// trailing checksum, or a checkpoint behind an 8-byte hash guard.
+    fn schema_5_bytes(kind: RecordKind, key: &StoreKey, payload: &[u8]) -> Vec<u8> {
+        let framed = |head: String| {
+            let mut out = head.into_bytes();
+            out.extend_from_slice(payload);
+            let sum = dbi::snap::fnv1a64(&out);
+            out.extend_from_slice(format!("checksum {sum:016x}\nend\n").as_bytes());
+            out
+        };
+        let fp = &key.fingerprint;
+        match kind {
+            RecordKind::Entry => framed(format!("dbi-bench-result v5\nfingerprint {fp}\n")),
+            RecordKind::Blob => framed(format!(
+                "dbi-bench-blob v5\nfingerprint {fp}\nbytes {}\n",
+                payload.len()
+            )),
+            RecordKind::Ckpt => [&key.hash.to_le_bytes()[..], payload].concat(),
+        }
+    }
+
+    #[test]
+    fn schema_5_records_miss_and_are_quarantined() {
+        let s = Scratch::new("schema5");
+        let store = ResultStore::open(s.dir.clone());
+        let key = scenario_key("schema5", "p=1");
+        // Each file sits under the name the current key asks for, so a
+        // reader that accepted the old framing would serve it.
+        let mut w = dbi::snap::SnapWriter::new();
+        w.u64(5);
+        let files: Vec<_> = [
+            (RecordKind::Entry, b"cores 1\nrecords 6\n".to_vec()),
+            (RecordKind::Blob, b"payload\n".to_vec()),
+            (RecordKind::Ckpt, w.finish()),
+        ]
+        .into_iter()
+        .map(|(kind, payload)| {
+            let (path, bytes) = (
+                store.record_path(kind, &key),
+                schema_5_bytes(kind, &key, &payload),
+            );
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(store.load_record(kind, &key), None, "{kind:?} served");
+            (path, bytes)
+        })
+        .collect();
+        assert_eq!(store.corrupt_count(), 3);
+
+        let report = scrub_store(&s.dir).unwrap();
+        assert_eq!((report.scanned, report.scrubbed()), (3, 3), "{report}");
+        for (path, bytes) in &files {
+            let kept = s.dir.join(QUARANTINE_DIR).join(path.file_name().unwrap());
+            assert_eq!(&std::fs::read(kept).unwrap(), bytes, "{path:?} kept");
+            assert!(!path.exists());
+        }
     }
 
     #[test]
@@ -271,28 +336,12 @@ mod tests {
             hash: crate::store::fingerprint_hash(&fingerprint),
             fingerprint,
         };
-        let result = system_sim::MixResult {
-            cores: vec![system_sim::CoreResult {
-                benchmark: "lbm".to_string(),
-                insts: 1,
-                cycles: 2,
-                llc_reads: 3,
-                llc_read_misses: 4,
-                dram_writes: 5,
-            }],
-            llc: system_sim::LlcStats::default(),
-            dram: dram_sim::DramStats::default(),
-            energy: dram_sim::DramEnergy::default(),
-            dbi: None,
-            rewrite_filter: None,
-            check: None,
-            sanitizer: None,
-            records_processed: 6,
-        };
+        let result = tiny_result();
         // A unit an older release folded into a segment: its loose entry
         // is gone and its bytes live on only inside the segment file.
         // An older sharding release also left a unit lease and a merge
-        // writer's temp file behind.
+        // writer's temp file behind, and the schema-5 blob and checkpoint
+        // writers their own temp files.
         store.save(&key, &result).unwrap();
         let entry = std::fs::read(store.entry_path(&key)).unwrap();
         std::fs::remove_file(store.entry_path(&key)).unwrap();
@@ -309,7 +358,15 @@ mod tests {
                 s.dir.join(format!("{:016x}.lease", key.hash)),
                 b"fig7:4242\nheartbeat-secs=5.000\n".to_vec(),
             ),
-            (s.dir.join(format!(".tmpm-{:016x}-1", key.hash)), entry),
+            (
+                s.dir.join(format!(".tmpm-{:016x}-1", key.hash)),
+                entry.clone(),
+            ),
+            (
+                s.dir.join(format!(".tmpb-{:016x}-2", key.hash)),
+                entry.clone(),
+            ),
+            (s.dir.join(format!(".ckpt-{:016x}-3", key.hash)), entry),
         ];
         for (path, bytes) in &legacy {
             std::fs::write(path, bytes).unwrap();

@@ -8,21 +8,38 @@
 //! process invocations) therefore share one entry under the store
 //! directory, `results/.cache/` by default.
 //!
-//! Entries are plain-text files with exact bit-level `f64` encoding, a
-//! copy of the fingerprint (so a hash collision or a schema change can
-//! never serve the wrong result), and a trailing `end` marker. Anything
-//! that fails to parse — a truncated write, a corrupted file, a
-//! fingerprint mismatch — is treated as a miss and recomputed; writes go
-//! through the atomic-write protocol (temp file, fsync, rename, parent
-//! directory fsync — see the `persist` module) so concurrent processes
-//! never observe partial entries and a completed save survives a crash.
-//! Orphaned temp files left by crashed writers are garbage-collected by
-//! [`ResultStore::scavenge`] (the runner calls it on startup) and by the
-//! `store_scrub` binary, which also validates and quarantines entries.
+//! A store directory holds three kinds of durable record: `.entry`
+//! results, `.blob` scenario records, and `.ckpt` mid-run checkpoints.
+//! All three share one framing, built by one encoder and parsed by one
+//! decoder ([`decode`]):
 //!
-//! A store directory holds three kinds of durable file: `.entry` results,
-//! `.blob` scenario records, and `.ckpt` mid-run checkpoints. Anything
-//! else — such as the `.lease` or segment files an older release may have
+//! ```text
+//! dbi-bench-record v6 KIND      KIND = entry | blob | ckpt
+//! fingerprint FINGERPRINT
+//! bytes N
+//! <N raw payload bytes>checksum HHHHHHHHHHHHHHHH
+//! end
+//! ```
+//!
+//! The checksum is the FNV-1a hash of every byte before its line, and the
+//! byte count means the decoder never scans the payload. A load checks
+//! the frame, the kind and the full fingerprint, so a truncated write, a
+//! corrupted byte, a file of another kind, a hash collision or a schema
+//! change is a miss (counted in [`ResultStore::corrupt_count`]) and is
+//! recomputed, never served. An entry's payload is the [`MixResult`] as
+//! lines of text with exact bit-level `f64` encoding; a blob's is its
+//! scenario's own text; a checkpoint's is a simulator snapshot.
+//!
+//! Writes go through the atomic-write protocol (temp file, fsync, rename,
+//! parent directory fsync — see the `persist` module) so concurrent
+//! processes never observe partial records and a completed save survives
+//! a crash. Orphaned `.tmp-*` files left by crashed writers are
+//! garbage-collected by [`ResultStore::scavenge`] (the runner calls it on
+//! startup) and by the `store_scrub` binary, which also validates and
+//! quarantines records.
+//!
+//! Anything else in the directory — such as the `.lease` or segment files,
+//! or the `.tmpb-`/`.ckpt-`/`.tmpm-` temp files, an older release may have
 //! left — is foreign: the store never reads, scavenges, or deletes it.
 
 use std::path::{Path, PathBuf};
@@ -33,26 +50,54 @@ use dbi::snap::fnv1a64;
 use system_sim::{CoreResult, MixResult, SystemConfig};
 use trace_gen::Benchmark;
 
-use crate::failpoints::Group;
 use crate::persist;
 
-/// Bump whenever the fingerprint grammar or the entry serialization
-/// changes: old entries then miss (their embedded fingerprint no longer
-/// matches) and are recomputed rather than misread.
+/// Bump whenever the fingerprint grammar or the record format changes:
+/// old records then miss (their embedded fingerprint no longer matches)
+/// and are recomputed rather than misread.
 ///
 /// v3: every entry carries a trailing FNV-1a checksum line, so corruption
 /// is detected byte-for-byte instead of only when a field fails to parse
 /// (a flipped digit inside a counter parses fine under v2).
 ///
 /// v5: the workspace's dirty metadata moved onto the unified adaptive
-/// `DirtyContainer` storage and the store gained scenario blob entries
-/// (`.blob` files, see [`ResultStore::save_blob`]). The container change
-/// is behaviour-neutral by design, but v4 entries were produced by code
-/// that no longer exists; recompute rather than trust the overlap.
-pub const STORE_SCHEMA_VERSION: u32 = 5;
+/// `DirtyContainer` storage and the store gained scenario blobs. The
+/// container change is behaviour-neutral by design, but v4 entries were
+/// produced by code that no longer exists; recompute rather than trust
+/// the overlap.
+///
+/// v6: entries, blobs and checkpoints share one record framing (see the
+/// module docs). Checkpoints, which carried only an 8-byte hash guard,
+/// now embed and check the full fingerprint.
+pub const STORE_SCHEMA_VERSION: u32 = 6;
 
-const ENTRY_MAGIC: &str = "dbi-bench-result";
-const BLOB_MAGIC: &str = "dbi-bench-blob";
+const RECORD_MAGIC: &str = "dbi-bench-record";
+
+/// The kind of a store record, which is also its file extension.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordKind {
+    /// A simulation unit's [`MixResult`] (`ResultStore::save`).
+    Entry,
+    /// A scenario's opaque record (`dramcache_gb`).
+    Blob,
+    /// A mid-run simulator snapshot (the runner's checkpoints).
+    Ckpt,
+}
+
+impl RecordKind {
+    /// Every kind, in documentation order.
+    pub const ALL: [RecordKind; 3] = [RecordKind::Entry, RecordKind::Blob, RecordKind::Ckpt];
+
+    /// The kind's file extension, also its spelling in the record header.
+    #[must_use]
+    pub fn ext(self) -> &'static str {
+        match self {
+            RecordKind::Entry => "entry",
+            RecordKind::Blob => "blob",
+            RecordKind::Ckpt => "ckpt",
+        }
+    }
+}
 
 /// The content address of one simulation unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,34 +267,30 @@ pub fn fingerprint_hash(fingerprint: &str) -> u64 {
     fnv1a64(fingerprint.as_bytes())
 }
 
-/// A directory of serialized [`MixResult`]s, addressed by [`StoreKey`].
+/// A directory of store records, addressed by [`RecordKind`] and
+/// [`StoreKey`].
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    /// Entries whose file was present but failed to parse back — each one
-    /// is silently recomputed, but the count is surfaced in runner
-    /// summaries so store rot is visible instead of just slow.
+    /// Records whose file was present but failed to decode under the key
+    /// that asked for it — each one is silently recomputed, but the count
+    /// is surfaced in runner summaries so store rot is visible instead of
+    /// just slow.
     corrupt: AtomicU64,
     /// Orphaned temp files removed by [`ResultStore::scavenge`], surfaced
     /// in runner summaries alongside the entry count.
     orphans: AtomicU64,
 }
 
-/// Temp-file name prefixes of the atomic-write protocol: entry, blob,
-/// and checkpoint writers respectively. Final files never start with a
-/// dot, so anything matching these is in-flight — or, once its writer
-/// has died, an orphan.
-const TMP_PREFIXES: [&str; 3] = [".tmp-", ".tmpb-", ".ckpt-"];
-
 /// Whether `name` is a temp file of the atomic-write protocol.
 #[must_use]
 pub fn is_tmp_name(name: &str) -> bool {
-    TMP_PREFIXES.iter().any(|p| name.starts_with(p))
+    name.starts_with(persist::TMP_PREFIX)
 }
 
 impl ResultStore {
     /// Opens (without touching the filesystem) a store rooted at `dir`.
-    /// The directory is created on the first [`ResultStore::save`].
+    /// The directory is created on the first save.
     #[must_use]
     pub fn open(dir: PathBuf) -> ResultStore {
         ResultStore {
@@ -259,12 +300,12 @@ impl ResultStore {
         }
     }
 
-    /// Garbage-collects orphaned temp files (`.tmp-*`, `.tmpb-*`,
-    /// `.ckpt-*`) left behind by crashed writers, which would
-    /// otherwise accumulate forever. Only files whose mtime is at least
-    /// `older_than` old are touched: a *live* writer's temp file exists
-    /// for milliseconds, so anything old is a corpse. Returns the number
-    /// removed (also accumulated for [`ResultStore::orphans_removed`]).
+    /// Garbage-collects orphaned `.tmp-*` files left behind by crashed
+    /// writers, which would otherwise accumulate forever. Only files whose
+    /// mtime is at least `older_than` old are touched: a *live* writer's
+    /// temp file exists for milliseconds, so anything old is a corpse.
+    /// Returns the number removed (also accumulated for
+    /// [`ResultStore::orphans_removed`]).
     pub fn scavenge(&self, older_than: Duration) -> u64 {
         let Ok(rd) = std::fs::read_dir(&self.dir) else {
             return 0;
@@ -302,13 +343,70 @@ impl ResultStore {
         &self.dir
     }
 
+    /// Path of the `kind` record for `key`.
+    #[must_use]
+    pub fn record_path(&self, kind: RecordKind, key: &StoreKey) -> PathBuf {
+        self.dir.join(format!("{:016x}.{}", key.hash, kind.ext()))
+    }
+
+    /// Atomically and durably writes `payload` as the `kind` record for
+    /// `key` (temp file, fsync, rename, directory fsync — see `persist`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors; callers treat them as non-fatal (the value
+    /// is still in hand, only the store write is lost).
+    pub fn save_record(
+        &self,
+        kind: RecordKind,
+        key: &StoreKey,
+        payload: &[u8],
+    ) -> std::io::Result<()> {
+        persist::write_atomic(&self.record_path(kind, key), &encode(kind, key, payload))
+    }
+
+    /// Loads the payload of the `kind` record for `key`, or `None` on any
+    /// miss: absent, truncated, corrupted, of another kind or schema, or
+    /// written under another fingerprint.
+    #[must_use]
+    pub fn load_record(&self, kind: RecordKind, key: &StoreKey) -> Option<Vec<u8>> {
+        self.load_with(kind, key, |payload| Some(payload.to_vec()))
+    }
+
+    /// Decodes the `kind` record for `key` and hands its payload to
+    /// `parse`. A file that exists but does not yield a value — bad frame,
+    /// wrong kind, wrong fingerprint, or a payload `parse` rejects — is
+    /// counted in [`ResultStore::corrupt_count`].
+    fn load_with<T>(
+        &self,
+        kind: RecordKind,
+        key: &StoreKey,
+        parse: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<T> {
+        let bytes = std::fs::read(self.record_path(kind, key)).ok()?;
+        let value = decode(&bytes)
+            .filter(|&(k, fingerprint, _)| k == kind && fingerprint == key.fingerprint)
+            .and_then(|(_, _, payload)| parse(payload));
+        if value.is_none() {
+            self.corrupt.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// Number of corrupt (present but undecodable) records seen by this
+    /// store handle's loads.
+    #[must_use]
+    pub fn corrupt_count(&self) -> u64 {
+        self.corrupt.load(Ordering::Relaxed)
+    }
+
     /// Path of the entry for `key`.
     #[must_use]
     pub fn entry_path(&self, key: &StoreKey) -> PathBuf {
-        self.dir.join(format!("{:016x}.entry", key.hash))
+        self.record_path(RecordKind::Entry, key)
     }
 
-    /// Whether the store holds a result for `key` without parsing it
+    /// Whether the store holds an entry for `key` without reading it
     /// (a cheap existence probe; a corrupt file can make this
     /// optimistic, never `load`).
     #[must_use]
@@ -316,137 +414,28 @@ impl ResultStore {
         self.entry_path(key).exists()
     }
 
-    /// Loads the result stored under `key`, or `None` on any miss:
-    /// absent, truncated, corrupted, schema-mismatched, or
-    /// fingerprint-collided entries all recompute.
+    /// Loads the result stored under `key`, or `None` on any miss (see
+    /// [`ResultStore::load_record`]).
     #[must_use]
     pub fn load(&self, key: &StoreKey) -> Option<MixResult> {
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let result = deserialize(&text, key);
-        if result.is_none() {
-            // The file existed but did not parse back to a result under
-            // this key: truncation, corruption, schema drift, or a hash
-            // collision. All are recomputed; all are worth counting.
-            self.corrupt.fetch_add(1, Ordering::Relaxed);
-        }
-        result
+        self.load_with(RecordKind::Entry, key, |payload| {
+            parse_result(std::str::from_utf8(payload).ok()?)
+        })
     }
 
-    /// Number of corrupt (present but unparseable) entries seen by
-    /// [`ResultStore::load`] over this store's lifetime.
-    #[must_use]
-    pub fn corrupt_count(&self) -> u64 {
-        self.corrupt.load(Ordering::Relaxed)
-    }
-
-    /// Serializes `result` under `key` through the atomic-write protocol
-    /// (temp file, fsync, rename, directory fsync — see `persist`).
+    /// Saves `result` as the entry for `key` (see
+    /// [`ResultStore::save_record`]).
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; callers treat them as non-fatal (the result
-    /// is still in hand, only the cache write is lost).
+    /// Propagates I/O errors, as [`ResultStore::save_record`] does.
     pub fn save(&self, key: &StoreKey, result: &MixResult) -> std::io::Result<()> {
-        let tmp = self
-            .dir
-            .join(format!(".tmp-{:016x}-{}", key.hash, std::process::id()));
-        persist::write_atomic(
-            Group::Entry,
-            &self.dir,
-            &tmp,
-            &self.entry_path(key),
-            serialize(key, result).as_bytes(),
-        )
-    }
-
-    /// Path of the scenario blob for `key`.
-    ///
-    /// Blobs use their own extension so [`ResultStore::entry_count`]
-    /// (which counts `MixResult` entries) never touches them.
-    #[must_use]
-    pub fn blob_path(&self, key: &StoreKey) -> PathBuf {
-        self.dir.join(format!("{:016x}.blob", key.hash))
-    }
-
-    /// Loads the scenario blob payload stored under `key`, or `None` on
-    /// any miss — absent, truncated, corrupted, schema-mismatched, or
-    /// fingerprint-collided blobs all recompute, exactly like entries.
-    #[must_use]
-    pub fn load_blob(&self, key: &StoreKey) -> Option<String> {
-        let text = std::fs::read_to_string(self.blob_path(key)).ok()?;
-        let payload = deserialize_blob(&text, key);
-        if payload.is_none() {
-            self.corrupt.fetch_add(1, Ordering::Relaxed);
-        }
-        payload
-    }
-
-    /// Serializes an opaque scenario `payload` under `key` with the entry
-    /// discipline: embedded fingerprint, trailing FNV-1a checksum, temp
-    /// file plus atomic rename.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; callers treat them as non-fatal (the result
-    /// is still in hand, only the cache write is lost).
-    pub fn save_blob(&self, key: &StoreKey, payload: &str) -> std::io::Result<()> {
-        let tmp = self
-            .dir
-            .join(format!(".tmpb-{:016x}-{}", key.hash, std::process::id()));
-        persist::write_atomic(
-            Group::Blob,
-            &self.dir,
-            &tmp,
-            &self.blob_path(key),
-            serialize_blob(key, payload).as_bytes(),
-        )
-    }
-
-    /// Path of the mid-run checkpoint file for `key`.
-    #[must_use]
-    pub fn checkpoint_path(&self, key: &StoreKey) -> PathBuf {
-        self.dir.join(format!("{:016x}.ckpt", key.hash))
-    }
-
-    /// Atomically writes a mid-run checkpoint for `key`: the key's hash
-    /// (little-endian, a cheap same-unit guard) followed by the snapshot
-    /// payload, which carries its own trailing checksum.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; callers treat them as non-fatal (the run
-    /// continues, only resumability up to this point is lost).
-    pub fn save_checkpoint(&self, key: &StoreKey, payload: &[u8]) -> std::io::Result<()> {
-        let tmp = self
-            .dir
-            .join(format!(".ckpt-{:016x}-{}", key.hash, std::process::id()));
-        let mut bytes = Vec::with_capacity(8 + payload.len());
-        bytes.extend_from_slice(&key.hash.to_le_bytes());
-        bytes.extend_from_slice(payload);
-        persist::write_atomic(
-            Group::Ckpt,
-            &self.dir,
-            &tmp,
-            &self.checkpoint_path(key),
-            &bytes,
-        )
-    }
-
-    /// Loads the checkpoint payload for `key`, or `None` when absent or
-    /// written under a different hash. Deeper corruption is left to the
-    /// snapshot decoder's own checksum, which the caller must treat as a
-    /// cold start.
-    #[must_use]
-    pub fn load_checkpoint(&self, key: &StoreKey) -> Option<Vec<u8>> {
-        let bytes = std::fs::read(self.checkpoint_path(key)).ok()?;
-        let (head, payload) = bytes.split_at_checked(8)?;
-        let head: [u8; 8] = head.try_into().ok()?;
-        (u64::from_le_bytes(head) == key.hash).then(|| payload.to_vec())
+        self.save_record(RecordKind::Entry, key, format_result(result).as_bytes())
     }
 
     /// Removes the checkpoint for `key` (a completed or abandoned run).
     pub fn clear_checkpoint(&self, key: &StoreKey) {
-        let _ = std::fs::remove_file(self.checkpoint_path(key));
+        let _ = std::fs::remove_file(self.record_path(RecordKind::Ckpt, key));
     }
 
     /// Number of `.entry` files currently in the store (0 if the
@@ -461,10 +450,66 @@ impl ResultStore {
     }
 }
 
-fn serialize(key: &StoreKey, result: &MixResult) -> String {
+/// The record header line (without its newline) for `kind`.
+fn header(kind: RecordKind) -> String {
+    format!("{RECORD_MAGIC} v{STORE_SCHEMA_VERSION} {}", kind.ext())
+}
+
+/// Frames `payload` as a `kind` record under `key` (see the module docs).
+fn encode(kind: RecordKind, key: &StoreKey, payload: &[u8]) -> Vec<u8> {
+    let mut out = format!(
+        "{}\nfingerprint {}\nbytes {}\n",
+        header(kind),
+        key.fingerprint,
+        payload.len()
+    )
+    .into_bytes();
+    out.extend_from_slice(payload);
+    let sum = fnv1a64(&out);
+    out.extend_from_slice(format!("checksum {sum:016x}\nend\n").as_bytes());
+    out
+}
+
+/// The longest UTF-8 prefix of `bytes`. A record's header lines are
+/// text, so they always lie inside it, whatever its payload holds; and
+/// searching text for a newline is vectorized, which a byte loop is not.
+fn text_prefix(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).unwrap_or_else(|e| {
+        std::str::from_utf8(&bytes[..e.valid_up_to()]).expect("valid up to there")
+    })
+}
+
+/// Parses one store record of any kind, returning its kind, embedded
+/// fingerprint and payload. This is the only reader of store files: the
+/// store's loads check the kind and fingerprint against the key that
+/// asked, and `store_scrub` checks them against the file's name.
+///
+/// Returns `None` on any deviation: bad magic, schema or kind, a wrong
+/// byte count, a checksum mismatch, or trailing junk.
+#[must_use]
+pub fn decode(bytes: &[u8]) -> Option<(RecordKind, &str, &[u8])> {
+    let rest = bytes.strip_suffix(b"end\n")?;
+    let text = text_prefix(rest);
+    let (head, after) = text.split_once('\n')?;
+    let kind = RecordKind::ALL.into_iter().find(|&k| head == header(k))?;
+    let (fp_line, after) = after.split_once('\n')?;
+    let fingerprint = fp_line.strip_prefix("fingerprint ")?;
+    let (bytes_line, after) = after.split_once('\n')?;
+    let n: usize = bytes_line.strip_prefix("bytes ")?.parse().ok()?;
+    let after = &rest[text.len() - after.len()..];
+    let payload = after.get(..n)?;
+    let sum_line = after.get(n..)?;
+    let body = &rest[..rest.len() - sum_line.len()];
+    let hex = sum_line.strip_prefix(b"checksum ")?.strip_suffix(b"\n")?;
+    // Exactly what `encode` writes: 16 lowercase hex digits.
+    let canonical = hex.len() == 16 && hex.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    let sum = u64::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+    (canonical && sum == fnv1a64(body)).then_some((kind, fingerprint, payload))
+}
+
+/// An entry's payload: the [`MixResult`] as lines of text.
+fn format_result(result: &MixResult) -> String {
     let mut out = String::new();
-    out.push_str(&format!("{ENTRY_MAGIC} v{STORE_SCHEMA_VERSION}\n"));
-    out.push_str(&format!("fingerprint {}\n", key.fingerprint));
     out.push_str(&format!("cores {}\n", result.cores.len()));
     for c in &result.cores {
         out.push_str(&format!(
@@ -533,48 +578,13 @@ fn serialize(key: &StoreKey, result: &MixResult) -> String {
         )),
     }
     out.push_str(&format!("records {}\n", result.records_processed));
-    out.push_str(&format!("checksum {:016x}\n", fnv1a64(out.as_bytes())));
-    out.push_str("end\n");
     out
 }
 
-/// Strict line-oriented parser: any deviation returns `None` (a miss).
-fn deserialize(text: &str, key: &StoreKey) -> Option<MixResult> {
-    let (fingerprint, result) = deserialize_any(text)?;
-    // hash collision or schema drift — never serve it
-    (fingerprint == key.fingerprint).then_some(result)
-}
-
-/// Parses an entry *without* knowing its key in advance, returning the
-/// embedded fingerprint alongside the result. This is the `store_scrub`
-/// entry point: it walks entry files it did not create and must recover
-/// (and verify) each one's identity from its own bytes.
-///
-/// Returns `None` on any deviation: bad magic or schema, checksum
-/// mismatch, truncation, or a malformed field.
-#[must_use]
-pub fn deserialize_any(text: &str) -> Option<(String, MixResult)> {
-    // Verify the trailing checksum before believing any field. The
-    // checksum line covers every byte up to itself.
-    let rest = text.strip_suffix("end\n")?;
-    let sum_at = rest.rfind("checksum ")?;
-    if sum_at != 0 && !rest[..sum_at].ends_with('\n') {
-        return None;
-    }
-    let body = &rest[..sum_at];
-    let sum_hex = rest[sum_at..]
-        .strip_prefix("checksum ")?
-        .strip_suffix('\n')?;
-    if u64::from_str_radix(sum_hex, 16).ok()? != fnv1a64(body.as_bytes()) {
-        return None;
-    }
-
-    let mut lines = body.lines();
-    let header = lines.next()?;
-    if header != format!("{ENTRY_MAGIC} v{STORE_SCHEMA_VERSION}") {
-        return None;
-    }
-    let fingerprint = lines.next()?.strip_prefix("fingerprint ")?.to_string();
+/// Strict line-oriented parser of an entry's payload: any deviation
+/// returns `None` (a miss).
+fn parse_result(text: &str) -> Option<MixResult> {
+    let mut lines = text.lines();
     let n_cores: usize = lines.next()?.strip_prefix("cores ")?.parse().ok()?;
     // Mix sizes are 1–64 cores; anything else is corruption.
     if !(1..=64).contains(&n_cores) {
@@ -671,20 +681,17 @@ pub fn deserialize_any(text: &str) -> Option<(String, MixResult)> {
     if lines.next().is_some() {
         return None;
     }
-    Some((
-        fingerprint,
-        MixResult {
-            cores,
-            llc,
-            dram,
-            energy,
-            dbi,
-            rewrite_filter,
-            check: None,
-            sanitizer: None,
-            records_processed,
-        },
-    ))
+    Some(MixResult {
+        cores,
+        llc,
+        dram,
+        energy,
+        dbi,
+        rewrite_filter,
+        check: None,
+        sanitizer: None,
+        records_processed,
+    })
 }
 
 fn parse_u64s(s: &str, n: usize) -> Option<Vec<u64>> {
@@ -695,72 +702,24 @@ fn parse_u64s(s: &str, n: usize) -> Option<Vec<u64>> {
     (vals.len() == n).then_some(vals)
 }
 
-/// Blob framing: magic + schema, fingerprint, an explicit byte count, the
-/// raw payload, then the checksum over everything before the checksum
-/// line. The byte count makes the format safe for payloads that themselves
-/// contain lines like `checksum ...` — the parser never scans the payload.
-fn serialize_blob(key: &StoreKey, payload: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{BLOB_MAGIC} v{STORE_SCHEMA_VERSION}\n"));
-    out.push_str(&format!("fingerprint {}\n", key.fingerprint));
-    out.push_str(&format!("bytes {}\n", payload.len()));
-    out.push_str(payload);
-    out.push_str(&format!("checksum {:016x}\n", fnv1a64(out.as_bytes())));
-    out.push_str("end\n");
-    out
-}
-
-/// Strict blob parser: any deviation — bad magic or schema, fingerprint
-/// mismatch, wrong byte count, checksum mismatch, trailing junk — returns
-/// `None` (a miss).
-fn deserialize_blob(text: &str, key: &StoreKey) -> Option<String> {
-    let (fingerprint, payload) = deserialize_blob_any(text)?;
-    (fingerprint == key.fingerprint).then_some(payload)
-}
-
-/// Parses a blob *without* knowing its key in advance, returning the
-/// embedded fingerprint alongside the payload — the `store_scrub` entry
-/// point, mirroring [`deserialize_any`] for `.entry` files.
-///
-/// Returns `None` on any framing deviation: bad magic or schema, wrong
-/// byte count, checksum mismatch, or trailing junk.
-#[must_use]
-pub fn deserialize_blob_any(text: &str) -> Option<(String, String)> {
-    let rest = text.strip_suffix("end\n")?;
-    let (header, after) = rest.split_once('\n')?;
-    if header != format!("{BLOB_MAGIC} v{STORE_SCHEMA_VERSION}") {
-        return None;
-    }
-    let (fp_line, after) = after.split_once('\n')?;
-    let fingerprint = fp_line.strip_prefix("fingerprint ")?;
-    let (bytes_line, after) = after.split_once('\n')?;
-    let n: usize = bytes_line.strip_prefix("bytes ")?.parse().ok()?;
-    let payload = after.get(..n)?;
-    let sum_line = after.get(n..)?;
-    let sum_hex = sum_line.strip_prefix("checksum ")?.strip_suffix('\n')?;
-    let body = &rest[..rest.len() - sum_line.len()];
-    if u64::from_str_radix(sum_hex, 16).ok()? != fnv1a64(body.as_bytes()) {
-        return None;
-    }
-    Some((fingerprint.to_string(), payload.to_string()))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    struct Scratch {
-        dir: PathBuf,
+    /// A fresh, empty directory for one test, removed on drop.
+    pub(crate) struct Scratch {
+        pub(crate) dir: PathBuf,
     }
 
     impl Scratch {
-        fn new(tag: &str) -> Scratch {
+        pub(crate) fn new(tag: &str) -> Scratch {
             let dir = std::env::temp_dir().join(format!(
-                "dbi-store-{tag}-{}-{:?}",
+                "dbi-store-test-{tag}-{}-{:?}",
                 std::process::id(),
                 std::thread::current().id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
             Scratch { dir }
         }
     }
@@ -792,10 +751,13 @@ mod tests {
         let store = ResultStore::open(s.dir.clone());
         let key = scenario_key("t", "p=1");
         // No trailing newline, and payload lines that mimic the framing.
-        let payload = "rows 3\nchecksum feedface\nend";
-        assert!(store.load_blob(&key).is_none());
-        store.save_blob(&key, payload).unwrap();
-        assert_eq!(store.load_blob(&key).as_deref(), Some(payload));
+        let payload = b"rows 3\nchecksum feedface\nend";
+        assert!(store.load_record(RecordKind::Blob, &key).is_none());
+        store.save_record(RecordKind::Blob, &key, payload).unwrap();
+        assert_eq!(
+            store.load_record(RecordKind::Blob, &key).as_deref(),
+            Some(&payload[..])
+        );
         assert_eq!(store.corrupt_count(), 0);
         // Blobs are invisible to the entry census.
         assert_eq!(store.entry_count(), 0);
@@ -805,40 +767,77 @@ mod tests {
     fn scavenge_removes_only_old_tmp_files() {
         let s = Scratch::new("scavenge");
         let store = ResultStore::open(s.dir.clone());
-        std::fs::create_dir_all(&s.dir).unwrap();
-        for name in [".tmp-deadbeef-1", ".tmpb-deadbeef-2", ".ckpt-deadbeef-3"] {
+        for name in [
+            ".tmp-deadbeef-1",
+            ".tmp-deadbeef.blob-2",
+            ".tmp-deadbeef.ckpt-3",
+        ] {
             std::fs::write(s.dir.join(name), "torn").unwrap();
         }
         let key = scenario_key("t", "p=1");
-        store.save_blob(&key, "payload\n").unwrap();
+        store
+            .save_record(RecordKind::Blob, &key, b"payload\n")
+            .unwrap();
         // Fresh temp files are a live writer's: a guarded pass spares them.
         assert_eq!(store.scavenge(Duration::from_secs(3600)), 0);
         // Old enough = a crashed writer's corpse: collected.
         assert_eq!(store.scavenge(Duration::ZERO), 3);
         assert_eq!(store.orphans_removed(), 3);
         // Real store files are never touched.
-        assert_eq!(store.load_blob(&key).as_deref(), Some("payload\n"));
+        assert_eq!(
+            store.load_record(RecordKind::Blob, &key).as_deref(),
+            Some(&b"payload\n"[..])
+        );
         assert_eq!(store.scavenge(Duration::ZERO), 0);
     }
 
     #[test]
-    fn blob_misses_on_corruption_and_wrong_key() {
-        let s = Scratch::new("blob-bad");
+    fn records_miss_on_corruption_wrong_key_and_wrong_kind() {
+        let s = Scratch::new("record-bad");
         let store = ResultStore::open(s.dir.clone());
-        let key = scenario_key("t", "p=1");
-        store.save_blob(&key, "value 42\n").unwrap();
-        // A different key must never be served this blob, even if the
-        // file is copied under its name (fingerprint mismatch).
-        let other = scenario_key("t", "p=2");
-        std::fs::copy(store.blob_path(&key), store.blob_path(&other)).unwrap();
-        assert!(store.load_blob(&other).is_none());
-        assert_eq!(store.corrupt_count(), 1);
-        // Flip one payload byte: the checksum catches it.
-        let mut bytes = std::fs::read(store.blob_path(&key)).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(store.blob_path(&key), &bytes).unwrap();
-        assert!(store.load_blob(&key).is_none());
-        assert_eq!(store.corrupt_count(), 2);
+        for (i, kind) in RecordKind::ALL.into_iter().enumerate() {
+            let key = scenario_key("t", &format!("kind={}", kind.ext()));
+            store.save_record(kind, &key, b"value 42\n").unwrap();
+            let seen = 3 * i as u64;
+            // A different key must never be served this record, even if
+            // the file is copied under its name (fingerprint mismatch).
+            let other = scenario_key("t", "p=2");
+            std::fs::copy(
+                store.record_path(kind, &key),
+                store.record_path(kind, &other),
+            )
+            .unwrap();
+            assert!(store.load_record(kind, &other).is_none());
+            assert_eq!(store.corrupt_count(), seen + 1);
+            std::fs::remove_file(store.record_path(kind, &other)).unwrap();
+            // A record renamed to another kind's extension misses too.
+            let wrong = RecordKind::ALL[(i + 1) % 3];
+            std::fs::copy(
+                store.record_path(kind, &key),
+                store.record_path(wrong, &key),
+            )
+            .unwrap();
+            assert!(store.load_record(wrong, &key).is_none());
+            assert_eq!(store.corrupt_count(), seen + 2);
+            std::fs::remove_file(store.record_path(wrong, &key)).unwrap();
+            // Flip one payload byte: the checksum catches it.
+            let path = store.record_path(kind, &key);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let at = bytes.len() - "\nchecksum 0123456789abcdef\nend\n".len();
+            bytes[at] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(store.load_record(kind, &key).is_none(), "{kind:?}");
+            assert_eq!(store.corrupt_count(), seen + 3);
+        }
+        // Upper-casing a hex letter of the checksum keeps its value but
+        // not its bytes: only the lowercase digits `encode` writes decode.
+        let mut bytes = encode(RecordKind::Blob, &scenario_key("t", "p=1"), b"x");
+        let sum_at = bytes.len() - "0123456789abcdef\nend\n".len();
+        let letter = (sum_at..sum_at + 16)
+            .find(|&i| bytes[i].is_ascii_lowercase())
+            .expect("this key's checksum has a hex letter");
+        assert!(decode(&bytes).is_some());
+        bytes[letter] ^= 0x20;
+        assert!(decode(&bytes).is_none());
     }
 }

@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 
-use dbi_bench::{unit_key, BenchArgs, ResultStore, RunUnit, Runner};
+use dbi_bench::{unit_key, BenchArgs, RecordKind, ResultStore, RunUnit, Runner};
 use system_sim::{Mechanism, SystemConfig};
 use trace_gen::Benchmark;
 
@@ -69,7 +69,7 @@ fn crashed_unit_resumes_from_its_checkpoint_bit_identically() {
     );
     let store = ResultStore::open(scratch.0.clone());
     assert!(
-        store.load_checkpoint(&key).is_some(),
+        store.load_record(RecordKind::Ckpt, &key).is_some(),
         "a durable checkpoint must remain"
     );
 
@@ -82,7 +82,7 @@ fn crashed_unit_resumes_from_its_checkpoint_bit_identically() {
     assert_eq!(results[0].as_ref().unwrap().digest(), straight);
 
     // Completion cleans up: checkpoint gone, entry present.
-    assert!(store.load_checkpoint(&key).is_none());
+    assert!(store.load_record(RecordKind::Ckpt, &key).is_none());
     assert!(store.load(&key).is_some());
 
     // And the warm rerun serves the resumed result from the store.
@@ -107,9 +107,10 @@ fn corrupt_checkpoints_fall_back_to_a_cold_start() {
     assert_eq!(crashed.skipped(), 1);
 
     // Bit-flip the checkpoint payload; the rerun must detect it (the
-    // snapshot checksum), discard it, and still produce the right result.
+    // record checksum), count it as corrupt, and still produce the right
+    // result from a cold start.
     let store = ResultStore::open(scratch.0.clone());
-    let path = store.checkpoint_path(&key);
+    let path = store.record_path(RecordKind::Ckpt, &key);
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x20;
@@ -123,5 +124,6 @@ fn corrupt_checkpoints_fall_back_to_a_cold_start() {
         (1, 0),
         "a corrupt checkpoint must cold-start, not resume"
     );
+    assert_eq!(rerun.corrupt(), 1, "and count in the summary's corrupt=");
     assert_eq!(results[0].as_ref().unwrap().digest(), straight);
 }

@@ -1,36 +1,35 @@
 //! Property test: arbitrary truncation or bit-flips of on-disk store
 //! files must read back as a miss — never a panic, never a wrong value.
 //!
-//! The store's contract is that `load`/`load_blob`/`load_checkpoint`
-//! treat any damaged file as absent (the unit recomputes). This test
-//! damages real serialized files at generated offsets — a truncation
-//! (what a torn write leaves) or a single bit-flip (what bad storage
-//! leaves) — and asserts the contract byte by byte.
+//! The store's contract is that `load_record` (and `load`, the typed
+//! entry wrapper) treats any damaged record as absent (the unit
+//! recomputes). This test damages real serialized files of each kind at
+//! generated offsets — a truncation (what a torn write leaves) or a
+//! single bit-flip (what bad storage leaves) — and asserts the contract
+//! byte by byte.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use dbi_bench::store::{scenario_key, unit_key, ResultStore, StoreKey};
+use dbi_bench::store::{scenario_key, unit_key, RecordKind, ResultStore, StoreKey};
 use dbi_bench::RunUnit;
 use proptest::prelude::*;
 use system_sim::{run_mix, Mechanism, SystemConfig};
 use trace_gen::Benchmark;
 
-/// The pristine serialized bytes of one entry, one blob, and one
-/// checkpoint, with their keys — built once, mutated per case.
+/// One pristine record file of one kind: its key, the payload it frames,
+/// and its bytes on disk.
 struct Pristine {
-    entry_key: StoreKey,
-    entry: Vec<u8>,
-    blob_key: StoreKey,
-    blob: Vec<u8>,
-    ckpt_key: StoreKey,
-    ckpt: Vec<u8>,
-    ckpt_payload: Vec<u8>,
+    key: StoreKey,
+    payload: Vec<u8>,
+    file: Vec<u8>,
 }
 
-fn pristine() -> &'static Pristine {
-    static FILES: OnceLock<Pristine> = OnceLock::new();
-    FILES.get_or_init(|| {
+/// The pristine entry, blob and checkpoint, in `RecordKind::ALL` order —
+/// built once, mutated per case.
+fn pristine(kind: RecordKind) -> &'static Pristine {
+    static FILES: OnceLock<Vec<Pristine>> = OnceLock::new();
+    let files = FILES.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("dbi-corrupt-seed-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = ResultStore::open(dir.clone());
@@ -42,28 +41,34 @@ fn pristine() -> &'static Pristine {
         store
             .save(&entry_key, &run_mix(&unit.mix, &unit.config))
             .unwrap();
-        let blob_key = scenario_key("corruption", "p=1");
-        store
-            .save_blob(&blob_key, "blob payload\nwith lines\n")
-            .unwrap();
-        let ckpt_key = scenario_key("corruption-ckpt", "p=1");
+        let entry = store.load_record(RecordKind::Entry, &entry_key).unwrap();
         let mut w = dbi::snap::SnapWriter::new();
         w.u64(7);
         w.str("ckpt payload");
-        let ckpt_payload = w.finish();
-        store.save_checkpoint(&ckpt_key, &ckpt_payload).unwrap();
-        let p = Pristine {
-            entry: std::fs::read(store.entry_path(&entry_key)).unwrap(),
-            entry_key,
-            blob: std::fs::read(store.blob_path(&blob_key)).unwrap(),
-            blob_key,
-            ckpt: std::fs::read(store.checkpoint_path(&ckpt_key)).unwrap(),
-            ckpt_key,
-            ckpt_payload,
-        };
+        let records = [
+            (entry_key, entry),
+            (
+                scenario_key("corruption", "p=1"),
+                b"blob payload\nwith lines\n".to_vec(),
+            ),
+            (scenario_key("corruption-ckpt", "p=1"), w.finish()),
+        ];
+        let files = RecordKind::ALL
+            .into_iter()
+            .zip(records)
+            .map(|(kind, (key, payload))| {
+                store.save_record(kind, &key, &payload).unwrap();
+                Pristine {
+                    file: std::fs::read(store.record_path(kind, &key)).unwrap(),
+                    key,
+                    payload,
+                }
+            })
+            .collect();
         let _ = std::fs::remove_dir_all(&dir);
-        p
-    })
+        files
+    });
+    &files[kind as usize]
 }
 
 /// A store directory holding exactly one damaged file.
@@ -109,6 +114,32 @@ fn damage(original: &[u8], frac: f64, flip: bool, bit: u32) -> Vec<u8> {
     }
 }
 
+/// Writes the damaged bytes of `kind`'s pristine file and checks that
+/// `load_record` serves exactly the pristine payload or misses: the
+/// pristine file must load, a damaged one must never. Returns the store
+/// holding the file and whether the file is intact.
+fn damaged_record_reads_as_miss(
+    kind: RecordKind,
+    frac: f64,
+    flip: bool,
+    bit: u32,
+    case: u64,
+) -> Result<(Damaged, bool), TestCaseError> {
+    let p = pristine(kind);
+    let bytes = damage(&p.file, frac, flip, bit);
+    let name = format!("{:016x}.{}", p.key.hash, kind.ext());
+    let d = Damaged::new(case, &name, &bytes);
+    match d.store.load_record(kind, &p.key) {
+        None => prop_assert!(bytes != p.file, "pristine {kind:?} must load"),
+        Some(payload) => {
+            prop_assert_eq!(&bytes, &p.file, "served a damaged {:?}", kind);
+            prop_assert_eq!(&payload, &p.payload);
+        }
+    }
+    let intact = bytes == p.file;
+    Ok((d, intact))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -119,14 +150,9 @@ proptest! {
         bit in 0u32..8,
         case in 0u64..u64::MAX,
     ) {
-        let p = pristine();
-        let bytes = damage(&p.entry, frac, flip, bit);
-        let name = format!("{:016x}.entry", p.entry_key.hash);
-        let d = Damaged::new(case, &name, &bytes);
-        match d.store.load(&p.entry_key) {
-            None => prop_assert!(bytes != p.entry, "pristine entry must load"),
-            Some(_) => prop_assert_eq!(&bytes, &p.entry, "served a damaged entry"),
-        }
+        let (d, intact) = damaged_record_reads_as_miss(RecordKind::Entry, frac, flip, bit, case)?;
+        // The typed wrapper agrees with the record it wraps.
+        prop_assert_eq!(d.store.load(&pristine(RecordKind::Entry).key).is_some(), intact);
     }
 
     #[test]
@@ -136,14 +162,7 @@ proptest! {
         bit in 0u32..8,
         case in 0u64..u64::MAX,
     ) {
-        let p = pristine();
-        let bytes = damage(&p.blob, frac, flip, bit);
-        let name = format!("{:016x}.blob", p.blob_key.hash);
-        let d = Damaged::new(case, &name, &bytes);
-        match d.store.load_blob(&p.blob_key) {
-            None => prop_assert!(bytes != p.blob, "pristine blob must load"),
-            Some(_) => prop_assert_eq!(&bytes, &p.blob, "served a damaged blob"),
-        }
+        damaged_record_reads_as_miss(RecordKind::Blob, frac, flip, bit, case)?;
     }
 
     #[test]
@@ -153,20 +172,6 @@ proptest! {
         bit in 0u32..8,
         case in 0u64..u64::MAX,
     ) {
-        let p = pristine();
-        let bytes = damage(&p.ckpt, frac, flip, bit);
-        let name = format!("{:016x}.ckpt", p.ckpt_key.hash);
-        let d = Damaged::new(case, &name, &bytes);
-        // The checkpoint contract is two-layered: the store's hash guard
-        // rejects foreign files, and the snapshot decoder's checksum
-        // rejects damaged payloads. Either layer may fire; what must
-        // never happen is a damaged payload passing both.
-        if let Some(payload) = d.store.load_checkpoint(&p.ckpt_key) {
-            let decodes = dbi::snap::SnapReader::new(&payload).is_ok();
-            prop_assert!(
-                payload == p.ckpt_payload || !decodes,
-                "a damaged checkpoint decoded cleanly"
-            );
-        }
+        damaged_record_reads_as_miss(RecordKind::Ckpt, frac, flip, bit, case)?;
     }
 }

@@ -1,10 +1,11 @@
 //! The recovery matrix: crash the store at every registered failpoint
-//! site, in every applicable mode, and prove the store recovers.
+//! site, in every applicable mode, for every record kind, and prove the
+//! store recovers.
 //!
-//! For each (site, mode) pair the scenario is: arm the failpoint with
-//! [`CrashStyle::Error`] (abort the store operation in-process, leaving
-//! exactly the on-disk state a mid-protocol kill would), perform the
-//! site's store operation, then
+//! For each (site, mode) pair and each kind (entry, blob, checkpoint) the
+//! scenario is: arm the failpoint with [`CrashStyle::Error`] (abort the
+//! store operation in-process, leaving exactly the on-disk state a
+//! mid-protocol kill would), save that kind's record, then
 //!
 //! 1. the operation's result matches the mode (torn/crash/eio fail,
 //!    short/drop-sync complete silently);
@@ -28,8 +29,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use dbi_bench::failpoints::{self, CrashStyle, FailMode, FailPlan, FailSpec, Group};
-use dbi_bench::store::{scenario_key, unit_key, ResultStore, StoreKey};
+use dbi_bench::failpoints::{self, CrashStyle, FailMode, FailPlan, FailSpec};
+use dbi_bench::store::{scenario_key, unit_key, RecordKind, ResultStore, StoreKey};
 use dbi_bench::{all_sites, modes_for, scrub_store, RunUnit};
 use system_sim::{run_mix, Mechanism, MixResult, SystemConfig};
 use trace_gen::Benchmark;
@@ -76,8 +77,6 @@ fn same_result(a: &MixResult, b: &MixResult) -> bool {
     format!("{a:?}") == format!("{b:?}")
 }
 
-const BLOB_PAYLOAD: &str = "scenario payload line 1\nline 2\n";
-
 fn ckpt_payload() -> Vec<u8> {
     let mut w = dbi::snap::SnapWriter::new();
     w.u64(0xfeed);
@@ -85,114 +84,109 @@ fn ckpt_payload() -> Vec<u8> {
     w.finish()
 }
 
-/// Performs the group's store operation against `dir`.
-fn perform(group: Group, dir: &Path) -> std::io::Result<()> {
-    let (_, key, result) = tiny();
-    let store = ResultStore::open(dir.to_path_buf());
-    match group {
-        Group::Entry => store.save(key, result),
-        Group::Blob => store.save_blob(&scenario_key("matrix", "p=1"), BLOB_PAYLOAD),
-        Group::Ckpt => store.save_checkpoint(key, &ckpt_payload()),
-    }
+/// The key and payload each kind's record is saved under, in
+/// `RecordKind::ALL` order: the tiny unit's real entry, a scenario blob,
+/// and a snapshot stream as the unit's checkpoint.
+fn record(kind: RecordKind) -> &'static (StoreKey, Vec<u8>) {
+    static RECORDS: OnceLock<Vec<(StoreKey, Vec<u8>)>> = OnceLock::new();
+    let records = RECORDS.get_or_init(|| {
+        let (_, key, result) = tiny();
+        // The entry payload is whatever `save` writes for the result.
+        let s = Scratch::new("entry-payload");
+        let store = ResultStore::open(s.dir.clone());
+        store.save(key, result).unwrap();
+        let entry = store.load_record(RecordKind::Entry, key).unwrap();
+        vec![
+            (key.clone(), entry),
+            (
+                scenario_key("matrix", "p=1"),
+                b"scenario payload line 1\nline 2\n".to_vec(),
+            ),
+            (key.clone(), ckpt_payload()),
+        ]
+    });
+    &records[kind as usize]
 }
 
-/// Asserts the reopened store never serves a wrong value for the group's
-/// key: every load is a miss or exactly what the writer attempted.
-fn assert_recovered(group: Group, dir: &Path) {
-    let (_, key, result) = tiny();
-    let store = ResultStore::open(dir.to_path_buf());
-    match group {
-        Group::Entry => {
-            if let Some(loaded) = store.load(key) {
-                assert!(same_result(&loaded, result), "served a wrong entry");
-            }
-        }
-        Group::Blob => {
-            if let Some(payload) = store.load_blob(&scenario_key("matrix", "p=1")) {
-                assert_eq!(payload, BLOB_PAYLOAD, "served a wrong blob");
-            }
-        }
-        Group::Ckpt => {
-            // The hash guard filters cross-unit checkpoints; deeper
-            // corruption is the snapshot decoder's to reject — exactly
-            // what the resuming runner does before trusting a payload.
-            if let Some(payload) = store.load_checkpoint(key) {
-                assert!(
-                    payload == ckpt_payload() || dbi::snap::SnapReader::new(&payload).is_err(),
-                    "a corrupt checkpoint payload passed its own checksum"
-                );
-            }
-        }
-    }
+/// Saves the kind's record into `dir`.
+fn perform(kind: RecordKind, dir: &Path) -> std::io::Result<()> {
+    let (key, payload) = record(kind);
+    ResultStore::open(dir.to_path_buf()).save_record(kind, key, payload)
 }
 
 #[test]
 fn recovery_matrix_covers_every_site_and_mode() {
     let _serial = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let (_, key, result) = tiny();
-    let mut scenarios = 0;
-    for site in all_sites() {
+    let sites = all_sites();
+    assert_eq!(sites.len(), 4, "one protocol, four stages");
+    let (mut pairs, mut runs) = (0, 0);
+    for site in sites {
         for mode in modes_for(site) {
-            scenarios += 1;
+            pairs += 1;
             let spec = FailSpec { site, mode };
-            let tag = format!("{spec}").replace([':', '.'], "-");
-            let s = Scratch::new(&tag);
-            let dir = s.dir.join("store");
+            for kind in RecordKind::ALL {
+                runs += 1;
+                let (key, payload) = record(kind);
+                let tag = format!("{spec}-{}", kind.ext()).replace([':', '.'], "-");
+                let s = Scratch::new(&tag);
+                let dir = s.dir.join("store");
 
-            failpoints::install(
-                FailPlan::new(spec, 7)
-                    .with_style(CrashStyle::Error)
-                    .with_fire_at(1),
-            );
-            let outcome = perform(site.group, &dir);
-            let fired = failpoints::fired();
-            failpoints::clear();
+                failpoints::install(
+                    FailPlan::new(spec, 7)
+                        .with_style(CrashStyle::Error)
+                        .with_fire_at(1),
+                );
+                let outcome = perform(kind, &dir);
+                let fired = failpoints::fired();
+                failpoints::clear();
 
-            assert_eq!(fired, Some(spec), "site {spec} never fired");
-            match mode {
-                FailMode::Torn | FailMode::Crash | FailMode::Eio => {
-                    assert!(outcome.is_err(), "{spec}: injected failure was swallowed");
+                assert_eq!(fired, Some(spec), "site {spec} never fired ({kind:?})");
+                match mode {
+                    FailMode::Torn | FailMode::Crash | FailMode::Eio => {
+                        assert!(
+                            outcome.is_err(),
+                            "{spec} {kind:?}: injected failure swallowed"
+                        );
+                    }
+                    FailMode::Short | FailMode::DropSync => {
+                        assert!(
+                            outcome.is_ok(),
+                            "{spec} {kind:?}: silent mode surfaced an error"
+                        );
+                    }
                 }
-                FailMode::Short | FailMode::DropSync => {
-                    assert!(outcome.is_ok(), "{spec}: silent mode surfaced an error");
+
+                // A fresh handle on the crashed directory: no panic, no
+                // lies — a miss or exactly the payload the writer tried.
+                let reopened = ResultStore::open(dir.clone());
+                if let Some(loaded) = reopened.load_record(kind, key) {
+                    assert_eq!(&loaded, payload, "{spec}: served a wrong {kind:?}");
                 }
+
+                // Scrub the debris, redo the write cleanly, verify the
+                // value is served, and prove nothing is left to repair.
+                scrub_store(&dir).unwrap();
+                perform(kind, &dir).unwrap_or_else(|e| {
+                    panic!("{spec} {kind:?}: clean redo failed after scrub: {e}");
+                });
+                let healed = ResultStore::open(dir.clone());
+                assert_eq!(
+                    healed.load_record(kind, key).as_ref(),
+                    Some(payload),
+                    "{spec}: healed {kind:?} must round-trip"
+                );
+                let report = scrub_store(&dir).unwrap();
+                assert!(
+                    report.is_clean(),
+                    "{spec} {kind:?}: store still dirty after heal: {report}"
+                );
             }
-
-            // A fresh handle on the crashed directory: no panic, no lies.
-            assert_recovered(site.group, &dir);
-
-            // Scrub the debris, redo the write cleanly, verify the value
-            // is served, and prove nothing is left to repair.
-            scrub_store(&dir).unwrap();
-            perform(site.group, &dir).unwrap_or_else(|e| {
-                panic!("{spec}: clean redo failed after scrub: {e}");
-            });
-            let healed = ResultStore::open(dir.clone());
-            match site.group {
-                Group::Entry => {
-                    let loaded = healed.load(key).expect("healed entry must load");
-                    assert!(same_result(&loaded, result));
-                }
-                Group::Blob => assert_eq!(
-                    healed.load_blob(&scenario_key("matrix", "p=1")).as_deref(),
-                    Some(BLOB_PAYLOAD)
-                ),
-                Group::Ckpt => assert_eq!(
-                    healed.load_checkpoint(key),
-                    Some(ckpt_payload()),
-                    "healed checkpoint must round-trip"
-                ),
-            }
-            let report = scrub_store(&dir).unwrap();
-            assert!(
-                report.is_clean(),
-                "{spec}: store still dirty after heal: {report}"
-            );
         }
     }
-    // Three full atomic-write protocols — entry, blob, ckpt — with
-    // 4+3+2+3 modes across the four stages.
-    assert_eq!(scenarios, 3 * 12, "the matrix shrank — sites untested");
+    // One atomic-write protocol with 4+3+2+3 modes across its four
+    // stages, each run once per record kind.
+    assert_eq!(pairs, 12, "the matrix shrank — sites untested");
+    assert_eq!(runs, 36, "the matrix skipped a record kind");
 }
 
 /// Disarmed failpoints must be invisible: the same operations succeed
@@ -202,14 +196,17 @@ fn disarmed_failpoints_are_noops() {
     let _serial = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (_, key, result) = tiny();
     let s = Scratch::new("noop");
+    for kind in RecordKind::ALL {
+        perform(kind, &s.dir).unwrap();
+    }
     let store = ResultStore::open(s.dir.clone());
-    store.save(key, result).unwrap();
-    store
-        .save_blob(&scenario_key("matrix", "p=1"), BLOB_PAYLOAD)
-        .unwrap();
-    store.save_checkpoint(key, &ckpt_payload()).unwrap();
-    assert!(store.load(key).is_some());
-    assert_eq!(store.load_checkpoint(key), Some(ckpt_payload()));
+    assert!(same_result(&store.load(key).unwrap(), result));
+    for kind in RecordKind::ALL {
+        assert_eq!(
+            store.load_record(kind, &record(kind).0).as_ref(),
+            Some(&record(kind).1)
+        );
+    }
     assert_eq!(failpoints::fired(), None);
     let report = scrub_store(&s.dir).unwrap();
     assert!(report.is_clean(), "{report}");

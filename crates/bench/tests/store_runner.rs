@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dbi_bench::{unit_key, BenchArgs, ResultStore, RunUnit, Runner, UnitFault};
+use dbi_bench::{unit_key, BenchArgs, RecordKind, ResultStore, RunUnit, Runner, UnitFault};
 use system_sim::{Mechanism, SystemConfig};
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
@@ -362,7 +362,7 @@ fn entry_checksum_catches_flips_that_still_parse() {
 }
 
 #[test]
-fn deserialize_any_recovers_fingerprint_and_result() {
+fn decode_recovers_kind_fingerprint_and_result() {
     let scratch = Scratch::new("any");
     let config = tiny_config(Mechanism::Dawb);
     let mix = WorkloadMix::new(vec![Benchmark::Mcf]);
@@ -371,13 +371,18 @@ fn deserialize_any_recovers_fingerprint_and_result() {
 
     let store = ResultStore::open(scratch.0.clone());
     store.save(&key, &result).expect("save");
-    let text = std::fs::read_to_string(store.entry_path(&key)).unwrap();
+    let bytes = std::fs::read(store.entry_path(&key)).unwrap();
 
-    let (fingerprint, loaded) =
-        dbi_bench::store::deserialize_any(&text).expect("clean entry parses");
+    let (kind, fingerprint, payload) =
+        dbi_bench::store::decode(&bytes).expect("clean entry decodes");
+    assert_eq!(kind, RecordKind::Entry);
     assert_eq!(fingerprint, key.fingerprint);
-    assert_eq!(dbi_bench::fingerprint_hash(&fingerprint), key.hash);
-    assert_eq!(loaded.digest(), result.digest());
+    assert_eq!(dbi_bench::fingerprint_hash(fingerprint), key.hash);
+    assert_eq!(
+        store.load_record(RecordKind::Entry, &key).as_deref(),
+        Some(payload)
+    );
+    assert_eq!(store.load(&key).unwrap().digest(), result.digest());
 }
 
 #[test]
@@ -386,24 +391,42 @@ fn checkpoints_round_trip_and_reject_foreign_hashes() {
     let store = ResultStore::open(scratch.0.clone());
     let key_a = unit_key(&tiny_config(Mechanism::Baseline), &[Benchmark::Lbm]);
     let key_b = unit_key(&tiny_config(Mechanism::Baseline), &[Benchmark::Mcf]);
+    let ckpt = RecordKind::Ckpt;
 
-    assert!(store.load_checkpoint(&key_a).is_none());
+    assert!(store.load_record(ckpt, &key_a).is_none());
     let payload = vec![0xAB; 257];
-    store.save_checkpoint(&key_a, &payload).expect("save");
-    assert_eq!(store.load_checkpoint(&key_a).as_deref(), Some(&payload[..]));
+    store.save_record(ckpt, &key_a, &payload).expect("save");
+    assert_eq!(
+        store.load_record(ckpt, &key_a).as_deref(),
+        Some(&payload[..])
+    );
+
+    // Same hash, hence same file name, but another unit's fingerprint: an
+    // 8-byte hash guard would accept this file; the full fingerprint
+    // check must not.
+    let collided = dbi_bench::StoreKey {
+        hash: key_a.hash,
+        fingerprint: key_b.fingerprint.clone(),
+    };
+    assert!(store.load_record(ckpt, &collided).is_none());
 
     // A checkpoint copied (or renamed) under another unit's name is
-    // rejected by the embedded hash guard.
-    std::fs::copy(store.checkpoint_path(&key_a), store.checkpoint_path(&key_b)).unwrap();
-    assert!(store.load_checkpoint(&key_b).is_none());
+    // rejected by the embedded fingerprint.
+    std::fs::copy(
+        store.record_path(ckpt, &key_a),
+        store.record_path(ckpt, &key_b),
+    )
+    .unwrap();
+    assert!(store.load_record(ckpt, &key_b).is_none());
 
-    // A truncated checkpoint is rejected, not misread.
-    std::fs::write(store.checkpoint_path(&key_a), [1, 2, 3]).unwrap();
-    assert!(store.load_checkpoint(&key_a).is_none());
+    // A truncated checkpoint is rejected, not misread, and counted.
+    std::fs::write(store.record_path(ckpt, &key_a), [1, 2, 3]).unwrap();
+    assert!(store.load_record(ckpt, &key_a).is_none());
+    assert_eq!(store.corrupt_count(), 3);
 
     store.clear_checkpoint(&key_a);
     store.clear_checkpoint(&key_b);
-    assert!(!store.checkpoint_path(&key_a).exists());
+    assert!(!store.record_path(ckpt, &key_a).exists());
 }
 
 #[test]
