@@ -47,7 +47,7 @@ fn run_with_crashes(mix: &WorkloadMix, config: &SystemConfig) -> (String, u32) {
             false
         };
         let outcome = SimSession::new(mix, config)
-            .maybe_resume(resume.as_deref())
+            .resume(resume.as_deref())
             .cadence(CheckpointCadence::EveryRecords(CHECKPOINT_EVERY))
             .sink(&mut sink)
             .run()

@@ -20,11 +20,11 @@
 //! # Crash tolerance
 //!
 //! A multi-hour sweep must not lose hours of completed work to one bad
-//! unit. Every simulation therefore runs under a guard: panics are caught
-//! ([`std::panic::catch_unwind`]) and, when a watchdog limit is set, the
-//! unit runs on its own thread so a wall-clock overrun can be detected
-//! (the overrunning thread is abandoned — threads cannot be killed — and
-//! its eventual result discarded). A failed unit gets exactly one retry
+//! unit. Every simulation therefore runs under a guard: on its own
+//! thread, with panics caught ([`std::panic::catch_unwind`]), and, when a
+//! watchdog limit is set, a wall-clock overrun detected (the overrunning
+//! thread is abandoned — threads cannot be killed — and its eventual
+//! result discarded). A failed unit gets exactly one retry
 //! after a jittered backoff; failing again *quarantines* it: the failure
 //! is recorded, every other unit still completes and reaches the store,
 //! and the process exits nonzero after printing its summary. The
@@ -56,8 +56,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use system_sim::{
-    run_mix, splitmix64, CheckpointCadence, FaultPlan, Mechanism, MixResult, SessionOutcome,
-    SimSession, SystemConfig,
+    splitmix64, CheckpointCadence, FaultPlan, Mechanism, MixResult, SessionOutcome, SimSession,
+    SystemConfig,
 };
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
@@ -220,10 +220,10 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Everything a simulation needs to write checkpoints. Owned values only:
-/// the watchdog path runs the simulation on a `'static` thread. The store
+/// the simulation runs on a `'static` thread. The store
 /// handle is the runner's own, so a corrupt checkpoint is counted in its
 /// summary.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CheckpointCtx {
     store: Arc<ResultStore>,
     key: StoreKey,
@@ -244,8 +244,9 @@ enum SimRun {
     Suspended,
 }
 
-/// Runs one unit, resuming from its checkpoint when a valid one exists
-/// and snapshotting on `ctx.cadence`. The checkpoint sink asks the simulator to
+/// Runs one unit as a [`SimSession`]. With a checkpoint context it
+/// resumes from the unit's checkpoint when a valid one exists and
+/// snapshots on `ctx.cadence`. The checkpoint sink asks the simulator to
 /// suspend once the process has been interrupted — the snapshot just
 /// written is then the durable resume point. A checkpoint that fails to
 /// decode under the unit's key is a counted corruption and the unit
@@ -257,8 +258,11 @@ fn run_checkpointed(
     ctx: Option<&CheckpointCtx>,
 ) -> SimRun {
     let Some(ctx) = ctx else {
+        let result = SimSession::new(mix, config)
+            .run()
+            .expect("a session without resume bytes has nothing to decode");
         return SimRun::Completed {
-            result: Box::new(run_mix(mix, config)),
+            result: Box::new(result.into_result()),
             resumed: false,
         };
     };
@@ -284,7 +288,7 @@ fn run_checkpointed(
             true
         };
         let session = SimSession::new(mix, config)
-            .maybe_resume(resume.as_deref())
+            .resume(resume.as_deref())
             .cadence(ctx.cadence)
             .sink(&mut sink);
         match session.run() {
@@ -515,33 +519,29 @@ impl Runner {
             }
             _ => None,
         };
-        let run = match self.watchdog {
-            None => catch_unwind(AssertUnwindSafe(|| {
-                run_checkpointed(&unit.mix, &unit.config, ckpt.as_ref())
+        // The simulation runs on its own thread so an overrun of the
+        // watchdog limit is detectable; a thread cannot be killed, so on
+        // timeout it is abandoned and its eventual result discarded.
+        // Without a limit the wait has none either.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mix = unit.mix.clone();
+        let config = unit.config.clone();
+        std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_checkpointed(&mix, &config, ckpt.as_ref())
             }))
-            .map_err(|p| UnitFault::Panicked(panic_text(p.as_ref())))?,
-            Some(limit) => {
-                // The simulation runs on its own thread so an overrun is
-                // detectable; a thread cannot be killed, so on timeout it
-                // is abandoned and its eventual result discarded.
-                let (tx, rx) = std::sync::mpsc::channel();
-                let mix = unit.mix.clone();
-                let config = unit.config.clone();
-                let ckpt = ckpt.clone();
-                std::thread::spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        run_checkpointed(&mix, &config, ckpt.as_ref())
-                    }))
-                    .map_err(|p| panic_text(p.as_ref()));
-                    let _ = tx.send(outcome);
-                });
-                match rx.recv_timeout(limit) {
-                    Ok(Ok(run)) => run,
-                    Ok(Err(msg)) => return Err(UnitFault::Panicked(msg)),
-                    Err(_) => return Err(UnitFault::TimedOut(limit)),
-                }
-            }
+            .map_err(|p| panic_text(p.as_ref()));
+            let _ = tx.send(outcome);
+        });
+        let outcome = match self.watchdog {
+            Some(limit) => rx
+                .recv_timeout(limit)
+                .map_err(|_| UnitFault::TimedOut(limit))?,
+            None => rx
+                .recv()
+                .map_err(|_| UnitFault::Panicked("the unit's thread sent no outcome".into()))?,
         };
+        let run = outcome.map_err(UnitFault::Panicked)?;
         let (result, resumed) = match run {
             // The checkpoint just written is the durable resume point.
             SimRun::Suspended => {

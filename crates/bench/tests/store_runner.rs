@@ -239,9 +239,10 @@ fn warm_rerun_is_bit_identical_and_simulates_nothing() {
     assert_eq!(cold_rows, warm_rows);
 }
 
-#[test]
-fn panicking_unit_is_quarantined_while_the_rest_complete() {
-    let scratch = Scratch::new("quarantine");
+/// Drives a work list whose middle unit panics through `runner`, a
+/// runner on `scratch`'s store, and checks that only that unit is
+/// quarantined while the others complete and reach the store.
+fn poison_unit_is_quarantined(scratch: &Scratch, runner: &Runner) {
     // `measure_insts = 0` trips the simulator's own precondition assert —
     // a deliberate in-simulation panic, exactly the failure mode the
     // quarantine exists for.
@@ -253,7 +254,6 @@ fn panicking_unit_is_quarantined_while_the_rest_complete() {
         RunUnit::alone(Benchmark::Mcf, tiny_config(Mechanism::Baseline)),
     ];
 
-    let runner = Runner::new("test-quarantine", &scratch.args());
     let (results, failures) = runner.try_run_units("poisoned", &units);
 
     assert!(results[0].is_some(), "unit before the poison completes");
@@ -278,6 +278,20 @@ fn panicking_unit_is_quarantined_while_the_rest_complete() {
     let _ = warm.run_unit(&units[0]);
     let _ = warm.run_unit(&units[2]);
     assert_eq!((warm.sims(), warm.hits()), (0, 2));
+}
+
+#[test]
+fn panicking_unit_is_quarantined_while_the_rest_complete() {
+    let scratch = Scratch::new("quarantine");
+    let runner = Runner::new("test-quarantine", &scratch.args());
+    poison_unit_is_quarantined(&scratch, &runner);
+}
+
+#[test]
+fn panicking_unit_is_quarantined_without_a_watchdog() {
+    let scratch = Scratch::new("quarantine-no-watchdog");
+    let runner = Runner::new("test-quarantine-no-watchdog", &scratch.args()).with_watchdog(None);
+    poison_unit_is_quarantined(&scratch, &runner);
 }
 
 #[test]

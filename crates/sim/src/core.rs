@@ -14,10 +14,9 @@
 //! The split follows the data flow. The LLC is non-inclusive and the
 //! cores share no data, so which level serves a core's access, and which
 //! blocks its L1/L2 evict to the LLC, depend only on that core's own
-//! trace. [`Front::step`] executes the next record on its back end
-//! directly. [`Front::produce`] only resolves it that far, so that
-//! [`CoreEngine::issue`], [`CoreEngine::access`] and
-//! [`CoreEngine::retire_load`] can replay it later, on another thread.
+//! trace. [`Front::produce`] resolves the next record that far, and
+//! [`CoreEngine::execute`] runs it on the back end — at once on the same
+//! thread, or later, after the record has crossed a ring from another.
 
 use std::collections::VecDeque;
 
@@ -54,25 +53,9 @@ pub(crate) trait Writebacks {
     fn writeback(&mut self, block: u64);
 }
 
-/// Writebacks straight into the LLC, at the cycle of the record that
-/// caused them.
-pub(crate) struct ToLlc<'a> {
-    pub(crate) thread: ThreadId,
-    pub(crate) cycle: u64,
-    pub(crate) llc: &'a mut SharedLlc,
-    pub(crate) dram: &'a mut MemoryController,
-    pub(crate) checker: Option<&'a mut VersionChecker>,
-}
-
-impl Writebacks for ToLlc<'_> {
+impl Writebacks for Vec<u64> {
     fn writeback(&mut self, block: u64) {
-        self.llc.writeback(
-            block,
-            self.thread,
-            self.cycle,
-            self.dram,
-            self.checker.as_deref_mut(),
-        );
+        self.push(block);
     }
 }
 
@@ -137,43 +120,9 @@ impl Front {
             .map_or(2, |d| 3 * d.config().granularity())
     }
 
-    /// Executes the next trace record on `core`, its back end.
-    pub(crate) fn step(
-        &mut self,
-        core: &mut CoreEngine,
-        llc: &mut SharedLlc,
-        dram: &mut MemoryController,
-        mut checker: Option<&mut VersionChecker>,
-    ) {
-        let record = self.generator.next_record();
-        core.issue(record.gap, record.dependent);
-        let addr = record.addr + self.addr_offset;
-        let write = record.op == MemOp::Write;
-        let served = self.lookup(addr, write);
-        let access = Access {
-            addr,
-            write,
-            served,
-        };
-        let completion = core.access(access, llc, dram, checker.as_deref_mut());
-        if served != Served::L1 {
-            let mut to_llc = ToLlc {
-                thread: core.thread,
-                cycle: core.cycle,
-                llc,
-                dram,
-                checker,
-            };
-            self.fill(access, &mut to_llc);
-        }
-        if !write {
-            core.retire_load(completion);
-        }
-    }
-
     /// Resolves the next trace record against L1 and L2 without executing
     /// it: returns its gap, whether it is a dependent load, and its access,
-    /// and hands the writebacks its fills cause to `w`.
+    /// and hands the writebacks its fills cause to `w`, in order.
     pub(crate) fn produce<W: Writebacks>(&mut self, w: &mut W) -> (u32, bool, Access) {
         let record = self.generator.next_record();
         let addr = record.addr + self.addr_offset;
@@ -372,8 +321,8 @@ pub(crate) struct CoreEngine {
     // measurement window).
     pub(crate) llc_reads: u64,
     pub(crate) llc_read_misses: u64,
-    /// Trace records executed (one per replayed access), the unit the
-    /// perf-baseline harness reports throughput in.
+    /// Trace records executed, the unit of the simulator's records/second
+    /// throughput.
     pub(crate) records: u64,
 }
 
@@ -393,6 +342,28 @@ impl CoreEngine {
             llc_reads: 0,
             llc_read_misses: 0,
             records: 0,
+        }
+    }
+
+    /// Executes one record as its front end resolved it: retires the
+    /// instructions up to its access, performs the access, hands the LLC
+    /// the `writebacks` its fills caused (at this core's cycle, in order),
+    /// and, for a load, joins it to the window's outstanding loads.
+    pub(crate) fn execute(
+        &mut self,
+        (gap, dependent, access): (u32, bool, Access),
+        writebacks: impl IntoIterator<Item = u64>,
+        llc: &mut SharedLlc,
+        dram: &mut MemoryController,
+        mut checker: Option<&mut VersionChecker>,
+    ) {
+        self.issue(gap, dependent);
+        let completion = self.access(access, llc, dram, checker.as_deref_mut());
+        for block in writebacks {
+            llc.writeback(block, self.thread, self.cycle, dram, checker.as_deref_mut());
+        }
+        if !access.write {
+            self.retire_load(completion);
         }
     }
 
@@ -450,7 +421,7 @@ impl CoreEngine {
     /// Retires the `gap` instructions before a record's access and the
     /// access's own; a `dependent` load (pointer chase) then waits for the
     /// previous load's data.
-    pub(crate) fn issue(&mut self, gap: u32, dependent: bool) {
+    fn issue(&mut self, gap: u32, dependent: bool) {
         self.records += 1;
         self.advance(u64::from(gap) + 1);
         if dependent {
@@ -461,7 +432,7 @@ impl CoreEngine {
     /// Performs the access at the current cycle and returns when its data
     /// arrives: after the serving level's latency, or from the LLC, whose
     /// read issues once the L1 and L2 tag checks are done.
-    pub(crate) fn access(
+    fn access(
         &mut self,
         a: Access,
         llc: &mut SharedLlc,
@@ -490,7 +461,7 @@ impl CoreEngine {
 
     /// Retires a load whose data arrives at `completion`, after the
     /// record's writebacks: it joins the window's outstanding loads.
-    pub(crate) fn retire_load(&mut self, completion: u64) {
+    fn retire_load(&mut self, completion: u64) {
         self.last_load_completion = self.last_load_completion.max(completion);
         self.note_load(completion);
     }

@@ -248,7 +248,7 @@ pub(crate) struct Reader {
 }
 
 impl Reader {
-    /// Replays ring `i`'s next record on `core`, the back end of that
+    /// Executes ring `i`'s next record on `core`, the back end of that
     /// ring's front end.
     ///
     /// # Panics
@@ -264,16 +264,9 @@ impl Reader {
     ) {
         let ring = &pipe.rings[i];
         let (gap, dependent, writebacks) = decode_issue(self.pop(pipe, ring));
-        core.issue(gap, dependent);
         let access = decode_access(self.pop(pipe, ring));
-        let completion = core.access(access, llc, dram, None);
-        for _ in 0..writebacks {
-            let block = self.pop(pipe, ring);
-            llc.writeback(block, core.thread, core.cycle, dram, None);
-        }
-        if !access.write {
-            core.retire_load(completion);
-        }
+        let blocks = (0..writebacks).map(|_| self.pop(pipe, ring));
+        core.execute((gap, dependent, access), blocks, llc, dram, None);
         if self.head - self.published >= ring.slots.len() / 4 {
             self.publish(ring);
         }

@@ -52,7 +52,5 @@ pub use crate::faults::{splitmix64, FaultClass, FaultInjector, FaultPlan, FaultR
 pub use crate::invariants::{InvariantKind, InvariantViolation, Sanitizer, SanitizerReport};
 pub use crate::llc::{LlcStats, ReadOutcome, SharedLlc};
 pub use crate::metrics::CoreResult;
-pub use crate::session::{
-    CheckpointCadence, CheckpointSink, RunOptions, SessionOutcome, SimSession,
-};
+pub use crate::session::{CheckpointCadence, SessionOutcome, SimSession};
 pub use crate::system::{run_alone, run_mix, MixResult, System};

@@ -1,6 +1,7 @@
 //! The assembled system: cores + shared LLC + DRAM, and the run loop.
 
 use std::collections::TryReserveError;
+use std::time::Instant;
 
 use cache_sim::lastwrite::RewriteFilterStats;
 use cache_sim::{BlockAddr, CacheConfig};
@@ -12,11 +13,12 @@ use trace_gen::{Benchmark, TraceGenerator};
 
 use crate::checker::{LostWrite, VersionChecker};
 use crate::config::SystemConfig;
-use crate::core::{CoreEngine, Front, ToLlc};
+use crate::core::{CoreEngine, Front};
 use crate::feed::{CpuClaim, Pipe, Reader, Writer, HELPER_STACK, RING_WORDS};
 use crate::invariants::SanitizerReport;
 use crate::llc::{LlcStats, SharedLlc};
 use crate::metrics::CoreResult;
+use crate::session::{CheckpointCadence, SessionOutcome, Sink};
 
 /// Alignment of per-core address regions, in blocks (1 MB of 64 B blocks —
 /// a whole number of DRAM row groups, so cores never share a row).
@@ -254,18 +256,19 @@ impl RunState {
 }
 
 /// Where [`System::micro_step`] takes each core's next record from.
-pub(crate) enum Feed<'a> {
-    /// Executed on demand by the system's own front ends, so their state
-    /// always equals the consumed state.
-    Inline,
+enum Feed<'a> {
+    /// Produced on demand by the system's own front ends, its writebacks
+    /// into this scratch, so the front ends' state always equals the
+    /// consumed state.
+    Inline(Vec<u64>),
     /// Read from the cores' rings, which a helper thread fills by running
     /// the front ends ahead.
     Ring(&'a Pipe, &'a mut [Reader]),
 }
 
-/// How [`System::run_as`] drives a run.
+/// How [`System::drive_as`] feeds the back end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Form {
+enum Form {
     /// One thread, [`Feed::Inline`].
     Inline,
     /// A helper thread fills rings of `words` words per core.
@@ -360,8 +363,15 @@ impl System {
     fn step(&mut self, i: usize, steps: &mut u64, feed: &mut Feed<'_>) {
         let core = &mut self.cores[i];
         match feed {
-            Feed::Inline => {
-                self.fronts[i].step(core, &mut self.llc, &mut self.dram, self.checker.as_mut());
+            Feed::Inline(writebacks) => {
+                let record = self.fronts[i].produce(writebacks);
+                core.execute(
+                    record,
+                    writebacks.drain(..),
+                    &mut self.llc,
+                    &mut self.dram,
+                    self.checker.as_mut(),
+                );
             }
             Feed::Ring(pipe, readers) => {
                 readers[i].replay(pipe, i, core, &mut self.llc, &mut self.dram);
@@ -389,8 +399,8 @@ impl System {
     /// Cores that finish their measurement quota keep running (and keep
     /// generating interference) until every core has finished, following
     /// the standard multi-programmed methodology. Checkpointing and resume
-    /// live on [`crate::session::SimSession`], which drives these same
-    /// micro-steps.
+    /// live on [`crate::session::SimSession`], which drives the run
+    /// through the same loop.
     ///
     /// When the process has a CPU to spare and the shadow-memory check is
     /// off, the cores' front ends run ahead on a helper thread; the
@@ -401,33 +411,56 @@ impl System {
     /// Panics if the configured measurement window is empty.
     #[must_use]
     pub fn run(self) -> MixResult {
-        let mut claim = CpuClaim::simulation();
-        // The check's final flush reads the front ends' caches, which must
-        // then hold exactly the consumed records: it runs inline.
-        let form = if self.checker.is_none() && claim.helper() {
-            Form::Ring { words: RING_WORDS }
-        } else {
-            Form::Inline
-        };
-        self.run_as(form)
+        let st = RunState::cold(&self);
+        self.drive(st, CheckpointCadence::Disabled, &mut |_| true)
+            .into_result()
     }
 
-    /// [`System::run`] in the given form.
-    pub(crate) fn run_as(mut self, form: Form) -> MixResult {
+    /// Runs from `st` to the end, offering a checkpoint to `sink` whenever
+    /// `cadence` falls due; a `false` from `sink` suspends the run.
+    ///
+    /// This is where the form is chosen. The front ends run ahead on a
+    /// helper thread only when nothing reads them before the run ends:
+    /// no checkpoints, no shadow-memory check (its final flush reads
+    /// L1/L2), and a CPU to spare.
+    pub(crate) fn drive(
+        self,
+        st: RunState,
+        cadence: CheckpointCadence,
+        sink: Sink<'_>,
+    ) -> SessionOutcome {
+        let mut claim = CpuClaim::simulation();
+        let form =
+            if cadence == CheckpointCadence::Disabled && self.checker.is_none() && claim.helper() {
+                Form::Ring { words: RING_WORDS }
+            } else {
+                Form::Inline
+            };
+        self.drive_as(form, st, cadence, sink)
+    }
+
+    /// [`System::drive`] in the given form.
+    fn drive_as(
+        mut self,
+        form: Form,
+        mut st: RunState,
+        cadence: CheckpointCadence,
+        sink: Sink<'_>,
+    ) -> SessionOutcome {
         assert!(
             self.config.measure_insts > 0,
             "measurement window must be nonempty"
         );
-        let mut st = RunState::cold(&self);
-        match form {
-            Form::Inline => while self.micro_step(&mut st, &mut Feed::Inline) {},
+        let finished = match form {
+            Form::Inline => self.steps(&mut st, &mut Feed::Inline(Vec::new()), cadence, sink),
             Form::Ring { words } => {
                 assert!(
-                    self.checker.is_none(),
-                    "the shadow-memory check runs inline"
+                    self.checker.is_none() && cadence == CheckpointCadence::Disabled,
+                    "the shadow-memory check and checkpoints run inline"
                 );
                 // The front ends end up ahead of the consumed records, so
-                // they do not go back: only the check's flush reads them.
+                // they do not go back: only checks and checkpoints read
+                // them.
                 let mut fronts = std::mem::take(&mut self.fronts);
                 let mut writers: Vec<Writer> = fronts.iter().map(Writer::new).collect();
                 let mut readers = vec![Reader::default(); fronts.len()];
@@ -440,11 +473,55 @@ impl System {
                         .spawn_scoped(s, || pipe.fill(&mut fronts, &mut writers))
                         .expect("spawn the trace front-end thread");
                     let mut feed = Feed::Ring(&pipe, &mut readers);
-                    while self.micro_step(&mut st, &mut feed) {}
-                });
+                    self.steps(&mut st, &mut feed, cadence, sink)
+                })
+            }
+        };
+        if finished {
+            SessionOutcome::Finished(Box::new(self.finish(&st)))
+        } else {
+            SessionOutcome::Suspended
+        }
+    }
+
+    /// The drive loop, the only code that calls [`System::micro_step`]:
+    /// steps the run to its end, offering a checkpoint to `sink` whenever
+    /// `cadence` falls due. Returns `false` if `sink` suspended the run.
+    fn steps(
+        &mut self,
+        st: &mut RunState,
+        feed: &mut Feed<'_>,
+        cadence: CheckpointCadence,
+        sink: Sink<'_>,
+    ) -> bool {
+        // Records between checkpoints, or between clock probes; counting
+        // down to the next one keeps divisions and the clock out of the
+        // loop. A zero interval never falls due.
+        let every = match cadence {
+            CheckpointCadence::Disabled => 0,
+            CheckpointCadence::EveryRecords(n) => n,
+            CheckpointCadence::WallClock { probe_records, .. } => probe_records,
+        };
+        let every = if every == 0 { u64::MAX } else { every };
+        let mut countdown = every;
+        let mut last_checkpoint = Instant::now();
+        while self.micro_step(st, feed) {
+            countdown -= 1;
+            if countdown > 0 {
+                continue;
+            }
+            countdown = every;
+            if let CheckpointCadence::WallClock { target, .. } = cadence {
+                if last_checkpoint.elapsed() < target {
+                    continue;
+                }
+                last_checkpoint = Instant::now();
+            }
+            if !sink(&self.checkpoint(st)) {
+                return false;
             }
         }
-        self.finish(&st)
+        true
     }
 
     /// Advances the run by exactly one trace record, performing the
@@ -455,7 +532,7 @@ impl System {
     /// Sanitizer scan points and measurement boundaries derive only from
     /// `st`, never from wall-clock time, so a run resumed from a
     /// checkpoint replays the exact step sequence of an uninterrupted one.
-    pub(crate) fn micro_step(&mut self, st: &mut RunState, feed: &mut Feed<'_>) -> bool {
+    fn micro_step(&mut self, st: &mut RunState, feed: &mut Feed<'_>) -> bool {
         let warm = self.config.warmup_insts;
         if !st.measuring {
             if st.warming > 0 {
@@ -515,7 +592,7 @@ impl System {
     /// Serializes the mid-run state (mechanisms + run-loop progress) into
     /// one self-checksummed checkpoint image, led by the trace seed so the
     /// image only resumes into a run of the same seed.
-    pub(crate) fn checkpoint(&self, st: &RunState) -> Vec<u8> {
+    fn checkpoint(&self, st: &RunState) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.u64(self.config.seed);
         self.snapshot(&mut w);
@@ -615,7 +692,7 @@ impl System {
     /// # Panics
     ///
     /// Panics if the run has not finished (some core has no end snapshot).
-    pub(crate) fn finish(mut self, st: &RunState) -> MixResult {
+    fn finish(mut self, st: &RunState) -> MixResult {
         let cores: Vec<CoreResult> = self
             .cores
             .iter()
@@ -665,14 +742,18 @@ impl System {
     fn flush_and_verify(&mut self) -> Result<(), Vec<LostWrite>> {
         self.llc.assert_dbi_residency();
         let now = self.cycles.iter().copied().max().unwrap_or(0);
+        let mut blocks = Vec::new();
         for (front, core) in self.fronts.iter_mut().zip(&self.cores) {
-            front.flush_private(&mut ToLlc {
-                thread: core.thread,
-                cycle: core.cycle,
-                llc: &mut self.llc,
-                dram: &mut self.dram,
-                checker: self.checker.as_mut(),
-            });
+            front.flush_private(&mut blocks);
+            for block in blocks.drain(..) {
+                self.llc.writeback(
+                    block,
+                    core.thread,
+                    core.cycle,
+                    &mut self.dram,
+                    self.checker.as_mut(),
+                );
+            }
         }
         self.llc
             .flush_dirty(now, &mut self.dram, self.checker.as_mut());
@@ -744,6 +825,7 @@ mod tests {
     use super::*;
     use crate::config::Mechanism;
     use crate::faults::{FaultClass, FaultPlan};
+    use crate::session::SimSession;
 
     fn small(cores: usize, mechanism: Mechanism) -> (WorkloadMix, SystemConfig) {
         let mix = WorkloadMix::new(
@@ -757,12 +839,53 @@ mod tests {
         (mix, config)
     }
 
+    /// `sys` run to the end in the given form, without checkpoints.
+    fn run_as(sys: System, form: Form) -> MixResult {
+        let st = RunState::cold(&sys);
+        sys.drive_as(form, st, CheckpointCadence::Disabled, &mut |_| true)
+            .into_result()
+    }
+
     fn digest(mix: &WorkloadMix, config: &SystemConfig, form: Form) -> String {
-        System::new(mix, config).run_as(form).digest()
+        run_as(System::new(mix, config), form).digest()
+    }
+
+    /// The digest of sessions that suspend at every `every`-record
+    /// checkpoint, each resuming from the last one, and the number of
+    /// suspensions.
+    fn resumed_every(mix: &WorkloadMix, config: &SystemConfig, every: u64) -> (String, u32) {
+        let mut resume: Option<Vec<u8>> = None;
+        let mut suspensions = 0;
+        loop {
+            let mut saved = None;
+            let mut sink = |bytes: &[u8]| {
+                saved = Some(bytes.to_vec());
+                false
+            };
+            let outcome = SimSession::new(mix, config)
+                .resume(resume.as_deref())
+                .cadence(CheckpointCadence::EveryRecords(every))
+                .sink(&mut sink)
+                .run()
+                .expect("a checkpoint of this run restores");
+            match outcome {
+                SessionOutcome::Finished(result) => return (result.digest(), suspensions),
+                SessionOutcome::Suspended => {
+                    suspensions += 1;
+                    resume = saved;
+                }
+            }
+        }
+    }
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
     }
 
     #[test]
-    fn ring_and_inline_agree_on_every_configuration() {
+    fn ring_inline_and_checkpointed_runs_agree_on_every_configuration() {
         let ring = Form::Ring { words: RING_WORDS };
         for mechanism in Mechanism::ALL {
             for cores in [1, 2, 4, 8] {
@@ -773,17 +896,44 @@ mod tests {
                             config.l2_dbi = l2_dbi;
                             config.sanitize = sanitize;
                             config.fault = fault;
-                            assert_eq!(
-                                digest(&mix, &config, Form::Inline),
-                                digest(&mix, &config, ring),
+                            let case = format!(
                                 "{mechanism} × {cores} cores, L2 DBI {l2_dbi}, \
                                  sanitizer {sanitize}, fault {fault:?}"
                             );
+                            let inline = run_as(System::new(&mix, &config), Form::Inline);
+                            assert_eq!(digest(&mix, &config, ring), inline.digest(), "{case}");
+                            // Suspends once in warmup and once in measurement.
+                            let every = inline.records_processed / 3 + 1;
+                            let (resumed, suspensions) = resumed_every(&mix, &config, every);
+                            assert_eq!(suspensions, 2, "{case}");
+                            assert_eq!(resumed, inline.digest(), "{case}");
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_checked_runs_keep_their_pinned_digests() {
+        // Runs with the shadow-memory check and the sanitizer. The pinned
+        // FNV-1a hash of the nine mechanisms' digests was taken with the
+        // front ends executing each record on their back ends directly, so
+        // it holds the checker's inputs and verdict, and the sanitizer's
+        // report, to that older record path.
+        let mut digests = String::new();
+        for mechanism in Mechanism::ALL {
+            let (mix, mut config) = small(4, mechanism);
+            config.check = true;
+            config.sanitize = true;
+            config.measure_insts = 100_000;
+            let result = System::new(&mix, &config).run();
+            assert_eq!(result.check, Some(Ok(())), "{mechanism}");
+            let (resumed, _) = resumed_every(&mix, &config, result.records_processed / 3 + 1);
+            assert_eq!(resumed, result.digest(), "{mechanism}");
+            digests.push_str(&result.digest());
+        }
+        assert_eq!(fnv1a(&digests), 0xbec6_ef1f_74fc_f557);
     }
 
     #[test]
@@ -824,15 +974,9 @@ mod tests {
         config.llc_bytes_per_core = 256 * 1024;
         config.warmup_insts = 100_000;
         config.measure_insts = 100_000;
-        let result = System::new(&mix, &config).run_as(Form::Inline);
+        let result = run_as(System::new(&mix, &config), Form::Inline);
         assert_eq!(result.llc.sweep_writebacks, 3727);
-        let hash = result
-            .digest()
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            });
-        assert_eq!(hash, 0x8036_a17e_ace4_6aa9);
+        assert_eq!(fnv1a(&result.digest()), 0x8036_a17e_ace4_6aa9);
     }
 
     /// Runs `sys` in ring form on its own thread and returns whether it
@@ -840,7 +984,7 @@ mod tests {
     fn ring_run_panics(sys: System) -> bool {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| sys.run_as(Form::Ring { words: 64 })));
+            let outcome = catch_unwind(AssertUnwindSafe(|| run_as(sys, Form::Ring { words: 64 })));
             let _ = tx.send(outcome.is_err());
         });
         rx.recv_timeout(Duration::from_secs(20))

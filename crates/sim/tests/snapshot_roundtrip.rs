@@ -44,7 +44,7 @@ fn suspend_at_first(
         false
     };
     let outcome = SimSession::new(mix, config)
-        .maybe_resume(resume)
+        .resume(resume)
         .cadence(cadence)
         .sink(&mut sink)
         .run()
@@ -58,7 +58,7 @@ fn suspend_at_first(
 /// Resumes `bytes` and runs to completion with checkpointing disabled.
 fn resume_to_end(mix: &WorkloadMix, config: &SystemConfig, bytes: &[u8]) -> String {
     SimSession::new(mix, config)
-        .resume(bytes)
+        .resume(Some(bytes))
         .run()
         .expect("snapshot round-trips")
         .into_result()
@@ -181,7 +181,9 @@ fn corrupt_snapshot_is_rejected() {
         .expect_err("short cadence must suspend");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
-    let err = SimSession::new(&mix, &config).resume(&bytes).run();
+    let err = SimSession::new(&mix, &config)
+        .resume(Some(bytes.as_slice()))
+        .run();
     assert!(err.is_err(), "bit-flipped snapshot must not restore");
 }
 
@@ -204,7 +206,9 @@ fn snapshot_from_a_different_mechanism_is_rejected() {
     )
     .expect_err("short cadence must suspend");
     let baseline_config = tiny_config(1, Mechanism::Baseline, 3);
-    let err = SimSession::new(&mix, &baseline_config).resume(&bytes).run();
+    let err = SimSession::new(&mix, &baseline_config)
+        .resume(Some(bytes.as_slice()))
+        .run();
     assert!(err.is_err(), "mechanism mismatch must not restore");
 }
 
@@ -217,8 +221,13 @@ fn snapshot_from_a_different_seed_is_rejected() {
     let bytes = suspend_at_first(&mix, &config, None, CheckpointCadence::EveryRecords(500))
         .expect_err("short cadence must suspend");
     let other_seed = tiny_config(1, Mechanism::Vwq, 4);
-    let err = SimSession::new(&mix, &other_seed).resume(&bytes).run();
+    let err = SimSession::new(&mix, &other_seed)
+        .resume(Some(bytes.as_slice()))
+        .run();
     assert!(err.is_err(), "seed mismatch must not restore");
     // The untouched image still restores into its own seed.
-    assert!(SimSession::new(&mix, &config).resume(&bytes).run().is_ok());
+    assert!(SimSession::new(&mix, &config)
+        .resume(Some(bytes.as_slice()))
+        .run()
+        .is_ok());
 }

@@ -65,6 +65,8 @@ BASE_DIR="$WORK/base"
 # the `wait` on it, and the exit cleanup kills it before deleting $WORK.
 CHILD=""
 cleanup() {
+    # A second signal must not cut the cleanup short.
+    trap '' HUP INT TERM
     if [[ -n "$CHILD" ]]; then
         # The benchmark notes a SIGTERM and finishes its run first: give
         # the child two seconds, then kill it outright.
