@@ -43,7 +43,7 @@ fn bench_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("dbi_query");
     let mut dbi = paper_dbi();
     for b in (0..8192u64).step_by(3) {
-        dbi.mark_dirty(b);
+        dbi.mark_dirty(b, &mut Vec::new());
     }
     group.bench_function("is_dirty", |bencher| {
         let mut addr = 0u64;
@@ -74,30 +74,36 @@ fn bench_updates(c: &mut Criterion) {
     let mut group = c.benchmark_group("dbi_update");
     group.bench_function("mark_dirty_streaming", |bencher| {
         let mut dbi = paper_dbi();
+        let mut writebacks = Vec::new();
         let mut b = 0u64;
         bencher.iter(|| {
             b += 1;
-            black_box(dbi.mark_dirty(black_box(b % (1 << 20))).newly_dirty)
+            writebacks.clear();
+            black_box(dbi.mark_dirty(black_box(b % (1 << 20)), &mut writebacks))
         });
     });
     group.bench_function("mark_dirty_random_rows", |bencher| {
         let mut dbi = paper_dbi();
+        let mut writebacks = Vec::new();
         let mut x = 0x2545_f491_4f6c_dd1du64;
         bencher.iter(|| {
             // xorshift: worst case, every mark in a different row.
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            black_box(dbi.mark_dirty(black_box(x % (1 << 24))).newly_dirty)
+            writebacks.clear();
+            black_box(dbi.mark_dirty(black_box(x % (1 << 24)), &mut writebacks))
         });
     });
     group.bench_function("mark_then_clear", |bencher| {
         let mut dbi = paper_dbi();
+        let mut writebacks = Vec::new();
         let mut b = 0u64;
         bencher.iter(|| {
             b += 1;
             let addr = b % 8192;
-            dbi.mark_dirty(addr);
+            writebacks.clear();
+            dbi.mark_dirty(addr, &mut writebacks);
             black_box(dbi.clear_dirty(addr))
         });
     });
@@ -110,7 +116,7 @@ fn bench_flush(c: &mut Criterion) {
             || {
                 let mut dbi = paper_dbi();
                 for b in 0..8192u64 {
-                    dbi.mark_dirty(b);
+                    dbi.mark_dirty(b, &mut Vec::new());
                 }
                 dbi
             },

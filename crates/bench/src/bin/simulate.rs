@@ -132,6 +132,9 @@ fn parse_args(args: &[String]) -> Result<(Vec<Benchmark>, SystemConfig), String>
     if benchmarks.is_empty() {
         return Err("--benchmarks is required (try --help)".into());
     }
+    if insts == 0 {
+        return Err("--insts 0: the measurement window must be nonempty".into());
+    }
 
     let cores = benchmarks.len();
     let mut config = SystemConfig::for_cores(cores, mechanism);
@@ -283,6 +286,12 @@ mod tests {
         ];
         let args: Vec<String> = args.iter().map(ToString::to_string).collect();
         assert!(parse_args(&args).is_ok());
+    }
+
+    #[test]
+    fn empty_measurement_window_is_an_error() {
+        let err = parse_error(&["--benchmarks", "lbm", "--insts", "0"]);
+        assert!(err.contains("--insts 0"), "{err}");
     }
 
     #[test]

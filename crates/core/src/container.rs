@@ -1,14 +1,15 @@
 //! Adaptive dirty containers and shared dirty-word storage.
 //!
-//! Every dirty-metadata structure in this workspace stores the same thing:
-//! a set of small integers (block offsets within a DRAM row, way indices
-//! within a cache set, set indices within a cache). At paper scale a fixed
-//! array of `u64` words is fine; at GB scale (million-row DRAM caches) a
-//! dense word per row wastes almost all of its bits, because most rows hold
-//! zero or a handful of dirty blocks.
+//! Dirty metadata is a set of small integers (block offsets within a DRAM
+//! row, way indices within a cache set, set indices within a cache). At
+//! paper scale a fixed array of `u64` words is fine — the DBI keeps each
+//! entry's bit vector as plain words — but at GB scale (million-row DRAM
+//! caches) a dense word per row wastes almost all of its bits, because most
+//! rows hold zero or a handful of dirty blocks.
 //!
 //! [`DirtyContainer`] is the adaptive representation that makes million-row
-//! dirty tracking affordable, following the Roaring-bitmap container idiom:
+//! dirty tracking affordable for the GB-scale DRAM cache, following the
+//! Roaring-bitmap container idiom:
 //!
 //! * **Dense** — packed `u64` words, one bit per block; best for hot rows.
 //! * **Sparse** — a sorted `u16` index list; best for mostly-clean rows.
@@ -324,9 +325,10 @@ enum Repr {
 
 /// An adaptive set of bit indices in `0..len`, `len <= 512`.
 ///
-/// Drop-in replacement for the fixed dirty bit vector of a DBI entry: every
-/// operation (`set`/`clear`/`get`/`count`/`iter_ones`) behaves identically
-/// under every [`ContainerPolicy`]; only the modeled metadata cost
+/// The per-row dirty metadata of a GB-scale DRAM cache, where most rows
+/// are nearly clean: every operation
+/// (`set`/`clear`/`get`/`count`/`iter_ones`) behaves identically under
+/// every [`ContainerPolicy`]; only the modeled metadata cost
 /// ([`metadata_bytes`](DirtyContainer::metadata_bytes)) and the promotion
 /// state differ. Out-of-range indices panic — they are caller logic errors,
 /// never recoverable data.

@@ -1,74 +1,38 @@
 //! The Dirty-Block Index structure.
 
 use crate::config::DbiConfig;
-use crate::container::{ContainerPolicy, DirtyContainer};
 use crate::replacement::PolicyState;
 use crate::stats::DbiStats;
 use crate::{BlockAddr, RowId};
 
-/// One valid DBI entry: the row it covers and the row's dirty container.
-#[derive(Debug, Clone)]
-struct Entry {
-    row: RowId,
-    bits: DirtyContainer,
+/// Row tag of an invalid way. No block maps to it: a DBI only installs a
+/// row for a block it marks, and [`Dbi::mark_dirty`] rejects the one block
+/// that would (`BlockAddr::MAX` at granularity 1).
+const INVALID: RowId = RowId::MAX;
+
+/// Offsets of the set bits of a way's bit vector, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        (0..word.count_ones()).scan(word, move |rest, _| {
+            let bit = rest.trailing_zeros() as usize;
+            *rest &= *rest - 1;
+            Some(i * 64 + bit)
+        })
+    })
 }
 
-/// One set of the set-associative DBI.
-#[derive(Debug, Clone)]
-struct Set {
-    ways: Vec<Option<Entry>>,
-    policy: PolicyState,
-}
-
-/// A DBI entry that was evicted, carrying the writebacks it forces.
-///
-/// Per the paper (Section 2.2.4): once the entry is gone the DBI can no
-/// longer prove these blocks dirty, so they **must** be written back to
-/// memory; the cache blocks themselves stay resident and merely transition
-/// from dirty to clean.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvictedRow {
-    row: RowId,
-    blocks: Vec<BlockAddr>,
-}
-
-impl EvictedRow {
-    /// The DRAM row the evicted entry covered.
-    #[must_use]
-    pub fn row(&self) -> RowId {
-        self.row
-    }
-
-    /// Block addresses that must be written back, in ascending order —
-    /// already sorted by column, which is exactly the access order a
-    /// DRAM-aware writeback burst wants.
-    #[must_use]
-    pub fn blocks(&self) -> &[BlockAddr] {
-        &self.blocks
-    }
-}
-
-/// Result of [`Dbi::mark_dirty`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MarkOutcome {
-    /// Whether the block transitioned clean → dirty (false if it was
-    /// already marked).
-    pub newly_dirty: bool,
-    /// The entry evicted to make room, if inserting the row required one.
-    pub evicted: Option<EvictedRow>,
-}
-
-impl MarkOutcome {
-    /// Blocks that must be written back as a consequence of this mark
-    /// (empty unless a DBI eviction occurred).
-    #[must_use]
-    pub fn writebacks(&self) -> &[BlockAddr] {
-        self.evicted.as_ref().map_or(&[], |e| e.blocks())
-    }
+/// Number of set bits in a way's bit vector.
+fn population(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// The Dirty-Block Index: a small set-associative structure holding the
 /// dirty bits of a writeback cache, organized by DRAM row.
+///
+/// Each entry is what the paper draws: a row tag and a `granularity`-bit
+/// dirty vector. Both live in flat arrays sized once in [`Dbi::new`], so
+/// nothing after construction allocates except the reused scratch list of
+/// [`flush_each`](Dbi::flush_each).
 ///
 /// See the [crate-level documentation](crate) for the semantics and a usage
 /// example. All addresses are cache-block indices ([`BlockAddr`]); the row
@@ -76,27 +40,36 @@ impl MarkOutcome {
 #[derive(Debug, Clone)]
 pub struct Dbi {
     config: DbiConfig,
-    sets: Vec<Set>,
+    /// Row tag of every way, set-major; [`INVALID`] marks an invalid way.
+    rows: Vec<RowId>,
+    /// Dirty bit vector of every way, `words` words each, in `rows` order.
+    bits: Vec<u64>,
+    /// `u64` words per way: ⌈granularity / 64⌉.
+    words: usize,
+    /// Replacement state of each set.
+    policies: Vec<PolicyState>,
     dirty_blocks: u64,
     stats: DbiStats,
     /// Reused by [`flush_each`](Dbi::flush_each) so whole-index flushes
     /// allocate nothing after the first call. Not part of snapshot state.
-    flush_scratch: Vec<(RowId, u32, u32)>,
+    flush_scratch: Vec<(RowId, usize)>,
 }
 
 impl Dbi {
     /// Creates an empty DBI with the given geometry.
     #[must_use]
     pub fn new(config: DbiConfig) -> Self {
-        let sets = (0..config.sets())
-            .map(|_| Set {
-                ways: vec![None; config.associativity()],
-                policy: PolicyState::new(config.policy(), config.associativity()),
-            })
-            .collect();
+        let ways = config.sets() as usize * config.associativity();
+        let words = config.granularity().div_ceil(64);
         Dbi {
             config,
-            sets,
+            rows: vec![INVALID; ways],
+            bits: vec![0; ways * words],
+            words,
+            policies: vec![
+                PolicyState::new(config.policy(), config.associativity());
+                config.sets() as usize
+            ],
             dirty_blocks: 0,
             stats: DbiStats::default(),
             flush_scratch: Vec::new(),
@@ -120,98 +93,133 @@ impl Dbi {
     }
 
     fn set_index(&self, row: RowId) -> usize {
-        (row % self.sets.len() as u64) as usize
+        (row % self.policies.len() as u64) as usize
     }
 
+    /// Index of `set`'s first way in `rows`.
+    fn set_base(&self, set: usize) -> usize {
+        set * self.config.associativity()
+    }
+
+    /// Index of the way holding `row` in `rows`, if `set` holds it.
     fn find_way(&self, set: usize, row: RowId) -> Option<usize> {
-        self.sets[set]
-            .ways
+        if row == INVALID {
+            return None;
+        }
+        let base = self.set_base(set);
+        self.rows[base..base + self.config.associativity()]
             .iter()
-            .position(|w| w.as_ref().is_some_and(|e| e.row == row))
+            .position(|&r| r == row)
+            .map(|way| base + way)
     }
 
-    /// Marks `block` dirty, the DBI side of a writeback request arriving at
-    /// the cache (paper Section 2.2.2).
-    ///
-    /// If the block's row has no entry and its set is full, a victim entry
-    /// is evicted; the returned [`MarkOutcome::evicted`] then carries the
-    /// blocks whose writebacks the eviction forces.
-    pub fn mark_dirty(&mut self, block: BlockAddr) -> MarkOutcome {
-        let mut blocks = Vec::new();
-        let (newly_dirty, evicted_row) = self.mark_dirty_core(block, &mut blocks);
-        MarkOutcome {
-            newly_dirty,
-            evicted: evicted_row.map(|row| EvictedRow { row, blocks }),
+    fn way_words(&self, way: usize) -> &[u64] {
+        &self.bits[way * self.words..(way + 1) * self.words]
+    }
+
+    /// Sets bit `offset` of `way`; returns whether it was clear.
+    fn set_bit(&mut self, way: usize, offset: usize) -> bool {
+        let word = &mut self.bits[way * self.words + offset / 64];
+        let mask = 1u64 << (offset % 64);
+        let newly = *word & mask == 0;
+        *word |= mask;
+        newly
+    }
+
+    /// Invalidates `way`, handing its dirty blocks to `sink` in ascending
+    /// order; returns how many there were.
+    fn take_way(&mut self, way: usize, mut sink: impl FnMut(BlockAddr)) -> u64 {
+        let base = self.rows[way] * self.config.granularity() as u64;
+        let words = &mut self.bits[way * self.words..(way + 1) * self.words];
+        ones(words).for_each(|offset| sink(base + offset as u64));
+        let count = population(words) as u64;
+        words.fill(0);
+        self.rows[way] = INVALID;
+        count
+    }
+
+    /// What is wrong with `way` on its own, if anything: an invalid way
+    /// with dirty bits, an entry in another row's set, a valid way with no
+    /// dirty bits, or a bit at or past the granularity.
+    fn way_fault(&self, way: usize) -> Option<String> {
+        let (row, words) = (self.rows[way], self.way_words(way));
+        let set = way / self.config.associativity();
+        if row == INVALID {
+            (population(words) > 0).then(|| format!("invalid DBI way {way} has dirty bits"))
+        } else if self.set_index(row) != set {
+            Some(format!("DBI entry for row {row} sits in set {set}"))
+        } else if population(words) == 0 {
+            Some(format!("valid DBI entry for row {row} has no dirty bits"))
+        } else if ones(words).any(|o| o >= self.config.granularity()) {
+            Some(format!(
+                "DBI entry for row {row} has a bit past the granularity"
+            ))
+        } else {
+            None
         }
     }
 
-    /// Allocation-free variant of [`mark_dirty`](Dbi::mark_dirty) for hot
-    /// paths: eviction-forced writebacks are appended (ascending) to
-    /// `writebacks` instead of being returned in a fresh [`EvictedRow`].
-    /// Returns whether the block transitioned clean → dirty.
-    pub fn mark_dirty_into(&mut self, block: BlockAddr, writebacks: &mut Vec<BlockAddr>) -> bool {
-        self.mark_dirty_core(block, writebacks).0
-    }
-
-    /// Shared implementation: `(newly_dirty, evicted row)`; eviction
-    /// writebacks are appended to `writebacks`.
-    fn mark_dirty_core(
-        &mut self,
-        block: BlockAddr,
-        writebacks: &mut Vec<BlockAddr>,
-    ) -> (bool, Option<RowId>) {
+    /// Marks `block` dirty, the DBI side of a writeback request arriving at
+    /// the cache (paper Section 2.2.2). Returns whether the block
+    /// transitioned clean → dirty.
+    ///
+    /// If the block's row has no entry and its set is full, a victim entry
+    /// is evicted and the blocks whose writebacks the eviction forces are
+    /// appended to `writebacks` in ascending order — already sorted by
+    /// column, the access order a DRAM-aware writeback burst wants. Per the
+    /// paper (Section 2.2.4) the cache blocks themselves stay resident and
+    /// merely transition from dirty to clean.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` maps to the reserved invalid row tag
+    /// (`BlockAddr::MAX` at granularity 1).
+    pub fn mark_dirty(&mut self, block: BlockAddr, writebacks: &mut Vec<BlockAddr>) -> bool {
         self.stats.mark_requests += 1;
         let row = self.row_of(block);
         let offset = self.offset_of(block);
-        let set_idx = self.set_index(row);
+        let set = self.set_index(row);
+        let base = self.set_base(set);
 
-        if let Some(way) = self.find_way(set_idx, row) {
+        if let Some(way) = self.find_way(set, row) {
             self.stats.entry_hits += 1;
-            let set = &mut self.sets[set_idx];
-            let entry = set.ways[way].as_mut().expect("way found valid");
-            let newly = entry.bits.set(offset);
+            let newly = self.set_bit(way, offset);
             if newly {
                 self.stats.bits_set += 1;
                 self.dirty_blocks += 1;
             }
-            set.policy.on_write_hit(way);
-            return (newly, None);
+            self.policies[set].on_write_hit(way - base);
+            return newly;
         }
 
         // Row miss: install a new entry, evicting if the set is full.
-        let granularity = self.config.granularity();
-        let Set { ways, policy } = &mut self.sets[set_idx];
-        let (way, evicted) = match ways.iter().position(Option::is_none) {
-            Some(free) => (free, None),
+        assert_ne!(row, INVALID, "block {block} maps to the invalid row tag");
+        let ways = self.config.associativity();
+        let way = match self.rows[base..base + ways]
+            .iter()
+            .position(|&r| r == INVALID)
+        {
+            Some(free) => base + free,
             None => {
-                let victim = policy.victim_from(0..ways.len(), |w| {
-                    ways[w].as_ref().map_or(0, |e| e.bits.count())
-                });
-                let old = ways[victim].take().expect("full set has valid victim");
-                (victim, Some(old))
+                let (bits, words) = (&self.bits, self.words);
+                let victim = base
+                    + self.policies[set].victim_from(0..ways, |w| {
+                        population(&bits[(base + w) * words..(base + w + 1) * words])
+                    });
+                let count = self.take_way(victim, |b| writebacks.push(b));
+                self.stats.entry_evictions += 1;
+                self.stats.eviction_writebacks += count;
+                self.dirty_blocks -= count;
+                victim
             }
         };
-
-        let mut bits = DirtyContainer::new(granularity, ContainerPolicy::Adaptive);
-        bits.set(offset);
-        ways[way] = Some(Entry { row, bits });
-        policy.on_insert(way);
+        self.rows[way] = row;
+        self.set_bit(way, offset);
+        self.policies[set].on_insert(way - base);
         self.stats.entry_insertions += 1;
         self.stats.bits_set += 1;
         self.dirty_blocks += 1;
-
-        let evicted_row = evicted.map(|old| {
-            let base = old.row * granularity as u64;
-            let before = writebacks.len();
-            writebacks.extend(old.bits.iter_ones().map(|o| base + o as u64));
-            let count = (writebacks.len() - before) as u64;
-            self.stats.entry_evictions += 1;
-            self.stats.eviction_writebacks += count;
-            self.dirty_blocks -= count;
-            old.row
-        });
-
-        (true, evicted_row)
+        true
     }
 
     /// Returns whether `block` is dirty — the query every optimization in
@@ -220,14 +228,9 @@ impl Dbi {
     #[must_use]
     pub fn is_dirty(&self, block: BlockAddr) -> bool {
         let row = self.row_of(block);
-        let set = self.set_index(row);
-        self.find_way(set, row).is_some_and(|way| {
-            self.sets[set].ways[way]
-                .as_ref()
-                .expect("way found valid")
-                .bits
-                .get(self.offset_of(block))
-        })
+        let offset = self.offset_of(block);
+        self.find_way(self.set_index(row), row)
+            .is_some_and(|way| self.bits[way * self.words + offset / 64] >> (offset % 64) & 1 == 1)
     }
 
     /// Clears `block`'s dirty bit (cache eviction of a dirty block, or a
@@ -238,19 +241,19 @@ impl Dbi {
     pub fn clear_dirty(&mut self, block: BlockAddr) -> bool {
         let row = self.row_of(block);
         let offset = self.offset_of(block);
-        let set_idx = self.set_index(row);
-        let Some(way) = self.find_way(set_idx, row) else {
+        let Some(way) = self.find_way(self.set_index(row), row) else {
             return false;
         };
-        let set = &mut self.sets[set_idx];
-        let entry = set.ways[way].as_mut().expect("way found valid");
-        if !entry.bits.clear(offset) {
+        let word = &mut self.bits[way * self.words + offset / 64];
+        let mask = 1u64 << (offset % 64);
+        if *word & mask == 0 {
             return false;
         }
+        *word &= !mask;
         self.stats.bits_cleared += 1;
         self.dirty_blocks -= 1;
-        if entry.bits.is_empty() {
-            set.ways[way] = None;
+        if self.way_words(way).iter().all(|&w| w == 0) {
+            self.rows[way] = INVALID;
             self.stats.entry_invalidations += 1;
         }
         true
@@ -262,29 +265,25 @@ impl Dbi {
     /// Yields addresses in ascending order; empty if the row has no entry.
     pub fn row_dirty_blocks(&self, block: BlockAddr) -> impl Iterator<Item = BlockAddr> + '_ {
         let row = self.row_of(block);
-        let set = self.set_index(row);
         let base = row * self.config.granularity() as u64;
-        self.find_way(set, row)
-            .and_then(|way| self.sets[set].ways[way].as_ref())
-            .map(|e| e.bits.iter_ones())
-            .into_iter()
-            .flatten()
-            .map(move |o| base + o as u64)
+        let words = self
+            .find_way(self.set_index(row), row)
+            .map_or(&[][..], |way| self.way_words(way));
+        ones(words).map(move |o| base + o as u64)
     }
 
-    /// Removes the entry covering `block`'s row, returning the writebacks
-    /// it forces. Used for flush-style operations (DMA coherence, power-down
-    /// flushes — paper Section 7).
-    pub fn flush_row(&mut self, block: BlockAddr) -> Option<EvictedRow> {
+    /// Removes the entry covering `block`'s row, appending the writebacks
+    /// it forces to `writebacks` in ascending order. Returns whether the
+    /// row had an entry. Used for flush-style operations (DMA coherence,
+    /// power-down flushes — paper Section 7).
+    pub fn flush_row(&mut self, block: BlockAddr, writebacks: &mut Vec<BlockAddr>) -> bool {
         let row = self.row_of(block);
-        let set_idx = self.set_index(row);
-        let way = self.find_way(set_idx, row)?;
-        let entry = self.sets[set_idx].ways[way].take().expect("way valid");
-        let base = entry.row * self.config.granularity() as u64;
-        let blocks: Vec<BlockAddr> = entry.bits.iter_ones().map(|o| base + o as u64).collect();
-        self.dirty_blocks -= blocks.len() as u64;
+        let Some(way) = self.find_way(self.set_index(row), row) else {
+            return false;
+        };
+        self.dirty_blocks -= self.take_way(way, |b| writebacks.push(b));
         self.stats.entry_invalidations += 1;
-        Some(EvictedRow { row, blocks })
+        true
     }
 
     /// Flushes the whole index, invoking `sink` once per dirty block — rows
@@ -293,39 +292,32 @@ impl Dbi {
     /// collected result, the visitor allocates nothing per call (an internal
     /// scratch list is reused across flushes).
     pub fn flush_each(&mut self, mut sink: impl FnMut(RowId, BlockAddr)) {
-        let granularity = self.config.granularity() as u64;
         let mut scratch = std::mem::take(&mut self.flush_scratch);
         scratch.clear();
-        for (si, set) in self.sets.iter().enumerate() {
-            for (wi, way) in set.ways.iter().enumerate() {
-                if let Some(entry) = way {
-                    scratch.push((entry.row, si as u32, wi as u32));
-                }
-            }
-        }
-        scratch.sort_unstable_by_key(|&(row, ..)| row);
-        for &(row, si, wi) in &scratch {
-            let entry = self.sets[si as usize].ways[wi as usize]
-                .take()
-                .expect("scratch points at a valid entry");
-            let base = row * granularity;
-            for offset in entry.bits.iter_ones() {
-                sink(row, base + offset as u64);
-            }
+        scratch.extend(self.valid_ways());
+        scratch.sort_unstable_by_key(|&(row, _)| row);
+        for &(row, way) in &scratch {
+            self.take_way(way, |block| sink(row, block));
         }
         self.dirty_blocks = 0;
         self.flush_scratch = scratch;
+    }
+
+    /// The valid ways as `(row, index in rows)` pairs, set-major.
+    fn valid_ways(&self) -> impl Iterator<Item = (RowId, usize)> + '_ {
+        self.rows
+            .iter()
+            .enumerate()
+            .filter(|&(_, &row)| row != INVALID)
+            .map(|(way, &row)| (row, way))
     }
 
     /// Iterates over every dirty block currently tracked, in no particular
     /// order. Intended for functional checking and debugging.
     pub fn dirty_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
         let granularity = self.config.granularity() as u64;
-        self.sets.iter().flat_map(move |set| {
-            set.ways.iter().flatten().flat_map(move |e| {
-                let base = e.row * granularity;
-                e.bits.iter_ones().map(move |o| base + o as u64)
-            })
+        self.valid_ways().flat_map(move |(row, way)| {
+            ones(self.way_words(way)).map(move |o| row * granularity + o as u64)
         })
     }
 
@@ -338,19 +330,15 @@ impl Dbi {
     /// Number of valid entries.
     #[must_use]
     pub fn valid_entries(&self) -> u64 {
-        self.sets
-            .iter()
-            .map(|s| s.ways.iter().flatten().count() as u64)
-            .sum()
+        self.valid_ways().count() as u64
     }
 
     /// Iterates over the valid entries as `(row, dirty-block count)` pairs,
     /// in no particular order — occupancy introspection for debugging and
     /// reporting.
     pub fn entries(&self) -> impl Iterator<Item = (RowId, usize)> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|set| set.ways.iter().flatten().map(|e| (e.row, e.bits.count())))
+        self.valid_ways()
+            .map(|(row, way)| (row, population(self.way_words(way))))
     }
 
     /// Whether the DBI currently holds an entry for `block`'s row.
@@ -377,32 +365,22 @@ impl Dbi {
     ///
     /// # Panics
     ///
-    /// Panics if a valid entry has an empty bit vector, a set holds two
-    /// entries for one row, an entry sits in the wrong set, or the cached
-    /// dirty count disagrees with the per-entry population.
+    /// Panics if a valid entry has an empty bit vector, an invalid way or a
+    /// bit past the granularity holds a set bit, a set holds two entries
+    /// for one row, an entry sits in the wrong set, or the cached dirty
+    /// count disagrees with the per-entry population.
     pub fn assert_invariants(&self) {
+        let ways = self.config.associativity();
         let mut total = 0u64;
-        for (si, set) in self.sets.iter().enumerate() {
-            let mut rows = std::collections::HashSet::new();
-            for entry in set.ways.iter().flatten() {
-                assert!(
-                    !entry.bits.is_empty(),
-                    "valid DBI entry for row {} has no dirty bits",
-                    entry.row
-                );
-                assert!(
-                    rows.insert(entry.row),
-                    "duplicate DBI entry for row {} in set {si}",
-                    entry.row
-                );
-                assert_eq!(
-                    self.set_index(entry.row),
-                    si,
-                    "entry for row {} stored in wrong set",
-                    entry.row
-                );
-                total += entry.bits.count() as u64;
+        for (way, &row) in self.rows.iter().enumerate() {
+            if let Some(fault) = self.way_fault(way) {
+                panic!("{fault}");
             }
+            assert!(
+                row == INVALID || !self.rows[way - way % ways..way].contains(&row),
+                "duplicate DBI entry for row {row}"
+            );
+            total += population(self.way_words(way)) as u64;
         }
         assert_eq!(total, self.dirty_blocks, "dirty-count cache out of sync");
         assert!(
@@ -414,17 +392,18 @@ impl Dbi {
 
 impl crate::snap::Snapshot for Dbi {
     fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        w.usize(self.sets.len());
-        for set in &self.sets {
-            w.usize(set.ways.len());
-            for way in &set.ways {
-                w.bool(way.is_some());
-                if let Some(entry) = way {
-                    w.u64(entry.row);
-                    entry.bits.snapshot(w);
+        let ways = self.config.associativity();
+        w.usize(self.policies.len());
+        w.usize(ways);
+        w.usize(self.words);
+        for (set, policy) in self.policies.iter().enumerate() {
+            for way in set * ways..(set + 1) * ways {
+                w.u64(self.rows[way]);
+                for &word in self.way_words(way) {
+                    w.u64(word);
                 }
             }
-            set.policy.snapshot(w);
+            policy.snapshot(w);
         }
         w.u64(self.dirty_blocks);
         self.stats.snapshot(w);
@@ -435,34 +414,23 @@ impl crate::snap::Snapshot for Dbi {
         r: &mut crate::snap::SnapReader<'_>,
     ) -> Result<(), crate::snap::SnapError> {
         use crate::snap::SnapError;
-        r.expect_len("DBI sets", self.sets.len())?;
-        let granularity = self.config.granularity();
-        let n_sets = self.sets.len() as u64;
+        r.expect_len("DBI sets", self.policies.len())?;
+        let ways = self.config.associativity();
+        r.expect_len("DBI ways", ways)?;
+        r.expect_len("DBI words per way", self.words)?;
         let mut total = 0u64;
-        for (si, set) in self.sets.iter_mut().enumerate() {
-            r.expect_len("DBI ways", set.ways.len())?;
-            for way in &mut set.ways {
-                if r.bool()? {
-                    let row = r.u64()?;
-                    if row % n_sets != si as u64 {
-                        return Err(SnapError::Corrupt(format!(
-                            "DBI entry for row {row} restored into set {si}"
-                        )));
-                    }
-                    let mut bits = DirtyContainer::new(granularity, ContainerPolicy::Adaptive);
-                    bits.restore(r)?;
-                    if bits.is_empty() {
-                        return Err(SnapError::Corrupt(format!(
-                            "valid DBI entry for row {row} has no dirty bits"
-                        )));
-                    }
-                    total += bits.count() as u64;
-                    *way = Some(Entry { row, bits });
-                } else {
-                    *way = None;
+        for set in 0..self.policies.len() {
+            for way in set * ways..(set + 1) * ways {
+                self.rows[way] = r.u64()?;
+                for word in &mut self.bits[way * self.words..(way + 1) * self.words] {
+                    *word = r.u64()?;
                 }
+                if let Some(fault) = self.way_fault(way) {
+                    return Err(SnapError::Corrupt(fault));
+                }
+                total += population(self.way_words(way)) as u64;
             }
-            set.policy.restore(r)?;
+            self.policies[set].restore(r)?;
         }
         self.dirty_blocks = r.u64()?;
         if self.dirty_blocks != total {
@@ -482,6 +450,7 @@ mod tests {
     use super::*;
     use crate::config::{Alpha, DbiConfig};
     use crate::replacement::DbiReplacementPolicy;
+    use crate::snap::{restore_bytes, snapshot_bytes, SnapError, SnapWriter, Snapshot};
 
     /// Small geometry: 4 sets × 2 ways × granularity 8 = 64 tracked blocks.
     fn small() -> Dbi {
@@ -491,19 +460,24 @@ mod tests {
         Dbi::new(config)
     }
 
+    /// Marks `block`, returning whether it was newly dirty and the
+    /// writebacks the mark forced.
+    fn mark(dbi: &mut Dbi, block: BlockAddr) -> (bool, Vec<BlockAddr>) {
+        let mut writebacks = Vec::new();
+        let newly = dbi.mark_dirty(block, &mut writebacks);
+        (newly, writebacks)
+    }
+
     #[test]
     fn semantics_mark_query_clear() {
         let mut dbi = small();
         assert!(!dbi.is_dirty(13));
-        let out = dbi.mark_dirty(13);
-        assert!(out.newly_dirty);
-        assert!(out.evicted.is_none());
+        assert_eq!(mark(&mut dbi, 13), (true, vec![]));
         assert!(dbi.is_dirty(13));
         assert!(!dbi.is_dirty(12), "neighbour in same row stays clean");
         assert!(dbi.contains_row(8), "row 1 covers blocks 8..16");
 
-        let again = dbi.mark_dirty(13);
-        assert!(!again.newly_dirty);
+        assert_eq!(mark(&mut dbi, 13), (false, vec![]));
         assert_eq!(dbi.dirty_count(), 1);
 
         assert!(dbi.clear_dirty(13));
@@ -517,10 +491,9 @@ mod tests {
     #[test]
     fn row_query_lists_co_located_dirty_blocks() {
         let mut dbi = small();
-        for b in [16, 19, 23] {
-            dbi.mark_dirty(b);
+        for b in [16, 19, 23, 40] {
+            mark(&mut dbi, b); // 40 is in a different row
         }
-        dbi.mark_dirty(40); // different row
         let row: Vec<u64> = dbi.row_dirty_blocks(17).collect();
         assert_eq!(row, vec![16, 19, 23]);
         assert_eq!(dbi.row_dirty_blocks(0).count(), 0);
@@ -530,13 +503,14 @@ mod tests {
     fn set_conflict_evicts_lrw_entry_with_writebacks() {
         let mut dbi = small();
         // Rows 0, 4, 8 all map to set 0 (4 sets). Ways = 2.
-        dbi.mark_dirty(0); // row 0
-        dbi.mark_dirty(1);
-        dbi.mark_dirty(4 * 8 + 2); // row 4
-        let out = dbi.mark_dirty(8 * 8 + 5); // row 8 -> evicts row 0 (LRW)
-        let evicted = out.evicted.expect("eviction must occur");
-        assert_eq!(evicted.row(), 0);
-        assert_eq!(evicted.blocks(), &[0, 1]);
+        mark(&mut dbi, 0); // row 0
+        mark(&mut dbi, 1);
+        mark(&mut dbi, 4 * 8 + 2); // row 4
+                                   // Row 8 evicts row 0 (LRW); the writebacks land after what the
+                                   // caller's vector already holds.
+        let mut writebacks = vec![99];
+        assert!(dbi.mark_dirty(8 * 8 + 5, &mut writebacks));
+        assert_eq!(writebacks, [99, 0, 1]);
         assert!(!dbi.is_dirty(0), "evicted blocks are no longer dirty");
         assert!(!dbi.is_dirty(1));
         assert!(dbi.is_dirty(4 * 8 + 2));
@@ -551,7 +525,7 @@ mod tests {
         let mut dbi = small();
         // Fill every set way and then force evictions.
         for row in 0..32u64 {
-            dbi.mark_dirty(row * 8);
+            mark(&mut dbi, row * 8);
             dbi.assert_invariants();
         }
         assert!(dbi.dirty_count() <= dbi.config().tracked_blocks());
@@ -561,15 +535,17 @@ mod tests {
     #[test]
     fn flush_row_and_flush_all() {
         let mut dbi = small();
-        dbi.mark_dirty(3);
-        dbi.mark_dirty(9);
-        dbi.mark_dirty(11);
-        let flushed = dbi.flush_row(10).expect("row 1 resident");
-        assert_eq!(flushed.blocks(), &[9, 11]);
+        for b in [3, 9, 11] {
+            mark(&mut dbi, b);
+        }
+        let mut flushed = Vec::new();
+        assert!(dbi.flush_row(10, &mut flushed), "row 1 resident");
+        assert_eq!(flushed, [9, 11]);
         assert_eq!(dbi.dirty_count(), 1);
-        assert!(dbi.flush_row(10).is_none());
+        assert!(!dbi.flush_row(10, &mut flushed));
+        assert_eq!(flushed, [9, 11], "a missing row appends nothing");
 
-        dbi.mark_dirty(50);
+        mark(&mut dbi, 50);
         let mut flushed: Vec<(u64, u64)> = Vec::new();
         dbi.flush_each(|row, block| flushed.push((row, block)));
         assert_eq!(flushed, vec![(0, 3), (6, 50)]);
@@ -583,7 +559,7 @@ mod tests {
         let mut dbi = small();
         // Rows 6, 1, 3 (inserted out of order), several blocks each.
         for &b in &[50u64, 48, 9, 11, 30, 25] {
-            dbi.mark_dirty(b);
+            mark(&mut dbi, b);
         }
         let mut flushed: Vec<(u64, u64)> = Vec::new();
         dbi.flush_each(|row, block| flushed.push((row, block)));
@@ -601,7 +577,7 @@ mod tests {
         // Rows 0, 0, 4, 4, 7 — at most two rows per set, so no evictions.
         let marked = [0u64, 7, 33, 34, 63];
         for &b in &marked {
-            dbi.mark_dirty(b);
+            mark(&mut dbi, b);
         }
         let mut listed: Vec<u64> = dbi.dirty_blocks().collect();
         listed.sort_unstable();
@@ -616,9 +592,9 @@ mod tests {
     #[test]
     fn stats_track_events() {
         let mut dbi = small();
-        dbi.mark_dirty(0);
-        dbi.mark_dirty(0);
-        dbi.mark_dirty(1);
+        for b in [0, 0, 1] {
+            mark(&mut dbi, b);
+        }
         dbi.clear_dirty(1);
         let s = dbi.take_stats();
         assert_eq!(s.mark_requests, 3);
@@ -633,13 +609,32 @@ mod tests {
     #[test]
     fn eviction_blocks_are_sorted_by_column() {
         let mut dbi = small();
-        for b in [7u64, 0, 3] {
-            dbi.mark_dirty(b);
+        for b in [7u64, 0, 3, 4 * 8] {
+            mark(&mut dbi, b);
         }
-        dbi.mark_dirty(4 * 8);
-        let out = dbi.mark_dirty(8 * 8);
-        let evicted = out.evicted.unwrap();
-        assert_eq!(evicted.blocks(), &[0, 3, 7]);
+        assert_eq!(mark(&mut dbi, 8 * 8), (true, vec![0, 3, 7]));
+    }
+
+    #[test]
+    fn multi_word_rows_keep_bits_in_their_words() {
+        // Granularity 128: two words per way; bits 63, 64 and 127 straddle
+        // the word boundary.
+        let config =
+            DbiConfig::new(2048, Alpha::QUARTER, 128, 2, DbiReplacementPolicy::Lrw).unwrap();
+        let mut dbi = Dbi::new(config);
+        for b in [128 + 127, 128 + 64, 128 + 63, 128] {
+            mark(&mut dbi, b);
+        }
+        assert!(!dbi.is_dirty(128 + 65));
+        let row: Vec<u64> = dbi.row_dirty_blocks(128).collect();
+        assert_eq!(row, [128, 128 + 63, 128 + 64, 128 + 127]);
+        assert_eq!(dbi.entries().collect::<Vec<_>>(), [(1, 4)]);
+        assert!(dbi.clear_dirty(128 + 64));
+        dbi.assert_invariants();
+        let mut flushed = Vec::new();
+        assert!(dbi.flush_row(128, &mut flushed));
+        assert_eq!(flushed, [128, 128 + 63, 128 + 127]);
+        dbi.assert_invariants();
     }
 
     #[test]
@@ -648,7 +643,7 @@ mod tests {
             let config = DbiConfig::new(256, Alpha::QUARTER, 8, 2, policy).unwrap();
             let mut dbi = Dbi::new(config);
             for row in 0..64u64 {
-                dbi.mark_dirty(row * 8 + (row % 8));
+                mark(&mut dbi, row * 8 + (row % 8));
                 dbi.assert_invariants();
             }
             assert!(dbi.dirty_count() > 0, "{policy}: retains dirty state");
@@ -658,9 +653,9 @@ mod tests {
     #[test]
     fn entries_report_rows_and_populations() {
         let mut dbi = small();
-        dbi.mark_dirty(0);
-        dbi.mark_dirty(1);
-        dbi.mark_dirty(9);
+        for b in [0, 1, 9] {
+            mark(&mut dbi, b);
+        }
         let mut entries: Vec<(u64, usize)> = dbi.entries().collect();
         entries.sort_unstable();
         assert_eq!(entries, vec![(0, 2), (1, 1)]);
@@ -668,41 +663,145 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_fresh_dbi() {
-        use crate::snap::{restore_bytes, snapshot_bytes, SnapError};
-        for policy in DbiReplacementPolicy::ALL {
-            let config = DbiConfig::new(256, Alpha::QUARTER, 8, 2, policy).unwrap();
-            let mut dbi = Dbi::new(config);
-            for b in 0..500u64 {
-                dbi.mark_dirty(b.wrapping_mul(2_654_435_761) % 256);
+        for granularity in [8, 128] {
+            let blocks = 32 * granularity as u64;
+            for policy in DbiReplacementPolicy::ALL {
+                let config =
+                    DbiConfig::new(blocks, Alpha::QUARTER, granularity, 2, policy).unwrap();
+                let mut dbi = Dbi::new(config);
+                for b in 0..500u64 {
+                    mark(&mut dbi, b.wrapping_mul(2_654_435_761) % blocks);
+                }
+                dbi.clear_dirty(64);
+                let bytes = snapshot_bytes(&dbi);
+                let mut fresh = Dbi::new(config);
+                restore_bytes(&mut fresh, &bytes).unwrap();
+                fresh.assert_invariants();
+                assert_eq!(fresh.dirty_count(), dbi.dirty_count());
+                assert_eq!(fresh.stats(), dbi.stats());
+                let mut a: Vec<u64> = dbi.dirty_blocks().collect();
+                let mut b: Vec<u64> = fresh.dirty_blocks().collect();
+                a.sort_unstable();
+                b.sort_unstable();
+                assert_eq!(a, b);
+                // Behaviour (including replacement decisions) continues
+                // identically after restore.
+                for blk in 500..700u64 {
+                    assert_eq!(
+                        mark(&mut dbi, blk % blocks),
+                        mark(&mut fresh, blk % blocks),
+                        "{policy}, granularity {granularity}: divergence after restore"
+                    );
+                }
+                // Restoring into mismatched geometry fails loudly.
+                let other = DbiConfig::new(blocks, Alpha::QUARTER, granularity, 1, policy).unwrap();
+                let mut wrong = Dbi::new(other);
+                assert!(matches!(
+                    restore_bytes(&mut wrong, &bytes),
+                    Err(SnapError::Mismatch { .. })
+                ));
             }
-            dbi.clear_dirty(64);
-            let bytes = snapshot_bytes(&dbi);
-            let mut fresh = Dbi::new(config);
-            restore_bytes(&mut fresh, &bytes).unwrap();
-            fresh.assert_invariants();
-            assert_eq!(fresh.dirty_count(), dbi.dirty_count());
-            assert_eq!(fresh.stats(), dbi.stats());
-            let mut a: Vec<u64> = dbi.dirty_blocks().collect();
-            let mut b: Vec<u64> = fresh.dirty_blocks().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-            // Behaviour (including replacement decisions) continues
-            // identically after restore.
-            for blk in 500..700u64 {
-                assert_eq!(
-                    dbi.mark_dirty(blk % 256),
-                    fresh.mark_dirty(blk % 256),
-                    "{policy}: divergence after restore"
+        }
+    }
+
+    /// `bytes` with the `u64` at `at` replaced by `value` and the trailing
+    /// checksum recomputed, so only the field checks can reject it.
+    fn forge(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
+        let mut forged = bytes[..bytes.len() - 8].to_vec();
+        forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let sum = crate::snap::fnv1a64(&forged);
+        forged.extend_from_slice(&sum.to_le_bytes());
+        forged
+    }
+
+    #[test]
+    fn restore_rejects_forged_way_images() {
+        // Set 0, way 0 holds row 0 with block 3 dirty. Its row tag sits
+        // after the three header words, its one word right after the tag.
+        let mut dbi = small();
+        mark(&mut dbi, 3);
+        let bytes = snapshot_bytes(&dbi);
+        let (tag_at, word_at) = (24, 32);
+        assert_eq!(bytes[word_at..word_at + 8], (1u64 << 3).to_le_bytes());
+        let cases = [
+            (
+                "bit past the granularity",
+                forge(&bytes, word_at, 1 << 3 | 1 << 8),
+            ),
+            ("valid way with no bits", forge(&bytes, word_at, 0)),
+            ("invalid way with bits", forge(&bytes, tag_at, INVALID)),
+            ("row in the wrong set", forge(&bytes, tag_at, 1)),
+        ];
+        for (case, image) in cases {
+            let mut fresh = small();
+            assert!(
+                matches!(
+                    restore_bytes(&mut fresh, &image),
+                    Err(SnapError::Corrupt(_))
+                ),
+                "{case}"
+            );
+        }
+    }
+
+    /// Writes `dbi` in the layout that preceded fixed-width ways: per set a
+    /// way count, then per way a valid flag and, when valid, the row and a
+    /// dirty container (length, representation tag, payload).
+    fn old_layout(dbi: &Dbi, dense: bool) -> Vec<u8> {
+        let ways = dbi.config.associativity();
+        let g = dbi.config.granularity();
+        let mut w = SnapWriter::new();
+        w.usize(dbi.policies.len());
+        for (set, policy) in dbi.policies.iter().enumerate() {
+            w.usize(ways);
+            for way in set * ways..(set + 1) * ways {
+                let row = dbi.rows[way];
+                w.bool(row != INVALID);
+                if row == INVALID {
+                    continue;
+                }
+                w.u64(row);
+                w.usize(g);
+                let words = dbi.way_words(way);
+                if dense {
+                    w.u8(0);
+                    w.usize(g);
+                    words.iter().for_each(|&word| w.u64(word));
+                } else {
+                    w.u8(1);
+                    w.usize(population(words));
+                    ones(words).for_each(|o| w.u64(o as u64));
+                }
+            }
+            policy.snapshot(&mut w);
+        }
+        w.u64(dbi.dirty_blocks);
+        dbi.stats.snapshot(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn images_in_the_old_container_layout_do_not_restore() {
+        let mut empty = small();
+        let mut one_row = small();
+        mark(&mut one_row, 3);
+        let mut busy = small();
+        for b in 0..40 {
+            mark(&mut busy, b * 5 % 64);
+        }
+        for (name, dbi) in [
+            ("empty", &mut empty),
+            ("row 0", &mut one_row),
+            ("busy", &mut busy),
+        ] {
+            for dense in [false, true] {
+                let image = old_layout(dbi, dense);
+                let mut fresh = small();
+                assert!(
+                    restore_bytes(&mut fresh, &image).is_err(),
+                    "{name}, dense {dense}: an old image must not restore"
                 );
             }
-            // Restoring into mismatched geometry fails loudly.
-            let other = DbiConfig::new(256, Alpha::QUARTER, 8, 1, policy).unwrap();
-            let mut wrong = Dbi::new(other);
-            assert!(matches!(
-                restore_bytes(&mut wrong, &bytes),
-                Err(SnapError::Mismatch { .. })
-            ));
         }
     }
 
@@ -712,7 +811,7 @@ mod tests {
         // the paper's introduction).
         let mut dbi = small();
         for b in 0..10_000u64 {
-            dbi.mark_dirty(b % 256);
+            mark(&mut dbi, b % 256);
         }
         assert!(dbi.dirty_count() <= 64);
         dbi.assert_invariants();

@@ -2,9 +2,8 @@
 //!
 //! The [`Dbi`](crate::Dbi) bounds its population with a fixed set-associative
 //! geometry — the paper's hardware budget. GB-scale scenarios (a die-stacked
-//! DRAM cache with a million rows) and software shadow structures (the
-//! invariant sanitizer's model of what *should* be dirty) need the same
-//! queries without the eviction semantics: presence and dirty bits for
+//! DRAM cache with a million rows) need the same queries without the
+//! eviction semantics: presence and dirty bits for
 //! however many rows are live, at the smallest metadata cost the
 //! representation allows. `DirtyStore` provides exactly that — a sorted map
 //! from [`RowId`] to one adaptive [`DirtyContainer`] per row, created on

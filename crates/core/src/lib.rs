@@ -32,8 +32,9 @@
 //! let mut dbi = Dbi::new(DbiConfig::for_cache_blocks(32 * 1024)?);
 //!
 //! // A writeback request for block 5 of DRAM row 3 marks it dirty.
-//! let outcome = dbi.mark_dirty(3 * 64 + 5);
-//! assert!(outcome.writebacks().is_empty()); // no DBI eviction yet
+//! let mut writebacks = Vec::new(); // filled only by a DBI eviction
+//! assert!(dbi.mark_dirty(3 * 64 + 5, &mut writebacks));
+//! assert!(writebacks.is_empty());
 //! assert!(dbi.is_dirty(3 * 64 + 5));
 //!
 //! // The same entry answers "which blocks of row 3 are dirty?" in one query.
@@ -55,7 +56,7 @@ pub use crate::config::{Alpha, DbiConfig, DbiConfigError};
 pub use crate::container::{
     prefetch_read, ContainerPolicy, DirtyContainer, DirtyWords, Ones, ReprKind, WordOnes, MAX_BITS,
 };
-pub use crate::dbi::{Dbi, EvictedRow, MarkOutcome};
+pub use crate::dbi::Dbi;
 pub use crate::dirty_store::{DirtyStore, ReprCensus};
 pub use crate::replacement::{DbiReplacementPolicy, BIP_EPSILON_RECIPROCAL};
 pub use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};

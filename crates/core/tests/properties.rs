@@ -34,24 +34,34 @@ proptest! {
     /// The DBI and a reference set that honours the DBI's eviction reports
     /// agree exactly on the dirty population, and the structural invariants
     /// hold after every operation.
+    ///
+    /// Granularities 8–32 keep a way's bits inside one `u64` word; 64, 128
+    /// and 512 take 1, 2 and 8 whole words per way. The cache (and address
+    /// space) grows with the granularity so every DBI has four entries or
+    /// more and its rows outnumber them.
     #[test]
     fn agrees_with_reference_dirty_set(
-        ops in prop::collection::vec(op_strategy(512), 1..400),
+        ops in prop::collection::vec(op_strategy(8192), 1..400),
         policy in policy_strategy(),
-        granularity in prop::sample::select(vec![8usize, 16, 32]),
+        granularity in prop::sample::select(vec![8usize, 16, 32, 64, 128, 512]),
     ) {
-        let config = DbiConfig::new(512, Alpha::QUARTER, granularity, 4, policy)
+        let blocks = 512.max(16 * granularity as u64);
+        let config = DbiConfig::new(blocks, Alpha::QUARTER, granularity, 4, policy)
             .expect("valid test geometry");
         let mut dbi = Dbi::new(config);
         let mut reference: BTreeSet<u64> = BTreeSet::new();
+        let mut writebacks = Vec::new();
 
         for op in ops {
+            writebacks.clear();
             match op {
                 Op::Mark(b) => {
-                    let out = dbi.mark_dirty(b);
-                    prop_assert_eq!(out.newly_dirty, !reference.contains(&b));
+                    let b = b % blocks;
+                    let newly = dbi.mark_dirty(b, &mut writebacks);
+                    prop_assert_eq!(newly, !reference.contains(&b));
                     reference.insert(b);
-                    for &wb in out.writebacks() {
+                    prop_assert!(writebacks.is_sorted(), "writebacks ascend");
+                    for &wb in &writebacks {
                         prop_assert!(
                             reference.remove(&wb),
                             "eviction reported a block that was not dirty: {}",
@@ -63,15 +73,18 @@ proptest! {
                     }
                 }
                 Op::Clear(b) => {
+                    let b = b % blocks;
                     let was_set = dbi.clear_dirty(b);
                     prop_assert_eq!(was_set, reference.remove(&b));
                 }
                 Op::FlushRow(b) => {
-                    let flushed = dbi.flush_row(b);
-                    if let Some(row) = flushed {
-                        for &wb in row.blocks() {
-                            prop_assert!(reference.remove(&wb));
-                        }
+                    let b = b % blocks;
+                    let flushed = dbi.flush_row(b, &mut writebacks);
+                    prop_assert_eq!(flushed, !writebacks.is_empty());
+                    prop_assert!(writebacks.is_sorted(), "flushed blocks ascend");
+                    for &wb in &writebacks {
+                        prop_assert_eq!(dbi.row_of(wb), dbi.row_of(b));
+                        prop_assert!(reference.remove(&wb));
                     }
                 }
             }
@@ -82,7 +95,7 @@ proptest! {
         listed.sort_unstable();
         let expect: Vec<u64> = reference.iter().copied().collect();
         prop_assert_eq!(listed, expect);
-        for b in 0..512u64 {
+        for b in 0..blocks {
             prop_assert_eq!(dbi.is_dirty(b), reference.contains(&b));
         }
     }
@@ -97,8 +110,9 @@ proptest! {
         let config = DbiConfig::new(2048, Alpha::QUARTER, 64, 4, policy).unwrap();
         let cap = config.tracked_blocks();
         let mut dbi = Dbi::new(config);
+        let mut writebacks = Vec::new();
         for b in ops {
-            dbi.mark_dirty(b);
+            dbi.mark_dirty(b, &mut writebacks);
             prop_assert!(dbi.dirty_count() <= cap);
         }
     }
@@ -113,10 +127,12 @@ proptest! {
             .unwrap();
         let mut dbi = Dbi::new(config);
         let mut live: BTreeSet<u64> = BTreeSet::new();
+        let mut writebacks = Vec::new();
         for &b in &marks {
-            let out = dbi.mark_dirty(b);
+            writebacks.clear();
+            dbi.mark_dirty(b, &mut writebacks);
             live.insert(b);
-            for &wb in out.writebacks() {
+            for &wb in &writebacks {
                 live.remove(&wb);
             }
         }
@@ -146,7 +162,7 @@ proptest! {
             .unwrap();
         let mut dbi = Dbi::new(config);
         for b in marks {
-            dbi.mark_dirty(b);
+            dbi.mark_dirty(b, &mut Vec::new());
         }
         let before: Vec<u64> = dbi.dirty_blocks().collect();
         let count = dbi.dirty_count();

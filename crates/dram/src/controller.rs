@@ -166,7 +166,7 @@ pub struct MemoryController {
 }
 
 /// Reusable buffers for [`MemoryController::drain_writes`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct DrainScratch {
     /// Writes pulled from a channel's buffer for the current drain.
     writes: Vec<BlockAddr>,
@@ -176,6 +176,19 @@ struct DrainScratch {
     cursors: Vec<usize>,
     /// Per-bank next-CAS clock for the drain in progress.
     bank_clock: Vec<Cycle>,
+}
+
+impl DrainScratch {
+    /// Buffers for drains of at most `capacity` writes over `banks` banks,
+    /// sized once so that no drain grows them.
+    fn new(banks: usize, capacity: usize) -> Self {
+        DrainScratch {
+            writes: Vec::with_capacity(capacity),
+            queues: (0..banks).map(|_| Vec::with_capacity(capacity)).collect(),
+            cursors: Vec::with_capacity(banks),
+            bank_clock: Vec::with_capacity(banks),
+        }
+    }
 }
 
 impl MemoryController {
@@ -197,13 +210,17 @@ impl MemoryController {
                 )
             })
             .collect();
+        let scratch = DrainScratch::new(
+            config.mapping.banks() as usize,
+            config.write_buffer_capacity,
+        );
         Ok(MemoryController {
             config,
             channels,
             stats: DramStats::default(),
             energy: DramEnergy::default(),
             last_accrual: 0,
-            scratch: DrainScratch::default(),
+            scratch,
             trace: None,
         })
     }

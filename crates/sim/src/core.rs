@@ -101,8 +101,10 @@ impl Front {
             addr_offset,
             l1,
             l2,
+            l2_sweep_scratch: Vec::with_capacity(
+                l2_dbi.as_ref().map_or(0, |d| d.config().granularity()),
+            ),
             l2_dbi,
-            l2_sweep_scratch: Vec::new(),
         }
     }
 
@@ -200,7 +202,7 @@ impl Front {
             self.l2_dbi
                 .as_mut()
                 .expect("checked above")
-                .mark_dirty_into(block, &mut evicted);
+                .mark_dirty(block, &mut evicted);
             for &b in &evicted {
                 w.writeback(b);
             }
@@ -337,7 +339,8 @@ impl CoreEngine {
             l2_lat: config.latencies.l2,
             cycle: 0,
             insts: 0,
-            outstanding: VecDeque::new(),
+            // One past the MSHR count: `note_load` pushes, then retires.
+            outstanding: VecDeque::with_capacity(config.mshrs + 1),
             last_load_completion: 0,
             llc_reads: 0,
             llc_read_misses: 0,

@@ -31,22 +31,17 @@
 //! injects every [`crate::faults::FaultClass`] and asserts a checker
 //! fires.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use cache_sim::ssv::SetStateVector;
 use cache_sim::{Cache, SetIdx};
-use dbi::{ContainerPolicy, Dbi, DirtyStore};
+use dbi::Dbi;
 
 use crate::faults::FaultRecord;
 
 /// Violation details kept verbatim in the report (further violations are
 /// only counted).
 const MAX_DETAILS: usize = 16;
-
-/// Row granularity of the shadow dirty-set. The shadow tracks whatever the
-/// workload dirties, so it uses the same adaptive containers the mechanisms
-/// use — dense for hot rows, index lists for scattered blocks.
-const SHADOW_GRANULARITY: usize = 64;
 
 /// Which invariant a violation broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,8 +147,9 @@ impl std::fmt::Display for SanitizerReport {
 pub struct Sanitizer {
     /// Blocks the LLC currently owes to DRAM: marked when a writeback
     /// arrives from the level above, cleared when the block's data
-    /// actually reaches the memory controller.
-    shadow_dirty: DirtyStore,
+    /// actually reaches the memory controller. Shares no code with the
+    /// DBI it checks; iterates (and snapshots) in ascending order.
+    shadow_dirty: BTreeSet<u64>,
     /// Mirror of the SSV refresh stream (VWQ only).
     shadow_ssv: Option<Vec<bool>>,
     /// Dedup: `(kind, target)` pairs already reported.
@@ -169,7 +165,7 @@ impl Sanitizer {
     #[must_use]
     pub fn new(ssv_sets: Option<u64>) -> Sanitizer {
         Sanitizer {
-            shadow_dirty: DirtyStore::new(SHADOW_GRANULARITY, ContainerPolicy::Adaptive),
+            shadow_dirty: BTreeSet::new(),
             shadow_ssv: ssv_sets.map(|sets| vec![false; sets as usize]),
             seen: HashSet::new(),
             violations: Vec::new(),
@@ -195,17 +191,17 @@ impl Sanitizer {
     /// Hook: a writeback of `block` arrived at the LLC — the hierarchy now
     /// owes this block's data to DRAM.
     pub fn note_dirtied(&mut self, block: u64) {
-        self.shadow_dirty.mark(block);
+        self.shadow_dirty.insert(block);
     }
 
     /// Hook: `block`'s data actually reached the memory controller.
     pub fn note_written_back(&mut self, block: u64) {
-        self.shadow_dirty.clear(block);
+        self.shadow_dirty.remove(&block);
     }
 
     /// Hook: a lookup of `block` is about to bypass the tag store.
     pub fn check_bypass(&mut self, block: u64) {
-        if self.shadow_dirty.is_dirty(block) {
+        if self.shadow_dirty.contains(&block) {
             self.record(InvariantKind::DirtyBypass, block, || {
                 "lookup bypassed a block the shadow knows is dirty".to_string()
             });
@@ -284,7 +280,7 @@ impl Sanitizer {
                 .collect(),
         };
 
-        let shadow_blocks: Vec<u64> = self.shadow_dirty.blocks().collect();
+        let shadow_blocks: Vec<u64> = self.shadow_dirty.iter().copied().collect();
         for block in shadow_blocks {
             if !mechanism_dirty.contains(&block) {
                 self.record(InvariantKind::DirtyCoherence, block, || {
@@ -293,7 +289,7 @@ impl Sanitizer {
             }
         }
         for &block in &mechanism_dirty {
-            if !self.shadow_dirty.is_dirty(block) {
+            if !self.shadow_dirty.contains(&block) {
                 self.record(InvariantKind::DirtyCoherence, block, || {
                     "mechanism-dirty block the shadow never saw dirtied".to_string()
                 });
@@ -322,7 +318,7 @@ impl Sanitizer {
             scans: self.scans,
             total_violations: self.total_violations,
             violations: self.violations.clone(),
-            shadow_dirty_blocks: self.shadow_dirty.dirty_count(),
+            shadow_dirty_blocks: self.shadow_dirty.len() as u64,
             fault,
         }
     }
@@ -355,8 +351,10 @@ impl InvariantKind {
 
 impl dbi::snap::Snapshot for Sanitizer {
     fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        // DirtyStore iteration is deterministic: stable bytes for free.
-        self.shadow_dirty.snapshot(w);
+        w.usize(self.shadow_dirty.len());
+        for &block in &self.shadow_dirty {
+            w.u64(block);
+        }
         match &self.shadow_ssv {
             Some(bits) => {
                 w.bool(true);
@@ -386,7 +384,13 @@ impl dbi::snap::Snapshot for Sanitizer {
 
     fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
         use dbi::snap::SnapError;
-        self.shadow_dirty.restore(r)?;
+        let n = r.usize()?;
+        self.shadow_dirty = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
+        if self.shadow_dirty.len() != n {
+            return Err(SnapError::Corrupt(
+                "duplicate sanitizer shadow block".into(),
+            ));
+        }
         r.expect_bool("sanitizer SSV mirror", self.shadow_ssv.is_some())?;
         if let Some(bits) = &mut self.shadow_ssv {
             r.expect_len("sanitizer SSV sets", bits.len())?;

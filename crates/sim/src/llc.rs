@@ -168,6 +168,8 @@ impl SharedLlc {
         let rewrite_filter = (config.awb_rewrite_filter
             && matches!(mechanism, Mechanism::Dbi { awb: true, .. }))
         .then(|| RewriteFilter::new(4096, 256));
+        // A row's dirty blocks fill either scratch list; sized once here.
+        let dbi_row = dbi.as_ref().map_or(0, |d| d.config().granularity());
         SharedLlc {
             cache,
             mechanism,
@@ -181,8 +183,8 @@ impl SharedLlc {
             dram_row_blocks: u64::from(config.dram.mapping.blocks_per_row()),
             demand_port_free: 0,
             port_free: 0,
-            sweep_scratch: Vec::new(),
-            dbi_evict_scratch: Vec::new(),
+            sweep_scratch: Vec::with_capacity(dbi_row),
+            dbi_evict_scratch: Vec::with_capacity(dbi_row),
             sanitizer: config.sanitize.then(|| {
                 Box::new(Sanitizer::new(
                     matches!(mechanism, Mechanism::Vwq).then_some(sets),
@@ -636,7 +638,7 @@ impl SharedLlc {
                 self.dbi
                     .as_mut()
                     .expect("DBI mechanism")
-                    .mark_dirty_into(block, &mut evicted);
+                    .mark_dirty(block, &mut evicted);
                 if let Some(inj) = &mut self.injector {
                     if inj.flip_dbi_bit(block) {
                         self.dbi.as_mut().expect("DBI mechanism").clear_dirty(block);

@@ -14,11 +14,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = DbiConfig::for_cache_blocks(32 * 1024)?;
     let granularity = config.granularity() as u64;
     let mut dbi = Dbi::new(config);
+    let mut writebacks = Vec::new();
 
     // Dirty a few scattered regions, as a running program would.
     for row in [3u64, 17, 99, 100] {
         for offset in [0u64, 5, 6, 42] {
-            dbi.mark_dirty(row * granularity + offset);
+            dbi.mark_dirty(row * granularity + offset, &mut writebacks);
         }
     }
     println!("dirty blocks tracked: {}", dbi.dirty_count());
@@ -34,8 +35,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             dirty.len()
         );
         // The memory controller would write them back, then clear:
-        let flushed = dbi.flush_row(row * granularity).expect("row is tracked");
-        assert_eq!(flushed.blocks().len(), dirty.len());
+        writebacks.clear();
+        assert!(
+            dbi.flush_row(row * granularity, &mut writebacks),
+            "row is tracked"
+        );
+        assert_eq!(writebacks, dirty);
     }
     println!("after DMA flush: {} dirty blocks remain", dbi.dirty_count());
 

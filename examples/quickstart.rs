@@ -29,9 +29,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut dbi = Dbi::new(config);
 
-    // A writeback request arrives for block 5 of DRAM row 3 (Section 2.2.2):
-    let outcome = dbi.mark_dirty(3 * 64 + 5);
-    assert!(outcome.newly_dirty && outcome.evicted.is_none());
+    // A writeback request arrives for block 5 of DRAM row 3 (Section 2.2.2).
+    // A DBI eviction would append the writebacks it forces (Section 2.2.4):
+    let mut writebacks = Vec::new();
+    assert!(dbi.mark_dirty(3 * 64 + 5, &mut writebacks));
+    assert!(writebacks.is_empty());
 
     // Any dirty-status query goes to the DBI, not the tag store:
     assert!(dbi.is_dirty(3 * 64 + 5));
@@ -39,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One query lists every dirty block of a DRAM row — the query that
     // makes DRAM-aware writeback cheap (Section 3.1):
-    dbi.mark_dirty(3 * 64 + 9);
+    dbi.mark_dirty(3 * 64 + 9, &mut writebacks);
     let row: Vec<u64> = dbi.row_dirty_blocks(3 * 64).collect();
     println!("dirty blocks of row 3: {row:?}");
 

@@ -30,9 +30,11 @@
 //! let config = DbiConfig::for_cache_blocks(32 * 1024)?;
 //! let mut dbi = Dbi::new(config);
 //!
-//! // Mark block 5 of DRAM row 3 dirty, then query it back.
-//! let evicted = dbi.mark_dirty(3 * 128 + 5);
-//! assert!(evicted.writebacks().is_empty());
+//! // Mark block 5 of DRAM row 3 dirty, then query it back. No DBI entry
+//! // was evicted, so no writeback was forced.
+//! let mut writebacks = Vec::new();
+//! assert!(dbi.mark_dirty(3 * 128 + 5, &mut writebacks));
+//! assert!(writebacks.is_empty());
 //! assert!(dbi.is_dirty(3 * 128 + 5));
 //! # Ok(())
 //! # }
