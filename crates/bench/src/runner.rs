@@ -49,15 +49,40 @@
 //! gracefully: in-flight units suspend at their next checkpoint, queued
 //! units are skipped, the summary carries an `interrupted=` marker, and
 //! the process exits `128 + signal`.
+//!
+//! # Shared front ends
+//!
+//! Units that differ only past the private caches — the nine mechanisms
+//! on one workload, say — have equal [`FrontKey`]s: their trace
+//! generators and L1/L2 produce the same record streams. Within a work
+//! list, the store-missing units of each such group (without `--check`,
+//! sanitizer or fault) run their front ends once. The first, the
+//! *leader*, records its cores' streams into a directory of its own; the
+//! rest, the *followers*, replay them into their own back ends. Leaders
+//! are dispatched first, followers last, and results still come back in
+//! input order. A leader publishes its streams by renaming the directory
+//! only when it completes; a follower that starts before that, or whose
+//! streams fail to open, runs inline and never waits. A replayed result is
+//! bit-identical to an inline one (the sim crate's replay tests prove it).
+//!
+//! The streams are a cache, not persistence: no fsync, no failpoint, and
+//! any I/O error only sends a follower inline. They live under `spill/`
+//! in the store directory (or the system temp directory with
+//! `--no-cache`), in a directory per runner named by process id. A
+//! group's streams go when its last member finishes, the runner's
+//! directory when it finishes or drops, and the directories of processes
+//! that no longer exist at every runner's finish.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicI64, AtomicU64, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use system_sim::{
-    splitmix64, CheckpointCadence, FaultPlan, Mechanism, MixResult, SessionOutcome, SimSession,
-    SystemConfig,
+    splitmix64, CheckpointCadence, FaultPlan, FrontKey, FrontRecorder, FrontReplay, FrontStreams,
+    Mechanism, MixResult, SessionOutcome, SimSession, SystemConfig,
 };
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
@@ -117,6 +142,35 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
+/// Whether process `pid` exists (a signal-0 probe).
+#[cfg(unix)]
+fn process_alive(pid: u32) -> bool {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const EPERM: i32 = 1;
+    // Zero and negative ids name process groups, never one process.
+    match i32::try_from(pid) {
+        Ok(pid) if pid > 0 => {
+            // SAFETY: signal 0 only checks that `pid` exists and may be
+            // signalled; nothing is sent and no memory is passed.
+            let probe = unsafe { kill(pid, 0) };
+            probe == 0 || std::io::Error::last_os_error().raw_os_error() == Some(EPERM)
+        }
+        _ => false,
+    }
+}
+
+/// Without a probe, every other process's streams are left alone.
+#[cfg(not(unix))]
+fn process_alive(_pid: u32) -> bool {
+    true
+}
+
+/// Numbers the stream directories this process makes: runners' and work
+/// lists'.
+static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// `base` scaled by a deterministic jitter in [1, 2): units failing
 /// together retry spread out instead of stampeding, while the same salt
 /// always waits the same time (schedules stay reproducible).
@@ -156,6 +210,7 @@ impl RunUnit {
 struct Counters {
     hits: AtomicU64,
     sims: AtomicU64,
+    replayed: AtomicU64,
     skipped: AtomicU64,
     resumes: AtomicU64,
     sim_nanos: AtomicU64,
@@ -219,6 +274,85 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     )
 }
 
+/// The store-missing units of one work list that share a front key.
+#[derive(Debug)]
+struct FrontGroup {
+    key: FrontKey,
+    /// Where the leader's streams are published.
+    dir: PathBuf,
+    published: AtomicBool,
+    /// Members yet to finish; the last one removes the streams.
+    members: AtomicUsize,
+}
+
+impl FrontGroup {
+    /// Where the leader writes its streams before publishing them.
+    fn staging(&self) -> PathBuf {
+        self.dir.with_extension("tmp")
+    }
+
+    /// A recorder in a fresh staging directory, or `None` on an I/O error.
+    fn recorder(&self) -> Option<FrontRecorder> {
+        std::fs::create_dir(self.staging()).ok()?;
+        FrontRecorder::create(&self.staging(), &self.key).ok()
+    }
+
+    /// Publishes a completed leader's streams; a recording that is not
+    /// whole is dropped with its directory.
+    fn publish(&self, recorder: FrontRecorder) {
+        if recorder.finish().is_ok() && std::fs::rename(self.staging(), &self.dir).is_ok() {
+            self.published.store(true, Ordering::Release);
+        }
+    }
+
+    /// The published streams, or `None` if the leader has not published
+    /// them or they do not open.
+    fn replay(&self) -> Option<FrontReplay> {
+        if !self.published.load(Ordering::Acquire) {
+            return None;
+        }
+        FrontReplay::open(&self.dir, &self.key).ok()
+    }
+
+    /// Counts a member out, however it ended.
+    fn leave(&self) {
+        if self.members.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _ = std::fs::remove_dir_all(&self.dir);
+            let _ = std::fs::remove_dir_all(self.staging());
+        }
+    }
+}
+
+/// What a unit of a work list does with its group's streams.
+#[derive(Debug, Clone, Copy)]
+enum Role<'g> {
+    /// Runs its own front ends and records nothing.
+    Solo,
+    Leader(&'g FrontGroup),
+    Follower(&'g FrontGroup),
+}
+
+/// A work list's front groups and the order to dispatch its units in.
+#[derive(Debug)]
+struct Plan {
+    groups: Vec<FrontGroup>,
+    /// Each unit's group and whether it leads it.
+    roles: Vec<Option<(usize, bool)>>,
+    /// Leaders, then units outside any group, then followers, each in
+    /// input order.
+    order: Vec<usize>,
+}
+
+impl Plan {
+    fn role(&self, i: usize) -> Role<'_> {
+        match self.roles[i] {
+            None => Role::Solo,
+            Some((g, true)) => Role::Leader(&self.groups[g]),
+            Some((g, false)) => Role::Follower(&self.groups[g]),
+        }
+    }
+}
+
 /// Everything a simulation needs to write checkpoints. Owned values only:
 /// the simulation runs on a `'static` thread. The store
 /// handle is the runner's own, so a corrupt checkpoint is counted in its
@@ -251,14 +385,17 @@ enum SimRun {
 /// written is then the durable resume point. A checkpoint that fails to
 /// decode under the unit's key is a counted corruption and the unit
 /// starts cold; one that decodes but does not restore is discarded and
-/// the unit restarts cold.
+/// the unit restarts cold. `streams` are recorded or replayed only by a
+/// cold start.
 fn run_checkpointed(
     mix: &WorkloadMix,
     config: &SystemConfig,
     ctx: Option<&CheckpointCtx>,
+    streams: &mut Option<FrontStreams>,
 ) -> SimRun {
     let Some(ctx) = ctx else {
         let result = SimSession::new(mix, config)
+            .streams(streams.as_mut())
             .run()
             .expect("a session without resume bytes has nothing to decode");
         return SimRun::Completed {
@@ -288,6 +425,7 @@ fn run_checkpointed(
             true
         };
         let session = SimSession::new(mix, config)
+            .streams(streams.as_mut())
             .resume(resume.as_deref())
             .cadence(ctx.cadence)
             .sink(&mut sink);
@@ -324,6 +462,9 @@ pub struct Runner {
     checkpoint: CheckpointCadence,
     /// Test hook: suspend after this many checkpoint writes.
     crash_after: Option<Arc<AtomicI64>>,
+    /// This runner's stream directory, made when a work list first has a
+    /// front group.
+    spill: Mutex<Option<PathBuf>>,
     start: Instant,
     counters: Counters,
     failures: Mutex<Vec<UnitFailure>>,
@@ -371,6 +512,7 @@ impl Runner {
                 },
             },
             crash_after: None,
+            spill: Mutex::new(None),
             start: Instant::now(),
             counters: Counters::default(),
             failures: Mutex::new(Vec::new()),
@@ -411,6 +553,13 @@ impl Runner {
     #[must_use]
     pub fn sims(&self) -> u64 {
         self.counters.sims.load(Ordering::Relaxed)
+    }
+
+    /// Completed simulations that replayed front-end streams another unit
+    /// of their work list recorded.
+    #[must_use]
+    pub fn replayed(&self) -> u64 {
+        self.counters.replayed.load(Ordering::Relaxed)
     }
 
     /// Store hits so far.
@@ -466,7 +615,7 @@ impl Runner {
     /// [`Runner::try_run_units`].
     #[must_use]
     pub fn run_unit(&self, unit: &RunUnit) -> MixResult {
-        match self.run_unit_outcome(unit) {
+        match self.run_unit_outcome(unit, Role::Solo) {
             Ok(Some(result)) => result,
             // Suspended mid-run: only an interrupt does this outside the
             // work-list path, so exit the way a drained list would.
@@ -482,10 +631,14 @@ impl Runner {
     /// Sanitized and faulted units bypass the store for the same reason
     /// checked units always have: their reports are not serializable, and
     /// a faulted result must never be served to a clean rerun.
-    fn run_unit_outcome(&self, unit: &RunUnit) -> Result<Option<MixResult>, UnitFault> {
+    fn run_unit_outcome(
+        &self,
+        unit: &RunUnit,
+        role: Role<'_>,
+    ) -> Result<Option<MixResult>, UnitFault> {
         let unit = self.effective(unit);
-        if unit.config.check || unit.config.sanitize || unit.config.fault.is_some() {
-            return self.simulate(&unit, None);
+        if bypasses_store(&unit) {
+            return self.simulate(&unit, None, Role::Solo);
         }
         let key = unit.key();
         if let Some(store) = &self.store {
@@ -494,18 +647,19 @@ impl Runner {
                 return Ok(Some(result));
             }
         }
-        self.simulate(&unit, Some(&key))
+        self.simulate(&unit, Some(&key), role)
     }
 
     /// One guarded simulation attempt. The store is only written for
     /// completed simulations; a panic or timeout surfaces as `Err`
     /// instead of tearing the process (or the whole work list) down, and
     /// a checkpoint suspension surfaces as `Ok(None)`, counted in
-    /// `skipped`.
+    /// `skipped`. A leader publishes its streams only when it completes.
     fn simulate(
         &self,
         unit: &RunUnit,
         key: Option<&StoreKey>,
+        role: Role<'_>,
     ) -> Result<Option<MixResult>, UnitFault> {
         let t = Instant::now();
         let ckpt = match (&self.store, key) {
@@ -519,6 +673,13 @@ impl Runner {
             }
             _ => None,
         };
+        // The streams' files are opened here, so a simulation abandoned by
+        // the watchdog never touches the streams' directories.
+        let mut streams = match role {
+            Role::Solo => None,
+            Role::Leader(group) => group.recorder().map(FrontStreams::Record),
+            Role::Follower(group) => group.replay().map(FrontStreams::Replay),
+        };
         // The simulation runs on its own thread so an overrun of the
         // watchdog limit is detectable; a thread cannot be killed, so on
         // timeout it is abandoned and its eventual result discarded.
@@ -528,8 +689,9 @@ impl Runner {
         let config = unit.config.clone();
         std::thread::spawn(move || {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                run_checkpointed(&mix, &config, ckpt.as_ref())
+                run_checkpointed(&mix, &config, ckpt.as_ref(), &mut streams)
             }))
+            .map(|run| (run, streams))
             .map_err(|p| panic_text(p.as_ref()));
             let _ = tx.send(outcome);
         });
@@ -541,7 +703,7 @@ impl Runner {
                 .recv()
                 .map_err(|_| UnitFault::Panicked("the unit's thread sent no outcome".into()))?,
         };
-        let run = outcome.map_err(UnitFault::Panicked)?;
+        let (run, streams) = outcome.map_err(UnitFault::Panicked)?;
         let (result, resumed) = match run {
             // The checkpoint just written is the durable resume point.
             SimRun::Suspended => {
@@ -550,6 +712,15 @@ impl Runner {
             }
             SimRun::Completed { result, resumed } => (result, resumed),
         };
+        match (role, streams) {
+            (Role::Leader(group), Some(FrontStreams::Record(recorder))) => group.publish(recorder),
+            (Role::Follower(_), Some(FrontStreams::Replay(replay)))
+                if replay.records_replayed() > 0 =>
+            {
+                self.counters.replayed.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
+        }
         let nanos = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.counters.sims.fetch_add(1, Ordering::Relaxed);
         if resumed {
@@ -573,14 +744,128 @@ impl Runner {
 
     /// The per-unit scheduling decision of a work list: interrupt
     /// pre-check, then the normal lookup/simulate path.
-    fn scheduled_outcome(&self, unit: &RunUnit) -> Result<Option<MixResult>, UnitFault> {
+    fn scheduled_outcome(
+        &self,
+        unit: &RunUnit,
+        role: Role<'_>,
+    ) -> Result<Option<MixResult>, UnitFault> {
         if interrupted().is_some() {
             // Not-yet-started units drain without work, so the process
             // reaches its graceful exit quickly after a signal.
             self.counters.skipped.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
         }
-        self.run_unit_outcome(unit)
+        self.run_unit_outcome(unit, role)
+    }
+
+    /// This runner's stream directory, made on first use; `None` if it
+    /// cannot be made.
+    fn spill_dir(&self) -> Option<PathBuf> {
+        let mut dir = self.spill.lock().expect("spill directory lock");
+        if dir.is_none() {
+            let path = spill_root(self.store.as_deref()).join(format!(
+                "{}-{}",
+                std::process::id(),
+                SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::create_dir_all(&path).ok()?;
+            *dir = Some(path);
+        }
+        dir.clone()
+    }
+
+    /// Groups the store-missing units of `units` that share a front key
+    /// and orders the list: leaders, then units outside any group, then
+    /// followers.
+    fn plan(&self, units: &[RunUnit]) -> Plan {
+        let mut index: HashMap<FrontKey, usize> = HashMap::new();
+        let mut members: Vec<(FrontKey, Vec<usize>)> = Vec::new();
+        for (i, unit) in units.iter().enumerate() {
+            let unit = self.effective(unit);
+            if bypasses_store(&unit) || self.store.as_ref().is_some_and(|s| s.contains(&unit.key()))
+            {
+                continue;
+            }
+            let key = FrontKey::new(&unit.mix, &unit.config);
+            let g = *index.entry(key.clone()).or_insert_with(|| {
+                members.push((key, Vec::new()));
+                members.len() - 1
+            });
+            members[g].1.push(i);
+        }
+        members.retain(|(_, m)| m.len() >= 2);
+        let dir = if members.is_empty() {
+            None
+        } else {
+            self.spill_dir()
+        };
+        let Some(dir) = dir else {
+            return Plan {
+                groups: Vec::new(),
+                roles: vec![None; units.len()],
+                order: (0..units.len()).collect(),
+            };
+        };
+        let mut roles = vec![None; units.len()];
+        let list = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
+        let groups = members
+            .into_iter()
+            .enumerate()
+            .map(|(g, (key, m))| {
+                for (k, &i) in m.iter().enumerate() {
+                    roles[i] = Some((g, k == 0));
+                }
+                FrontGroup {
+                    key,
+                    dir: dir.join(format!("{list}-{g}")),
+                    published: AtomicBool::new(false),
+                    members: AtomicUsize::new(m.len()),
+                }
+            })
+            .collect();
+        let class = |i: &usize| match roles[*i] {
+            Some((_, true)) => 0,
+            None => 1,
+            Some((_, false)) => 2,
+        };
+        let mut order: Vec<usize> = (0..units.len()).collect();
+        order.sort_by_key(class);
+        Plan {
+            groups,
+            roles,
+            order,
+        }
+    }
+
+    /// Removes this runner's streams, and those of processes that no
+    /// longer exist.
+    fn clear_spill(&self) {
+        // Runs from `drop` too, so a poisoned lock must not panic; the
+        // path it guards is valid whatever a panicking thread did.
+        let mine = self
+            .spill
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .take();
+        if let Some(dir) = mine {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        let root = spill_root(self.store.as_deref());
+        let Ok(entries) = std::fs::read_dir(&root) else {
+            return;
+        };
+        for entry in entries.filter_map(Result::ok) {
+            let name = entry.file_name();
+            let pid = name
+                .to_str()
+                .and_then(|n| n.split('-').next())
+                .and_then(|p| p.parse::<u32>().ok());
+            if pid.is_some_and(|pid| pid != std::process::id() && !process_alive(pid)) {
+                let _ = std::fs::remove_dir_all(entry.path());
+            }
+        }
+        // Only succeeds once no runner's streams remain.
+        let _ = std::fs::remove_dir(&root);
     }
 
     /// Flushes the summary and exits with the conventional `128 + signal`
@@ -652,17 +937,22 @@ impl Runner {
         let started = Instant::now();
         let hits_before = self.hits();
         let progress = Progress::new();
-        let indices: Vec<usize> = (0..total).collect();
-        let outcomes = parallel_map_jobs(&indices, self.jobs, |&i| {
+        let plan = self.plan(units);
+        let outcomes = parallel_map_jobs(&plan.order, self.jobs, |&i| {
             let unit = &units[i];
-            let outcome = self.scheduled_outcome(unit).or_else(|first| {
+            let role = plan.role(i);
+            // The retry runs alone: its group has moved on.
+            let outcome = self.scheduled_outcome(unit, role).or_else(|first| {
                 eprintln!(
                     "runner[{}]: {phase}: unit {i} {first}; retrying once",
                     self.name
                 );
                 std::thread::sleep(jittered(RETRY_BACKOFF, i as u64));
-                self.run_unit_outcome(unit)
+                self.run_unit_outcome(unit, Role::Solo)
             });
+            if let Role::Leader(group) | Role::Follower(group) = role {
+                group.leave();
+            }
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;
             let cached = self.hits() - hits_before;
             let elapsed = started.elapsed().as_secs_f64();
@@ -687,10 +977,14 @@ impl Runner {
             })
         });
         progress.close();
+        let mut by_input: Vec<Option<_>> = (0..total).map(|_| None).collect();
+        for (&i, outcome) in plan.order.iter().zip(outcomes) {
+            by_input[i] = Some(outcome);
+        }
         let mut failures = Vec::new();
-        let results = outcomes
+        let results = by_input
             .into_iter()
-            .map(|outcome| match outcome {
+            .map(|outcome| match outcome.expect("every unit ran") {
                 Ok(result) => result,
                 Err(failure) => {
                     failures.push(failure);
@@ -713,6 +1007,7 @@ impl Runner {
     /// simulations continued from a checkpoint, and `interrupted=` is the
     /// signal number that stopped the run (0 for a clean finish).
     pub fn finish(&self) {
+        self.clear_spill();
         if self.finished.swap(true, Ordering::Relaxed) {
             return;
         }
@@ -739,7 +1034,7 @@ impl Runner {
         eprintln!(
             "runner[{}]: units={} hits={} sims={} skipped={} resumed={} interrupted={} \
              sim_wall={} unit_mean={} unit_max={} failed={} quarantined=[{quarantined}] \
-             corrupt={corrupt} tmp_gc={tmp_gc} wall={} store={}",
+             corrupt={corrupt} tmp_gc={tmp_gc} wall={} store={} replayed={}",
             self.name,
             self.hits() + sims + self.skipped() + failures.len() as u64,
             self.hits(),
@@ -752,7 +1047,8 @@ impl Runner {
             fmt_secs(unit_max),
             failures.len(),
             fmt_secs(self.start.elapsed().as_secs_f64()),
-            store_desc
+            store_desc,
+            self.replayed()
         );
     }
 }
@@ -761,6 +1057,23 @@ impl Drop for Runner {
     fn drop(&mut self) {
         self.finish();
     }
+}
+
+/// Whether `unit` runs outside the store: checked, sanitized and faulted
+/// runs have reports that are not serializable, and a faulted result must
+/// never be served to a clean rerun.
+fn bypasses_store(unit: &RunUnit) -> bool {
+    unit.config.check || unit.config.sanitize || unit.config.fault.is_some()
+}
+
+/// The directory of every runner's stream directories: outside the
+/// store's record namespace, or in the system temp directory without a
+/// store.
+fn spill_root(store: Option<&ResultStore>) -> PathBuf {
+    store.map_or_else(
+        || std::env::temp_dir().join("dbi-bench-spill"),
+        |s| s.dir().join("spill"),
+    )
 }
 
 fn fmt_secs(s: f64) -> String {

@@ -461,3 +461,138 @@ fn check_runs_bypass_the_store() {
         assert!(result.check.is_some(), "checker verdict must be present");
     }
 }
+
+/// The nine mechanisms of Table 2 on one benchmark: one front key.
+fn nine_mechanisms(benchmark: Benchmark) -> Vec<RunUnit> {
+    Mechanism::ALL
+        .iter()
+        .map(|&m| RunUnit::alone(benchmark, tiny_config(m)))
+        .collect()
+}
+
+/// Every file under `dir`, at any depth.
+fn files_under(dir: &std::path::Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    entries
+        .filter_map(Result::ok)
+        .flat_map(|e| {
+            let path = e.path();
+            if path.is_dir() {
+                files_under(&path)
+            } else {
+                vec![path]
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn followers_replay_their_leaders_front_ends_bit_identically() {
+    let units = nine_mechanisms(Benchmark::Mcf);
+    let expected: Vec<String> = units
+        .iter()
+        .map(|u| system_sim::System::new(&u.mix, &u.config).run().digest())
+        .collect();
+    for jobs in [1, 2] {
+        let scratch = Scratch::new(&format!("replay-{jobs}"));
+        let args = BenchArgs {
+            jobs: Some(jobs),
+            ..scratch.args()
+        };
+        let runner = Runner::new("test-replay", &args);
+        let (results, failures) = runner.try_run_units("replay", &units);
+        assert!(failures.is_empty());
+        for (r, want) in results.iter().zip(&expected) {
+            assert_eq!(
+                &r.as_ref().expect("completed").digest(),
+                want,
+                "jobs {jobs}"
+            );
+        }
+        assert_eq!(runner.sims(), 9);
+        if jobs == 1 {
+            assert_eq!(runner.replayed(), 8, "every follower replays at one job");
+        } else {
+            assert!(runner.replayed() <= 8, "the leader never replays");
+        }
+        assert!(
+            files_under(&scratch.0.join("spill")).is_empty(),
+            "no stream outlives its work list"
+        );
+    }
+}
+
+#[test]
+fn followers_of_a_timed_out_leader_run_inline_and_stay_correct() {
+    let scratch = Scratch::new("replay-watchdog");
+    // The leader's window is far longer than the watchdog; its followers
+    // share its front key (windows are not in it) and finish well inside.
+    let mut slow = tiny_config(Mechanism::Baseline);
+    slow.warmup_insts = 3_000_000;
+    slow.measure_insts = 12_000_000;
+    let mut units = vec![RunUnit::alone(Benchmark::Lbm, slow)];
+    for m in [Mechanism::TaDip, Mechanism::Dawb, Mechanism::Vwq] {
+        let mut quick = tiny_config(m);
+        quick.warmup_insts = 1_000;
+        quick.measure_insts = 1_000;
+        units.push(RunUnit::alone(Benchmark::Lbm, quick));
+    }
+    let runner = Runner::new("test-replay-watchdog", &scratch.args())
+        .with_watchdog(Some(Duration::from_millis(100)));
+    let (results, failures) = runner.try_run_units("replay-watchdog", &units);
+
+    assert_eq!(failures.len(), 1);
+    assert_eq!(failures[0].index, 0);
+    assert!(matches!(failures[0].fault, UnitFault::TimedOut(_)));
+    assert!(results[0].is_none());
+    for (r, u) in results.iter().zip(&units).skip(1) {
+        let want = system_sim::System::new(&u.mix, &u.config).run().digest();
+        assert_eq!(r.as_ref().expect("a follower completes").digest(), want);
+    }
+    assert_eq!(runner.replayed(), 0, "a timed-out leader publishes nothing");
+}
+
+#[test]
+fn streams_never_outlive_their_runners() {
+    let scratch = Scratch::new("spill-lifecycle");
+    let spill = scratch.0.join("spill");
+    let units = nine_mechanisms(Benchmark::Lbm);
+
+    // A run stopped at its second checkpoint leaves checkpoints, not
+    // streams.
+    let crashed = Runner::new("test-spill-crash", &scratch.args())
+        .with_checkpoint_every(500)
+        .with_crash_after_checkpoints(2);
+    let (results, _) = crashed.try_run_units("crash", &units);
+    assert!(
+        results.iter().any(Option::is_none),
+        "the crash budget ran out"
+    );
+    assert!(files_under(&spill).is_empty());
+    drop(crashed);
+
+    // The streams of a process that no longer exists (a `kill -9`).
+    let mut child = std::process::Command::new("true")
+        .spawn()
+        .expect("spawn a process to outlive");
+    let dead = child.id();
+    child.wait().expect("the process exits");
+    let leftover = spill.join(format!("{dead}-0")).join("0-0");
+    std::fs::create_dir_all(&leftover).expect("plant leftover streams");
+    std::fs::write(leftover.join("core0.words"), b"stale").expect("plant a stream");
+
+    let next = Runner::new("test-spill-next", &scratch.args());
+    let (results, failures) = next.try_run_units("resume", &units);
+    assert!(failures.is_empty() && results.iter().all(Option::is_some));
+    next.finish();
+    assert!(
+        !spill.exists(),
+        "no stream directory survives a finished runner"
+    );
+
+    let report = dbi_bench::scrub_store(&scratch.0).expect("scrub the store");
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.scanned, 9, "nine entries and no other record");
+}

@@ -23,10 +23,11 @@ use std::collections::VecDeque;
 use cache_sim::{Cache, CacheConfig, InsertPos, ThreadId};
 use dbi::Dbi;
 use dram_sim::MemoryController;
+use trace_gen::mix::WorkloadMix;
 use trace_gen::{MemOp, TraceGenerator};
 
 use crate::checker::VersionChecker;
-use crate::config::SystemConfig;
+use crate::config::{DbiParams, SystemConfig};
 use crate::llc::SharedLlc;
 
 /// The level that served a record's access.
@@ -56,6 +57,100 @@ pub(crate) trait Writebacks {
 impl Writebacks for Vec<u64> {
     fn writeback(&mut self, block: u64) {
         self.push(block);
+    }
+}
+
+/// Drops every writeback: for records produced only to bring a front end
+/// up to a stream position.
+struct Discard;
+
+impl Writebacks for Discard {
+    fn writeback(&mut self, _block: u64) {}
+}
+
+/// Everything a run's front ends depend on: the benchmarks in core order,
+/// the trace seed, the L1/L2 geometry, and the L2 DBI when there is one.
+/// Two runs with equal keys produce equal record streams on every core,
+/// however their back ends (mechanism, LLC, DRAM, windows) differ, so one
+/// run's recorded streams can stand in for another's front ends.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct FrontKey {
+    text: String,
+    cores: usize,
+}
+
+impl FrontKey {
+    /// The key of `mix`'s front ends on `config`.
+    ///
+    /// Every `SystemConfig` field is named below, so a new one does not
+    /// compile until it is classified: in the key if `Front::new`, the
+    /// trace generator or the per-core address layout reads it, ignored
+    /// otherwise.
+    #[must_use]
+    pub fn new(mix: &WorkloadMix, config: &SystemConfig) -> FrontKey {
+        let SystemConfig {
+            cores: _,
+            mechanism: _,
+            llc_bytes_per_core: _,
+            llc_ways: _,
+            llc_replacement: _,
+            l1_bytes,
+            l1_ways,
+            l2_bytes,
+            l2_ways,
+            block_bytes,
+            latencies: _,
+            dbi,
+            dram: _,
+            window_insts: _,
+            mshrs: _,
+            predictor_epoch_cycles: _,
+            predictor_threshold: _,
+            awb_rewrite_filter: _,
+            l2_dbi,
+            warmup_insts: _,
+            measure_insts: _,
+            seed,
+            check: _,
+            sanitize: _,
+            sanitize_interval: _,
+            fault: _,
+        } = config;
+        let l2_dbi = if *l2_dbi {
+            let DbiParams {
+                alpha,
+                granularity,
+                associativity,
+                policy,
+            } = dbi;
+            format!(
+                "{}/{}:{granularity}:{associativity}:{}",
+                alpha.numerator(),
+                alpha.denominator(),
+                policy.label()
+            )
+        } else {
+            "none".to_string()
+        };
+        let benchmarks: Vec<&str> = mix.benchmarks().iter().map(|b| b.label()).collect();
+        FrontKey {
+            text: format!(
+                "mix={} seed={seed} l1={l1_bytes}:{l1_ways} l2={l2_bytes}:{l2_ways} \
+                 blk={block_bytes} l2dbi={l2_dbi}",
+                benchmarks.join("+")
+            ),
+            cores: mix.cores(),
+        }
+    }
+
+    /// The key as text, the same for equal keys in every process.
+    pub(crate) fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// Front ends (active cores) under this key.
+    pub(crate) fn cores(&self) -> usize {
+        self.cores
     }
 }
 
@@ -136,6 +231,14 @@ impl Front {
         };
         self.fill(access, w);
         (record.gap, record.dependent, access)
+    }
+
+    /// Produces and drops the next `records` records, leaving the front end
+    /// where it would be had it fed them to its back end.
+    pub(crate) fn skip(&mut self, records: u64) {
+        for _ in 0..records {
+            self.produce(&mut Discard);
+        }
     }
 
     /// Which level serves an access to `addr`, updating its recency (and

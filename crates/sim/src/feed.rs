@@ -12,13 +12,28 @@
 //! [`CpuClaim`] decides whether a run may have a helper at all: running
 //! simulations plus their helpers never exceed the process's available
 //! parallelism.
+//!
+//! The same words can also go to a file per core. A [`FrontRecorder`]
+//! writes every record a run's front ends produce; a later run whose
+//! [`FrontKey`] is equal reads them back through a [`FrontReplay`] instead
+//! of running its own trace generators and L1/L2. Each file is a header
+//! naming the key and the core, then chunks of up to [`RING_WORDS`] words,
+//! each led by its word count and followed by a word-wise FNV-1a checksum
+//! of both.
+//! A replayed core whose stream ends, or whose next chunk fails to read or
+//! check, fast-forwards its own front end past the records already
+//! replayed and runs inline from there, so a bad file costs time, never a
+//! wrong result.
 
+use std::fs::File;
+use std::io::{self, Read, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use dram_sim::MemoryController;
 
-use crate::core::{Access, CoreEngine, Front, Served, Writebacks};
+use crate::core::{Access, CoreEngine, Front, FrontKey, Served, Writebacks};
 use crate::llc::SharedLlc;
 
 /// Words per core ring (8 KiB).
@@ -84,12 +99,27 @@ impl Writebacks for Encoder<'_> {
 }
 
 /// Replaces `words` with `front`'s next record.
-fn encode_next(front: &mut Front, words: &mut Vec<u64>) {
+pub(crate) fn encode_next(front: &mut Front, words: &mut Vec<u64>) {
     words.clear();
     words.extend([0, 0]);
     let (gap, dependent, access) = front.produce(&mut Encoder(words));
     words[0] += encode_issue(gap, dependent);
     words[1] = encode_access(&access);
+}
+
+/// Executes one record on `core`, taking its words in order from `next`:
+/// the decode step of every feed that carries records as words.
+#[inline]
+fn execute_words(
+    mut next: impl FnMut() -> u64,
+    core: &mut CoreEngine,
+    llc: &mut SharedLlc,
+    dram: &mut MemoryController,
+) {
+    let (gap, dependent, writebacks) = decode_issue(next());
+    let access = decode_access(next());
+    let blocks = (0..writebacks).map(|_| next());
+    core.execute((gap, dependent, access), blocks, llc, dram, None);
 }
 
 /// Spins briefly, then yields: the other side is usually a few hundred
@@ -263,10 +293,7 @@ impl Reader {
         dram: &mut MemoryController,
     ) {
         let ring = &pipe.rings[i];
-        let (gap, dependent, writebacks) = decode_issue(self.pop(pipe, ring));
-        let access = decode_access(self.pop(pipe, ring));
-        let blocks = (0..writebacks).map(|_| self.pop(pipe, ring));
-        core.execute((gap, dependent, access), blocks, llc, dram, None);
+        execute_words(|| self.pop(pipe, ring), core, llc, dram);
         if self.head - self.published >= ring.slots.len() / 4 {
             self.publish(ring);
         }
@@ -307,6 +334,368 @@ impl Reader {
                 "the trace front-end thread stopped"
             );
             backoff(&mut idle);
+        }
+    }
+}
+
+/// Bytes of a stream chunk: the word count, up to [`RING_WORDS`] words and
+/// the checksum.
+const CHUNK_BYTES: usize = 8 * (RING_WORDS + 2);
+
+/// FNV-1a over a chunk's little-endian words instead of its bytes: one
+/// multiply per word, not eight. Byte-wise `fnv1a64` took about 7% of a
+/// replaying run. Any one changed word still changes the sum, since each
+/// step maps the running hash one-to-one.
+fn chunk_sum(chunk: &[u8]) -> u64 {
+    chunk
+        .chunks_exact(8)
+        .fold(0xcbf2_9ce4_8422_2325, |h, word| {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte words"));
+            (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The file holding core `core`'s recorded stream in `dir`.
+fn stream_path(dir: &Path, core: usize) -> PathBuf {
+    dir.join(format!("core{core}.words"))
+}
+
+/// The first bytes of core `core`'s stream under `key`.
+fn stream_header(key: &FrontKey, core: usize) -> Vec<u8> {
+    format!("dbi-front-stream v1 core={core} {}\n", key.as_str()).into_bytes()
+}
+
+/// Appends one core's record words to its file, a chunk at a time.
+#[derive(Debug)]
+struct StreamWriter {
+    file: File,
+    /// The chunk being filled: a placeholder for its word count, then its
+    /// words.
+    chunk: Vec<u8>,
+}
+
+impl StreamWriter {
+    fn create(path: &Path, header: &[u8]) -> io::Result<StreamWriter> {
+        let mut file = File::create(path)?;
+        file.write_all(header)?;
+        let mut chunk = Vec::with_capacity(CHUNK_BYTES);
+        chunk.extend_from_slice(&[0; 8]);
+        Ok(StreamWriter { file, chunk })
+    }
+
+    fn push(&mut self, word: u64) -> io::Result<()> {
+        self.chunk.extend_from_slice(&word.to_le_bytes());
+        if self.chunk.len() == CHUNK_BYTES - 8 {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Writes the words pushed since the last flush as one chunk.
+    fn flush(&mut self) -> io::Result<()> {
+        let words = self.chunk.len() / 8 - 1;
+        if words == 0 {
+            return Ok(());
+        }
+        self.chunk[..8].copy_from_slice(&(words as u64).to_le_bytes());
+        let sum = chunk_sum(&self.chunk);
+        self.chunk.extend_from_slice(&sum.to_le_bytes());
+        let written = self.file.write_all(&self.chunk);
+        self.chunk.truncate(8);
+        written
+    }
+}
+
+/// Reads one core's recorded words back, a checked chunk at a time.
+#[derive(Debug)]
+struct StreamReader {
+    file: File,
+    chunk: Vec<u8>,
+    /// Byte offsets of the next unread word and of the end of the chunk's
+    /// words.
+    pos: usize,
+    end: usize,
+}
+
+impl StreamReader {
+    fn open(path: &Path, header: &[u8]) -> io::Result<StreamReader> {
+        let mut file = File::open(path)?;
+        let mut found = vec![0; header.len()];
+        file.read_exact(&mut found)?;
+        if found != header {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{} was recorded for other front ends", path.display()),
+            ));
+        }
+        Ok(StreamReader {
+            file,
+            chunk: vec![0; CHUNK_BYTES],
+            pos: 0,
+            end: 0,
+        })
+    }
+
+    /// The next word, or `None` at the end of the stream, on a read error
+    /// or at a chunk whose count or checksum is wrong.
+    fn word(&mut self) -> Option<u64> {
+        if self.pos == self.end {
+            self.refill()?;
+        }
+        let word = u64::from_le_bytes(self.chunk[self.pos..self.pos + 8].try_into().ok()?);
+        self.pos += 8;
+        Some(word)
+    }
+
+    fn refill(&mut self) -> Option<()> {
+        self.file.read_exact(&mut self.chunk[..8]).ok()?;
+        let words = u64::from_le_bytes(self.chunk[..8].try_into().ok()?);
+        let words = usize::try_from(words)
+            .ok()
+            .filter(|n| (1..=RING_WORDS).contains(n))?;
+        let end = 8 * (words + 1);
+        self.file.read_exact(&mut self.chunk[8..end + 8]).ok()?;
+        let sum = u64::from_le_bytes(self.chunk[end..end + 8].try_into().ok()?);
+        if chunk_sum(&self.chunk[..end]) != sum {
+            return None;
+        }
+        self.pos = 8;
+        self.end = end;
+        Some(())
+    }
+
+    /// Replaces `words` with the next whole record. `false` if the stream
+    /// cannot supply one with at most `max_writebacks` writebacks.
+    fn record(&mut self, words: &mut Vec<u64>, max_writebacks: usize) -> bool {
+        words.clear();
+        let Some(issue) = self.word() else {
+            return false;
+        };
+        let writebacks = decode_issue(issue).2;
+        if writebacks > max_writebacks as u64 {
+            return false;
+        }
+        words.push(issue);
+        for _ in 0..=writebacks {
+            match self.word() {
+                Some(word) => words.push(word),
+                None => return false,
+            }
+        }
+        true
+    }
+}
+
+/// Writes every record a run's front ends produce to one file per core,
+/// for later runs with the same [`FrontKey`] to replay.
+#[derive(Debug)]
+pub struct FrontRecorder {
+    key: FrontKey,
+    streams: Vec<StreamWriter>,
+    /// Records written per core.
+    records: Vec<u64>,
+    /// The record being written.
+    words: Vec<u64>,
+    /// The first write error; nothing is written after it.
+    error: Option<io::Error>,
+    /// Whether a run fed from its first record to its end.
+    complete: bool,
+}
+
+impl FrontRecorder {
+    /// Creates a stream file per front end of `key` in the existing
+    /// directory `dir`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the first file that cannot be created.
+    pub fn create(dir: &Path, key: &FrontKey) -> io::Result<FrontRecorder> {
+        let streams = (0..key.cores())
+            .map(|i| StreamWriter::create(&stream_path(dir, i), &stream_header(key, i)))
+            .collect::<io::Result<_>>()?;
+        Ok(FrontRecorder {
+            key: key.clone(),
+            streams,
+            records: vec![0; key.cores()],
+            words: Vec::new(),
+            error: None,
+            complete: false,
+        })
+    }
+
+    /// Produces core `i`'s next record on `front`, writes its words, and
+    /// executes it on `core`.
+    pub(crate) fn step(
+        &mut self,
+        i: usize,
+        front: &mut Front,
+        core: &mut CoreEngine,
+        llc: &mut SharedLlc,
+        dram: &mut MemoryController,
+    ) {
+        self.write_next(i, front);
+        let mut words = self.words.iter().copied();
+        execute_words(
+            || words.next().expect("an encoded record is whole"),
+            core,
+            llc,
+            dram,
+        );
+    }
+
+    /// Produces core `i`'s next record on `front` into `words` and writes
+    /// it to the core's stream.
+    fn write_next(&mut self, i: usize, front: &mut Front) {
+        encode_next(front, &mut self.words);
+        self.records[i] += 1;
+        if self.error.is_none() {
+            let stream = &mut self.streams[i];
+            if let Err(e) = self.words.iter().try_for_each(|&w| stream.push(w)) {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    /// Marks the recording as covering a whole run whose front ends are
+    /// `fronts`. With several cores, each stream first grows by a
+    /// sixteenth: a replaying run's cores keep running until the slowest
+    /// finishes, and at other relative speeds a core may read past where
+    /// this run stopped it, then fast-forward its front end through the
+    /// whole stream.
+    pub(crate) fn complete(&mut self, fronts: &mut [Front]) {
+        if fronts.len() > 1 {
+            for (i, front) in fronts.iter_mut().enumerate() {
+                for _ in 0..self.records[i] / 16 {
+                    self.write_next(i, front);
+                }
+            }
+        }
+        self.complete = true;
+    }
+
+    /// Writes the last chunks.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a write failed, or if no run fed this recorder from its
+    /// first record to its end (it resumed from a checkpoint, was
+    /// suspended, ran the shadow-memory check, or had another key): such
+    /// streams must not be replayed.
+    pub fn finish(mut self) -> io::Result<()> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        if !self.complete {
+            return Err(io::Error::other("the recording does not cover a whole run"));
+        }
+        self.streams.iter_mut().try_for_each(StreamWriter::flush)
+    }
+}
+
+/// Feeds a run from streams a [`FrontRecorder`] wrote. Each core's front
+/// end stays where it was built until something needs it: the end of its
+/// stream, a chunk that fails to read or check, or a checkpoint. Then it
+/// is fast-forwarded past the records replayed so far, and that core runs
+/// inline.
+#[derive(Debug)]
+pub struct FrontReplay {
+    key: FrontKey,
+    /// Each core's stream; `None` once the core runs inline.
+    streams: Vec<Option<StreamReader>>,
+    /// Records replayed per core.
+    replayed: Vec<u64>,
+    /// The record being replayed.
+    words: Vec<u64>,
+    /// Writebacks of an inline record.
+    writebacks: Vec<u64>,
+}
+
+impl FrontReplay {
+    /// Opens the streams of `key` that a [`FrontRecorder`] wrote in `dir`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a stream cannot be opened or was recorded under another
+    /// key.
+    pub fn open(dir: &Path, key: &FrontKey) -> io::Result<FrontReplay> {
+        let streams = (0..key.cores())
+            .map(|i| StreamReader::open(&stream_path(dir, i), &stream_header(key, i)).map(Some))
+            .collect::<io::Result<_>>()?;
+        Ok(FrontReplay {
+            key: key.clone(),
+            streams,
+            replayed: vec![0; key.cores()],
+            words: Vec::new(),
+            writebacks: Vec::new(),
+        })
+    }
+
+    /// Records replayed from the streams so far, over all cores.
+    #[must_use]
+    pub fn records_replayed(&self) -> u64 {
+        self.replayed.iter().sum()
+    }
+
+    /// Executes core `i`'s next record on `core`: replayed from its stream
+    /// while the stream supplies one, produced by `front` after that.
+    pub(crate) fn step(
+        &mut self,
+        i: usize,
+        front: &mut Front,
+        core: &mut CoreEngine,
+        llc: &mut SharedLlc,
+        dram: &mut MemoryController,
+    ) {
+        if let Some(stream) = &mut self.streams[i] {
+            if stream.record(&mut self.words, front.max_writebacks()) {
+                self.replayed[i] += 1;
+                let mut words = self.words.iter().copied();
+                execute_words(
+                    || words.next().expect("a checked record is whole"),
+                    core,
+                    llc,
+                    dram,
+                );
+                return;
+            }
+            self.detach(i, front);
+        }
+        let record = front.produce(&mut self.writebacks);
+        core.execute(record, self.writebacks.drain(..), llc, dram, None);
+    }
+
+    /// Brings core `i`'s front end to the records replayed so far; the
+    /// core runs inline from then on.
+    fn detach(&mut self, i: usize, front: &mut Front) {
+        if self.streams[i].take().is_some() {
+            front.skip(self.replayed[i]);
+        }
+    }
+
+    /// [`FrontReplay::detach`] for every core: before anything reads the
+    /// front ends' state.
+    pub(crate) fn detach_all(&mut self, fronts: &mut [Front]) {
+        for (i, front) in fronts.iter_mut().enumerate() {
+            self.detach(i, front);
+        }
+    }
+}
+
+/// A run's recorded front-end streams: written as it runs, or read in
+/// place of its front ends.
+#[derive(Debug)]
+pub enum FrontStreams {
+    /// Streams the run writes.
+    Record(FrontRecorder),
+    /// Streams the run reads.
+    Replay(FrontReplay),
+}
+
+impl FrontStreams {
+    pub(crate) fn key(&self) -> &FrontKey {
+        match self {
+            FrontStreams::Record(r) => &r.key,
+            FrontStreams::Replay(r) => &r.key,
         }
     }
 }
@@ -376,6 +765,19 @@ mod tests {
                     served,
                 };
                 assert_eq!(decode_access(encode_access(&a)), a);
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_sums_catch_every_flipped_byte() {
+        let chunk: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(37)).collect();
+        let sum = chunk_sum(&chunk);
+        for i in 0..chunk.len() {
+            for bit in 0..8 {
+                let mut flipped = chunk.clone();
+                flipped[i] ^= 1 << bit;
+                assert_ne!(chunk_sum(&flipped), sum, "byte {i}, bit {bit}");
             }
         }
     }

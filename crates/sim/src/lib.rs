@@ -47,8 +47,10 @@ mod system;
 
 pub use crate::checker::{LostWrite, VersionChecker};
 pub use crate::config::{DbiParams, Latencies, Mechanism, SystemConfig};
+pub use crate::core::FrontKey;
 pub use crate::dramcache::{GbCacheConfig, GbCacheStats, GbDirtyView, GbDramCache};
 pub use crate::faults::{splitmix64, FaultClass, FaultInjector, FaultPlan, FaultRecord};
+pub use crate::feed::{FrontRecorder, FrontReplay, FrontStreams};
 pub use crate::invariants::{InvariantKind, InvariantViolation, Sanitizer, SanitizerReport};
 pub use crate::llc::{LlcStats, ReadOutcome, SharedLlc};
 pub use crate::metrics::CoreResult;

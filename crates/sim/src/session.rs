@@ -4,7 +4,9 @@
 //! [`SimSession::run`] builds the [`System`], restores it from the resume
 //! bytes when there are any, and hands it to the drive loop that
 //! [`System::run`] uses too, so every run — checkpointed or not — steps
-//! its records through the same code.
+//! its records through the same code. A session can also record its front
+//! ends' streams, or take its records from streams another run with the
+//! same [`FrontKey`] recorded ([`SimSession::streams`]).
 //!
 //! ```
 //! use system_sim::{run_mix, Mechanism, SimSession, SystemConfig};
@@ -25,6 +27,8 @@ use dbi::snap::SnapError;
 use trace_gen::mix::WorkloadMix;
 
 use crate::config::SystemConfig;
+use crate::core::FrontKey;
+use crate::feed::FrontStreams;
 use crate::system::{MixResult, RunState, System};
 
 /// When a resumable run serializes its state and offers it to the sink.
@@ -92,6 +96,7 @@ pub struct SimSession<'a> {
     resume: Option<&'a [u8]>,
     cadence: CheckpointCadence,
     sink: Option<Sink<'a>>,
+    streams: Option<&'a mut FrontStreams>,
 }
 
 impl<'a> SimSession<'a> {
@@ -104,6 +109,7 @@ impl<'a> SimSession<'a> {
             resume: None,
             cadence: CheckpointCadence::Disabled,
             sink: None,
+            streams: None,
         }
     }
 
@@ -129,6 +135,18 @@ impl<'a> SimSession<'a> {
         self
     }
 
+    /// Records the front ends' streams into `streams`, or takes the
+    /// records from them instead of running the front ends. Either
+    /// happens only if the run starts cold, runs without the
+    /// shadow-memory check, and has the streams' front key; otherwise the
+    /// run ignores them, and a recording stays unfinished. The result is
+    /// the same either way.
+    #[must_use]
+    pub fn streams(mut self, streams: Option<&'a mut FrontStreams>) -> Self {
+        self.streams = streams;
+        self
+    }
+
     /// Executes the session.
     ///
     /// # Errors
@@ -148,6 +166,9 @@ impl<'a> SimSession<'a> {
         };
         let mut accept_all = |_: &[u8]| true;
         let sink = self.sink.unwrap_or(&mut accept_all);
-        Ok(sys.drive(st, self.cadence, sink))
+        let streams = self
+            .streams
+            .filter(|s| *s.key() == FrontKey::new(self.mix, self.config));
+        Ok(sys.drive(st, self.cadence, sink, streams))
     }
 }

@@ -14,7 +14,8 @@ use trace_gen::{Benchmark, TraceGenerator};
 use crate::checker::{LostWrite, VersionChecker};
 use crate::config::SystemConfig;
 use crate::core::{CoreEngine, Front};
-use crate::feed::{CpuClaim, Pipe, Reader, Writer, HELPER_STACK, RING_WORDS};
+use crate::feed::{CpuClaim, FrontRecorder, FrontReplay, FrontStreams, Pipe, Reader, Writer};
+use crate::feed::{HELPER_STACK, RING_WORDS};
 use crate::invariants::SanitizerReport;
 use crate::llc::{LlcStats, SharedLlc};
 use crate::metrics::CoreResult;
@@ -264,6 +265,13 @@ enum Feed<'a> {
     /// Read from the cores' rings, which a helper thread fills by running
     /// the front ends ahead.
     Ring(&'a Pipe, &'a mut [Reader]),
+    /// Produced on demand as `Inline`, and each record's words also
+    /// written to the recorder's streams.
+    Record(&'a mut FrontRecorder),
+    /// Read from streams an earlier run with the same front key recorded;
+    /// a core's front end catches up and runs inline only when its stream
+    /// runs out, fails a check, or a checkpoint needs it.
+    Replay(&'a mut FrontReplay),
 }
 
 /// How [`System::drive_as`] feeds the back end.
@@ -376,6 +384,12 @@ impl System {
             Feed::Ring(pipe, readers) => {
                 readers[i].replay(pipe, i, core, &mut self.llc, &mut self.dram);
             }
+            Feed::Record(recorder) => {
+                recorder.step(i, &mut self.fronts[i], core, &mut self.llc, &mut self.dram);
+            }
+            Feed::Replay(replay) => {
+                replay.step(i, &mut self.fronts[i], core, &mut self.llc, &mut self.dram);
+            }
         }
         self.cycles[i] = core.cycle;
         *steps += 1;
@@ -412,37 +426,59 @@ impl System {
     #[must_use]
     pub fn run(self) -> MixResult {
         let st = RunState::cold(&self);
-        self.drive(st, CheckpointCadence::Disabled, &mut |_| true)
+        self.drive(st, CheckpointCadence::Disabled, &mut |_| true, None)
             .into_result()
     }
 
     /// Runs from `st` to the end, offering a checkpoint to `sink` whenever
     /// `cadence` falls due; a `false` from `sink` suspends the run.
+    /// `streams`, whose key the caller has checked, are recorded or
+    /// replayed only from a cold start without the shadow-memory check
+    /// (its final flush reads L1/L2).
     ///
     /// This is where the form is chosen. The front ends run ahead on a
     /// helper thread only when nothing reads them before the run ends:
-    /// no checkpoints, no shadow-memory check (its final flush reads
-    /// L1/L2), and a CPU to spare.
+    /// no checkpoints, no shadow-memory check, no recorded streams, and a
+    /// CPU to spare.
     pub(crate) fn drive(
         self,
         st: RunState,
         cadence: CheckpointCadence,
         sink: Sink<'_>,
+        streams: Option<&mut FrontStreams>,
     ) -> SessionOutcome {
         let mut claim = CpuClaim::simulation();
-        let form =
-            if cadence == CheckpointCadence::Disabled && self.checker.is_none() && claim.helper() {
-                Form::Ring { words: RING_WORDS }
-            } else {
-                Form::Inline
-            };
-        self.drive_as(form, st, cadence, sink)
+        let streams = streams.filter(|_| st.steps == 0 && self.checker.is_none());
+        let form = if streams.is_none()
+            && cadence == CheckpointCadence::Disabled
+            && self.checker.is_none()
+            && claim.helper()
+        {
+            Form::Ring { words: RING_WORDS }
+        } else {
+            Form::Inline
+        };
+        self.drive_fed(form, streams, st, cadence, sink)
     }
 
-    /// [`System::drive`] in the given form.
+    /// [`System::drive`] in the given form, without recorded streams.
+    #[cfg(test)]
     fn drive_as(
+        self,
+        form: Form,
+        st: RunState,
+        cadence: CheckpointCadence,
+        sink: Sink<'_>,
+    ) -> SessionOutcome {
+        self.drive_fed(form, None, st, cadence, sink)
+    }
+
+    /// [`System::drive`] in the given form, an inline one writing or
+    /// reading `streams`.
+    fn drive_fed(
         mut self,
         form: Form,
+        streams: Option<&mut FrontStreams>,
         mut st: RunState,
         cadence: CheckpointCadence,
         sink: Sink<'_>,
@@ -451,12 +487,27 @@ impl System {
             self.config.measure_insts > 0,
             "measurement window must be nonempty"
         );
-        let finished = match form {
-            Form::Inline => self.steps(&mut st, &mut Feed::Inline(Vec::new()), cadence, sink),
-            Form::Ring { words } => {
+        let finished = match (form, streams) {
+            (Form::Inline, None) => {
+                self.steps(&mut st, &mut Feed::Inline(Vec::new()), cadence, sink)
+            }
+            (Form::Inline, Some(FrontStreams::Record(recorder))) => {
+                let finished =
+                    self.steps(&mut st, &mut Feed::Record(&mut *recorder), cadence, sink);
+                if finished {
+                    recorder.complete(&mut self.fronts);
+                }
+                finished
+            }
+            (Form::Inline, Some(FrontStreams::Replay(replay))) => {
+                self.steps(&mut st, &mut Feed::Replay(replay), cadence, sink)
+            }
+            (Form::Ring { words }, streams) => {
                 assert!(
-                    self.checker.is_none() && cadence == CheckpointCadence::Disabled,
-                    "the shadow-memory check and checkpoints run inline"
+                    self.checker.is_none()
+                        && cadence == CheckpointCadence::Disabled
+                        && streams.is_none(),
+                    "the shadow-memory check, checkpoints and recorded streams run inline"
                 );
                 // The front ends end up ahead of the consumed records, so
                 // they do not go back: only checks and checkpoints read
@@ -516,6 +567,9 @@ impl System {
                     continue;
                 }
                 last_checkpoint = Instant::now();
+            }
+            if let Feed::Replay(replay) = feed {
+                replay.detach_all(&mut self.fronts);
             }
             if !sink(&self.checkpoint(st)) {
                 return false;
@@ -912,6 +966,303 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A fresh directory for recorded streams, removed on drop.
+    struct SpillDir(std::path::PathBuf);
+
+    impl SpillDir {
+        fn new(tag: &str) -> SpillDir {
+            let dir = std::env::temp_dir()
+                .join(format!("system-sim-streams-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create a stream directory");
+            SpillDir(dir)
+        }
+
+        /// A copy of `self` named `tag`, with `edit` applied to the bytes
+        /// of core `core`'s stream.
+        fn edited(&self, tag: &str, core: usize, edit: impl Fn(&mut Vec<u8>)) -> SpillDir {
+            let copy = SpillDir::new(tag);
+            for entry in std::fs::read_dir(&self.0).expect("read the streams") {
+                let path = entry.expect("a stream").path();
+                let mut bytes = std::fs::read(&path).expect("read a stream");
+                if path.ends_with(format!("core{core}.words")) {
+                    edit(&mut bytes);
+                }
+                std::fs::write(copy.0.join(path.file_name().expect("a name")), bytes)
+                    .expect("write a stream");
+            }
+            copy
+        }
+    }
+
+    impl Drop for SpillDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Runs `mix` on `config`, recording its front ends into `dir`.
+    fn recorded(mix: &WorkloadMix, config: &SystemConfig, dir: &SpillDir) -> MixResult {
+        let key = crate::core::FrontKey::new(mix, config);
+        let recorder = FrontRecorder::create(&dir.0, &key).expect("create the streams");
+        let mut streams = FrontStreams::Record(recorder);
+        let result = SimSession::new(mix, config)
+            .streams(Some(&mut streams))
+            .run()
+            .expect("a cold session")
+            .into_result();
+        let FrontStreams::Record(recorder) = streams else {
+            unreachable!("still the recorder")
+        };
+        recorder.finish().expect("a whole recording");
+        result
+    }
+
+    /// The streams in `dir` of `mix` on `config`, opened for replay.
+    fn replay_of(mix: &WorkloadMix, config: &SystemConfig, dir: &SpillDir) -> FrontStreams {
+        let key = crate::core::FrontKey::new(mix, config);
+        FrontStreams::Replay(FrontReplay::open(&dir.0, &key).expect("open the streams"))
+    }
+
+    fn records_replayed(streams: &FrontStreams) -> u64 {
+        match streams {
+            FrontStreams::Replay(replay) => replay.records_replayed(),
+            FrontStreams::Record(_) => 0,
+        }
+    }
+
+    /// The digest of `mix` on `config` replaying `dir`, and the records
+    /// replayed.
+    fn replayed(mix: &WorkloadMix, config: &SystemConfig, dir: &SpillDir) -> (String, u64) {
+        let mut streams = replay_of(mix, config, dir);
+        let result = SimSession::new(mix, config)
+            .streams(Some(&mut streams))
+            .run()
+            .expect("a cold session")
+            .into_result();
+        (result.digest(), records_replayed(&streams))
+    }
+
+    /// The digest of a session replaying `dir` that suspends at its first
+    /// `every`-record checkpoint, then resumes from it.
+    fn replayed_then_resumed(
+        mix: &WorkloadMix,
+        config: &SystemConfig,
+        dir: &SpillDir,
+        every: u64,
+    ) -> String {
+        let mut streams = replay_of(mix, config, dir);
+        let mut saved = None;
+        let mut sink = |bytes: &[u8]| {
+            saved = Some(bytes.to_vec());
+            false
+        };
+        let outcome = SimSession::new(mix, config)
+            .streams(Some(&mut streams))
+            .cadence(CheckpointCadence::EveryRecords(every))
+            .sink(&mut sink)
+            .run()
+            .expect("a cold session");
+        assert!(matches!(outcome, SessionOutcome::Suspended));
+        assert!(
+            records_replayed(&streams) > 0,
+            "the checkpoint fell due mid-replay"
+        );
+        SimSession::new(mix, config)
+            .resume(saved.as_deref())
+            .run()
+            .expect("the checkpoint restores")
+            .into_result()
+            .digest()
+    }
+
+    #[test]
+    fn replayed_streams_agree_with_inline_runs_on_every_mechanism() {
+        for cores in [1, 2, 4, 8] {
+            for l2_dbi in [false, true] {
+                let (mix, mut leader) = small(cores, Mechanism::Baseline);
+                leader.l2_dbi = l2_dbi;
+                let tag = format!("{cores}-{l2_dbi}");
+                let full = SpillDir::new(&tag);
+                let recorded = recorded(&mix, &leader, &full);
+                assert_eq!(
+                    recorded.digest(),
+                    run_as(System::new(&mix, &leader), Form::Inline).digest(),
+                    "recording {tag}"
+                );
+                // The last core's stream ends halfway through a chunk; a
+                // byte in the middle of core 0's stream is flipped.
+                let truncated = full.edited(&format!("{tag}-cut"), cores - 1, |bytes| {
+                    bytes.truncate(bytes.len() / 2 + 5);
+                });
+                let flipped = full.edited(&format!("{tag}-flip"), 0, |bytes| {
+                    let mid = bytes.len() / 2;
+                    bytes[mid] ^= 0x10;
+                });
+                for mechanism in Mechanism::ALL {
+                    let mut config = leader.clone();
+                    config.mechanism = mechanism;
+                    let case = format!("{mechanism} × {cores} cores, L2 DBI {l2_dbi}");
+                    let inline = run_as(System::new(&mix, &config), Form::Inline);
+                    let (digest, records) = replayed(&mix, &config, &full);
+                    assert_eq!(digest, inline.digest(), "{case}, whole streams");
+                    assert!(records > 0, "{case} replayed nothing");
+                    for (streams, what) in [(&truncated, "truncated"), (&flipped, "flipped")] {
+                        let (digest, records) = replayed(&mix, &config, streams);
+                        assert_eq!(digest, inline.digest(), "{case}, {what} stream");
+                        assert!(records < inline.records_processed, "{case}, {what}");
+                    }
+                    let every = inline.records_processed / 2 + 1;
+                    assert_eq!(
+                        replayed_then_resumed(&mix, &config, &full, every),
+                        inline.digest(),
+                        "{case}, checkpointed mid-replay"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Core by core, the words of the first `records` records that `mix`'s
+    /// front ends produce on `config`.
+    fn front_words(mix: &WorkloadMix, config: &SystemConfig, records: usize) -> Vec<Vec<u64>> {
+        let mut sys = System::new(mix, config);
+        let mut words = Vec::new();
+        sys.fronts
+            .iter_mut()
+            .map(|front| {
+                let mut stream = Vec::new();
+                for _ in 0..records {
+                    crate::feed::encode_next(front, &mut words);
+                    stream.extend_from_slice(&words);
+                }
+                stream
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_front_key_holds_exactly_what_the_front_ends_read() {
+        use crate::core::FrontKey;
+        use cache_sim::ReplacementKind;
+        use dbi::{Alpha, DbiReplacementPolicy};
+
+        type Flip = (&'static str, fn(&mut SystemConfig));
+        let (mix, base) = small(2, Mechanism::Baseline);
+        // Naming every field here makes a new one fail to compile until it
+        // is added to one of the two lists below.
+        let SystemConfig {
+            cores: _,
+            mechanism: _,
+            llc_bytes_per_core: _,
+            llc_ways: _,
+            llc_replacement: _,
+            l1_bytes: _,
+            l1_ways: _,
+            l2_bytes: _,
+            l2_ways: _,
+            block_bytes: _,
+            latencies: _,
+            dbi: _,
+            dram: _,
+            window_insts: _,
+            mshrs: _,
+            predictor_epoch_cycles: _,
+            predictor_threshold: _,
+            awb_rewrite_filter: _,
+            l2_dbi: _,
+            warmup_insts: _,
+            measure_insts: _,
+            seed: _,
+            check: _,
+            sanitize: _,
+            sanitize_interval: _,
+            fault: _,
+        } = &base;
+        let outside: [Flip; 19] = [
+            ("cores", |c| c.cores = 4),
+            ("mechanism", |c| {
+                c.mechanism = Mechanism::Dbi {
+                    awb: true,
+                    clb: true,
+                }
+            }),
+            ("llc_bytes_per_core", |c| c.llc_bytes_per_core *= 2),
+            ("llc_ways", |c| c.llc_ways = 16),
+            ("llc_replacement", |c| {
+                c.llc_replacement = ReplacementKind::Rrip
+            }),
+            ("latencies", |c| c.latencies.l2 += 3),
+            ("dbi without an L2 DBI", |c| c.dbi.granularity = 32),
+            ("dram", |c| c.dram.write_buffer_capacity /= 2),
+            ("window_insts", |c| c.window_insts = 64),
+            ("mshrs", |c| c.mshrs = 8),
+            ("predictor_epoch_cycles", |c| {
+                c.predictor_epoch_cycles = 1000
+            }),
+            ("predictor_threshold", |c| c.predictor_threshold = 0.5),
+            ("awb_rewrite_filter", |c| c.awb_rewrite_filter = true),
+            ("warmup_insts", |c| c.warmup_insts = 1),
+            ("measure_insts", |c| c.measure_insts = 1),
+            ("check", |c| c.check = true),
+            ("sanitize", |c| c.sanitize = true),
+            ("sanitize_interval", |c| c.sanitize_interval = 1),
+            ("fault", |c| {
+                c.fault = Some(FaultPlan::new(FaultClass::DropWriteback, 7));
+            }),
+        ];
+        let inside: [Flip; 11] = [
+            ("seed", |c| c.seed += 1),
+            ("l1_bytes", |c| c.l1_bytes *= 2),
+            ("l1_ways", |c| c.l1_ways *= 2),
+            ("l2_bytes", |c| c.l2_bytes *= 2),
+            ("l2_ways", |c| c.l2_ways *= 2),
+            ("block_bytes", |c| c.block_bytes *= 2),
+            ("l2_dbi", |c| c.l2_dbi = true),
+            ("dbi.alpha under an L2 DBI", |c| {
+                c.l2_dbi = true;
+                c.dbi.alpha = Alpha::HALF;
+            }),
+            ("dbi.granularity under an L2 DBI", |c| {
+                c.l2_dbi = true;
+                c.dbi.granularity = 32;
+            }),
+            ("dbi.associativity under an L2 DBI", |c| {
+                c.l2_dbi = true;
+                c.dbi.associativity = 8;
+            }),
+            ("dbi.policy under an L2 DBI", |c| {
+                c.l2_dbi = true;
+                c.dbi.policy = DbiReplacementPolicy::MaxDirty;
+            }),
+        ];
+        let key = FrontKey::new(&mix, &base);
+        let words = front_words(&mix, &base, 2_000);
+        for (field, flip) in outside {
+            let mut config = base.clone();
+            flip(&mut config);
+            assert_eq!(FrontKey::new(&mix, &config), key, "{field}");
+            assert_eq!(front_words(&mix, &config, 2_000), words, "{field}");
+        }
+        let mut with_l2_dbi = base.clone();
+        with_l2_dbi.l2_dbi = true;
+        let l2_dbi_key = FrontKey::new(&mix, &with_l2_dbi);
+        for (field, flip) in inside {
+            let mut config = base.clone();
+            flip(&mut config);
+            let changed = FrontKey::new(&mix, &config);
+            if field.starts_with("dbi.") {
+                assert_ne!(changed, l2_dbi_key, "{field}");
+            } else {
+                assert_ne!(changed, key, "{field}");
+            }
+        }
+        let reversed = WorkloadMix::new(mix.benchmarks().iter().rev().copied().collect());
+        assert_ne!(FrontKey::new(&reversed, &base), key, "benchmark order");
+        let fewer = WorkloadMix::new(mix.benchmarks()[..1].to_vec());
+        assert_ne!(FrontKey::new(&fewer, &base), key, "benchmarks");
     }
 
     #[test]
