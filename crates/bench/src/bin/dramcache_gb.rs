@@ -11,7 +11,8 @@
 //!
 //! No cycle-level simulation runs here, so the scenario bypasses the
 //! `RunUnit` machinery and caches its records as store *blobs*
-//! (`RecordKind::Blob`): a warm rerun loads every record — including
+//! (`RecordKind::Blob`), each a `dbi::snap` stream of the record's
+//! fields with its `f64` as bits: a warm rerun loads every record — including
 //! the cold run's measured throughput — and reproduces the TSV byte for
 //! byte with zero simulations, the same contract CI enforces for the
 //! figure binaries.
@@ -25,6 +26,7 @@
 
 use std::time::Instant;
 
+use dbi::snap::{restore_bytes, snapshot_bytes, SnapError, SnapReader, SnapWriter, Snapshot};
 use dbi::ContainerPolicy;
 use dbi_bench::{
     pct, print_table, scenario_key, write_tsv, BenchArgs, Effort, RecordKind, ResultStore, StoreKey,
@@ -65,7 +67,7 @@ impl Workload {
 /// `recs_per_sec` are deterministic replays of the seeded workload; the
 /// throughput is measured once (cold) and then served from the blob so
 /// warm reruns stay byte-identical.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Record {
     resident_rows: u64,
     dirty_blocks: u64,
@@ -78,47 +80,9 @@ struct Record {
     recs_per_sec: f64,
 }
 
-impl Record {
-    fn serialize(&self) -> String {
-        format!(
-            "resident_rows {}\ndirty_blocks {}\nmetadata_bytes {}\nhits {}\nwritebacks {}\n\
-             census {} {} {}\nrecs_per_sec {:016x}\n",
-            self.resident_rows,
-            self.dirty_blocks,
-            self.metadata_bytes,
-            self.hits,
-            self.writebacks,
-            self.census_dense,
-            self.census_sparse,
-            self.census_rle,
-            self.recs_per_sec.to_bits()
-        )
-    }
-
-    /// Strict parser; any deviation is a miss and the unit resimulates.
-    fn parse(payload: &str) -> Option<Record> {
-        let mut lines = payload.lines();
-        let mut field = |name: &str| {
-            lines
-                .next()?
-                .strip_prefix(name)?
-                .strip_prefix(' ')
-                .map(str::to_string)
-        };
-        let resident_rows: u64 = field("resident_rows")?.parse().ok()?;
-        let dirty_blocks: u64 = field("dirty_blocks")?.parse().ok()?;
-        let metadata_bytes: u64 = field("metadata_bytes")?.parse().ok()?;
-        let hits: u64 = field("hits")?.parse().ok()?;
-        let writebacks: u64 = field("writebacks")?.parse().ok()?;
-        let census = field("census")?;
-        let mut census = census.split(' ');
-        let mut next_u64 = || census.next().and_then(|v| v.parse::<u64>().ok());
-        let (census_dense, census_sparse, census_rle) = (next_u64()?, next_u64()?, next_u64()?);
-        let recs = u64::from_str_radix(&field("recs_per_sec")?, 16).ok()?;
-        if lines.next().is_some() {
-            return None;
-        }
-        Some(Record {
+impl Snapshot for Record {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let Record {
             resident_rows,
             dirty_blocks,
             metadata_bytes,
@@ -127,8 +91,28 @@ impl Record {
             census_dense,
             census_sparse,
             census_rle,
-            recs_per_sec: f64::from_bits(recs),
-        })
+            recs_per_sec,
+        } = *self;
+        for x in [resident_rows, dirty_blocks, metadata_bytes] {
+            w.u64(x);
+        }
+        for x in [hits, writebacks, census_dense, census_sparse, census_rle] {
+            w.u64(x);
+        }
+        w.f64(recs_per_sec);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.resident_rows = r.u64()?;
+        self.dirty_blocks = r.u64()?;
+        self.metadata_bytes = r.u64()?;
+        self.hits = r.u64()?;
+        self.writebacks = r.u64()?;
+        self.census_dense = r.u64()?;
+        self.census_sparse = r.u64()?;
+        self.census_rle = r.u64()?;
+        self.recs_per_sec = r.f64()?;
+        Ok(())
     }
 }
 
@@ -250,7 +234,10 @@ fn main() {
             let cached = store
                 .as_ref()
                 .and_then(|s| s.load_record(RecordKind::Blob, &key))
-                .and_then(|payload| Record::parse(std::str::from_utf8(&payload).ok()?));
+                .and_then(|payload| {
+                    let mut record = Record::default();
+                    restore_bytes(&mut record, &payload).ok().map(|()| record)
+                });
             let record = match cached {
                 Some(record) => {
                     hits += 1;
@@ -260,10 +247,8 @@ fn main() {
                     let record = simulate(workload, &config, ops);
                     sims += 1;
                     if let Some(store) = &store {
-                        let payload = record.serialize();
-                        if let Err(e) =
-                            store.save_record(RecordKind::Blob, &key, payload.as_bytes())
-                        {
+                        let payload = snapshot_bytes(&record);
+                        if let Err(e) = store.save_record(RecordKind::Blob, &key, &payload) {
                             eprintln!(
                                 "warning: could not write blob {}: {e}",
                                 store.record_path(RecordKind::Blob, &key).display()
@@ -278,13 +263,14 @@ fn main() {
     }
 
     let capacity_rows = GbCacheConfig::gb(gigabytes).capacity_rows();
-    let dense_of = |workload: Workload| {
+    let point = |workload: Workload, policy: ContainerPolicy| {
         results
             .iter()
-            .find(|(w, p, _)| *w == workload && *p == ContainerPolicy::DenseOnly)
+            .find(|(w, p, _)| *w == workload && *p == policy)
             .map(|(_, _, r)| *r)
-            .expect("dense-only point present for every workload")
+            .expect("every (workload, policy) point is present")
     };
+    let dense_of = |workload: Workload| point(workload, ContainerPolicy::DenseOnly);
 
     let header: Vec<String> = [
         "workload/policy",
@@ -368,11 +354,7 @@ fn main() {
     // they replace. Deterministic (modeled bytes, replayed workload),
     // so it holds identically cold and warm.
     let sparse_dense = dense_of(Workload::Sparse);
-    let sparse_adaptive = results
-        .iter()
-        .find(|(w, p, _)| *w == Workload::Sparse && *p == ContainerPolicy::Adaptive)
-        .map(|(_, _, r)| *r)
-        .expect("adaptive point present");
+    let sparse_adaptive = point(Workload::Sparse, ContainerPolicy::Adaptive);
     let ratio = sparse_adaptive.metadata_bytes as f64 / sparse_dense.metadata_bytes.max(1) as f64;
     if sparse_adaptive.metadata_bytes * 4 <= sparse_dense.metadata_bytes {
         println!(

@@ -14,7 +14,7 @@
 
 use cache_sim::CacheConfig;
 use dbi::Alpha;
-use system_sim::{Mechanism, System, SystemConfig};
+use system_sim::{Mechanism, System, SystemConfig, MAX_CORES};
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
@@ -28,7 +28,7 @@ OPTIONS:
     --benchmarks <list>   comma-separated benchmark names (mcf, lbm,
                           GemsFDTD, soplex, omnetpp, cactusADM, stream,
                           leslie3d, milc, sphinx3, libquantum, bzip2,
-                          astar, bwaves); one per core
+                          astar, bwaves); one per core, at most 64
     --mechanism <m>       baseline | ta-dip | dawb | vwq | skip-cache |
                           dbi | dbi+awb | dbi+clb | dbi+awb+clb
                           (default: dbi+awb+clb)
@@ -131,6 +131,12 @@ fn parse_args(args: &[String]) -> Result<(Vec<Benchmark>, SystemConfig), String>
     }
     if benchmarks.is_empty() {
         return Err("--benchmarks is required (try --help)".into());
+    }
+    if benchmarks.len() > MAX_CORES {
+        return Err(format!(
+            "--benchmarks: {} benchmarks, but a system has at most {MAX_CORES} cores",
+            benchmarks.len()
+        ));
     }
     if insts == 0 {
         return Err("--insts 0: the measurement window must be nonempty".into());
@@ -286,6 +292,16 @@ mod tests {
         ];
         let args: Vec<String> = args.iter().map(ToString::to_string).collect();
         assert!(parse_args(&args).is_ok());
+    }
+
+    #[test]
+    fn more_benchmarks_than_cores_is_an_error() {
+        let list = |n: usize| vec!["mcf"; n].join(",");
+        let err = parse_error(&["--benchmarks", &list(MAX_CORES + 1)]);
+        assert!(err.contains("at most 64 cores"), "{err}");
+        assert!(parse_error(&["--benchmarks", &list(256)]).contains("256 benchmarks"));
+        let args = ["--benchmarks".to_string(), list(MAX_CORES)];
+        assert_eq!(parse_args(&args).unwrap().1.cores, MAX_CORES);
     }
 
     #[test]

@@ -95,12 +95,6 @@ use crate::{parallel_map_jobs, BenchArgs};
 /// (override per campaign with `--checkpoint-secs`).
 pub const DEFAULT_CHECKPOINT_TARGET: Duration = Duration::from_secs(5);
 
-/// Records between clock probes under the wall-clock cadence: cheap
-/// enough that the hot loop never notices the `Instant::now()` calls,
-/// frequent enough (milliseconds at realistic speeds) that the measured
-/// interval barely overshoots the target.
-const CHECKPOINT_PROBE_RECORDS: u64 = 8192;
-
 /// How stale a `.tmp-*` temp file must be before runner startup collects
 /// it as an orphan. Generous: a concurrent runner sharing the store holds
 /// its temp name for milliseconds, crashed runs forever.
@@ -502,14 +496,7 @@ impl Runner {
             watchdog: args.watchdog(),
             checkpoint: match args.checkpoint_target {
                 Some(t) if t.is_zero() => CheckpointCadence::Disabled,
-                Some(target) => CheckpointCadence::WallClock {
-                    target,
-                    probe_records: CHECKPOINT_PROBE_RECORDS,
-                },
-                None => CheckpointCadence::WallClock {
-                    target: DEFAULT_CHECKPOINT_TARGET,
-                    probe_records: CHECKPOINT_PROBE_RECORDS,
-                },
+                target => CheckpointCadence::WallClock(target.unwrap_or(DEFAULT_CHECKPOINT_TARGET)),
             },
             crash_after: None,
             spill: Mutex::new(None),

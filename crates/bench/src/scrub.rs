@@ -26,8 +26,8 @@
 //! them simply miss once and recompute as loose entries — the `.lease`
 //! files and `.tmpm-` merge temp files of an older sharding release, and
 //! the `.tmpb-`/`.ckpt-` temp files of the schema-5 blob and checkpoint
-//! writers. A schema-5 *record* is not foreign: it fails the decoder and
-//! is quarantined like any corrupt file.
+//! writers. A record of an older schema is not foreign: it fails the
+//! decoder and is quarantined like any corrupt file.
 //!
 //! Quarantining rather than deleting is deliberate: a corrupt entry is
 //! evidence (of a torn write the protocol should have prevented, or of
@@ -288,35 +288,71 @@ mod tests {
         }
     }
 
+    /// The bytes a schema-6 store wrote for `kind` under `key`: today's
+    /// frame under version 6, around a text entry or blob.
+    fn schema_6_bytes(kind: RecordKind, key: &StoreKey, payload: &[u8]) -> Vec<u8> {
+        let mut out = format!(
+            "dbi-bench-record v6 {}\nfingerprint {}\nbytes {}\n",
+            kind.ext(),
+            key.fingerprint,
+            payload.len()
+        )
+        .into_bytes();
+        out.extend_from_slice(payload);
+        let sum = dbi::snap::fnv1a64(&out);
+        out.extend_from_slice(format!("checksum {sum:016x}\nend\n").as_bytes());
+        out
+    }
+
     #[test]
-    fn schema_5_records_miss_and_are_quarantined() {
-        let s = Scratch::new("schema5");
+    fn older_schema_records_miss_and_are_quarantined() {
+        let s = Scratch::new("older-schema");
         let store = ResultStore::open(s.dir.clone());
-        let key = scenario_key("schema5", "p=1");
+        let (key5, key6) = (
+            scenario_key("schema5", "p=1"),
+            scenario_key("schema6", "p=1"),
+        );
         // Each file sits under the name the current key asks for, so a
         // reader that accepted the old framing would serve it.
         let mut w = dbi::snap::SnapWriter::new();
         w.u64(5);
+        let text_entry = b"cores 1\ncore lbm 1 2 3 4 5\nrecords 6\n".to_vec();
+        type Framing = fn(RecordKind, &StoreKey, &[u8]) -> Vec<u8>;
         let files: Vec<_> = [
-            (RecordKind::Entry, b"cores 1\nrecords 6\n".to_vec()),
-            (RecordKind::Blob, b"payload\n".to_vec()),
-            (RecordKind::Ckpt, w.finish()),
+            (
+                RecordKind::Entry,
+                &key5,
+                schema_5_bytes as Framing,
+                text_entry.clone(),
+            ),
+            (
+                RecordKind::Blob,
+                &key5,
+                schema_5_bytes,
+                b"payload\n".to_vec(),
+            ),
+            (RecordKind::Ckpt, &key5, schema_5_bytes, w.finish()),
+            (RecordKind::Entry, &key6, schema_6_bytes, text_entry),
+            (
+                RecordKind::Blob,
+                &key6,
+                schema_6_bytes,
+                b"hits 1\n".to_vec(),
+            ),
         ]
         .into_iter()
-        .map(|(kind, payload)| {
-            let (path, bytes) = (
-                store.record_path(kind, &key),
-                schema_5_bytes(kind, &key, &payload),
-            );
+        .map(|(kind, key, framed, payload)| {
+            let (path, bytes) = (store.record_path(kind, key), framed(kind, key, &payload));
             std::fs::write(&path, &bytes).unwrap();
-            assert_eq!(store.load_record(kind, &key), None, "{kind:?} served");
+            assert_eq!(store.load_record(kind, key), None, "{kind:?} served");
             (path, bytes)
         })
         .collect();
-        assert_eq!(store.corrupt_count(), 3);
+        assert!(store.load(&key6).is_none());
+        assert_eq!(store.corrupt_count(), 6);
 
         let report = scrub_store(&s.dir).unwrap();
-        assert_eq!((report.scanned, report.scrubbed()), (3, 3), "{report}");
+        assert_eq!((report.scanned, report.scrubbed()), (5, 5), "{report}");
         for (path, bytes) in &files {
             let kept = s.dir.join(QUARANTINE_DIR).join(path.file_name().unwrap());
             assert_eq!(&std::fs::read(kept).unwrap(), bytes, "{path:?} kept");

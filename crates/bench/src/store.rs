@@ -14,7 +14,7 @@
 //! decoder ([`decode`]):
 //!
 //! ```text
-//! dbi-bench-record v6 KIND      KIND = entry | blob | ckpt
+//! dbi-bench-record v7 KIND      KIND = entry | blob | ckpt
 //! fingerprint FINGERPRINT
 //! bytes N
 //! <N raw payload bytes>checksum HHHHHHHHHHHHHHHH
@@ -26,9 +26,10 @@
 //! the frame, the kind and the full fingerprint, so a truncated write, a
 //! corrupted byte, a file of another kind, a hash collision or a schema
 //! change is a miss (counted in [`ResultStore::corrupt_count`]) and is
-//! recomputed, never served. An entry's payload is the [`MixResult`] as
-//! lines of text with exact bit-level `f64` encoding; a blob's is its
-//! scenario's own text; a checkpoint's is a simulator snapshot.
+//! recomputed, never served. The store frames opaque bytes: each payload
+//! is a checksummed `dbi::snap` stream — an entry's [`MixResult::to_bytes`],
+//! a blob's its scenario's record, a checkpoint's a simulator snapshot —
+//! and one that does not decode is a counted miss too.
 //!
 //! Writes go through the atomic-write protocol (temp file, fsync, rename,
 //! parent directory fsync — see the `persist` module) so concurrent
@@ -47,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use dbi::snap::fnv1a64;
-use system_sim::{CoreResult, MixResult, SystemConfig};
+use system_sim::{MixResult, SystemConfig};
 use trace_gen::Benchmark;
 
 use crate::persist;
@@ -69,7 +70,12 @@ use crate::persist;
 /// v6: entries, blobs and checkpoints share one record framing (see the
 /// module docs). Checkpoints, which carried only an 8-byte hash guard,
 /// now embed and check the full fingerprint.
-pub const STORE_SCHEMA_VERSION: u32 = 6;
+///
+/// v7: entries and blobs carry snapshot streams instead of lines of
+/// text, so every payload in the store has one codec. A v6 checkpoint's
+/// payload bytes are unchanged, but its fingerprint names v6, so it
+/// restarts cold once.
+pub const STORE_SCHEMA_VERSION: u32 = 7;
 
 const RECORD_MAGIC: &str = "dbi-bench-record";
 
@@ -110,10 +116,6 @@ pub struct StoreKey {
 
 fn f64_bits(x: f64) -> String {
     format!("{:016x}", x.to_bits())
-}
-
-fn parse_f64_bits(s: &str) -> Option<f64> {
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
 /// Canonical single-line description of a simulation unit: every
@@ -418,9 +420,7 @@ impl ResultStore {
     /// [`ResultStore::load_record`]).
     #[must_use]
     pub fn load(&self, key: &StoreKey) -> Option<MixResult> {
-        self.load_with(RecordKind::Entry, key, |payload| {
-            parse_result(std::str::from_utf8(payload).ok()?)
-        })
+        self.load_with(RecordKind::Entry, key, |p| MixResult::from_bytes(p).ok())
     }
 
     /// Saves `result` as the entry for `key` (see
@@ -430,7 +430,7 @@ impl ResultStore {
     ///
     /// Propagates I/O errors, as [`ResultStore::save_record`] does.
     pub fn save(&self, key: &StoreKey, result: &MixResult) -> std::io::Result<()> {
-        self.save_record(RecordKind::Entry, key, format_result(result).as_bytes())
+        self.save_record(RecordKind::Entry, key, &result.to_bytes())
     }
 
     /// Removes the checkpoint for `key` (a completed or abandoned run).
@@ -505,201 +505,6 @@ pub fn decode(bytes: &[u8]) -> Option<(RecordKind, &str, &[u8])> {
     let canonical = hex.len() == 16 && hex.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
     let sum = u64::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
     (canonical && sum == fnv1a64(body)).then_some((kind, fingerprint, payload))
-}
-
-/// An entry's payload: the [`MixResult`] as lines of text.
-fn format_result(result: &MixResult) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("cores {}\n", result.cores.len()));
-    for c in &result.cores {
-        out.push_str(&format!(
-            "core {} {} {} {} {} {}\n",
-            c.benchmark, c.insts, c.cycles, c.llc_reads, c.llc_read_misses, c.dram_writes
-        ));
-    }
-    let llc = &result.llc;
-    out.push_str(&format!(
-        "llc {} {} {} {} {} {} {}\n",
-        llc.tag_lookups,
-        llc.demand_reads,
-        llc.demand_hits,
-        llc.bypasses,
-        llc.writebacks_received,
-        llc.sweep_writebacks,
-        llc.dbi_eviction_writebacks
-    ));
-    out.push_str("llc_writes");
-    for w in &llc.dram_writes_per_core {
-        out.push_str(&format!(" {w}"));
-    }
-    out.push('\n');
-    let d = &result.dram;
-    out.push_str(&format!(
-        "dram {} {} {} {} {} {} {} {} {} {}\n",
-        d.reads,
-        d.read_row_hits,
-        d.buffer_forwards,
-        d.writes,
-        d.write_row_hits,
-        d.activates,
-        d.drains,
-        d.refresh_stalls,
-        d.drain_cycles,
-        d.coalesced_writes
-    ));
-    let e = &result.energy;
-    out.push_str(&format!(
-        "energy {} {} {} {} {}\n",
-        f64_bits(e.activate_pj),
-        f64_bits(e.read_pj),
-        f64_bits(e.write_pj),
-        f64_bits(e.forward_pj),
-        f64_bits(e.background_pj)
-    ));
-    match &result.dbi {
-        None => out.push_str("dbi none\n"),
-        Some(s) => out.push_str(&format!(
-            "dbi {} {} {} {} {} {} {} {}\n",
-            s.mark_requests,
-            s.entry_hits,
-            s.bits_set,
-            s.entry_insertions,
-            s.entry_evictions,
-            s.eviction_writebacks,
-            s.bits_cleared,
-            s.entry_invalidations
-        )),
-    }
-    match &result.rewrite_filter {
-        None => out.push_str("rewrite none\n"),
-        Some(s) => out.push_str(&format!(
-            "rewrite {} {} {}\n",
-            s.suppressed_sweeps, s.allowed_sweeps, s.rewrites_observed
-        )),
-    }
-    out.push_str(&format!("records {}\n", result.records_processed));
-    out
-}
-
-/// Strict line-oriented parser of an entry's payload: any deviation
-/// returns `None` (a miss).
-fn parse_result(text: &str) -> Option<MixResult> {
-    let mut lines = text.lines();
-    let n_cores: usize = lines.next()?.strip_prefix("cores ")?.parse().ok()?;
-    // Mix sizes are 1–64 cores; anything else is corruption.
-    if !(1..=64).contains(&n_cores) {
-        return None;
-    }
-    let mut cores = Vec::with_capacity(n_cores);
-    for _ in 0..n_cores {
-        let mut it = lines.next()?.strip_prefix("core ")?.split(' ');
-        let benchmark = it.next()?.to_string();
-        let mut next_u64 = || it.next().and_then(|v| v.parse::<u64>().ok());
-        cores.push(CoreResult {
-            benchmark,
-            insts: next_u64()?,
-            cycles: next_u64()?,
-            llc_reads: next_u64()?,
-            llc_read_misses: next_u64()?,
-            dram_writes: next_u64()?,
-        });
-    }
-    // The stats structs are #[non_exhaustive], so they are built from
-    // Default plus per-field assignment. A field added upstream is NOT a
-    // compile error here the way SystemConfig fields are in
-    // `unit_fingerprint` — serialization coverage is instead guarded by
-    // the bit-identical warm-rerun test, and any extension requires a
-    // STORE_SCHEMA_VERSION bump.
-    let llc_fields = parse_u64s(lines.next()?.strip_prefix("llc ")?, 7)?;
-    let writes_line = lines.next()?.strip_prefix("llc_writes")?;
-    let dram_writes_per_core: Vec<u64> = if writes_line.is_empty() {
-        Vec::new()
-    } else {
-        writes_line
-            .trim_start()
-            .split(' ')
-            .map(|v| v.parse::<u64>().ok())
-            .collect::<Option<Vec<u64>>>()?
-    };
-    let mut llc = system_sim::LlcStats::default();
-    llc.tag_lookups = llc_fields[0];
-    llc.demand_reads = llc_fields[1];
-    llc.demand_hits = llc_fields[2];
-    llc.bypasses = llc_fields[3];
-    llc.writebacks_received = llc_fields[4];
-    llc.sweep_writebacks = llc_fields[5];
-    llc.dbi_eviction_writebacks = llc_fields[6];
-    llc.dram_writes_per_core = dram_writes_per_core;
-    let d = parse_u64s(lines.next()?.strip_prefix("dram ")?, 10)?;
-    let mut dram = dram_sim::DramStats::default();
-    dram.reads = d[0];
-    dram.read_row_hits = d[1];
-    dram.buffer_forwards = d[2];
-    dram.writes = d[3];
-    dram.write_row_hits = d[4];
-    dram.activates = d[5];
-    dram.drains = d[6];
-    dram.refresh_stalls = d[7];
-    dram.drain_cycles = d[8];
-    dram.coalesced_writes = d[9];
-    let mut e = lines.next()?.strip_prefix("energy ")?.split(' ');
-    let mut next_f64 = || e.next().and_then(parse_f64_bits);
-    let mut energy = dram_sim::DramEnergy::default();
-    energy.activate_pj = next_f64()?;
-    energy.read_pj = next_f64()?;
-    energy.write_pj = next_f64()?;
-    energy.forward_pj = next_f64()?;
-    energy.background_pj = next_f64()?;
-    let dbi_line = lines.next()?.strip_prefix("dbi ")?;
-    let dbi = if dbi_line == "none" {
-        None
-    } else {
-        let s = parse_u64s(dbi_line, 8)?;
-        let mut stats = dbi::DbiStats::default();
-        stats.mark_requests = s[0];
-        stats.entry_hits = s[1];
-        stats.bits_set = s[2];
-        stats.entry_insertions = s[3];
-        stats.entry_evictions = s[4];
-        stats.eviction_writebacks = s[5];
-        stats.bits_cleared = s[6];
-        stats.entry_invalidations = s[7];
-        Some(stats)
-    };
-    let rw_line = lines.next()?.strip_prefix("rewrite ")?;
-    let rewrite_filter = if rw_line == "none" {
-        None
-    } else {
-        let s = parse_u64s(rw_line, 3)?;
-        let mut stats = cache_sim::lastwrite::RewriteFilterStats::default();
-        stats.suppressed_sweeps = s[0];
-        stats.allowed_sweeps = s[1];
-        stats.rewrites_observed = s[2];
-        Some(stats)
-    };
-    let records_processed: u64 = lines.next()?.strip_prefix("records ")?.parse().ok()?;
-    if lines.next().is_some() {
-        return None;
-    }
-    Some(MixResult {
-        cores,
-        llc,
-        dram,
-        energy,
-        dbi,
-        rewrite_filter,
-        check: None,
-        sanitizer: None,
-        records_processed,
-    })
-}
-
-fn parse_u64s(s: &str, n: usize) -> Option<Vec<u64>> {
-    let vals: Vec<u64> = s
-        .split(' ')
-        .map(|v| v.parse::<u64>().ok())
-        .collect::<Option<Vec<u64>>>()?;
-    (vals.len() == n).then_some(vals)
 }
 
 #[cfg(test)]
@@ -839,5 +644,60 @@ pub(crate) mod tests {
         assert!(decode(&bytes).is_some());
         bytes[letter] ^= 0x20;
         assert!(decode(&bytes).is_none());
+
+        // Entry payloads no writer produces, each inside a valid frame:
+        // every one is a counted miss, never a panic or a huge allocation.
+        let key = scenario_key("t", "kind=entry");
+        let before = store.corrupt_count();
+        let valid = entry_payload(1, 1, 1, &[]);
+        let mut bad_sum = valid.clone();
+        *bad_sum.last_mut().unwrap() ^= 0x01;
+        let malformed = [
+            bad_sum,
+            entry_payload(0, 1, 1, &[]),
+            entry_payload(65, 1, 1, &[]),
+            entry_payload(u64::MAX, 1, 1, &[]),
+            entry_payload(1, 65, 1, &[]),
+            entry_payload(1, u64::MAX, 1, &[]),
+            entry_payload(1, 1, 2, &[]),
+            entry_payload(1, 1, 1, &[0]),
+            b"cores 1\ncore lbm 1 2 3 4 5\nrecords 6\n".to_vec(),
+        ];
+        for (n, payload) in malformed.iter().enumerate() {
+            store.save_record(RecordKind::Entry, &key, payload).unwrap();
+            assert!(store.load(&key).is_none(), "payload {n} served");
+            assert_eq!(store.corrupt_count(), before + n as u64 + 1);
+        }
+        store.save_record(RecordKind::Entry, &key, &valid).unwrap();
+        let result = store.load(&key).expect("the well-formed payload loads");
+        assert_eq!(result.to_bytes(), valid);
+        assert_eq!(store.corrupt_count(), before + malformed.len() as u64);
+    }
+
+    /// An entry payload written field by field: `cores` core records
+    /// (at most one written), `writes` per-core write counters (at most
+    /// 65 written), `flag` as the DBI stats' presence byte, and `trailing`
+    /// bytes after the last field, sealed with a valid snapshot checksum.
+    fn entry_payload(cores: u64, writes: u64, flag: u8, trailing: &[u8]) -> Vec<u8> {
+        use dbi::snap::Snapshot;
+        let mut w = dbi::snap::SnapWriter::new();
+        w.u64(cores);
+        for _ in 0..cores.min(1) {
+            system_sim::CoreResult::default().snapshot(&mut w);
+        }
+        let mut llc = system_sim::LlcStats::default();
+        llc.dram_writes_per_core = vec![7; writes.min(65) as usize];
+        w.u64(writes);
+        llc.snapshot(&mut w);
+        dram_sim::DramStats::default().snapshot(&mut w);
+        dram_sim::DramEnergy::default().snapshot(&mut w);
+        w.u8(flag);
+        if flag == 1 {
+            dbi::DbiStats::default().snapshot(&mut w);
+        }
+        w.bool(false);
+        w.u64(6);
+        trailing.iter().for_each(|&b| w.u8(b));
+        w.finish()
     }
 }

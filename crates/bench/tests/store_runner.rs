@@ -169,15 +169,15 @@ fn corrupt_or_truncated_entries_fall_back_to_recompute() {
 
     let store = ResultStore::open(scratch.0.clone());
     let path = store.entry_path(&unit_key(&unit.config, unit.mix.benchmarks()));
-    let full = std::fs::read_to_string(&path).expect("entry written");
+    let full = std::fs::read(&path).expect("entry written");
 
-    for (tag, text) in [
+    for (tag, bytes) in [
         ("truncated", &full[..full.len() / 2]),
-        ("binary garbage", "\u{0}\u{1}\u{2}nonsense"),
-        ("bad magic", "dbi-bench-result v999\njunk\nend\n"),
-        ("empty", ""),
+        ("binary garbage", &b"\x00\x01\x02nonsense"[..]),
+        ("bad magic", b"dbi-bench-result v999\njunk\nend\n"),
+        ("empty", b""),
     ] {
-        std::fs::write(&path, text).unwrap();
+        std::fs::write(&path, bytes).unwrap();
         let warm = Runner::new("test-corrupt2", &scratch.args());
         let recomputed = warm.run_unit(&unit);
         assert_eq!(
@@ -346,7 +346,9 @@ fn corrupt_entries_are_counted_not_just_recomputed() {
 fn entry_checksum_catches_flips_that_still_parse() {
     // v2's weakness: a flipped digit inside a counter parses fine and
     // would silently serve a wrong result. v3's trailing checksum makes
-    // that a counted corruption instead.
+    // that a counted corruption instead. Since v7 the payload is a
+    // snapshot stream with a checksum of its own; the tampered payload
+    // here is re-sealed, so only the record's checksum catches it.
     let scratch = Scratch::new("checksum");
     let config = tiny_config(Mechanism::Baseline);
     let mix = WorkloadMix::new(vec![Benchmark::Lbm]);
@@ -357,18 +359,20 @@ fn entry_checksum_catches_flips_that_still_parse() {
     store.save(&key, &result).expect("save");
 
     let path = store.entry_path(&key);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let records: u64 = text
-        .lines()
-        .find_map(|l| l.strip_prefix("records "))
-        .unwrap()
-        .parse()
-        .unwrap();
-    let tampered = text.replace(
-        &format!("records {records}"),
-        &format!("records {}", records + 1),
-    );
-    assert_ne!(text, tampered);
+    let bytes = std::fs::read(&path).unwrap();
+    let (_, _, payload) = dbi_bench::store::decode(&bytes).unwrap();
+    // The payload ends with the record count and the snapshot checksum.
+    let at = bytes.len() - (payload.len() + "checksum 0123456789abcdef\nend\n".len());
+    let mut body = payload[..payload.len() - 8].to_vec();
+    let records = body.len() - 8;
+    body[records..].copy_from_slice(&(result.records_processed + 1).to_le_bytes());
+    let sum = dbi::snap::fnv1a64(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    let parsed = system_sim::MixResult::from_bytes(&body).expect("re-sealed payload parses");
+    assert_eq!(parsed.records_processed, result.records_processed + 1);
+    let mut tampered = bytes.clone();
+    tampered[at..at + body.len()].copy_from_slice(&body);
+    assert_ne!(bytes, tampered);
     std::fs::write(&path, tampered).unwrap();
 
     assert!(store.load(&key).is_none(), "tampered entry must miss");
@@ -378,25 +382,55 @@ fn entry_checksum_catches_flips_that_still_parse() {
 #[test]
 fn decode_recovers_kind_fingerprint_and_result() {
     let scratch = Scratch::new("any");
-    let config = tiny_config(Mechanism::Dawb);
-    let mix = WorkloadMix::new(vec![Benchmark::Mcf]);
-    let key = unit_key(&config, mix.benchmarks());
-    let result = system_sim::run_mix(&mix, &config);
-
     let store = ResultStore::open(scratch.0.clone());
-    store.save(&key, &result).expect("save");
-    let bytes = std::fs::read(store.entry_path(&key)).unwrap();
+    // Every mechanism at one and four cores, and once with the rewrite
+    // filter on, so every optional stats struct takes both forms.
+    let mut units: Vec<(WorkloadMix, SystemConfig)> = Vec::new();
+    for mechanism in Mechanism::ALL {
+        units.push((
+            WorkloadMix::new(vec![Benchmark::Mcf]),
+            tiny_config(mechanism),
+        ));
+        let mut config = SystemConfig::for_cores(4, mechanism);
+        config.warmup_insts = 5_000;
+        config.measure_insts = 10_000;
+        let mix = [
+            Benchmark::Lbm,
+            Benchmark::Mcf,
+            Benchmark::Stream,
+            Benchmark::Milc,
+        ];
+        units.push((WorkloadMix::new(mix.to_vec()), config));
+    }
+    let mut filtered = tiny_config(Mechanism::Dbi {
+        awb: true,
+        clb: false,
+    });
+    filtered.awb_rewrite_filter = true;
+    units.push((WorkloadMix::new(vec![Benchmark::Lbm]), filtered));
 
-    let (kind, fingerprint, payload) =
-        dbi_bench::store::decode(&bytes).expect("clean entry decodes");
-    assert_eq!(kind, RecordKind::Entry);
-    assert_eq!(fingerprint, key.fingerprint);
-    assert_eq!(dbi_bench::fingerprint_hash(fingerprint), key.hash);
-    assert_eq!(
-        store.load_record(RecordKind::Entry, &key).as_deref(),
-        Some(payload)
-    );
-    assert_eq!(store.load(&key).unwrap().digest(), result.digest());
+    for (mix, config) in &units {
+        let key = unit_key(config, mix.benchmarks());
+        let result = system_sim::run_mix(mix, config);
+        store.save(&key, &result).expect("save");
+        let bytes = std::fs::read(store.entry_path(&key)).unwrap();
+
+        let (kind, fingerprint, payload) =
+            dbi_bench::store::decode(&bytes).expect("clean entry decodes");
+        assert_eq!(kind, RecordKind::Entry);
+        assert_eq!(fingerprint, key.fingerprint);
+        assert_eq!(dbi_bench::fingerprint_hash(fingerprint), key.hash);
+        assert_eq!(
+            store.load_record(RecordKind::Entry, &key).as_deref(),
+            Some(payload)
+        );
+        assert_eq!(store.load(&key).unwrap().digest(), result.digest());
+    }
+    assert_eq!(units.len(), 19);
+    let last = units.last().unwrap();
+    let loaded = store.load(&unit_key(&last.1, last.0.benchmarks())).unwrap();
+    assert!(loaded.rewrite_filter.is_some() && loaded.dbi.is_some());
+    assert_eq!(store.corrupt_count(), 0);
 }
 
 #[test]

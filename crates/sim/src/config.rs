@@ -189,6 +189,9 @@ impl DbiParams {
     }
 }
 
+/// The most cores a system can have.
+pub const MAX_CORES: usize = 64;
+
 /// Full system configuration (paper Table 1 defaults).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
@@ -275,10 +278,10 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero or exceeds 64.
+    /// Panics if `cores` is zero or exceeds [`MAX_CORES`].
     #[must_use]
     pub fn for_cores(cores: usize, mechanism: Mechanism) -> SystemConfig {
-        assert!((1..=64).contains(&cores), "cores out of range");
+        assert!((1..=MAX_CORES).contains(&cores), "cores out of range");
         SystemConfig {
             cores,
             mechanism,

@@ -46,7 +46,7 @@ mod session;
 mod system;
 
 pub use crate::checker::{LostWrite, VersionChecker};
-pub use crate::config::{DbiParams, Latencies, Mechanism, SystemConfig};
+pub use crate::config::{DbiParams, Latencies, Mechanism, SystemConfig, MAX_CORES};
 pub use crate::core::FrontKey;
 pub use crate::dramcache::{GbCacheConfig, GbCacheStats, GbDirtyView, GbDramCache};
 pub use crate::faults::{splitmix64, FaultClass, FaultInjector, FaultPlan, FaultRecord};
@@ -54,5 +54,5 @@ pub use crate::feed::{FrontRecorder, FrontReplay, FrontStreams};
 pub use crate::invariants::{InvariantKind, InvariantViolation, Sanitizer, SanitizerReport};
 pub use crate::llc::{LlcStats, ReadOutcome, SharedLlc};
 pub use crate::metrics::CoreResult;
-pub use crate::session::{CheckpointCadence, SessionOutcome, SimSession};
+pub use crate::session::{CheckpointCadence, SessionOutcome, SimSession, CLOCK_PROBE_RECORDS};
 pub use crate::system::{run_alone, run_mix, MixResult, System};

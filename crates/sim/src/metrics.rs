@@ -5,7 +5,7 @@
 //! and maximum slowdown, exactly the four the paper reports in Table 3.
 
 /// Per-core outcome of a simulation's measurement window.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreResult {
     /// Benchmark label driving this core.
     pub benchmark: String,
@@ -42,6 +42,33 @@ impl CoreResult {
     #[must_use]
     pub fn wpki(&self) -> f64 {
         per_kilo(self.dram_writes, self.insts)
+    }
+}
+
+impl dbi::snap::Snapshot for CoreResult {
+    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
+        let CoreResult {
+            benchmark,
+            insts,
+            cycles,
+            llc_reads,
+            llc_read_misses,
+            dram_writes,
+        } = self;
+        w.str(benchmark);
+        for &x in [insts, cycles, llc_reads, llc_read_misses, dram_writes] {
+            w.u64(x);
+        }
+    }
+
+    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
+        self.benchmark = r.str()?;
+        self.insts = r.u64()?;
+        self.cycles = r.u64()?;
+        self.llc_reads = r.u64()?;
+        self.llc_read_misses = r.u64()?;
+        self.dram_writes = r.u64()?;
+        Ok(())
     }
 }
 

@@ -45,19 +45,20 @@ pub enum CheckpointCadence {
     /// Checkpoint every `n` trace records (`n = 0` also disables) — the
     /// deterministic cadence tests lean on.
     EveryRecords(u64),
-    /// Checkpoint when at least `target` has elapsed since the last one,
-    /// probing the clock only every `probe_records` records so the hot
-    /// loop stays off `Instant::now()`. This bounds loss-on-kill per unit
-    /// *evenly across mechanisms of different speeds*: a slow mechanism
-    /// checkpoints at the same wall interval as a fast one instead of 5×
-    /// less often.
-    WallClock {
-        /// Minimum wall-clock time between checkpoints.
-        target: std::time::Duration,
-        /// Records between clock probes (`0` disables checkpointing).
-        probe_records: u64,
-    },
+    /// Checkpoint when at least the given time has elapsed since the last
+    /// one, probing the clock only every [`CLOCK_PROBE_RECORDS`] records
+    /// so the hot loop stays off `Instant::now()`. This bounds
+    /// loss-on-kill per unit *evenly across mechanisms of different
+    /// speeds*: a slow mechanism checkpoints at the same wall interval as
+    /// a fast one instead of 5× less often.
+    WallClock(std::time::Duration),
 }
+
+/// Records between clock probes under [`CheckpointCadence::WallClock`]:
+/// cheap enough that the hot loop never notices the `Instant::now()`
+/// calls, frequent enough (milliseconds at realistic speeds) that the
+/// measured interval barely overshoots the target.
+pub const CLOCK_PROBE_RECORDS: u64 = 8192;
 
 /// How a session ended.
 #[derive(Debug)]

@@ -12,14 +12,14 @@ use trace_gen::mix::WorkloadMix;
 use trace_gen::{Benchmark, TraceGenerator};
 
 use crate::checker::{LostWrite, VersionChecker};
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, MAX_CORES};
 use crate::core::{CoreEngine, Front};
 use crate::feed::{CpuClaim, FrontRecorder, FrontReplay, FrontStreams, Pipe, Reader, Writer};
 use crate::feed::{HELPER_STACK, RING_WORDS};
 use crate::invariants::SanitizerReport;
 use crate::llc::{LlcStats, SharedLlc};
 use crate::metrics::CoreResult;
-use crate::session::{CheckpointCadence, SessionOutcome, Sink};
+use crate::session::{CheckpointCadence, SessionOutcome, Sink, CLOCK_PROBE_RECORDS};
 
 /// Alignment of per-core address regions, in blocks (1 MB of 64 B blocks —
 /// a whole number of DRAM row groups, so cores never share a row).
@@ -123,6 +123,97 @@ impl MixResult {
             energy_bits.join(",")
         )
     }
+
+    /// The result as one checksummed snapshot stream, each stats struct
+    /// written by its own [`Snapshot`] impl: the result store's entry
+    /// payload. `check` and `sanitizer` are not written, since runs with
+    /// either never go through the store.
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let MixResult {
+            cores,
+            llc,
+            dram,
+            energy,
+            dbi,
+            rewrite_filter,
+            check: _,
+            sanitizer: _,
+            records_processed,
+        } = self;
+        let mut w = SnapWriter::new();
+        w.usize(cores.len());
+        for core in cores {
+            core.snapshot(&mut w);
+        }
+        // Ahead of the LLC stats, whose restore checks it.
+        w.usize(llc.dram_writes_per_core.len());
+        llc.snapshot(&mut w);
+        dram.snapshot(&mut w);
+        energy.snapshot(&mut w);
+        write_optional(&mut w, dbi.as_ref());
+        write_optional(&mut w, rewrite_filter.as_ref());
+        w.u64(*records_processed);
+        w.finish()
+    }
+
+    /// Decodes a [`MixResult::to_bytes`] stream, with `check` and
+    /// `sanitizer` `None`.
+    ///
+    /// # Errors
+    ///
+    /// A [`SnapError`] for a bad checksum, a truncated stream, trailing
+    /// bytes, a bool byte other than 0 or 1, or a core or per-core counter
+    /// count above [`MAX_CORES`] (or of no cores).
+    pub fn from_bytes(bytes: &[u8]) -> Result<MixResult, SnapError> {
+        let mut r = SnapReader::new(bytes)?;
+        let cores = (0..count(&mut r, "cores", 1)?)
+            .map(|_| restored(&mut r))
+            .collect::<Result<_, _>>()?;
+        let mut llc = LlcStats {
+            dram_writes_per_core: vec![0; count(&mut r, "per-core write counters", 0)?],
+            ..LlcStats::default()
+        };
+        llc.restore(&mut r)?;
+        // The fields are read in the order they are written here.
+        let result = MixResult {
+            cores,
+            llc,
+            dram: restored(&mut r)?,
+            energy: restored(&mut r)?,
+            dbi: r.bool()?.then(|| restored(&mut r)).transpose()?,
+            rewrite_filter: r.bool()?.then(|| restored(&mut r)).transpose()?,
+            check: None,
+            sanitizer: None,
+            records_processed: r.u64()?,
+        };
+        r.finish()?;
+        Ok(result)
+    }
+}
+
+/// Reads a per-core count, which lies in `min..=MAX_CORES`.
+fn count(r: &mut SnapReader<'_>, what: &str, min: usize) -> Result<usize, SnapError> {
+    let n = r.u64()?;
+    usize::try_from(n)
+        .ok()
+        .filter(|n| (min..=MAX_CORES).contains(n))
+        .ok_or_else(|| SnapError::Corrupt(format!("{n} {what}")))
+}
+
+/// Writes `value` behind a presence flag.
+fn write_optional(w: &mut SnapWriter, value: Option<&impl Snapshot>) {
+    w.bool(value.is_some());
+    if let Some(value) = value {
+        value.snapshot(w);
+    }
+}
+
+/// A `T` restored from its default.
+fn restored<T: Snapshot + Default>(r: &mut SnapReader<'_>) -> Result<T, SnapError> {
+    let mut value = T::default();
+    value.restore(r)?;
+    Ok(value)
 }
 
 fn diff_llc(end: &LlcStats, start: &LlcStats) -> LlcStats {
@@ -191,32 +282,22 @@ impl RunState {
             return;
         }
         w.usize(self.base.len());
-        for &(insts, cycles, reads, misses, writes) in &self.base {
+        let write = |w: &mut SnapWriter, &(insts, cycles, reads, misses, writes): &CoreSnapshot| {
             for x in [insts, cycles, reads, misses, writes] {
                 w.u64(x);
             }
+        };
+        for b in &self.base {
+            write(w, b);
         }
         for e in &self.end {
-            match e {
-                Some((insts, cycles, reads, misses, writes)) => {
-                    w.bool(true);
-                    for &x in [insts, cycles, reads, misses, writes] {
-                        w.u64(x);
-                    }
-                }
-                None => w.bool(false),
-            }
+            w.bool(e.is_some());
+            e.iter().for_each(|e| write(w, e));
         }
         self.llc_base.snapshot(w);
         self.dram_base.snapshot(w);
         self.energy_base.snapshot(w);
-        match &self.dbi_base {
-            Some(s) => {
-                w.bool(true);
-                s.snapshot(w);
-            }
-            None => w.bool(false),
-        }
+        write_optional(w, self.dbi_base.as_ref());
     }
 
     pub(crate) fn read(
@@ -231,27 +312,21 @@ impl RunState {
         }
         let n = sys.cores.len();
         r.expect_len("measurement baselines", n)?;
+        let read = |r: &mut SnapReader<'_>| -> Result<CoreSnapshot, SnapError> {
+            Ok((r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?))
+        };
         for _ in 0..n {
-            st.base
-                .push((r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?));
+            st.base.push(read(r)?);
         }
         for _ in 0..n {
-            st.end.push(if r.bool()? {
-                Some((r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?))
-            } else {
-                None
-            });
+            st.end.push(r.bool()?.then(|| read(r)).transpose()?);
         }
         st.finished = st.end.iter().filter(|e| e.is_some()).count();
         st.llc_base.restore(r)?;
         st.dram_base.restore(r)?;
         st.energy_base.restore(r)?;
         r.expect_bool("DBI baseline presence", sys.llc.dbi().is_some())?;
-        if sys.llc.dbi().is_some() {
-            let mut s = DbiStats::default();
-            s.restore(r)?;
-            st.dbi_base = Some(s);
-        }
+        st.dbi_base = sys.llc.dbi().map(|_| restored(r)).transpose()?;
         Ok(st)
     }
 }
@@ -549,11 +624,10 @@ impl System {
         // down to the next one keeps divisions and the clock out of the
         // loop. A zero interval never falls due.
         let every = match cadence {
-            CheckpointCadence::Disabled => 0,
+            CheckpointCadence::Disabled | CheckpointCadence::EveryRecords(0) => u64::MAX,
             CheckpointCadence::EveryRecords(n) => n,
-            CheckpointCadence::WallClock { probe_records, .. } => probe_records,
+            CheckpointCadence::WallClock(_) => CLOCK_PROBE_RECORDS,
         };
-        let every = if every == 0 { u64::MAX } else { every };
         let mut countdown = every;
         let mut last_checkpoint = Instant::now();
         while self.micro_step(st, feed) {
@@ -562,7 +636,7 @@ impl System {
                 continue;
             }
             countdown = every;
-            if let CheckpointCadence::WallClock { target, .. } = cadence {
+            if let CheckpointCadence::WallClock(target) = cadence {
                 if last_checkpoint.elapsed() < target {
                     continue;
                 }
@@ -602,20 +676,7 @@ impl System {
             // straight through into the measurement phase — the next
             // record executes in this same call, exactly as the scalar
             // loop ran before the phases were split into micro-steps.
-            st.base = self
-                .cores
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    (
-                        c.insts,
-                        c.cycle,
-                        c.llc_reads,
-                        c.llc_read_misses,
-                        self.llc.stats().dram_writes_per_core[i],
-                    )
-                })
-                .collect();
+            st.base = (0..self.cores.len()).map(|i| self.measured(i)).collect();
             st.end = vec![None; self.cores.len()];
             st.llc_base = self.llc.stats().clone();
             st.dram_base = *self.dram.stats();
@@ -629,18 +690,20 @@ impl System {
         let measure = self.config.measure_insts;
         let i = self.argmin_cycle();
         self.step(i, &mut st.steps, feed);
-        let c = &self.cores[i];
-        if st.end[i].is_none() && c.insts >= st.base[i].0 + measure {
-            st.end[i] = Some((
-                c.insts,
-                c.cycle,
-                c.llc_reads,
-                c.llc_read_misses,
-                self.llc.stats().dram_writes_per_core[i],
-            ));
+        // A core's instructions never fall below its baseline; a sum
+        // could wrap past `u64::MAX`.
+        if st.end[i].is_none() && self.cores[i].insts - st.base[i].0 >= measure {
+            st.end[i] = Some(self.measured(i));
             st.finished += 1;
         }
         true
+    }
+
+    /// Core `i`'s measured counters as they stand.
+    fn measured(&self, i: usize) -> CoreSnapshot {
+        let c = &self.cores[i];
+        let writes = self.llc.stats().dram_writes_per_core[i];
+        (c.insts, c.cycle, c.llc_reads, c.llc_read_misses, writes)
     }
 
     /// Serializes the mid-run state (mechanisms + run-loop progress) into
@@ -698,7 +761,7 @@ impl System {
                 }
                 if let Some(e) = st.end[i] {
                     let window = self.config.measure_insts;
-                    if e.0 < b.0 + window || e.0 > c.insts {
+                    if e.0.checked_sub(b.0).is_none_or(|n| n < window) || e.0 > c.insts {
                         return Err(SnapError::Corrupt(format!(
                             "core {i} end snapshot outside its measurement window"
                         )));
@@ -1263,6 +1326,32 @@ mod tests {
         assert_ne!(FrontKey::new(&reversed, &base), key, "benchmark order");
         let fewer = WorkloadMix::new(mix.benchmarks()[..1].to_vec());
         assert_ne!(FrontKey::new(&fewer, &base), key, "benchmarks");
+    }
+
+    /// A checkpoint image whose core ran to near `u64::MAX` instructions
+    /// and ended its window five instructions past a baseline just below
+    /// it: forged, sealed by the checkpoint writer, and refused on
+    /// restore, since the window cannot have closed that early.
+    #[test]
+    fn a_forged_baseline_near_the_top_of_u64_restores_as_corrupt() {
+        let (mix, config) = small(1, Mechanism::Baseline);
+        let mut sys = System::new(&mix, &config);
+        let mut st = RunState::cold(&sys);
+        while sys.micro_step(&mut st, &mut Feed::Inline(Vec::new())) {}
+        let sealed = sys.checkpoint(&st);
+        assert!(System::new(&mix, &config)
+            .restore_checkpoint(&sealed)
+            .is_ok());
+
+        sys.cores[0].insts = u64::MAX - 1;
+        st.base[0].0 = u64::MAX - 10;
+        st.end[0].as_mut().expect("the window closed").0 = u64::MAX - 5;
+        let forged = sys.checkpoint(&st);
+        let err = System::new(&mix, &config).restore_checkpoint(&forged);
+        assert!(
+            matches!(&err, Err(SnapError::Corrupt(msg)) if msg.contains("outside its measurement window")),
+            "{err:?}"
+        );
     }
 
     #[test]

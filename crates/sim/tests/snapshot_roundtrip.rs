@@ -4,7 +4,10 @@
 //! enabled (their state rides in the snapshot too).
 
 use proptest::prelude::*;
-use system_sim::{CheckpointCadence, Mechanism, SessionOutcome, SimSession, System, SystemConfig};
+use system_sim::{
+    CheckpointCadence, Mechanism, SessionOutcome, SimSession, System, SystemConfig,
+    CLOCK_PROBE_RECORDS,
+};
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
@@ -156,21 +159,38 @@ fn bank_group_scheduler_state_survives_crashes() {
 /// straight-through run.
 #[test]
 fn wall_clock_cadence_resume_is_bit_identical() {
-    let config = tiny_config(1, Mechanism::Vwq, 11);
+    let mut config = tiny_config(1, Mechanism::Vwq, 11);
+    // Long enough that the clock is probed well before the run ends.
+    config.measure_insts = 400_000;
     let mix = WorkloadMix::new(vec![Benchmark::Stream]);
-    let straight = System::new(&mix, &config).run().digest();
+    let straight = System::new(&mix, &config).run();
+    assert!(straight.records_processed > 2 * CLOCK_PROBE_RECORDS);
+    let straight = straight.digest();
 
-    // A zero target makes a checkpoint due at every probe boundary, so
-    // the suspension point is reached immediately regardless of machine
-    // speed; the probe stride still exercises the wall-clock path.
-    let cadence = CheckpointCadence::WallClock {
-        target: std::time::Duration::ZERO,
-        probe_records: 700,
-    };
+    // A zero target makes a checkpoint due at the first probe, so the
+    // suspension point is reached regardless of machine speed; the probe
+    // stride still exercises the wall-clock path.
+    let cadence = CheckpointCadence::WallClock(std::time::Duration::ZERO);
     let bytes = suspend_at_first(&mix, &config, None, cadence)
         .expect_err("a zero wall-clock target must suspend before finishing");
     let resumed = resume_to_end(&mix, &config, &bytes);
     assert_eq!(straight, resumed);
+}
+
+/// A window too long to ever close keeps the run going checkpoint after
+/// checkpoint: the test that closes a core's window cannot wrap past
+/// `u64::MAX` and close it after one record.
+#[test]
+fn an_endless_window_suspends_at_its_first_checkpoint() {
+    let mut config = tiny_config(1, Mechanism::Baseline, 5);
+    config.warmup_insts = 10_000;
+    config.measure_insts = u64::MAX;
+    let mix = WorkloadMix::new(vec![Benchmark::Mcf]);
+    let cadence = CheckpointCadence::EveryRecords(5_000);
+    let bytes = suspend_at_first(&mix, &config, None, cadence)
+        .expect_err("an endless window must reach a checkpoint");
+    suspend_at_first(&mix, &config, Some(&bytes), cadence)
+        .expect_err("and the next one after a resume");
 }
 
 #[test]
