@@ -42,7 +42,7 @@ Common options for every dbi-bench experiment binary:
                       arm one deterministic I/O failpoint in the result
                       store's write protocol; SITE is record.STAGE
                       (record.write, record.sync, record.rename, or
-                      record.dirsync; it fires on entries, blobs and
+                      record.dirsync; it fires on entries and
                       checkpoints alike) and MODE is crash (default),
                       torn, short, drop-sync, or eio.
                       A firing crash exits the process with code 86.

@@ -22,7 +22,7 @@ use dbi_bench::{BenchArgs, Effort};
 /// The `run_all.sh` list (everything except `simulate`, which is an
 /// interactive tool, and `perf_baseline`/`bench_harness`, which measure
 /// rather than reproduce).
-const SUITE: [&str; 19] = [
+const SUITE: [&str; 18] = [
     "fig6_single_core",
     "fig7_multicore",
     "fig8_scurve",
@@ -40,7 +40,6 @@ const SUITE: [&str; 19] = [
     "ablation_l2_dbi",
     "ablation_channels",
     "ablation_bankgroups",
-    "dramcache_gb",
     "workload_report",
 ];
 

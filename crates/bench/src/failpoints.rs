@@ -3,7 +3,7 @@
 //! The in-simulation fault injector (`system_sim`'s `--fault`) proves the
 //! invariant sanitizer can detect metadata corruption produced on demand.
 //! This module is the same discipline applied to the on-disk half of the
-//! harness: every store record — entry, blob, or checkpoint — is written
+//! harness: every store record — entry or checkpoint — is written
 //! by one atomic-write protocol, and each of its four stages is a
 //! *failpoint site* (`record.write`, `record.sync`, `record.rename`,
 //! `record.dirsync`) that can be armed to misbehave in controlled,

@@ -205,6 +205,7 @@ struct Counters {
     hits: AtomicU64,
     sims: AtomicU64,
     replayed: AtomicU64,
+    violations: AtomicU64,
     skipped: AtomicU64,
     resumes: AtomicU64,
     sim_nanos: AtomicU64,
@@ -549,6 +550,14 @@ impl Runner {
         self.counters.replayed.load(Ordering::Relaxed)
     }
 
+    /// Lost writes and sanitizer violations found so far by the checked
+    /// units this runner simulated (`--check`, or a unit's own checker or
+    /// sanitizer).
+    #[must_use]
+    pub fn violations(&self) -> u64 {
+        self.counters.violations.load(Ordering::Relaxed)
+    }
+
     /// Store hits so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
@@ -710,6 +719,9 @@ impl Runner {
         }
         let nanos = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.counters.sims.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .violations
+            .fetch_add(violations_in(&result), Ordering::Relaxed);
         if resumed {
             self.counters.resumes.fetch_add(1, Ordering::Relaxed);
         }
@@ -876,8 +888,10 @@ impl Runner {
     /// A unit that fails both its attempts is **fatal here**: the work
     /// list still drains fully (completed results are already flushed to
     /// the store), but the process then prints its summary and exits
-    /// nonzero — callers of this API assume one result per unit. Callers
-    /// that want to survive quarantines use [`Runner::try_run_units`].
+    /// nonzero — callers of this API assume one result per unit. So is a
+    /// lost write or sanitizer violation in any unit the runner has
+    /// simulated ([`Runner::violations`]). Callers that want to survive
+    /// quarantines or inspect verdicts use [`Runner::try_run_units`].
     ///
     /// An interrupt (SIGINT/SIGTERM) during the drain exits `128+signal`
     /// after the summary.
@@ -891,6 +905,15 @@ impl Runner {
             for failure in &failures {
                 eprintln!("runner[{}]: {failure}", self.name);
             }
+            self.finish();
+            std::process::exit(1);
+        }
+        if self.violations() > 0 {
+            eprintln!(
+                "runner[{}]: {} lost writes or sanitizer violations",
+                self.name,
+                self.violations()
+            );
             self.finish();
             std::process::exit(1);
         }
@@ -991,8 +1014,9 @@ impl Runner {
     /// rerun must report `sims=0`. `skipped=` counts units not completed
     /// in this run (unstarted after an interrupt, or suspended at a
     /// checkpoint), `resumed=` counts
-    /// simulations continued from a checkpoint, and `interrupted=` is the
-    /// signal number that stopped the run (0 for a clean finish).
+    /// simulations continued from a checkpoint, `interrupted=` is the
+    /// signal number that stopped the run (0 for a clean finish), and
+    /// `violations=` is [`Runner::violations`].
     pub fn finish(&self) {
         self.clear_spill();
         if self.finished.swap(true, Ordering::Relaxed) {
@@ -1021,7 +1045,7 @@ impl Runner {
         eprintln!(
             "runner[{}]: units={} hits={} sims={} skipped={} resumed={} interrupted={} \
              sim_wall={} unit_mean={} unit_max={} failed={} quarantined=[{quarantined}] \
-             corrupt={corrupt} tmp_gc={tmp_gc} wall={} store={} replayed={}",
+             corrupt={corrupt} tmp_gc={tmp_gc} wall={} store={} replayed={} violations={}",
             self.name,
             self.hits() + sims + self.skipped() + failures.len() as u64,
             self.hits(),
@@ -1035,7 +1059,8 @@ impl Runner {
             failures.len(),
             fmt_secs(self.start.elapsed().as_secs_f64()),
             store_desc,
-            self.replayed()
+            self.replayed(),
+            self.violations()
         );
     }
 }
@@ -1051,6 +1076,18 @@ impl Drop for Runner {
 /// never be served to a clean rerun.
 fn bypasses_store(unit: &RunUnit) -> bool {
     unit.config.check || unit.config.sanitize || unit.config.fault.is_some()
+}
+
+/// Lost writes plus sanitizer violations in one unit's result.
+fn violations_in(result: &MixResult) -> u64 {
+    let lost = match &result.check {
+        Some(Err(lost)) => lost.len() as u64,
+        _ => 0,
+    };
+    lost + result
+        .sanitizer
+        .as_ref()
+        .map_or(0, |report| report.total_violations)
 }
 
 /// The directory of every runner's stream directories: outside the

@@ -9,7 +9,7 @@
 //!
 //! [`scrub_store`] walks a store directory once and:
 //!
-//! - validates every `.entry`, `.blob` and `.ckpt` record with the
+//! - validates every `.entry` and `.ckpt` record with the
 //!   store's one decoder: the frame and checksum must hold, the kind in
 //!   its header must match the file's extension, and its embedded
 //!   fingerprint must hash to the file's name;
@@ -24,9 +24,10 @@
 //! segment files and `segments.manifest` an older compacted store may
 //! still hold — the store no longer reads them, so the units folded into
 //! them simply miss once and recompute as loose entries — the `.lease`
-//! files and `.tmpm-` merge temp files of an older sharding release, and
-//! the `.tmpb-`/`.ckpt-` temp files of the schema-5 blob and checkpoint
-//! writers. A record of an older schema is not foreign: it fails the
+//! files and `.tmpm-` merge temp files of an older sharding release, the
+//! `.tmpb-`/`.ckpt-` temp files of the schema-5 blob and checkpoint
+//! writers, and the `.blob` records of the retired GB DRAM-cache
+//! scenario. A record of an older schema is not foreign: it fails the
 //! decoder and is quarantined like any corrupt file.
 //!
 //! Quarantining rather than deleting is deliberate: a corrupt entry is
@@ -44,7 +45,7 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// What one scrub pass found and did.
 #[derive(Debug, Default)]
 pub struct ScrubReport {
-    /// Record files examined (`.entry`, `.blob`, `.ckpt`).
+    /// Record files examined (`.entry`, `.ckpt`).
     pub scanned: u64,
     /// Record files that validated clean.
     pub ok: u64,
@@ -144,27 +145,18 @@ pub fn scrub_store(dir: &Path) -> std::io::Result<ScrubReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tests::test_key;
     use crate::store::tests::Scratch;
-    use crate::store::{scenario_key, ResultStore, StoreKey};
+    use crate::store::{ResultStore, StoreKey};
 
-    /// A store with one valid blob and one valid checkpoint.
+    /// A store with one valid entry and one valid checkpoint.
     fn seeded(dir: &Path) -> ResultStore {
         let store = ResultStore::open(dir.to_path_buf());
-        store
-            .save_record(
-                RecordKind::Blob,
-                &scenario_key("scrub-test", "p=1"),
-                b"payload\n",
-            )
-            .unwrap();
+        store.save(&test_key("scrub-test"), &tiny_result()).unwrap();
         let mut w = dbi::snap::SnapWriter::new();
         w.u64(42);
         store
-            .save_record(
-                RecordKind::Ckpt,
-                &scenario_key("scrub-ckpt", "p=1"),
-                &w.finish(),
-            )
+            .save_record(RecordKind::Ckpt, &test_key("scrub-ckpt"), &w.finish())
             .unwrap();
         store
     }
@@ -208,9 +200,9 @@ mod tests {
     fn corrupt_files_are_quarantined_not_deleted() {
         let s = Scratch::new("corrupt");
         let store = seeded(&s.dir);
-        let key = scenario_key("scrub-test", "p=1");
-        // Bit-flip the blob.
-        let path = store.record_path(RecordKind::Blob, &key);
+        let key = test_key("scrub-test");
+        // Bit-flip the entry.
+        let path = store.entry_path(&key);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
@@ -218,16 +210,14 @@ mod tests {
         let report = scrub_store(&s.dir).unwrap();
         assert_eq!(report.scrubbed(), 1, "{report}");
         assert_eq!(report.ok, 1);
-        let qname = format!("{:016x}.blob", key.hash);
+        let qname = format!("{:016x}.entry", key.hash);
         assert_eq!(report.quarantined, vec![qname.clone()]);
         assert!(s.dir.join(QUARANTINE_DIR).join(&qname).exists());
         assert!(!path.exists());
         // The store now treats the unit as a plain miss; a re-save heals
         // it and the next scrub is clean.
-        assert_eq!(store.load_record(RecordKind::Blob, &key), None);
-        store
-            .save_record(RecordKind::Blob, &key, b"payload\n")
-            .unwrap();
+        assert!(store.load(&key).is_none());
+        store.save(&key, &tiny_result()).unwrap();
         let report = scrub_store(&s.dir).unwrap();
         assert!(report.is_clean(), "{report}");
     }
@@ -236,17 +226,17 @@ mod tests {
     fn misnamed_entries_are_quarantined() {
         let s = Scratch::new("misnamed");
         let store = seeded(&s.dir);
-        let key = scenario_key("scrub-test", "p=1");
-        let renamed = s.dir.join("0123456789abcdef.blob");
-        std::fs::rename(store.record_path(RecordKind::Blob, &key), &renamed).unwrap();
-        // A valid checkpoint under a blob's extension is of the wrong kind.
-        let ckpt = store.record_path(RecordKind::Ckpt, &scenario_key("scrub-ckpt", "p=1"));
-        let as_blob = ckpt.with_extension("blob");
-        std::fs::rename(&ckpt, &as_blob).unwrap();
+        let key = test_key("scrub-test");
+        let renamed = s.dir.join("0123456789abcdef.entry");
+        std::fs::rename(store.entry_path(&key), &renamed).unwrap();
+        // A valid checkpoint under an entry's extension is of the wrong kind.
+        let ckpt = store.record_path(RecordKind::Ckpt, &test_key("scrub-ckpt"));
+        let as_entry = ckpt.with_extension("entry");
+        std::fs::rename(&ckpt, &as_entry).unwrap();
         let report = scrub_store(&s.dir).unwrap();
         let mut expected = vec![
-            "0123456789abcdef.blob".to_string(),
-            as_blob.file_name().unwrap().to_str().unwrap().to_string(),
+            "0123456789abcdef.entry".to_string(),
+            as_entry.file_name().unwrap().to_str().unwrap().to_string(),
         ];
         expected.sort();
         assert_eq!(report.quarantined, expected);
@@ -256,19 +246,19 @@ mod tests {
     fn orphans_are_collected() {
         let s = Scratch::new("orphans");
         let store = seeded(&s.dir);
-        let key = scenario_key("scrub-test", "p=1");
+        let key = test_key("scrub-test");
         std::fs::write(s.dir.join(".tmp-deadbeef.entry-1"), b"partial").unwrap();
         std::fs::write(s.dir.join(".tmp-deadbeef.ckpt-2"), b"partial").unwrap();
         let report = scrub_store(&s.dir).unwrap();
         assert_eq!(report.orphans, 2, "{report}");
         assert!(scrub_store(&s.dir).unwrap().is_clean());
         // Data files untouched throughout.
-        assert!(store.load_record(RecordKind::Blob, &key).is_some());
+        assert!(store.load(&key).is_some());
     }
 
     /// The bytes a schema-5 store wrote for `kind` under `key`: a text
-    /// entry or a byte-counted blob, each with its own magic line and
-    /// trailing checksum, or a checkpoint behind an 8-byte hash guard.
+    /// entry with its own magic line and trailing checksum, or a
+    /// checkpoint behind an 8-byte hash guard.
     fn schema_5_bytes(kind: RecordKind, key: &StoreKey, payload: &[u8]) -> Vec<u8> {
         let framed = |head: String| {
             let mut out = head.into_bytes();
@@ -280,20 +270,15 @@ mod tests {
         let fp = &key.fingerprint;
         match kind {
             RecordKind::Entry => framed(format!("dbi-bench-result v5\nfingerprint {fp}\n")),
-            RecordKind::Blob => framed(format!(
-                "dbi-bench-blob v5\nfingerprint {fp}\nbytes {}\n",
-                payload.len()
-            )),
             RecordKind::Ckpt => [&key.hash.to_le_bytes()[..], payload].concat(),
         }
     }
 
-    /// The bytes a schema-6 store wrote for `kind` under `key`: today's
-    /// frame under version 6, around a text entry or blob.
-    fn schema_6_bytes(kind: RecordKind, key: &StoreKey, payload: &[u8]) -> Vec<u8> {
+    /// The bytes a store of `schema` wrote for a record of kind `ext`
+    /// under `key`: today's frame under that version.
+    fn framed_bytes(schema: u32, ext: &str, key: &StoreKey, payload: &[u8]) -> Vec<u8> {
         let mut out = format!(
-            "dbi-bench-record v6 {}\nfingerprint {}\nbytes {}\n",
-            kind.ext(),
+            "dbi-bench-record v{schema} {ext}\nfingerprint {}\nbytes {}\n",
             key.fingerprint,
             payload.len()
         )
@@ -308,51 +293,42 @@ mod tests {
     fn older_schema_records_miss_and_are_quarantined() {
         let s = Scratch::new("older-schema");
         let store = ResultStore::open(s.dir.clone());
-        let (key5, key6) = (
-            scenario_key("schema5", "p=1"),
-            scenario_key("schema6", "p=1"),
-        );
+        let (key5, key6) = (test_key("schema5"), test_key("schema6"));
         // Each file sits under the name the current key asks for, so a
         // reader that accepted the old framing would serve it.
         let mut w = dbi::snap::SnapWriter::new();
         w.u64(5);
         let text_entry = b"cores 1\ncore lbm 1 2 3 4 5\nrecords 6\n".to_vec();
-        type Framing = fn(RecordKind, &StoreKey, &[u8]) -> Vec<u8>;
         let files: Vec<_> = [
             (
                 RecordKind::Entry,
                 &key5,
-                schema_5_bytes as Framing,
-                text_entry.clone(),
+                schema_5_bytes(RecordKind::Entry, &key5, &text_entry),
             ),
             (
-                RecordKind::Blob,
+                RecordKind::Ckpt,
                 &key5,
-                schema_5_bytes,
-                b"payload\n".to_vec(),
+                schema_5_bytes(RecordKind::Ckpt, &key5, &w.finish()),
             ),
-            (RecordKind::Ckpt, &key5, schema_5_bytes, w.finish()),
-            (RecordKind::Entry, &key6, schema_6_bytes, text_entry),
             (
-                RecordKind::Blob,
+                RecordKind::Entry,
                 &key6,
-                schema_6_bytes,
-                b"hits 1\n".to_vec(),
+                framed_bytes(6, "entry", &key6, &text_entry),
             ),
         ]
         .into_iter()
-        .map(|(kind, key, framed, payload)| {
-            let (path, bytes) = (store.record_path(kind, key), framed(kind, key, &payload));
+        .map(|(kind, key, bytes)| {
+            let path = store.record_path(kind, key);
             std::fs::write(&path, &bytes).unwrap();
             assert_eq!(store.load_record(kind, key), None, "{kind:?} served");
             (path, bytes)
         })
         .collect();
         assert!(store.load(&key6).is_none());
-        assert_eq!(store.corrupt_count(), 6);
+        assert_eq!(store.corrupt_count(), 4);
 
         let report = scrub_store(&s.dir).unwrap();
-        assert_eq!((report.scanned, report.scrubbed()), (5, 5), "{report}");
+        assert_eq!((report.scanned, report.scrubbed()), (3, 3), "{report}");
         for (path, bytes) in &files {
             let kept = s.dir.join(QUARANTINE_DIR).join(path.file_name().unwrap());
             assert_eq!(&std::fs::read(kept).unwrap(), bytes, "{path:?} kept");
@@ -364,21 +340,16 @@ mod tests {
     fn legacy_segment_files_are_left_alone() {
         let s = Scratch::new("legacy-seg");
         let store = seeded(&s.dir);
-        let fingerprint = format!(
-            "schema={} legacy-seg p=1",
-            crate::store::STORE_SCHEMA_VERSION
-        );
-        let key = crate::store::StoreKey {
-            hash: crate::store::fingerprint_hash(&fingerprint),
-            fingerprint,
-        };
+        let key = test_key("legacy-seg");
         let result = tiny_result();
         // A unit an older release folded into a segment: its loose entry
         // is gone and its bytes live on only inside the segment file.
         // An older sharding release also left a unit lease and a merge
         // writer's temp file behind, and the schema-5 blob and checkpoint
-        // writers their own temp files.
+        // writers their own temp files. A schema-7 blob record, framed
+        // like today's records, sits under the seeded entry's hash.
         store.save(&key, &result).unwrap();
+        let seeded_key = test_key("scrub-test");
         let entry = std::fs::read(store.entry_path(&key)).unwrap();
         std::fs::remove_file(store.entry_path(&key)).unwrap();
         let legacy = [
@@ -403,6 +374,10 @@ mod tests {
                 entry.clone(),
             ),
             (s.dir.join(format!(".ckpt-{:016x}-3", key.hash)), entry),
+            (
+                s.dir.join(format!("{:016x}.blob", seeded_key.hash)),
+                framed_bytes(7, "blob", &seeded_key, b"blob payload\n"),
+            ),
         ];
         for (path, bytes) in &legacy {
             std::fs::write(path, bytes).unwrap();
@@ -410,12 +385,15 @@ mod tests {
 
         let report = scrub_store(&s.dir).unwrap();
         assert!(report.is_clean(), "{report}");
-        assert_eq!(report.scanned, 2, "only the blob and checkpoint are data");
+        assert_eq!(report.scanned, 2, "only the entry and checkpoint are data");
         // The runner's startup scavenge treats them as foreign too.
         assert_eq!(store.scavenge(std::time::Duration::ZERO), 0);
         for (path, bytes) in &legacy {
             assert_eq!(&std::fs::read(path).unwrap(), bytes, "{path:?} untouched");
         }
+        // The entry next to the blob still loads.
+        assert!(store.load(&seeded_key).is_some());
+        assert_eq!(store.corrupt_count(), 0);
         // The folded unit misses once, recomputes, and serves loose.
         assert!(!store.contains(&key));
         assert!(store.load(&key).is_none());

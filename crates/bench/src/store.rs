@@ -8,13 +8,12 @@
 //! process invocations) therefore share one entry under the store
 //! directory, `results/.cache/` by default.
 //!
-//! A store directory holds three kinds of durable record: `.entry`
-//! results, `.blob` scenario records, and `.ckpt` mid-run checkpoints.
-//! All three share one framing, built by one encoder and parsed by one
-//! decoder ([`decode`]):
+//! A store directory holds two kinds of durable record: `.entry` results
+//! and `.ckpt` mid-run checkpoints. Both share one framing, built by one
+//! encoder and parsed by one decoder ([`decode`]):
 //!
 //! ```text
-//! dbi-bench-record v7 KIND      KIND = entry | blob | ckpt
+//! dbi-bench-record v7 KIND      KIND = entry | ckpt
 //! fingerprint FINGERPRINT
 //! bytes N
 //! <N raw payload bytes>checksum HHHHHHHHHHHHHHHH
@@ -28,8 +27,8 @@
 //! change is a miss (counted in [`ResultStore::corrupt_count`]) and is
 //! recomputed, never served. The store frames opaque bytes: each payload
 //! is a checksummed `dbi::snap` stream — an entry's [`MixResult::to_bytes`],
-//! a blob's its scenario's record, a checkpoint's a simulator snapshot —
-//! and one that does not decode is a counted miss too.
+//! a checkpoint's a simulator snapshot — and one that does not decode is
+//! a counted miss too.
 //!
 //! Writes go through the atomic-write protocol (temp file, fsync, rename,
 //! parent directory fsync — see the `persist` module) so concurrent
@@ -39,9 +38,10 @@
 //! startup) and by the `store_scrub` binary, which also validates and
 //! quarantines records.
 //!
-//! Anything else in the directory — such as the `.lease` or segment files,
-//! or the `.tmpb-`/`.ckpt-`/`.tmpm-` temp files, an older release may have
-//! left — is foreign: the store never reads, scavenges, or deletes it.
+//! Anything else in the directory — such as the `.lease`, segment or
+//! `.blob` files, or the `.tmpb-`/`.ckpt-`/`.tmpm-` temp files, an older
+//! release may have left — is foreign: the store never reads, scavenges,
+//! or deletes it.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,22 +84,19 @@ const RECORD_MAGIC: &str = "dbi-bench-record";
 pub enum RecordKind {
     /// A simulation unit's [`MixResult`] (`ResultStore::save`).
     Entry,
-    /// A scenario's opaque record (`dramcache_gb`).
-    Blob,
     /// A mid-run simulator snapshot (the runner's checkpoints).
     Ckpt,
 }
 
 impl RecordKind {
     /// Every kind, in documentation order.
-    pub const ALL: [RecordKind; 3] = [RecordKind::Entry, RecordKind::Blob, RecordKind::Ckpt];
+    pub const ALL: [RecordKind; 2] = [RecordKind::Entry, RecordKind::Ckpt];
 
     /// The kind's file extension, also its spelling in the record header.
     #[must_use]
     pub fn ext(self) -> &'static str {
         match self {
             RecordKind::Entry => "entry",
-            RecordKind::Blob => "blob",
             RecordKind::Ckpt => "ckpt",
         }
     }
@@ -240,21 +237,6 @@ pub fn unit_fingerprint(config: &SystemConfig, benchmarks: &[Benchmark]) -> Stri
 #[must_use]
 pub fn unit_key(config: &SystemConfig, benchmarks: &[Benchmark]) -> StoreKey {
     let fingerprint = unit_fingerprint(config, benchmarks);
-    StoreKey {
-        hash: fnv1a64(fingerprint.as_bytes()),
-        fingerprint,
-    }
-}
-
-/// The content address of a named scenario blob: experiments that do not
-/// run the cycle-level simulator (e.g. `dramcache_gb`, which drives the
-/// GB-scale DRAM cache directly) cache their measured records under a
-/// fingerprint spelling out the scenario name and every parameter the run
-/// depends on, plus the schema version — the same staleness discipline as
-/// [`unit_key`].
-#[must_use]
-pub fn scenario_key(name: &str, params: &str) -> StoreKey {
-    let fingerprint = format!("schema={STORE_SCHEMA_VERSION} scenario={name} {params}");
     StoreKey {
         hash: fnv1a64(fingerprint.as_bytes()),
         fingerprint,
@@ -535,36 +517,30 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn scenario_key_spells_schema_name_and_params() {
-        let key = scenario_key("dramcache_gb", "wl=hot policy=adaptive");
-        assert_eq!(
-            key.fingerprint,
-            format!("schema={STORE_SCHEMA_VERSION} scenario=dramcache_gb wl=hot policy=adaptive")
-        );
-        assert_eq!(key.hash, fingerprint_hash(&key.fingerprint));
-        // Any parameter change must change the address.
-        assert_ne!(
-            key.hash,
-            scenario_key("dramcache_gb", "wl=hot policy=dense").hash
-        );
+    /// A store key for test records, addressed like a unit's key.
+    pub(crate) fn test_key(name: &str) -> StoreKey {
+        let fingerprint = format!("schema={STORE_SCHEMA_VERSION} test={name}");
+        StoreKey {
+            hash: fingerprint_hash(&fingerprint),
+            fingerprint,
+        }
     }
 
     #[test]
-    fn blob_round_trips_awkward_payloads() {
-        let s = Scratch::new("blob-rt");
+    fn checkpoint_round_trips_awkward_payloads() {
+        let s = Scratch::new("ckpt-rt");
         let store = ResultStore::open(s.dir.clone());
-        let key = scenario_key("t", "p=1");
+        let key = test_key("p=1");
         // No trailing newline, and payload lines that mimic the framing.
         let payload = b"rows 3\nchecksum feedface\nend";
-        assert!(store.load_record(RecordKind::Blob, &key).is_none());
-        store.save_record(RecordKind::Blob, &key, payload).unwrap();
+        assert!(store.load_record(RecordKind::Ckpt, &key).is_none());
+        store.save_record(RecordKind::Ckpt, &key, payload).unwrap();
         assert_eq!(
-            store.load_record(RecordKind::Blob, &key).as_deref(),
+            store.load_record(RecordKind::Ckpt, &key).as_deref(),
             Some(&payload[..])
         );
         assert_eq!(store.corrupt_count(), 0);
-        // Blobs are invisible to the entry census.
+        // Checkpoints are invisible to the entry census.
         assert_eq!(store.entry_count(), 0);
     }
 
@@ -574,14 +550,14 @@ pub(crate) mod tests {
         let store = ResultStore::open(s.dir.clone());
         for name in [
             ".tmp-deadbeef-1",
-            ".tmp-deadbeef.blob-2",
+            ".tmp-deadbeef.entry-2",
             ".tmp-deadbeef.ckpt-3",
         ] {
             std::fs::write(s.dir.join(name), "torn").unwrap();
         }
-        let key = scenario_key("t", "p=1");
+        let key = test_key("p=1");
         store
-            .save_record(RecordKind::Blob, &key, b"payload\n")
+            .save_record(RecordKind::Ckpt, &key, b"payload\n")
             .unwrap();
         // Fresh temp files are a live writer's: a guarded pass spares them.
         assert_eq!(store.scavenge(Duration::from_secs(3600)), 0);
@@ -590,7 +566,7 @@ pub(crate) mod tests {
         assert_eq!(store.orphans_removed(), 3);
         // Real store files are never touched.
         assert_eq!(
-            store.load_record(RecordKind::Blob, &key).as_deref(),
+            store.load_record(RecordKind::Ckpt, &key).as_deref(),
             Some(&b"payload\n"[..])
         );
         assert_eq!(store.scavenge(Duration::ZERO), 0);
@@ -601,12 +577,12 @@ pub(crate) mod tests {
         let s = Scratch::new("record-bad");
         let store = ResultStore::open(s.dir.clone());
         for (i, kind) in RecordKind::ALL.into_iter().enumerate() {
-            let key = scenario_key("t", &format!("kind={}", kind.ext()));
+            let key = test_key(&format!("kind={}", kind.ext()));
             store.save_record(kind, &key, b"value 42\n").unwrap();
             let seen = 3 * i as u64;
             // A different key must never be served this record, even if
             // the file is copied under its name (fingerprint mismatch).
-            let other = scenario_key("t", "p=2");
+            let other = test_key("p=2");
             std::fs::copy(
                 store.record_path(kind, &key),
                 store.record_path(kind, &other),
@@ -616,7 +592,7 @@ pub(crate) mod tests {
             assert_eq!(store.corrupt_count(), seen + 1);
             std::fs::remove_file(store.record_path(kind, &other)).unwrap();
             // A record renamed to another kind's extension misses too.
-            let wrong = RecordKind::ALL[(i + 1) % 3];
+            let wrong = RecordKind::ALL[(i + 1) % RecordKind::ALL.len()];
             std::fs::copy(
                 store.record_path(kind, &key),
                 store.record_path(wrong, &key),
@@ -636,7 +612,7 @@ pub(crate) mod tests {
         }
         // Upper-casing a hex letter of the checksum keeps its value but
         // not its bytes: only the lowercase digits `encode` writes decode.
-        let mut bytes = encode(RecordKind::Blob, &scenario_key("t", "p=1"), b"x");
+        let mut bytes = encode(RecordKind::Ckpt, &test_key("p=1"), b"x");
         let sum_at = bytes.len() - "0123456789abcdef\nend\n".len();
         let letter = (sum_at..sum_at + 16)
             .find(|&i| bytes[i].is_ascii_lowercase())
@@ -647,7 +623,7 @@ pub(crate) mod tests {
 
         // Entry payloads no writer produces, each inside a valid frame:
         // every one is a counted miss, never a panic or a huge allocation.
-        let key = scenario_key("t", "kind=entry");
+        let key = test_key("kind=entry");
         let before = store.corrupt_count();
         let valid = entry_payload(1, 1, 1, &[]);
         let mut bad_sum = valid.clone();

@@ -2,7 +2,7 @@
 //! site, in every applicable mode, for every record kind, and prove the
 //! store recovers.
 //!
-//! For each (site, mode) pair and each kind (entry, blob, checkpoint) the
+//! For each (site, mode) pair and each kind (entry, checkpoint) the
 //! scenario is: arm the failpoint with [`CrashStyle::Error`] (abort the
 //! store operation in-process, leaving exactly the on-disk state a
 //! mid-protocol kill would), save that kind's record, then
@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use dbi_bench::failpoints::{self, CrashStyle, FailMode, FailPlan, FailSpec};
-use dbi_bench::store::{scenario_key, unit_key, RecordKind, ResultStore, StoreKey};
+use dbi_bench::store::{unit_key, RecordKind, ResultStore, StoreKey};
 use dbi_bench::{all_sites, modes_for, scrub_store, RunUnit};
 use system_sim::{run_mix, Mechanism, MixResult, SystemConfig};
 use trace_gen::Benchmark;
@@ -85,8 +85,8 @@ fn ckpt_payload() -> Vec<u8> {
 }
 
 /// The key and payload each kind's record is saved under, in
-/// `RecordKind::ALL` order: the tiny unit's real entry, a scenario blob,
-/// and a snapshot stream as the unit's checkpoint.
+/// `RecordKind::ALL` order: the tiny unit's real entry and a snapshot
+/// stream as the unit's checkpoint.
 fn record(kind: RecordKind) -> &'static (StoreKey, Vec<u8>) {
     static RECORDS: OnceLock<Vec<(StoreKey, Vec<u8>)>> = OnceLock::new();
     let records = RECORDS.get_or_init(|| {
@@ -96,14 +96,7 @@ fn record(kind: RecordKind) -> &'static (StoreKey, Vec<u8>) {
         let store = ResultStore::open(s.dir.clone());
         store.save(key, result).unwrap();
         let entry = store.load_record(RecordKind::Entry, key).unwrap();
-        vec![
-            (key.clone(), entry),
-            (
-                scenario_key("matrix", "p=1"),
-                b"scenario payload line 1\nline 2\n".to_vec(),
-            ),
-            (key.clone(), ckpt_payload()),
-        ]
+        vec![(key.clone(), entry), (key.clone(), ckpt_payload())]
     });
     &records[kind as usize]
 }
@@ -186,7 +179,7 @@ fn recovery_matrix_covers_every_site_and_mode() {
     // One atomic-write protocol with 4+3+2+3 modes across its four
     // stages, each run once per record kind.
     assert_eq!(pairs, 12, "the matrix shrank — sites untested");
-    assert_eq!(runs, 36, "the matrix skipped a record kind");
+    assert_eq!(runs, 24, "the matrix skipped a record kind");
 }
 
 /// Disarmed failpoints must be invisible: the same operations succeed

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use dbi_bench::{unit_key, BenchArgs, RecordKind, ResultStore, RunUnit, Runner, UnitFault};
-use system_sim::{Mechanism, SystemConfig};
+use system_sim::{FaultClass, FaultPlan, Mechanism, SystemConfig};
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
@@ -316,6 +316,45 @@ fn watchdog_timeout_quarantines_after_one_retry() {
         failures[0].fault
     );
     assert_eq!(runner.sims(), 0, "a timed-out unit is not a completed sim");
+}
+
+/// A checked runner counts the lost writes and sanitizer violations of
+/// the units it simulates: none for a clean unit, every one for a unit
+/// with a dropped writeback. `try_run_units` still returns both results.
+#[test]
+fn checked_units_count_their_violations() {
+    let scratch = Scratch::new("violations");
+    let args = BenchArgs {
+        check: true,
+        ..scratch.args()
+    };
+    // Tiny private caches and LLC, so dirty blocks reach the LLC and the
+    // dropped writeback fires within the window.
+    let mut config = tiny_config(Mechanism::Baseline);
+    config.llc_bytes_per_core = 64 * 1024;
+    config.l1_bytes = 4 * 1024;
+    config.l2_bytes = 8 * 1024;
+    let clean = RunUnit::alone(Benchmark::Lbm, config.clone());
+    config.fault = Some(FaultPlan::new(FaultClass::DropWriteback, 1));
+    let faulted = RunUnit::alone(Benchmark::Lbm, config);
+
+    let runner = Runner::new("test-violations-clean", &args);
+    let (results, failures) = runner.try_run_units("clean", std::slice::from_ref(&clean));
+    assert!(failures.is_empty() && results[0].is_some());
+    assert_eq!(runner.violations(), 0);
+
+    let runner = Runner::new("test-violations", &args);
+    let (results, failures) = runner.try_run_units("faulted", &[clean, faulted]);
+    assert!(failures.is_empty());
+    let result = results[1].as_ref().expect("a faulted unit still completes");
+    let lost = match &result.check {
+        Some(Err(lost)) => lost.len() as u64,
+        other => panic!("the dropped writeback must be a lost write, got {other:?}"),
+    };
+    let sanitizer = result.sanitizer.as_ref().expect("--check sanitizes");
+    assert!(sanitizer.fault.is_some(), "the fault fired");
+    assert_eq!(runner.violations(), lost + sanitizer.total_violations);
+    assert_eq!(runner.sims(), 2, "checked units bypass the store");
 }
 
 #[test]

@@ -10,8 +10,8 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::container::MAX_BITS;
 use crate::replacement::DbiReplacementPolicy;
+use crate::words::MAX_BITS;
 
 /// The DBI size parameter `alpha`: the ratio of blocks tracked by the DBI to
 /// blocks tracked by the cache, expressed as an exact rational.

@@ -45,22 +45,18 @@
 //! ```
 
 mod config;
-mod container;
 mod dbi;
-mod dirty_store;
 mod replacement;
 pub mod snap;
 mod stats;
+mod words;
 
 pub use crate::config::{Alpha, DbiConfig, DbiConfigError};
-pub use crate::container::{
-    prefetch_read, ContainerPolicy, DirtyContainer, DirtyWords, Ones, ReprKind, WordOnes, MAX_BITS,
-};
 pub use crate::dbi::Dbi;
-pub use crate::dirty_store::{DirtyStore, ReprCensus};
 pub use crate::replacement::{DbiReplacementPolicy, BIP_EPSILON_RECIPROCAL};
 pub use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 pub use crate::stats::DbiStats;
+pub use crate::words::{prefetch_read, DirtyWords, WordOnes, MAX_BITS};
 
 /// Index of a cache block in the physical address space.
 ///

@@ -21,10 +21,8 @@
 //! [`Dbi`], with a dispatch policy driven by channel occupancy and DBI
 //! queries.
 
-use std::collections::VecDeque;
-
 use cache_sim::{Cache, CacheConfig, InsertPos};
-use dbi::{ContainerPolicy, Dbi, DbiConfig, DirtyContainer, DirtyStore, ReprCensus, RowId};
+use dbi::{Dbi, DbiConfig};
 use dram_sim::MemoryController;
 
 use crate::system::assert_tags_reach;
@@ -235,460 +233,6 @@ impl MostlyCleanDramCache {
     }
 }
 
-// ---------------------------------------------------------------------------
-// GbDramCache: the GB-scale scenario on adaptive dirty containers.
-// ---------------------------------------------------------------------------
-
-/// Geometry of a [`GbDramCache`].
-///
-/// At GB scale, per-block SRAM metadata is the cost problem: an 8 GB cache
-/// of 64 B blocks has 128 Mi blocks and a million 8 KB rows. This scenario
-/// keeps *exact* presence and dirty metadata for every resident row in
-/// adaptive [`DirtyContainer`]s (dense words only where the row is actually
-/// hot) and models the tag array with a 1-in-`sample_every` set sample —
-/// the only structure whose cost still scales with capacity.
-#[derive(Debug, Clone)]
-pub struct GbCacheConfig {
-    /// Cache capacity in bytes.
-    pub capacity_bytes: u64,
-    /// Cache block size in bytes.
-    pub block_bytes: u32,
-    /// Blocks per DRAM row (the container length; at most
-    /// [`dbi::MAX_BITS`]).
-    pub row_blocks: usize,
-    /// One in `sample_every` rows carries real tags for hit-rate sampling.
-    pub sample_every: u64,
-    /// Associativity of the sampled tag sets.
-    pub ways: usize,
-    /// Container policy for the presence and dirty metadata.
-    pub policy: ContainerPolicy,
-}
-
-impl GbCacheConfig {
-    /// A `gigabytes`-sized cache of 8 KB rows (64 B × 128 blocks) with a
-    /// 1-in-64 tag sample — 8 GB puts it at the million-row scale.
-    ///
-    /// # Panics
-    ///
-    /// Never for these constants (valid geometry by construction).
-    #[must_use]
-    pub fn gb(gigabytes: u64) -> Self {
-        GbCacheConfig {
-            capacity_bytes: gigabytes << 30,
-            block_bytes: 64,
-            row_blocks: 128,
-            sample_every: 64,
-            ways: 16,
-            policy: ContainerPolicy::Adaptive,
-        }
-    }
-
-    /// Same geometry with a different container policy (for the
-    /// dense-only / sparse-only / adaptive comparison).
-    #[must_use]
-    pub fn with_policy(mut self, policy: ContainerPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Row capacity: how many rows fit before eviction starts.
-    #[must_use]
-    pub fn capacity_rows(&self) -> u64 {
-        self.capacity_bytes / (u64::from(self.block_bytes) * self.row_blocks as u64)
-    }
-}
-
-/// Counters for a [`GbDramCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct GbCacheStats {
-    /// Read accesses.
-    pub reads: u64,
-    /// Write accesses.
-    pub writes: u64,
-    /// Accesses that found their block resident.
-    pub hits: u64,
-    /// Accesses that filled their block.
-    pub fills: u64,
-    /// Rows made resident.
-    pub row_fills: u64,
-    /// Rows evicted at capacity.
-    pub row_evictions: u64,
-    /// Dirty blocks written back by row evictions and flushes.
-    pub writebacks: u64,
-    /// Lookups that fell in a sampled tag set.
-    pub sampled_lookups: u64,
-    /// Sampled lookups that hit in the sampled tag array.
-    pub sampled_hits: u64,
-}
-
-/// A GB-scale DRAM cache: full-scale presence/dirty metadata on adaptive
-/// containers, sampled tags, FIFO row replacement.
-///
-/// Rows (not blocks) are the allocation unit, as in sector/footprint DRAM
-/// caches: the first access to a row makes it resident, capacity evicts
-/// the oldest resident row, and evicting a row writes back exactly its
-/// dirty blocks — which the row's [`DirtyContainer`] enumerates without
-/// touching any tag state. Queries go through [`GbDramCache::dirty`], the
-/// same typed-view idiom as `Cache::dirty`.
-#[derive(Debug)]
-pub struct GbDramCache {
-    row_blocks: u64,
-    sample_every: u64,
-    capacity_rows: u64,
-    /// Presence bit per resident block, keyed by row.
-    presence: DirtyStore,
-    /// Dirty bit per resident block, keyed by row.
-    dirty: DirtyStore,
-    /// Resident rows in fill order (the FIFO replacement state).
-    fifo: VecDeque<RowId>,
-    /// Real tags for the sampled rows, at `1/sample_every` scale.
-    tags: Cache,
-    stats: GbCacheStats,
-}
-
-impl GbDramCache {
-    /// Creates an empty GB-scale cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row_blocks` is out of container range, `sample_every`
-    /// is zero, the capacity is not a whole number of rows, or the
-    /// sampled tag geometry is degenerate or its 32-bit tags do not reach
-    /// every block of the 40-bit physical address space (a sampled tag
-    /// address is never above the block it stands for).
-    #[must_use]
-    pub fn new(config: &GbCacheConfig) -> Self {
-        assert!(config.sample_every > 0, "sample_every must be nonzero");
-        assert!(
-            config.capacity_bytes
-                == config.capacity_rows()
-                    * u64::from(config.block_bytes)
-                    * config.row_blocks as u64,
-            "capacity must be a whole number of rows"
-        );
-        let sampled_capacity = config.capacity_bytes / config.sample_every;
-        let tags = Cache::new(
-            CacheConfig::new(sampled_capacity, config.ways, config.block_bytes)
-                .expect("valid sampled tag geometry"),
-        );
-        assert_tags_reach(
-            "sampled DRAM-cache",
-            tags.config(),
-            highest_phys_block(config.block_bytes),
-        );
-        GbDramCache {
-            row_blocks: config.row_blocks as u64,
-            sample_every: config.sample_every,
-            capacity_rows: config.capacity_rows(),
-            presence: DirtyStore::new(config.row_blocks, config.policy),
-            dirty: DirtyStore::new(config.row_blocks, config.policy),
-            fifo: VecDeque::new(),
-            tags,
-            stats: GbCacheStats::default(),
-        }
-    }
-
-    /// DRAM row of `block`.
-    #[must_use]
-    pub fn row_of(&self, block: u64) -> RowId {
-        block / self.row_blocks
-    }
-
-    fn is_sampled(&self, row: RowId) -> bool {
-        row.is_multiple_of(self.sample_every)
-    }
-
-    /// Makes `block` resident (if it was not), evicting the oldest row
-    /// when the fill pushes residency past capacity. `writeback` receives
-    /// the dirty blocks of evicted rows, ascending.
-    fn fill(&mut self, block: u64, mut writeback: impl FnMut(u64)) -> bool {
-        let row = self.row_of(block);
-        let new_row = !self.presence.contains_row(block);
-        if !self.presence.mark(block) {
-            return false;
-        }
-        self.stats.fills += 1;
-        if new_row {
-            self.stats.row_fills += 1;
-            self.fifo.push_back(row);
-            while self.fifo.len() as u64 > self.capacity_rows {
-                let victim = self.fifo.pop_front().expect("fifo non-empty");
-                self.stats.row_evictions += 1;
-                self.presence.drain_row(victim, |_| {});
-                self.stats.writebacks += self.dirty.drain_row(victim, &mut writeback);
-            }
-        }
-        true
-    }
-
-    fn sample(&mut self, block: u64, write: bool) {
-        if !self.is_sampled(self.row_of(block)) {
-            return;
-        }
-        // The sampled tag array sees its rows at 1/sample_every density:
-        // compress the address so sampled rows pack its sets the way all
-        // rows would pack a full-scale tag array.
-        let compressed =
-            self.row_of(block) / self.sample_every * self.row_blocks + block % self.row_blocks;
-        self.stats.sampled_lookups += 1;
-        if self.tags.touch(compressed) {
-            self.stats.sampled_hits += 1;
-            if write {
-                self.tags.mark_dirty(compressed, true);
-            }
-        } else {
-            self.tags.insert(compressed, 0, InsertPos::Mru, write);
-        }
-    }
-
-    /// Services a read of `block`, filling it on a miss. Returns whether
-    /// it hit; `writeback` receives dirty blocks of any row evicted by the
-    /// fill.
-    pub fn read(&mut self, block: u64, writeback: impl FnMut(u64)) -> bool {
-        self.stats.reads += 1;
-        self.sample(block, false);
-        let hit = self.presence.is_dirty(block);
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.fill(block, writeback);
-        }
-        hit
-    }
-
-    /// Absorbs a write of `block` (write-allocate), marking it dirty.
-    /// Returns whether it hit; `writeback` receives dirty blocks of any
-    /// row evicted by the fill.
-    pub fn write(&mut self, block: u64, writeback: impl FnMut(u64)) -> bool {
-        self.stats.writes += 1;
-        self.sample(block, true);
-        let hit = self.presence.is_dirty(block);
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.fill(block, writeback);
-        }
-        self.dirty.mark(block);
-        hit
-    }
-
-    /// Writes back every dirty block — rows ascending, blocks ascending
-    /// within each row — leaving the cache resident but clean. Returns the
-    /// number written.
-    pub fn flush(&mut self, mut writeback: impl FnMut(u64)) -> u64 {
-        let mut written = 0;
-        self.dirty.drain_all(|_row, b| {
-            written += 1;
-            writeback(b);
-        });
-        self.stats.writebacks += written;
-        written
-    }
-
-    /// The typed dirty-query view (same idiom as `Cache::dirty`).
-    #[must_use]
-    pub fn dirty(&self) -> GbDirtyView<'_> {
-        GbDirtyView { cache: self }
-    }
-
-    /// Resident rows.
-    #[must_use]
-    pub fn resident_rows(&self) -> u64 {
-        self.fifo.len() as u64
-    }
-
-    /// Modeled metadata bytes: presence plus dirty containers. This is the
-    /// figure-of-merit the container policies compete on.
-    #[must_use]
-    pub fn metadata_bytes(&self) -> u64 {
-        self.presence.metadata_bytes() + self.dirty.metadata_bytes()
-    }
-
-    /// Accumulated counters.
-    #[must_use]
-    pub fn stats(&self) -> &GbCacheStats {
-        &self.stats
-    }
-
-    /// Checks presence/dirty/FIFO synchronization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dirty block is not present, a FIFO row is not resident,
-    /// or a resident row is not in the FIFO.
-    pub fn assert_invariants(&self) {
-        assert_eq!(
-            self.fifo.len() as u64,
-            self.presence.row_count(),
-            "FIFO and presence disagree on resident rows"
-        );
-        for &row in &self.fifo {
-            assert!(
-                self.presence.row(row).is_some(),
-                "FIFO row {row} has no presence container"
-            );
-        }
-        for (row, container) in self.dirty.rows() {
-            let present = self
-                .presence
-                .row(row)
-                .unwrap_or_else(|| panic!("dirty row {row} is not resident"));
-            for offset in container.iter_ones() {
-                assert!(
-                    present.get(offset),
-                    "dirty block at row {row} offset {offset} is not present"
-                );
-            }
-        }
-    }
-}
-
-/// Read-only view over a [`GbDramCache`]'s dirty metadata — the GB-scale
-/// analogue of `cache_sim::DirtyView`.
-#[derive(Debug, Clone, Copy)]
-pub struct GbDirtyView<'a> {
-    cache: &'a GbDramCache,
-}
-
-impl<'a> GbDirtyView<'a> {
-    /// Dirty bit of `block`; `None` if the block is not resident.
-    #[must_use]
-    pub fn is_dirty(&self, block: u64) -> Option<bool> {
-        self.cache
-            .presence
-            .is_dirty(block)
-            .then(|| self.cache.dirty.is_dirty(block))
-    }
-
-    /// The dirty container of `row`, if any of its blocks is dirty.
-    #[must_use]
-    pub fn row(&self, row: RowId) -> Option<&'a DirtyContainer> {
-        self.cache.dirty.row(row)
-    }
-
-    /// Number of dirty blocks.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.cache.dirty.dirty_count()
-    }
-
-    /// Rows holding at least one dirty block.
-    #[must_use]
-    pub fn row_count(&self) -> u64 {
-        self.cache.dirty.row_count()
-    }
-
-    /// Iterates every dirty block, ascending.
-    pub fn blocks(&self) -> impl Iterator<Item = u64> + 'a {
-        self.cache.dirty.blocks()
-    }
-
-    /// Representation census of the dirty containers.
-    #[must_use]
-    pub fn census(&self) -> ReprCensus {
-        self.cache.dirty.repr_census()
-    }
-}
-
-impl dbi::snap::Snapshot for GbCacheStats {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        let GbCacheStats {
-            reads,
-            writes,
-            hits,
-            fills,
-            row_fills,
-            row_evictions,
-            writebacks,
-            sampled_lookups,
-            sampled_hits,
-        } = *self;
-        for x in [
-            reads,
-            writes,
-            hits,
-            fills,
-            row_fills,
-            row_evictions,
-            writebacks,
-            sampled_lookups,
-            sampled_hits,
-        ] {
-            w.u64(x);
-        }
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        self.reads = r.u64()?;
-        self.writes = r.u64()?;
-        self.hits = r.u64()?;
-        self.fills = r.u64()?;
-        self.row_fills = r.u64()?;
-        self.row_evictions = r.u64()?;
-        self.writebacks = r.u64()?;
-        self.sampled_lookups = r.u64()?;
-        self.sampled_hits = r.u64()?;
-        Ok(())
-    }
-}
-
-impl dbi::snap::Snapshot for GbDramCache {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        self.presence.snapshot(w);
-        self.dirty.snapshot(w);
-        w.usize(self.fifo.len());
-        for &row in &self.fifo {
-            w.u64(row);
-        }
-        self.tags.snapshot(w);
-        self.stats.snapshot(w);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        use dbi::snap::SnapError;
-        self.presence.restore(r)?;
-        self.dirty.restore(r)?;
-        let n = r.usize()?;
-        if n as u64 != self.presence.row_count() {
-            return Err(SnapError::Corrupt(format!(
-                "FIFO holds {n} rows but presence holds {}",
-                self.presence.row_count()
-            )));
-        }
-        self.fifo.clear();
-        let mut seen = std::collections::HashSet::with_capacity(n);
-        for _ in 0..n {
-            let row = r.u64()?;
-            if self.presence.row(row).is_none() {
-                return Err(SnapError::Corrupt(format!(
-                    "FIFO row {row} has no presence container"
-                )));
-            }
-            if !seen.insert(row) {
-                return Err(SnapError::Corrupt(format!("FIFO row {row} duplicated")));
-            }
-            self.fifo.push_back(row);
-        }
-        self.tags.restore(r)?;
-        self.stats.restore(r)?;
-        // Cross-structure validation: dirty ⊆ presence.
-        for (row, container) in self.dirty.rows() {
-            let Some(present) = self.presence.row(row) else {
-                return Err(SnapError::Corrupt(format!(
-                    "dirty row {row} is not resident"
-                )));
-            };
-            if container.iter_ones().any(|offset| !present.get(offset)) {
-                return Err(SnapError::Corrupt(format!(
-                    "dirty block in row {row} is not present"
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,178 +308,6 @@ mod tests {
         dc.dbi().assert_invariants();
     }
 
-    /// A small GB-cache geometry: 4 rows of 64 blocks, every row sampled.
-    fn gb_small(policy: ContainerPolicy) -> GbDramCache {
-        GbDramCache::new(&GbCacheConfig {
-            capacity_bytes: 4 * 64 * 64,
-            block_bytes: 64,
-            row_blocks: 64,
-            sample_every: 1,
-            ways: 4,
-            policy,
-        })
-    }
-
-    #[test]
-    fn gb_read_fills_and_hits() {
-        let mut gb = gb_small(ContainerPolicy::Adaptive);
-        assert!(!gb.read(5, |_| panic!("no eviction")));
-        assert!(gb.read(5, |_| panic!("no eviction")), "second read hits");
-        assert_eq!(gb.resident_rows(), 1);
-        assert_eq!(gb.presence.dirty_count(), 1);
-        assert_eq!(gb.dirty().count(), 0);
-        assert_eq!(gb.dirty().is_dirty(5), Some(false));
-        assert_eq!(gb.dirty().is_dirty(6), None, "not resident");
-        gb.assert_invariants();
-    }
-
-    #[test]
-    fn gb_write_marks_dirty_and_flush_drains() {
-        let mut gb = gb_small(ContainerPolicy::Adaptive);
-        gb.write(64 + 3, |_| ());
-        gb.write(64 + 9, |_| ());
-        assert_eq!(gb.dirty().is_dirty(64 + 3), Some(true));
-        assert_eq!(gb.dirty().count(), 2);
-        assert_eq!(gb.dirty().row_count(), 1);
-        let mut out = Vec::new();
-        assert_eq!(gb.flush(|b| out.push(b)), 2);
-        assert_eq!(out, vec![64 + 3, 64 + 9]);
-        assert_eq!(gb.dirty().count(), 0);
-        assert_eq!(gb.presence.dirty_count(), 2, "flush cleans, doesn't evict");
-        gb.assert_invariants();
-    }
-
-    #[test]
-    fn gb_row_eviction_writes_back_exactly_the_dirty_blocks() {
-        let mut gb = gb_small(ContainerPolicy::Adaptive);
-        gb.write(1, |_| ()); // row 0: dirty blocks 1, 2
-        gb.write(2, |_| ());
-        gb.read(3, |_| ()); // ...and a clean one
-        for row in 1..4u64 {
-            gb.read(row * 64, |_| panic!("under capacity"));
-        }
-        assert_eq!(gb.resident_rows(), 4);
-        // Fifth row: row 0 (oldest) is evicted; only its dirty blocks
-        // come back.
-        let mut wb = Vec::new();
-        gb.read(4 * 64, |b| wb.push(b));
-        assert_eq!(wb, vec![1, 2]);
-        assert_eq!(gb.stats().row_evictions, 1);
-        assert_eq!(gb.stats().writebacks, 2);
-        assert_eq!(gb.dirty().is_dirty(1), None, "evicted row is gone");
-        assert_eq!(gb.resident_rows(), 4);
-        gb.assert_invariants();
-    }
-
-    #[test]
-    fn gb_policies_agree_on_behavior_not_bytes() {
-        let mut traces: Vec<(Vec<u64>, u64)> = Vec::new();
-        for policy in ContainerPolicy::ALL {
-            let mut gb = gb_small(policy);
-            let mut wb = Vec::new();
-            for i in 0..600u64 {
-                let b = (i * 97) % 320; // 5 rows onto 4-row capacity
-                if i % 3 == 0 {
-                    gb.write(b, |b| wb.push(b));
-                } else {
-                    gb.read(b, |b| wb.push(b));
-                }
-            }
-            gb.assert_invariants();
-            traces.push((wb, gb.stats().hits));
-        }
-        assert_eq!(traces[0], traces[1], "policy changes bytes, not behavior");
-        assert_eq!(traces[0], traces[2]);
-    }
-
-    #[test]
-    fn gb_adaptive_beats_dense_on_sparse_rows() {
-        let mut adaptive = gb_small(ContainerPolicy::Adaptive);
-        let mut dense = gb_small(ContainerPolicy::DenseOnly);
-        for row in 0..4u64 {
-            adaptive.write(row * 64, |_| ());
-            dense.write(row * 64, |_| ());
-        }
-        assert!(
-            adaptive.metadata_bytes() * 4 <= dense.metadata_bytes(),
-            "adaptive {} B vs dense {} B",
-            adaptive.metadata_bytes(),
-            dense.metadata_bytes()
-        );
-        assert_eq!(adaptive.dirty().census().sparse, 4);
-        assert_eq!(dense.dirty().census().dense, 4);
-    }
-
-    #[test]
-    fn gb_sampled_tags_follow_sampled_rows() {
-        let mut gb = GbDramCache::new(&GbCacheConfig {
-            capacity_bytes: 8 * 64 * 64,
-            block_bytes: 64,
-            row_blocks: 64,
-            sample_every: 4,
-            ways: 4,
-            policy: ContainerPolicy::Adaptive,
-        });
-        gb.read(0, |_| ()); // row 0: sampled
-        gb.read(64, |_| ()); // row 1: not sampled
-        gb.read(0, |_| ());
-        assert_eq!(gb.stats().sampled_lookups, 2, "row 1 skips the sample");
-        assert_eq!(gb.stats().sampled_hits, 1);
-    }
-
-    #[test]
-    fn gb_snapshot_roundtrip_and_forgery() {
-        use dbi::snap::{restore_bytes, snapshot_bytes, Snapshot};
-        let mut gb = gb_small(ContainerPolicy::Adaptive);
-        let mut wb = Vec::new();
-        for i in 0..200u64 {
-            let b = (i * 37) % 320;
-            if i % 2 == 0 {
-                gb.write(b, |b| wb.push(b));
-            } else {
-                gb.read(b, |b| wb.push(b));
-            }
-        }
-        let bytes = snapshot_bytes(&gb);
-        let mut fresh = gb_small(ContainerPolicy::Adaptive);
-        restore_bytes(&mut fresh, &bytes).unwrap();
-        fresh.assert_invariants();
-        assert_eq!(fresh.stats(), gb.stats());
-        assert_eq!(fresh.metadata_bytes(), gb.metadata_bytes());
-        assert_eq!(
-            fresh.dirty().blocks().collect::<Vec<_>>(),
-            gb.dirty().blocks().collect::<Vec<_>>()
-        );
-        // Resumed run behaves bit-identically.
-        let (mut wa, mut wf) = (Vec::new(), Vec::new());
-        for i in 0..100u64 {
-            gb.write((i * 53) % 320, |b| wa.push(b));
-            fresh.write((i * 53) % 320, |b| wf.push(b));
-        }
-        assert_eq!(wa, wf);
-        assert_eq!(gb.stats(), fresh.stats());
-
-        // Forged: a dirty block outside the presence set.
-        let mut w = dbi::snap::SnapWriter::new();
-        {
-            let mut forged = gb_small(ContainerPolicy::Adaptive);
-            forged.read(5, |_| ()); // present: block 5 only
-            forged.presence.snapshot(&mut w);
-            let mut dirty = DirtyStore::new(64, ContainerPolicy::Adaptive);
-            dirty.mark(9); // dirty block 9 was never filled
-            dirty.snapshot(&mut w);
-            w.usize(1);
-            w.u64(0);
-            forged.tags.snapshot(&mut w);
-            forged.stats.snapshot(&mut w);
-        }
-        let mut target = gb_small(ContainerPolicy::Adaptive);
-        assert!(matches!(
-            restore_bytes(&mut target, &w.finish()),
-            Err(dbi::snap::SnapError::Corrupt(_))
-        ));
-    }
-
     #[test]
     fn victim_writeback_preserves_dirty_data() {
         let (mut dc, mut mem) = setup();
@@ -965,18 +337,5 @@ mod tests {
             msg.contains("DRAM cache") && msg.contains("0x3fffffffb"),
             "{msg}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "sampled DRAM-cache 32-bit tags")]
-    fn sampled_tags_must_reach_the_physical_address_space() {
-        let _ = GbDramCache::new(&GbCacheConfig {
-            capacity_bytes: 4 * 64 * 64,
-            block_bytes: 64,
-            row_blocks: 64,
-            sample_every: 1,
-            ways: 64,
-            policy: ContainerPolicy::Adaptive,
-        });
     }
 }

@@ -48,7 +48,6 @@ mod system;
 pub use crate::checker::{LostWrite, VersionChecker};
 pub use crate::config::{DbiParams, Latencies, Mechanism, SystemConfig, MAX_CORES};
 pub use crate::core::FrontKey;
-pub use crate::dramcache::{GbCacheConfig, GbCacheStats, GbDirtyView, GbDramCache};
 pub use crate::faults::{splitmix64, FaultClass, FaultInjector, FaultPlan, FaultRecord};
 pub use crate::feed::{FrontRecorder, FrontReplay, FrontStreams};
 pub use crate::invariants::{InvariantKind, InvariantViolation, Sanitizer, SanitizerReport};

@@ -135,6 +135,44 @@ fn repeated_crashes_still_match_straight_through() {
     assert!(crashes > 3, "only {crashes} crashes — loop not exercised");
 }
 
+/// Every mechanism of Table 2, plus a fully loaded DBI system (AWB + CLB,
+/// the rewrite filter and per-core L2 DBIs: the widest snapshot the
+/// simulator can produce), on lbm+mcf, killed every 700 records and
+/// resumed from the snapshot just written: each must finish bit-identical
+/// to a straight-through run. This is the guarantee a campaign relies on:
+/// a `kill -9` mid-campaign costs wall-clock time, not correctness.
+#[test]
+fn every_mechanism_resumes_bit_identically_after_repeated_crashes() {
+    let mix = WorkloadMix::new(vec![Benchmark::Lbm, Benchmark::Mcf]);
+    let config_for = |mechanism| {
+        let mut c = tiny_config(2, mechanism, 12);
+        c.warmup_insts = 30_000;
+        c.measure_insts = 30_000;
+        c
+    };
+    let mut configs: Vec<(String, SystemConfig)> = Mechanism::ALL
+        .iter()
+        .map(|&m| (m.label().to_string(), config_for(m)))
+        .collect();
+    let mut loaded = config_for(Mechanism::Dbi {
+        awb: true,
+        clb: true,
+    });
+    loaded.awb_rewrite_filter = true;
+    loaded.l2_dbi = true;
+    configs.push(("DBI+AWB+CLB+filter+L2DBI".to_string(), loaded));
+    assert_eq!(configs.len(), 10);
+    for (label, config) in &configs {
+        let straight = System::new(&mix, config).run().digest();
+        let (resumed, crashes) = run_with_crashes(&mix, config, 700);
+        assert_eq!(
+            straight, resumed,
+            "{label}: resumed digest diverges after {crashes} crash-resumes"
+        );
+        assert!(crashes > 3, "{label}: only {crashes} crashes");
+    }
+}
+
 /// The bank-group scheduler adds per-group activate windows and a
 /// channel-level last-activate to the DRAM snapshot; crash/resume with a
 /// multi-group device must still be bit-identical mid-drain.

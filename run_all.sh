@@ -26,7 +26,6 @@ BINARIES=(
     ablation_l2_dbi
     ablation_channels
     ablation_bankgroups
-    dramcache_gb
     workload_report
 )
 for bin in "${BINARIES[@]}"; do
