@@ -42,8 +42,7 @@ Common options for every dbi-bench experiment binary:
                       arm one deterministic I/O failpoint in the result
                       store's write protocol; SITE is record.STAGE
                       (record.write, record.sync, record.rename, or
-                      record.dirsync; it fires on entries and
-                      checkpoints alike) and MODE is crash (default),
+                      record.dirsync) and MODE is crash (default),
                       torn, short, drop-sync, or eio.
                       A firing crash exits the process with code 86.
                       `--io-fault list` prints every site and its modes.
@@ -52,11 +51,11 @@ Common options for every dbi-bench experiment binary:
     --watchdog SECS   per-unit wall-clock limit: a unit exceeding it is
                       retried once, then quarantined (default 600,
                       0 disables the watchdog)
-    --checkpoint-secs SECS
-                      target wall-clock time between checkpoints of each
-                      in-flight unit (default 5; fractions allowed,
-                      0 disables checkpointing)
     --help            print this help
+
+Completed units persist in the result store as they finish. SIGINT or
+SIGTERM skips the queued units, lets the running ones finish, prints the
+summary and exits 128+signal; a rerun simulates only what is missing.
 ";
 
 /// Parsed command-line arguments of an experiment binary.
@@ -86,10 +85,6 @@ pub struct BenchArgs {
     pub io_fault_seed: u64,
     /// Per-unit wall-clock limit in seconds; 0 disables (`--watchdog`).
     pub watchdog_secs: u64,
-    /// Target wall-clock time between checkpoints (`--checkpoint-secs`).
-    /// `None` = the runner's default cadence; `Some(0)` disables
-    /// checkpointing.
-    pub checkpoint_target: Option<std::time::Duration>,
 }
 
 impl Default for BenchArgs {
@@ -107,7 +102,6 @@ impl Default for BenchArgs {
             io_fault: None,
             io_fault_seed: 1,
             watchdog_secs: 600,
-            checkpoint_target: None,
         }
     }
 }
@@ -219,19 +213,6 @@ impl BenchArgs {
                     args.watchdog_secs = v
                         .parse()
                         .map_err(|_| format!("--watchdog needs a number of seconds, got '{v}'"))?;
-                }
-                "--checkpoint-secs" => {
-                    let v = value("--checkpoint-secs")?;
-                    // `try_from_secs_f64` rejects negatives, NaN, and
-                    // values too large for a `Duration` (e.g. 1e300).
-                    let target = v
-                        .parse()
-                        .ok()
-                        .and_then(|s| std::time::Duration::try_from_secs_f64(s).ok())
-                        .ok_or_else(|| {
-                            format!("--checkpoint-secs needs a non-negative number, got '{v}'")
-                        })?;
-                    args.checkpoint_target = Some(target);
                 }
                 "--help" | "-h" => return Err(format!("usage requested\n\n{USAGE}")),
                 other if extra_value_flags.contains(&other) => {
@@ -426,23 +407,6 @@ mod tests {
         let (args, _) = BenchArgs::try_parse(&argv(&["--watchdog", "0"]), &[]).unwrap();
         assert_eq!(args.watchdog(), None);
         assert!(BenchArgs::try_parse(&argv(&["--watchdog", "soon"]), &[]).is_err());
-    }
-
-    #[test]
-    fn checkpoint_secs_flag_parses() {
-        use std::time::Duration;
-        let (args, _) = BenchArgs::try_parse(&[], &[]).unwrap();
-        assert_eq!(args.checkpoint_target, None, "None = runner default");
-        let (args, _) = BenchArgs::try_parse(&argv(&["--checkpoint-secs", "2.5"]), &[]).unwrap();
-        assert_eq!(args.checkpoint_target, Some(Duration::from_secs_f64(2.5)));
-        let (args, _) = BenchArgs::try_parse(&argv(&["--checkpoint-secs", "0"]), &[]).unwrap();
-        assert_eq!(args.checkpoint_target, Some(Duration::ZERO));
-        for bad in ["-1", "fast", "inf", "NaN", "1e300"] {
-            assert!(
-                BenchArgs::try_parse(&argv(&["--checkpoint-secs", bad]), &[]).is_err(),
-                "'{bad}' should be rejected"
-            );
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   write-heavy and a read-heavy benchmark. Everything must verify; the
 //!   per-unit verdicts are written to `results/robustness_check.txt` and
 //!   the binary exits nonzero on any violation, lost write, or
-//!   quarantined unit.
+//!   quarantined unit, as the runner counts them.
 //! * **Fault-injected** (`--fault CLASS`): only the mechanisms that
 //!   exercise that class run, and the expectation inverts — the injected
 //!   fault *must* be detected, so CI asserts a nonzero exit and a
@@ -38,14 +38,13 @@ fn fault_targets(class: FaultClass) -> Vec<Mechanism> {
     }
 }
 
-/// One unit's verdict line, and whether it passed.
-fn verdict(unit: &RunUnit, result: Option<&MixResult>) -> (String, bool) {
+/// One unit's verdict line.
+fn verdict(unit: &RunUnit, result: Option<&MixResult>) -> String {
     let mech = unit.config.mechanism.label();
     let bench = unit.mix.benchmarks()[0].label();
     let Some(result) = result else {
-        return (format!("{mech:12} {bench:10} QUARANTINED"), false);
+        return format!("{mech:12} {bench:10} QUARANTINED");
     };
-    let check_ok = matches!(result.check, Some(Ok(())));
     let check = match &result.check {
         Some(Ok(())) => "pass".to_string(),
         Some(Err(lost)) => format!("FAIL({} lost writes)", lost.len()),
@@ -67,7 +66,7 @@ fn verdict(unit: &RunUnit, result: Option<&MixResult>) -> (String, bool) {
             line.push_str(&format!("\n    violation: {violation}"));
         }
     }
-    (line, check_ok && report.is_clean())
+    line
 }
 
 fn main() {
@@ -92,18 +91,12 @@ fn main() {
         })
         .collect();
 
-    // Quarantined units surface as `None` results, so they are counted
-    // once, through their verdict lines.
-    let (results, _failures) = runner.try_run_units("robustness", &units);
-    let mut lines = Vec::new();
-    let mut failed = 0;
-    for (unit, result) in units.iter().zip(&results) {
-        let (line, ok) = verdict(unit, result.as_ref());
-        if !ok {
-            failed += 1;
-        }
-        lines.push(line);
-    }
+    let (results, failures) = runner.try_run_units("robustness", &units);
+    let lines: Vec<String> = units
+        .iter()
+        .zip(&results)
+        .map(|(unit, result)| verdict(unit, result.as_ref()))
+        .collect();
     let header = format!(
         "robustness_check: {} units, checker + sanitizer on every mechanism",
         units.len()
@@ -124,8 +117,14 @@ fn main() {
     }
 
     runner.finish();
-    if failed > 0 {
-        eprintln!("robustness_check: {failed} unit(s) failed verification");
+    // The runner counts every lost write and sanitizer violation of the
+    // units it simulated; a quarantined unit verified nothing.
+    let violations = runner.violations();
+    if violations > 0 || !failures.is_empty() {
+        eprintln!(
+            "robustness_check: {violations} lost writes or violations, {} quarantined unit(s)",
+            failures.len()
+        );
         std::process::exit(1);
     }
 }

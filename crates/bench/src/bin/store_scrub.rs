@@ -4,14 +4,13 @@
 //! store_scrub DIR
 //! ```
 //!
-//! Walks the store at `DIR` once: every `.entry` and `.ckpt` record is
-//! re-validated by the store's one decoder (checksum, kind
-//! against the extension, embedded fingerprint against the file name),
-//! corrupt records — schema-5 files included — are moved into
-//! `DIR/quarantine/` for post-mortem, and orphaned `.tmp-` files from
-//! crashed writers are deleted. Any other file — such as a segment,
-//! lease or `.blob` file, or a `.tmpb-`/`.ckpt-` temp file, left by an
-//! older release — is left untouched.
+//! Walks the store at `DIR` once: every `.entry` record is re-validated
+//! by the store's one decoder (checksum, header, embedded fingerprint
+//! against the file name), corrupt records — schema-5 files included —
+//! are moved into `DIR/quarantine/` for post-mortem, and orphaned `.tmp-`
+//! files from crashed writers are deleted. Any other file — such as a
+//! segment, lease, `.blob` or `.ckpt` file, or a `.tmpb-`/`.ckpt-` temp
+//! file, left by an older release — is left untouched.
 //! Run it after a crash — or any time — before resuming a campaign: a
 //! scrubbed store serves only verified entries, and the resumed run
 //! recomputes whatever was quarantined.
@@ -34,14 +33,14 @@ store_scrub [--list-checks] DIR
 const CHECKS: &str = "\
 store_scrub validations, in pass order:
     tmp-orphans   delete .tmp- files left by crashed writers
-    record        decode every .entry and .ckpt file with the one
-                  record codec: byte-counted frame and checksum must
-                  hold, the header's kind must match the extension, and
-                  the embedded fingerprint must hash to the file name;
+    record        decode every .entry file with the one record codec:
+                  byte-counted frame and checksum must hold, the header
+                  must name an entry of today's schema, and the embedded
+                  fingerprint must hash to the file name;
                   corrupt or schema-5 -> quarantine/
 
 Failpoint sites the recovery matrix proves this heals (every site x
-mode is crash-injected for each record kind, scrubbed, and re-run to
+mode is crash-injected into an entry write, scrubbed, and re-run to
 bit-identical results):
 ";
 

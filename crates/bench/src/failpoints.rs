@@ -3,9 +3,8 @@
 //! The in-simulation fault injector (`system_sim`'s `--fault`) proves the
 //! invariant sanitizer can detect metadata corruption produced on demand.
 //! This module is the same discipline applied to the on-disk half of the
-//! harness: every store record — entry or checkpoint — is written
-//! by one atomic-write protocol, and each of its four stages is a
-//! *failpoint site* (`record.write`, `record.sync`, `record.rename`,
+//! harness: every store entry is written by one atomic-write protocol,
+//! and each of its four stages is a *failpoint site* (`record.write`, `record.sync`, `record.rename`,
 //! `record.dirsync`) that can be armed to misbehave in controlled,
 //! reproducible ways:
 //!
@@ -488,8 +487,7 @@ mod tests {
 
     // The firing logic is tested on local plans, never through the
     // process-global `install`: other tests in this binary write entries
-    // and checkpoints on other threads, and would trip a globally armed
-    // plan.
+    // on other threads, and would trip a globally armed plan.
 
     #[test]
     fn plans_fire_once_at_the_selected_occurrence() {

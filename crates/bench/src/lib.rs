@@ -27,8 +27,7 @@ pub use crate::failpoints::{
 pub use crate::runner::{interrupted, AloneIpcCache, RunUnit, Runner, UnitFailure, UnitFault};
 pub use crate::scrub::{scrub_store, ScrubReport};
 pub use crate::store::{
-    fingerprint_hash, unit_fingerprint, unit_key, RecordKind, ResultStore, StoreKey,
-    STORE_SCHEMA_VERSION,
+    fingerprint_hash, unit_fingerprint, unit_key, ResultStore, StoreKey, STORE_SCHEMA_VERSION,
 };
 
 use system_sim::{Mechanism, SystemConfig};

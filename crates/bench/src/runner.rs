@@ -31,24 +31,17 @@
 //! summary's `failed=K quarantined=[...]` fields, like `sims=`, are
 //! machine-parseable.
 //!
-//! # Checkpoints
+//! # Interruption
 //!
-//! Units are also resumable *within* themselves: while a unit simulates,
-//! the runner writes a deterministic snapshot of the complete system
-//! state to `<key>.ckpt` in the store directory on an *adaptive
-//! wall-clock cadence* — by default every
-//! [`DEFAULT_CHECKPOINT_TARGET`] of elapsed time per unit (override with
-//! `--checkpoint-secs`, or pin a record-based cadence with
-//! [`Runner::with_checkpoint_every`]). Measuring the interval per unit in
-//! wall time rather than records bounds loss evenly across mechanisms of
-//! very different speeds. A killed process (`kill -9` included) therefore
-//! loses at most one checkpoint interval per in-flight unit — the rerun
-//! restores each snapshot and continues,
-//! and the sim crate's round-trip tests prove the resumed result is
-//! bit-identical to a straight-through run. SIGINT/SIGTERM are handled
-//! gracefully: in-flight units suspend at their next checkpoint, queued
-//! units are skipped, the summary carries an `interrupted=` marker, and
-//! the process exits `128 + signal`.
+//! A completed unit's store entry is the only resume point: each unit is
+//! saved as it completes, so a killed process (`kill -9` included) loses
+//! only its in-flight units, and a rerun simulates just the units without
+//! an entry. Units are short — about a second on average in a
+//! default-effort `fig7_multicore` run, which holds the suite's longest
+//! units — so nothing finer pays for itself. SIGINT/SIGTERM are handled
+//! gracefully: queued units are skipped, in-flight units finish and are
+//! saved, the summary carries an `interrupted=` marker, and the process
+//! exits `128 + signal`.
 //!
 //! # Shared front ends
 //!
@@ -76,24 +69,20 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use system_sim::{
-    splitmix64, CheckpointCadence, FaultPlan, FrontKey, FrontRecorder, FrontReplay, FrontStreams,
-    Mechanism, MixResult, SessionOutcome, SimSession, SystemConfig,
+    splitmix64, FaultPlan, FrontKey, FrontRecorder, FrontReplay, FrontStreams, Mechanism,
+    MixResult, System, SystemConfig,
 };
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
 use crate::failpoints::{self, FailPlan as IoFailPlan};
-use crate::store::{unit_key, RecordKind, ResultStore, StoreKey};
+use crate::store::{unit_key, ResultStore, StoreKey};
 use crate::{parallel_map_jobs, BenchArgs};
-
-/// Default wall-clock time between checkpoints of an in-flight unit
-/// (override per campaign with `--checkpoint-secs`).
-pub const DEFAULT_CHECKPOINT_TARGET: Duration = Duration::from_secs(5);
 
 /// How stale a `.tmp-*` temp file must be before runner startup collects
 /// it as an orphan. Generous: a concurrent runner sharing the store holds
@@ -107,8 +96,8 @@ const RETRY_BACKOFF: Duration = Duration::from_millis(250);
 static INTERRUPT_SIGNAL: AtomicI32 = AtomicI32::new(0);
 
 /// The signal that interrupted this process, if any. Set asynchronously
-/// by the handlers [`Runner::new`] installs; the runner polls it between
-/// units and at every checkpoint.
+/// by the handlers [`Runner::new`] installs; the runner polls it before
+/// starting each unit.
 #[must_use]
 pub fn interrupted() -> Option<i32> {
     match INTERRUPT_SIGNAL.load(Ordering::Relaxed) {
@@ -207,7 +196,6 @@ struct Counters {
     replayed: AtomicU64,
     violations: AtomicU64,
     skipped: AtomicU64,
-    resumes: AtomicU64,
     sim_nanos: AtomicU64,
     unit_max_nanos: AtomicU64,
 }
@@ -348,104 +336,13 @@ impl Plan {
     }
 }
 
-/// Everything a simulation needs to write checkpoints. Owned values only:
-/// the simulation runs on a `'static` thread. The store
-/// handle is the runner's own, so a corrupt checkpoint is counted in its
-/// summary.
-#[derive(Debug)]
-struct CheckpointCtx {
-    store: Arc<ResultStore>,
-    key: StoreKey,
-    cadence: CheckpointCadence,
-    crash_after: Option<Arc<AtomicI64>>,
-}
-
-/// Outcome of one guarded simulation attempt that did not fault.
-enum SimRun {
-    /// Ran to completion; `resumed` records whether it started from a
-    /// checkpoint rather than cold.
-    Completed {
-        result: Box<MixResult>,
-        resumed: bool,
-    },
-    /// Suspended at a durable checkpoint (interrupt, or the test-only
-    /// crash budget ran out).
-    Suspended,
-}
-
-/// Runs one unit as a [`SimSession`]. With a checkpoint context it
-/// resumes from the unit's checkpoint when a valid one exists and
-/// snapshots on `ctx.cadence`. The checkpoint sink asks the simulator to
-/// suspend once the process has been interrupted — the snapshot just
-/// written is then the durable resume point. A checkpoint that fails to
-/// decode under the unit's key is a counted corruption and the unit
-/// starts cold; one that decodes but does not restore is discarded and
-/// the unit restarts cold. `streams` are recorded or replayed only by a
-/// cold start.
-fn run_checkpointed(
-    mix: &WorkloadMix,
-    config: &SystemConfig,
-    ctx: Option<&CheckpointCtx>,
-    streams: &mut Option<FrontStreams>,
-) -> SimRun {
-    let Some(ctx) = ctx else {
-        let result = SimSession::new(mix, config)
-            .streams(streams.as_mut())
-            .run()
-            .expect("a session without resume bytes has nothing to decode");
-        return SimRun::Completed {
-            result: Box::new(result.into_result()),
-            resumed: false,
-        };
-    };
-    let store = &ctx.store;
-    let mut resume = store.load_record(RecordKind::Ckpt, &ctx.key);
-    loop {
-        let resumed = resume.is_some();
-        let mut sink = |bytes: &[u8]| {
-            if let Err(e) = store.save_record(RecordKind::Ckpt, &ctx.key, bytes) {
-                eprintln!(
-                    "warning: could not write checkpoint {:016x}.ckpt: {e}",
-                    ctx.key.hash
-                );
-            }
-            if interrupted().is_some() {
-                return false;
-            }
-            if let Some(budget) = &ctx.crash_after {
-                if budget.fetch_sub(1, Ordering::Relaxed) <= 1 {
-                    return false;
-                }
-            }
-            true
-        };
-        let session = SimSession::new(mix, config)
-            .streams(streams.as_mut())
-            .resume(resume.as_deref())
-            .cadence(ctx.cadence)
-            .sink(&mut sink);
-        match session.run() {
-            Ok(SessionOutcome::Finished(result)) => return SimRun::Completed { result, resumed },
-            Ok(SessionOutcome::Suspended) => return SimRun::Suspended,
-            Err(e) => {
-                eprintln!(
-                    "warning: checkpoint {:016x}.ckpt did not restore ({e:?}); cold start",
-                    ctx.key.hash
-                );
-                store.clear_checkpoint(&ctx.key);
-                resume = None;
-            }
-        }
-    }
-}
-
 /// The per-binary experiment runner. Construct one per `main`, submit
 /// every simulation through it, and it prints a cache/timing summary when
 /// dropped (or on an explicit [`Runner::finish`]).
 #[derive(Debug)]
 pub struct Runner {
     name: String,
-    store: Option<Arc<ResultStore>>,
+    store: Option<ResultStore>,
     jobs: Option<usize>,
     /// `--check`: force checker + sanitizer onto every submitted unit.
     check: bool,
@@ -453,10 +350,6 @@ pub struct Runner {
     fault: Option<FaultPlan>,
     /// Per-unit wall-clock limit; `None` disables the watchdog.
     watchdog: Option<Duration>,
-    /// When in-flight units checkpoint (wall-clock by default).
-    checkpoint: CheckpointCadence,
-    /// Test hook: suspend after this many checkpoint writes.
-    crash_after: Option<Arc<AtomicI64>>,
     /// This runner's stream directory, made when a work list first has a
     /// front group.
     spill: Mutex<Option<PathBuf>>,
@@ -469,9 +362,8 @@ pub struct Runner {
 impl Runner {
     /// Creates a runner for the binary `name` (used in progress and
     /// summary lines) from parsed arguments: `--cache-dir`/`--no-cache`
-    /// select the store, `--jobs` caps the worker threads,
-    /// `--check`/`--fault`/`--watchdog` configure the robustness layer,
-    /// and `--checkpoint-secs` sets the checkpoint cadence.
+    /// select the store, `--jobs` caps the worker threads, and
+    /// `--check`/`--fault`/`--watchdog` configure the robustness layer.
     ///
     /// Also installs the SIGINT/SIGTERM handlers that make interruption
     /// graceful (idempotent, process-wide).
@@ -481,7 +373,7 @@ impl Runner {
         if let Some(spec) = args.io_fault {
             failpoints::install(IoFailPlan::new(spec, args.io_fault_seed));
         }
-        let store = args.store_dir().map(|dir| Arc::new(ResultStore::open(dir)));
+        let store = args.store_dir().map(ResultStore::open);
         if let Some(store) = &store {
             // Collect temp files orphaned by crashed earlier runs. The age
             // guard protects the in-flight writes of a live runner sharing
@@ -495,11 +387,6 @@ impl Runner {
             check: args.check,
             fault: args.fault_plan(),
             watchdog: args.watchdog(),
-            checkpoint: match args.checkpoint_target {
-                Some(t) if t.is_zero() => CheckpointCadence::Disabled,
-                target => CheckpointCadence::WallClock(target.unwrap_or(DEFAULT_CHECKPOINT_TARGET)),
-            },
-            crash_after: None,
             spill: Mutex::new(None),
             start: Instant::now(),
             counters: Counters::default(),
@@ -513,27 +400,6 @@ impl Runner {
     #[must_use]
     pub fn with_watchdog(mut self, watchdog: Option<Duration>) -> Runner {
         self.watchdog = watchdog;
-        self
-    }
-
-    /// Pins a deterministic record-based checkpoint interval instead of
-    /// the wall-clock default (0 disables checkpointing; tests use small
-    /// intervals to force many snapshots at reproducible step counts).
-    #[must_use]
-    pub fn with_checkpoint_every(mut self, every: u64) -> Runner {
-        self.checkpoint = match every {
-            0 => CheckpointCadence::Disabled,
-            n => CheckpointCadence::EveryRecords(n),
-        };
-        self
-    }
-
-    /// Test hook: after `n` checkpoint writes (across all units), every
-    /// later checkpoint suspends its unit — an in-process stand-in for
-    /// `kill -9` that leaves exactly the on-disk state a real kill would.
-    #[must_use]
-    pub fn with_crash_after_checkpoints(mut self, n: i64) -> Runner {
-        self.crash_after = Some(Arc::new(AtomicI64::new(n)));
         self
     }
 
@@ -564,22 +430,14 @@ impl Runner {
         self.counters.hits.load(Ordering::Relaxed)
     }
 
-    /// Units not completed in this run: not yet started when an interrupt
-    /// arrived, or suspended at a checkpoint.
+    /// Units that never started: still queued when an interrupt arrived.
     #[must_use]
     pub fn skipped(&self) -> u64 {
         self.counters.skipped.load(Ordering::Relaxed)
     }
 
-    /// Completed simulations that resumed from a checkpoint instead of
-    /// starting cold.
-    #[must_use]
-    pub fn resumes(&self) -> u64 {
-        self.counters.resumes.load(Ordering::Relaxed)
-    }
-
-    /// Store records found present but corrupt so far (entries and
-    /// checkpoints alike); each one was recomputed.
+    /// Store entries found present but corrupt so far; each one was
+    /// recomputed.
     #[must_use]
     pub fn corrupt(&self) -> u64 {
         self.store.as_ref().map_or(0, |s| s.corrupt_count())
@@ -611,27 +469,17 @@ impl Runner {
     /// [`Runner::try_run_units`].
     #[must_use]
     pub fn run_unit(&self, unit: &RunUnit) -> MixResult {
-        match self.run_unit_outcome(unit, Role::Solo) {
-            Ok(Some(result)) => result,
-            // Suspended mid-run: only an interrupt does this outside the
-            // work-list path, so exit the way a drained list would.
-            Ok(None) => self.graceful_exit(),
-            Err(fault) => panic!("runner[{}]: unguarded unit {fault}", self.name),
-        }
+        self.run_unit_outcome(unit, Role::Solo)
+            .unwrap_or_else(|fault| panic!("runner[{}]: unguarded unit {fault}", self.name))
     }
 
     /// The guarded single-unit path shared by [`Runner::run_unit`] and
-    /// [`Runner::try_run_units`]. `Ok(None)` means the unit suspended at
-    /// a durable checkpoint rather than completing.
+    /// [`Runner::try_run_units`].
     ///
     /// Sanitized and faulted units bypass the store for the same reason
     /// checked units always have: their reports are not serializable, and
     /// a faulted result must never be served to a clean rerun.
-    fn run_unit_outcome(
-        &self,
-        unit: &RunUnit,
-        role: Role<'_>,
-    ) -> Result<Option<MixResult>, UnitFault> {
+    fn run_unit_outcome(&self, unit: &RunUnit, role: Role<'_>) -> Result<MixResult, UnitFault> {
         let unit = self.effective(unit);
         if bypasses_store(&unit) {
             return self.simulate(&unit, None, Role::Solo);
@@ -640,7 +488,7 @@ impl Runner {
         if let Some(store) = &self.store {
             if let Some(result) = store.load(&key) {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Some(result));
+                return Ok(result);
             }
         }
         self.simulate(&unit, Some(&key), role)
@@ -648,27 +496,15 @@ impl Runner {
 
     /// One guarded simulation attempt. The store is only written for
     /// completed simulations; a panic or timeout surfaces as `Err`
-    /// instead of tearing the process (or the whole work list) down, and
-    /// a checkpoint suspension surfaces as `Ok(None)`, counted in
-    /// `skipped`. A leader publishes its streams only when it completes.
+    /// instead of tearing the process (or the whole work list) down. A
+    /// leader publishes its streams only when it completes.
     fn simulate(
         &self,
         unit: &RunUnit,
         key: Option<&StoreKey>,
         role: Role<'_>,
-    ) -> Result<Option<MixResult>, UnitFault> {
+    ) -> Result<MixResult, UnitFault> {
         let t = Instant::now();
-        let ckpt = match (&self.store, key) {
-            (Some(store), Some(key)) if self.checkpoint != CheckpointCadence::Disabled => {
-                Some(CheckpointCtx {
-                    store: Arc::clone(store),
-                    key: key.clone(),
-                    cadence: self.checkpoint,
-                    crash_after: self.crash_after.clone(),
-                })
-            }
-            _ => None,
-        };
         // The streams' files are opened here, so a simulation abandoned by
         // the watchdog never touches the streams' directories.
         let mut streams = match role {
@@ -685,9 +521,9 @@ impl Runner {
         let config = unit.config.clone();
         std::thread::spawn(move || {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                run_checkpointed(&mix, &config, ckpt.as_ref(), &mut streams)
+                System::new(&mix, &config).run_with_streams(streams.as_mut())
             }))
-            .map(|run| (run, streams))
+            .map(|result| (result, streams))
             .map_err(|p| panic_text(p.as_ref()));
             let _ = tx.send(outcome);
         });
@@ -699,15 +535,7 @@ impl Runner {
                 .recv()
                 .map_err(|_| UnitFault::Panicked("the unit's thread sent no outcome".into()))?,
         };
-        let (run, streams) = outcome.map_err(UnitFault::Panicked)?;
-        let (result, resumed) = match run {
-            // The checkpoint just written is the durable resume point.
-            SimRun::Suspended => {
-                self.counters.skipped.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
-            SimRun::Completed { result, resumed } => (result, resumed),
-        };
+        let (result, streams) = outcome.map_err(UnitFault::Panicked)?;
         match (role, streams) {
             (Role::Leader(group), Some(FrontStreams::Record(recorder))) => group.publish(recorder),
             (Role::Follower(_), Some(FrontStreams::Replay(replay)))
@@ -722,9 +550,6 @@ impl Runner {
         self.counters
             .violations
             .fetch_add(violations_in(&result), Ordering::Relaxed);
-        if resumed {
-            self.counters.resumes.fetch_add(1, Ordering::Relaxed);
-        }
         self.counters.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.counters
             .unit_max_nanos
@@ -736,13 +561,13 @@ impl Runner {
                     store.entry_path(key).display()
                 );
             }
-            store.clear_checkpoint(key);
         }
-        Ok(Some(*result))
+        Ok(result)
     }
 
     /// The per-unit scheduling decision of a work list: interrupt
-    /// pre-check, then the normal lookup/simulate path.
+    /// pre-check, then the normal lookup/simulate path. `Ok(None)` is a
+    /// unit skipped after an interrupt.
     fn scheduled_outcome(
         &self,
         unit: &RunUnit,
@@ -754,7 +579,7 @@ impl Runner {
             self.counters.skipped.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
         }
-        self.run_unit_outcome(unit, role)
+        self.run_unit_outcome(unit, role).map(Some)
     }
 
     /// This runner's stream directory, made on first use; `None` if it
@@ -762,7 +587,7 @@ impl Runner {
     fn spill_dir(&self) -> Option<PathBuf> {
         let mut dir = self.spill.lock().expect("spill directory lock");
         if dir.is_none() {
-            let path = spill_root(self.store.as_deref()).join(format!(
+            let path = spill_root(self.store.as_ref()).join(format!(
                 "{}-{}",
                 std::process::id(),
                 SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
@@ -849,7 +674,7 @@ impl Runner {
         if let Some(dir) = mine {
             let _ = std::fs::remove_dir_all(dir);
         }
-        let root = spill_root(self.store.as_deref());
+        let root = spill_root(self.store.as_ref());
         let Ok(entries) = std::fs::read_dir(&root) else {
             return;
         };
@@ -868,14 +693,13 @@ impl Runner {
     }
 
     /// Flushes the summary and exits with the conventional `128 + signal`
-    /// code. Completed units are already in the store and every in-flight
-    /// unit left a durable checkpoint, so a rerun resumes where this run
-    /// stopped.
+    /// code. Every unit that started has completed and is in the store,
+    /// so a rerun simulates only the skipped ones.
     fn graceful_exit(&self) -> ! {
         let sig = interrupted().unwrap_or(2);
         eprintln!(
-            "runner[{}]: interrupted by signal {sig}; results and checkpoints are flushed, \
-             rerun to resume",
+            "runner[{}]: interrupted by signal {sig}; completed units are stored, \
+             rerun to finish the rest",
             self.name
         );
         self.finish();
@@ -894,7 +718,7 @@ impl Runner {
     /// quarantines or inspect verdicts use [`Runner::try_run_units`].
     ///
     /// An interrupt (SIGINT/SIGTERM) during the drain exits `128+signal`
-    /// after the summary.
+    /// after the summary, once the units in flight have finished.
     #[must_use]
     pub fn run_units(&self, phase: &str, units: &[RunUnit]) -> Vec<MixResult> {
         let (results, failures) = self.try_run_units(phase, units);
@@ -917,11 +741,8 @@ impl Runner {
             self.finish();
             std::process::exit(1);
         }
-        if results.iter().any(Option::is_none) {
-            // Quarantines exited above, so a missing result is a unit
-            // suspended at a durable checkpoint: exit so a rerun resumes it.
-            self.graceful_exit();
-        }
+        // Quarantines and interrupts exited above, so every unit has a
+        // result.
         results.into_iter().flatten().collect()
     }
 
@@ -929,8 +750,8 @@ impl Runner {
     /// of exiting: each unit gets one retry (after a jittered backoff),
     /// and a unit that fails twice yields `None` in the results plus a
     /// [`UnitFailure`] describing why. `None` also marks units skipped
-    /// after an interrupt or suspended at a checkpoint — those carry no
-    /// `UnitFailure`. Every completed unit is flushed to the store before
+    /// after an interrupt — those carry no `UnitFailure`. Every completed
+    /// unit is flushed to the store before
     /// this returns, so a crashing sweep loses only the quarantined
     /// units.
     #[must_use]
@@ -958,7 +779,7 @@ impl Runner {
                     self.name
                 );
                 std::thread::sleep(jittered(RETRY_BACKOFF, i as u64));
-                self.run_unit_outcome(unit, Role::Solo)
+                self.run_unit_outcome(unit, Role::Solo).map(Some)
             });
             if let Role::Leader(group) | Role::Follower(group) = role {
                 group.leave();
@@ -1011,10 +832,8 @@ impl Runner {
 
     /// Prints the end-of-run summary (idempotent; also invoked on drop).
     /// The `sims=` field is the machine-readable contract: a warm-store
-    /// rerun must report `sims=0`. `skipped=` counts units not completed
-    /// in this run (unstarted after an interrupt, or suspended at a
-    /// checkpoint), `resumed=` counts
-    /// simulations continued from a checkpoint, `interrupted=` is the
+    /// rerun must report `sims=0`. `skipped=` counts units that never
+    /// started (queued when an interrupt arrived), `interrupted=` is the
     /// signal number that stopped the run (0 for a clean finish), and
     /// `violations=` is [`Runner::violations`].
     pub fn finish(&self) {
@@ -1043,7 +862,7 @@ impl Runner {
         let corrupt = self.corrupt();
         let tmp_gc = self.store.as_ref().map_or(0, |s| s.orphans_removed());
         eprintln!(
-            "runner[{}]: units={} hits={} sims={} skipped={} resumed={} interrupted={} \
+            "runner[{}]: units={} hits={} sims={} skipped={} interrupted={} \
              sim_wall={} unit_mean={} unit_max={} failed={} quarantined=[{quarantined}] \
              corrupt={corrupt} tmp_gc={tmp_gc} wall={} store={} replayed={} violations={}",
             self.name,
@@ -1051,7 +870,6 @@ impl Runner {
             self.hits(),
             sims,
             self.skipped(),
-            self.resumes(),
             INTERRUPT_SIGNAL.load(Ordering::Relaxed),
             fmt_secs(sim_secs),
             fmt_secs(unit_mean),

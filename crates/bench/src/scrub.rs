@@ -9,10 +9,10 @@
 //!
 //! [`scrub_store`] walks a store directory once and:
 //!
-//! - validates every `.entry` and `.ckpt` record with the
-//!   store's one decoder: the frame and checksum must hold, the kind in
-//!   its header must match the file's extension, and its embedded
-//!   fingerprint must hash to the file's name;
+//! - validates every `.entry` record with the store's one decoder: the
+//!   frame and checksum must hold, its header must name an entry of
+//!   today's schema, and its embedded fingerprint must hash to the file's
+//!   name;
 //! - moves files that fail validation into a `quarantine/` subdirectory —
 //!   preserved for post-mortem, invisible to the store;
 //! - deletes orphaned temp files unconditionally (no writer is live
@@ -26,9 +26,10 @@
 //! them simply miss once and recompute as loose entries — the `.lease`
 //! files and `.tmpm-` merge temp files of an older sharding release, the
 //! `.tmpb-`/`.ckpt-` temp files of the schema-5 blob and checkpoint
-//! writers, and the `.blob` records of the retired GB DRAM-cache
-//! scenario. A record of an older schema is not foreign: it fails the
-//! decoder and is quarantined like any corrupt file.
+//! writers, the `.blob` records of the retired GB DRAM-cache scenario, and
+//! the `.ckpt` mid-unit checkpoints of the retired checkpoint layer. An
+//! entry of an older schema is not foreign: it fails the decoder and is
+//! quarantined like any corrupt file.
 //!
 //! Quarantining rather than deleting is deliberate: a corrupt entry is
 //! evidence (of a torn write the protocol should have prevented, or of
@@ -37,7 +38,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::store::{self, decode, fingerprint_hash, RecordKind};
+use crate::store::{self, decode, fingerprint_hash, ENTRY_EXT};
 
 /// Name of the subdirectory corrupt files are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -45,7 +46,7 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// What one scrub pass found and did.
 #[derive(Debug, Default)]
 pub struct ScrubReport {
-    /// Record files examined (`.entry`, `.ckpt`).
+    /// Record files examined (`.entry`).
     pub scanned: u64,
     /// Record files that validated clean.
     pub ok: u64,
@@ -83,14 +84,11 @@ impl std::fmt::Display for ScrubReport {
     }
 }
 
-/// Whether a record file decodes, is of the kind its extension names,
-/// and carries a fingerprint that hashes to the 16-hex-digit hash its
-/// file name claims.
-fn validates(path: &Path, kind: RecordKind, stem_hash: u64) -> bool {
+/// Whether a record file decodes and carries a fingerprint that hashes
+/// to the 16-hex-digit hash its file name claims.
+fn validates(path: &Path, stem_hash: u64) -> bool {
     std::fs::read(path).is_ok_and(|bytes| {
-        decode(&bytes).is_some_and(|(k, fingerprint, _)| {
-            k == kind && fingerprint_hash(fingerprint) == stem_hash
-        })
+        decode(&bytes).is_some_and(|(fingerprint, _)| fingerprint_hash(fingerprint) == stem_hash)
     })
 }
 
@@ -119,18 +117,17 @@ pub fn scrub_store(dir: &Path) -> std::io::Result<ScrubReport> {
             report.orphans += 1;
             continue;
         }
-        // Anything but a record is not part of the store; leave it alone.
-        let ext = path.extension().and_then(|x| x.to_str());
-        let Some(kind) = RecordKind::ALL.into_iter().find(|k| ext == Some(k.ext())) else {
+        // Anything but an entry is not part of the store; leave it alone.
+        if path.extension().and_then(|x| x.to_str()) != Some(ENTRY_EXT) {
             continue;
-        };
+        }
         report.scanned += 1;
         let stem_hash = path
             .file_stem()
             .and_then(|s| s.to_str())
             .filter(|s| s.len() == 16)
             .and_then(|s| u64::from_str_radix(s, 16).ok());
-        if stem_hash.is_some_and(|h| validates(&path, kind, h)) {
+        if stem_hash.is_some_and(|h| validates(&path, h)) {
             report.ok += 1;
         } else {
             let qdir = dir.join(QUARANTINE_DIR);
@@ -145,18 +142,15 @@ pub fn scrub_store(dir: &Path) -> std::io::Result<ScrubReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::tests::test_key;
-    use crate::store::tests::Scratch;
+    use crate::store::tests::{framed_bytes, test_key, Scratch};
     use crate::store::{ResultStore, StoreKey};
 
-    /// A store with one valid entry and one valid checkpoint.
+    /// A store with two valid entries.
     fn seeded(dir: &Path) -> ResultStore {
         let store = ResultStore::open(dir.to_path_buf());
         store.save(&test_key("scrub-test"), &tiny_result()).unwrap();
-        let mut w = dbi::snap::SnapWriter::new();
-        w.u64(42);
         store
-            .save_record(RecordKind::Ckpt, &test_key("scrub-ckpt"), &w.finish())
+            .save(&test_key("scrub-other"), &tiny_result())
             .unwrap();
         store
     }
@@ -229,10 +223,11 @@ mod tests {
         let key = test_key("scrub-test");
         let renamed = s.dir.join("0123456789abcdef.entry");
         std::fs::rename(store.entry_path(&key), &renamed).unwrap();
-        // A valid checkpoint under an entry's extension is of the wrong kind.
-        let ckpt = store.record_path(RecordKind::Ckpt, &test_key("scrub-ckpt"));
-        let as_entry = ckpt.with_extension("entry");
-        std::fs::rename(&ckpt, &as_entry).unwrap();
+        // A sealed checkpoint record under an entry's name is of the wrong
+        // kind.
+        let other = test_key("scrub-other");
+        let as_entry = store.entry_path(&other);
+        std::fs::write(&as_entry, framed_bytes(7, "ckpt", &other, b"ckpt")).unwrap();
         let report = scrub_store(&s.dir).unwrap();
         let mut expected = vec![
             "0123456789abcdef.entry".to_string(),
@@ -256,33 +251,11 @@ mod tests {
         assert!(store.load(&key).is_some());
     }
 
-    /// The bytes a schema-5 store wrote for `kind` under `key`: a text
-    /// entry with its own magic line and trailing checksum, or a
-    /// checkpoint behind an 8-byte hash guard.
-    fn schema_5_bytes(kind: RecordKind, key: &StoreKey, payload: &[u8]) -> Vec<u8> {
-        let framed = |head: String| {
-            let mut out = head.into_bytes();
-            out.extend_from_slice(payload);
-            let sum = dbi::snap::fnv1a64(&out);
-            out.extend_from_slice(format!("checksum {sum:016x}\nend\n").as_bytes());
-            out
-        };
-        let fp = &key.fingerprint;
-        match kind {
-            RecordKind::Entry => framed(format!("dbi-bench-result v5\nfingerprint {fp}\n")),
-            RecordKind::Ckpt => [&key.hash.to_le_bytes()[..], payload].concat(),
-        }
-    }
-
-    /// The bytes a store of `schema` wrote for a record of kind `ext`
-    /// under `key`: today's frame under that version.
-    fn framed_bytes(schema: u32, ext: &str, key: &StoreKey, payload: &[u8]) -> Vec<u8> {
-        let mut out = format!(
-            "dbi-bench-record v{schema} {ext}\nfingerprint {}\nbytes {}\n",
-            key.fingerprint,
-            payload.len()
-        )
-        .into_bytes();
+    /// The bytes a schema-5 store wrote for an entry under `key`: text
+    /// with its own magic line and trailing checksum.
+    fn schema_5_bytes(key: &StoreKey, payload: &[u8]) -> Vec<u8> {
+        let mut out =
+            format!("dbi-bench-result v5\nfingerprint {}\n", key.fingerprint).into_bytes();
         out.extend_from_slice(payload);
         let sum = dbi::snap::fnv1a64(&out);
         out.extend_from_slice(format!("checksum {sum:016x}\nend\n").as_bytes());
@@ -296,39 +269,24 @@ mod tests {
         let (key5, key6) = (test_key("schema5"), test_key("schema6"));
         // Each file sits under the name the current key asks for, so a
         // reader that accepted the old framing would serve it.
-        let mut w = dbi::snap::SnapWriter::new();
-        w.u64(5);
         let text_entry = b"cores 1\ncore lbm 1 2 3 4 5\nrecords 6\n".to_vec();
         let files: Vec<_> = [
-            (
-                RecordKind::Entry,
-                &key5,
-                schema_5_bytes(RecordKind::Entry, &key5, &text_entry),
-            ),
-            (
-                RecordKind::Ckpt,
-                &key5,
-                schema_5_bytes(RecordKind::Ckpt, &key5, &w.finish()),
-            ),
-            (
-                RecordKind::Entry,
-                &key6,
-                framed_bytes(6, "entry", &key6, &text_entry),
-            ),
+            (&key5, schema_5_bytes(&key5, &text_entry)),
+            (&key6, framed_bytes(6, "entry", &key6, &text_entry)),
         ]
         .into_iter()
-        .map(|(kind, key, bytes)| {
-            let path = store.record_path(kind, key);
+        .map(|(key, bytes)| {
+            let path = store.entry_path(key);
             std::fs::write(&path, &bytes).unwrap();
-            assert_eq!(store.load_record(kind, key), None, "{kind:?} served");
+            assert_eq!(store.load_record(key), None, "{path:?} served");
             (path, bytes)
         })
         .collect();
         assert!(store.load(&key6).is_none());
-        assert_eq!(store.corrupt_count(), 4);
+        assert_eq!(store.corrupt_count(), 3);
 
         let report = scrub_store(&s.dir).unwrap();
-        assert_eq!((report.scanned, report.scrubbed()), (3, 3), "{report}");
+        assert_eq!((report.scanned, report.scrubbed()), (2, 2), "{report}");
         for (path, bytes) in &files {
             let kept = s.dir.join(QUARANTINE_DIR).join(path.file_name().unwrap());
             assert_eq!(&std::fs::read(kept).unwrap(), bytes, "{path:?} kept");
@@ -346,8 +304,9 @@ mod tests {
         // is gone and its bytes live on only inside the segment file.
         // An older sharding release also left a unit lease and a merge
         // writer's temp file behind, and the schema-5 blob and checkpoint
-        // writers their own temp files. A schema-7 blob record, framed
-        // like today's records, sits under the seeded entry's hash.
+        // writers their own temp files. A schema-7 blob record and a
+        // schema-7 mid-unit checkpoint, framed like today's records, sit
+        // under the seeded entry's hash.
         store.save(&key, &result).unwrap();
         let seeded_key = test_key("scrub-test");
         let entry = std::fs::read(store.entry_path(&key)).unwrap();
@@ -378,6 +337,10 @@ mod tests {
                 s.dir.join(format!("{:016x}.blob", seeded_key.hash)),
                 framed_bytes(7, "blob", &seeded_key, b"blob payload\n"),
             ),
+            (
+                s.dir.join(format!("{:016x}.ckpt", seeded_key.hash)),
+                framed_bytes(7, "ckpt", &seeded_key, b"checkpoint payload\n"),
+            ),
         ];
         for (path, bytes) in &legacy {
             std::fs::write(path, bytes).unwrap();
@@ -385,13 +348,13 @@ mod tests {
 
         let report = scrub_store(&s.dir).unwrap();
         assert!(report.is_clean(), "{report}");
-        assert_eq!(report.scanned, 2, "only the entry and checkpoint are data");
+        assert_eq!(report.scanned, 2, "only the two entries are data");
         // The runner's startup scavenge treats them as foreign too.
         assert_eq!(store.scavenge(std::time::Duration::ZERO), 0);
         for (path, bytes) in &legacy {
             assert_eq!(&std::fs::read(path).unwrap(), bytes, "{path:?} untouched");
         }
-        // The entry next to the blob still loads.
+        // The entry next to the blob and the checkpoint still loads.
         assert!(store.load(&seeded_key).is_some());
         assert_eq!(store.corrupt_count(), 0);
         // The folded unit misses once, recomputes, and serves loose.

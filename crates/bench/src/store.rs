@@ -8,12 +8,11 @@
 //! process invocations) therefore share one entry under the store
 //! directory, `results/.cache/` by default.
 //!
-//! A store directory holds two kinds of durable record: `.entry` results
-//! and `.ckpt` mid-run checkpoints. Both share one framing, built by one
-//! encoder and parsed by one decoder ([`decode`]):
+//! A store directory holds one kind of durable record: a completed unit's
+//! `.entry`, framed by one encoder and parsed by one decoder ([`decode`]):
 //!
 //! ```text
-//! dbi-bench-record v7 KIND      KIND = entry | ckpt
+//! dbi-bench-record v7 entry
 //! fingerprint FINGERPRINT
 //! bytes N
 //! <N raw payload bytes>checksum HHHHHHHHHHHHHHHH
@@ -22,13 +21,13 @@
 //!
 //! The checksum is the FNV-1a hash of every byte before its line, and the
 //! byte count means the decoder never scans the payload. A load checks
-//! the frame, the kind and the full fingerprint, so a truncated write, a
-//! corrupted byte, a file of another kind, a hash collision or a schema
-//! change is a miss (counted in [`ResultStore::corrupt_count`]) and is
-//! recomputed, never served. The store frames opaque bytes: each payload
-//! is a checksummed `dbi::snap` stream — an entry's [`MixResult::to_bytes`],
-//! a checkpoint's a simulator snapshot — and one that does not decode is
-//! a counted miss too.
+//! the frame and the full fingerprint, so a truncated write, a corrupted
+//! byte, a hash collision or a schema change is a miss (counted in
+//! [`ResultStore::corrupt_count`]) and is recomputed, never served. The
+//! store frames opaque bytes: each payload is a checksummed `dbi::snap`
+//! stream, [`MixResult::to_bytes`], and one that does not decode is a
+//! counted miss too. A unit is the store's only resume point: an
+//! interrupted campaign reruns the units that have no entry yet.
 //!
 //! Writes go through the atomic-write protocol (temp file, fsync, rename,
 //! parent directory fsync — see the `persist` module) so concurrent
@@ -38,10 +37,10 @@
 //! startup) and by the `store_scrub` binary, which also validates and
 //! quarantines records.
 //!
-//! Anything else in the directory — such as the `.lease`, segment or
-//! `.blob` files, or the `.tmpb-`/`.ckpt-`/`.tmpm-` temp files, an older
-//! release may have left — is foreign: the store never reads, scavenges,
-//! or deletes it.
+//! Anything else in the directory — such as the `.lease`, segment,
+//! `.blob` or `.ckpt` files, or the `.tmpb-`/`.ckpt-`/`.tmpm-` temp files,
+//! an older release may have left — is foreign: the store never reads,
+//! scavenges, or deletes it.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,35 +71,14 @@ use crate::persist;
 /// now embed and check the full fingerprint.
 ///
 /// v7: entries and blobs carry snapshot streams instead of lines of
-/// text, so every payload in the store has one codec. A v6 checkpoint's
-/// payload bytes are unchanged, but its fingerprint names v6, so it
-/// restarts cold once.
+/// text, so every payload in the store has one codec. Entries are the
+/// only kind left; their frame is unchanged.
 pub const STORE_SCHEMA_VERSION: u32 = 7;
 
 const RECORD_MAGIC: &str = "dbi-bench-record";
 
-/// The kind of a store record, which is also its file extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    /// A simulation unit's [`MixResult`] (`ResultStore::save`).
-    Entry,
-    /// A mid-run simulator snapshot (the runner's checkpoints).
-    Ckpt,
-}
-
-impl RecordKind {
-    /// Every kind, in documentation order.
-    pub const ALL: [RecordKind; 2] = [RecordKind::Entry, RecordKind::Ckpt];
-
-    /// The kind's file extension, also its spelling in the record header.
-    #[must_use]
-    pub fn ext(self) -> &'static str {
-        match self {
-            RecordKind::Entry => "entry",
-            RecordKind::Ckpt => "ckpt",
-        }
-    }
-}
+/// The file extension of a store record, also its kind in the header.
+pub(crate) const ENTRY_EXT: &str = "entry";
 
 /// The content address of one simulation unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,8 +229,7 @@ pub fn fingerprint_hash(fingerprint: &str) -> u64 {
     fnv1a64(fingerprint.as_bytes())
 }
 
-/// A directory of store records, addressed by [`RecordKind`] and
-/// [`StoreKey`].
+/// A directory of store entries, addressed by [`StoreKey`].
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
@@ -327,50 +304,34 @@ impl ResultStore {
         &self.dir
     }
 
-    /// Path of the `kind` record for `key`.
-    #[must_use]
-    pub fn record_path(&self, kind: RecordKind, key: &StoreKey) -> PathBuf {
-        self.dir.join(format!("{:016x}.{}", key.hash, kind.ext()))
-    }
-
-    /// Atomically and durably writes `payload` as the `kind` record for
-    /// `key` (temp file, fsync, rename, directory fsync — see `persist`).
+    /// Atomically and durably writes `payload` as the entry for `key`
+    /// (temp file, fsync, rename, directory fsync — see `persist`).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; callers treat them as non-fatal (the value
     /// is still in hand, only the store write is lost).
-    pub fn save_record(
-        &self,
-        kind: RecordKind,
-        key: &StoreKey,
-        payload: &[u8],
-    ) -> std::io::Result<()> {
-        persist::write_atomic(&self.record_path(kind, key), &encode(kind, key, payload))
+    pub fn save_record(&self, key: &StoreKey, payload: &[u8]) -> std::io::Result<()> {
+        persist::write_atomic(&self.entry_path(key), &encode(key, payload))
     }
 
-    /// Loads the payload of the `kind` record for `key`, or `None` on any
-    /// miss: absent, truncated, corrupted, of another kind or schema, or
-    /// written under another fingerprint.
+    /// Loads the payload of the entry for `key`, or `None` on any miss:
+    /// absent, truncated, corrupted, of another schema, or written under
+    /// another fingerprint.
     #[must_use]
-    pub fn load_record(&self, kind: RecordKind, key: &StoreKey) -> Option<Vec<u8>> {
-        self.load_with(kind, key, |payload| Some(payload.to_vec()))
+    pub fn load_record(&self, key: &StoreKey) -> Option<Vec<u8>> {
+        self.load_with(key, |payload| Some(payload.to_vec()))
     }
 
-    /// Decodes the `kind` record for `key` and hands its payload to
-    /// `parse`. A file that exists but does not yield a value — bad frame,
-    /// wrong kind, wrong fingerprint, or a payload `parse` rejects — is
-    /// counted in [`ResultStore::corrupt_count`].
-    fn load_with<T>(
-        &self,
-        kind: RecordKind,
-        key: &StoreKey,
-        parse: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> Option<T> {
-        let bytes = std::fs::read(self.record_path(kind, key)).ok()?;
+    /// Decodes the entry for `key` and hands its payload to `parse`. A
+    /// file that exists but does not yield a value — bad frame, wrong
+    /// fingerprint, or a payload `parse` rejects — is counted in
+    /// [`ResultStore::corrupt_count`].
+    fn load_with<T>(&self, key: &StoreKey, parse: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
+        let bytes = std::fs::read(self.entry_path(key)).ok()?;
         let value = decode(&bytes)
-            .filter(|&(k, fingerprint, _)| k == kind && fingerprint == key.fingerprint)
-            .and_then(|(_, _, payload)| parse(payload));
+            .filter(|&(fingerprint, _)| fingerprint == key.fingerprint)
+            .and_then(|(_, payload)| parse(payload));
         if value.is_none() {
             self.corrupt.fetch_add(1, Ordering::Relaxed);
         }
@@ -387,7 +348,7 @@ impl ResultStore {
     /// Path of the entry for `key`.
     #[must_use]
     pub fn entry_path(&self, key: &StoreKey) -> PathBuf {
-        self.record_path(RecordKind::Entry, key)
+        self.dir.join(format!("{:016x}.{ENTRY_EXT}", key.hash))
     }
 
     /// Whether the store holds an entry for `key` without reading it
@@ -402,7 +363,7 @@ impl ResultStore {
     /// [`ResultStore::load_record`]).
     #[must_use]
     pub fn load(&self, key: &StoreKey) -> Option<MixResult> {
-        self.load_with(RecordKind::Entry, key, |p| MixResult::from_bytes(p).ok())
+        self.load_with(key, |p| MixResult::from_bytes(p).ok())
     }
 
     /// Saves `result` as the entry for `key` (see
@@ -412,12 +373,7 @@ impl ResultStore {
     ///
     /// Propagates I/O errors, as [`ResultStore::save_record`] does.
     pub fn save(&self, key: &StoreKey, result: &MixResult) -> std::io::Result<()> {
-        self.save_record(RecordKind::Entry, key, &result.to_bytes())
-    }
-
-    /// Removes the checkpoint for `key` (a completed or abandoned run).
-    pub fn clear_checkpoint(&self, key: &StoreKey) {
-        let _ = std::fs::remove_file(self.record_path(RecordKind::Ckpt, key));
+        self.save_record(key, &result.to_bytes())
     }
 
     /// Number of `.entry` files currently in the store (0 if the
@@ -426,22 +382,22 @@ impl ResultStore {
     pub fn entry_count(&self) -> usize {
         std::fs::read_dir(&self.dir).map_or(0, |rd| {
             rd.filter_map(Result::ok)
-                .filter(|e| e.path().extension().is_some_and(|x| x == "entry"))
+                .filter(|e| e.path().extension().is_some_and(|x| x == ENTRY_EXT))
                 .count()
         })
     }
 }
 
-/// The record header line (without its newline) for `kind`.
-fn header(kind: RecordKind) -> String {
-    format!("{RECORD_MAGIC} v{STORE_SCHEMA_VERSION} {}", kind.ext())
+/// The record header line (without its newline).
+fn header() -> String {
+    format!("{RECORD_MAGIC} v{STORE_SCHEMA_VERSION} {ENTRY_EXT}")
 }
 
-/// Frames `payload` as a `kind` record under `key` (see the module docs).
-fn encode(kind: RecordKind, key: &StoreKey, payload: &[u8]) -> Vec<u8> {
+/// Frames `payload` as an entry under `key` (see the module docs).
+fn encode(key: &StoreKey, payload: &[u8]) -> Vec<u8> {
     let mut out = format!(
         "{}\nfingerprint {}\nbytes {}\n",
-        header(kind),
+        header(),
         key.fingerprint,
         payload.len()
     )
@@ -461,19 +417,21 @@ fn text_prefix(bytes: &[u8]) -> &str {
     })
 }
 
-/// Parses one store record of any kind, returning its kind, embedded
-/// fingerprint and payload. This is the only reader of store files: the
-/// store's loads check the kind and fingerprint against the key that
-/// asked, and `store_scrub` checks them against the file's name.
+/// Parses one store record, returning its embedded fingerprint and
+/// payload. This is the only reader of store files: the store's loads
+/// check the fingerprint against the key that asked, and `store_scrub`
+/// checks it against the file's name.
 ///
 /// Returns `None` on any deviation: bad magic, schema or kind, a wrong
 /// byte count, a checksum mismatch, or trailing junk.
 #[must_use]
-pub fn decode(bytes: &[u8]) -> Option<(RecordKind, &str, &[u8])> {
+pub fn decode(bytes: &[u8]) -> Option<(&str, &[u8])> {
     let rest = bytes.strip_suffix(b"end\n")?;
     let text = text_prefix(rest);
     let (head, after) = text.split_once('\n')?;
-    let kind = RecordKind::ALL.into_iter().find(|&k| head == header(k))?;
+    if head != header() {
+        return None;
+    }
     let (fp_line, after) = after.split_once('\n')?;
     let fingerprint = fp_line.strip_prefix("fingerprint ")?;
     let (bytes_line, after) = after.split_once('\n')?;
@@ -486,7 +444,7 @@ pub fn decode(bytes: &[u8]) -> Option<(RecordKind, &str, &[u8])> {
     // Exactly what `encode` writes: 16 lowercase hex digits.
     let canonical = hex.len() == 16 && hex.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
     let sum = u64::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-    (canonical && sum == fnv1a64(body)).then_some((kind, fingerprint, payload))
+    (canonical && sum == fnv1a64(body)).then_some((fingerprint, payload))
 }
 
 #[cfg(test)]
@@ -526,22 +484,38 @@ pub(crate) mod tests {
         }
     }
 
+    /// The bytes a store of `schema` wrote for a record of kind `ext`
+    /// under `key`: today's frame under that version and kind.
+    pub(crate) fn framed_bytes(schema: u32, ext: &str, key: &StoreKey, payload: &[u8]) -> Vec<u8> {
+        let mut out = format!(
+            "{RECORD_MAGIC} v{schema} {ext}\nfingerprint {}\nbytes {}\n",
+            key.fingerprint,
+            payload.len()
+        )
+        .into_bytes();
+        out.extend_from_slice(payload);
+        let sum = fnv1a64(&out);
+        out.extend_from_slice(format!("checksum {sum:016x}\nend\n").as_bytes());
+        out
+    }
+
     #[test]
-    fn checkpoint_round_trips_awkward_payloads() {
-        let s = Scratch::new("ckpt-rt");
+    fn records_round_trip_awkward_payloads() {
+        let s = Scratch::new("record-rt");
         let store = ResultStore::open(s.dir.clone());
         let key = test_key("p=1");
         // No trailing newline, and payload lines that mimic the framing.
         let payload = b"rows 3\nchecksum feedface\nend";
-        assert!(store.load_record(RecordKind::Ckpt, &key).is_none());
-        store.save_record(RecordKind::Ckpt, &key, payload).unwrap();
-        assert_eq!(
-            store.load_record(RecordKind::Ckpt, &key).as_deref(),
-            Some(&payload[..])
-        );
+        assert!(store.load_record(&key).is_none());
+        store.save_record(&key, payload).unwrap();
+        assert_eq!(store.load_record(&key).as_deref(), Some(&payload[..]));
         assert_eq!(store.corrupt_count(), 0);
-        // Checkpoints are invisible to the entry census.
-        assert_eq!(store.entry_count(), 0);
+        assert_eq!(store.entry_count(), 1);
+        let file = std::fs::read(store.entry_path(&key)).unwrap();
+        assert_eq!(
+            file,
+            framed_bytes(STORE_SCHEMA_VERSION, "entry", &key, payload)
+        );
     }
 
     #[test]
@@ -556,19 +530,14 @@ pub(crate) mod tests {
             std::fs::write(s.dir.join(name), "torn").unwrap();
         }
         let key = test_key("p=1");
-        store
-            .save_record(RecordKind::Ckpt, &key, b"payload\n")
-            .unwrap();
+        store.save_record(&key, b"payload\n").unwrap();
         // Fresh temp files are a live writer's: a guarded pass spares them.
         assert_eq!(store.scavenge(Duration::from_secs(3600)), 0);
         // Old enough = a crashed writer's corpse: collected.
         assert_eq!(store.scavenge(Duration::ZERO), 3);
         assert_eq!(store.orphans_removed(), 3);
         // Real store files are never touched.
-        assert_eq!(
-            store.load_record(RecordKind::Ckpt, &key).as_deref(),
-            Some(&b"payload\n"[..])
-        );
+        assert_eq!(store.load_record(&key).as_deref(), Some(&b"payload\n"[..]));
         assert_eq!(store.scavenge(Duration::ZERO), 0);
     }
 
@@ -576,43 +545,35 @@ pub(crate) mod tests {
     fn records_miss_on_corruption_wrong_key_and_wrong_kind() {
         let s = Scratch::new("record-bad");
         let store = ResultStore::open(s.dir.clone());
-        for (i, kind) in RecordKind::ALL.into_iter().enumerate() {
-            let key = test_key(&format!("kind={}", kind.ext()));
-            store.save_record(kind, &key, b"value 42\n").unwrap();
-            let seen = 3 * i as u64;
-            // A different key must never be served this record, even if
-            // the file is copied under its name (fingerprint mismatch).
-            let other = test_key("p=2");
-            std::fs::copy(
-                store.record_path(kind, &key),
-                store.record_path(kind, &other),
-            )
-            .unwrap();
-            assert!(store.load_record(kind, &other).is_none());
-            assert_eq!(store.corrupt_count(), seen + 1);
-            std::fs::remove_file(store.record_path(kind, &other)).unwrap();
-            // A record renamed to another kind's extension misses too.
-            let wrong = RecordKind::ALL[(i + 1) % RecordKind::ALL.len()];
-            std::fs::copy(
-                store.record_path(kind, &key),
-                store.record_path(wrong, &key),
-            )
-            .unwrap();
-            assert!(store.load_record(wrong, &key).is_none());
-            assert_eq!(store.corrupt_count(), seen + 2);
-            std::fs::remove_file(store.record_path(wrong, &key)).unwrap();
-            // Flip one payload byte: the checksum catches it.
-            let path = store.record_path(kind, &key);
-            let mut bytes = std::fs::read(&path).unwrap();
-            let at = bytes.len() - "\nchecksum 0123456789abcdef\nend\n".len();
-            bytes[at] ^= 0x01;
-            std::fs::write(&path, &bytes).unwrap();
-            assert!(store.load_record(kind, &key).is_none(), "{kind:?}");
-            assert_eq!(store.corrupt_count(), seen + 3);
-        }
+        let key = test_key("p=1");
+        store.save_record(&key, b"value 42\n").unwrap();
+        // A different key must never be served this record, even if the
+        // file is copied under its name (fingerprint mismatch).
+        let other = test_key("p=2");
+        std::fs::copy(store.entry_path(&key), store.entry_path(&other)).unwrap();
+        assert!(store.load_record(&other).is_none());
+        assert_eq!(store.corrupt_count(), 1);
+        // A record of another kind, framed and sealed like an entry, under
+        // the entry's name misses too.
+        let path = store.entry_path(&key);
+        let entry = std::fs::read(&path).unwrap();
+        std::fs::write(
+            &path,
+            framed_bytes(STORE_SCHEMA_VERSION, "ckpt", &key, b"value 42\n"),
+        )
+        .unwrap();
+        assert!(store.load_record(&key).is_none());
+        assert_eq!(store.corrupt_count(), 2);
+        // Flip one payload byte: the checksum catches it.
+        let mut bytes = entry;
+        let at = bytes.len() - "\nchecksum 0123456789abcdef\nend\n".len();
+        bytes[at] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(store.load_record(&key).is_none());
+        assert_eq!(store.corrupt_count(), 3);
         // Upper-casing a hex letter of the checksum keeps its value but
         // not its bytes: only the lowercase digits `encode` writes decode.
-        let mut bytes = encode(RecordKind::Ckpt, &test_key("p=1"), b"x");
+        let mut bytes = encode(&test_key("p=1"), b"x");
         let sum_at = bytes.len() - "0123456789abcdef\nend\n".len();
         let letter = (sum_at..sum_at + 16)
             .find(|&i| bytes[i].is_ascii_lowercase())
@@ -640,11 +601,11 @@ pub(crate) mod tests {
             b"cores 1\ncore lbm 1 2 3 4 5\nrecords 6\n".to_vec(),
         ];
         for (n, payload) in malformed.iter().enumerate() {
-            store.save_record(RecordKind::Entry, &key, payload).unwrap();
+            store.save_record(&key, payload).unwrap();
             assert!(store.load(&key).is_none(), "payload {n} served");
             assert_eq!(store.corrupt_count(), before + n as u64 + 1);
         }
-        store.save_record(RecordKind::Entry, &key, &valid).unwrap();
+        store.save_record(&key, &valid).unwrap();
         let result = store.load(&key).expect("the well-formed payload loads");
         assert_eq!(result.to_bytes(), valid);
         assert_eq!(store.corrupt_count(), before + malformed.len() as u64);

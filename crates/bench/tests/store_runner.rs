@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dbi_bench::{unit_key, BenchArgs, RecordKind, ResultStore, RunUnit, Runner, UnitFault};
+use dbi_bench::{unit_key, BenchArgs, ResultStore, RunUnit, Runner, UnitFault};
 use system_sim::{FaultClass, FaultPlan, Mechanism, SystemConfig};
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
@@ -399,7 +399,7 @@ fn entry_checksum_catches_flips_that_still_parse() {
 
     let path = store.entry_path(&key);
     let bytes = std::fs::read(&path).unwrap();
-    let (_, _, payload) = dbi_bench::store::decode(&bytes).unwrap();
+    let (_, payload) = dbi_bench::store::decode(&bytes).unwrap();
     // The payload ends with the record count and the snapshot checksum.
     let at = bytes.len() - (payload.len() + "checksum 0123456789abcdef\nend\n".len());
     let mut body = payload[..payload.len() - 8].to_vec();
@@ -419,7 +419,7 @@ fn entry_checksum_catches_flips_that_still_parse() {
 }
 
 #[test]
-fn decode_recovers_kind_fingerprint_and_result() {
+fn decode_recovers_fingerprint_and_result() {
     let scratch = Scratch::new("any");
     let store = ResultStore::open(scratch.0.clone());
     // Every mechanism at one and four cores, and once with the rewrite
@@ -454,15 +454,10 @@ fn decode_recovers_kind_fingerprint_and_result() {
         store.save(&key, &result).expect("save");
         let bytes = std::fs::read(store.entry_path(&key)).unwrap();
 
-        let (kind, fingerprint, payload) =
-            dbi_bench::store::decode(&bytes).expect("clean entry decodes");
-        assert_eq!(kind, RecordKind::Entry);
+        let (fingerprint, payload) = dbi_bench::store::decode(&bytes).expect("clean entry decodes");
         assert_eq!(fingerprint, key.fingerprint);
         assert_eq!(dbi_bench::fingerprint_hash(fingerprint), key.hash);
-        assert_eq!(
-            store.load_record(RecordKind::Entry, &key).as_deref(),
-            Some(payload)
-        );
+        assert_eq!(store.load_record(&key).as_deref(), Some(payload));
         assert_eq!(store.load(&key).unwrap().digest(), result.digest());
     }
     assert_eq!(units.len(), 19);
@@ -473,20 +468,16 @@ fn decode_recovers_kind_fingerprint_and_result() {
 }
 
 #[test]
-fn checkpoints_round_trip_and_reject_foreign_hashes() {
-    let scratch = Scratch::new("ckpt");
+fn records_round_trip_and_reject_foreign_hashes() {
+    let scratch = Scratch::new("record");
     let store = ResultStore::open(scratch.0.clone());
     let key_a = unit_key(&tiny_config(Mechanism::Baseline), &[Benchmark::Lbm]);
     let key_b = unit_key(&tiny_config(Mechanism::Baseline), &[Benchmark::Mcf]);
-    let ckpt = RecordKind::Ckpt;
 
-    assert!(store.load_record(ckpt, &key_a).is_none());
+    assert!(store.load_record(&key_a).is_none());
     let payload = vec![0xAB; 257];
-    store.save_record(ckpt, &key_a, &payload).expect("save");
-    assert_eq!(
-        store.load_record(ckpt, &key_a).as_deref(),
-        Some(&payload[..])
-    );
+    store.save_record(&key_a, &payload).expect("save");
+    assert_eq!(store.load_record(&key_a).as_deref(), Some(&payload[..]));
 
     // Same hash, hence same file name, but another unit's fingerprint: an
     // 8-byte hash guard would accept this file; the full fingerprint
@@ -495,25 +486,17 @@ fn checkpoints_round_trip_and_reject_foreign_hashes() {
         hash: key_a.hash,
         fingerprint: key_b.fingerprint.clone(),
     };
-    assert!(store.load_record(ckpt, &collided).is_none());
+    assert!(store.load_record(&collided).is_none());
 
-    // A checkpoint copied (or renamed) under another unit's name is
-    // rejected by the embedded fingerprint.
-    std::fs::copy(
-        store.record_path(ckpt, &key_a),
-        store.record_path(ckpt, &key_b),
-    )
-    .unwrap();
-    assert!(store.load_record(ckpt, &key_b).is_none());
+    // A record copied (or renamed) under another unit's name is rejected
+    // by the embedded fingerprint.
+    std::fs::copy(store.entry_path(&key_a), store.entry_path(&key_b)).unwrap();
+    assert!(store.load_record(&key_b).is_none());
 
-    // A truncated checkpoint is rejected, not misread, and counted.
-    std::fs::write(store.record_path(ckpt, &key_a), [1, 2, 3]).unwrap();
-    assert!(store.load_record(ckpt, &key_a).is_none());
+    // A truncated record is rejected, not misread, and counted.
+    std::fs::write(store.entry_path(&key_a), [1, 2, 3]).unwrap();
+    assert!(store.load_record(&key_a).is_none());
     assert_eq!(store.corrupt_count(), 3);
-
-    store.clear_checkpoint(&key_a);
-    store.clear_checkpoint(&key_b);
-    assert!(!store.record_path(ckpt, &key_a).exists());
 }
 
 #[test]
@@ -632,19 +615,6 @@ fn streams_never_outlive_their_runners() {
     let scratch = Scratch::new("spill-lifecycle");
     let spill = scratch.0.join("spill");
     let units = nine_mechanisms(Benchmark::Lbm);
-
-    // A run stopped at its second checkpoint leaves checkpoints, not
-    // streams.
-    let crashed = Runner::new("test-spill-crash", &scratch.args())
-        .with_checkpoint_every(500)
-        .with_crash_after_checkpoints(2);
-    let (results, _) = crashed.try_run_units("crash", &units);
-    assert!(
-        results.iter().any(Option::is_none),
-        "the crash budget ran out"
-    );
-    assert!(files_under(&spill).is_empty());
-    drop(crashed);
 
     // The streams of a process that no longer exists (a `kill -9`).
     let mut child = std::process::Command::new("true")

@@ -1096,8 +1096,8 @@ impl<'a> DirtyView<'a> {
     /// Bulk form of [`mask`](DirtyView::mask): fills `out[i]` with the
     /// dirty-way word of `sets[i]`. One pass over the word index with no
     /// per-set call overhead — the shape the sanitizer's full-state scans
-    /// and the checkpoint dirty-way cross-check use, so whole-cache
-    /// passes never round-trip through single-set queries.
+    /// use, so whole-cache passes never round-trip through single-set
+    /// queries.
     ///
     /// # Panics
     ///
@@ -1184,15 +1184,6 @@ impl<'a> DirtyView<'a> {
     }
 }
 
-impl ReplacementKind {
-    fn snap_code(self) -> u8 {
-        match self {
-            ReplacementKind::Lru => 0,
-            ReplacementKind::Rrip => 1,
-        }
-    }
-}
-
 impl dbi::snap::Snapshot for CacheStats {
     fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
         let CacheStats {
@@ -1214,119 +1205,6 @@ impl dbi::snap::Snapshot for CacheStats {
         self.evictions = r.u64()?;
         self.dirty_evictions = r.u64()?;
         Ok(())
-    }
-}
-
-/// The image keeps the layout of the per-line-record format: per way a
-/// valid flag, then for a valid way its block, dirty bit, thread and an
-/// i64 recency key (now the LRU rank or the RRPV; older images hold LRU
-/// timestamps there, which order the same way), then two words that once
-/// held the LRU clocks, written as 0.
-impl dbi::snap::Snapshot for Cache {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        w.u8(self.config.replacement.snap_code());
-        w.usize(self.tags.len());
-        let ways = self.config.ways;
-        for (i, &tag) in self.tags.iter().enumerate() {
-            w.bool(tag != EMPTY);
-            if tag != EMPTY {
-                w.u64(self.block_of(i / ways, tag));
-                w.bool(self.dirty.get(slot_bit(i / ways, i % ways)));
-                w.u8(self.threads[i]);
-                w.i64(i64::from(match self.config.replacement {
-                    ReplacementKind::Lru => lane(self.ranks(i / ways), i % ways),
-                    ReplacementKind::Rrip => self.rrpv[i],
-                }));
-            }
-        }
-        w.i64(0);
-        w.i64(0);
-        self.stats.snapshot(w);
-    }
-
-    /// Restores the tag store, rejecting as corruption what no writer
-    /// could have produced: a valid way whose block is beyond
-    /// [`CacheConfig::max_block`] or sits in the wrong set, duplicate LRU
-    /// keys in a set, or an RRPV out of range. LRU ranks are the order of
-    /// the keys in each set.
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        use dbi::snap::SnapError;
-        let code = r.u8()?;
-        if code != self.config.replacement.snap_code() {
-            return Err(SnapError::Mismatch {
-                what: "cache replacement kind",
-                expected: u64::from(self.config.replacement.snap_code()),
-                found: u64::from(code),
-            });
-        }
-        r.expect_len("cache lines", self.tags.len())?;
-        let ways = self.config.ways;
-        let mut keys = [0i64; 64];
-        for set in 0..self.config.sets() as usize {
-            let base = set * ways;
-            let (mut valid, mut dirty) = (0u64, 0u64);
-            for (way, key) in keys.iter_mut().enumerate().take(ways) {
-                self.tags[base + way] = EMPTY;
-                if !r.bool()? {
-                    continue;
-                }
-                let block = r.u64()?;
-                let tag = match self.split(block) {
-                    Some((s, tag)) if s == set => tag,
-                    _ => {
-                        return Err(SnapError::Corrupt(format!(
-                            "cache line for block {block:#x} restored into set {set}"
-                        )))
-                    }
-                };
-                self.tags[base + way] = tag;
-                valid |= 1 << way;
-                dirty |= u64::from(r.bool()?) << way;
-                self.threads[base + way] = r.u8()?;
-                *key = r.i64()?;
-            }
-            self.valid.set_word(set, valid);
-            self.dirty.set_word(set, dirty);
-            match self.config.replacement {
-                ReplacementKind::Lru => {
-                    // rank = number of valid lines with a smaller key;
-                    // unique keys make the ranks a permutation.
-                    let mut seen = 0u64;
-                    self.ranks_mut(set).fill(0);
-                    for way in WayIter(valid) {
-                        let r = WayIter(valid).filter(|&o| keys[o] < keys[way]).count();
-                        if seen & (1 << r) != 0 {
-                            return Err(SnapError::Corrupt(format!(
-                                "duplicate LRU key in cache set {set}"
-                            )));
-                        }
-                        seen |= 1 << r;
-                        set_lane(self.ranks_mut(set), way, r as u8);
-                    }
-                }
-                ReplacementKind::Rrip => {
-                    let mut c = [0u8; 4];
-                    for way in WayIter(valid) {
-                        let v = u8::try_from(keys[way])
-                            .ok()
-                            .filter(|&v| v <= RRPV_MAX)
-                            .ok_or_else(|| {
-                                SnapError::Corrupt(format!(
-                                    "RRPV {} out of range in cache set {set}",
-                                    keys[way]
-                                ))
-                            })?;
-                        self.rrpv[base + way] = v;
-                        c[usize::from(v)] += 1;
-                    }
-                    self.rrpv_cnt[set] = c;
-                }
-            }
-        }
-        // The two former LRU clock words carry nothing.
-        r.i64()?;
-        r.i64()?;
-        self.stats.restore(r)
     }
 }
 
@@ -1635,141 +1513,6 @@ mod tests {
         assert_eq!(via_index, via_probe);
     }
 
-    /// One way of a hand-built image: `(block, dirty, thread, key)`.
-    type ImageLine = Option<(u64, bool, u8, i64)>;
-
-    /// A cache image in the per-line-record layout, built field by field:
-    /// replacement code, line count, each way, two clock words, stats.
-    fn image(code: u8, lines: &[ImageLine], clocks: [i64; 2]) -> Vec<u8> {
-        let mut w = dbi::snap::SnapWriter::new();
-        w.u8(code);
-        w.usize(lines.len());
-        for line in lines {
-            w.bool(line.is_some());
-            if let Some((block, dirty, thread, key)) = *line {
-                w.u64(block);
-                w.bool(dirty);
-                w.u8(thread);
-                w.i64(key);
-            }
-        }
-        clocks.iter().for_each(|&c| w.i64(c));
-        [9u64, 5, 7, 3, 1].iter().for_each(|&x| w.u64(x));
-        w.finish()
-    }
-
-    #[test]
-    fn timestamp_image_restores_ranks_and_eviction_order() {
-        // 4 sets x 4 ways. Set 0 is full with unique timestamps, two of
-        // them negative (LIP insertions off a low clock); set 1 has
-        // holes. Recency is the timestamp order.
-        let mut lines: Vec<ImageLine> = vec![None; 16];
-        lines[0] = Some((0, true, 1, 17));
-        lines[1] = Some((4, false, 2, -3));
-        lines[2] = Some((8, true, 3, 905));
-        lines[3] = Some((12, false, 0, -40));
-        lines[5] = Some((5, true, 2, 7));
-        lines[6] = Some((1, false, 1, -1));
-        let mut c = tiny(4);
-        dbi::snap::restore_bytes(&mut c, &image(0, &lines, [905, -40])).unwrap();
-        c.assert_index_coherent();
-        assert_eq!((c.resident(), c.stats().lookups), (6, 9));
-        let rank = |c: &Cache, b: u64| c.dirty().probe(b).unwrap().rank;
-        let ranks: Vec<usize> = [12, 4, 0, 8, 1, 5].iter().map(|&b| rank(&c, b)).collect();
-        assert_eq!(ranks, [0, 1, 2, 3, 0, 1]);
-        assert_eq!(c.dirty().probe(0).unwrap().owner, 1);
-        assert_eq!(
-            c.dirty().in_lru_ways(SetIdx(0), 3).count(),
-            1,
-            "only block 0"
-        );
-
-        // The image this cache writes keeps the layout, with ranks as
-        // keys and zeroed clocks, and restores to the same state.
-        let mut as_ranks = lines.clone();
-        for (line, r) in as_ranks.iter_mut().zip([2, 1, 3, 0, 0, 1, 0, 0]) {
-            if let Some((_, _, _, key)) = line {
-                *key = r;
-            }
-        }
-        let written = dbi::snap::snapshot_bytes(&c);
-        assert_eq!(written, image(0, &as_ranks, [0, 0]));
-        let mut again = tiny(4);
-        dbi::snap::restore_bytes(&mut again, &written).unwrap();
-
-        // Both evict in timestamp order; set 1 fills its lowest holes
-        // first.
-        for c in [&mut c, &mut again] {
-            let evicted: Vec<Option<u64>> = [16u64, 20, 24, 28, 9, 13, 17, 21]
-                .iter()
-                .map(|&b| c.insert(b, 0, InsertPos::Mru, false).map(|v| v.block))
-                .collect();
-            assert_eq!(
-                evicted,
-                [
-                    Some(12),
-                    Some(4),
-                    Some(0),
-                    Some(8),
-                    None,
-                    None,
-                    Some(1),
-                    Some(5)
-                ]
-            );
-            c.assert_index_coherent();
-        }
-    }
-
-    #[test]
-    fn forged_images_are_corrupt() {
-        let lru = |set0: [ImageLine; 2]| {
-            let mut lines = vec![None; 8];
-            lines[..2].copy_from_slice(&set0);
-            image(0, &lines, [0, 0])
-        };
-        let rrip = |key| {
-            let mut lines = vec![None; 8];
-            lines[0] = Some((0, false, 0, key));
-            image(1, &lines, [0, 0])
-        };
-        let cases = [
-            (
-                "duplicate keys",
-                lru([Some((0, false, 0, 5)), Some((4, false, 0, 5))]),
-                false,
-            ),
-            ("wrong set", lru([Some((1, false, 0, 0)), None]), false),
-            ("RRPV 4", rrip(4), true),
-            ("negative RRPV", rrip(-1), true),
-        ];
-        for (what, bytes, is_rrip) in cases {
-            let mut c = if is_rrip {
-                Cache::new(
-                    CacheConfig::new(4 * 2 * 64, 2, 64)
-                        .unwrap()
-                        .with_replacement(ReplacementKind::Rrip),
-                )
-            } else {
-                tiny(2)
-            };
-            let got = dbi::snap::restore_bytes(&mut c, &bytes);
-            assert!(
-                matches!(got, Err(dbi::snap::SnapError::Corrupt(_))),
-                "{what}: {got:?}"
-            );
-        }
-        // A valid way naming u64::MAX, beyond any tag range, in the set it
-        // maps to.
-        let mut lines = vec![None; 8];
-        lines[6] = Some((u64::MAX, false, 0, 0));
-        let got = dbi::snap::restore_bytes(&mut tiny(2), &image(0, &lines, [0, 0]));
-        assert!(
-            matches!(got, Err(dbi::snap::SnapError::Corrupt(_))),
-            "{got:?}"
-        );
-    }
-
     #[test]
     fn the_empty_tag_is_never_resident() {
         let mut c = tiny(2);
@@ -1817,11 +1560,6 @@ mod tests {
             let view = c.dirty();
             assert_eq!(view.blocks(set, view.mask(set)).collect::<Vec<_>>(), [max]);
 
-            let mut again = Cache::new(*c.config());
-            dbi::snap::restore_bytes(&mut again, &dbi::snap::snapshot_bytes(&c)).unwrap();
-            again.assert_index_coherent();
-            assert_eq!(again.blocks().collect::<Vec<_>>(), [(max, true, 3)]);
-
             // Three smaller blocks of its set fill it; a fourth evicts it.
             for k in 1..=4 {
                 let victim = c.fill(max - k * sets, 0, InsertPos::Mru, false);
@@ -1852,16 +1590,6 @@ mod tests {
                 assert_eq!(c.owner(b), None);
             }
             assert_eq!(c.dirty().mask(SetIdx(0)).count(), 2, "nothing cleaned");
-
-            // A forged image naming it in its own set is corrupt.
-            let mut lines: Vec<ImageLine> = vec![None; c.config().blocks() as usize];
-            lines[c.set_of(over).index() * 4] = Some((over, false, 0, 0));
-            let got =
-                dbi::snap::restore_bytes(&mut Cache::new(*c.config()), &image(0, &lines, [0, 0]));
-            assert!(
-                matches!(got, Err(dbi::snap::SnapError::Corrupt(_))),
-                "{got:?}"
-            );
         }
     }
 

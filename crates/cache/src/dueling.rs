@@ -172,49 +172,6 @@ impl Default for BimodalCounter {
     }
 }
 
-impl dbi::snap::Snapshot for DuelingSelector {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        w.u64(self.sets);
-        w.u64(self.stride);
-        w.u32(self.psel_max);
-        w.usize(self.psel.len());
-        for &p in &self.psel {
-            w.u32(p);
-        }
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        r.expect_u64("dueling sets", self.sets)?;
-        r.expect_u64("dueling stride", self.stride)?;
-        r.expect_u64("dueling PSEL max", u64::from(self.psel_max))?;
-        r.expect_len("dueling threads", self.psel.len())?;
-        for p in &mut self.psel {
-            let v = r.u32()?;
-            if v > self.psel_max {
-                return Err(dbi::snap::SnapError::Corrupt(format!(
-                    "PSEL {v} exceeds maximum {}",
-                    self.psel_max
-                )));
-            }
-            *p = v;
-        }
-        Ok(())
-    }
-}
-
-impl dbi::snap::Snapshot for BimodalCounter {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        w.u64(self.reciprocal);
-        w.u64(self.count);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        r.expect_u64("bimodal reciprocal", self.reciprocal)?;
-        self.count = r.u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

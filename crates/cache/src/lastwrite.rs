@@ -145,49 +145,6 @@ impl dbi::snap::Snapshot for RewriteFilterStats {
     }
 }
 
-impl dbi::snap::Snapshot for RewriteFilter {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        w.usize(self.counters.len());
-        for &c in &self.counters {
-            w.u8(c);
-        }
-        w.usize(self.recent_capacity);
-        w.usize(self.recent_sweeps.len());
-        for &row in &self.recent_sweeps {
-            w.u64(row);
-        }
-        self.stats.snapshot(w);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        use dbi::snap::SnapError;
-        r.expect_len("rewrite-filter table", self.counters.len())?;
-        for c in &mut self.counters {
-            let v = r.u8()?;
-            if v > COUNTER_MAX {
-                return Err(SnapError::Corrupt(format!(
-                    "rewrite counter {v} exceeds maximum {COUNTER_MAX}"
-                )));
-            }
-            *c = v;
-        }
-        r.expect_len("rewrite-filter window capacity", self.recent_capacity)?;
-        let n = r.usize()?;
-        if n > self.recent_capacity {
-            return Err(SnapError::Corrupt(format!(
-                "rewrite-filter window holds {n} > capacity {}",
-                self.recent_capacity
-            )));
-        }
-        self.recent_sweeps.clear();
-        for _ in 0..n {
-            self.recent_sweeps.push_back(r.u64()?);
-        }
-        self.stats.restore(r)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

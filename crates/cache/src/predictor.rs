@@ -140,37 +140,6 @@ impl MissPredictor {
     }
 }
 
-impl dbi::snap::Snapshot for MissPredictor {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        w.u64(self.sets);
-        w.u64(self.sample_stride);
-        w.usize(self.counters.len());
-        for c in &self.counters {
-            w.u64(c.accesses);
-            w.u64(c.misses);
-        }
-        for &b in &self.bypassing {
-            w.bool(b);
-        }
-        w.u64(self.epoch_end);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        r.expect_u64("predictor sets", self.sets)?;
-        r.expect_u64("predictor sample stride", self.sample_stride)?;
-        r.expect_len("predictor threads", self.counters.len())?;
-        for c in &mut self.counters {
-            c.accesses = r.u64()?;
-            c.misses = r.u64()?;
-        }
-        for b in &mut self.bypassing {
-            *b = r.bool()?;
-        }
-        self.epoch_end = r.u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -88,19 +88,6 @@ impl SetStateVector {
     }
 }
 
-impl dbi::snap::Snapshot for SetStateVector {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        w.usize(self.tracked_ways);
-        self.words.snapshot(w);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        r.expect_len("SSV tracked ways", self.tracked_ways)?;
-        // DirtyWords::restore rejects set bits past the last set.
-        self.words.restore(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,37 +134,6 @@ mod tests {
             !narrow.refresh(&c, 1),
             "dirty block at rank 1 invisible to a 1-way SSV"
         );
-    }
-
-    #[test]
-    fn marks_survive_a_snapshot_round_trip() {
-        let mut c = cache();
-        let mut ssv = SetStateVector::new(4, 2);
-        c.insert(0, 0, InsertPos::Mru, true);
-        c.insert(3, 0, InsertPos::Mru, true);
-        ssv.refresh(&c, 0);
-        ssv.refresh(&c, 3);
-        let bytes = dbi::snap::snapshot_bytes(&ssv);
-        let mut restored = SetStateVector::new(4, 2);
-        dbi::snap::restore_bytes(&mut restored, &bytes).unwrap();
-        for s in 0..4 {
-            assert_eq!(restored.is_marked(SetIdx(s)), ssv.is_marked(SetIdx(s)));
-        }
-        assert_eq!(restored.words.count_ones(), ssv.words.count_ones());
-    }
-
-    #[test]
-    fn restore_rejects_padding_bits() {
-        let mut w = dbi::snap::SnapWriter::new();
-        w.usize(2); // tracked ways
-        w.usize(4); // DirtyWords logical bits
-        w.u64(0b1_0000); // bit 4 = set 4: past the last set
-        let bytes = w.finish();
-        let mut target = SetStateVector::new(4, 2);
-        assert!(matches!(
-            dbi::snap::restore_bytes(&mut target, &bytes),
-            Err(dbi::snap::SnapError::Corrupt(_))
-        ));
     }
 
     #[test]

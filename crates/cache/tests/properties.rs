@@ -327,8 +327,7 @@ proptest! {
     /// With a set count that is not a power of two (6 sets x 4 ways) the
     /// set index is `block % sets` and the stored tag `block / sets`; the
     /// cache still agrees with the reference on every outcome, victim,
-    /// rank and rank-filtered dirty query, rebuilds the right blocks, and
-    /// survives a snapshot round trip.
+    /// rank and rank-filtered dirty query and rebuilds the right blocks.
     #[test]
     fn lru_non_power_of_two_sets_match_reference(
         ops in prop::collection::vec(op_strategy(6 * 4 * 3), 1..300),
@@ -351,11 +350,6 @@ proptest! {
                 }
             }
         }
-
-        let mut restored = Cache::new(config);
-        dbi::snap::restore_bytes(&mut restored, &dbi::snap::snapshot_bytes(&cache)).unwrap();
-        restored.assert_index_coherent();
-        check_lines(&restored, &reference)?;
     }
 
     /// Under RRIP — where RRPVs tie and ranks are shared, not a
@@ -429,45 +423,6 @@ proptest! {
             ranks.sort_unstable();
             let expect: Vec<usize> = (0..members.len()).collect();
             prop_assert_eq!(ranks, expect);
-        }
-    }
-
-    /// A snapshot/restore round trip reconstructs the dirty/rank index
-    /// exactly: the restored cache answers every dirty-view query the same
-    /// as the original, under both replacement kinds.
-    #[test]
-    fn dirty_index_survives_snapshot_roundtrip(
-        ops in prop::collection::vec(op_strategy(96), 1..250),
-        rrip in any::<bool>(),
-    ) {
-        use cache_sim::ReplacementKind;
-        let config = CacheConfig::new(4 * 4 * 64, 4, 64).unwrap().with_replacement(
-            if rrip { ReplacementKind::Rrip } else { ReplacementKind::Lru },
-        );
-        let mut cache = Cache::new(config);
-        for op in &ops {
-            apply(&mut cache, op);
-        }
-
-        let bytes = dbi::snap::snapshot_bytes(&cache);
-        let mut restored = Cache::new(config);
-        dbi::snap::restore_bytes(&mut restored, &bytes).unwrap();
-
-        restored.assert_index_coherent();
-        for set in 0..4u64 {
-            for k in 0..=4usize {
-                prop_assert_eq!(
-                    harvest(&restored, SetIdx(set), k),
-                    harvest(&cache, SetIdx(set), k)
-                );
-            }
-            prop_assert_eq!(
-                restored.dirty().mask(SetIdx(set)),
-                cache.dirty().mask(SetIdx(set))
-            );
-        }
-        for (b, _, _) in cache.blocks() {
-            prop_assert_eq!(restored.dirty().probe(b), cache.dirty().probe(b));
         }
     }
 }

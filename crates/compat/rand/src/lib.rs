@@ -216,33 +216,6 @@ pub mod rngs {
         }
     }
 
-    impl SmallRng {
-        /// The generator's internal state, for snapshot/restore of
-        /// mid-stream generators. (Not part of the upstream `rand` API;
-        /// the simulator's checkpointing layer needs it.)
-        #[must_use]
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuilds a generator from [`state`](SmallRng::state), resuming
-        /// its stream exactly where the snapshot left off.
-        ///
-        /// # Panics
-        ///
-        /// Panics on the all-zero state, which xoshiro256++ can never
-        /// reach from a seeded start (it is the one fixed point of the
-        /// transition function).
-        #[must_use]
-        pub fn from_state(s: [u64; 4]) -> Self {
-            assert!(
-                s.iter().any(|&w| w != 0),
-                "all-zero xoshiro256++ state is unreachable"
-            );
-            SmallRng { s }
-        }
-    }
-
     impl RngCore for SmallRng {
         #[inline]
         fn next_u64(&mut self) -> u64 {

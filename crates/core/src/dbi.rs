@@ -51,7 +51,7 @@ pub struct Dbi {
     dirty_blocks: u64,
     stats: DbiStats,
     /// Reused by [`flush_each`](Dbi::flush_each) so whole-index flushes
-    /// allocate nothing after the first call. Not part of snapshot state.
+    /// allocate nothing after the first call.
     flush_scratch: Vec<(RowId, usize)>,
 }
 
@@ -390,67 +390,11 @@ impl Dbi {
     }
 }
 
-impl crate::snap::Snapshot for Dbi {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        let ways = self.config.associativity();
-        w.usize(self.policies.len());
-        w.usize(ways);
-        w.usize(self.words);
-        for (set, policy) in self.policies.iter().enumerate() {
-            for way in set * ways..(set + 1) * ways {
-                w.u64(self.rows[way]);
-                for &word in self.way_words(way) {
-                    w.u64(word);
-                }
-            }
-            policy.snapshot(w);
-        }
-        w.u64(self.dirty_blocks);
-        self.stats.snapshot(w);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        use crate::snap::SnapError;
-        r.expect_len("DBI sets", self.policies.len())?;
-        let ways = self.config.associativity();
-        r.expect_len("DBI ways", ways)?;
-        r.expect_len("DBI words per way", self.words)?;
-        let mut total = 0u64;
-        for set in 0..self.policies.len() {
-            for way in set * ways..(set + 1) * ways {
-                self.rows[way] = r.u64()?;
-                for word in &mut self.bits[way * self.words..(way + 1) * self.words] {
-                    *word = r.u64()?;
-                }
-                if let Some(fault) = self.way_fault(way) {
-                    return Err(SnapError::Corrupt(fault));
-                }
-                total += population(self.way_words(way)) as u64;
-            }
-            self.policies[set].restore(r)?;
-        }
-        self.dirty_blocks = r.u64()?;
-        if self.dirty_blocks != total {
-            return Err(SnapError::Mismatch {
-                what: "DBI dirty-count cache",
-                expected: total,
-                found: self.dirty_blocks,
-            });
-        }
-        self.stats.restore(r)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Alpha, DbiConfig};
     use crate::replacement::DbiReplacementPolicy;
-    use crate::snap::{restore_bytes, snapshot_bytes, SnapError, SnapWriter, Snapshot};
 
     /// Small geometry: 4 sets × 2 ways × granularity 8 = 64 tracked blocks.
     fn small() -> Dbi {
@@ -659,150 +603,6 @@ mod tests {
         let mut entries: Vec<(u64, usize)> = dbi.entries().collect();
         entries.sort_unstable();
         assert_eq!(entries, vec![(0, 2), (1, 1)]);
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_fresh_dbi() {
-        for granularity in [8, 128] {
-            let blocks = 32 * granularity as u64;
-            for policy in DbiReplacementPolicy::ALL {
-                let config =
-                    DbiConfig::new(blocks, Alpha::QUARTER, granularity, 2, policy).unwrap();
-                let mut dbi = Dbi::new(config);
-                for b in 0..500u64 {
-                    mark(&mut dbi, b.wrapping_mul(2_654_435_761) % blocks);
-                }
-                dbi.clear_dirty(64);
-                let bytes = snapshot_bytes(&dbi);
-                let mut fresh = Dbi::new(config);
-                restore_bytes(&mut fresh, &bytes).unwrap();
-                fresh.assert_invariants();
-                assert_eq!(fresh.dirty_count(), dbi.dirty_count());
-                assert_eq!(fresh.stats(), dbi.stats());
-                let mut a: Vec<u64> = dbi.dirty_blocks().collect();
-                let mut b: Vec<u64> = fresh.dirty_blocks().collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b);
-                // Behaviour (including replacement decisions) continues
-                // identically after restore.
-                for blk in 500..700u64 {
-                    assert_eq!(
-                        mark(&mut dbi, blk % blocks),
-                        mark(&mut fresh, blk % blocks),
-                        "{policy}, granularity {granularity}: divergence after restore"
-                    );
-                }
-                // Restoring into mismatched geometry fails loudly.
-                let other = DbiConfig::new(blocks, Alpha::QUARTER, granularity, 1, policy).unwrap();
-                let mut wrong = Dbi::new(other);
-                assert!(matches!(
-                    restore_bytes(&mut wrong, &bytes),
-                    Err(SnapError::Mismatch { .. })
-                ));
-            }
-        }
-    }
-
-    /// `bytes` with the `u64` at `at` replaced by `value` and the trailing
-    /// checksum recomputed, so only the field checks can reject it.
-    fn forge(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
-        let mut forged = bytes[..bytes.len() - 8].to_vec();
-        forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
-        let sum = crate::snap::fnv1a64(&forged);
-        forged.extend_from_slice(&sum.to_le_bytes());
-        forged
-    }
-
-    #[test]
-    fn restore_rejects_forged_way_images() {
-        // Set 0, way 0 holds row 0 with block 3 dirty. Its row tag sits
-        // after the three header words, its one word right after the tag.
-        let mut dbi = small();
-        mark(&mut dbi, 3);
-        let bytes = snapshot_bytes(&dbi);
-        let (tag_at, word_at) = (24, 32);
-        assert_eq!(bytes[word_at..word_at + 8], (1u64 << 3).to_le_bytes());
-        let cases = [
-            (
-                "bit past the granularity",
-                forge(&bytes, word_at, 1 << 3 | 1 << 8),
-            ),
-            ("valid way with no bits", forge(&bytes, word_at, 0)),
-            ("invalid way with bits", forge(&bytes, tag_at, INVALID)),
-            ("row in the wrong set", forge(&bytes, tag_at, 1)),
-        ];
-        for (case, image) in cases {
-            let mut fresh = small();
-            assert!(
-                matches!(
-                    restore_bytes(&mut fresh, &image),
-                    Err(SnapError::Corrupt(_))
-                ),
-                "{case}"
-            );
-        }
-    }
-
-    /// Writes `dbi` in the layout that preceded fixed-width ways: per set a
-    /// way count, then per way a valid flag and, when valid, the row and a
-    /// dirty container (length, representation tag, payload).
-    fn old_layout(dbi: &Dbi, dense: bool) -> Vec<u8> {
-        let ways = dbi.config.associativity();
-        let g = dbi.config.granularity();
-        let mut w = SnapWriter::new();
-        w.usize(dbi.policies.len());
-        for (set, policy) in dbi.policies.iter().enumerate() {
-            w.usize(ways);
-            for way in set * ways..(set + 1) * ways {
-                let row = dbi.rows[way];
-                w.bool(row != INVALID);
-                if row == INVALID {
-                    continue;
-                }
-                w.u64(row);
-                w.usize(g);
-                let words = dbi.way_words(way);
-                if dense {
-                    w.u8(0);
-                    w.usize(g);
-                    words.iter().for_each(|&word| w.u64(word));
-                } else {
-                    w.u8(1);
-                    w.usize(population(words));
-                    ones(words).for_each(|o| w.u64(o as u64));
-                }
-            }
-            policy.snapshot(&mut w);
-        }
-        w.u64(dbi.dirty_blocks);
-        dbi.stats.snapshot(&mut w);
-        w.finish()
-    }
-
-    #[test]
-    fn images_in_the_old_container_layout_do_not_restore() {
-        let mut empty = small();
-        let mut one_row = small();
-        mark(&mut one_row, 3);
-        let mut busy = small();
-        for b in 0..40 {
-            mark(&mut busy, b * 5 % 64);
-        }
-        for (name, dbi) in [
-            ("empty", &mut empty),
-            ("row 0", &mut one_row),
-            ("busy", &mut busy),
-        ] {
-            for dense in [false, true] {
-                let image = old_layout(dbi, dense);
-                let mut fresh = small();
-                assert!(
-                    restore_bytes(&mut fresh, &image).is_err(),
-                    "{name}, dense {dense}: an old image must not restore"
-                );
-            }
-        }
     }
 
     #[test]

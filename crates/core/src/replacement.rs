@@ -200,54 +200,6 @@ impl PolicyState {
     }
 }
 
-impl DbiReplacementPolicy {
-    /// Stable one-byte code for snapshot validation.
-    pub(crate) fn snap_code(self) -> u8 {
-        match self {
-            DbiReplacementPolicy::Lrw => 0,
-            DbiReplacementPolicy::LrwBip => 1,
-            DbiReplacementPolicy::Rwip => 2,
-            DbiReplacementPolicy::MaxDirty => 3,
-            DbiReplacementPolicy::MinDirty => 4,
-        }
-    }
-}
-
-impl crate::snap::Snapshot for PolicyState {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        w.u8(self.policy.snap_code());
-        w.usize(self.meta.len());
-        for &m in &self.meta {
-            w.i64(m);
-        }
-        w.i64(self.clock);
-        w.i64(self.low_clock);
-        w.u64(self.bip_insertions);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        let code = r.u8()?;
-        if code != self.policy.snap_code() {
-            return Err(crate::snap::SnapError::Mismatch {
-                what: "DBI replacement policy",
-                expected: u64::from(self.policy.snap_code()),
-                found: u64::from(code),
-            });
-        }
-        r.expect_len("DBI policy ways", self.meta.len())?;
-        for m in &mut self.meta {
-            *m = r.i64()?;
-        }
-        self.clock = r.i64()?;
-        self.low_clock = r.i64()?;
-        self.bip_insertions = r.u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,23 +1,20 @@
 //! Checksummed binary snapshot encoding.
 //!
-//! Long experiment campaigns need to survive a killed process: every
-//! stateful structure in the workspace implements [`Snapshot`], so a run
-//! can serialize its complete mid-run state, write it to disk, and later
-//! resume bit-identically from where it stopped. The encoding is
-//! deliberately plain:
+//! The statistics structs of a finished run implement [`Snapshot`], and
+//! the result store keeps each run's results as one snapshot stream. The
+//! encoding is deliberately plain:
 //!
-//! - every primitive is a little-endian `u64` (or a single byte for
-//!   `bool`/enum codes); `f64` values travel as their IEEE-754 bit
-//!   patterns, so restore is exact,
+//! - every primitive is a little-endian `u64` (or a single byte for a
+//!   `bool`); `f64` values travel as their IEEE-754 bit patterns, so
+//!   restore is exact,
 //! - sequences are length-prefixed, and restore validates each length
-//!   against the structure rebuilt from configuration — a snapshot never
-//!   *creates* geometry, it only fills in mutable state,
+//!   against the value it restores into,
 //! - the final eight bytes are an FNV-1a checksum of everything before
 //!   them, verified before a single field is decoded.
 //!
 //! The restore side is written against untrusted bytes (a torn write, a
 //! stale file from an old schema): every decode error is a recoverable
-//! [`SnapError`], never a panic, so callers can fall back to a cold start.
+//! [`SnapError`], never a panic, so callers can recompute instead.
 
 /// 64-bit FNV-1a over `bytes` — the snapshot checksum, and the hash the
 /// result store uses for fingerprints and entry checksums.
@@ -108,16 +105,6 @@ impl SnapWriter {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
 
-    /// Appends a `u32` (widened; one primitive width keeps the format dull).
-    pub fn u32(&mut self, x: u32) {
-        self.u64(u64::from(x));
-    }
-
-    /// Appends an `i64` via two's-complement bit pattern.
-    pub fn i64(&mut self, x: i64) {
-        self.u64(x as u64);
-    }
-
     /// Appends a `usize` (widened to `u64`).
     pub fn usize(&mut self, x: usize) {
         self.u64(x as u64);
@@ -137,18 +124,6 @@ impl SnapWriter {
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, x: &str) {
         self.bytes(x.as_bytes());
-    }
-
-    /// Bytes written so far (excluding the checksum).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Finishes the snapshot: appends the FNV-1a checksum of the payload
@@ -232,25 +207,6 @@ impl<'a> SnapReader<'a> {
         ))
     }
 
-    /// Reads a `u32` (stored widened).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Corrupt`] if the stored value overflows `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapError> {
-        let x = self.u64()?;
-        u32::try_from(x).map_err(|_| SnapError::Corrupt(format!("u32 field holds {x}")))
-    }
-
-    /// Reads an `i64` (two's-complement bit pattern).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Truncated`] at end of stream.
-    pub fn i64(&mut self) -> Result<i64, SnapError> {
-        Ok(self.u64()? as i64)
-    }
-
     /// Reads a `usize` (stored as `u64`).
     ///
     /// # Errors
@@ -290,47 +246,19 @@ impl<'a> SnapReader<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| SnapError::Corrupt("string is not UTF-8".into()))
     }
 
-    /// Reads a `u64` that must equal `expected` — the structural-validation
-    /// primitive every restore leans on (lengths, schema tags, geometry).
+    /// Reads a length that must equal `expected`, the size of the value
+    /// being restored into.
     ///
     /// # Errors
     ///
     /// [`SnapError::Mismatch`] naming `what` when the values differ.
-    pub fn expect_u64(&mut self, what: &'static str, expected: u64) -> Result<(), SnapError> {
-        let found = self.u64()?;
-        if found != expected {
-            return Err(SnapError::Mismatch {
-                what,
-                expected,
-                found,
-            });
-        }
-        Ok(())
-    }
-
-    /// [`expect_u64`](SnapReader::expect_u64) for `usize` structural values.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Mismatch`] when the values differ.
     pub fn expect_len(&mut self, what: &'static str, expected: usize) -> Result<(), SnapError> {
-        self.expect_u64(what, expected as u64)
-    }
-
-    /// [`expect_u64`](SnapReader::expect_u64) for a structural bool —
-    /// typically the presence flag of a configuration-derived `Option`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Mismatch`] when the flag differs, [`SnapError::Corrupt`]
-    /// on a byte that is neither 0 nor 1.
-    pub fn expect_bool(&mut self, what: &'static str, expected: bool) -> Result<(), SnapError> {
-        let found = self.bool()?;
-        if found != expected {
+        let found = self.u64()?;
+        if found != expected as u64 {
             return Err(SnapError::Mismatch {
                 what,
-                expected: u64::from(expected),
-                found: u64::from(found),
+                expected: expected as u64,
+                found,
             });
         }
         Ok(())
@@ -353,13 +281,11 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// State that can be serialized mid-run and restored bit-identically.
+/// A value with a snapshot encoding that restores it bit-identically.
 ///
-/// The contract: `restore` is called on an object freshly constructed from
-/// the *same configuration* that produced the snapshot. Configuration-derived
-/// structure (geometry, capacities, policies) is never rebuilt from the
-/// stream — it is validated against it, so restoring into a mismatched
-/// object fails loudly instead of silently diverging.
+/// `restore` overwrites every field of the value it is called on. Sizes
+/// that the caller fixes beforehand (say, a per-core counter count) are
+/// validated against the stream, not rebuilt from it.
 pub trait Snapshot {
     /// Serializes all mutable state into `w`.
     fn snapshot(&self, w: &mut SnapWriter);
@@ -373,26 +299,6 @@ pub trait Snapshot {
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
-/// Snapshots `value` into a standalone checksummed byte buffer.
-#[must_use]
-pub fn snapshot_bytes<T: Snapshot + ?Sized>(value: &T) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    value.snapshot(&mut w);
-    w.finish()
-}
-
-/// Restores `value` from a buffer produced by [`snapshot_bytes`],
-/// requiring the stream to be fully consumed.
-///
-/// # Errors
-///
-/// Any [`SnapError`] from checksum verification or field decoding.
-pub fn restore_bytes<T: Snapshot + ?Sized>(value: &mut T, bytes: &[u8]) -> Result<(), SnapError> {
-    let mut r = SnapReader::new(bytes)?;
-    value.restore(&mut r)?;
-    r.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,8 +310,6 @@ mod tests {
         w.bool(true);
         w.bool(false);
         w.u64(u64::MAX);
-        w.u32(123_456);
-        w.i64(-42);
         w.usize(99);
         w.f64(-0.125);
         w.str("hello");
@@ -416,8 +320,6 @@ mod tests {
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
         assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.u32().unwrap(), 123_456);
-        assert_eq!(r.i64().unwrap(), -42);
         assert_eq!(r.usize().unwrap(), 99);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.125f64).to_bits());
         assert_eq!(r.str().unwrap(), "hello");
@@ -461,7 +363,7 @@ mod tests {
         w.u64(4);
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes).unwrap();
-        let err = r.expect_u64("ways", 8).unwrap_err();
+        let err = r.expect_len("ways", 8).unwrap_err();
         assert_eq!(
             err,
             SnapError::Mismatch {
@@ -490,27 +392,6 @@ mod tests {
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes).unwrap();
         assert!(matches!(r.bool(), Err(SnapError::Corrupt(_))));
-    }
-
-    #[test]
-    fn helper_round_trip_via_trait() {
-        struct Pair(u64, u64);
-        impl Snapshot for Pair {
-            fn snapshot(&self, w: &mut SnapWriter) {
-                w.u64(self.0);
-                w.u64(self.1);
-            }
-            fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-                self.0 = r.u64()?;
-                self.1 = r.u64()?;
-                Ok(())
-            }
-        }
-        let p = Pair(11, 22);
-        let bytes = snapshot_bytes(&p);
-        let mut q = Pair(0, 0);
-        restore_bytes(&mut q, &bytes).unwrap();
-        assert_eq!((q.0, q.1), (11, 22));
     }
 
     #[test]

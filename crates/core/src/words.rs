@@ -6,8 +6,6 @@
 //! Set State Vector. The DBI keeps each entry's bit vector as plain words
 //! in its own flat arrays.
 
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-
 /// Maximum DBI granularity in bits. Granularities in the paper's design
 /// space are 16–128 bits.
 pub const MAX_BITS: usize = 512;
@@ -48,8 +46,8 @@ pub fn prefetch_read<T>(p: *const T) {
 /// A `DirtyWords` is a flat bitmap of `bits` logical bits. Structures that
 /// want one whole word per slot (the cache's per-set valid/dirty index)
 /// allocate `slots * 64` bits and address bit `slot * 64 + i`; structures
-/// that want a contiguous bitmap (the SSV) allocate exactly as many bits as they track. Snapshot
-/// restore rejects images with bits set past the logical length.
+/// that want a contiguous bitmap (the SSV) allocate exactly as many bits
+/// as they track.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirtyWords {
     words: Vec<u64>,
@@ -99,18 +97,6 @@ impl DirtyWords {
         if let Some(p) = self.words.get(i) {
             prefetch_read(p);
         }
-    }
-
-    /// Overwrites the whole word `i` (for slot-per-word layouts that
-    /// rebuild a slot's mask wholesale).
-    #[inline]
-    pub fn set_word(&mut self, i: usize, word: u64) {
-        let used = self.bits.saturating_sub(i as u64 * 64).min(64);
-        debug_assert!(
-            used == 64 || word >> used == 0,
-            "word write past the logical length"
-        );
-        self.words[i] = word;
     }
 
     /// Returns whether `bit` is set.
@@ -172,33 +158,6 @@ impl DirtyWords {
     }
 }
 
-impl Snapshot for DirtyWords {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.usize(self.bits as usize);
-        for &word in &self.words {
-            w.u64(word);
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_len("DirtyWords bits", self.bits as usize)?;
-        for word in &mut self.words {
-            *word = r.u64()?;
-        }
-        // Bits past the logical length can never be set by a writer.
-        let spare = self.words.len() * WORD_BITS - self.bits as usize;
-        if spare > 0 {
-            let last = self.words[self.words.len() - 1];
-            if last >> (WORD_BITS - spare) != 0 {
-                return Err(SnapError::Corrupt(
-                    "DirtyWords bits set past the logical length".into(),
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Iterator over the set bits of a [`DirtyWords`], ascending.
 #[derive(Debug, Clone)]
 pub struct WordOnes<'a> {
@@ -229,7 +188,6 @@ impl Iterator for WordOnes<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snap::restore_bytes;
 
     #[test]
     fn words_set_clear_count() {
@@ -246,21 +204,5 @@ mod tests {
         assert!(!w.clear(0));
         w.clear_all();
         assert!(w.is_zero());
-    }
-
-    #[test]
-    fn words_snapshot_rejects_padding_bits() {
-        // Forge an image with a bit past the logical length: 65 bits means
-        // only bit 0 of the second word may be used.
-        let mut w = SnapWriter::new();
-        w.usize(65);
-        w.u64(0);
-        w.u64(0b10); // bit 65 — past the logical length
-        let bytes = w.finish();
-        let mut fresh = DirtyWords::new(65);
-        assert!(matches!(
-            restore_bytes(&mut fresh, &bytes),
-            Err(SnapError::Corrupt(_))
-        ));
     }
 }

@@ -160,8 +160,7 @@ pub struct MemoryController {
     /// Reusable drain working set, so the per-drain scheduling pass does
     /// not allocate.
     scratch: DrainScratch,
-    /// Activate log, populated only while tracing is enabled. Diagnostic
-    /// state, not architectural: excluded from snapshots.
+    /// Activate log, populated only while tracing is enabled (diagnostic).
     trace: Option<Vec<ActivateEvent>>,
 }
 
@@ -247,7 +246,7 @@ impl MemoryController {
 
     /// Starts or stops recording activates into [`activate_trace`]
     /// (clearing any previous log). Diagnostic only — tracing does not
-    /// alter scheduling and the log is excluded from snapshots.
+    /// alter scheduling.
     ///
     /// [`activate_trace`]: MemoryController::activate_trace
     pub fn trace_activates(&mut self, on: bool) {
@@ -668,121 +667,6 @@ impl dbi::snap::Snapshot for DramStats {
     }
 }
 
-impl dbi::snap::Snapshot for Bank {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        match self.open_row {
-            Some(row) => {
-                w.bool(true);
-                w.u64(row);
-            }
-            None => w.bool(false),
-        }
-        w.u64(self.cas_ready);
-        w.u64(self.precharge_ready);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        self.open_row = if r.bool()? { Some(r.u64()?) } else { None };
-        self.cas_ready = r.u64()?;
-        self.precharge_ready = r.u64()?;
-        Ok(())
-    }
-}
-
-impl dbi::snap::Snapshot for Channel {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        w.usize(self.banks.len());
-        for b in &self.banks {
-            b.snapshot(w);
-        }
-        self.write_buffer.snapshot(w);
-        w.u64(self.bus_free);
-        w.bool(self.last_was_write);
-        match self.last_activate {
-            Some(t) => {
-                w.bool(true);
-                w.u64(t);
-            }
-            None => w.bool(false),
-        }
-        w.usize(self.groups.len());
-        for g in &self.groups {
-            w.usize(g.recent.len());
-            for &t in &g.recent {
-                w.u64(t);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        use dbi::snap::SnapError;
-        r.expect_len("channel banks", self.banks.len())?;
-        for b in &mut self.banks {
-            b.restore(r)?;
-        }
-        self.write_buffer.restore(r)?;
-        self.bus_free = r.u64()?;
-        self.last_was_write = r.bool()?;
-        self.last_activate = if r.bool()? { Some(r.u64()?) } else { None };
-        r.expect_len("bank-group windows", self.groups.len())?;
-        let mut latest = None;
-        for g in &mut self.groups {
-            let n = r.usize()?;
-            if n > 4 {
-                return Err(SnapError::Corrupt(format!(
-                    "activate window holds {n} > 4 entries"
-                )));
-            }
-            g.recent.clear();
-            for _ in 0..n {
-                let t = r.u64()?;
-                if g.recent.back().is_some_and(|&prev| prev > t) {
-                    return Err(SnapError::Corrupt(
-                        "activate window times must be nondecreasing".to_string(),
-                    ));
-                }
-                g.recent.push_back(t);
-            }
-            if let Some(&back) = g.recent.back() {
-                latest = Some(latest.map_or(back, |m: Cycle| m.max(back)));
-            }
-        }
-        // Every activate lands in some group window and `last_activate`
-        // tracks the newest, so the two views must agree.
-        if self.last_activate != latest {
-            return Err(SnapError::Corrupt(
-                "channel last-activate disagrees with its group windows".to_string(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl dbi::snap::Snapshot for MemoryController {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        // `scratch` is cleared at the start of every drain pass and
-        // `trace` is diagnostic, so neither is architectural state.
-        w.usize(self.channels.len());
-        for c in &self.channels {
-            c.snapshot(w);
-        }
-        self.stats.snapshot(w);
-        self.energy.snapshot(w);
-        w.u64(self.last_accrual);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        r.expect_len("DRAM channels", self.channels.len())?;
-        for c in &mut self.channels {
-            c.restore(r)?;
-        }
-        self.stats.restore(r)?;
-        self.energy.restore(r)?;
-        self.last_accrual = r.u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1191,208 +1075,6 @@ mod policy_tests {
             watermark < full / 2.0,
             "watermark episodes ({watermark:.0} cyc) should be far shorter than full drains ({full:.0} cyc)"
         );
-    }
-}
-
-#[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-    use dbi::snap::{restore_bytes, snapshot_bytes, SnapError, SnapReader, SnapWriter, Snapshot};
-
-    fn driven(config: DramConfig, ops: u64) -> MemoryController {
-        let mut m = MemoryController::new(config);
-        let mut now = 0;
-        for i in 0..ops {
-            // Mixed reads and writes over a handful of rows and banks.
-            let block = (i * 37) % 4096;
-            if i % 3 == 0 {
-                now = m.read(block, now);
-            } else {
-                m.enqueue_write(block, now);
-                now += 7;
-            }
-        }
-        m
-    }
-
-    #[test]
-    fn snapshot_round_trips_and_continues_identically() {
-        let mut config = DramConfig::ddr3_1066();
-        config.channels = 2;
-        config.write_buffer_capacity = 8;
-        let mut original = driven(config.clone(), 200);
-        let bytes = snapshot_bytes(&original);
-
-        let mut restored = MemoryController::new(config);
-        restore_bytes(&mut restored, &bytes).unwrap();
-        assert_eq!(restored.stats(), original.stats());
-        assert_eq!(restored.pending_writes(), original.pending_writes());
-        assert_eq!(restored.channel_free_at(), original.channel_free_at());
-
-        // Both copies must observe identical timing from here on.
-        let mut now = original.channel_free_at();
-        for i in 0..100u64 {
-            let block = (i * 53) % 4096;
-            assert_eq!(original.read(block, now), restored.read(block, now));
-            original.enqueue_write(block + 1, now);
-            restored.enqueue_write(block + 1, now);
-            now += 11;
-        }
-        let end_a = original.flush(now);
-        let end_b = restored.flush(now);
-        assert_eq!(end_a, end_b);
-        assert_eq!(original.stats(), restored.stats());
-        assert_eq!(
-            original.energy().total_pj().to_bits(),
-            restored.energy().total_pj().to_bits()
-        );
-    }
-
-    #[test]
-    fn snapshot_round_trips_bank_group_scheduler_state() {
-        // Multi-group controller mid-traffic: group windows and the
-        // channel's last-activate must survive the round trip bit-exactly.
-        let mut config = DramConfig::ddr3_1066();
-        config.bank_groups = 4;
-        config.write_buffer_capacity = 8;
-        let mut original = driven(config.clone(), 150);
-        let bytes = snapshot_bytes(&original);
-
-        let mut restored = MemoryController::new(config);
-        restore_bytes(&mut restored, &bytes).unwrap();
-        assert_eq!(restored.stats(), original.stats());
-        let mut now = original.channel_free_at();
-        for i in 0..60u64 {
-            let block = (i * 29) % 4096;
-            assert_eq!(original.read(block, now), restored.read(block, now));
-            original.enqueue_write(block + 3, now);
-            restored.enqueue_write(block + 3, now);
-            now += 13;
-        }
-        assert_eq!(original.flush(now), restored.flush(now));
-        assert_eq!(original.stats(), restored.stats());
-    }
-
-    #[test]
-    fn snapshot_rejects_wrong_geometry() {
-        let config = DramConfig::ddr3_1066();
-        let m = driven(config.clone(), 50);
-        let bytes = snapshot_bytes(&m);
-
-        let mut two_channel = config.clone();
-        two_channel.channels = 2;
-        let mut wrong = MemoryController::new(two_channel);
-        assert!(matches!(
-            restore_bytes(&mut wrong, &bytes),
-            Err(SnapError::Mismatch { .. })
-        ));
-
-        // A different group count is a geometry mismatch too.
-        let mut grouped = config;
-        grouped.bank_groups = 2;
-        let mut wrong_groups = MemoryController::new(grouped);
-        assert!(restore_bytes(&mut wrong_groups, &bytes).is_err());
-    }
-
-    #[test]
-    fn snapshot_rejects_corrupt_bytes() {
-        let m = driven(DramConfig::ddr3_1066(), 50);
-        let mut bytes = snapshot_bytes(&m);
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        let mut fresh = MemoryController::new(DramConfig::ddr3_1066());
-        assert!(restore_bytes(&mut fresh, &bytes).is_err());
-    }
-
-    /// Hand-writes a minimal one-channel/one-bank controller image up to
-    /// the activate-scheduler fields, which the caller supplies.
-    fn forged_image(write_scheduler: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.usize(1); // channels
-        w.usize(1); // banks
-        w.bool(false); // no open row
-        w.u64(0); // cas_ready
-        w.u64(0); // precharge_ready
-        w.usize(1); // write buffer capacity
-        w.usize(0); // write buffer len
-        w.u64(0); // coalesced
-        w.u64(0); // bus_free
-        w.bool(false); // last_was_write
-        write_scheduler(&mut w);
-        w.finish()
-    }
-
-    fn tiny_controller() -> MemoryController {
-        let mut config = DramConfig::ddr3_1066();
-        config.mapping = crate::AddressMapping::new(1, 1);
-        config.write_buffer_capacity = 1;
-        MemoryController::new(config)
-    }
-
-    #[test]
-    fn restore_rejects_window_without_last_activate() {
-        let bytes = forged_image(|w| {
-            w.bool(false); // last_activate = None ...
-            w.usize(1); // ... yet the single group window
-            w.usize(1);
-            w.u64(5); // holds an activate
-        });
-        let mut r = SnapReader::new(&bytes).unwrap();
-        assert!(matches!(
-            tiny_controller().restore(&mut r),
-            Err(SnapError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn restore_rejects_decreasing_window_times() {
-        let bytes = forged_image(|w| {
-            w.bool(true);
-            w.u64(9); // last_activate
-            w.usize(1); // one group
-            w.usize(2); // window of two ...
-            w.u64(9);
-            w.u64(3); // ... running backwards in time
-        });
-        let mut r = SnapReader::new(&bytes).unwrap();
-        assert!(matches!(
-            tiny_controller().restore(&mut r),
-            Err(SnapError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn restore_rejects_overfull_window() {
-        let bytes = forged_image(|w| {
-            w.bool(true);
-            w.u64(50);
-            w.usize(1);
-            w.usize(5); // five activates in a four-deep tFAW window
-            for t in [10u64, 20, 30, 40, 50] {
-                w.u64(t);
-            }
-        });
-        let mut r = SnapReader::new(&bytes).unwrap();
-        assert!(matches!(
-            tiny_controller().restore(&mut r),
-            Err(SnapError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn write_buffer_restore_rejects_duplicates() {
-        let mut wb = WriteBuffer::new(4);
-        wb.push(1);
-        wb.push(2);
-        let mut w = dbi::snap::SnapWriter::new();
-        w.usize(4); // capacity
-        w.usize(2); // len
-        w.u64(9);
-        w.u64(9); // duplicate
-        w.u64(0); // coalesced
-        let bytes = w.finish();
-        let mut r = dbi::snap::SnapReader::new(&bytes).unwrap();
-        assert!(matches!(wb.restore(&mut r), Err(SnapError::Corrupt(_))));
     }
 }
 

@@ -109,41 +109,6 @@ impl WriteBuffer {
     }
 }
 
-impl dbi::snap::Snapshot for WriteBuffer {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        w.usize(self.capacity);
-        w.usize(self.pending.len());
-        for &b in &self.pending {
-            w.u64(b);
-        }
-        w.u64(self.coalesced);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        use dbi::snap::SnapError;
-        r.expect_len("write-buffer capacity", self.capacity)?;
-        let n = r.usize()?;
-        if n > self.capacity {
-            return Err(SnapError::Corrupt(format!(
-                "write buffer holds {n} > capacity {}",
-                self.capacity
-            )));
-        }
-        self.pending.clear();
-        for _ in 0..n {
-            let b = r.u64()?;
-            if self.pending.contains(&b) {
-                return Err(SnapError::Corrupt(format!(
-                    "write buffer holds duplicate block {b}"
-                )));
-            }
-            self.pending.push(b);
-        }
-        self.coalesced = r.u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

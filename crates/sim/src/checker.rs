@@ -82,49 +82,6 @@ impl VersionChecker {
     }
 }
 
-fn snapshot_map(map: &HashMap<u64, u64>, w: &mut dbi::snap::SnapWriter) {
-    // Hash iteration order is nondeterministic; sort so identical checker
-    // states always produce identical bytes.
-    let mut entries: Vec<(u64, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
-    entries.sort_unstable();
-    w.usize(entries.len());
-    for (k, v) in entries {
-        w.u64(k);
-        w.u64(v);
-    }
-}
-
-fn restore_map(
-    map: &mut HashMap<u64, u64>,
-    r: &mut dbi::snap::SnapReader<'_>,
-) -> Result<(), dbi::snap::SnapError> {
-    let n = r.usize()?;
-    map.clear();
-    for _ in 0..n {
-        let k = r.u64()?;
-        let v = r.u64()?;
-        if map.insert(k, v).is_some() {
-            return Err(dbi::snap::SnapError::Corrupt(format!(
-                "duplicate checker entry for block {k}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-impl dbi::snap::Snapshot for VersionChecker {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        snapshot_map(&self.latest, w);
-        snapshot_map(&self.in_dram, w);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        restore_map(&mut self.latest, r)?;
-        restore_map(&mut self.in_dram, r)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

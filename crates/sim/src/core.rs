@@ -81,13 +81,19 @@ pub struct FrontKey {
 
 impl FrontKey {
     /// The key of `mix`'s front ends on `config`.
+    #[must_use]
+    pub fn new(mix: &WorkloadMix, config: &SystemConfig) -> FrontKey {
+        FrontKey::of(mix.benchmarks().iter().map(|b| b.label()), config)
+    }
+
+    /// The key of front ends running the benchmarks labelled `labels`,
+    /// in core order, on `config`.
     ///
     /// Every `SystemConfig` field is named below, so a new one does not
     /// compile until it is classified: in the key if `Front::new`, the
     /// trace generator or the per-core address layout reads it, ignored
     /// otherwise.
-    #[must_use]
-    pub fn new(mix: &WorkloadMix, config: &SystemConfig) -> FrontKey {
+    pub(crate) fn of<'a>(labels: impl Iterator<Item = &'a str>, config: &SystemConfig) -> FrontKey {
         let SystemConfig {
             cores: _,
             mechanism: _,
@@ -132,14 +138,14 @@ impl FrontKey {
         } else {
             "none".to_string()
         };
-        let benchmarks: Vec<&str> = mix.benchmarks().iter().map(|b| b.label()).collect();
+        let benchmarks: Vec<&str> = labels.collect();
         FrontKey {
             text: format!(
                 "mix={} seed={seed} l1={l1_bytes}:{l1_ways} l2={l2_bytes}:{l2_ways} \
                  blk={block_bytes} l2dbi={l2_dbi}",
                 benchmarks.join("+")
             ),
-            cores: mix.cores(),
+            cores: benchmarks.len(),
         }
     }
 
@@ -377,33 +383,6 @@ impl Front {
     }
 }
 
-impl dbi::snap::Snapshot for Front {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        // `l2_sweep_scratch` is cleared at the start of every sweep.
-        self.generator.snapshot(w);
-        self.l1.snapshot(w);
-        self.l2.snapshot(w);
-        match &self.l2_dbi {
-            Some(d) => {
-                w.bool(true);
-                d.snapshot(w);
-            }
-            None => w.bool(false),
-        }
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        self.generator.restore(r)?;
-        self.l1.restore(r)?;
-        self.l2.restore(r)?;
-        r.expect_bool("L2 DBI presence", self.l2_dbi.is_some())?;
-        if let Some(d) = &mut self.l2_dbi {
-            d.restore(r)?;
-        }
-        Ok(())
-    }
-}
-
 /// A core's back end: window state and counters.
 #[derive(Debug)]
 pub(crate) struct CoreEngine {
@@ -422,7 +401,7 @@ pub(crate) struct CoreEngine {
     /// Completion cycle of the most recent load (dependent loads must wait
     /// for it before issuing).
     last_load_completion: u64,
-    // Counters (monotonic; the system snapshots them around the
+    // Counters (monotonic; the system reads them around the
     // measurement window).
     pub(crate) llc_reads: u64,
     pub(crate) llc_read_misses: u64,
@@ -580,48 +559,6 @@ impl CoreEngine {
     #[cfg(test)]
     pub(crate) fn note_load_for_test(&mut self, completion: u64) {
         self.note_load(completion);
-    }
-}
-
-impl dbi::snap::Snapshot for CoreEngine {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        // The config-derived fields (latencies, window, MSHRs) are
-        // validated structurally, not stored.
-        w.u64(self.cycle);
-        w.u64(self.insts);
-        w.usize(self.outstanding.len());
-        for &(idx, done) in &self.outstanding {
-            w.u64(idx);
-            w.u64(done);
-        }
-        w.u64(self.last_load_completion);
-        w.u64(self.llc_reads);
-        w.u64(self.llc_read_misses);
-        w.u64(self.records);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        use dbi::snap::SnapError;
-        self.cycle = r.u64()?;
-        self.insts = r.u64()?;
-        let n = r.usize()?;
-        if n > self.mshrs {
-            return Err(SnapError::Corrupt(format!(
-                "{n} outstanding loads exceed the {} MSHRs",
-                self.mshrs
-            )));
-        }
-        self.outstanding.clear();
-        for _ in 0..n {
-            let idx = r.u64()?;
-            let done = r.u64()?;
-            self.outstanding.push_back((idx, done));
-        }
-        self.last_load_completion = r.u64()?;
-        self.llc_reads = r.u64()?;
-        self.llc_read_misses = r.u64()?;
-        self.records = r.u64()?;
-        Ok(())
     }
 }
 

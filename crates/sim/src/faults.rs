@@ -212,67 +212,6 @@ impl FaultInjector {
     }
 }
 
-impl FaultClass {
-    fn snap_code(self) -> u8 {
-        match self {
-            FaultClass::DropWriteback => 0,
-            FaultClass::FlipDbiBit => 1,
-            FaultClass::SkipDrain => 2,
-            FaultClass::StaleSsv => 3,
-        }
-    }
-
-    fn from_snap_code(code: u8) -> Result<FaultClass, dbi::snap::SnapError> {
-        FaultClass::ALL
-            .into_iter()
-            .find(|c| c.snap_code() == code)
-            .ok_or_else(|| dbi::snap::SnapError::Corrupt(format!("fault-class code {code}")))
-    }
-}
-
-impl dbi::snap::Snapshot for FaultInjector {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        // `plan` and `fire_at` are configuration-derived; validate, don't
-        // rebuild.
-        w.u64(u64::from(self.plan.class.snap_code()));
-        w.u64(self.plan.seed);
-        w.u64(self.seen);
-        match self.fired {
-            Some(rec) => {
-                w.bool(true);
-                w.u8(rec.class.snap_code());
-                w.u64(rec.target);
-                w.u64(rec.opportunity);
-            }
-            None => w.bool(false),
-        }
-        match self.stale_set {
-            Some(set) => {
-                w.bool(true);
-                w.u64(set);
-            }
-            None => w.bool(false),
-        }
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        r.expect_u64("fault class", u64::from(self.plan.class.snap_code()))?;
-        r.expect_u64("fault seed", self.plan.seed)?;
-        self.seen = r.u64()?;
-        self.fired = if r.bool()? {
-            Some(FaultRecord {
-                class: FaultClass::from_snap_code(r.u8()?)?,
-                target: r.u64()?,
-                opportunity: r.u64()?,
-            })
-        } else {
-            None
-        };
-        self.stale_set = if r.bool()? { Some(r.u64()?) } else { None };
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -578,9 +578,8 @@ impl FrontRecorder {
     /// # Errors
     ///
     /// Fails if a write failed, or if no run fed this recorder from its
-    /// first record to its end (it resumed from a checkpoint, was
-    /// suspended, ran the shadow-memory check, or had another key): such
-    /// streams must not be replayed.
+    /// first record to its end (it ran the shadow-memory check or had
+    /// another key): such streams must not be replayed.
     pub fn finish(mut self) -> io::Result<()> {
         if let Some(e) = self.error.take() {
             return Err(e);
@@ -594,8 +593,8 @@ impl FrontRecorder {
 
 /// Feeds a run from streams a [`FrontRecorder`] wrote. Each core's front
 /// end stays where it was built until something needs it: the end of its
-/// stream, a chunk that fails to read or check, or a checkpoint. Then it
-/// is fast-forwarded past the records replayed so far, and that core runs
+/// stream, or a chunk that fails to read or check. Then it is
+/// fast-forwarded past the records replayed so far, and that core runs
 /// inline.
 #[derive(Debug)]
 pub struct FrontReplay {
@@ -669,14 +668,6 @@ impl FrontReplay {
     fn detach(&mut self, i: usize, front: &mut Front) {
         if self.streams[i].take().is_some() {
             front.skip(self.replayed[i]);
-        }
-    }
-
-    /// [`FrontReplay::detach`] for every core: before anything reads the
-    /// front ends' state.
-    pub(crate) fn detach_all(&mut self, fronts: &mut [Front]) {
-        for (i, front) in fronts.iter_mut().enumerate() {
-            self.detach(i, front);
         }
     }
 }

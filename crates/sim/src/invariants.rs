@@ -148,7 +148,7 @@ pub struct Sanitizer {
     /// Blocks the LLC currently owes to DRAM: marked when a writeback
     /// arrives from the level above, cleared when the block's data
     /// actually reaches the memory controller. Shares no code with the
-    /// DBI it checks; iterates (and snapshots) in ascending order.
+    /// DBI it checks; iterates in ascending order.
     shadow_dirty: BTreeSet<u64>,
     /// Mirror of the SSV refresh stream (VWQ only).
     shadow_ssv: Option<Vec<bool>>,
@@ -321,111 +321,6 @@ impl Sanitizer {
             shadow_dirty_blocks: self.shadow_dirty.len() as u64,
             fault,
         }
-    }
-}
-
-impl InvariantKind {
-    fn snap_code(self) -> u8 {
-        match self {
-            InvariantKind::DirtyCoherence => 0,
-            InvariantKind::AlphaBound => 1,
-            InvariantKind::EvictionWriteback => 2,
-            InvariantKind::DirtyBypass => 3,
-            InvariantKind::SsvCoherence => 4,
-        }
-    }
-
-    fn from_snap_code(code: u8) -> Result<InvariantKind, dbi::snap::SnapError> {
-        [
-            InvariantKind::DirtyCoherence,
-            InvariantKind::AlphaBound,
-            InvariantKind::EvictionWriteback,
-            InvariantKind::DirtyBypass,
-            InvariantKind::SsvCoherence,
-        ]
-        .into_iter()
-        .find(|k| k.snap_code() == code)
-        .ok_or_else(|| dbi::snap::SnapError::Corrupt(format!("invariant-kind code {code}")))
-    }
-}
-
-impl dbi::snap::Snapshot for Sanitizer {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        w.usize(self.shadow_dirty.len());
-        for &block in &self.shadow_dirty {
-            w.u64(block);
-        }
-        match &self.shadow_ssv {
-            Some(bits) => {
-                w.bool(true);
-                w.usize(bits.len());
-                for &b in bits {
-                    w.bool(b);
-                }
-            }
-            None => w.bool(false),
-        }
-        let mut seen: Vec<(u8, u64)> = self.seen.iter().map(|&(k, t)| (k.snap_code(), t)).collect();
-        seen.sort_unstable();
-        w.usize(seen.len());
-        for (code, target) in seen {
-            w.u8(code);
-            w.u64(target);
-        }
-        w.usize(self.violations.len());
-        for v in &self.violations {
-            w.u8(v.kind.snap_code());
-            w.u64(v.target);
-            w.str(&v.detail);
-        }
-        w.u64(self.total_violations);
-        w.u64(self.scans);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        use dbi::snap::SnapError;
-        let n = r.usize()?;
-        self.shadow_dirty = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-        if self.shadow_dirty.len() != n {
-            return Err(SnapError::Corrupt(
-                "duplicate sanitizer shadow block".into(),
-            ));
-        }
-        r.expect_bool("sanitizer SSV mirror", self.shadow_ssv.is_some())?;
-        if let Some(bits) = &mut self.shadow_ssv {
-            r.expect_len("sanitizer SSV sets", bits.len())?;
-            for b in bits.iter_mut() {
-                *b = r.bool()?;
-            }
-        }
-        let n = r.usize()?;
-        self.seen.clear();
-        for _ in 0..n {
-            let kind = InvariantKind::from_snap_code(r.u8()?)?;
-            let target = r.u64()?;
-            if !self.seen.insert((kind, target)) {
-                return Err(SnapError::Corrupt(format!(
-                    "duplicate violation key {kind} @ {target}"
-                )));
-            }
-        }
-        let n = r.usize()?;
-        if n > MAX_DETAILS {
-            return Err(SnapError::Corrupt(format!(
-                "{n} violation details exceed the {MAX_DETAILS} cap"
-            )));
-        }
-        self.violations.clear();
-        for _ in 0..n {
-            self.violations.push(InvariantViolation {
-                kind: InvariantKind::from_snap_code(r.u8()?)?,
-                target: r.u64()?,
-                detail: r.str()?,
-            });
-        }
-        self.total_violations = r.u64()?;
-        self.scans = r.u64()?;
-        Ok(())
     }
 }
 

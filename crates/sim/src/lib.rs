@@ -42,7 +42,6 @@ mod feed;
 mod invariants;
 mod llc;
 pub mod metrics;
-mod session;
 mod system;
 
 pub use crate::checker::{LostWrite, VersionChecker};
@@ -53,5 +52,4 @@ pub use crate::feed::{FrontRecorder, FrontReplay, FrontStreams};
 pub use crate::invariants::{InvariantKind, InvariantViolation, Sanitizer, SanitizerReport};
 pub use crate::llc::{LlcStats, ReadOutcome, SharedLlc};
 pub use crate::metrics::CoreResult;
-pub use crate::session::{CheckpointCadence, SessionOutcome, SimSession, CLOCK_PROBE_RECORDS};
 pub use crate::system::{run_alone, run_mix, MixResult, System};

@@ -805,87 +805,6 @@ impl dbi::snap::Snapshot for LlcStats {
     }
 }
 
-impl dbi::snap::Snapshot for SharedLlc {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        // `sweep_scratch` / `dbi_evict_scratch` are cleared before every
-        // use; `mechanism`, `lat`, and `dram_row_blocks` are configuration.
-        self.cache.snapshot(w);
-        for present in [
-            self.dbi.is_some(),
-            self.dueling.is_some(),
-            self.predictor.is_some(),
-            self.ssv.is_some(),
-            self.rewrite_filter.is_some(),
-            self.sanitizer.is_some(),
-            self.injector.is_some(),
-        ] {
-            w.bool(present);
-        }
-        if let Some(d) = &self.dbi {
-            d.snapshot(w);
-        }
-        if let Some(d) = &self.dueling {
-            d.snapshot(w);
-        }
-        self.bimodal.snapshot(w);
-        if let Some(p) = &self.predictor {
-            p.snapshot(w);
-        }
-        if let Some(s) = &self.ssv {
-            s.snapshot(w);
-        }
-        if let Some(f) = &self.rewrite_filter {
-            f.snapshot(w);
-        }
-        w.u64(self.demand_port_free);
-        w.u64(self.port_free);
-        if let Some(s) = &self.sanitizer {
-            s.snapshot(w);
-        }
-        if let Some(i) = &self.injector {
-            i.snapshot(w);
-        }
-        self.stats.snapshot(w);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        self.cache.restore(r)?;
-        r.expect_bool("LLC DBI presence", self.dbi.is_some())?;
-        r.expect_bool("dueling presence", self.dueling.is_some())?;
-        r.expect_bool("predictor presence", self.predictor.is_some())?;
-        r.expect_bool("SSV presence", self.ssv.is_some())?;
-        r.expect_bool("rewrite-filter presence", self.rewrite_filter.is_some())?;
-        r.expect_bool("sanitizer presence", self.sanitizer.is_some())?;
-        r.expect_bool("fault-injector presence", self.injector.is_some())?;
-        if let Some(d) = &mut self.dbi {
-            d.restore(r)?;
-        }
-        if let Some(d) = &mut self.dueling {
-            d.restore(r)?;
-        }
-        self.bimodal.restore(r)?;
-        if let Some(p) = &mut self.predictor {
-            p.restore(r)?;
-        }
-        if let Some(s) = &mut self.ssv {
-            s.restore(r)?;
-        }
-        if let Some(f) = &mut self.rewrite_filter {
-            f.restore(r)?;
-        }
-        self.demand_port_free = r.u64()?;
-        self.port_free = r.u64()?;
-        if let Some(s) = self.sanitizer.as_deref_mut() {
-            s.restore(r)?;
-        }
-        if let Some(i) = &mut self.injector {
-            i.restore(r)?;
-        }
-        self.stats.restore(r)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

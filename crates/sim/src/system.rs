@@ -1,7 +1,6 @@
 //! The assembled system: cores + shared LLC + DRAM, and the run loop.
 
 use std::collections::TryReserveError;
-use std::time::Instant;
 
 use cache_sim::lastwrite::RewriteFilterStats;
 use cache_sim::{BlockAddr, CacheConfig};
@@ -13,13 +12,12 @@ use trace_gen::{Benchmark, TraceGenerator};
 
 use crate::checker::{LostWrite, VersionChecker};
 use crate::config::{SystemConfig, MAX_CORES};
-use crate::core::{CoreEngine, Front};
+use crate::core::{CoreEngine, Front, FrontKey};
 use crate::feed::{CpuClaim, FrontRecorder, FrontReplay, FrontStreams, Pipe, Reader, Writer};
 use crate::feed::{HELPER_STACK, RING_WORDS};
 use crate::invariants::SanitizerReport;
 use crate::llc::{LlcStats, SharedLlc};
 use crate::metrics::CoreResult;
-use crate::session::{CheckpointCadence, SessionOutcome, Sink, CLOCK_PROBE_RECORDS};
 
 /// Alignment of per-core address regions, in blocks (1 MB of 64 B blocks —
 /// a whole number of DRAM row groups, so cores never share a row).
@@ -92,7 +90,7 @@ impl MixResult {
     }
 
     /// A deterministic fingerprint covering every field, used to prove two
-    /// runs bit-identical (e.g. straight-through vs checkpoint-resumed).
+    /// runs bit-identical (e.g. ring vs inline, or replayed front ends).
     /// Energy floats are rendered as IEEE-754 bit patterns so the digest
     /// never depends on decimal formatting.
     #[must_use]
@@ -241,12 +239,12 @@ fn diff_llc(end: &LlcStats, start: &LlcStats) -> LlcStats {
 /// measuring until every core has an end snapshot), never stored
 /// separately.
 #[derive(Debug)]
-pub(crate) struct RunState {
-    pub(crate) steps: u64,
-    pub(crate) measuring: bool,
-    /// Cores still below the warmup quota (derived, not stored).
+struct RunState {
+    steps: u64,
+    measuring: bool,
+    /// Cores still below the warmup quota.
     warming: usize,
-    /// Cores with an end snapshot (derived, not stored).
+    /// Cores with an end snapshot.
     finished: usize,
     base: Vec<CoreSnapshot>,
     end: Vec<Option<CoreSnapshot>>,
@@ -257,7 +255,7 @@ pub(crate) struct RunState {
 }
 
 impl RunState {
-    pub(crate) fn cold(sys: &System) -> RunState {
+    fn cold(sys: &System) -> RunState {
         let warm = sys.config.warmup_insts;
         RunState {
             steps: 0,
@@ -271,63 +269,6 @@ impl RunState {
             energy_base: DramEnergy::default(),
             dbi_base: None,
         }
-    }
-
-    pub(crate) fn write(&self, w: &mut dbi::snap::SnapWriter) {
-        w.u64(self.steps);
-        w.bool(self.measuring);
-        if !self.measuring {
-            // Baselines don't exist yet; a warmup-phase resume recaptures
-            // them at the boundary exactly as a straight-through run would.
-            return;
-        }
-        w.usize(self.base.len());
-        let write = |w: &mut SnapWriter, &(insts, cycles, reads, misses, writes): &CoreSnapshot| {
-            for x in [insts, cycles, reads, misses, writes] {
-                w.u64(x);
-            }
-        };
-        for b in &self.base {
-            write(w, b);
-        }
-        for e in &self.end {
-            w.bool(e.is_some());
-            e.iter().for_each(|e| write(w, e));
-        }
-        self.llc_base.snapshot(w);
-        self.dram_base.snapshot(w);
-        self.energy_base.snapshot(w);
-        write_optional(w, self.dbi_base.as_ref());
-    }
-
-    pub(crate) fn read(
-        r: &mut dbi::snap::SnapReader<'_>,
-        sys: &System,
-    ) -> Result<RunState, dbi::snap::SnapError> {
-        let mut st = RunState::cold(sys);
-        st.steps = r.u64()?;
-        st.measuring = r.bool()?;
-        if !st.measuring {
-            return Ok(st);
-        }
-        let n = sys.cores.len();
-        r.expect_len("measurement baselines", n)?;
-        let read = |r: &mut SnapReader<'_>| -> Result<CoreSnapshot, SnapError> {
-            Ok((r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?))
-        };
-        for _ in 0..n {
-            st.base.push(read(r)?);
-        }
-        for _ in 0..n {
-            st.end.push(r.bool()?.then(|| read(r)).transpose()?);
-        }
-        st.finished = st.end.iter().filter(|e| e.is_some()).count();
-        st.llc_base.restore(r)?;
-        st.dram_base.restore(r)?;
-        st.energy_base.restore(r)?;
-        r.expect_bool("DBI baseline presence", sys.llc.dbi().is_some())?;
-        st.dbi_base = sys.llc.dbi().map(|_| restored(r)).transpose()?;
-        Ok(st)
     }
 }
 
@@ -345,11 +286,11 @@ enum Feed<'a> {
     Record(&'a mut FrontRecorder),
     /// Read from streams an earlier run with the same front key recorded;
     /// a core's front end catches up and runs inline only when its stream
-    /// runs out, fails a check, or a checkpoint needs it.
+    /// runs out or fails a check.
     Replay(&'a mut FrontReplay),
 }
 
-/// How [`System::drive_as`] feeds the back end.
+/// How [`System::drive`] feeds the back end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Form {
     /// One thread, [`Feed::Inline`].
@@ -487,9 +428,7 @@ impl System {
     ///
     /// Cores that finish their measurement quota keep running (and keep
     /// generating interference) until every core has finished, following
-    /// the standard multi-programmed methodology. Checkpointing and resume
-    /// live on [`crate::session::SimSession`], which drives the run
-    /// through the same loop.
+    /// the standard multi-programmed methodology.
     ///
     /// When the process has a CPU to spare and the shadow-memory check is
     /// off, the cores' front ends run ahead on a helper thread; the
@@ -500,93 +439,63 @@ impl System {
     /// Panics if the configured measurement window is empty.
     #[must_use]
     pub fn run(self) -> MixResult {
-        let st = RunState::cold(&self);
-        self.drive(st, CheckpointCadence::Disabled, &mut |_| true, None)
-            .into_result()
+        self.run_with_streams(None)
     }
 
-    /// Runs from `st` to the end, offering a checkpoint to `sink` whenever
-    /// `cadence` falls due; a `false` from `sink` suspends the run.
-    /// `streams`, whose key the caller has checked, are recorded or
-    /// replayed only from a cold start without the shadow-memory check
-    /// (its final flush reads L1/L2).
+    /// [`System::run`], recording the front ends' streams into `streams`
+    /// or taking the records from them instead of running the front ends.
+    /// Either happens only if the run has the streams' front key and runs
+    /// without the shadow-memory check (its final flush reads L1/L2);
+    /// otherwise the run ignores them, and a recording stays unfinished.
+    /// The result is the same either way.
     ///
-    /// This is where the form is chosen. The front ends run ahead on a
-    /// helper thread only when nothing reads them before the run ends:
-    /// no checkpoints, no shadow-memory check, no recorded streams, and a
-    /// CPU to spare.
-    pub(crate) fn drive(
-        self,
-        st: RunState,
-        cadence: CheckpointCadence,
-        sink: Sink<'_>,
-        streams: Option<&mut FrontStreams>,
-    ) -> SessionOutcome {
+    /// This is where the form is chosen: the front ends run ahead on a
+    /// helper thread only when nothing reads them before the run ends —
+    /// no shadow-memory check, no streams — and the process has a CPU to
+    /// spare.
+    ///
+    /// # Panics
+    ///
+    /// As [`System::run`].
+    #[must_use]
+    pub fn run_with_streams(self, streams: Option<&mut FrontStreams>) -> MixResult {
+        let streams = streams.filter(|s| {
+            self.checker.is_none()
+                && *s.key() == FrontKey::of(self.cores.iter().map(|c| &*c.benchmark), &self.config)
+        });
         let mut claim = CpuClaim::simulation();
-        let streams = streams.filter(|_| st.steps == 0 && self.checker.is_none());
-        let form = if streams.is_none()
-            && cadence == CheckpointCadence::Disabled
-            && self.checker.is_none()
-            && claim.helper()
-        {
+        let form = if streams.is_none() && self.checker.is_none() && claim.helper() {
             Form::Ring { words: RING_WORDS }
         } else {
             Form::Inline
         };
-        self.drive_fed(form, streams, st, cadence, sink)
+        self.drive(form, streams)
     }
 
-    /// [`System::drive`] in the given form, without recorded streams.
-    #[cfg(test)]
-    fn drive_as(
-        self,
-        form: Form,
-        st: RunState,
-        cadence: CheckpointCadence,
-        sink: Sink<'_>,
-    ) -> SessionOutcome {
-        self.drive_fed(form, None, st, cadence, sink)
-    }
-
-    /// [`System::drive`] in the given form, an inline one writing or
+    /// Runs to the end in the given form, an inline one writing or
     /// reading `streams`.
-    fn drive_fed(
-        mut self,
-        form: Form,
-        streams: Option<&mut FrontStreams>,
-        mut st: RunState,
-        cadence: CheckpointCadence,
-        sink: Sink<'_>,
-    ) -> SessionOutcome {
+    fn drive(mut self, form: Form, streams: Option<&mut FrontStreams>) -> MixResult {
         assert!(
             self.config.measure_insts > 0,
             "measurement window must be nonempty"
         );
-        let finished = match (form, streams) {
-            (Form::Inline, None) => {
-                self.steps(&mut st, &mut Feed::Inline(Vec::new()), cadence, sink)
-            }
+        let mut st = RunState::cold(&self);
+        match (form, streams) {
+            (Form::Inline, None) => self.steps(&mut st, &mut Feed::Inline(Vec::new())),
             (Form::Inline, Some(FrontStreams::Record(recorder))) => {
-                let finished =
-                    self.steps(&mut st, &mut Feed::Record(&mut *recorder), cadence, sink);
-                if finished {
-                    recorder.complete(&mut self.fronts);
-                }
-                finished
+                self.steps(&mut st, &mut Feed::Record(&mut *recorder));
+                recorder.complete(&mut self.fronts);
             }
             (Form::Inline, Some(FrontStreams::Replay(replay))) => {
-                self.steps(&mut st, &mut Feed::Replay(replay), cadence, sink)
+                self.steps(&mut st, &mut Feed::Replay(replay));
             }
             (Form::Ring { words }, streams) => {
                 assert!(
-                    self.checker.is_none()
-                        && cadence == CheckpointCadence::Disabled
-                        && streams.is_none(),
-                    "the shadow-memory check, checkpoints and recorded streams run inline"
+                    self.checker.is_none() && streams.is_none(),
+                    "the shadow-memory check and recorded streams run inline"
                 );
                 // The front ends end up ahead of the consumed records, so
-                // they do not go back: only checks and checkpoints read
-                // them.
+                // they do not go back: only the check reads them.
                 let mut fronts = std::mem::take(&mut self.fronts);
                 let mut writers: Vec<Writer> = fronts.iter().map(Writer::new).collect();
                 let mut readers = vec![Reader::default(); fronts.len()];
@@ -598,58 +507,17 @@ impl System {
                         .stack_size(HELPER_STACK)
                         .spawn_scoped(s, || pipe.fill(&mut fronts, &mut writers))
                         .expect("spawn the trace front-end thread");
-                    let mut feed = Feed::Ring(&pipe, &mut readers);
-                    self.steps(&mut st, &mut feed, cadence, sink)
-                })
+                    self.steps(&mut st, &mut Feed::Ring(&pipe, &mut readers));
+                });
             }
-        };
-        if finished {
-            SessionOutcome::Finished(Box::new(self.finish(&st)))
-        } else {
-            SessionOutcome::Suspended
         }
+        self.finish(&st)
     }
 
     /// The drive loop, the only code that calls [`System::micro_step`]:
-    /// steps the run to its end, offering a checkpoint to `sink` whenever
-    /// `cadence` falls due. Returns `false` if `sink` suspended the run.
-    fn steps(
-        &mut self,
-        st: &mut RunState,
-        feed: &mut Feed<'_>,
-        cadence: CheckpointCadence,
-        sink: Sink<'_>,
-    ) -> bool {
-        // Records between checkpoints, or between clock probes; counting
-        // down to the next one keeps divisions and the clock out of the
-        // loop. A zero interval never falls due.
-        let every = match cadence {
-            CheckpointCadence::Disabled | CheckpointCadence::EveryRecords(0) => u64::MAX,
-            CheckpointCadence::EveryRecords(n) => n,
-            CheckpointCadence::WallClock(_) => CLOCK_PROBE_RECORDS,
-        };
-        let mut countdown = every;
-        let mut last_checkpoint = Instant::now();
-        while self.micro_step(st, feed) {
-            countdown -= 1;
-            if countdown > 0 {
-                continue;
-            }
-            countdown = every;
-            if let CheckpointCadence::WallClock(target) = cadence {
-                if last_checkpoint.elapsed() < target {
-                    continue;
-                }
-                last_checkpoint = Instant::now();
-            }
-            if let Feed::Replay(replay) = feed {
-                replay.detach_all(&mut self.fronts);
-            }
-            if !sink(&self.checkpoint(st)) {
-                return false;
-            }
-        }
-        true
+    /// steps the run to its end.
+    fn steps(&mut self, st: &mut RunState, feed: &mut Feed<'_>) {
+        while self.micro_step(st, feed) {}
     }
 
     /// Advances the run by exactly one trace record, performing the
@@ -658,8 +526,8 @@ impl System {
     /// — a terminal state; further calls stay `false` and step nothing.
     ///
     /// Sanitizer scan points and measurement boundaries derive only from
-    /// `st`, never from wall-clock time, so a run resumed from a
-    /// checkpoint replays the exact step sequence of an uninterrupted one.
+    /// `st`, never from wall-clock time, so every form of a run steps the
+    /// same sequence.
     fn micro_step(&mut self, st: &mut RunState, feed: &mut Feed<'_>) -> bool {
         let warm = self.config.warmup_insts;
         if !st.measuring {
@@ -704,102 +572,6 @@ impl System {
         let c = &self.cores[i];
         let writes = self.llc.stats().dram_writes_per_core[i];
         (c.insts, c.cycle, c.llc_reads, c.llc_read_misses, writes)
-    }
-
-    /// Serializes the mid-run state (mechanisms + run-loop progress) into
-    /// one self-checksummed checkpoint image, led by the trace seed so the
-    /// image only resumes into a run of the same seed.
-    fn checkpoint(&self, st: &RunState) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.u64(self.config.seed);
-        self.snapshot(&mut w);
-        st.write(&mut w);
-        // Coherence cross-check: total dirty LLC ways, recomputed from the
-        // restored dirty words on restore.
-        w.u64(self.dirty_ways());
-        w.finish()
-    }
-
-    /// Restores a [`System::checkpoint`] image into this freshly built
-    /// system and cross-checks the run-state against it: relations that
-    /// hold for every legitimately captured snapshot, so a forged or
-    /// mismatched image fails with [`SnapError::Corrupt`] instead of
-    /// producing plausible-looking results. On error the system is left
-    /// partially restored and must be discarded for a cold start.
-    pub(crate) fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<RunState, SnapError> {
-        let mut r = SnapReader::new(bytes)?;
-        r.expect_u64("checkpoint seed", self.config.seed)?;
-        self.restore(&mut r)?;
-        let st = RunState::read(&mut r, self)?;
-        let dirty = r.u64()?;
-        r.finish()?;
-        if dirty != self.dirty_ways() {
-            return Err(SnapError::Corrupt(format!(
-                "dirty-way cross-check: snapshot says {dirty}, restored LLC has {}",
-                self.dirty_ways()
-            )));
-        }
-        let records: u64 = self.cores.iter().map(|c| c.records).sum();
-        if st.steps != records {
-            return Err(SnapError::Corrupt(format!(
-                "step count {} does not match {records} core records",
-                st.steps
-            )));
-        }
-        if st.measuring {
-            for (i, c) in self.cores.iter().enumerate() {
-                if c.insts < self.config.warmup_insts {
-                    return Err(SnapError::Corrupt(format!(
-                        "measuring snapshot with core {i} still below the warmup quota"
-                    )));
-                }
-                let b = st.base[i];
-                if b.0 > c.insts {
-                    return Err(SnapError::Corrupt(format!(
-                        "core {i} measurement baseline is ahead of the core"
-                    )));
-                }
-                if let Some(e) = st.end[i] {
-                    let window = self.config.measure_insts;
-                    if e.0.checked_sub(b.0).is_none_or(|n| n < window) || e.0 > c.insts {
-                        return Err(SnapError::Corrupt(format!(
-                            "core {i} end snapshot outside its measurement window"
-                        )));
-                    }
-                    if e.1 < b.1 || e.2 < b.2 || e.3 < b.3 || e.4 < b.4 {
-                        return Err(SnapError::Corrupt(format!(
-                            "core {i} end snapshot runs backwards from its baseline"
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(st)
-    }
-
-    /// Total dirty LLC ways, computed through the bulk
-    /// [`DirtyView::mask_words`](cache_sim::DirtyView::mask_words) query.
-    fn dirty_ways(&self) -> u64 {
-        let cache = self.llc.cache();
-        let sets = cache.config().sets();
-        let view = cache.dirty();
-        let mut idx = [cache_sim::SetIdx(0); 64];
-        let mut words = [0u64; 64];
-        let mut total = 0u64;
-        let mut set = 0u64;
-        while set < sets {
-            let n = ((sets - set) as usize).min(64);
-            for (k, slot) in idx[..n].iter_mut().enumerate() {
-                *slot = cache_sim::SetIdx(set + k as u64);
-            }
-            view.mask_words(&idx[..n], &mut words[..n]);
-            total += words[..n]
-                .iter()
-                .map(|w| u64::from(w.count_ones()))
-                .sum::<u64>();
-            set += n as u64;
-        }
-        total
     }
 
     /// Folds a completed run into its measured results — the stat diffs
@@ -879,47 +651,6 @@ impl System {
     }
 }
 
-impl dbi::snap::Snapshot for System {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        // `config` is what *constructed* this system; a restore target is
-        // always built from the same config, so only mutable state goes in.
-        w.usize(self.cores.len());
-        for (front, core) in self.fronts.iter().zip(&self.cores) {
-            w.u64(u64::from(core.thread));
-            front.snapshot(w);
-            core.snapshot(w);
-        }
-        self.llc.snapshot(w);
-        self.dram.snapshot(w);
-        match &self.checker {
-            Some(c) => {
-                w.bool(true);
-                c.snapshot(w);
-            }
-            None => w.bool(false),
-        }
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        r.expect_len("system cores", self.cores.len())?;
-        for (front, core) in self.fronts.iter_mut().zip(&mut self.cores) {
-            r.expect_u64("core thread id", u64::from(core.thread))?;
-            front.restore(r)?;
-            core.restore(r)?;
-        }
-        for (cycle, core) in self.cycles.iter_mut().zip(&self.cores) {
-            *cycle = core.cycle;
-        }
-        self.llc.restore(r)?;
-        self.dram.restore(r)?;
-        r.expect_bool("checker presence", self.checker.is_some())?;
-        if let Some(c) = &mut self.checker {
-            c.restore(r)?;
-        }
-        Ok(())
-    }
-}
-
 /// Runs a multi-programmed mix to completion.
 #[must_use]
 pub fn run_mix(mix: &WorkloadMix, config: &SystemConfig) -> MixResult {
@@ -942,7 +673,6 @@ mod tests {
     use super::*;
     use crate::config::Mechanism;
     use crate::faults::{FaultClass, FaultPlan};
-    use crate::session::SimSession;
 
     fn small(cores: usize, mechanism: Mechanism) -> (WorkloadMix, SystemConfig) {
         let mix = WorkloadMix::new(
@@ -956,43 +686,13 @@ mod tests {
         (mix, config)
     }
 
-    /// `sys` run to the end in the given form, without checkpoints.
+    /// `sys` run to the end in the given form.
     fn run_as(sys: System, form: Form) -> MixResult {
-        let st = RunState::cold(&sys);
-        sys.drive_as(form, st, CheckpointCadence::Disabled, &mut |_| true)
-            .into_result()
+        sys.drive(form, None)
     }
 
     fn digest(mix: &WorkloadMix, config: &SystemConfig, form: Form) -> String {
         run_as(System::new(mix, config), form).digest()
-    }
-
-    /// The digest of sessions that suspend at every `every`-record
-    /// checkpoint, each resuming from the last one, and the number of
-    /// suspensions.
-    fn resumed_every(mix: &WorkloadMix, config: &SystemConfig, every: u64) -> (String, u32) {
-        let mut resume: Option<Vec<u8>> = None;
-        let mut suspensions = 0;
-        loop {
-            let mut saved = None;
-            let mut sink = |bytes: &[u8]| {
-                saved = Some(bytes.to_vec());
-                false
-            };
-            let outcome = SimSession::new(mix, config)
-                .resume(resume.as_deref())
-                .cadence(CheckpointCadence::EveryRecords(every))
-                .sink(&mut sink)
-                .run()
-                .expect("a checkpoint of this run restores");
-            match outcome {
-                SessionOutcome::Finished(result) => return (result.digest(), suspensions),
-                SessionOutcome::Suspended => {
-                    suspensions += 1;
-                    resume = saved;
-                }
-            }
-        }
     }
 
     fn fnv1a(text: &str) -> u64 {
@@ -1002,7 +702,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_inline_and_checkpointed_runs_agree_on_every_configuration() {
+    fn ring_and_inline_runs_agree_on_every_configuration() {
         let ring = Form::Ring { words: RING_WORDS };
         for mechanism in Mechanism::ALL {
             for cores in [1, 2, 4, 8] {
@@ -1017,13 +717,8 @@ mod tests {
                                 "{mechanism} × {cores} cores, L2 DBI {l2_dbi}, \
                                  sanitizer {sanitize}, fault {fault:?}"
                             );
-                            let inline = run_as(System::new(&mix, &config), Form::Inline);
-                            assert_eq!(digest(&mix, &config, ring), inline.digest(), "{case}");
-                            // Suspends once in warmup and once in measurement.
-                            let every = inline.records_processed / 3 + 1;
-                            let (resumed, suspensions) = resumed_every(&mix, &config, every);
-                            assert_eq!(suspensions, 2, "{case}");
-                            assert_eq!(resumed, inline.digest(), "{case}");
+                            let inline = digest(&mix, &config, Form::Inline);
+                            assert_eq!(digest(&mix, &config, ring), inline, "{case}");
                         }
                     }
                 }
@@ -1071,11 +766,7 @@ mod tests {
         let key = crate::core::FrontKey::new(mix, config);
         let recorder = FrontRecorder::create(&dir.0, &key).expect("create the streams");
         let mut streams = FrontStreams::Record(recorder);
-        let result = SimSession::new(mix, config)
-            .streams(Some(&mut streams))
-            .run()
-            .expect("a cold session")
-            .into_result();
+        let result = System::new(mix, config).run_with_streams(Some(&mut streams));
         let FrontStreams::Record(recorder) = streams else {
             unreachable!("still the recorder")
         };
@@ -1100,45 +791,8 @@ mod tests {
     /// replayed.
     fn replayed(mix: &WorkloadMix, config: &SystemConfig, dir: &SpillDir) -> (String, u64) {
         let mut streams = replay_of(mix, config, dir);
-        let result = SimSession::new(mix, config)
-            .streams(Some(&mut streams))
-            .run()
-            .expect("a cold session")
-            .into_result();
+        let result = System::new(mix, config).run_with_streams(Some(&mut streams));
         (result.digest(), records_replayed(&streams))
-    }
-
-    /// The digest of a session replaying `dir` that suspends at its first
-    /// `every`-record checkpoint, then resumes from it.
-    fn replayed_then_resumed(
-        mix: &WorkloadMix,
-        config: &SystemConfig,
-        dir: &SpillDir,
-        every: u64,
-    ) -> String {
-        let mut streams = replay_of(mix, config, dir);
-        let mut saved = None;
-        let mut sink = |bytes: &[u8]| {
-            saved = Some(bytes.to_vec());
-            false
-        };
-        let outcome = SimSession::new(mix, config)
-            .streams(Some(&mut streams))
-            .cadence(CheckpointCadence::EveryRecords(every))
-            .sink(&mut sink)
-            .run()
-            .expect("a cold session");
-        assert!(matches!(outcome, SessionOutcome::Suspended));
-        assert!(
-            records_replayed(&streams) > 0,
-            "the checkpoint fell due mid-replay"
-        );
-        SimSession::new(mix, config)
-            .resume(saved.as_deref())
-            .run()
-            .expect("the checkpoint restores")
-            .into_result()
-            .digest()
     }
 
     #[test]
@@ -1177,12 +831,6 @@ mod tests {
                         assert_eq!(digest, inline.digest(), "{case}, {what} stream");
                         assert!(records < inline.records_processed, "{case}, {what}");
                     }
-                    let every = inline.records_processed / 2 + 1;
-                    assert_eq!(
-                        replayed_then_resumed(&mix, &config, &full, every),
-                        inline.digest(),
-                        "{case}, checkpointed mid-replay"
-                    );
                 }
             }
         }
@@ -1328,30 +976,22 @@ mod tests {
         assert_ne!(FrontKey::new(&fewer, &base), key, "benchmarks");
     }
 
-    /// A checkpoint image whose core ran to near `u64::MAX` instructions
-    /// and ended its window five instructions past a baseline just below
-    /// it: forged, sealed by the checkpoint writer, and refused on
-    /// restore, since the window cannot have closed that early.
+    /// A window too long to ever close keeps the run going: the test that
+    /// closes a core's window subtracts the core's baseline, where a sum
+    /// would wrap past `u64::MAX` and close the window after one record.
     #[test]
-    fn a_forged_baseline_near_the_top_of_u64_restores_as_corrupt() {
-        let (mix, config) = small(1, Mechanism::Baseline);
+    fn an_endless_window_never_closes() {
+        let (mix, mut config) = small(1, Mechanism::Baseline);
+        config.warmup_insts = 10_000;
+        config.measure_insts = u64::MAX;
         let mut sys = System::new(&mix, &config);
         let mut st = RunState::cold(&sys);
-        while sys.micro_step(&mut st, &mut Feed::Inline(Vec::new())) {}
-        let sealed = sys.checkpoint(&st);
-        assert!(System::new(&mix, &config)
-            .restore_checkpoint(&sealed)
-            .is_ok());
-
-        sys.cores[0].insts = u64::MAX - 1;
-        st.base[0].0 = u64::MAX - 10;
-        st.end[0].as_mut().expect("the window closed").0 = u64::MAX - 5;
-        let forged = sys.checkpoint(&st);
-        let err = System::new(&mix, &config).restore_checkpoint(&forged);
-        assert!(
-            matches!(&err, Err(SnapError::Corrupt(msg)) if msg.contains("outside its measurement window")),
-            "{err:?}"
-        );
+        let mut feed = Feed::Inline(Vec::new());
+        for _ in 0..50_000 {
+            assert!(sys.micro_step(&mut st, &mut feed), "the run ended");
+        }
+        assert!(st.measuring, "the run never reached its window");
+        assert_eq!(st.finished, 0, "the window closed");
     }
 
     #[test]
@@ -1369,8 +1009,6 @@ mod tests {
             config.measure_insts = 100_000;
             let result = System::new(&mix, &config).run();
             assert_eq!(result.check, Some(Ok(())), "{mechanism}");
-            let (resumed, _) = resumed_every(&mix, &config, result.records_processed / 3 + 1);
-            assert_eq!(resumed, result.digest(), "{mechanism}");
             digests.push_str(&result.digest());
         }
         assert_eq!(fnv1a(&digests), 0xbec6_ef1f_74fc_f557);

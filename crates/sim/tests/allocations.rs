@@ -4,12 +4,14 @@
 //! This file is its own test binary with a counting global allocator, and
 //! it holds a single test, so no other test allocates alongside it. The
 //! count is kept per thread, so the harness's own threads do not show up
-//! either.
+//! either. The test pins itself to one CPU, which leaves a run no CPU to
+//! spare for a helper thread: every record steps inline, on the counted
+//! thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use system_sim::{CheckpointCadence, Mechanism, SimSession, SystemConfig};
+use system_sim::{run_mix, Mechanism, SystemConfig};
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
@@ -66,17 +68,44 @@ fn allocations(mix: &WorkloadMix, config: &SystemConfig, insts: u64) -> u64 {
     let mut config = config.clone();
     config.warmup_insts = insts;
     config.measure_insts = insts;
-    // A checkpoint cadence that never falls due keeps the run on this
-    // thread: the inline form, with no helper thread and no snapshot.
-    let session = SimSession::new(mix, &config).cadence(CheckpointCadence::EveryRecords(u64::MAX));
     let before = ALLOCATIONS.with(Cell::get);
-    let result = session.run().expect("no resume bytes").into_result();
+    let result = run_mix(mix, &config);
     drop(result);
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// Pins the calling thread to the first CPU it may run on, so that the
+/// process reads one available CPU. It must run before the first
+/// simulation, which reads the CPU count once for the whole process.
+#[cfg(target_os = "linux")]
+fn pin_to_one_cpu() {
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+    }
+    let mut mask = [0u64; 16];
+    let size = std::mem::size_of_val(&mask);
+    // SAFETY: pid 0 names the calling thread, and each call reads or
+    // writes at most `size` bytes of a mask that holds that many.
+    let got = unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) };
+    assert_eq!(got, 0, "read this thread's CPU mask");
+    let word = mask.iter().position(|&w| w != 0).expect("a CPU to run on");
+    let mut one = [0u64; 16];
+    one[word] = 1 << mask[word].trailing_zeros();
+    // SAFETY: as above.
+    let set = unsafe { sched_setaffinity(0, size, one.as_ptr()) };
+    assert_eq!(set, 0, "pin this thread to one CPU");
+}
+
 #[test]
 fn dbi_awb_clb_allocations_do_not_grow_with_the_window() {
+    #[cfg(target_os = "linux")]
+    pin_to_one_cpu();
+    assert_eq!(
+        std::thread::available_parallelism().map(usize::from).ok(),
+        Some(1),
+        "a spare CPU would move the front ends to a helper thread"
+    );
     let mix = WorkloadMix::new(vec![
         Benchmark::Lbm,
         Benchmark::Stream,
@@ -84,6 +113,13 @@ fn dbi_awb_clb_allocations_do_not_grow_with_the_window() {
         Benchmark::Soplex,
     ]);
     let window = 25_000;
+    // The first run reads the CPU count, once for the process; it is not
+    // compared.
+    allocations(
+        &mix,
+        &SystemConfig::for_cores(4, Mechanism::Baseline),
+        1_000,
+    );
     for l2_dbi in [false, true] {
         let mut config = SystemConfig::for_cores(
             4,

@@ -2,6 +2,8 @@
 //! configurations and workloads, no mechanism may ever lose dirty data,
 //! and runs must be exactly reproducible.
 
+use dbi::{Alpha, DbiReplacementPolicy};
+use dram_sim::DrainPolicy;
 use proptest::prelude::*;
 use system_sim::{run_mix, Mechanism, SystemConfig};
 use trace_gen::mix::WorkloadMix;
@@ -32,25 +34,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The shadow-memory checker and the invariant sanitizer pass for
-    /// every (mechanism, benchmark, seed, LLC size) combination —
-    /// randomized coverage of the paper's correctness contract.
+    /// every (mechanism, benchmark, seed, LLC size, DBI size α, DBI
+    /// replacement policy, DRAM drain policy) combination — randomized
+    /// coverage of the paper's correctness contract.
     #[test]
     fn no_dirty_data_lost_anywhere(
         mechanism in mechanism_strategy(),
         benchmark in benchmark_strategy(),
         seed in 0u64..1000,
         llc_kb in prop::sample::select(vec![128u64, 256, 512]),
+        alpha in prop::sample::select(vec![Alpha::QUARTER, Alpha::HALF, Alpha::ONE]),
+        policy in prop::sample::select(DbiReplacementPolicy::ALL.to_vec()),
+        drain in prop::sample::select(vec![
+            DrainPolicy::WhenFull,
+            DrainPolicy::Watermark { high: 48, low: 16 },
+        ]),
     ) {
-        let config = tiny_config(mechanism, seed, llc_kb);
+        let mut config = tiny_config(mechanism, seed, llc_kb);
+        config.dbi.alpha = alpha;
+        config.dbi.policy = policy;
+        config.dram.drain_policy = drain;
+        let case = format!(
+            "{mechanism} on {benchmark} (seed {seed}, {llc_kb} KB LLC, α {alpha}, {policy}, \
+             {drain:?})"
+        );
         let result = run_mix(&WorkloadMix::new(vec![benchmark]), &config);
         let check = result.check.expect("checker enabled");
-        prop_assert!(
-            check.is_ok(),
-            "{mechanism} on {benchmark} (seed {seed}, {llc_kb} KB LLC) lost {} writes",
-            check.unwrap_err().len()
-        );
+        prop_assert!(check.is_ok(), "{} lost {} writes", case, check.unwrap_err().len());
         let report = result.sanitizer.as_ref().expect("sanitizer enabled");
-        prop_assert!(report.is_clean(), "{mechanism} on {benchmark} (seed {seed}, {llc_kb} KB LLC): {}", report);
+        prop_assert!(report.is_clean(), "{}: {}", case, report);
     }
 
     /// Identical configurations produce bit-identical results; different

@@ -169,52 +169,6 @@ impl TraceGenerator {
     }
 }
 
-impl dbi::snap::Snapshot for TraceGenerator {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        w.u64(self.params.footprint_blocks);
-        for s in self.rng.state() {
-            w.u64(s);
-        }
-        w.usize(self.stream_cursors.len());
-        for &c in &self.stream_cursors {
-            w.u64(c);
-        }
-        w.usize(self.next_stream);
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        use dbi::snap::SnapError;
-        r.expect_u64("trace footprint blocks", self.params.footprint_blocks)?;
-        let mut state = [0u64; 4];
-        for s in &mut state {
-            *s = r.u64()?;
-        }
-        if state == [0; 4] {
-            return Err(SnapError::Corrupt("all-zero RNG state".into()));
-        }
-        r.expect_len("trace streams", self.stream_cursors.len())?;
-        for c in &mut self.stream_cursors {
-            let v = r.u64()?;
-            if v >= self.params.footprint_blocks {
-                return Err(SnapError::Corrupt(format!(
-                    "stream cursor {v} outside footprint {}",
-                    self.params.footprint_blocks
-                )));
-            }
-            *c = v;
-        }
-        let next = r.usize()?;
-        if next >= self.stream_cursors.len() {
-            return Err(SnapError::Corrupt(format!(
-                "next-stream index {next} out of range"
-            )));
-        }
-        self.rng = rand::rngs::SmallRng::from_state(state);
-        self.next_stream = next;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,31 +176,6 @@ mod tests {
     fn collect(benchmark: Benchmark, n: usize, seed: u64) -> Vec<TraceRecord> {
         let mut g = TraceGenerator::from_benchmark(benchmark, seed);
         (0..n).map(|_| g.next_record()).collect()
-    }
-
-    #[test]
-    fn snapshot_resumes_the_exact_stream() {
-        use dbi::snap::{restore_bytes, snapshot_bytes, SnapError};
-        let mut g = TraceGenerator::from_benchmark(Benchmark::Omnetpp, 42);
-        for _ in 0..337 {
-            let _ = g.next_record();
-        }
-        let bytes = snapshot_bytes(&g);
-
-        // A fresh generator restored from the snapshot continues with the
-        // same records, bit for bit.
-        let mut resumed = TraceGenerator::from_benchmark(Benchmark::Omnetpp, 42);
-        restore_bytes(&mut resumed, &bytes).unwrap();
-        for _ in 0..500 {
-            assert_eq!(g.next_record(), resumed.next_record());
-        }
-
-        // A generator with different geometry rejects the snapshot.
-        let mut wrong = TraceGenerator::from_benchmark(Benchmark::Mcf, 42);
-        assert!(matches!(
-            restore_bytes(&mut wrong, &bytes),
-            Err(SnapError::Mismatch { .. }) | Err(SnapError::Corrupt(_))
-        ));
     }
 
     #[test]
