@@ -50,32 +50,31 @@
 //! generators and L1/L2 produce the same record streams. Within a work
 //! list, the store-missing units of each such group (without `--check`,
 //! sanitizer or fault) run their front ends once. The first, the
-//! *leader*, records its cores' streams into a directory of its own; the
-//! rest, the *followers*, replay them into their own back ends. Leaders
-//! are dispatched first, followers last, and results still come back in
-//! input order. A leader publishes its streams by renaming the directory
-//! only when it completes; a follower that starts before that, or whose
-//! streams fail to open, runs inline and never waits. A replayed result is
-//! bit-identical to an inline one (the sim crate's replay tests prove it).
+//! *leader*, records its cores' streams; the rest, the *followers*,
+//! replay them into their own back ends. A follower waits in the queue
+//! until its leader completes, then goes ahead of every unit not yet
+//! started; results still come back in input order. A follower whose
+//! leader failed or recorded nothing runs inline, as does one taken while
+//! its leader still runs because nothing else is left: no unit waits. A
+//! replayed result is bit-identical to an inline one (the sim crate's
+//! replay tests prove it).
 //!
 //! The streams are a cache, not persistence: no fsync, no failpoint, and
-//! any I/O error only sends a follower inline. They live under `spill/`
-//! in the store directory (or the system temp directory with
-//! `--no-cache`), in a directory per runner named by process id. A
-//! group's streams go when its last member finishes, the runner's
-//! directory when it finishes or drops, and the directories of processes
-//! that no longer exist at every runner's finish.
+//! any I/O error only sends a follower inline. A stream lives as long as
+//! its work list's open handles: a group's streams share one unnamed file
+//! (made in the store directory, or the system temp directory with
+//! `--no-cache`), which the kernel frees when its last follower finishes,
+//! or however the process ends.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use system_sim::{
-    splitmix64, FaultPlan, FrontKey, FrontRecorder, FrontReplay, FrontStreams, Mechanism,
-    MixResult, System, SystemConfig,
+    splitmix64, FaultPlan, FrontKey, FrontRecorder, FrontRecording, FrontReplay, FrontStreams,
+    Mechanism, MixResult, System, SystemConfig,
 };
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
@@ -124,35 +123,6 @@ fn install_signal_handlers() {
 
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
-
-/// Whether process `pid` exists (a signal-0 probe).
-#[cfg(unix)]
-fn process_alive(pid: u32) -> bool {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    const EPERM: i32 = 1;
-    // Zero and negative ids name process groups, never one process.
-    match i32::try_from(pid) {
-        Ok(pid) if pid > 0 => {
-            // SAFETY: signal 0 only checks that `pid` exists and may be
-            // signalled; nothing is sent and no memory is passed.
-            let probe = unsafe { kill(pid, 0) };
-            probe == 0 || std::io::Error::last_os_error().raw_os_error() == Some(EPERM)
-        }
-        _ => false,
-    }
-}
-
-/// Without a probe, every other process's streams are left alone.
-#[cfg(not(unix))]
-fn process_alive(_pid: u32) -> bool {
-    true
-}
-
-/// Numbers the stream directories this process makes: runners' and work
-/// lists'.
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// `base` scaled by a deterministic jitter in [1, 2): units failing
 /// together retry spread out instead of stampeding, while the same salt
@@ -257,81 +227,68 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     )
 }
 
-/// The store-missing units of one work list that share a front key.
+/// What a unit of a work list does about front ends it shares with
+/// other units.
 #[derive(Debug)]
-struct FrontGroup {
-    key: FrontKey,
-    /// Where the leader's streams are published.
-    dir: PathBuf,
-    published: AtomicBool,
-    /// Members yet to finish; the last one removes the streams.
-    members: AtomicUsize,
-}
-
-impl FrontGroup {
-    /// Where the leader writes its streams before publishing them.
-    fn staging(&self) -> PathBuf {
-        self.dir.with_extension("tmp")
-    }
-
-    /// A recorder in a fresh staging directory, or `None` on an I/O error.
-    fn recorder(&self) -> Option<FrontRecorder> {
-        std::fs::create_dir(self.staging()).ok()?;
-        FrontRecorder::create(&self.staging(), &self.key).ok()
-    }
-
-    /// Publishes a completed leader's streams; a recording that is not
-    /// whole is dropped with its directory.
-    fn publish(&self, recorder: FrontRecorder) {
-        if recorder.finish().is_ok() && std::fs::rename(self.staging(), &self.dir).is_ok() {
-            self.published.store(true, Ordering::Release);
-        }
-    }
-
-    /// The published streams, or `None` if the leader has not published
-    /// them or they do not open.
-    fn replay(&self) -> Option<FrontReplay> {
-        if !self.published.load(Ordering::Acquire) {
-            return None;
-        }
-        FrontReplay::open(&self.dir, &self.key).ok()
-    }
-
-    /// Counts a member out, however it ended.
-    fn leave(&self) {
-        if self.members.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _ = std::fs::remove_dir_all(&self.dir);
-            let _ = std::fs::remove_dir_all(self.staging());
-        }
-    }
-}
-
-/// What a unit of a work list does with its group's streams.
-#[derive(Debug, Clone, Copy)]
-enum Role<'g> {
+enum Role<'q> {
     /// Runs its own front ends and records nothing.
     Solo,
-    Leader(&'g FrontGroup),
-    Follower(&'g FrontGroup),
+    /// Records its front ends, then hands them to its followers in the
+    /// queue; the unit's index in the list.
+    Leader(&'q Queue, usize),
+    /// Replays its leader's recording.
+    Follower(Arc<FrontRecording>),
 }
 
-/// A work list's front groups and the order to dispatch its units in.
+/// A work list's dispatch queue. A unit that leads a front group holds
+/// its followers back until it finishes; they then go ahead of every unit
+/// not yet started, sharing its recording. Each worker holds at most one
+/// stream file, and the recordings waiting here come from leaders that ran
+/// at once (a leader starts only when nothing waits), so at most two files
+/// per worker are open, however many groups the list holds.
 #[derive(Debug)]
-struct Plan {
-    groups: Vec<FrontGroup>,
-    /// Each unit's group and whether it leads it.
-    roles: Vec<Option<(usize, bool)>>,
-    /// Leaders, then units outside any group, then followers, each in
-    /// input order.
-    order: Vec<usize>,
+struct Queue(Mutex<Pending>);
+
+#[derive(Debug)]
+struct Pending {
+    /// Leaders, then units outside any group, each in input order.
+    starts: VecDeque<usize>,
+    /// Followers whose leader has finished, with its recording if it made
+    /// a whole one.
+    ready: VecDeque<(usize, Option<Arc<FrontRecording>>)>,
+    /// The followers of each leader not yet finished.
+    held: BTreeMap<usize, Vec<usize>>,
 }
 
-impl Plan {
-    fn role(&self, i: usize) -> Role<'_> {
-        match self.roles[i] {
-            None => Role::Solo,
-            Some((g, true)) => Role::Leader(&self.groups[g]),
-            Some((g, false)) => Role::Follower(&self.groups[g]),
+impl Queue {
+    /// The next unit to run and its role; one call per unit of the list.
+    fn next(&self) -> (usize, Role<'_>) {
+        let mut p = self.0.lock().expect("queue lock");
+        if let Some((i, recording)) = p.ready.pop_front() {
+            return (i, recording.map_or(Role::Solo, Role::Follower));
+        }
+        if let Some(i) = p.starts.pop_front() {
+            let leader = p.held.contains_key(&i).then_some(Role::Leader(self, i));
+            return (i, leader.unwrap_or(Role::Solo));
+        }
+        // Only followers of running leaders are left: rather than wait,
+        // this one runs its own front ends.
+        let i = p
+            .held
+            .values_mut()
+            .find_map(Vec::pop)
+            .expect("a unit for every call");
+        (i, Role::Solo)
+    }
+
+    /// Queues `leader`'s followers with its recording, or to run inline
+    /// without one. Only the first call for a leader counts.
+    fn release(&self, leader: usize, recording: Option<FrontRecording>) {
+        let mut p = self.0.lock().expect("queue lock");
+        if let Some(followers) = p.held.remove(&leader) {
+            let recording = recording.map(Arc::new);
+            p.ready
+                .extend(followers.into_iter().map(|i| (i, recording.clone())));
         }
     }
 }
@@ -350,9 +307,6 @@ pub struct Runner {
     fault: Option<FaultPlan>,
     /// Per-unit wall-clock limit; `None` disables the watchdog.
     watchdog: Option<Duration>,
-    /// This runner's stream directory, made when a work list first has a
-    /// front group.
-    spill: Mutex<Option<PathBuf>>,
     start: Instant,
     counters: Counters,
     failures: Mutex<Vec<UnitFailure>>,
@@ -387,7 +341,6 @@ impl Runner {
             check: args.check,
             fault: args.fault_plan(),
             watchdog: args.watchdog(),
-            spill: Mutex::new(None),
             start: Instant::now(),
             counters: Counters::default(),
             failures: Mutex::new(Vec::new()),
@@ -497,7 +450,8 @@ impl Runner {
     /// One guarded simulation attempt. The store is only written for
     /// completed simulations; a panic or timeout surfaces as `Err`
     /// instead of tearing the process (or the whole work list) down. A
-    /// leader publishes its streams only when it completes.
+    /// leader hands its recording to its followers only when it
+    /// completes.
     fn simulate(
         &self,
         unit: &RunUnit,
@@ -505,12 +459,12 @@ impl Runner {
         role: Role<'_>,
     ) -> Result<MixResult, UnitFault> {
         let t = Instant::now();
-        // The streams' files are opened here, so a simulation abandoned by
-        // the watchdog never touches the streams' directories.
-        let mut streams = match role {
+        // A simulation abandoned by the watchdog holds its streams until
+        // its thread ends.
+        let mut streams = match &role {
             Role::Solo => None,
-            Role::Leader(group) => group.recorder().map(FrontStreams::Record),
-            Role::Follower(group) => group.replay().map(FrontStreams::Replay),
+            Role::Leader(..) => self.recorder(unit).map(FrontStreams::Record),
+            Role::Follower(recording) => Some(FrontStreams::Replay(FrontReplay::new(recording))),
         };
         // The simulation runs on its own thread so an overrun of the
         // watchdog limit is detectable; a thread cannot be killed, so on
@@ -537,7 +491,11 @@ impl Runner {
         };
         let (result, streams) = outcome.map_err(UnitFault::Panicked)?;
         match (role, streams) {
-            (Role::Leader(group), Some(FrontStreams::Record(recorder))) => group.publish(recorder),
+            (Role::Leader(queue, index), Some(FrontStreams::Record(recorder))) => {
+                // A recording that is not whole is dropped with its file,
+                // and the followers run inline.
+                queue.release(index, recorder.finish().ok());
+            }
             (Role::Follower(_), Some(FrontStreams::Replay(replay)))
                 if replay.records_replayed() > 0 =>
             {
@@ -582,114 +540,47 @@ impl Runner {
         self.run_unit_outcome(unit, role).map(Some)
     }
 
-    /// This runner's stream directory, made on first use; `None` if it
-    /// cannot be made.
-    fn spill_dir(&self) -> Option<PathBuf> {
-        let mut dir = self.spill.lock().expect("spill directory lock");
-        if dir.is_none() {
-            let path = spill_root(self.store.as_ref()).join(format!(
-                "{}-{}",
-                std::process::id(),
-                SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::create_dir_all(&path).ok()?;
-            *dir = Some(path);
-        }
-        dir.clone()
+    /// A recorder for the front ends of `unit`, its file made in the
+    /// store directory (the system temp directory without a store); `None`
+    /// on an I/O error.
+    fn recorder(&self, unit: &RunUnit) -> Option<FrontRecorder> {
+        let dir = self
+            .store
+            .as_ref()
+            .map_or_else(std::env::temp_dir, |s| s.dir().to_path_buf());
+        std::fs::create_dir_all(&dir).ok()?;
+        FrontRecorder::create(&dir, &FrontKey::new(&unit.mix, &unit.config)).ok()
     }
 
     /// Groups the store-missing units of `units` that share a front key
-    /// and orders the list: leaders, then units outside any group, then
-    /// followers.
-    fn plan(&self, units: &[RunUnit]) -> Plan {
-        let mut index: HashMap<FrontKey, usize> = HashMap::new();
-        let mut members: Vec<(FrontKey, Vec<usize>)> = Vec::new();
+    /// and queues the list: leaders, then units outside any group, with
+    /// each leader's followers held back until it finishes.
+    fn queue(&self, units: &[RunUnit]) -> Queue {
+        let mut groups: HashMap<FrontKey, Vec<usize>> = HashMap::new();
         for (i, unit) in units.iter().enumerate() {
             let unit = self.effective(unit);
-            if bypasses_store(&unit) || self.store.as_ref().is_some_and(|s| s.contains(&unit.key()))
+            if !bypasses_store(&unit)
+                && !self.store.as_ref().is_some_and(|s| s.contains(&unit.key()))
             {
-                continue;
+                let key = FrontKey::new(&unit.mix, &unit.config);
+                groups.entry(key).or_default().push(i);
             }
-            let key = FrontKey::new(&unit.mix, &unit.config);
-            let g = *index.entry(key.clone()).or_insert_with(|| {
-                members.push((key, Vec::new()));
-                members.len() - 1
-            });
-            members[g].1.push(i);
         }
-        members.retain(|(_, m)| m.len() >= 2);
-        let dir = if members.is_empty() {
-            None
-        } else {
-            self.spill_dir()
-        };
-        let Some(dir) = dir else {
-            return Plan {
-                groups: Vec::new(),
-                roles: vec![None; units.len()],
-                order: (0..units.len()).collect(),
-            };
-        };
-        let mut roles = vec![None; units.len()];
-        let list = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-        let groups = members
-            .into_iter()
-            .enumerate()
-            .map(|(g, (key, m))| {
-                for (k, &i) in m.iter().enumerate() {
-                    roles[i] = Some((g, k == 0));
-                }
-                FrontGroup {
-                    key,
-                    dir: dir.join(format!("{list}-{g}")),
-                    published: AtomicBool::new(false),
-                    members: AtomicUsize::new(m.len()),
-                }
-            })
+        let held: BTreeMap<usize, Vec<usize>> = groups
+            .into_values()
+            .filter(|members| members.len() >= 2)
+            .map(|members| (members[0], members[1..].to_vec()))
             .collect();
-        let class = |i: &usize| match roles[*i] {
-            Some((_, true)) => 0,
-            None => 1,
-            Some((_, false)) => 2,
-        };
-        let mut order: Vec<usize> = (0..units.len()).collect();
-        order.sort_by_key(class);
-        Plan {
-            groups,
-            roles,
-            order,
-        }
-    }
-
-    /// Removes this runner's streams, and those of processes that no
-    /// longer exist.
-    fn clear_spill(&self) {
-        // Runs from `drop` too, so a poisoned lock must not panic; the
-        // path it guards is valid whatever a panicking thread did.
-        let mine = self
-            .spill
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        if let Some(dir) = mine {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        let root = spill_root(self.store.as_ref());
-        let Ok(entries) = std::fs::read_dir(&root) else {
-            return;
-        };
-        for entry in entries.filter_map(Result::ok) {
-            let name = entry.file_name();
-            let pid = name
-                .to_str()
-                .and_then(|n| n.split('-').next())
-                .and_then(|p| p.parse::<u32>().ok());
-            if pid.is_some_and(|pid| pid != std::process::id() && !process_alive(pid)) {
-                let _ = std::fs::remove_dir_all(entry.path());
-            }
-        }
-        // Only succeeds once no runner's streams remain.
-        let _ = std::fs::remove_dir(&root);
+        let followers: HashSet<&usize> = held.values().flatten().collect();
+        let mut starts: Vec<usize> = (0..units.len())
+            .filter(|i| !followers.contains(i))
+            .collect();
+        starts.sort_by_key(|i| !held.contains_key(i));
+        Queue(Mutex::new(Pending {
+            starts: starts.into(),
+            ready: VecDeque::new(),
+            held,
+        }))
     }
 
     /// Flushes the summary and exits with the conventional `128 + signal`
@@ -768,12 +659,14 @@ impl Runner {
         let started = Instant::now();
         let hits_before = self.hits();
         let progress = Progress::new();
-        let plan = self.plan(units);
-        let outcomes = parallel_map_jobs(&plan.order, self.jobs, |&i| {
+        let queue = self.queue(units);
+        // Each call runs the queue's next unit, whatever its slot.
+        let outcomes = parallel_map_jobs(&vec![(); total], self.jobs, |()| {
+            let (i, role) = queue.next();
             let unit = &units[i];
-            let role = plan.role(i);
-            // The retry runs alone: its group has moved on.
+            // The retry runs alone: its followers have moved on.
             let outcome = self.scheduled_outcome(unit, role).or_else(|first| {
+                queue.release(i, None);
                 eprintln!(
                     "runner[{}]: {phase}: unit {i} {first}; retrying once",
                     self.name
@@ -781,15 +674,13 @@ impl Runner {
                 std::thread::sleep(jittered(RETRY_BACKOFF, i as u64));
                 self.run_unit_outcome(unit, Role::Solo).map(Some)
             });
-            if let Role::Leader(group) | Role::Follower(group) = role {
-                group.leave();
-            }
+            // A leader that was skipped, hit the store or failed releases
+            // its followers here.
+            queue.release(i, None);
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;
             let cached = self.hits() - hits_before;
             let elapsed = started.elapsed().as_secs_f64();
-            // ETA from the units that actually simulated: store hits are
-            // near-free, so scale remaining work by the per-unit pace.
-            let eta = elapsed / d as f64 * (total - d as usize) as f64;
+            let eta = eta_secs(elapsed, d.saturating_sub(cached), total - d as usize);
             progress.report(
                 d as usize,
                 total,
@@ -800,16 +691,17 @@ impl Runner {
                     fmt_secs(eta)
                 ),
             );
-            outcome.map_err(|fault| UnitFailure {
+            let outcome = outcome.map_err(|fault| UnitFailure {
                 phase: phase.to_string(),
                 index: i,
                 attempts: 2,
                 fault,
-            })
+            });
+            (i, outcome)
         });
         progress.close();
         let mut by_input: Vec<Option<_>> = (0..total).map(|_| None).collect();
-        for (&i, outcome) in plan.order.iter().zip(outcomes) {
+        for (i, outcome) in outcomes {
             by_input[i] = Some(outcome);
         }
         let mut failures = Vec::new();
@@ -837,7 +729,6 @@ impl Runner {
     /// signal number that stopped the run (0 for a clean finish), and
     /// `violations=` is [`Runner::violations`].
     pub fn finish(&self) {
-        self.clear_spill();
         if self.finished.swap(true, Ordering::Relaxed) {
             return;
         }
@@ -908,14 +799,16 @@ fn violations_in(result: &MixResult) -> u64 {
         .map_or(0, |report| report.total_violations)
 }
 
-/// The directory of every runner's stream directories: outside the
-/// store's record namespace, or in the system temp directory without a
-/// store.
-fn spill_root(store: Option<&ResultStore>) -> PathBuf {
-    store.map_or_else(
-        || std::env::temp_dir().join("dbi-bench-spill"),
-        |s| s.dir().join("spill"),
-    )
+/// Seconds left for `remaining` units at the pace of the `simulated`
+/// units done in `elapsed` seconds. Store hits are near-free, so they do
+/// not count towards the pace; before any unit has simulated there is no
+/// pace, and the estimate is 0.
+fn eta_secs(elapsed: f64, simulated: u64, remaining: usize) -> f64 {
+    if simulated == 0 {
+        0.0
+    } else {
+        elapsed / simulated as f64 * remaining as f64
+    }
 }
 
 fn fmt_secs(s: f64) -> String {
@@ -1048,5 +941,18 @@ impl<'r> AloneIpcCache<'r> {
     /// Alone IPCs for every benchmark of a mix, in mix order.
     pub fn for_mix(&self, benchmarks: &[Benchmark], config: &SystemConfig) -> Vec<f64> {
         benchmarks.iter().map(|&b| self.get(b, config)).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_eta_takes_its_pace_from_simulated_units_only() {
+        // 12 s for 3 simulated units, however many hits came with them.
+        assert!((eta_secs(12.0, 3, 5) - 20.0).abs() < 1e-9);
+        assert!(eta_secs(12.0, 0, 5).abs() < 1e-9, "no pace yet");
+        assert!(eta_secs(12.0, 3, 0).abs() < 1e-9, "nothing left");
     }
 }

@@ -544,6 +544,10 @@ fn files_under(dir: &std::path::Path) -> Vec<PathBuf> {
         .collect()
 }
 
+fn is_entry(path: &std::path::Path) -> bool {
+    path.extension() == Some("entry".as_ref())
+}
+
 #[test]
 fn followers_replay_their_leaders_front_ends_bit_identically() {
     let units = nine_mechanisms(Benchmark::Mcf);
@@ -573,11 +577,61 @@ fn followers_replay_their_leaders_front_ends_bit_identically() {
         } else {
             assert!(runner.replayed() <= 8, "the leader never replays");
         }
-        assert!(
-            files_under(&scratch.0.join("spill")).is_empty(),
-            "no stream outlives its work list"
-        );
+        let mut names = files_under(&scratch.0);
+        names.retain(|p| !is_entry(p));
+        assert!(names.is_empty(), "the store holds only entries: {names:?}");
     }
+}
+
+/// The front-end stream files this process holds open in `dir`: they
+/// have no names, so only their open handles show them.
+#[cfg(target_os = "linux")]
+fn open_streams_in(dir: &std::path::Path) -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .into_iter()
+        .flatten()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|t| t.starts_with(dir) && t.to_string_lossy().contains("/.tmp-front-"))
+        .count()
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn open_streams_stay_bounded_by_the_workers() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let scratch = Scratch::new("open-streams");
+    // Six groups of nine. Were followers held back until every leader had
+    // run, all six recordings would be open at once.
+    let units: Vec<RunUnit> = Benchmark::ALL[..6]
+        .iter()
+        .flat_map(|&b| nine_mechanisms(b))
+        .collect();
+    let jobs = 2;
+    let args = BenchArgs {
+        jobs: Some(jobs),
+        ..scratch.args()
+    };
+    let runner = Runner::new("test-open-streams", &args);
+    let done = AtomicBool::new(false);
+    let peak = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut peak = 0;
+            while !done.load(Ordering::Relaxed) {
+                peak = peak.max(open_streams_in(&scratch.0));
+            }
+            peak
+        });
+        let (results, failures) = runner.try_run_units("open-streams", &units);
+        done.store(true, Ordering::Relaxed);
+        assert!(failures.is_empty() && results.iter().all(Option::is_some));
+        sampler.join().expect("the sampler finishes")
+    });
+    assert!(runner.replayed() > 0 && peak > 0, "the sampler saw streams");
+    // One file per worker's running unit, plus the recordings whose
+    // followers wait: their leaders ran at once, so one per worker.
+    assert!(peak <= 2 * jobs, "{peak} streams open at once");
+    assert_eq!(open_streams_in(&scratch.0), 0, "none outlives the list");
 }
 
 #[test]
@@ -611,30 +665,37 @@ fn followers_of_a_timed_out_leader_run_inline_and_stay_correct() {
 }
 
 #[test]
-fn streams_never_outlive_their_runners() {
-    let scratch = Scratch::new("spill-lifecycle");
-    let spill = scratch.0.join("spill");
+fn an_older_releases_stream_tree_is_left_alone() {
+    let scratch = Scratch::new("old-spill");
     let units = nine_mechanisms(Benchmark::Lbm);
 
-    // The streams of a process that no longer exists (a `kill -9`).
-    let mut child = std::process::Command::new("true")
-        .spawn()
-        .expect("spawn a process to outlive");
-    let dead = child.id();
-    child.wait().expect("the process exits");
-    let leftover = spill.join(format!("{dead}-0")).join("0-0");
+    // The streams an older release left behind when it was killed: a
+    // directory per process id (here one past any pid_max) under `spill/`.
+    let spill = scratch.0.join("spill");
+    let leftover = spill.join("4194305-0").join("0-0");
     std::fs::create_dir_all(&leftover).expect("plant leftover streams");
-    std::fs::write(leftover.join("core0.words"), b"stale").expect("plant a stream");
+    let stream = leftover.join("core0.words");
+    std::fs::write(&stream, b"stale").expect("plant a stream");
 
-    let next = Runner::new("test-spill-next", &scratch.args());
-    let (results, failures) = next.try_run_units("resume", &units);
+    let args = BenchArgs {
+        jobs: Some(1),
+        ..scratch.args()
+    };
+    let runner = Runner::new("test-old-spill", &args);
+    let (results, failures) = runner.try_run_units("old-spill", &units);
     assert!(failures.is_empty() && results.iter().all(Option::is_some));
-    next.finish();
-    assert!(
-        !spill.exists(),
-        "no stream directory survives a finished runner"
-    );
+    assert_eq!(runner.replayed(), 8, "the foreign tree is no obstacle");
+    runner.finish();
+    let foreign = files_under(&spill);
+    assert_eq!(foreign, vec![stream.clone()], "the tree keeps its one file");
+    assert_eq!(std::fs::read(&stream).expect("read it"), b"stale");
 
+    let mut others = files_under(&scratch.0);
+    others.retain(|p| *p != stream);
+    assert!(
+        others.len() == 9 && others.iter().all(|p| is_entry(p)),
+        "nine entries and nothing else besides it: {others:?}"
+    );
     let report = dbi_bench::scrub_store(&scratch.0).expect("scrub the store");
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.scanned, 9, "nine entries and no other record");

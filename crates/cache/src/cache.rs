@@ -1184,30 +1184,6 @@ impl<'a> DirtyView<'a> {
     }
 }
 
-impl dbi::snap::Snapshot for CacheStats {
-    fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        let CacheStats {
-            lookups,
-            hits,
-            insertions,
-            evictions,
-            dirty_evictions,
-        } = *self;
-        for x in [lookups, hits, insertions, evictions, dirty_evictions] {
-            w.u64(x);
-        }
-    }
-
-    fn restore(&mut self, r: &mut dbi::snap::SnapReader<'_>) -> Result<(), dbi::snap::SnapError> {
-        self.lookups = r.u64()?;
-        self.hits = r.u64()?;
-        self.insertions = r.u64()?;
-        self.evictions = r.u64()?;
-        self.dirty_evictions = r.u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

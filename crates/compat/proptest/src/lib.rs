@@ -10,7 +10,9 @@
 //!   (half-open and inclusive, integer and float), tuple strategies up to
 //!   arity 10, [`any`], [`collection::vec`], [`collection::btree_set`],
 //!   [`sample::select`], and weighted/unweighted [`prop_oneof!`]
-//! - [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`]
+//! - [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`], and
+//!   [`prop_assume!`] (a rejected case is redrawn; more than 1024
+//!   rejections fail the test, as upstream's default)
 //!
 //! Semantics differ from upstream in one deliberate way: failing cases are
 //! reported (with the case index and seed) but **not shrunk**. Generation is
@@ -177,7 +179,9 @@ pub mod prelude {
     pub use crate::arbitrary::{any, Arbitrary};
     pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::{ProptestConfig, TestCaseError};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Builds a strategy choosing among alternatives, optionally weighted:
@@ -206,6 +210,19 @@ macro_rules! prop_assert {
         if !($cond) {
             return ::core::result::Result::Err($crate::test_runner::TestCaseError::fail(
                 format!($($fmt)+),
+            ));
+        }
+    };
+}
+
+/// Rejects the current case unless `cond` holds: the runner draws another
+/// in its place.
+#[macro_export]
+macro_rules! prop_assume {
+    ($cond:expr $(,)?) => {
+        if !($cond) {
+            return ::core::result::Result::Err($crate::test_runner::TestCaseError::reject(
+                concat!("assumption failed: ", stringify!($cond)).to_string(),
             ));
         }
     };
@@ -358,6 +375,28 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(strat.generate(&mut a), strat.generate(&mut b));
         }
+    }
+
+    #[test]
+    fn rejected_cases_are_redrawn() {
+        use crate::strategy::Strategy;
+        let mut passed = 0;
+        crate::test_runner::run(ProptestConfig::with_cases(20), "rejects", |rng| {
+            let x = (0u32..4).generate(rng);
+            prop_assume!(x == 0);
+            passed += 1;
+            Ok(())
+        });
+        assert_eq!(passed, 20, "every passing case counts, no rejected one");
+    }
+
+    #[test]
+    #[should_panic(expected = "rejected too many cases")]
+    fn rejecting_every_case_fails() {
+        crate::test_runner::run(ProptestConfig::with_cases(1), "rejects_all", |_rng| {
+            prop_assume!(false);
+            Ok(())
+        });
     }
 
     #[test]

@@ -24,18 +24,36 @@ impl Default for ProptestConfig {
     }
 }
 
-/// A failed property case (carried by early `return Err(..)` from the
-/// `prop_assert*` macros).
+/// Rejected cases a test may draw before it fails, as upstream's default
+/// `max_global_rejects`.
+const MAX_REJECTS: u32 = 1024;
+
+/// A failed or rejected property case (carried by early `return Err(..)`
+/// from the `prop_assert*` and `prop_assume!` macros).
 #[derive(Debug, Clone)]
 pub struct TestCaseError {
     message: String,
+    rejected: bool,
 }
 
 impl TestCaseError {
     /// Wraps a failure message.
     #[must_use]
     pub fn fail(message: String) -> Self {
-        TestCaseError { message }
+        TestCaseError {
+            message,
+            rejected: false,
+        }
+    }
+
+    /// A case whose input is outside the property's domain: it is drawn
+    /// again instead of failing.
+    #[must_use]
+    pub fn reject(message: String) -> Self {
+        TestCaseError {
+            message,
+            rejected: true,
+        }
     }
 }
 
@@ -55,22 +73,35 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Runs `case` for each of `config.cases` deterministic seeds derived from
-/// `name`, panicking (with case index and seed) on the first failure.
+/// Runs `case` on deterministic seeds derived from `name` until
+/// `config.cases` cases pass, panicking (with case index and seed) on the
+/// first failure. A rejected case is replaced by the next seed.
 ///
 /// # Panics
 ///
-/// Panics when a case returns `Err`, mirroring a failing `#[test]`.
+/// Panics when a case fails, mirroring a failing `#[test]`, or after
+/// more than 1024 rejected cases.
 pub fn run<F>(config: ProptestConfig, name: &str, mut case: F)
 where
     F: FnMut(&mut SmallRng) -> Result<(), TestCaseError>,
 {
     let base = fnv1a(name.as_bytes());
-    for i in 0..u64::from(config.cases) {
+    let (mut passed, mut rejected) = (0, 0);
+    let mut i = 0u64;
+    while passed < config.cases {
         let seed = base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut rng = SmallRng::seed_from_u64(seed);
-        if let Err(e) = case(&mut rng) {
-            panic!("property '{name}' failed at case {i} (seed {seed:#x}): {e}");
+        match case(&mut rng) {
+            Ok(()) => passed += 1,
+            Err(e) if e.rejected => {
+                rejected += 1;
+                assert!(
+                    rejected <= MAX_REJECTS,
+                    "property '{name}' rejected too many cases ({rejected}); last: {e}"
+                );
+            }
+            Err(e) => panic!("property '{name}' failed at case {i} (seed {seed:#x}): {e}"),
         }
+        i += 1;
     }
 }

@@ -149,11 +149,6 @@ impl FrontKey {
         }
     }
 
-    /// The key as text, the same for equal keys in every process.
-    pub(crate) fn as_str(&self) -> &str {
-        &self.text
-    }
-
     /// Front ends (active cores) under this key.
     pub(crate) fn cores(&self) -> usize {
         self.cores

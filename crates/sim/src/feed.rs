@@ -13,23 +13,25 @@
 //! simulations plus their helpers never exceed the process's available
 //! parallelism.
 //!
-//! The same words can also go to a file per core. A [`FrontRecorder`]
-//! writes every record a run's front ends produce; a later run whose
-//! [`FrontKey`] is equal reads them back through a [`FrontReplay`] instead
-//! of running its own trace generators and L1/L2. Each file is a header
-//! naming the key and the core, then chunks of up to [`RING_WORDS`] words,
-//! each led by its word count and followed by a word-wise FNV-1a checksum
-//! of both.
+//! The same words can also go to a file. A [`FrontRecorder`] writes every
+//! record a run's front ends produce to one unnamed file, unlinked as soon
+//! as it is made, and finishes into a [`FrontRecording`]: the file lives
+//! as long as that and its replays hold it, however the process ends. A
+//! later run whose [`FrontKey`] is equal reads it back through a
+//! [`FrontReplay`] instead of running its own trace generators and L1/L2.
+//! Each core's stream is chunks of up to [`RING_WORDS`] words, each led by
+//! its word count and followed by a word-wise FNV-1a checksum of both; the
+//! recording keeps the key and where each core's chunks start.
 //! A replayed core whose stream ends, or whose next chunk fails to read or
 //! check, fast-forwards its own front end past the records already
 //! replayed and runs inline from there, so a bad file costs time, never a
 //! wrong result.
 
 use std::fs::File;
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use dram_sim::MemoryController;
 
@@ -355,44 +357,62 @@ fn chunk_sum(chunk: &[u8]) -> u64 {
         })
 }
 
-/// The file holding core `core`'s recorded stream in `dir`.
-fn stream_path(dir: &Path, core: usize) -> PathBuf {
-    dir.join(format!("core{core}.words"))
+/// Numbers the names [`unnamed_file`] makes in this process.
+static STREAM_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A new file in `dir` that no name reaches: made under a fresh `.tmp-`
+/// name and unlinked at once, so it lives only as long as its open
+/// handles. Only a crash between the two calls leaves the name, which is
+/// one a result store's temp-file scavenger collects. Outside unix an open
+/// file cannot lose its name, so nothing is recorded and every run keeps
+/// its own front ends.
+pub(crate) fn unnamed_file(dir: &Path) -> io::Result<File> {
+    if cfg!(not(unix)) {
+        return Err(io::ErrorKind::Unsupported.into());
+    }
+    let path = dir.join(format!(
+        ".tmp-front-{}-{}",
+        std::process::id(),
+        STREAM_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let file = File::options()
+        .read(true)
+        .write(true)
+        .create_new(true)
+        .open(&path)?;
+    std::fs::remove_file(&path)?;
+    Ok(file)
 }
 
-/// The first bytes of core `core`'s stream under `key`.
-fn stream_header(key: &FrontKey, core: usize) -> Vec<u8> {
-    format!("dbi-front-stream v1 core={core} {}\n", key.as_str()).into_bytes()
-}
-
-/// Appends one core's record words to its file, a chunk at a time.
+/// One core's stream being written: the chunk being filled and where its
+/// written chunks start in the recording's file.
 #[derive(Debug)]
 struct StreamWriter {
-    file: File,
-    /// The chunk being filled: a placeholder for its word count, then its
-    /// words.
+    /// A placeholder for the chunk's word count, then its words.
     chunk: Vec<u8>,
+    offsets: Vec<u64>,
 }
 
 impl StreamWriter {
-    fn create(path: &Path, header: &[u8]) -> io::Result<StreamWriter> {
-        let mut file = File::create(path)?;
-        file.write_all(header)?;
+    fn new() -> StreamWriter {
         let mut chunk = Vec::with_capacity(CHUNK_BYTES);
         chunk.extend_from_slice(&[0; 8]);
-        Ok(StreamWriter { file, chunk })
+        StreamWriter {
+            chunk,
+            offsets: Vec::new(),
+        }
     }
 
-    fn push(&mut self, word: u64) -> io::Result<()> {
+    fn push(&mut self, word: u64, file: &mut File) -> io::Result<()> {
         self.chunk.extend_from_slice(&word.to_le_bytes());
         if self.chunk.len() == CHUNK_BYTES - 8 {
-            self.flush()?;
+            self.flush(file)?;
         }
         Ok(())
     }
 
-    /// Writes the words pushed since the last flush as one chunk.
-    fn flush(&mut self) -> io::Result<()> {
+    /// Appends the words pushed since the last flush as one chunk.
+    fn flush(&mut self, file: &mut File) -> io::Result<()> {
         let words = self.chunk.len() / 8 - 1;
         if words == 0 {
             return Ok(());
@@ -400,7 +420,10 @@ impl StreamWriter {
         self.chunk[..8].copy_from_slice(&(words as u64).to_le_bytes());
         let sum = chunk_sum(&self.chunk);
         self.chunk.extend_from_slice(&sum.to_le_bytes());
-        let written = self.file.write_all(&self.chunk);
+        let written = file.stream_position().and_then(|at| {
+            self.offsets.push(at);
+            file.write_all(&self.chunk)
+        });
         self.chunk.truncate(8);
         written
     }
@@ -409,7 +432,10 @@ impl StreamWriter {
 /// Reads one core's recorded words back, a checked chunk at a time.
 #[derive(Debug)]
 struct StreamReader {
-    file: File,
+    recording: Arc<FrontRecording>,
+    core: usize,
+    /// Index of the core's next chunk.
+    next: usize,
     chunk: Vec<u8>,
     /// Byte offsets of the next unread word and of the end of the chunk's
     /// words.
@@ -418,22 +444,15 @@ struct StreamReader {
 }
 
 impl StreamReader {
-    fn open(path: &Path, header: &[u8]) -> io::Result<StreamReader> {
-        let mut file = File::open(path)?;
-        let mut found = vec![0; header.len()];
-        file.read_exact(&mut found)?;
-        if found != header {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{} was recorded for other front ends", path.display()),
-            ));
-        }
-        Ok(StreamReader {
-            file,
+    fn new(recording: Arc<FrontRecording>, core: usize) -> StreamReader {
+        StreamReader {
+            recording,
+            core,
+            next: 0,
             chunk: vec![0; CHUNK_BYTES],
             pos: 0,
             end: 0,
-        })
+        }
     }
 
     /// The next word, or `None` at the end of the stream, on a read error
@@ -448,17 +467,24 @@ impl StreamReader {
     }
 
     fn refill(&mut self) -> Option<()> {
-        self.file.read_exact(&mut self.chunk[..8]).ok()?;
+        let offset = *self.recording.chunks[self.core].get(self.next)?;
+        // Replays on other threads share the file and its cursor; the
+        // lock keeps each seek with its reads.
+        let mut file = self.recording.file.lock().ok()?;
+        file.seek(SeekFrom::Start(offset)).ok()?;
+        file.read_exact(&mut self.chunk[..8]).ok()?;
         let words = u64::from_le_bytes(self.chunk[..8].try_into().ok()?);
         let words = usize::try_from(words)
             .ok()
             .filter(|n| (1..=RING_WORDS).contains(n))?;
         let end = 8 * (words + 1);
-        self.file.read_exact(&mut self.chunk[8..end + 8]).ok()?;
+        file.read_exact(&mut self.chunk[8..end + 8]).ok()?;
+        drop(file);
         let sum = u64::from_le_bytes(self.chunk[end..end + 8].try_into().ok()?);
         if chunk_sum(&self.chunk[..end]) != sum {
             return None;
         }
+        self.next += 1;
         self.pos = 8;
         self.end = end;
         Some(())
@@ -486,11 +512,12 @@ impl StreamReader {
     }
 }
 
-/// Writes every record a run's front ends produce to one file per core,
+/// Writes every record a run's front ends produce to one unnamed file,
 /// for later runs with the same [`FrontKey`] to replay.
 #[derive(Debug)]
 pub struct FrontRecorder {
     key: FrontKey,
+    file: File,
     streams: Vec<StreamWriter>,
     /// Records written per core.
     records: Vec<u64>,
@@ -503,19 +530,17 @@ pub struct FrontRecorder {
 }
 
 impl FrontRecorder {
-    /// Creates a stream file per front end of `key` in the existing
-    /// directory `dir`.
+    /// Creates an unnamed file for the front ends of `key` in the
+    /// existing directory `dir`.
     ///
     /// # Errors
     ///
-    /// Returns the error of the first file that cannot be created.
+    /// Returns the error of creating the file; `Unsupported` outside unix.
     pub fn create(dir: &Path, key: &FrontKey) -> io::Result<FrontRecorder> {
-        let streams = (0..key.cores())
-            .map(|i| StreamWriter::create(&stream_path(dir, i), &stream_header(key, i)))
-            .collect::<io::Result<_>>()?;
         Ok(FrontRecorder {
             key: key.clone(),
-            streams,
+            file: unnamed_file(dir)?,
+            streams: (0..key.cores()).map(|_| StreamWriter::new()).collect(),
             records: vec![0; key.cores()],
             words: Vec::new(),
             error: None,
@@ -549,8 +574,8 @@ impl FrontRecorder {
         encode_next(front, &mut self.words);
         self.records[i] += 1;
         if self.error.is_none() {
-            let stream = &mut self.streams[i];
-            if let Err(e) = self.words.iter().try_for_each(|&w| stream.push(w)) {
+            let (stream, file) = (&mut self.streams[i], &mut self.file);
+            if let Err(e) = self.words.iter().try_for_each(|&w| stream.push(w, file)) {
                 self.error = Some(e);
             }
         }
@@ -573,25 +598,43 @@ impl FrontRecorder {
         self.complete = true;
     }
 
-    /// Writes the last chunks.
+    /// Writes the last chunks and hands the file over for replay.
     ///
     /// # Errors
     ///
     /// Fails if a write failed, or if no run fed this recorder from its
     /// first record to its end (it ran the shadow-memory check or had
     /// another key): such streams must not be replayed.
-    pub fn finish(mut self) -> io::Result<()> {
+    pub fn finish(mut self) -> io::Result<FrontRecording> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
         if !self.complete {
             return Err(io::Error::other("the recording does not cover a whole run"));
         }
-        self.streams.iter_mut().try_for_each(StreamWriter::flush)
+        for stream in &mut self.streams {
+            stream.flush(&mut self.file)?;
+        }
+        Ok(FrontRecording {
+            key: self.key,
+            file: Mutex::new(self.file),
+            chunks: self.streams.into_iter().map(|s| s.offsets).collect(),
+        })
     }
 }
 
-/// Feeds a run from streams a [`FrontRecorder`] wrote. Each core's front
+/// A finished recording: the front key, the unnamed file that holds
+/// every core's chunks, and where each core's chunks start in it. The
+/// file is freed when this is dropped, with every replay sharing it.
+#[derive(Debug)]
+pub struct FrontRecording {
+    pub(crate) key: FrontKey,
+    pub(crate) file: Mutex<File>,
+    /// Per core, the byte offset of each chunk in stream order.
+    pub(crate) chunks: Vec<Vec<u64>>,
+}
+
+/// Feeds a run from a [`FrontRecording`]. Each core's front
 /// end stays where it was built until something needs it: the end of its
 /// stream, or a chunk that fails to read or check. Then it is
 /// fast-forwarded past the records replayed so far, and that core runs
@@ -610,23 +653,19 @@ pub struct FrontReplay {
 }
 
 impl FrontReplay {
-    /// Opens the streams of `key` that a [`FrontRecorder`] wrote in `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a stream cannot be opened or was recorded under another
-    /// key.
-    pub fn open(dir: &Path, key: &FrontKey) -> io::Result<FrontReplay> {
-        let streams = (0..key.cores())
-            .map(|i| StreamReader::open(&stream_path(dir, i), &stream_header(key, i)).map(Some))
-            .collect::<io::Result<_>>()?;
-        Ok(FrontReplay {
-            key: key.clone(),
-            streams,
-            replayed: vec![0; key.cores()],
+    /// A replay of `recording`, which any number of replays may share.
+    #[must_use]
+    pub fn new(recording: &Arc<FrontRecording>) -> FrontReplay {
+        let cores = recording.chunks.len();
+        FrontReplay {
+            key: recording.key.clone(),
+            streams: (0..cores)
+                .map(|i| Some(StreamReader::new(Arc::clone(recording), i)))
+                .collect(),
+            replayed: vec![0; cores],
             words: Vec::new(),
             writebacks: Vec::new(),
-        })
+        }
     }
 
     /// Records replayed from the streams so far, over all cores.

@@ -48,7 +48,7 @@ pub use crate::checker::{LostWrite, VersionChecker};
 pub use crate::config::{DbiParams, Latencies, Mechanism, SystemConfig, MAX_CORES};
 pub use crate::core::FrontKey;
 pub use crate::faults::{splitmix64, FaultClass, FaultInjector, FaultPlan, FaultRecord};
-pub use crate::feed::{FrontRecorder, FrontReplay, FrontStreams};
+pub use crate::feed::{FrontRecorder, FrontRecording, FrontReplay, FrontStreams};
 pub use crate::invariants::{InvariantKind, InvariantViolation, Sanitizer, SanitizerReport};
 pub use crate::llc::{LlcStats, ReadOutcome, SharedLlc};
 pub use crate::metrics::CoreResult;

@@ -667,12 +667,13 @@ pub fn run_alone(benchmark: Benchmark, config: &SystemConfig) -> MixResult {
 #[cfg(test)]
 mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
     use super::*;
     use crate::config::Mechanism;
     use crate::faults::{FaultClass, FaultPlan};
+    use crate::feed::FrontRecording;
 
     fn small(cores: usize, mechanism: Mechanism) -> (WorkloadMix, SystemConfig) {
         let mix = WorkloadMix::new(
@@ -726,98 +727,91 @@ mod tests {
         }
     }
 
-    /// A fresh directory for recorded streams, removed on drop.
-    struct SpillDir(std::path::PathBuf);
-
-    impl SpillDir {
-        fn new(tag: &str) -> SpillDir {
-            let dir = std::env::temp_dir()
-                .join(format!("system-sim-streams-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("create a stream directory");
-            SpillDir(dir)
-        }
-
-        /// A copy of `self` named `tag`, with `edit` applied to the bytes
-        /// of core `core`'s stream.
-        fn edited(&self, tag: &str, core: usize, edit: impl Fn(&mut Vec<u8>)) -> SpillDir {
-            let copy = SpillDir::new(tag);
-            for entry in std::fs::read_dir(&self.0).expect("read the streams") {
-                let path = entry.expect("a stream").path();
-                let mut bytes = std::fs::read(&path).expect("read a stream");
-                if path.ends_with(format!("core{core}.words")) {
-                    edit(&mut bytes);
-                }
-                std::fs::write(copy.0.join(path.file_name().expect("a name")), bytes)
-                    .expect("write a stream");
-            }
-            copy
-        }
-    }
-
-    impl Drop for SpillDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
+    /// A copy of `recording` in a fresh unnamed file, its bytes changed
+    /// by `edit`, which is also given where a chunk midway through core
+    /// `core`'s stream starts.
+    fn edited(
+        recording: &FrontRecording,
+        core: usize,
+        edit: impl Fn(&mut Vec<u8>, usize),
+    ) -> FrontRecording {
+        use std::io::{Read, Seek, Write};
+        let mut bytes = Vec::new();
+        let mut file = recording.file.lock().expect("the stream file");
+        file.rewind()
+            .and_then(|()| file.read_to_end(&mut bytes))
+            .expect("read the streams");
+        let chunks = &recording.chunks[core];
+        edit(
+            &mut bytes,
+            usize::try_from(chunks[chunks.len() / 2]).expect("an offset"),
+        );
+        let mut copy = crate::feed::unnamed_file(&std::env::temp_dir()).expect("a stream file");
+        copy.write_all(&bytes).expect("write the streams");
+        FrontRecording {
+            key: recording.key.clone(),
+            file: std::sync::Mutex::new(copy),
+            chunks: recording.chunks.clone(),
         }
     }
 
-    /// Runs `mix` on `config`, recording its front ends into `dir`.
-    fn recorded(mix: &WorkloadMix, config: &SystemConfig, dir: &SpillDir) -> MixResult {
+    /// Runs `mix` on `config`, recording its front ends into files made
+    /// in `dir`.
+    fn recorded(
+        mix: &WorkloadMix,
+        config: &SystemConfig,
+        dir: &std::path::Path,
+    ) -> (MixResult, Arc<FrontRecording>) {
         let key = crate::core::FrontKey::new(mix, config);
-        let recorder = FrontRecorder::create(&dir.0, &key).expect("create the streams");
+        let recorder = FrontRecorder::create(dir, &key).expect("create the streams");
         let mut streams = FrontStreams::Record(recorder);
         let result = System::new(mix, config).run_with_streams(Some(&mut streams));
         let FrontStreams::Record(recorder) = streams else {
             unreachable!("still the recorder")
         };
-        recorder.finish().expect("a whole recording");
-        result
+        let recording = recorder.finish().expect("a whole recording");
+        (result, Arc::new(recording))
     }
 
-    /// The streams in `dir` of `mix` on `config`, opened for replay.
-    fn replay_of(mix: &WorkloadMix, config: &SystemConfig, dir: &SpillDir) -> FrontStreams {
-        let key = crate::core::FrontKey::new(mix, config);
-        FrontStreams::Replay(FrontReplay::open(&dir.0, &key).expect("open the streams"))
-    }
-
-    fn records_replayed(streams: &FrontStreams) -> u64 {
-        match streams {
-            FrontStreams::Replay(replay) => replay.records_replayed(),
-            FrontStreams::Record(_) => 0,
-        }
-    }
-
-    /// The digest of `mix` on `config` replaying `dir`, and the records
-    /// replayed.
-    fn replayed(mix: &WorkloadMix, config: &SystemConfig, dir: &SpillDir) -> (String, u64) {
-        let mut streams = replay_of(mix, config, dir);
+    /// The digest of `mix` on `config` replaying `recording`, and the
+    /// records replayed.
+    fn replayed(
+        mix: &WorkloadMix,
+        config: &SystemConfig,
+        recording: &Arc<FrontRecording>,
+    ) -> (String, u64) {
+        let replay = FrontReplay::new(recording);
+        let mut streams = FrontStreams::Replay(replay);
         let result = System::new(mix, config).run_with_streams(Some(&mut streams));
-        (result.digest(), records_replayed(&streams))
+        let FrontStreams::Replay(replay) = streams else {
+            unreachable!("still the replay")
+        };
+        (result.digest(), replay.records_replayed())
     }
 
     #[test]
+    #[cfg_attr(not(unix), ignore = "recording needs unix")]
     fn replayed_streams_agree_with_inline_runs_on_every_mechanism() {
+        let dir = std::env::temp_dir().join(format!("system-sim-streams-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create a stream directory");
         for cores in [1, 2, 4, 8] {
             for l2_dbi in [false, true] {
                 let (mix, mut leader) = small(cores, Mechanism::Baseline);
                 leader.l2_dbi = l2_dbi;
-                let tag = format!("{cores}-{l2_dbi}");
-                let full = SpillDir::new(&tag);
-                let recorded = recorded(&mix, &leader, &full);
+                let (recorded, full) = recorded(&mix, &leader, &dir);
                 assert_eq!(
                     recorded.digest(),
                     run_as(System::new(&mix, &leader), Form::Inline).digest(),
-                    "recording {tag}"
+                    "recording {cores} cores, L2 DBI {l2_dbi}"
                 );
-                // The last core's stream ends halfway through a chunk; a
-                // byte in the middle of core 0's stream is flipped.
-                let truncated = full.edited(&format!("{tag}-cut"), cores - 1, |bytes| {
-                    bytes.truncate(bytes.len() / 2 + 5);
-                });
-                let flipped = full.edited(&format!("{tag}-flip"), 0, |bytes| {
-                    let mid = bytes.len() / 2;
-                    bytes[mid] ^= 0x10;
-                });
+                // The file ends halfway through a chunk in the middle of the
+                // last core's stream (every other core's stream ends at its
+                // first chunk past the cut); a byte in the middle of core
+                // 0's stream is flipped. A chunk is 24 bytes or more.
+                let truncated = Arc::new(edited(&full, cores - 1, |bytes, at| {
+                    bytes.truncate(at + 12);
+                }));
+                let flipped = Arc::new(edited(&full, 0, |bytes, at| bytes[at + 12] ^= 0x10));
                 for mechanism in Mechanism::ALL {
                     let mut config = leader.clone();
                     config.mechanism = mechanism;
@@ -834,6 +828,9 @@ mod tests {
                 }
             }
         }
+        let names = std::fs::read_dir(&dir).expect("list the streams").count();
+        assert_eq!(names, 0, "recorded streams have no names");
+        std::fs::remove_dir(&dir).expect("remove the stream directory");
     }
 
     /// Core by core, the words of the first `records` records that `mix`'s
