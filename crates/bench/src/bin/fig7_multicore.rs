@@ -5,7 +5,8 @@
 //! Figure 7 set — VWQ is omitted there because DAWB dominates it).
 //!
 //! Usage: `cargo run --release -p dbi-bench --bin fig7_multicore
-//! [--quick|--full]`
+//! [--quick|--full] [--seeds N]`, where `--seeds N` averages every cell
+//! over N trace seeds (default 1).
 
 use dbi_bench::{
     config_for, pct, print_table, write_tsv, AloneIpcCache, BenchArgs, RunUnit, Runner,
@@ -38,7 +39,17 @@ const MECHANISMS: [Mechanism; 7] = [
 const CORE_COUNTS: [usize; 3] = [2, 4, 8];
 
 fn main() {
-    let args = BenchArgs::parse();
+    let (args, extras) = BenchArgs::parse_with(&["--seeds"]);
+    let seeds: u64 = extras
+        .iter()
+        .find(|(flag, _)| flag == "--seeds")
+        .map_or(1, |(_, value)| match value.parse() {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                eprintln!("fig7_multicore: --seeds needs a positive integer, got '{value}'");
+                std::process::exit(2);
+            }
+        });
     let effort = args.effort;
     let runner = Runner::new("fig7_multicore", &args);
     let alone = AloneIpcCache::new(&runner);
@@ -72,7 +83,7 @@ fn main() {
     for (ci, (&cores, mixes)) in CORE_COUNTS.iter().zip(&mixes_per_cores).enumerate() {
         for (wi, mix) in mixes.iter().enumerate() {
             for (mi, &mechanism) in MECHANISMS.iter().enumerate() {
-                for seed in 0..args.seeds {
+                for seed in 0..seeds {
                     let mut config = config_for(cores, mechanism, effort);
                     config.seed = config.seed.wrapping_add(seed * 10_007);
                     units.push(RunUnit::new(mix.clone(), config));
@@ -97,7 +108,7 @@ fn main() {
         }
         let means: Vec<f64> = sums
             .iter()
-            .map(|s| s / (mixes.len() as u64 * args.seeds) as f64)
+            .map(|s| s / (mixes.len() as u64 * seeds) as f64)
             .collect();
         let mut row = vec![format!("{cores}-core")];
         row.extend(means.iter().map(|v| format!("{v:.3}")));

@@ -23,31 +23,10 @@ use std::path::PathBuf;
 use dbi_bench::scrub_store;
 
 const USAGE: &str = "\
-store_scrub [--list-checks] DIR
+store_scrub DIR
 
-    --list-checks       print every validation the scrub performs and
-                        the failpoint catalog it heals against, then exit
     DIR                 the result-store directory to scrub
 ";
-
-const CHECKS: &str = "\
-store_scrub validations, in pass order:
-    tmp-orphans   delete .tmp- files left by crashed writers
-    record        decode every .entry file with the one record codec:
-                  byte-counted frame and checksum must hold, the header
-                  must name an entry of today's schema, and the embedded
-                  fingerprint must hash to the file name;
-                  corrupt or schema-5 -> quarantine/
-
-Failpoint sites the recovery matrix proves this heals (every site x
-mode is crash-injected into an entry write, scrubbed, and re-run to
-bit-identical results):
-";
-
-fn list_checks() -> ! {
-    print!("{CHECKS}{}", dbi_bench::catalog());
-    std::process::exit(0);
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("store_scrub: {msg}\n\n{USAGE}");
@@ -58,7 +37,6 @@ fn main() {
     let mut dir: Option<PathBuf> = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--list-checks" => list_checks(),
             "--help" | "-h" => fail("usage requested"),
             other if other.starts_with("--") => fail(&format!("unknown flag '{other}'")),
             d if dir.is_none() => dir = Some(PathBuf::from(d)),

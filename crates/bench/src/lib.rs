@@ -21,9 +21,6 @@ pub mod scrub;
 pub mod store;
 
 pub use crate::args::BenchArgs;
-pub use crate::failpoints::{
-    all_sites, catalog, modes_for, CrashStyle, FailMode, FailSpec, CRASH_EXIT_CODE,
-};
 pub use crate::runner::{interrupted, AloneIpcCache, RunUnit, Runner, UnitFailure, UnitFault};
 pub use crate::scrub::{scrub_store, ScrubReport};
 pub use crate::store::{

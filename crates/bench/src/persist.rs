@@ -12,15 +12,15 @@
 //! never a partial one — and at worst an orphaned temp file for the
 //! scavenger (`ResultStore::scavenge`) or `store_scrub` to collect.
 //!
-//! Each stage is a registered failpoint site (`record.write`,
-//! `record.sync`, `record.rename`, `record.dirsync`; see
-//! `crate::failpoints`), so the crash-consistency of the protocol is
-//! tested, not assumed.
+//! Each stage is a failpoint site (see `crate::failpoints`): a store
+//! handle armed for tests makes one stage misbehave, so the
+//! crash-consistency of the protocol is tested, not assumed. An unarmed
+//! handle's failpoint never fires.
 
 use std::io::Write as _;
 use std::path::Path;
 
-use crate::failpoints::{self, Fire, Site};
+use crate::failpoints::{Failpoint, Fire, Site};
 
 /// Temp-file name prefix of the protocol. Final files never start with a
 /// dot, so anything matching it is in-flight — or, once its writer has
@@ -42,14 +42,15 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
 }
 
 /// Writes `bytes` to `dst` atomically and durably: temp write, file
-/// fsync, rename, directory fsync — with a failpoint at each stage. The
-/// temp file is `.tmp-{name}-{pid}` beside `dst`, so writers of different
-/// files, or of one file in different processes, never share one.
+/// fsync, rename, directory fsync — consulting `failpoint` at each stage.
+/// The temp file is `.tmp-{name}-{pid}` beside `dst`, so writers of
+/// different files, or of one file in different processes, never share
+/// one.
 ///
 /// On error the temp file is deliberately left in place (a crashed real
 /// writer could not clean up either); the scavenger and `store_scrub`
 /// collect such orphans.
-pub(crate) fn write_atomic(dst: &Path, bytes: &[u8]) -> std::io::Result<()> {
+pub(crate) fn write_atomic(dst: &Path, bytes: &[u8], failpoint: &Failpoint) -> std::io::Result<()> {
     let dir = dst.parent().expect("a store record path has a directory");
     let name = dst
         .file_name()
@@ -61,35 +62,31 @@ pub(crate) fn write_atomic(dst: &Path, bytes: &[u8]) -> std::io::Result<()> {
     ));
     std::fs::create_dir_all(dir)?;
     let mut f = std::fs::File::create(&tmp)?;
-    match failpoints::fire(Site::Write, bytes.len()) {
-        Some(Fire::Torn { keep }) => {
+    match failpoint.fire(Site::Write, bytes.len()) {
+        Some(fire @ Fire::Torn { keep }) => {
             f.write_all(&bytes[..keep])?;
             let _ = f.sync_all();
-            return Err(failpoints::crash(Site::Write));
+            return Err(fire.error(Site::Write));
         }
         Some(Fire::Short { keep }) => f.write_all(&bytes[..keep])?,
-        Some(Fire::Crash) => return Err(failpoints::crash(Site::Write)),
-        Some(Fire::Eio) => return Err(failpoints::eio(Site::Write)),
+        Some(fire @ (Fire::Crash | Fire::Eio)) => return Err(fire.error(Site::Write)),
         None | Some(Fire::DropSync) => f.write_all(bytes)?,
     }
-    match failpoints::fire(Site::Sync, 0) {
+    match failpoint.fire(Site::Sync, 0) {
         Some(Fire::DropSync) => {}
-        Some(Fire::Crash) => return Err(failpoints::crash(Site::Sync)),
-        Some(Fire::Eio) => return Err(failpoints::eio(Site::Sync)),
+        Some(fire @ (Fire::Crash | Fire::Eio)) => return Err(fire.error(Site::Sync)),
         None | Some(Fire::Torn { .. } | Fire::Short { .. }) => f.sync_all()?,
     }
     drop(f);
-    match failpoints::fire(Site::Rename, 0) {
-        Some(Fire::Crash) => return Err(failpoints::crash(Site::Rename)),
-        Some(Fire::Eio) => return Err(failpoints::eio(Site::Rename)),
+    match failpoint.fire(Site::Rename, 0) {
+        Some(fire @ (Fire::Crash | Fire::Eio)) => return Err(fire.error(Site::Rename)),
         None | Some(_) => std::fs::rename(&tmp, dst)?,
     }
-    match failpoints::fire(Site::DirSync, 0) {
+    match failpoint.fire(Site::DirSync, 0) {
         Some(Fire::DropSync) => Ok(()),
         // The rename already happened: a crash or EIO here leaves a
         // complete, valid record whose durability is merely unproven.
-        Some(Fire::Crash) => Err(failpoints::crash(Site::DirSync)),
-        Some(Fire::Eio) => Err(failpoints::eio(Site::DirSync)),
+        Some(fire @ (Fire::Crash | Fire::Eio)) => Err(fire.error(Site::DirSync)),
         None | Some(_) => sync_dir(dir),
     }
 }

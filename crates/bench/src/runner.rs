@@ -79,7 +79,6 @@ use system_sim::{
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
-use crate::failpoints::{self, FailPlan as IoFailPlan};
 use crate::store::{unit_key, ResultStore, StoreKey};
 use crate::{parallel_map_jobs, BenchArgs};
 
@@ -324,9 +323,6 @@ impl Runner {
     #[must_use]
     pub fn new(name: &str, args: &BenchArgs) -> Runner {
         install_signal_handlers();
-        if let Some(spec) = args.io_fault {
-            failpoints::install(IoFailPlan::new(spec, args.io_fault_seed));
-        }
         let store = args.store_dir().map(ResultStore::open);
         if let Some(store) = &store {
             // Collect temp files orphaned by crashed earlier runs. The age

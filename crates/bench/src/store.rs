@@ -50,6 +50,7 @@ use dbi::snap::fnv1a64;
 use system_sim::{MixResult, SystemConfig};
 use trace_gen::Benchmark;
 
+use crate::failpoints::{FailMode, Failpoint, Site};
 use crate::persist;
 
 /// Bump whenever the fingerprint grammar or the record format changes:
@@ -241,6 +242,9 @@ pub struct ResultStore {
     /// Orphaned temp files removed by [`ResultStore::scavenge`], surfaced
     /// in runner summaries alongside the entry count.
     orphans: AtomicU64,
+    /// The failpoint [`ResultStore::save_record`] consults: unarmed
+    /// unless a test arms it with [`ResultStore::arm_failpoint`].
+    failpoint: Failpoint,
 }
 
 /// Whether `name` is a temp file of the atomic-write protocol.
@@ -258,7 +262,26 @@ impl ResultStore {
             dir,
             corrupt: AtomicU64::new(0),
             orphans: AtomicU64::new(0),
+            failpoint: Failpoint::default(),
         }
+    }
+
+    /// Arms a failpoint on this handle: the first time one of its saves
+    /// reaches `site` of the atomic-write protocol, that stage misbehaves
+    /// as `mode` says (see `crate::failpoints`). Other handles, and this
+    /// one after the firing, behave normally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mode` does not apply at `site`.
+    pub fn arm_failpoint(&mut self, site: Site, mode: FailMode) {
+        self.failpoint = Failpoint::armed(site, mode);
+    }
+
+    /// Whether the failpoint armed on this handle has fired.
+    #[must_use]
+    pub fn failpoint_fired(&self) -> bool {
+        self.failpoint.fired()
     }
 
     /// Garbage-collects orphaned `.tmp-*` files left behind by crashed
@@ -312,7 +335,11 @@ impl ResultStore {
     /// Propagates I/O errors; callers treat them as non-fatal (the value
     /// is still in hand, only the store write is lost).
     pub fn save_record(&self, key: &StoreKey, payload: &[u8]) -> std::io::Result<()> {
-        persist::write_atomic(&self.entry_path(key), &encode(key, payload))
+        persist::write_atomic(
+            &self.entry_path(key),
+            &encode(key, payload),
+            &self.failpoint,
+        )
     }
 
     /// Loads the payload of the entry for `key`, or `None` on any miss:

@@ -1,14 +1,14 @@
-//! The recovery matrix: crash the store at every registered failpoint
-//! site, in every applicable mode, and prove the store recovers.
+//! The recovery matrix: crash the store at every failpoint site, in
+//! every applicable mode, and prove the store recovers.
 //!
-//! For each (site, mode) pair the scenario is: arm the failpoint with
-//! [`CrashStyle::Error`] (abort the store operation in-process, leaving
-//! exactly the on-disk state a mid-protocol kill would), save an entry,
-//! then
+//! For each (site, mode) pair the scenario is: arm the failpoint on one
+//! store handle (a crash aborts the store operation in-process, leaving
+//! exactly the on-disk state a mid-protocol kill would), save an entry
+//! through it, then
 //!
 //! 1. the operation's result matches the mode (torn/crash/eio fail,
 //!    short/drop-sync complete silently);
-//! 2. the failpoint actually fired (the registry names real code paths,
+//! 2. the failpoint actually fired (the sites name real code paths,
 //!    not aspirational ones);
 //! 3. a *fresh* store handle on the same directory never panics and
 //!    never serves a wrong value — every load is either a miss or
@@ -16,26 +16,21 @@
 //! 4. `scrub_store` removes the debris (orphaned temp files, corrupt
 //!    visible files into quarantine), after which every surviving data
 //!    file validates;
-//! 5. redoing the operation with failpoints disarmed heals the store,
-//!    and a final scrub finds nothing left to repair.
+//! 5. redoing the operation through a fresh, unarmed handle heals the
+//!    store, and a final scrub finds nothing left to repair.
 //!
-//! Failpoints are process-global, so the whole matrix runs inside ONE
-//! `#[test]` in its own integration-test binary, and every test here
-//! holds [`LOCK`]: the harness runs a file's tests on parallel threads,
-//! and a disarmed-path test writing entries while the matrix has a plan
-//! armed would trip (or steal) the matrix's firing.
+//! A failpoint belongs to the handle it is armed on, so nothing here is
+//! shared between tests: saves through other handles, in this process or
+//! any other, never trip it.
 
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::path::PathBuf;
+use std::sync::OnceLock;
 
-use dbi_bench::failpoints::{self, CrashStyle, FailMode, FailPlan, FailSpec};
+use dbi_bench::failpoints::{modes_for, FailMode, Site};
 use dbi_bench::store::{unit_key, ResultStore, StoreKey};
-use dbi_bench::{all_sites, modes_for, scrub_store, RunUnit};
+use dbi_bench::{scrub_store, RunUnit};
 use system_sim::{run_mix, Mechanism, MixResult, SystemConfig};
 use trace_gen::Benchmark;
-
-/// Serializes the tests of this file around the process-global plan.
-static LOCK: Mutex<()> = Mutex::new(());
 
 struct Scratch {
     dir: PathBuf,
@@ -88,36 +83,27 @@ fn entry_payload() -> &'static Vec<u8> {
     })
 }
 
-/// Saves the tiny unit's entry into `dir`.
-fn perform(dir: &Path) -> std::io::Result<()> {
-    ResultStore::open(dir.to_path_buf()).save_record(&tiny().1, entry_payload())
+/// Saves the tiny unit's entry through `store`.
+fn perform(store: &ResultStore) -> std::io::Result<()> {
+    store.save_record(&tiny().1, entry_payload())
 }
 
 #[test]
 fn recovery_matrix_covers_every_site_and_mode() {
-    let _serial = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let sites = all_sites();
-    assert_eq!(sites.len(), 4, "one protocol, four stages");
     let (_, key, result) = tiny();
     let payload = entry_payload();
     let mut runs = 0;
-    for site in sites {
+    for site in Site::ALL {
         for mode in modes_for(site) {
             runs += 1;
-            let spec = FailSpec { site, mode };
-            let s = Scratch::new(&spec.to_string().replace([':', '.'], "-"));
+            let spec = format!("{site:?}:{mode:?}");
+            let s = Scratch::new(&format!("{site:?}-{mode:?}"));
             let dir = s.dir.join("store");
 
-            failpoints::install(
-                FailPlan::new(spec, 7)
-                    .with_style(CrashStyle::Error)
-                    .with_fire_at(1),
-            );
-            let outcome = perform(&dir);
-            let fired = failpoints::fired();
-            failpoints::clear();
-
-            assert_eq!(fired, Some(spec), "site {spec} never fired");
+            let mut armed = ResultStore::open(dir.clone());
+            armed.arm_failpoint(site, mode);
+            let outcome = perform(&armed);
+            assert!(armed.failpoint_fired(), "site {spec} never fired");
             match mode {
                 FailMode::Torn | FailMode::Crash | FailMode::Eio => {
                     assert!(outcome.is_err(), "{spec}: injected failure swallowed");
@@ -137,7 +123,7 @@ fn recovery_matrix_covers_every_site_and_mode() {
             // Scrub the debris, redo the write cleanly, verify the value
             // is served, and prove nothing is left to repair.
             scrub_store(&dir).unwrap();
-            perform(&dir).unwrap_or_else(|e| {
+            perform(&reopened).unwrap_or_else(|e| {
                 panic!("{spec}: clean redo failed after scrub: {e}");
             });
             let healed = ResultStore::open(dir.clone());
@@ -155,20 +141,4 @@ fn recovery_matrix_covers_every_site_and_mode() {
     // One atomic-write protocol with 4+3+2+3 modes across its four
     // stages.
     assert_eq!(runs, 12, "the matrix shrank — sites untested");
-}
-
-/// Disarmed failpoints must be invisible: the same operations succeed
-/// and round-trip with nothing installed (the production path).
-#[test]
-fn disarmed_failpoints_are_noops() {
-    let _serial = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let (_, key, result) = tiny();
-    let s = Scratch::new("noop");
-    perform(&s.dir).unwrap();
-    let store = ResultStore::open(s.dir.clone());
-    assert!(same_result(&store.load(key).unwrap(), result));
-    assert_eq!(store.load_record(key).as_ref(), Some(entry_payload()));
-    assert_eq!(failpoints::fired(), None);
-    let report = scrub_store(&s.dir).unwrap();
-    assert!(report.is_clean(), "{report}");
 }

@@ -626,34 +626,6 @@ impl Cache {
         self.find(block).is_some()
     }
 
-    /// Issues host prefetch hints for the model state a lookup of `block`
-    /// would touch: its set's tags, owners and valid/dirty words. Bulk
-    /// queries with known targets ([`DirtyView::probe_many`]) hint every
-    /// set before the first tag walk. A pure performance hint — no
-    /// simulated state (stats, replacement, dirty bits) changes.
-    fn prefetch_block(&self, block: BlockAddr) {
-        let set = self.set_of(block).index();
-        let base = set * self.config.ways;
-        // The tag walk reads one 4 B tag per way: hint each host cache
-        // line of the set's tag slab (16 ways per 64 B line).
-        let tags = &self.tags[base..base + self.config.ways];
-        for off in (0..std::mem::size_of_val(tags)).step_by(64) {
-            dbi::prefetch_read(tags.as_ptr().cast::<u8>().wrapping_add(off));
-        }
-        dbi::prefetch_read(self.threads[base..].as_ptr());
-        self.valid.prefetch_word(set);
-        self.dirty.prefetch_word(set);
-        // Replacement state: a hit's promotion and a probe's rank read the
-        // set's rank bytes (LRU) or RRPV slab (RRIP) — one host line.
-        match self.config.replacement {
-            ReplacementKind::Lru => dbi::prefetch_read(self.ranks(set).as_ptr()),
-            ReplacementKind::Rrip => {
-                dbi::prefetch_read(self.rrpv[base..].as_ptr());
-                dbi::prefetch_read(std::ptr::from_ref(&self.rrpv_cnt[set]));
-            }
-        }
-    }
-
     /// Recency rank of the valid line at `(set, way)`: 0 = next victim.
     /// O(1) — a byte read under LRU, three adds under RRIP.
     #[inline]
@@ -1093,48 +1065,6 @@ impl<'a> DirtyView<'a> {
         WayMask(self.cache.dirty.word(set.index()))
     }
 
-    /// Bulk form of [`mask`](DirtyView::mask): fills `out[i]` with the
-    /// dirty-way word of `sets[i]`. One pass over the word index with no
-    /// per-set call overhead — the shape the sanitizer's full-state scans
-    /// use, so whole-cache passes never round-trip through single-set
-    /// queries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices' lengths differ or any set is out of range.
-    pub fn mask_words(&self, sets: &[SetIdx], out: &mut [u64]) {
-        assert_eq!(
-            sets.len(),
-            out.len(),
-            "mask_words output length must match the query length"
-        );
-        for (slot, set) in out.iter_mut().zip(sets) {
-            *slot = self.cache.dirty.word(set.index());
-        }
-    }
-
-    /// Bulk form of [`probe`](DirtyView::probe): fills `out[i]` with the
-    /// probe result of `blocks[i]` (`None` where not resident). Issues the
-    /// set prefetch for each block ahead of its tag walk, so a batch of
-    /// scattered probes overlaps its own index misses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices' lengths differ.
-    pub fn probe_many(&self, blocks: &[BlockAddr], out: &mut [Option<ProbedLine>]) {
-        assert_eq!(
-            blocks.len(),
-            out.len(),
-            "probe_many output length must match the query length"
-        );
-        for &block in blocks {
-            self.cache.prefetch_block(block);
-        }
-        for (slot, &block) in out.iter_mut().zip(blocks) {
-            *slot = self.probe(block);
-        }
-    }
-
     /// The dirty ways of `set` whose recency rank is below `ways_from_lru`
     /// — the candidates a Virtual Write Queue sweep would harvest, and the
     /// word a Set State Vector refresh reduces to one bit. The common case
@@ -1339,56 +1269,6 @@ mod tests {
         assert_eq!(rank(&c, 4), Some(0));
         assert_eq!(rank(&c, 99), None);
         c.assert_index_coherent();
-    }
-
-    #[test]
-    fn mask_words_matches_per_set_masks() {
-        let mut c = tiny(2);
-        c.insert(0, 0, InsertPos::Mru, true); // set 0
-        c.insert(4, 0, InsertPos::Mru, false); // set 0, clean
-        c.insert(2, 0, InsertPos::Mru, true); // set 2
-        c.insert(6, 0, InsertPos::Mru, true); // set 2
-        let sets: Vec<SetIdx> = (0..c.config().sets()).map(SetIdx).collect();
-        let mut words = vec![u64::MAX; sets.len()];
-        c.dirty().mask_words(&sets, &mut words);
-        for (&set, &word) in sets.iter().zip(&words) {
-            assert_eq!(word, c.dirty().mask(set).0, "set {}", set.index());
-        }
-        assert!(words[1] == 0 && words[3] == 0, "untouched sets are clean");
-        assert_ne!(words[0], 0);
-        assert_eq!(words[2].count_ones(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "mask_words output length")]
-    fn mask_words_rejects_mismatched_lengths() {
-        let c = tiny(2);
-        c.dirty().mask_words(&[SetIdx(0), SetIdx(1)], &mut [0u64]);
-    }
-
-    #[test]
-    fn probe_many_matches_scalar_probes() {
-        let mut c = tiny(4);
-        c.insert(0, 1, InsertPos::Mru, true);
-        c.insert(4, 2, InsertPos::Mru, false);
-        c.insert(9, 3, InsertPos::Mru, true);
-        let blocks = [0u64, 4, 9, 99, 8];
-        let mut out = [None; 5];
-        c.dirty().probe_many(&blocks, &mut out);
-        for (&block, got) in blocks.iter().zip(&out) {
-            assert_eq!(*got, c.dirty().probe(block), "block {block}");
-        }
-        assert_eq!(out[0].unwrap().owner, 1);
-        assert!(out[0].unwrap().dirty && !out[1].unwrap().dirty);
-        assert!(out[3].is_none() && out[4].is_none(), "non-resident probes");
-        c.assert_index_coherent();
-    }
-
-    #[test]
-    #[should_panic(expected = "probe_many output length")]
-    fn probe_many_rejects_mismatched_lengths() {
-        let c = tiny(2);
-        c.dirty().probe_many(&[0u64], &mut []);
     }
 
     #[test]

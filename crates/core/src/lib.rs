@@ -56,7 +56,7 @@ pub use crate::dbi::Dbi;
 pub use crate::replacement::{DbiReplacementPolicy, BIP_EPSILON_RECIPROCAL};
 pub use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 pub use crate::stats::DbiStats;
-pub use crate::words::{prefetch_read, DirtyWords, WordOnes, MAX_BITS};
+pub use crate::words::{DirtyWords, WordOnes, MAX_BITS};
 
 /// Index of a cache block in the physical address space.
 ///

@@ -12,31 +12,6 @@ pub const MAX_BITS: usize = 512;
 
 const WORD_BITS: usize = 64;
 
-/// Issues a host data-prefetch hint for the cache line holding `*p`.
-///
-/// Bulk queries that know all their target addresses up front (the cache
-/// crate's `probe_many`) hint every set's slab lines before the first tag
-/// walk, overlapping the scattered index misses instead of paying them one
-/// dependent chain at a time. Purely a hint: on architectures without one
-/// it compiles to nothing, and it never faults regardless of the pointer's
-/// validity.
-#[inline]
-pub fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint; it performs no memory access that can
-    // fault, for any address.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch(p.cast::<i8>(), std::arch::x86_64::_MM_HINT_T0);
-    }
-    #[cfg(target_arch = "aarch64")]
-    // SAFETY: PRFM never faults, for any address.
-    unsafe {
-        std::arch::asm!("prfm pldl1keep, [{0}]", in(reg) p, options(nostack, preserves_flags));
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let _ = p;
-}
-
 // ---------------------------------------------------------------------------
 // DirtyWords: the shared word-level bit storage.
 // ---------------------------------------------------------------------------
@@ -88,15 +63,6 @@ impl DirtyWords {
     #[must_use]
     pub fn word(&self, i: usize) -> u64 {
         self.words[i]
-    }
-
-    /// Issues a host prefetch hint for word `i` without reading it. Out of
-    /// range is a silent no-op — a hint must never panic.
-    #[inline]
-    pub fn prefetch_word(&self, i: usize) {
-        if let Some(p) = self.words.get(i) {
-            prefetch_read(p);
-        }
     }
 
     /// Returns whether `bit` is set.

@@ -245,14 +245,10 @@ impl Sanitizer {
                     });
                 }
                 // Under a DBI the tag store must be entirely clean, so the
-                // common case is every dirty word zero: sweep them with the
-                // bulk mask query and only walk the tags when a word says
-                // some set actually holds a dirty bit.
+                // common case is every set's dirty word zero: only walk the
+                // tags when some set actually holds a dirty bit.
                 let view = cache.dirty();
-                let sets: Vec<SetIdx> = (0..cache.config().sets()).map(SetIdx).collect();
-                let mut words = vec![0u64; sets.len()];
-                view.mask_words(&sets, &mut words);
-                if words.iter().any(|&w| w != 0) {
+                if (0..cache.config().sets()).any(|s| !view.mask(SetIdx(s)).is_empty()) {
                     for (block, tag_dirty, _) in cache.blocks() {
                         if tag_dirty {
                             self.record(InvariantKind::DirtyCoherence, block, || {
@@ -261,17 +257,14 @@ impl Sanitizer {
                         }
                     }
                 }
-                let dirty_list: Vec<u64> = dbi.dirty_blocks().collect();
-                let mut probes = vec![None; dirty_list.len()];
-                view.probe_many(&dirty_list, &mut probes);
-                for (&block, probe) in dirty_list.iter().zip(&probes) {
-                    if probe.is_none() {
+                for block in dbi.dirty_blocks() {
+                    if !cache.probe(block) {
                         self.record(InvariantKind::DirtyCoherence, block, || {
                             "DBI-dirty block is not resident in the cache".to_string()
                         });
                     }
                 }
-                dirty_list.into_iter().collect()
+                dbi.dirty_blocks().collect()
             }
             None => cache
                 .blocks()
